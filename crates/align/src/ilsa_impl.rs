@@ -1,7 +1,7 @@
 //! The ILSA driver: similarity → assignment → direction flags, plus helpers
 //! to apply the alignment to factor matrices and singular-value vectors.
 
-use ivmf_linalg::Matrix;
+use ivmf_linalg::{ColScale, Matrix};
 
 use crate::cosine::similarity_matrix;
 use crate::greedy::greedy_mapping;
@@ -85,13 +85,20 @@ impl Alignment {
                 max_shape: (m.rows(), self.mapping.len()),
             });
         }
-        let mut out = m.permute_cols(&self.mapping)?;
-        for (j, &flip) in self.flip.iter().enumerate() {
-            if flip {
-                out.scale_col(j, -1.0);
-            }
-        }
-        Ok(out)
+        // One row-major pass: each output row gathers the mapped entries,
+        // multiplying the flipped ones by -1.0.
+        let signs: Vec<ColScale> = self
+            .flip
+            .iter()
+            .map(|&flip| {
+                if flip {
+                    ColScale::By(-1.0)
+                } else {
+                    ColScale::Keep
+                }
+            })
+            .collect();
+        Ok(m.permute_cols_scaled(&self.mapping, &signs)?)
     }
 
     /// Applies the alignment's permutation (but not the sign flips) to a
@@ -278,5 +285,41 @@ mod tests {
         assert!(!a.is_empty());
         let m = Matrix::identity(4);
         assert_eq!(a.apply_to_columns(&m).unwrap(), m);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+        #[test]
+        fn prop_apply_to_columns_matches_column_oracle(seed in 0u64..1_000_000) {
+            use ivmf_linalg::random::{bit_pattern, edge_case_matrix};
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let rows = [1usize, 127, 129, 300][rng.gen_range(0..4usize)];
+            let r = if seed % 3 == 0 { 1 } else { rng.gen_range(1usize..24) };
+            let m = edge_case_matrix(&mut rng, rows, r);
+            let mut mapping: Vec<usize> = (0..r).collect();
+            for i in (1..r).rev() {
+                mapping.swap(i, rng.gen_range(0..=i));
+            }
+            let a = Alignment {
+                mapping,
+                flip: (0..r).map(|_| rng.gen_bool(0.5)).collect(),
+                matched_similarity: vec![1.0; r],
+            };
+            // The two-step column-at-a-time version the fused pass replaced.
+            let mut oracle = Matrix::zeros(rows, r);
+            for (j_new, &j_old) in a.mapping.iter().enumerate() {
+                for i in 0..rows {
+                    oracle[(i, j_new)] = m[(i, j_old)];
+                }
+            }
+            for (j, &flip) in a.flip.iter().enumerate() {
+                if flip {
+                    oracle.scale_col(j, -1.0);
+                }
+            }
+            let fast = a.apply_to_columns(&m).unwrap();
+            let bits = |x: &Matrix| x.as_slice().iter().map(|&v| bit_pattern(v)).collect::<Vec<_>>();
+            proptest::prop_assert_eq!(bits(&fast), bits(&oracle));
+        }
     }
 }

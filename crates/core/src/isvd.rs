@@ -247,16 +247,8 @@ pub(crate) fn recover_left_factor(m_bound: &Matrix, v: &Matrix, sigma: &[f64]) -
 /// shard by shard) can apply the identical entry-wise scaling.
 pub(crate) fn scale_left_factor(u: &mut Matrix, sigma: &[f64]) {
     let smax = sigma.iter().cloned().fold(0.0_f64, f64::max);
-    let tol = smax * 1e-12;
-    for (j, &s) in sigma.iter().enumerate() {
-        if s > tol && s > 0.0 {
-            u.scale_col(j, 1.0 / s);
-        } else {
-            for i in 0..u.rows() {
-                u[(i, j)] = 0.0;
-            }
-        }
-    }
+    u.scale_cols_by_inverse(sigma, smax * 1e-12)
+        .expect("one singular value per factor column");
 }
 
 /// Inverts (or pseudo-inverts) the transposed averaged factor, following the
@@ -410,5 +402,47 @@ mod tests {
         let m = IntervalMatrix::from_scalar(Matrix::identity(3));
         assert!(isvd(&m, &IsvdConfig::new(0)).is_err());
         assert!(isvd(&m, &IsvdConfig::new(9)).is_err());
+    }
+
+    #[test]
+    fn scale_left_factor_matches_column_oracle() {
+        use crate::test_support::assert_same_bits;
+        use ivmf_linalg::random::edge_case_matrix;
+        use rand::Rng;
+        let mut rng = SmallRng::seed_from_u64(5);
+        for case in 0..40 {
+            let rows = [1usize, 129, 300][case % 3];
+            let r = if case % 4 == 0 {
+                1
+            } else {
+                rng.gen_range(1usize..22)
+            };
+            let u = edge_case_matrix(&mut rng, rows, r);
+            // Leading values, one negligible below 1e-12 of the largest,
+            // exact zeros and NaN.
+            let sigma: Vec<f64> = (0..r)
+                .map(|j| match (j + case) % 5 {
+                    0 => 1e-14,
+                    1 => 0.0,
+                    2 => f64::NAN,
+                    _ => rng.gen_range(0.5..20.0),
+                })
+                .collect();
+            let mut fast = u.clone();
+            scale_left_factor(&mut fast, &sigma);
+            // The column-at-a-time loop scale_left_factor replaced.
+            let mut slow = u.clone();
+            let tol = sigma.iter().cloned().fold(0.0_f64, f64::max) * 1e-12;
+            for (j, &s) in sigma.iter().enumerate() {
+                if s > tol && s > 0.0 {
+                    slow.scale_col(j, 1.0 / s);
+                } else {
+                    for i in 0..slow.rows() {
+                        slow[(i, j)] = 0.0;
+                    }
+                }
+            }
+            assert_same_bits(&fast, &slow, "scale_left_factor");
+        }
     }
 }

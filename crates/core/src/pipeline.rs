@@ -116,7 +116,7 @@ use ivmf_interval::{
 };
 use ivmf_linalg::svd::{svd_truncated, Svd};
 use ivmf_linalg::{
-    matmul_left_streamed, matmul_left_streamed_csr, matmul_streamed, matmul_streamed_csr,
+    matmul_left_streamed, matmul_left_streamed_csr_t, matmul_streamed, matmul_streamed_csr,
     CsrRowBlocks, CsrShard, LinalgError, Matrix, RowBlocks,
 };
 
@@ -125,7 +125,7 @@ use crate::isvd::{
     IsvdAlgorithm, IsvdConfig, IsvdResult,
 };
 use crate::sigma_inverse::sigma_inverse_matrix;
-use crate::target::{DecompositionTarget, RawFactors};
+use crate::target::{DecompositionTarget, FactorBounds};
 use crate::timing::{timed, StageTimings};
 use crate::{IvmfError, Result};
 
@@ -1015,19 +1015,21 @@ fn stream_matmul_scalar(input: &PipelineInput<'_>, rhs: &Matrix) -> Result<Inter
     IntervalMatrix::envelope_of(p, q).map_err(IvmfError::from)
 }
 
-/// Reduction-streamed `lhs · M†` for a scalar left operand: the streamed
-/// counterpart of [`IntervalMatrix::matmul_scalar_left`], bitwise
-/// identical for every shard layout.
-fn stream_matmul_scalar_left(lhs: &Matrix, input: &PipelineInput<'_>) -> Result<IntervalMatrix> {
+/// Reduction-streamed `(lhs · M†)ᵀ` for a scalar left operand: the
+/// transposed streamed counterpart of
+/// [`IntervalMatrix::matmul_scalar_left`], bitwise identical for every
+/// shard layout. Sparse inputs run the transposed CSR reduction kernel,
+/// which produces the tall `m x p` layout directly.
+fn stream_matmul_scalar_left_t(lhs: &Matrix, input: &PipelineInput<'_>) -> Result<IntervalMatrix> {
     let (p, q) = if input.is_sparse() {
         (
-            matmul_left_streamed_csr(lhs, &SparseBoundStream { input, hi: false })?,
-            matmul_left_streamed_csr(lhs, &SparseBoundStream { input, hi: true })?,
+            matmul_left_streamed_csr_t(lhs, &SparseBoundStream { input, hi: false })?,
+            matmul_left_streamed_csr_t(lhs, &SparseBoundStream { input, hi: true })?,
         )
     } else {
         (
-            matmul_left_streamed(lhs, &BoundStream { input, hi: false })?,
-            matmul_left_streamed(lhs, &BoundStream { input, hi: true })?,
+            matmul_left_streamed(lhs, &BoundStream { input, hi: false })?.transpose(),
+            matmul_left_streamed(lhs, &BoundStream { input, hi: true })?.transpose(),
         )
     };
     IntervalMatrix::envelope_of(p, q).map_err(IvmfError::from)
@@ -1671,15 +1673,15 @@ impl<'m> Pipeline<'m> {
         let avg = self.stage_midpoint(run)?;
         let f = self.stage_midpoint_svd(run, avg)?;
         timed(&mut run.timings.renormalization, || {
-            RawFactors::new(
-                f.u.clone(),
-                f.u.clone(),
-                f.singular_values.clone(),
-                f.singular_values.clone(),
-                f.v.clone(),
-                f.v.clone(),
-            )
-            .and_then(|raw| raw.into_target(DecompositionTarget::Scalar))
+            FactorBounds {
+                u_lo: &f.u,
+                u_hi: &f.u,
+                sigma_lo: &f.singular_values,
+                sigma_hi: &f.singular_values,
+                v_lo: &f.v,
+                v_hi: &f.v,
+            }
+            .assemble(DecompositionTarget::Scalar)
         })
     }
 
@@ -1697,15 +1699,15 @@ impl<'m> Pipeline<'m> {
             Ok::<_, IvmfError>((u_lo, sigma_lo, v_lo))
         })?;
         timed(&mut run.timings.renormalization, || {
-            RawFactors::new(
-                u_lo,
-                svds.hi.u.clone(),
-                sigma_lo,
-                svds.hi.singular_values.clone(),
-                v_lo,
-                svds.hi.v.clone(),
-            )
-            .and_then(|raw| raw.into_target(target))
+            FactorBounds {
+                u_lo: &u_lo,
+                u_hi: &svds.hi.u,
+                sigma_lo: &sigma_lo,
+                sigma_hi: &svds.hi.singular_values,
+                v_lo: &v_lo,
+                v_hi: &svds.hi.v,
+            }
+            .assemble(target)
         })
     }
 
@@ -1726,15 +1728,15 @@ impl<'m> Pipeline<'m> {
             Ok::<_, IvmfError>((u_lo, sigma_lo, v_lo))
         })?;
         timed(&mut run.timings.renormalization, || {
-            RawFactors::new(
-                u_lo,
-                recovered.1.clone(),
-                sigma_lo,
-                eig_hi.sigma.clone(),
-                v_lo,
-                eig_hi.v.clone(),
-            )
-            .and_then(|raw| raw.into_target(target))
+            FactorBounds {
+                u_lo: &u_lo,
+                u_hi: &recovered.1,
+                sigma_lo: &sigma_lo,
+                sigma_hi: &eig_hi.sigma,
+                v_lo: &v_lo,
+                v_hi: &eig_hi.v,
+            }
+            .assemble(target)
         })
     }
 
@@ -1757,16 +1759,15 @@ impl<'m> Pipeline<'m> {
     ) -> Result<crate::target::IntervalSvd> {
         let (eig_hi, solved) = self.solve_prefix(run)?;
         timed(&mut run.timings.renormalization, || {
-            let (u_lo, u_hi) = solved.u.clone().into_bounds();
-            RawFactors::new(
-                u_lo,
-                u_hi,
-                solved.sigma_lo.clone(),
-                eig_hi.sigma.clone(),
-                solved.v_lo.clone(),
-                eig_hi.v.clone(),
-            )
-            .and_then(|raw| raw.into_target(target))
+            FactorBounds {
+                u_lo: solved.u.lo(),
+                u_hi: solved.u.hi(),
+                sigma_lo: &solved.sigma_lo,
+                sigma_hi: &eig_hi.sigma,
+                v_lo: &solved.v_lo,
+                v_hi: &eig_hi.v,
+            }
+            .assemble(target)
         })
     }
 
@@ -1778,16 +1779,15 @@ impl<'m> Pipeline<'m> {
         let (eig_hi, solved) = self.solve_prefix(run)?;
         let tightened = self.stage_right_tighten(run, Rc::clone(&solved))?;
         timed(&mut run.timings.renormalization, || {
-            let (u_lo, u_hi) = solved.u.clone().into_bounds();
-            RawFactors::new(
-                u_lo,
-                u_hi,
-                solved.sigma_lo.clone(),
-                eig_hi.sigma.clone(),
-                tightened.0.clone(),
-                tightened.1.clone(),
-            )
-            .and_then(|raw| raw.into_target(target))
+            FactorBounds {
+                u_lo: solved.u.lo(),
+                u_hi: solved.u.hi(),
+                sigma_lo: &solved.sigma_lo,
+                sigma_hi: &eig_hi.sigma,
+                v_lo: &tightened.0,
+                v_hi: &tightened.1,
+            }
+            .assemble(target)
         })
     }
 
@@ -2016,7 +2016,7 @@ impl<'m> Pipeline<'m> {
                 // interval product, with identical results. The reduction
                 // over the row dimension streams over the input's shards.
                 let projector = solved.sigma_inv.matmul(&u_inv)?;
-                let recomputed = stream_matmul_scalar_left(&projector, input)?.transpose(); // m x r
+                let recomputed = stream_matmul_scalar_left_t(&projector, input)?; // m x r
                 Ok::<_, IvmfError>(recomputed.into_bounds())
             })
         })

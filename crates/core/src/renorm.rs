@@ -5,26 +5,75 @@
 //! core matrix (Section 3.4.2). This module implements that renormalization
 //! and returns the per-column norms so the caller can rescale `Σ`.
 
-use ivmf_linalg::Matrix;
+use ivmf_linalg::{ColScale, Matrix};
+
+use crate::{IvmfError, Result};
 
 /// Normalizes every column of `m` to unit L2 norm.
 ///
 /// Returns the normalized matrix and the vector of original column norms.
-/// Columns with (numerically) zero norm are left untouched and report a norm
-/// of `0.0`; the caller then multiplies the corresponding core entry by zero,
-/// which is the only consistent interpretation of a degenerate latent
-/// direction.
+/// Columns whose norm is not above `f64::EPSILON` (numerically zero, or
+/// NaN) are left untouched and report their norm as computed — it is not
+/// replaced by `0.0`; the caller multiplies the corresponding core entry by
+/// that negligible norm, the only consistent interpretation of a degenerate
+/// latent direction.
+///
+/// Target assembly uses the fused [`normalized_mean`]; this single-matrix
+/// form stays as the reference its tests check against.
+#[cfg_attr(not(test), allow(dead_code))]
 pub fn normalize_columns(m: &Matrix) -> (Matrix, Vec<f64>) {
     let mut out = m.clone();
-    let mut norms = Vec::with_capacity(m.cols());
-    for j in 0..m.cols() {
-        let norm = m.col_norm(j);
-        norms.push(norm);
-        if norm > f64::EPSILON {
-            out.scale_col(j, 1.0 / norm);
+    let norms = m.col_norms();
+    out.scale_cols_or_zero(&renorm_scales(&norms))
+        .expect("one scale per column");
+    (out, norms)
+}
+
+/// [`normalize_columns`] of the entry-wise mean `(lo + hi) / 2` without
+/// materializing the mean separately: one row-major pass writes the mean
+/// and folds its column norms (ascending rows, exactly as
+/// [`Matrix::col_norms`] would), then the columns are scaled in place.
+/// Bitwise equal to `normalize_columns(&lo.mean_with(hi)?)`.
+pub(crate) fn normalized_mean(lo: &Matrix, hi: &Matrix) -> Result<(Matrix, Vec<f64>)> {
+    let (rows, cols) = lo.shape();
+    if hi.shape() != (rows, cols) {
+        return Err(IvmfError::InvalidInput(
+            "minimum and maximum factors must have identical shapes".to_string(),
+        ));
+    }
+    let mut out = Matrix::zeros(rows, cols);
+    // `-0.0` is the neutral element of `f64`'s `Sum` (see `col_norms`).
+    let mut acc = vec![-0.0_f64; cols];
+    if cols > 0 {
+        let bounds = lo
+            .as_slice()
+            .chunks_exact(cols)
+            .zip(hi.as_slice().chunks_exact(cols));
+        for (o, (l, h)) in out.as_mut_slice().chunks_exact_mut(cols).zip(bounds) {
+            for (((o, a), &x), &y) in o.iter_mut().zip(acc.iter_mut()).zip(l).zip(h) {
+                *o = 0.5 * (x + y);
+                *a += *o * *o;
+            }
         }
     }
-    (out, norms)
+    let norms: Vec<f64> = acc.into_iter().map(f64::sqrt).collect();
+    out.scale_cols_or_zero(&renorm_scales(&norms))?;
+    Ok((out, norms))
+}
+
+/// Per-column scaling of the renormalization: `1/norm` for columns with a
+/// norm above `f64::EPSILON`, untouched otherwise.
+fn renorm_scales(norms: &[f64]) -> Vec<ColScale> {
+    norms
+        .iter()
+        .map(|&norm| {
+            if norm > f64::EPSILON {
+                ColScale::By(1.0 / norm)
+            } else {
+                ColScale::Keep
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -70,5 +119,56 @@ mod tests {
         assert_eq!(norms[0], 0.0);
         assert_eq!(n.col(0), vec![0.0, 0.0]);
         assert!((norms[1] - 1.0).abs() < 1e-12);
+    }
+
+    /// The column-at-a-time renormalization the row-major pass replaced.
+    fn normalize_columns_oracle(m: &Matrix) -> (Matrix, Vec<f64>) {
+        let mut out = m.clone();
+        let mut norms = Vec::with_capacity(m.cols());
+        for j in 0..m.cols() {
+            let norm = m.col_norm(j);
+            norms.push(norm);
+            if norm > f64::EPSILON {
+                out.scale_col(j, 1.0 / norm);
+            }
+        }
+        (out, norms)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+        #[test]
+        fn prop_renormalization_matches_column_oracle(seed in 0u64..1_000_000) {
+            use crate::test_support::assert_same_bits;
+            use ivmf_linalg::random::{bit_pattern, edge_case_matrix};
+            use rand::rngs::SmallRng;
+            use rand::{Rng, SeedableRng};
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let rows = [1usize, 127, 129, 300][rng.gen_range(0..4usize)];
+            let cols = if seed % 3 == 0 { 1 } else { rng.gen_range(1usize..24) };
+            let (lo, mut hi) = (
+                edge_case_matrix(&mut rng, rows, cols),
+                edge_case_matrix(&mut rng, rows, cols),
+            );
+            // A negligible column and a mean that cancels to ±0.
+            let j = rng.gen_range(0..cols);
+            for i in 0..rows {
+                hi[(i, j)] = 1e-200;
+            }
+            let bits = |v: &[f64]| v.iter().map(|&x| bit_pattern(x)).collect::<Vec<_>>();
+            let (fast, fast_norms) = normalize_columns(&lo);
+            let (slow, slow_norms) = normalize_columns_oracle(&lo);
+            assert_same_bits(&fast, &slow, "normalize_columns");
+            proptest::prop_assert_eq!(bits(&fast_norms), bits(&slow_norms));
+            let (fused, fused_norms) = normalized_mean(&lo, &hi).unwrap();
+            let (slow, slow_norms) = normalize_columns_oracle(&lo.mean_with(&hi).unwrap());
+            assert_same_bits(&fused, &slow, "normalized_mean");
+            proptest::prop_assert_eq!(bits(&fused_norms), bits(&slow_norms));
+        }
+    }
+
+    #[test]
+    fn normalized_mean_rejects_mismatched_bounds() {
+        assert!(normalized_mean(&Matrix::zeros(2, 2), &Matrix::zeros(3, 2)).is_err());
     }
 }

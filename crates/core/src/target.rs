@@ -22,7 +22,7 @@ use serde::{Deserialize, Serialize};
 use ivmf_interval::{Interval, IntervalMatrix};
 use ivmf_linalg::Matrix;
 
-use crate::renorm::normalize_columns;
+use crate::renorm::normalized_mean;
 use crate::{IvmfError, Result};
 
 /// Which application semantics the decomposition should satisfy
@@ -99,30 +99,16 @@ impl RawFactors {
         v_lo: Matrix,
         v_hi: Matrix,
     ) -> Result<Self> {
-        let r = sigma_lo.len();
-        if sigma_hi.len() != r
-            || u_lo.cols() != r
-            || u_hi.cols() != r
-            || v_lo.cols() != r
-            || v_hi.cols() != r
-        {
-            return Err(IvmfError::InvalidInput(
-                "factor matrices and singular values disagree on the rank".to_string(),
-            ));
-        }
-        if u_lo.shape() != u_hi.shape() || v_lo.shape() != v_hi.shape() {
-            return Err(IvmfError::InvalidInput(
-                "minimum and maximum factors must have identical shapes".to_string(),
-            ));
-        }
-        Ok(RawFactors {
+        let raw = RawFactors {
             u_lo,
             u_hi,
             sigma_lo,
             sigma_hi,
             v_lo,
             v_hi,
-        })
+        };
+        raw.bounds().validate()?;
+        Ok(raw)
     }
 
     /// Target rank of the factors.
@@ -133,13 +119,70 @@ impl RawFactors {
     /// Assembles the final [`IntervalSvd`] for the requested target
     /// (Section 3.4; supplementary Algorithms 8–11, final blocks).
     pub fn into_target(self, target: DecompositionTarget) -> Result<IntervalSvd> {
-        let r = self.rank();
+        self.bounds().assemble(target)
+    }
+
+    fn bounds(&self) -> FactorBounds<'_> {
+        FactorBounds {
+            u_lo: &self.u_lo,
+            u_hi: &self.u_hi,
+            sigma_lo: &self.sigma_lo,
+            sigma_hi: &self.sigma_hi,
+            v_lo: &self.v_lo,
+            v_hi: &self.v_hi,
+        }
+    }
+}
+
+/// Borrowed raw bound factors: the input of target assembly. The pipeline
+/// assembles straight from its cached stage outputs through this view, so
+/// no `n x r` factor is copied just to be handed over.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct FactorBounds<'a> {
+    pub u_lo: &'a Matrix,
+    pub u_hi: &'a Matrix,
+    pub sigma_lo: &'a [f64],
+    pub sigma_hi: &'a [f64],
+    pub v_lo: &'a Matrix,
+    pub v_hi: &'a Matrix,
+}
+
+impl FactorBounds<'_> {
+    /// The shape and rank checks of [`RawFactors::new`].
+    fn validate(&self) -> Result<()> {
+        let r = self.sigma_lo.len();
+        if self.sigma_hi.len() != r
+            || self.u_lo.cols() != r
+            || self.u_hi.cols() != r
+            || self.v_lo.cols() != r
+            || self.v_hi.cols() != r
+        {
+            return Err(IvmfError::InvalidInput(
+                "factor matrices and singular values disagree on the rank".to_string(),
+            ));
+        }
+        if self.u_lo.shape() != self.u_hi.shape() || self.v_lo.shape() != self.v_hi.shape() {
+            return Err(IvmfError::InvalidInput(
+                "minimum and maximum factors must have identical shapes".to_string(),
+            ));
+        }
+        Ok(())
+    }
+
+    /// Validates the bounds, then assembles the final [`IntervalSvd`] for
+    /// `target`. Each `n x r` output is built in one row-major pass over
+    /// its two bounds (plus one in-place column scaling for options b and
+    /// c): option a repairs mis-ordered entries while copying, options b
+    /// and c fold the column norms while averaging.
+    pub(crate) fn assemble(self, target: DecompositionTarget) -> Result<IntervalSvd> {
+        self.validate()?;
+        let r = self.sigma_lo.len();
         match target {
             DecompositionTarget::IntervalAll => {
                 // Option (a): keep interval factors, repairing mis-ordered
                 // entries by averaging.
-                let u = IntervalMatrix::from_bounds(self.u_lo, self.u_hi)?.average_replacement();
-                let v = IntervalMatrix::from_bounds(self.v_lo, self.v_hi)?.average_replacement();
+                let u = IntervalMatrix::average_repaired(self.u_lo, self.u_hi)?;
+                let v = IntervalMatrix::average_repaired(self.v_lo, self.v_hi)?;
                 let sigma = (0..r)
                     .map(|j| repaired_interval(self.sigma_lo[j], self.sigma_hi[j]))
                     .collect();
@@ -153,10 +196,8 @@ impl RawFactors {
             DecompositionTarget::IntervalCore => {
                 // Option (b): average + renormalize the factors, rescale the
                 // interval core by the removed column norms.
-                let u_avg = self.u_lo.mean_with(&self.u_hi)?;
-                let v_avg = self.v_lo.mean_with(&self.v_hi)?;
-                let (u_n, norms_u) = normalize_columns(&u_avg);
-                let (v_n, norms_v) = normalize_columns(&v_avg);
+                let (u_n, norms_u) = normalized_mean(self.u_lo, self.u_hi)?;
+                let (v_n, norms_v) = normalized_mean(self.v_lo, self.v_hi)?;
                 let sigma = (0..r)
                     .map(|j| {
                         let scale = norms_u[j] * norms_v[j];
@@ -173,10 +214,8 @@ impl RawFactors {
             DecompositionTarget::Scalar => {
                 // Option (c): everything is averaged; the core additionally
                 // absorbs the renormalization factors.
-                let u_avg = self.u_lo.mean_with(&self.u_hi)?;
-                let v_avg = self.v_lo.mean_with(&self.v_hi)?;
-                let (u_n, norms_u) = normalize_columns(&u_avg);
-                let (v_n, norms_v) = normalize_columns(&v_avg);
+                let (u_n, norms_u) = normalized_mean(self.u_lo, self.u_hi)?;
+                let (v_n, norms_v) = normalized_mean(self.v_lo, self.v_hi)?;
                 let sigma = (0..r)
                     .map(|j| {
                         let avg = 0.5 * (self.sigma_lo[j] + self.sigma_hi[j]);
@@ -497,6 +536,127 @@ mod tests {
         for j in 0..2 {
             assert!(lo[j] <= hi[j]);
             assert!((mid[j] - 0.5 * (lo[j] + hi[j])).abs() < 1e-12);
+        }
+    }
+
+    /// Reference assembly: owned bounds, a separate mean,
+    /// column-at-a-time renormalization and a cloning average replacement.
+    fn into_target_oracle(raw: RawFactors, target: DecompositionTarget) -> IntervalSvd {
+        let r = raw.rank();
+        let renormalize = |m: &Matrix| {
+            let mut out = m.clone();
+            let mut norms = Vec::new();
+            for j in 0..m.cols() {
+                let norm = m.col_norm(j);
+                norms.push(norm);
+                if norm > f64::EPSILON {
+                    out.scale_col(j, 1.0 / norm);
+                }
+            }
+            (out, norms)
+        };
+        let repair = |lo: Matrix, hi: Matrix| {
+            let (mut lo, mut hi) = (lo, hi);
+            for i in 0..lo.rows() {
+                for j in 0..lo.cols() {
+                    if lo[(i, j)] > hi[(i, j)] {
+                        let mid = 0.5 * (lo[(i, j)] + hi[(i, j)]);
+                        lo[(i, j)] = mid;
+                        hi[(i, j)] = mid;
+                    }
+                }
+            }
+            IntervalMatrix::from_bounds(lo, hi).unwrap()
+        };
+        match target {
+            DecompositionTarget::IntervalAll => IntervalSvd {
+                target,
+                u: repair(raw.u_lo, raw.u_hi),
+                sigma: (0..r)
+                    .map(|j| repaired_interval(raw.sigma_lo[j], raw.sigma_hi[j]))
+                    .collect(),
+                v: repair(raw.v_lo, raw.v_hi),
+            },
+            _ => {
+                let (u_n, norms_u) = renormalize(&raw.u_lo.mean_with(&raw.u_hi).unwrap());
+                let (v_n, norms_v) = renormalize(&raw.v_lo.mean_with(&raw.v_hi).unwrap());
+                let sigma = (0..r)
+                    .map(|j| {
+                        let scale = norms_u[j] * norms_v[j];
+                        if target == DecompositionTarget::IntervalCore {
+                            repaired_interval(raw.sigma_lo[j] * scale, raw.sigma_hi[j] * scale)
+                        } else {
+                            let avg = 0.5 * (raw.sigma_lo[j] + raw.sigma_hi[j]);
+                            Interval::scalar(avg * norms_u[j] * norms_v[j])
+                        }
+                    })
+                    .collect();
+                IntervalSvd {
+                    target,
+                    u: IntervalMatrix::from_scalar(u_n),
+                    sigma,
+                    v: IntervalMatrix::from_scalar(v_n),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn borrowed_assembly_matches_owned_oracle_bitwise_for_every_target() {
+        use crate::test_support::assert_same_bits;
+        use ivmf_linalg::random::{bit_pattern, uniform_matrix};
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(23);
+        for case in 0..24 {
+            let (n, m) = [(1usize, 3usize), (129, 40), (300, 256)][case % 3];
+            let r = if case % 4 == 0 {
+                1
+            } else {
+                rng.gen_range(1..m.min(20))
+            };
+            // Noisy bound pairs: many entries mis-ordered, one column
+            // negligible on each side, signed zeros and a subnormal.
+            let mut bound = |rows: usize| {
+                let lo = uniform_matrix(&mut rng, rows, r, -1.0, 1.0);
+                let noise = uniform_matrix(&mut rng, rows, r, -0.2, 0.5);
+                let mut hi = lo.add(&noise).unwrap();
+                let (mut lo, j) = (lo, rows % r);
+                for i in 0..rows {
+                    lo[(i, j)] = if i % 2 == 0 { -0.0 } else { 5e-324 };
+                    hi[(i, j)] = 0.0;
+                }
+                (lo, hi)
+            };
+            let (u_lo, u_hi) = bound(n);
+            let (v_lo, v_hi) = bound(m);
+            let sigma_lo: Vec<f64> = (0..r).map(|_| rng.gen_range(0.0..5.0)).collect();
+            let sigma_hi: Vec<f64> = sigma_lo
+                .iter()
+                .map(|s| s + rng.gen_range(-0.5..1.0))
+                .collect();
+            let raw = RawFactors::new(u_lo, u_hi, sigma_lo, sigma_hi, v_lo, v_hi).unwrap();
+            for target in DecompositionTarget::all() {
+                let fast = raw.bounds().assemble(target).unwrap();
+                let slow = into_target_oracle(raw.clone(), target);
+                let ctx = format!("case {case} target {target}");
+                assert_same_bits(fast.u.lo(), slow.u.lo(), &ctx);
+                assert_same_bits(fast.u.hi(), slow.u.hi(), &ctx);
+                assert_same_bits(fast.v.lo(), slow.v.lo(), &ctx);
+                assert_same_bits(fast.v.hi(), slow.v.hi(), &ctx);
+                let bits = |s: &IntervalSvd| {
+                    s.sigma
+                        .iter()
+                        .map(|x| (bit_pattern(x.lo()), bit_pattern(x.hi())))
+                        .collect::<Vec<_>>()
+                };
+                assert_eq!(bits(&fast), bits(&slow), "{ctx}: sigma");
+                assert_eq!(fast.target, target);
+                // The owned entry point is the same assembly.
+                let owned = raw.clone().into_target(target).unwrap();
+                assert_same_bits(owned.u.lo(), fast.u.lo(), &ctx);
+                assert_same_bits(owned.v.hi(), fast.v.hi(), &ctx);
+            }
         }
     }
 }

@@ -216,18 +216,39 @@ impl IntervalMatrix {
     /// Supplementary Algorithm 3 (matrix average replacement): every entry
     /// with mis-ordered bounds is replaced in both bounds by its midpoint.
     pub fn average_replacement(&self) -> IntervalMatrix {
-        let mut out = self.clone();
-        let (r, c) = out.shape();
-        for i in 0..r {
-            for j in 0..c {
-                if out.lo[(i, j)] > out.hi[(i, j)] {
-                    let mid = 0.5 * (out.lo[(i, j)] + out.hi[(i, j)]);
-                    out.lo[(i, j)] = mid;
-                    out.hi[(i, j)] = mid;
-                }
-            }
+        Self::average_repaired(&self.lo, &self.hi).expect("bounds share a shape")
+    }
+
+    /// [`IntervalMatrix::average_replacement`] of the interval matrix with
+    /// bounds `lo` and `hi`, built from borrowed bounds in one pass.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`IntervalError::DimensionMismatch`] when the bounds have
+    /// different shapes.
+    pub fn average_repaired(lo: &Matrix, hi: &Matrix) -> Result<IntervalMatrix> {
+        if lo.shape() != hi.shape() {
+            return Err(IntervalError::DimensionMismatch {
+                op: "average_repaired",
+                lhs: lo.shape(),
+                rhs: hi.shape(),
+            });
         }
-        out
+        let (rows, cols) = lo.shape();
+        let (mut out_lo, mut out_hi) = (Matrix::zeros(rows, cols), Matrix::zeros(rows, cols));
+        let outs = out_lo.as_mut_slice().iter_mut().zip(out_hi.as_mut_slice());
+        for ((ol, oh), (&l, &h)) in outs.zip(lo.as_slice().iter().zip(hi.as_slice())) {
+            (*ol, *oh) = if l > h {
+                let mid = 0.5 * (l + h);
+                (mid, mid)
+            } else {
+                (l, h)
+            };
+        }
+        Ok(IntervalMatrix {
+            lo: out_lo,
+            hi: out_hi,
+        })
     }
 
     /// Transpose of the interval matrix.

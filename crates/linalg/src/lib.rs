@@ -67,10 +67,10 @@ pub use eigen_topk::{
     topk_profitable, TopkOptions, TopkReport, DEFAULT_TOPK_TOL,
 };
 pub use error::LinalgError;
-pub use matrix::{Matrix, MATMUL_BLOCKED_MIN_WORK, MATMUL_PAR_MIN_WORK};
+pub use matrix::{ColScale, Matrix, MATMUL_BLOCKED_MIN_WORK, MATMUL_PAR_MIN_WORK};
 pub use sparse::{
-    gram_streamed_csr, matmul_left_streamed_csr, matmul_streamed_csr, CsrRowBlocks, CsrShard,
-    CsrShardedMatrix, SparseCrossGramAccumulator, SparseGramAccumulator,
+    gram_streamed_csr, matmul_left_streamed_csr, matmul_left_streamed_csr_t, matmul_streamed_csr,
+    CsrRowBlocks, CsrShard, CsrShardedMatrix, SparseCrossGramAccumulator, SparseGramAccumulator,
 };
 pub use streaming::{
     gram_streamed, matmul_left_streamed, matmul_streamed, CrossGramAccumulator, GramAccumulator,

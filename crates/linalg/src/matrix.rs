@@ -23,6 +23,28 @@ pub struct Matrix {
     data: Vec<f64>,
 }
 
+/// What [`Matrix::scale_cols_or_zero`] and [`Matrix::permute_cols_scaled`]
+/// do to one column.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ColScale {
+    /// Leave the column's entries untouched.
+    Keep,
+    /// Multiply every entry by the factor.
+    By(f64),
+    /// Set every entry to `0.0`.
+    Zero,
+}
+
+impl ColScale {
+    fn apply(self, x: f64) -> f64 {
+        match self {
+            ColScale::Keep => x,
+            ColScale::By(s) => x * s,
+            ColScale::Zero => 0.0,
+        }
+    }
+}
+
 /// Scalar-multiplication count (`n·k·m`) below which [`Matrix::matmul`]
 /// runs the reference i-k-j kernel instead of the packed register-tiled
 /// one: at tiny sizes the two kernels are equivalent, packing overhead
@@ -664,6 +686,13 @@ impl Matrix {
     /// Returns a new matrix whose columns are permuted: output column `j`
     /// is input column `perm[j]`.
     pub fn permute_cols(&self, perm: &[usize]) -> Result<Matrix> {
+        self.permute_cols_scaled(perm, &vec![ColScale::Keep; perm.len()])
+    }
+
+    /// [`Matrix::permute_cols`] fused with a per-column
+    /// [`ColScale`]: output column `j` is input column `perm[j]` with
+    /// `ops[j]` applied — one row-major pass over the matrix.
+    pub fn permute_cols_scaled(&self, perm: &[usize], ops: &[ColScale]) -> Result<Matrix> {
         if perm.len() != self.cols {
             return Err(LinalgError::InvalidArgument(format!(
                 "permutation length {} does not match column count {}",
@@ -671,19 +700,26 @@ impl Matrix {
                 self.cols
             )));
         }
-        let mut out = Matrix::zeros(self.rows, self.cols);
-        for (j_new, &j_old) in perm.iter().enumerate() {
-            if j_old >= self.cols {
-                return Err(LinalgError::InvalidArgument(format!(
-                    "permutation index {j_old} out of bounds for {} columns",
-                    self.cols
-                )));
-            }
-            for i in 0..self.rows {
-                out[(i, j_new)] = self[(i, j_old)];
+        if ops.len() != self.cols {
+            return Err(LinalgError::InvalidArgument(format!(
+                "scale count {} does not match column count {}",
+                ops.len(),
+                self.cols
+            )));
+        }
+        if let Some(&j_old) = perm.iter().find(|&&j| j >= self.cols) {
+            return Err(LinalgError::InvalidArgument(format!(
+                "permutation index {j_old} out of bounds for {} columns",
+                self.cols
+            )));
+        }
+        let mut data = Vec::with_capacity(self.data.len());
+        if self.cols > 0 {
+            for row in self.data.chunks_exact(self.cols) {
+                data.extend(perm.iter().zip(ops).map(|(&j, op)| op.apply(row[j])));
             }
         }
-        Ok(out)
+        Matrix::from_vec(self.rows, self.cols, data)
     }
 
     /// Returns a copy with column `j` scaled by `scales[j]` — i.e. the
@@ -714,6 +750,62 @@ impl Matrix {
         for i in 0..self.rows {
             self[(i, j)] *= s;
         }
+    }
+
+    /// Applies `ops[j]` to every entry of column `j` in place, in one
+    /// row-major pass (the `O(n·r)` column scalings of tall factors).
+    /// [`ColScale::Zero`] columns are *set* to `0.0`, so NaN, ±Inf and
+    /// `-0.0` entries become `+0.0` rather than their product with zero.
+    pub fn scale_cols_or_zero(&mut self, ops: &[ColScale]) -> Result<()> {
+        if ops.len() != self.cols {
+            return Err(LinalgError::InvalidArgument(format!(
+                "scale count {} does not match column count {}",
+                ops.len(),
+                self.cols
+            )));
+        }
+        if self.cols > 0 {
+            for row in self.data.chunks_exact_mut(self.cols) {
+                for (x, op) in row.iter_mut().zip(ops) {
+                    *x = op.apply(*x);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The `Σ⁻¹` factor scaling `self · diag(1/σ)` in place: column `j` is
+    /// multiplied by `1/sigma[j]` when `sigma[j] > tol` and positive, and
+    /// zeroed otherwise (a numerically negligible singular value).
+    pub fn scale_cols_by_inverse(&mut self, sigma: &[f64], tol: f64) -> Result<()> {
+        let ops: Vec<ColScale> = sigma
+            .iter()
+            .map(|&s| {
+                if s > tol && s > 0.0 {
+                    ColScale::By(1.0 / s)
+                } else {
+                    ColScale::Zero
+                }
+            })
+            .collect();
+        self.scale_cols_or_zero(&ops)
+    }
+
+    /// Euclidean norms of every column in one row-major pass; each column
+    /// folds its squares in ascending row order, so entry `j` is bitwise
+    /// equal to [`Matrix::col_norm`]`(j)`.
+    pub fn col_norms(&self) -> Vec<f64> {
+        // `-0.0` is the neutral element of `f64`'s `Sum`, which
+        // `col_norm` folds with: a zero-row matrix matches it too.
+        let mut acc = vec![-0.0_f64; self.cols];
+        if self.cols > 0 {
+            for row in self.data.chunks_exact(self.cols) {
+                for (a, &x) in acc.iter_mut().zip(row) {
+                    *a += x * x;
+                }
+            }
+        }
+        acc.into_iter().map(f64::sqrt).collect()
     }
 
     /// Euclidean norm of column `j`.
@@ -1261,5 +1353,143 @@ mod tests {
         let s = format!("{m:?}");
         assert!(s.contains("Matrix 20x20"));
         assert!(s.contains("…"));
+    }
+
+    /// The column-at-a-time `permute_cols` the row-major pass replaced.
+    fn permute_cols_oracle(m: &Matrix, perm: &[usize]) -> Matrix {
+        let mut out = Matrix::zeros(m.rows(), m.cols());
+        for (j_new, &j_old) in perm.iter().enumerate() {
+            for i in 0..m.rows() {
+                out[(i, j_new)] = m[(i, j_old)];
+            }
+        }
+        out
+    }
+
+    /// The column-at-a-time `Σ⁻¹` loop `scale_cols_by_inverse` replaced.
+    fn inverse_scale_oracle(u: &mut Matrix, sigma: &[f64], tol: f64) {
+        for (j, &s) in sigma.iter().enumerate() {
+            if s > tol && s > 0.0 {
+                u.scale_col(j, 1.0 / s);
+            } else {
+                for i in 0..u.rows() {
+                    u[(i, j)] = 0.0;
+                }
+            }
+        }
+    }
+
+    fn assert_same_bits(a: &Matrix, b: &Matrix, context: &str) {
+        assert_eq!(a.shape(), b.shape(), "{context}: shape");
+        for (i, (x, y)) in a.as_slice().iter().zip(b.as_slice()).enumerate() {
+            assert_eq!(
+                crate::random::bit_pattern(*x),
+                crate::random::bit_pattern(*y),
+                "{context}: entry {i} ({x} vs {y})"
+            );
+        }
+    }
+
+    #[test]
+    fn row_major_column_ops_handle_empty_shapes() {
+        let tall = Matrix::zeros(0, 3);
+        assert_eq!(
+            tall.col_norms()
+                .iter()
+                .map(|&x| crate::random::bit_pattern(x))
+                .collect::<Vec<_>>(),
+            (0..3)
+                .map(|j| crate::random::bit_pattern(tall.col_norm(j)))
+                .collect::<Vec<_>>()
+        );
+        let empty = Matrix::zeros(4, 0);
+        assert!(empty.col_norms().is_empty());
+        assert_eq!(empty.permute_cols(&[]).unwrap().shape(), (4, 0));
+        let mut e = empty.clone();
+        e.scale_cols_or_zero(&[]).unwrap();
+        assert_eq!(e, empty);
+        let mut m = sample();
+        assert!(m.scale_cols_or_zero(&[ColScale::Keep]).is_err());
+        assert!(m
+            .permute_cols_scaled(&[0, 1, 2], &[ColScale::Keep])
+            .is_err());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+        #[test]
+        fn prop_row_major_column_ops_match_column_oracles(seed in 0u64..1_000_000) {
+            // Edge values (±0, subnormals, NaN, ±Inf, overflowing squares),
+            // r = 1 and row counts off the 128-row chunk grid all appear.
+            use crate::random::{edge_case_matrix, EDGE_VALUES};
+            use rand::rngs::SmallRng;
+            use rand::{Rng, SeedableRng};
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let rows = [1usize, 127, 129, 300][rng.gen_range(0..4usize)];
+            let cols = if seed % 3 == 0 { 1 } else { rng.gen_range(1usize..24) };
+            let m = edge_case_matrix(&mut rng, rows, cols);
+
+            let norms = m.col_norms();
+            for (j, norm) in norms.iter().enumerate() {
+                proptest::prop_assert_eq!(
+                    crate::random::bit_pattern(*norm),
+                    crate::random::bit_pattern(m.col_norm(j))
+                );
+            }
+
+            let mut perm: Vec<usize> = (0..cols).collect();
+            for j in (1..cols).rev() {
+                perm.swap(j, rng.gen_range(0..=j));
+            }
+            let flips: Vec<bool> = (0..cols).map(|_| rng.gen_range(0..2usize) == 0).collect();
+            assert_same_bits(&m.permute_cols(&perm).unwrap(), &permute_cols_oracle(&m, &perm), "permute");
+
+            // Keep / flip / edge-value factor / zero, per column.
+            let ops: Vec<ColScale> = (0..cols)
+                .map(|j| match rng.gen_range(0..4usize) {
+                    0 => ColScale::Keep,
+                    1 => ColScale::By(if flips[j] { -1.0 } else { 0.5 }),
+                    2 => ColScale::By(EDGE_VALUES[rng.gen_range(0..EDGE_VALUES.len())]),
+                    _ => ColScale::Zero,
+                })
+                .collect();
+            let mut oracle = m.clone();
+            for (j, op) in ops.iter().enumerate() {
+                match *op {
+                    ColScale::Keep => {}
+                    ColScale::By(s) => oracle.scale_col(j, s),
+                    ColScale::Zero => {
+                        for i in 0..rows {
+                            oracle[(i, j)] = 0.0;
+                        }
+                    }
+                }
+            }
+            let mut scaled = m.clone();
+            scaled.scale_cols_or_zero(&ops).unwrap();
+            assert_same_bits(&scaled, &oracle, "scale_cols_or_zero");
+            let fused = m.permute_cols_scaled(&perm, &ops).unwrap();
+            let mut two_pass = permute_cols_oracle(&m, &perm);
+            two_pass.scale_cols_or_zero(&ops).unwrap();
+            assert_same_bits(&fused, &two_pass, "permute_cols_scaled");
+
+            // Σ⁻¹ with negligible, zero, negative and NaN singular values.
+            let sigma: Vec<f64> = (0..cols)
+                .map(|_| match rng.gen_range(0..6usize) {
+                    0 => 0.0,
+                    1 => 1e-20,
+                    2 => -1.0,
+                    3 => f64::NAN,
+                    _ => rng.gen_range(0.1..10.0),
+                })
+                .collect();
+            for tol in [0.0, 1e-13, 1e-12 * 10.0] {
+                let mut fast = m.clone();
+                fast.scale_cols_by_inverse(&sigma, tol).unwrap();
+                let mut slow = m.clone();
+                inverse_scale_oracle(&mut slow, &sigma, tol);
+                assert_same_bits(&fast, &slow, "scale_cols_by_inverse");
+            }
+        }
     }
 }

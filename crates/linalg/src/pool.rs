@@ -22,7 +22,11 @@
 //! * [`recycle_f64`]/[`recycle_usize`] accept any vector; ownership
 //!   transfers to the pool. Recycling is always optional — a dropped
 //!   buffer is merely a missed reuse, never a leak or a correctness
-//!   problem.
+//!   problem. The streaming kernels recycle every chunk and remainder copy
+//!   they take once its kernel has run, so takes and recycles balance and
+//!   the shelf holds about one buffer per shape in flight. Recycling fresh
+//!   allocations that no take asks for again would only fill the shelf
+//!   with resident, unused capacity.
 //! * The pool is a bounded cache, not an arena: it retains at most
 //!   [`MAX_POOLED_BUFFERS`] buffers and [`MAX_RETAINED_ELEMS`] total
 //!   elements of capacity per element type, dropping the excess. Peak

@@ -16,6 +16,48 @@ pub fn uniform_matrix<R: Rng + ?Sized>(
     Matrix::from_fn(rows, cols, |_, _| rng.gen_range(lo..hi))
 }
 
+/// IEEE edge values mixed into [`edge_case_matrix`]: signed zeros,
+/// subnormals, the smallest normal, NaN, infinities and a value whose
+/// square overflows.
+pub const EDGE_VALUES: [f64; 9] = [
+    0.0,
+    -0.0,
+    5e-324,
+    -2.5e-310,
+    f64::MIN_POSITIVE,
+    f64::NAN,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    1e300,
+];
+
+/// A matrix with entries uniform in `[-1, 1)`, about a quarter of them
+/// replaced by an [`EDGE_VALUES`] entry — input for the bitwise oracle
+/// tests of element-wise kernels.
+pub fn edge_case_matrix<R: Rng + ?Sized>(rng: &mut R, rows: usize, cols: usize) -> Matrix {
+    Matrix::from_fn(rows, cols, |_, _| {
+        if rng.gen_range(0..4usize) == 0 {
+            EDGE_VALUES[rng.gen_range(0..EDGE_VALUES.len())]
+        } else {
+            rng.gen_range(-1.0..1.0)
+        }
+    })
+}
+
+/// The bit pattern of `x`, with every NaN mapped to one canonical NaN —
+/// the comparison key of the bitwise oracle tests. Rust leaves the sign
+/// and payload of a NaN *result* unspecified (the compiler may commute
+/// the operands of `a + b`, and x86 propagates the first NaN operand), so
+/// two equivalent kernels agree on NaN-ness, not on NaN bits. Every other
+/// value, signed zeros and subnormals included, compares bit for bit.
+pub fn bit_pattern(x: f64) -> u64 {
+    if x.is_nan() {
+        f64::NAN.to_bits()
+    } else {
+        x.to_bits()
+    }
+}
+
 /// A matrix with i.i.d. standard normal entries (Box–Muller transform so we
 /// only rely on the `rand` core API).
 pub fn gaussian_matrix<R: Rng + ?Sized>(

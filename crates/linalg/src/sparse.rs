@@ -16,7 +16,8 @@
 //!   with the same fixed [`STREAM_CHUNK_ROWS`]-row global chunk
 //!   re-alignment as the dense accumulators;
 //! * [`gram_streamed_csr`] / [`matmul_streamed_csr`] /
-//!   [`matmul_left_streamed_csr`] — the streamed products the
+//!   [`matmul_left_streamed_csr`] (and its transposed-output form
+//!   [`matmul_left_streamed_csr_t`]) — the streamed products the
 //!   decomposition pipeline's Gram-route stages run.
 //!
 //! ## Bitwise equality with the dense kernels
@@ -769,40 +770,63 @@ fn csr_matmul_chunk(chunk: &CsrShard, rhs: &Matrix) -> Result<Matrix> {
     Ok(out)
 }
 
-/// Reduction product `lhs · chunk` for a dense left operand and one CSR
-/// chunk — bitwise identical to [`Matrix::matmul`] of `lhs` with the
-/// densified chunk. The inner dimension is the chunk's row count (at most
-/// [`STREAM_CHUNK_ROWS`] < `KC`), so the packed path is a single K-block:
-/// one `fmadd` fold per entry over the chunk rows ascending.
-fn csr_left_matmul_chunk(lhs: &Matrix, chunk: &CsrShard) -> Result<Matrix> {
-    if lhs.cols() != chunk.rows {
+/// Transposed reduction product `(lhs[:, offset..offset + c] · chunk)ᵀ`
+/// (`m x p`) for a dense left operand and one CSR chunk of `c` rows —
+/// the transpose of [`Matrix::matmul`] of that `lhs` column block with the
+/// densified chunk, bit for bit.
+///
+/// The output is stored transposed so every stored entry `(kk, j, v)` of
+/// the chunk updates output row `j` with one contiguous `p`-wide fold
+/// against row `kk` of the transposed `lhs` block: one walk over the
+/// chunk, whatever `p` is. Each output entry
+/// still folds its terms over the chunk rows ascending, exactly as the
+/// dense kernel does: the inner dimension is the chunk's row count (at
+/// most [`STREAM_CHUNK_ROWS`] < `KC`), so the packed path is a single
+/// K-block — one `fmadd` fold per entry — and below
+/// [`MATMUL_BLOCKED_MIN_WORK`] the naive kernel's plain `+=` with its
+/// explicit skip of zero `lhs` entries.
+fn csr_left_matmul_chunk_t(lhs: &Matrix, offset: usize, chunk: &CsrShard) -> Result<Matrix> {
+    let (p, kdim, m) = (lhs.rows(), chunk.rows, chunk.cols);
+    if offset + kdim > lhs.cols() {
         return Err(LinalgError::DimensionMismatch {
             op: "csr_left_matmul",
             lhs: lhs.shape(),
-            rhs: chunk.shape(),
+            rhs: (offset + kdim, m),
         });
     }
-    debug_assert!(chunk.rows <= KC, "left chunks come from the pending buffer");
-    let (p, kdim, m) = (lhs.rows(), chunk.rows, chunk.cols);
+    debug_assert!(kdim <= KC, "left chunks come from the pending buffer");
     let work = p * kdim * m;
     let fused = work >= MATMUL_BLOCKED_MIN_WORK;
     let threads = threads_for(work);
-    let mut out = Matrix::zeros(p, m);
-    ivmf_par::par_row_panels(out.as_mut_slice(), m, threads, |first_row, panel| {
-        for (local, out_row) in panel.chunks_mut(m).enumerate() {
-            let a_row = lhs.row(first_row + local);
-            for (kk, &a) in a_row.iter().enumerate() {
-                if !fused && a == 0.0 {
-                    continue; // the naive kernel's explicit zero skip
-                }
-                let (cols, vals) = chunk.row_entries(kk);
+    // Row `kk` of `a_t` is column `offset + kk` of `lhs`.
+    let mut a_t = vec![0.0f64; kdim * p];
+    for t in 0..p {
+        let block = &lhs.row(t)[offset..offset + kdim];
+        for (kk, &a) in block.iter().enumerate() {
+            a_t[kk * p + t] = a;
+        }
+    }
+    let mut out = Matrix::zeros(m, p);
+    ivmf_par::par_row_panels(out.as_mut_slice(), p, threads, |first_j, panel| {
+        let end_j = first_j + panel.len() / p;
+        for kk in 0..kdim {
+            let a = &a_t[kk * p..(kk + 1) * p];
+            let (cols, vals) = chunk.row_entries(kk);
+            let (lo, hi) = (
+                cols.partition_point(|&j| j < first_j),
+                cols.partition_point(|&j| j < end_j),
+            );
+            for (&j, &v) in cols[lo..hi].iter().zip(&vals[lo..hi]) {
+                let out_row = &mut panel[(j - first_j) * p..(j - first_j + 1) * p];
                 if fused {
-                    for (&j, &v) in cols.iter().zip(vals) {
-                        out_row[j] = fmadd(a, v, out_row[j]);
+                    for (o, &x) in out_row.iter_mut().zip(a) {
+                        *o = fmadd(x, v, *o);
                     }
                 } else {
-                    for (&j, &v) in cols.iter().zip(vals) {
-                        out_row[j] += a * v;
+                    for (o, &x) in out_row.iter_mut().zip(a) {
+                        if x != 0.0 {
+                            *o += x * v; // the naive kernel skips zero `lhs` entries
+                        }
                     }
                 }
             }
@@ -1515,7 +1539,9 @@ pub fn matmul_streamed_csr(source: &dyn CsrRowBlocks, rhs: &Matrix) -> Result<Ma
             start += take;
             let full = pending.full_chunks();
             for i in 0..full {
-                let p = csr_matmul_chunk(&pending.chunk(i), rhs)?;
+                let chunk = pending.chunk(i);
+                let p = csr_matmul_chunk(&chunk, rhs)?;
+                recycle_csr_shard(chunk);
                 write(&mut next_row, p, &mut out)?;
             }
             pending.drain_chunks(full);
@@ -1527,6 +1553,7 @@ pub fn matmul_streamed_csr(source: &dyn CsrRowBlocks, rhs: &Matrix) -> Result<Ma
     })?;
     if let Some(rem) = pending.remainder() {
         let p = csr_matmul_chunk(&rem, rhs)?;
+        recycle_csr_shard(rem);
         write(&mut next_row, p, &mut out)?;
     }
     if next_row != n {
@@ -1539,8 +1566,20 @@ pub fn matmul_streamed_csr(source: &dyn CsrRowBlocks, rhs: &Matrix) -> Result<Ma
 
 /// Reduction-streamed product `lhs · source` over a CSR source: bitwise
 /// identical to [`crate::matmul_left_streamed`] over the same logical
-/// rows.
+/// rows. The transpose of [`matmul_left_streamed_csr_t`].
 pub fn matmul_left_streamed_csr(lhs: &Matrix, source: &dyn CsrRowBlocks) -> Result<Matrix> {
+    Ok(matmul_left_streamed_csr_t(lhs, source)?.transpose())
+}
+
+/// The transposed reduction-streamed product `(lhs · source)ᵀ` (`m x p`
+/// for `lhs` of shape `p x n` and a source of shape `n x m`): per global
+/// chunk, the matching column block of `lhs` multiplies the chunk through
+/// the transposed chunk kernel, and the partial products fold in chunk
+/// order — so every entry is bitwise the transpose of
+/// [`crate::matmul_left_streamed`] over the same logical rows, for every
+/// shard layout and thread count. Tall right factors (`m x r`) come out in
+/// their own layout, with no transpose pass.
+pub fn matmul_left_streamed_csr_t(lhs: &Matrix, source: &dyn CsrRowBlocks) -> Result<Matrix> {
     let (n, m) = source.shape();
     if lhs.cols() != n {
         return Err(LinalgError::DimensionMismatch {
@@ -1553,13 +1592,13 @@ pub fn matmul_left_streamed_csr(lhs: &Matrix, source: &dyn CsrRowBlocks) -> Resu
     let mut pending = PendingCsrRows::new(m);
     let mut offset = 0usize;
     let fold = |acc: &mut Option<Matrix>, offset: &mut usize, chunk: CsrShard| -> Result<()> {
-        let l = lhs.col_range(*offset, *offset + chunk.rows())?;
-        let p = csr_left_matmul_chunk(&l, &chunk)?;
+        let p = csr_left_matmul_chunk_t(lhs, *offset, &chunk)?;
+        *offset += chunk.rows();
+        recycle_csr_shard(chunk);
         match acc {
             None => *acc = Some(p),
             Some(a) => add_assign(a, &p),
         }
-        *offset += chunk.rows();
         Ok(())
     };
     source.for_each_csr_block(&mut |block| {
@@ -1595,7 +1634,7 @@ pub fn matmul_left_streamed_csr(lhs: &Matrix, source: &dyn CsrRowBlocks) -> Resu
             "CSR row-block source delivered {offset} of its declared {n} rows"
         )));
     }
-    Ok(acc.unwrap_or_else(|| Matrix::zeros(lhs.rows(), m)))
+    Ok(acc.unwrap_or_else(|| Matrix::zeros(m, lhs.rows())))
 }
 
 #[cfg(test)]
@@ -2032,6 +2071,52 @@ mod tests {
             matmul_left_streamed_csr(&lcg_sparse(2, 3, 2, 1), &CsrShard::from_dense(&dense))
                 .is_err()
         );
+    }
+
+    #[test]
+    fn transposed_left_kernel_matches_dense_bitwise_across_threads() {
+        // 2 full chunks plus a 45-row remainder; 20 x 128 x 256 per chunk
+        // is above MATMUL_PAR_MIN_WORK, so two threads really split the
+        // output panels.
+        let n = 2 * STREAM_CHUNK_ROWS + 45;
+        let dense = lcg_sparse(n, 256, 16, 61);
+        let lhs = lcg_sparse(20, n, n, 62);
+        const _: () = assert!(20 * STREAM_CHUNK_ROWS * 256 >= crate::MATMUL_PAR_MIN_WORK);
+        // Plain `+=` path: 3 x 128 x 21 is below MATMUL_BLOCKED_MIN_WORK,
+        // and the left operand carries zeros (both signs) the naive
+        // kernel must skip.
+        let narrow = lcg_sparse(n, 21, 5, 63);
+        let mut sparse_lhs = lcg_sparse(3, n, n / 3, 64);
+        for (i, x) in sparse_lhs.as_mut_slice().iter_mut().enumerate() {
+            if i % 7 == 0 {
+                *x = -0.0;
+            }
+        }
+        const _: () = assert!(3 * STREAM_CHUNK_ROWS * 21 < MATMUL_BLOCKED_MIN_WORK);
+        let _guard = crate::test_env::THREADS_LOCK
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        let prev = std::env::var(ivmf_par::THREADS_ENV).ok();
+        for threads in ["1", "2"] {
+            std::env::set_var(ivmf_par::THREADS_ENV, threads);
+            for (l, m, path) in [(&lhs, &dense, "fused"), (&sparse_lhs, &narrow, "plain")] {
+                let reference = matmul_left_streamed(l, m).unwrap().transpose();
+                for shard_rows in [7usize, STREAM_CHUNK_ROWS, n] {
+                    let sparse = CsrShardedMatrix::from_dense(m, shard_rows).unwrap();
+                    assert_bitwise(
+                        &matmul_left_streamed_csr_t(l, &sparse).unwrap(),
+                        &reference,
+                        &format!(
+                            "{path} transposed kernel, {threads} threads, shards of {shard_rows}"
+                        ),
+                    );
+                }
+            }
+        }
+        match prev {
+            Some(v) => std::env::set_var(ivmf_par::THREADS_ENV, v),
+            None => std::env::remove_var(ivmf_par::THREADS_ENV),
+        }
     }
 
     #[test]

@@ -304,13 +304,17 @@ impl PendingRows {
         self.rows -= n * STREAM_CHUNK_ROWS;
     }
 
-    /// The buffered tail (fewer than [`STREAM_CHUNK_ROWS`] rows), if any.
+    /// The buffered tail (fewer than [`STREAM_CHUNK_ROWS`] rows), if any,
+    /// in a pool buffer like [`PendingRows::chunk`]'s — consumers recycle
+    /// both the same way.
     fn remainder(&self) -> Option<Matrix> {
         if self.rows == 0 {
             return None;
         }
+        let mut buf = crate::pool::take_f64(self.data.len());
+        buf.extend_from_slice(&self.data);
         Some(
-            Matrix::from_vec(self.rows, self.cols, self.data.clone())
+            Matrix::from_vec(self.rows, self.cols, buf)
                 .expect("buffer length is rows*cols by construction"),
         )
     }
@@ -418,10 +422,7 @@ impl GramAccumulator {
     fn fold(&mut self, g: Matrix, folded_chunks: &mut usize) {
         match &mut self.group {
             None => self.group = Some(g),
-            Some(a) => {
-                add_assign(a, &g);
-                crate::pool::recycle_f64(g.into_vec());
-            }
+            Some(a) => add_assign(a, &g),
         }
         *folded_chunks += 1;
         if *folded_chunks % MERGE_GROUP_CHUNKS == 0 {
@@ -434,10 +435,7 @@ impl GramAccumulator {
         if let Some(g) = self.group.take() {
             match &mut self.acc {
                 None => self.acc = Some(g),
-                Some(a) => {
-                    add_assign(a, &g);
-                    crate::pool::recycle_f64(g.into_vec());
-                }
+                Some(a) => add_assign(a, &g),
             }
         }
     }
@@ -450,6 +448,7 @@ impl GramAccumulator {
         let mut tail = self.group.clone();
         if let Some(rem) = self.pending.remainder() {
             let g = rem.gram();
+            crate::pool::recycle_f64(rem.into_vec());
             match &mut tail {
                 None => tail = Some(g),
                 Some(t) => add_assign(t, &g),
@@ -732,10 +731,7 @@ impl CrossGramAccumulator {
     fn fold(&mut self, p: Matrix, folded_chunks: &mut usize) {
         match &mut self.group {
             None => self.group = Some(p),
-            Some(a) => {
-                add_assign(a, &p);
-                crate::pool::recycle_f64(p.into_vec());
-            }
+            Some(a) => add_assign(a, &p),
         }
         *folded_chunks += 1;
         if *folded_chunks % MERGE_GROUP_CHUNKS == 0 {
@@ -747,10 +743,7 @@ impl CrossGramAccumulator {
         if let Some(g) = self.group.take() {
             match &mut self.acc {
                 None => self.acc = Some(g),
-                Some(a) => {
-                    add_assign(a, &g);
-                    crate::pool::recycle_f64(g.into_vec());
-                }
+                Some(a) => add_assign(a, &g),
             }
         }
     }
@@ -761,7 +754,10 @@ impl CrossGramAccumulator {
     pub fn finish(&self) -> Result<Matrix> {
         let mut tail = self.group.clone();
         if let (Some(ra), Some(rb)) = (self.pending_a.remainder(), self.pending_b.remainder()) {
-            let p = ra.matmul_tn(&rb)?;
+            let p = ra.matmul_tn(&rb);
+            crate::pool::recycle_f64(ra.into_vec());
+            crate::pool::recycle_f64(rb.into_vec());
+            let p = p?;
             match &mut tail {
                 None => tail = Some(p),
                 Some(t) => add_assign(t, &p),
@@ -948,12 +944,17 @@ pub fn matmul_streamed(source: &dyn RowBlocks, rhs: &Matrix) -> Result<Matrix> {
             start += take;
             let full = pending.full_chunks();
             if full == 1 {
-                let p = pending.chunk(0).matmul(rhs)?;
+                let chunk = pending.chunk(0);
+                let p = chunk.matmul(rhs)?;
+                crate::pool::recycle_f64(chunk.into_vec());
                 write(&mut next_row, p, &mut out)?;
             } else if full > 1 {
                 let pending_ref = &pending;
                 let products = ivmf_par::par_map(full, ivmf_par::configured_threads(), |i| {
-                    pending_ref.chunk(i).matmul_impl(rhs, 1)
+                    let chunk = pending_ref.chunk(i);
+                    let p = chunk.matmul_impl(rhs, 1);
+                    crate::pool::recycle_f64(chunk.into_vec());
+                    p
                 });
                 for p in products {
                     write(&mut next_row, p?, &mut out)?;
@@ -968,6 +969,7 @@ pub fn matmul_streamed(source: &dyn RowBlocks, rhs: &Matrix) -> Result<Matrix> {
     })?;
     if let Some(rem) = pending.remainder() {
         let p = rem.matmul(rhs)?;
+        crate::pool::recycle_f64(rem.into_vec());
         write(&mut next_row, p, &mut out)?;
     }
     if next_row != n {
@@ -1000,11 +1002,12 @@ pub fn matmul_left_streamed(lhs: &Matrix, source: &dyn RowBlocks) -> Result<Matr
     let fold = |acc: &mut Option<Matrix>, offset: &mut usize, chunk: Matrix| -> Result<()> {
         let l = lhs.col_range(*offset, *offset + chunk.rows())?;
         let p = l.matmul(&chunk)?;
+        *offset += chunk.rows();
+        crate::pool::recycle_f64(chunk.into_vec());
         match acc {
             None => *acc = Some(p),
             Some(a) => add_assign(a, &p),
         }
-        *offset += chunk.rows();
         Ok(())
     };
     source.for_each_block(&mut |block| {

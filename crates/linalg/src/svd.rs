@@ -170,19 +170,10 @@ pub fn svd_truncated(m: &Matrix, r: usize) -> Result<Svd> {
 /// singular values, recovers the left factor `u = M V Σ⁻¹`, using zero
 /// columns where the singular value is numerically zero.
 fn recover_other_factor(m: &Matrix, v: &Matrix, singular_values: &[f64]) -> Matrix {
-    let mv = m.matmul(v).expect("shapes agree by construction");
-    let mut u = mv;
+    let mut u = m.matmul(v).expect("shapes agree by construction");
     let smax = singular_values.first().copied().unwrap_or(0.0);
-    let tol = smax * 1e-13;
-    for (j, &s) in singular_values.iter().enumerate() {
-        if s > tol && s > 0.0 {
-            u.scale_col(j, 1.0 / s);
-        } else {
-            for i in 0..u.rows() {
-                u[(i, j)] = 0.0;
-            }
-        }
-    }
+    u.scale_cols_by_inverse(singular_values, smax * 1e-13)
+        .expect("one singular value per column by construction");
     u
 }
 
@@ -340,6 +331,45 @@ mod tests {
         let ft = svd(&m.transpose()).unwrap();
         for (a, b) in f.singular_values.iter().zip(ft.singular_values.iter()) {
             assert!((a - b).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn recover_other_factor_matches_column_oracle() {
+        let mut rng = SmallRng::seed_from_u64(17);
+        for (rows, k) in [(1usize, 1usize), (130, 1), (129, 7), (300, 20)] {
+            let m = crate::random::edge_case_matrix(&mut rng, rows, 24);
+            let v = uniform_matrix(&mut rng, 24, k, -1.0, 1.0);
+            // Descending, with a negligible tail below 1e-13 of the first.
+            let sigma: Vec<f64> = (0..k)
+                .map(|j| {
+                    if j + 1 == k && k > 1 {
+                        1e-15
+                    } else {
+                        10.0 - j as f64
+                    }
+                })
+                .collect();
+            let fast = recover_other_factor(&m, &v, &sigma);
+            // The column-at-a-time Σ⁻¹ loop recover_other_factor replaced.
+            let mut slow = m.matmul(&v).unwrap();
+            let tol = sigma[0] * 1e-13;
+            for (j, &s) in sigma.iter().enumerate() {
+                if s > tol && s > 0.0 {
+                    slow.scale_col(j, 1.0 / s);
+                } else {
+                    for i in 0..slow.rows() {
+                        slow[(i, j)] = 0.0;
+                    }
+                }
+            }
+            let bits = |x: &Matrix| {
+                x.as_slice()
+                    .iter()
+                    .map(|&v| crate::random::bit_pattern(v))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(bits(&fast), bits(&slow), "rows={rows} k={k}");
         }
     }
 }
