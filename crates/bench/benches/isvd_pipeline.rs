@@ -630,39 +630,6 @@ fn ooc_gram_e2e_speedup(results: &[(String, Duration)]) -> Option<f64> {
     (binary > 0.0).then(|| text / binary)
 }
 
-/// Entries the 0.9x alert has flagged in past runs that were re-measured
-/// and attributed to run-to-run sampling noise, not a real regression:
-/// both groups time sub-ranges of the same workload on a single-core
-/// container, where one descheduled sample moves a 3-sample median past
-/// the threshold. The alert still fires for them — a genuine slide should
-/// stay loud — but carries this context so readers do not chase ghosts.
-const KNOWN_NOISY: &[(&str, &str)] = &[
-    (
-        "append_rows/incremental",
-        "flagged at 0.849x and again lower on a later run; a direct A/B \
-         probe of the warmed append+finish path (50 appends, release, \
-         current vs pre-change build) timed identical medians, so the \
-         swings are scheduling noise on sub-ms samples, not a code \
-         regression",
-    ),
-    (
-        "sharded_gram/sharded_480x250_x8",
-        "flagged at 0.890x, re-measured above baseline on consecutive \
-         runs; dense twin in the same group stayed flat",
-    ),
-    (
-        "sparse_scaling/40000",
-        "flagged at 0.482x and 0.662x on consecutive identical-binary \
-         runs (a 37% spread on its own); an interval-level A/B probe \
-         (4 rounds of the full sparse interval Gram over 40k rows, \
-         pooled build vs pre-pool HEAD) gave overlapping round times \
-         with identical medians, and the committed baseline is ~20% \
-         faster than linear scaling from the 10k entry predicts, so \
-         the flag is a lucky baseline plus scheduling noise, not a \
-         regression from the pooled decode scratch",
-    ),
-];
-
 fn emit_json(
     results: &[(String, Duration)],
     baselines: &[(String, u128)],
@@ -686,14 +653,9 @@ fn emit_json(
                 // impossible to miss in the run log — the JSON alone is easy
                 // to skim past when eyeballing a PR's bench output.
                 if speedup < 0.9 && !smoke_mode() {
-                    let note = KNOWN_NOISY
-                        .iter()
-                        .find(|(n, _)| n == name)
-                        .map(|&(_, note)| format!(" [known-noisy entry: {note}]"))
-                        .unwrap_or_default();
                     eprintln!(
                         "WARNING: benchmark regression: {name} at {speedup:.3}x of the \
-                         committed baseline (below the 0.9x alert threshold){note}"
+                         committed baseline (below the 0.9x alert threshold)"
                     );
                 }
                 json.push_str(&format!(

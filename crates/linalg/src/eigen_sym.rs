@@ -86,6 +86,8 @@ impl SymEigen {
 ///
 /// * [`LinalgError::NotSquare`] when `a` is not square.
 /// * [`LinalgError::Empty`] when `a` has zero size.
+/// * [`LinalgError::InvalidArgument`] when an entry is NaN or ±Inf (the
+///   message names the first one in row-major order).
 /// * [`LinalgError::NoConvergence`] if the QL sweep fails to converge.
 pub fn sym_eigen(a: &Matrix) -> Result<SymEigen> {
     if a.is_empty() {
@@ -98,6 +100,9 @@ pub fn sym_eigen(a: &Matrix) -> Result<SymEigen> {
         });
     }
     let n = a.rows();
+    if let Some(at) = a.as_slice().iter().position(|x| !x.is_finite()) {
+        return Err(non_finite_entry(at / n, at % n, a.as_slice()[at]));
+    }
     // Symmetrize defensively.
     let mut v = a.add(&a.transpose())?.scale(0.5);
     let mut d = vec![0.0; n];
@@ -107,6 +112,15 @@ pub fn sym_eigen(a: &Matrix) -> Result<SymEigen> {
     tql2(&mut v, &mut d, &mut e)?;
 
     into_sorted_descending(d, v)
+}
+
+/// The error for a NaN or ±Inf entry `x` at `(row, col)` of an
+/// eigensolver input: no solver can certify such a matrix, so it is
+/// rejected before any work instead of failing to converge.
+pub(crate) fn non_finite_entry(row: usize, col: usize, x: f64) -> LinalgError {
+    LinalgError::InvalidArgument(format!(
+        "eigensolver input has the non-finite entry {x} at ({row}, {col})"
+    ))
 }
 
 /// Packages a raw `(d, v)` eigensystem as a [`SymEigen`] sorted in

@@ -28,12 +28,23 @@
 //!    every returned pair satisfies `‖A v − λ v‖ ≤ tol · ‖A‖_F` with
 //!    `tol =` [`DEFAULT_TOPK_TOL`] (per-pair, checked with an explicit
 //!    matrix–vector product — not just the Lanczos recurrence estimate).
-//! 4. **Fallback to the oracle.** If the basis hits its cap before the
+//! 4. **A basis cap set by cost.** The default cap is
+//!    `max(min(4k + 32, n), ⌊n/2⌋)` directions: with its matvec and full
+//!    reorthogonalization, a basis of `n/2` has cost about `2n³` flops
+//!    against the dense oracle's `≈ 9n³`, so up to there iterating on is
+//!    cheaper than starting over with the oracle. Convergence is checked
+//!    every 8 directions from `2k + 8` on, at `min(4k + 32, n)` (the size
+//!    [`topk_profitable`] judges the dispatch by) and at the cap itself.
+//! 5. **Fallback to the oracle.** If the basis hits its cap before the
 //!    certificate holds, the call transparently falls back to the full
 //!    [`sym_eigen`] solve (truncated to `k`), so callers never trade
 //!    accuracy for speed. [`TopkOptions::with_fallback`]`(false)` surfaces
 //!    the typed [`LinalgError::NoConvergence`] instead, for callers that
 //!    want to observe the failure.
+//!
+//! A NaN or ±Inf entry is rejected up front with
+//! [`LinalgError::InvalidArgument`] naming its `(row, col)`, on every path:
+//! no iteration or dense solve runs on input that cannot be certified.
 //!
 //! Breakdown (`β ≈ 0`, an exact invariant subspace) restarts the iteration
 //! with the next deterministic direction orthogonalized against the basis,
@@ -62,7 +73,7 @@
 //! [`ivmf_env::topk_eigen_mode`]) on every call: `full` pins the oracle,
 //! `forced` always attempts the Lanczos path, and the default `auto` uses
 //! [`topk_profitable`] — the iteration wins once the matrix is big enough
-//! (`n ≥ 96`) and the basis cap is at most half the dimension. Because
+//! (`n ≥ 96`) and `min(4k + 32, n)` is at most half the dimension. Because
 //! every accepted answer is certified against the same tolerance, the mode
 //! is a kernel choice, not a semantic one — which is why the decomposition
 //! pipeline's `StageCache` keys deliberately exclude it.
@@ -72,7 +83,9 @@
 //! different solvers agree up to the certified tolerance instead of up to
 //! sign.
 
-use crate::eigen_sym::{eigen_tridiagonal, eigen_tridiagonal_values, sym_eigen, SymEigen};
+use crate::eigen_sym::{
+    eigen_tridiagonal, eigen_tridiagonal_values, non_finite_entry, sym_eigen, SymEigen,
+};
 use crate::{LinalgError, Matrix, Result};
 use ivmf_env::TopkEigenMode;
 
@@ -94,17 +107,28 @@ fn default_min_basis(n: usize, k: usize) -> usize {
     (2 * k + 8).min(n)
 }
 
-/// Default basis cap: `4k + 32` directions (clamped to `n`).
-fn default_max_basis(n: usize, k: usize) -> usize {
+/// `4k + 32` directions (clamped to `n`): enough for the random Gram
+/// bounds of the pipeline to certify most of the time. The
+/// [`topk_profitable`] dispatch is sized by it, and the default cap always
+/// checks convergence here, so every answer a cap of this size certifies
+/// comes back bitwise the same under the larger default.
+fn anchor_basis(n: usize, k: usize) -> usize {
     (4 * k + 32).min(n)
+}
+
+/// Default basis cap: [`anchor_basis`], raised to `⌊n/2⌋` — the basis at
+/// which the iteration (about `2n³` flops with full reorthogonalization)
+/// stops being cheaper than the dense oracle (`≈ 9n³`).
+fn default_max_basis(n: usize, k: usize) -> usize {
+    anchor_basis(n, k).max(n / 2)
 }
 
 /// True when `auto` mode attempts the Lanczos path for an `n×n` input and
 /// `k` requested pairs: the matrix must be at least `TOPK_MIN_DIM` (`96`)
-/// wide and the default basis cap at most `n / 2`, so the iteration
+/// wide and `min(4k + 32, n)` at most `n / 2`, so the iteration
 /// touches a strict fraction of the work the dense oracle would.
 pub fn topk_profitable(n: usize, k: usize) -> bool {
-    n >= TOPK_MIN_DIM && 2 * default_max_basis(n, k) <= n
+    n >= TOPK_MIN_DIM && 2 * anchor_basis(n, k) <= n
 }
 
 /// Tuning knobs for [`sym_eigen_topk_with`]. The defaults are what
@@ -115,8 +139,8 @@ pub struct TopkOptions {
     /// Relative residual tolerance (× `‖A‖_F`) certified per returned
     /// pair. Default [`DEFAULT_TOPK_TOL`].
     pub tol: f64,
-    /// Basis cap override; `None` uses `min(4k + 32, n)`. Clamped to
-    /// `[k, n]`.
+    /// Basis cap override; `None` uses `max(min(4k + 32, n), ⌊n/2⌋)` and
+    /// also checks convergence at `min(4k + 32, n)`. Clamped to `[k, n]`.
     pub max_basis: Option<usize>,
     /// Fall back to the dense oracle when the iteration fails to certify
     /// (default `true`); `false` surfaces [`LinalgError::NoConvergence`].
@@ -194,7 +218,8 @@ pub struct TopkReport {
 /// # Errors
 ///
 /// * [`LinalgError::Empty`] / [`LinalgError::NotSquare`] for malformed
-///   inputs, [`LinalgError::InvalidArgument`] for `k == 0`.
+///   inputs, [`LinalgError::InvalidArgument`] for `k == 0` or a NaN/±Inf
+///   entry (the message names the first one in row-major order).
 /// * Propagates oracle convergence failures (fallback is enabled, so an
 ///   error means even the dense solver failed).
 pub fn sym_eigen_topk(a: &Matrix, k: usize) -> Result<SymEigen> {
@@ -224,6 +249,7 @@ pub fn sym_eigen_topk_report(
     opts: &TopkOptions,
 ) -> Result<(SymEigen, TopkReport)> {
     validate(a, k)?;
+    let symmetric = scan_entries(a)?;
     let n = a.rows();
     let k = k.min(n);
 
@@ -250,7 +276,7 @@ pub fn sym_eigen_topk_report(
     // the pipeline sends here — is its own symmetrization bitwise
     // (`(x + x) / 2 == x`), so skip the three-allocation copy for it.
     let symmetrized;
-    let b: &Matrix = if is_exactly_symmetric(a) {
+    let b: &Matrix = if symmetric {
         a
     } else {
         symmetrized = a.add(&a.transpose())?.scale(0.5);
@@ -312,18 +338,23 @@ pub fn canonicalize_column_signs(m: &mut Matrix) {
     }
 }
 
-/// True when `a[(i, j)]` equals `a[(j, i)]` bitwise for every pair — the
-/// case where the oracle's `(A + Aᵀ) / 2` symmetrization is the identity.
-fn is_exactly_symmetric(a: &Matrix) -> bool {
-    let n = a.rows();
-    for i in 0..n {
-        for j in (i + 1)..n {
-            if a[(i, j)].to_bits() != a[(j, i)].to_bits() {
-                return false;
+/// One row-major pass over the square `a`: rejects the first NaN or ±Inf
+/// entry, and otherwise reports whether `a[(i, j)]` equals `a[(j, i)]`
+/// bitwise for every pair — the case where the oracle's `(A + Aᵀ) / 2`
+/// symmetrization is the identity.
+fn scan_entries(a: &Matrix) -> Result<bool> {
+    let mut symmetric = true;
+    for i in 0..a.rows() {
+        for (j, &x) in a.row(i).iter().enumerate() {
+            if !x.is_finite() {
+                return Err(non_finite_entry(i, j, x));
+            }
+            if symmetric && j > i && x.to_bits() != a[(j, i)].to_bits() {
+                symmetric = false;
             }
         }
     }
-    true
+    Ok(symmetric)
 }
 
 fn validate(a: &Matrix, k: usize) -> Result<()> {
@@ -378,6 +409,12 @@ fn lanczos_topk(
         .max_basis
         .unwrap_or_else(|| default_max_basis(n, k))
         .clamp(k, n);
+    // An explicit cap keeps exactly its own checks; the default one also
+    // checks at the anchor, which the stride grid misses when `k % 4 != 0`.
+    let anchor = match opts.max_basis {
+        Some(_) => max_basis,
+        None => anchor_basis(n, k),
+    };
     let min_basis = default_min_basis(n, k).min(max_basis);
     // Below this a new direction is an exact invariant subspace to working
     // precision: normalizing it would amplify rounding noise, so restart
@@ -424,7 +461,7 @@ fn lanczos_topk(
         let p = qs.len();
         let broke_down = pending <= breakdown_tol;
         let at_cap = p == max_basis;
-        let due = p >= min_basis && (p - min_basis) % BASIS_CHECK_STRIDE == 0;
+        let due = p == anchor || (p >= min_basis && (p - min_basis) % BASIS_CHECK_STRIDE == 0);
         let mut certified: Option<(SymEigen, Vec<f64>)> = None;
         if p >= k && (broke_down || at_cap || due) {
             if let Some(ok) = try_extract(b, &qs, &alpha, &beta, pending, k, tol_abs)? {
@@ -726,6 +763,21 @@ mod tests {
         let (eig, report) = sym_eigen_topk_report(&a, 10, &opts).unwrap();
         assert!(report.used_dense);
         assert_eq!(eig.eigenvalues, sym_eigen(&a).unwrap().eigenvalues);
+    }
+
+    #[test]
+    fn default_cap_is_half_the_dimension_and_dispatch_uses_the_anchor() {
+        assert_eq!(default_max_basis(256, 20), 128);
+        assert_eq!(default_max_basis(250, 5), 125);
+        // Forced on a small input: the anchor already exceeds n/2.
+        assert_eq!(default_max_basis(100, 5), 52);
+        assert_eq!(default_max_basis(40, 6), 40);
+        for n in [95, 96, 112, 250, 256, 1000] {
+            for k in 1..=n / 4 {
+                let expected = n >= 96 && 2 * (4 * k + 32).min(n) <= n;
+                assert_eq!(topk_profitable(n, k), expected, "n={n} k={k}");
+            }
+        }
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //!   certified tolerance,
 //! * the env-dispatching `sym_eigen_topk` entry point routes exactly to
 //!   the explicit-options paths (`forced` ↔ `with_force(true)`, `full`
-//!   ↔ dense truncation), bitwise.
+//!   ↔ dense truncation), bitwise, and rejects NaN/±Inf input under every
+//!   mode.
 //!
 //! Tests that mutate process environment variables serialize on a
 //! file-local mutex; everything else drives the solver through explicit
@@ -244,4 +245,27 @@ fn env_dispatch_routes_to_the_explicit_option_paths_bitwise() {
         sym_eigen_topk(&a, k).unwrap()
     };
     assert_eig_bitwise(&via_env, &via_opts, "auto dispatch");
+}
+
+#[test]
+fn every_env_mode_rejects_non_finite_input() {
+    let _guard = ENV_LOCK.lock().unwrap();
+    let mut rng = SmallRng::seed_from_u64(7050);
+    let base = symmetric_matrix(&mut rng, 120, -2.0, 2.0);
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        let mut a = base.clone();
+        a[(64, 3)] = bad;
+        for mode in ["auto", "forced", "full"] {
+            let result = {
+                let _env = EnvGuard::set(ivmf_env::TOPK_EIGEN, mode);
+                sym_eigen_topk(&a, 20)
+            };
+            match result {
+                Err(ivmf_linalg::LinalgError::InvalidArgument(msg)) => {
+                    assert!(msg.contains("(64, 3)"), "{mode}/{bad}: {msg}")
+                }
+                other => panic!("{mode}/{bad}: not rejected: {other:?}"),
+            }
+        }
+    }
 }

@@ -11,12 +11,18 @@
 //!   `k = 1` — are exercised explicitly,
 //! * the fallback-to-full path demonstrably triggers on a starved basis,
 //!   and with fallback disabled the typed `NoConvergence` error stays
-//!   reachable.
+//!   reachable,
+//! * on the Grams the decomposition pipeline truncates, the default basis
+//!   cap returns every answer a `4k + 32` cap certifies bitwise unchanged
+//!   and certifies the ones that cap cannot without the dense solver,
+//! * NaN and ±Inf entries are rejected up front on every path with a
+//!   typed error naming their position.
 //!
 //! Everything here drives the solver through explicit [`TopkOptions`]
 //! (never the `IVMF_TOPK_EIGEN` environment knob), so the suite asserts
 //! the same behaviour under every CI environment pass.
 
+use ivmf_data::synthetic::{generate_uniform, SyntheticConfig};
 use ivmf_linalg::eigen_sym::{sym_eigen, SymEigen};
 use ivmf_linalg::random::{symmetric_matrix, uniform_matrix};
 use ivmf_linalg::{
@@ -223,9 +229,10 @@ fn k_equal_n_returns_the_full_oracle_spectrum() {
 fn k_equal_one_finds_the_dominant_pair() {
     let mut rng = SmallRng::seed_from_u64(43);
     // A planted spike separates the dominant eigenvalue from the bulk, so
-    // the k=1 iteration converges well inside its (small, 4k+32) basis
-    // cap; without separation the call would still be correct but through
-    // the fallback path, which is covered elsewhere.
+    // the k=1 iteration converges within its first convergence checks,
+    // far below its n/2 basis cap; without separation the call would still
+    // be correct but through a longer iteration or the fallback path,
+    // which is covered elsewhere.
     let mut a = symmetric_matrix(&mut rng, 120, -2.0, 2.0);
     a[(0, 0)] += 80.0;
     let (eig, report) = sym_eigen_topk_report(&a, 1, &forced()).unwrap();
@@ -282,4 +289,133 @@ fn invalid_requests_are_rejected_with_typed_errors() {
         sym_eigen_topk_with(&Matrix::identity(4), 0, &TopkOptions::default()),
         Err(LinalgError::InvalidArgument(_))
     ));
+}
+
+/// The `cols × cols` eigenproblems the decomposition pipeline truncates for
+/// a uniform `rows × cols` interval matrix (the shapes of the workload
+/// benchmark): the midpoint Gram, the Grams of both bound matrices and
+/// both bounds of the interval Gram.
+fn pipeline_grams(seed: u64, rows: usize, cols: usize) -> Vec<(&'static str, Matrix)> {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let m = generate_uniform(
+        &SyntheticConfig::paper_default().with_shape(rows, cols),
+        &mut rng,
+    );
+    let gram = m.interval_gram_fast().unwrap();
+    vec![
+        ("midpoint", m.mid().gram()),
+        ("lower", m.lo().gram()),
+        ("upper", m.hi().gram()),
+        ("gram-lower", gram.lo().clone()),
+        ("gram-upper", gram.hi().clone()),
+    ]
+}
+
+/// `min(4k + 32, n)`: the basis size the `auto` dispatch is judged by and
+/// at which the default cap always checks convergence.
+fn anchor_basis(n: usize, k: usize) -> usize {
+    (4 * k + 32).min(n)
+}
+
+#[test]
+fn default_cap_returns_every_anchor_certified_answer_bitwise() {
+    let (mut certified, mut rescued) = (0, 0);
+    for (seed, rows, cols) in [(1000, 560, 256), (1003, 480, 250)] {
+        for (name, a) in pipeline_grams(seed, rows, cols) {
+            for k in [5, 10, 20] {
+                let context = format!("{rows}x{cols} seed {seed} {name} k={k}");
+                let (eig, report) = sym_eigen_topk_report(&a, k, &TopkOptions::default()).unwrap();
+                assert!(!report.used_dense, "{context}: the dense solver ran");
+                let short = TopkOptions::default()
+                    .with_max_basis(anchor_basis(cols, k))
+                    .with_fallback(false);
+                match sym_eigen_topk_report(&a, k, &short) {
+                    Ok((short_eig, short_report)) => {
+                        certified += 1;
+                        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(
+                            bits(&eig.eigenvalues),
+                            bits(&short_eig.eigenvalues),
+                            "{context}: eigenvalues"
+                        );
+                        assert_eq!(
+                            bits(eig.eigenvectors.as_slice()),
+                            bits(short_eig.eigenvectors.as_slice()),
+                            "{context}: eigenvectors"
+                        );
+                        assert_eq!(report.basis_size, short_report.basis_size, "{context}");
+                        assert_eq!(
+                            bits(&report.residuals),
+                            bits(&short_report.residuals),
+                            "{context}: residuals"
+                        );
+                    }
+                    Err(LinalgError::NoConvergence { .. }) => {
+                        rescued += 1;
+                        assert!(report.basis_size > anchor_basis(cols, k), "{context}");
+                        assert_certified(&a, &eig, &context);
+                    }
+                    Err(e) => panic!("{context}: {e:?}"),
+                }
+            }
+        }
+    }
+    // Both outcomes occur on these inputs, so both branches are exercised.
+    assert!(
+        certified > 0 && rescued > 0,
+        "{certified} certified, {rescued} rescued"
+    );
+}
+
+#[test]
+fn a_gram_bound_needing_a_basis_of_120_certifies_without_fallback() {
+    // The lower bound of a 560×256 interval Gram at the pipeline rank 20:
+    // a 112-direction basis (4k + 32) cannot certify it, 120 can.
+    let (_, a) = pipeline_grams(1001, 560, 256).swap_remove(3);
+    let k = 20;
+    let short = TopkOptions::default()
+        .with_max_basis(anchor_basis(256, k))
+        .with_fallback(false);
+    assert!(matches!(
+        sym_eigen_topk_with(&a, k, &short),
+        Err(LinalgError::NoConvergence { .. })
+    ));
+    let (eig, report) = sym_eigen_topk_report(&a, k, &TopkOptions::default()).unwrap();
+    assert!(!report.used_fallback && !report.used_dense);
+    assert_eq!(report.basis_size, 120);
+    assert_matches_oracle(&a, &eig, k, "basis 120");
+    assert_certified(&a, &eig, "basis 120");
+}
+
+#[test]
+fn non_finite_entries_are_rejected_with_their_position() {
+    let mut rng = SmallRng::seed_from_u64(45);
+    let base = symmetric_matrix(&mut rng, 120, -2.0, 2.0);
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        let mut a = base.clone();
+        // Row-major order reaches (5, 37) first; the later entries must
+        // not be the one reported.
+        a[(37, 5)] = bad;
+        a[(5, 37)] = bad;
+        a[(90, 2)] = bad;
+        let rejected = |result: Result<SymEigen, LinalgError>, context: &str| match result {
+            Err(LinalgError::InvalidArgument(msg)) => assert!(
+                msg.contains("(5, 37)"),
+                "{context}: {bad} reported at the wrong place: {msg}"
+            ),
+            other => panic!("{context}: {bad} not rejected: {other:?}"),
+        };
+        for fallback in [true, false] {
+            let auto = TopkOptions::default().with_fallback(fallback);
+            let forced = forced().with_fallback(fallback);
+            rejected(sym_eigen_topk_with(&a, 20, &auto), "auto");
+            rejected(sym_eigen_topk_with(&a, 20, &forced), "forced");
+            // Paths that skip the iteration: k == n, and an n below the
+            // auto dispatch threshold.
+            rejected(sym_eigen_topk_with(&a, 120, &forced), "k == n");
+            let small = Matrix::from_fn(60, 60, |i, j| a[(i, j)]);
+            rejected(sym_eigen_topk_with(&small, 4, &auto), "small auto");
+        }
+        rejected(sym_eigen(&a), "sym_eigen");
+    }
 }
