@@ -11,12 +11,9 @@
 //! linear-in-`n` scaling at ~100 stored entries per row (`sparse_scaling`)
 //! and its win over the dense route at ~1% density
 //! (`sparse_vs_dense_gram`, whose ratio is the
-//! `sparse_vs_dense_gram_speedup` field), the 4-worker coordinator
-//! fan-out against the 1-process fold at the tallest sparse size
-//! (`distributed_gram`, whose ratio is the `distributed_gram_speedup`
-//! field), the out-of-core ingest of the binary shard container +
-//! pooled decode against the text container at the same tallest sparse
-//! size (`ooc_ingest`: the decode-pass ratio is the
+//! `sparse_vs_dense_gram_speedup` field), the out-of-core ingest of the
+//! binary shard container + pooled decode against the text container at
+//! the tallest sparse size (`ooc_ingest`: the decode-pass ratio is the
 //! `ooc_ingest_speedup` field, the end-to-end Gram ratio the
 //! `ooc_gram_e2e_speedup` field), plus the `sym_eigen` kernel
 //! that backs every eigen-route decomposition and the certified top-k
@@ -48,9 +45,8 @@ use ivmf_core::isvd::isvd;
 use ivmf_core::pipeline::{run_all, Pipeline};
 use ivmf_core::{IsvdAlgorithm, IsvdConfig};
 use ivmf_data::synthetic::{generate_power_law, generate_uniform, PowerLawConfig, SyntheticConfig};
-use ivmf_distrib::{GramCoordinator, GramSpec, WorkerMode};
 use ivmf_interval::{
-    use_mr_gram, CsrShardedIntervalMatrix, RowShardedIntervalMatrix, SparseStreamingIntervalGram,
+    CsrShardedIntervalMatrix, RowShardedIntervalMatrix, SparseStreamingIntervalGram,
 };
 use ivmf_linalg::eigen_sym::sym_eigen;
 use ivmf_linalg::random::{symmetric_matrix, uniform_matrix};
@@ -306,61 +302,6 @@ fn bench_sparse_vs_dense_gram(c: &mut Criterion) {
     group.finish();
 }
 
-/// Multi-worker distributed Gram against the 1-process streamed sparse
-/// fold at the tallest `sparse_scaling` size (160k rows, ~100 stored
-/// entries per row). Four thread-mode workers each speak the full wire
-/// protocol over loopback TCP, so the measurement includes every real
-/// coordination cost — job serialization, checksummed frames, partial
-/// state decode and the in-order merge — not just the parallel compute.
-/// The ratio becomes the `distributed_gram_speedup` JSON field; the
-/// outputs are bitwise identical (asserted by the distributed test
-/// suites), so this group tracks pure wall-clock.
-fn bench_distributed_gram(c: &mut Criterion) {
-    let mut group = c.benchmark_group("distributed_gram");
-    group.sample_size(if smoke_mode() { 1 } else { 3 });
-    let (n, cols, nnz_per_row) = if smoke_mode() {
-        (2_000, 256, 20)
-    } else {
-        (160_000, 1024, 100)
-    };
-    let mut rng = SmallRng::seed_from_u64(11);
-    let csr = generate_power_law(
-        &PowerLawConfig::ratings_like(n, cols).with_nnz_per_row(nnz_per_row),
-        &mut rng,
-    );
-    let sharded = CsrShardedIntervalMatrix::from_csr(&csr, 4096).unwrap();
-    group.bench_with_input(
-        BenchmarkId::from_parameter("1_process"),
-        &sharded,
-        |b, s| b.iter(|| sparse_interval_gram(s)),
-    );
-    // Same kernel flavour the 1-process accumulator picks for this shape,
-    // decided once at the coordinator (workers cannot derive it from their
-    // local row counts).
-    let spec = GramSpec {
-        cols,
-        mid_rad: use_mr_gram(n, cols),
-        sparse: true,
-    };
-    group.bench_with_input(
-        BenchmarkId::from_parameter("4_workers"),
-        &sharded,
-        |b, s| {
-            b.iter(|| {
-                // Worker startup (threads + TCP accept) is inside the
-                // iteration on purpose: it is a real cost of choosing the
-                // distributed route for a single Gram build.
-                let mut coord = GramCoordinator::new(spec, 4, WorkerMode::Threads).unwrap();
-                for shard in s.shards() {
-                    coord.push_csr(shard).unwrap();
-                }
-                coord.finish().unwrap().finish().unwrap()
-            })
-        },
-    );
-    group.finish();
-}
-
 /// Out-of-core ingest: the same power-law CSR matrix (the tallest
 /// `sparse_scaling` shape at ~100 stored entries per row) is written to
 /// disk once as a text shard container and once as the binary
@@ -602,14 +543,6 @@ fn topk_eigen_speedup(results: &[(String, Duration)]) -> Option<f64> {
     (topk > 0.0).then(|| full / topk)
 }
 
-/// Median-over-median speedup of the 4-worker distributed Gram fan-out
-/// against the 1-process streamed sparse fold at the 160k-row scale.
-fn distributed_gram_speedup(results: &[(String, Duration)]) -> Option<f64> {
-    let single = median_of(results, "distributed_gram/1_process")?;
-    let distributed = median_of(results, "distributed_gram/4_workers")?;
-    (distributed > 0.0).then(|| single / distributed)
-}
-
 /// Median-over-median speedup of decoding the binary container into
 /// pooled buffers against parsing the text container, full pass at the
 /// 160k-row scale — the ingest cost itself, which is what the binary
@@ -694,9 +627,6 @@ fn emit_json(
             "  \"sym_eigen_topk_vs_full_speedup\": {speedup:.3},\n"
         ));
     }
-    if let Some(speedup) = distributed_gram_speedup(results) {
-        json.push_str(&format!("  \"distributed_gram_speedup\": {speedup:.3},\n"));
-    }
     if let Some(speedup) = ooc_ingest_speedup(results) {
         json.push_str(&format!("  \"ooc_ingest_speedup\": {speedup:.3},\n"));
     }
@@ -749,7 +679,6 @@ fn main() {
     bench_snapshot_restore(&mut criterion);
     bench_sparse_scaling(&mut criterion);
     bench_sparse_vs_dense_gram(&mut criterion);
-    bench_distributed_gram(&mut criterion);
     bench_ooc_ingest(&mut criterion);
     bench_sym_eigen(&mut criterion);
     bench_sym_eigen_topk(&mut criterion);
@@ -779,9 +708,6 @@ fn main() {
     }
     if let Some(speedup) = topk_eigen_speedup(&results) {
         println!("sym_eigen_topk_vs_full: {speedup:.2}x top-k vs full spectrum");
-    }
-    if let Some(speedup) = distributed_gram_speedup(&results) {
-        println!("distributed_gram: {speedup:.2}x with 4 workers vs 1 process at 160k rows");
     }
     if let Some(speedup) = ooc_ingest_speedup(&results) {
         println!("ooc_ingest: {speedup:.2}x binary+pool decode vs text parse at 160k rows");

@@ -114,6 +114,7 @@ use ivmf_interval::{
     CsrShardSource, CsrShardedIntervalMatrix, IntervalMatrix, RowShardSource,
     RowShardedIntervalMatrix, SparseStreamingIntervalGram, StreamingIntervalGram,
 };
+use ivmf_linalg::streaming::GROUP_ROWS;
 use ivmf_linalg::svd::{svd_truncated, Svd};
 use ivmf_linalg::{
     matmul_left_streamed, matmul_left_streamed_csr_t, matmul_streamed, matmul_streamed_csr,
@@ -776,41 +777,20 @@ fn input_shape(input: &PipelineInput<'_>) -> (usize, usize) {
 }
 
 /// One pass over the input's row-block shards, in row order (a dense
-/// matrix is one shard; a lazy source is rewound first).
+/// matrix is one shard; a lazy source is rewound first, and its freshly
+/// decoded shards go back to the buffer pool once `f` has seen them).
 fn input_for_each_shard(
     input: &PipelineInput<'_>,
     f: &mut dyn FnMut(&IntervalMatrix) -> Result<()>,
 ) -> Result<()> {
-    if let Some(s) = input.as_sharded() {
-        for shard in s.shards() {
-            f(shard)?;
-        }
-        return Ok(());
-    }
-    match input {
-        PipelineInput::Dense(m) => f(m),
-        PipelineInput::Lazy(src) => {
-            let mut src = src.borrow_mut();
-            src.reset().map_err(IvmfError::from)?;
-            while let Some(shard) = src.next_shard().map_err(IvmfError::from)? {
-                f(&shard)?;
-                // Freshly decoded shards ride pooled buffers; hand them
-                // back so the next decode reuses them.
-                recycle_interval_matrix(shard);
-            }
-            Ok(())
-        }
+    if input.is_sparse() {
         // Sparse inputs densify one shard at a time — only reachable
         // through the guarded dense-only paths (`input_mid`/`input_dense`
         // call `ensure_densifiable` first); the Gram-route stages dispatch
         // to `input_for_each_csr_shard` instead and never land here.
-        PipelineInput::SparseSharded(_)
-        | PipelineInput::SparseOwned(_)
-        | PipelineInput::SparseLazy(_) => {
-            input_for_each_csr_shard(input, &mut |shard| f(&shard.to_dense()))
-        }
-        _ => unreachable!("sharded variants handled above"),
+        return input_for_each_csr_shard(input, &mut |shard| f(&shard.to_dense()));
     }
+    IntervalMatrix::walk(input, &mut |piece| piece.visit(f))
 }
 
 /// One pass over a sparse input's CSR row shards, in row order (a lazy
@@ -820,24 +800,7 @@ fn input_for_each_csr_shard(
     input: &PipelineInput<'_>,
     f: &mut dyn FnMut(&CsrIntervalShard) -> Result<()>,
 ) -> Result<()> {
-    if let Some(s) = input.as_csr_sharded() {
-        for shard in s.shards() {
-            f(shard)?;
-        }
-        return Ok(());
-    }
-    match input {
-        PipelineInput::SparseLazy(src) => {
-            let mut src = src.borrow_mut();
-            src.reset().map_err(IvmfError::from)?;
-            while let Some(shard) = src.next_shard().map_err(IvmfError::from)? {
-                f(&shard)?;
-                recycle_csr_interval_shard(shard);
-            }
-            Ok(())
-        }
-        _ => unreachable!("dense inputs never reach the CSR shard walk"),
-    }
+    CsrIntervalShard::walk(input, &mut |piece| piece.visit(f))
 }
 
 /// Ceiling on the dense entry count (`rows × cols`) a dense-only stage may
@@ -1086,55 +1049,6 @@ fn use_sparse_gram(input: &PipelineInput<'_>) -> Result<bool> {
     Ok(input_density_scan(input)? <= threshold)
 }
 
-/// Attempts the distributed interval-Gram fold (`IVMF_WORKERS` > 1): the
-/// input's shards stream through the `ivmf-distrib` coordinator, whose
-/// merge-group-aligned unit merge is bitwise identical to the local
-/// fold. Returns `None` when distribution is off, not worth it (at most
-/// one work unit), or fails to start — the caller then folds locally.
-/// Worker-level faults never surface here; the coordinator reassigns
-/// internally.
-fn maybe_distributed_gram(
-    input: &PipelineInput<'_>,
-    rows: usize,
-    cols: usize,
-    sparse: bool,
-) -> Option<GramAccum> {
-    if ivmf_env::workers() < 2 || rows <= ivmf_distrib::DISTRIB_MIN_ROWS {
-        return None;
-    }
-    let spec = ivmf_distrib::GramSpec {
-        cols,
-        // Replicate the whole-stream flavour decision the local
-        // accumulators would make, so workers fold the same arithmetic.
-        mid_rad: use_mr_gram(rows, cols),
-        sparse,
-    };
-    let attempt = || -> Result<GramAccum> {
-        let to_ivmf = |e: ivmf_distrib::DistribError| {
-            IvmfError::InvalidInput(format!("distributed Gram: {e}"))
-        };
-        let mut coord = ivmf_distrib::coordinator_from_env(spec).map_err(to_ivmf)?;
-        if input.is_sparse() {
-            input_for_each_csr_shard(input, &mut |shard| coord.push_csr(shard).map_err(to_ivmf))?;
-        } else {
-            input_for_each_shard(input, &mut |shard| coord.push_dense(shard).map_err(to_ivmf))?;
-        }
-        Ok(match coord.finish().map_err(to_ivmf)? {
-            ivmf_distrib::GramPartial::Dense(acc) => GramAccum::Dense(acc),
-            ivmf_distrib::GramPartial::Sparse(acc) => GramAccum::Sparse(acc),
-        })
-    };
-    match attempt() {
-        Ok(acc) => Some(acc),
-        Err(e) => {
-            // Shard-source errors land here too; the local fold will
-            // re-raise them with the authoritative error path.
-            eprintln!("warning: distributed Gram unavailable ({e}); folding locally");
-            None
-        }
-    }
-}
-
 /// The session's streaming interval-Gram accumulator: the dense
 /// chunk-realigned fold or its sparse CSR counterpart. The two produce
 /// bitwise-identical Grams for the same logical matrix (the sparse kernels
@@ -1151,6 +1065,27 @@ pub(crate) enum GramAccum {
 }
 
 impl GramAccum {
+    /// An empty accumulator in the given representation and flavour. The
+    /// session decides the flavour once, from the total shape
+    /// (`use_mr_gram(rows, cols)`); merge-group units replicate it with
+    /// [`GramAccum::empty_like`] instead of re-deriving it from their own
+    /// ≤ one group of rows.
+    fn empty(cols: usize, mid_rad: bool, sparse: bool) -> GramAccum {
+        if sparse {
+            GramAccum::Sparse(SparseStreamingIntervalGram::with_flavour(cols, mid_rad))
+        } else {
+            GramAccum::Dense(StreamingIntervalGram::with_flavour(cols, mid_rad))
+        }
+    }
+
+    /// An empty accumulator in this one's representation and flavour.
+    fn empty_like(&self) -> GramAccum {
+        match self {
+            GramAccum::Dense(acc) => GramAccum::empty(acc.cols(), acc.is_mid_rad(), false),
+            GramAccum::Sparse(acc) => GramAccum::empty(acc.cols(), acc.is_mid_rad(), true),
+        }
+    }
+
     pub(crate) fn is_mid_rad(&self) -> bool {
         match self {
             GramAccum::Dense(acc) => acc.is_mid_rad(),
@@ -1181,12 +1116,263 @@ impl GramAccum {
         }
     }
 
+    /// Merges the accumulator of the next merge-group unit (built by
+    /// [`GramAccum::empty_like`]); `absorb_unit` on the inner
+    /// accumulators enforces the alignment that makes the merged state
+    /// bitwise the state of one accumulator folding every row itself.
+    fn absorb(&mut self, unit: GramAccum) -> Result<()> {
+        match (self, unit) {
+            (GramAccum::Dense(a), GramAccum::Dense(b)) => a.absorb_unit(b),
+            (GramAccum::Sparse(a), GramAccum::Sparse(b)) => a.absorb_unit(b),
+            _ => unreachable!("units are built by `empty_like`"),
+        }
+        .map_err(IvmfError::from)
+    }
+
     fn finish(&self) -> Result<IntervalMatrix> {
         match self {
             GramAccum::Dense(acc) => acc.finish().map_err(IvmfError::from),
             GramAccum::Sparse(acc) => acc.finish().map_err(IvmfError::from),
         }
     }
+}
+
+/// A shard representation the interval-Gram fold accepts: what the unit
+/// fold needs to walk an input, cut its shards on unit boundaries, and
+/// fold and recycle the pieces.
+trait GramShard: Sized + Send + Sync + 'static {
+    fn rows(&self) -> usize;
+    fn row_slice(&self, start: usize, end: usize) -> Result<Self>;
+    fn push_into(&self, acc: &mut GramAccum) -> Result<()>;
+    fn recycle(self);
+    /// One pass over the input's shards in row order: borrowed from an
+    /// in-memory input, moved out of a lazy source (rewound first).
+    fn walk<'a>(
+        input: &'a PipelineInput<'_>,
+        f: &mut dyn FnMut(Piece<'a, Self>) -> Result<()>,
+    ) -> Result<()>;
+}
+
+impl GramShard for IntervalMatrix {
+    fn rows(&self) -> usize {
+        IntervalMatrix::rows(self)
+    }
+    fn row_slice(&self, start: usize, end: usize) -> Result<Self> {
+        IntervalMatrix::row_slice(self, start, end).map_err(IvmfError::from)
+    }
+    fn push_into(&self, acc: &mut GramAccum) -> Result<()> {
+        acc.push_dense(self)
+    }
+    fn recycle(self) {
+        recycle_interval_matrix(self);
+    }
+    fn walk<'a>(
+        input: &'a PipelineInput<'_>,
+        f: &mut dyn FnMut(Piece<'a, Self>) -> Result<()>,
+    ) -> Result<()> {
+        if let Some(s) = input.as_sharded() {
+            return s
+                .shards()
+                .iter()
+                .try_for_each(|shard| f(Piece::whole(shard)));
+        }
+        match input {
+            PipelineInput::Dense(m) => f(Piece::whole(m)),
+            PipelineInput::Lazy(src) => {
+                let mut src = src.borrow_mut();
+                src.reset().map_err(IvmfError::from)?;
+                while let Some(shard) = src.next_shard().map_err(IvmfError::from)? {
+                    f(Piece::Owned(shard))?;
+                }
+                Ok(())
+            }
+            _ => unreachable!("sparse inputs fold through the CSR walk"),
+        }
+    }
+}
+
+impl GramShard for CsrIntervalShard {
+    fn rows(&self) -> usize {
+        CsrIntervalShard::rows(self)
+    }
+    fn row_slice(&self, start: usize, end: usize) -> Result<Self> {
+        CsrIntervalShard::row_slice(self, start, end).map_err(IvmfError::from)
+    }
+    fn push_into(&self, acc: &mut GramAccum) -> Result<()> {
+        acc.push_csr(self)
+    }
+    fn recycle(self) {
+        recycle_csr_interval_shard(self);
+    }
+    fn walk<'a>(
+        input: &'a PipelineInput<'_>,
+        f: &mut dyn FnMut(Piece<'a, Self>) -> Result<()>,
+    ) -> Result<()> {
+        if let Some(s) = input.as_csr_sharded() {
+            return s
+                .shards()
+                .iter()
+                .try_for_each(|shard| f(Piece::whole(shard)));
+        }
+        match input {
+            PipelineInput::SparseLazy(src) => {
+                let mut src = src.borrow_mut();
+                src.reset().map_err(IvmfError::from)?;
+                while let Some(shard) = src.next_shard().map_err(IvmfError::from)? {
+                    f(Piece::Owned(shard))?;
+                }
+                Ok(())
+            }
+            _ => unreachable!("dense inputs fold through the dense walk"),
+        }
+    }
+}
+
+/// A merge-group unit's share of one input shard: rows `range` of a shard
+/// borrowed from an in-memory input, or a shard owned by the fold (moved
+/// out of a lazy source, or copied out of one that straddles a unit
+/// boundary).
+enum Piece<'a, S> {
+    Borrowed(&'a S, std::ops::Range<usize>),
+    Owned(S),
+}
+
+impl<'a, S: GramShard> Piece<'a, S> {
+    fn whole(shard: &'a S) -> Self {
+        Piece::Borrowed(shard, 0..shard.rows())
+    }
+
+    fn rows(&self) -> usize {
+        match self {
+            Piece::Borrowed(_, range) => range.len(),
+            Piece::Owned(s) => s.rows(),
+        }
+    }
+
+    /// Splits off the first `head` rows when the piece is longer; the
+    /// tail is `None` otherwise. Borrowed pieces only narrow their range;
+    /// an owned shard is copied into two owned halves and recycled.
+    fn split(self, head: usize) -> Result<(Self, Option<Self>)> {
+        let rows = self.rows();
+        if rows <= head {
+            return Ok((self, None));
+        }
+        Ok(match self {
+            Piece::Borrowed(s, range) => {
+                let mid = range.start + head;
+                (
+                    Piece::Borrowed(s, range.start..mid),
+                    Some(Piece::Borrowed(s, mid..range.end)),
+                )
+            }
+            Piece::Owned(s) => {
+                let halves = (s.row_slice(0, head)?, s.row_slice(head, rows)?);
+                s.recycle();
+                (Piece::Owned(halves.0), Some(Piece::Owned(halves.1)))
+            }
+        })
+    }
+
+    /// Calls `f` on the piece's rows; only a partial range of a borrowed
+    /// shard is copied first.
+    fn with_rows(&self, f: &mut dyn FnMut(&S) -> Result<()>) -> Result<()> {
+        match self {
+            Piece::Borrowed(s, range) if range.len() == s.rows() => f(s),
+            Piece::Borrowed(s, range) => f(&s.row_slice(range.start, range.end)?),
+            Piece::Owned(s) => f(s),
+        }
+    }
+
+    /// [`Piece::with_rows`], then [`Piece::recycle`].
+    fn visit(self, f: &mut dyn FnMut(&S) -> Result<()>) -> Result<()> {
+        self.with_rows(f)?;
+        self.recycle();
+        Ok(())
+    }
+
+    /// Hands an owned shard's buffers back to the pool for the next
+    /// decode.
+    fn recycle(self) {
+        if let Piece::Owned(s) = self {
+            s.recycle();
+        }
+    }
+}
+
+/// Folds every row of the input into `master` (empty on entry), bitwise
+/// identical for every `IVMF_THREADS` count.
+///
+/// The rows are cut into **merge-group units**: the `GROUP_ROWS`-aligned
+/// row ranges on which the streaming accumulators seal their group
+/// partials. With more than one thread and more than one unit, up to
+/// `threads` units fold concurrently, each on a fresh accumulator of the
+/// master's flavour, and are absorbed strictly in unit order — which
+/// reproduces the master's own fold bit for bit (see
+/// `ivmf_linalg::streaming`). With one thread, or a single unit, the
+/// shards fold straight into the master, which seals at the same unit
+/// boundaries: no row is copied and no shard is held beyond the one
+/// folding.
+///
+/// Memory: at most `threads` units of rows are held at once. In-memory
+/// shards are borrowed, and only the rows of one that straddles a unit
+/// boundary are copied, inside the thread folding them; streamed shards
+/// are moved into their unit and copied only when they straddle.
+fn fold_units<'a, S: GramShard>(
+    input: &'a PipelineInput<'_>,
+    rows: usize,
+    master: &mut GramAccum,
+) -> Result<()> {
+    let threads = ivmf_par::configured_threads();
+    if threads <= 1 || rows <= GROUP_ROWS {
+        return S::walk(input, &mut |piece| {
+            piece.visit(&mut |s| s.push_into(master))
+        });
+    }
+    let mut sealed: Vec<Vec<Piece<'a, S>>> = Vec::new();
+    let mut open: Vec<Piece<'a, S>> = Vec::new();
+    let mut open_rows = 0;
+    S::walk(input, &mut |piece| {
+        let mut rest = Some(piece);
+        while let Some(piece) = rest.take() {
+            let (head, tail) = piece.split(GROUP_ROWS - open_rows)?;
+            open_rows += head.rows();
+            open.push(head);
+            if open_rows == GROUP_ROWS {
+                sealed.push(std::mem::take(&mut open));
+                open_rows = 0;
+                if sealed.len() == threads {
+                    fold_unit_batch(master, std::mem::take(&mut sealed))?;
+                }
+            }
+            rest = tail;
+        }
+        Ok(())
+    })?;
+    if !open.is_empty() {
+        sealed.push(open);
+    }
+    fold_unit_batch(master, sealed)
+}
+
+/// Folds consecutive units concurrently, one thread each, then absorbs
+/// them into `master` in unit order and recycles their owned shards.
+fn fold_unit_batch<S: GramShard>(
+    master: &mut GramAccum,
+    units: Vec<Vec<Piece<'_, S>>>,
+) -> Result<()> {
+    let proto = &*master;
+    let folded = ivmf_par::par_map(units.len(), units.len(), |i| {
+        let mut acc = proto.empty_like();
+        for piece in &units[i] {
+            piece.with_rows(&mut |s| s.push_into(&mut acc))?;
+        }
+        Ok::<_, IvmfError>(acc)
+    });
+    for acc in folded {
+        master.absorb(acc?)?;
+    }
+    units.into_iter().flatten().for_each(Piece::recycle);
+    Ok(())
 }
 
 /// The retained interval-Gram accumulator of a session: lets
@@ -1869,27 +2055,15 @@ impl<'m> Pipeline<'m> {
                 // `IVMF_SPARSE_THRESHOLD` density cutoff. Both paths are
                 // bitwise identical, so the choice never enters the key.
                 let sparse = use_sparse_gram(input)?;
-                // With `IVMF_WORKERS` > 1 the fold fans out to the
-                // distributed coordinator — also bitwise identical (the
-                // merge-group-aligned unit merge of `ivmf-distrib`), so
-                // the worker count stays out of the key too. Any
-                // coordination failure falls back to the local fold.
-                let acc = match maybe_distributed_gram(input, rows, cols, sparse) {
-                    Some(acc) => acc,
-                    None => {
-                        let mut acc = if sparse {
-                            GramAccum::Sparse(SparseStreamingIntervalGram::new(rows, cols))
-                        } else {
-                            GramAccum::Dense(StreamingIntervalGram::new(rows, cols))
-                        };
-                        if input.is_sparse() {
-                            input_for_each_csr_shard(input, &mut |shard| acc.push_csr(shard))?;
-                        } else {
-                            input_for_each_shard(input, &mut |shard| acc.push_dense(shard))?;
-                        }
-                        acc
-                    }
-                };
+                // Units fold concurrently on `IVMF_THREADS` threads and
+                // merge in unit order — bitwise the one-thread fold, so
+                // the thread count stays out of the key too.
+                let mut acc = GramAccum::empty(cols, use_mr_gram(rows, cols), sparse);
+                if input.is_sparse() {
+                    fold_units::<CsrIntervalShard>(input, rows, &mut acc)?;
+                } else {
+                    fold_units::<IntervalMatrix>(input, rows, &mut acc)?;
+                }
                 if acc.rows_seen() != rows {
                     // An under-delivering lazy source would otherwise
                     // yield a silently partial Gram.

@@ -114,8 +114,8 @@ pub struct RestoreReport {
 /// The payload and whole-file content hash of the snapshot format
 /// (hex-printed with 16 digits): the workspace's shared word-parallel
 /// FNV-1a from [`ivmf_data::fnv`] — the same digest the binary shard
-/// records and the distrib wire frames carry, so snapshot validation
-/// keeps the one hashing implementation and its throughput. Swapping the
+/// records carry, so snapshot validation keeps the one hashing
+/// implementation and its throughput. Swapping the
 /// earlier word-at-a-time variant for the shared one changed every
 /// digest, hence the `v2` version line: `v1` snapshots restore nothing
 /// (a clean cold start) instead of tripping checksum salvage.

@@ -15,7 +15,7 @@
 //! [magic: b"ivmfsh1\n"] [header record] [block record]* [end record]
 //! ```
 //!
-//! Every record reuses the distrib wire protocol's frame structure:
+//! Every record has the same frame structure:
 //!
 //! ```text
 //! [kind: u8] [payload_len: u64 LE] [payload bytes] [fnv1a64(payload): u64 LE]
@@ -77,8 +77,7 @@ pub const REC_END: u8 = 5;
 
 /// Ceiling on a declared record payload length: a corrupted length field
 /// must not trigger a multi-gigabyte allocation before the checksum gets
-/// a chance to reject the record. Shared with the distrib frame layer,
-/// which delegates to [`write_record`]/[`read_record`].
+/// a chance to reject the record.
 pub const MAX_RECORD_LEN: u64 = 1 << 31;
 
 /// Writes one checksummed record. The caller flushes.

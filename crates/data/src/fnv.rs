@@ -1,14 +1,13 @@
 //! The workspace's one word-parallel FNV-1a implementation.
 //!
-//! Three layers need the same fast integrity hash: the distrib wire
-//! protocol's frame checksums, the snapshot layer's entry digests, and
-//! the binary shard container's per-record checksums ([`crate::binfmt`]).
-//! They used to carry three hand-rolled copies; this module is the single
-//! shared one, so a throughput fix or a lane-count change lands
-//! everywhere at once and the formats cannot silently drift apart.
+//! Two layers need the same fast integrity hash: the snapshot layer's
+//! entry digests and the binary shard container's per-record checksums
+//! ([`crate::binfmt`]). This module is the single shared implementation,
+//! so a throughput fix or a lane-count change lands everywhere at once
+//! and the formats cannot silently drift apart.
 //!
-//! This is an integrity check against line noise, torn writes and faulty
-//! peers — not a cryptographic MAC; same contract as plain FNV.
+//! This is an integrity check against torn writes and flipped bits — not
+//! a cryptographic MAC; same contract as plain FNV.
 
 /// FNV-1a 64-bit offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -17,7 +16,7 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// How many independent FNV-1a chains [`fnv1a64`] runs. Plain byte-wise
 /// FNV-1a is a single xor→multiply dependency chain — one multiply
-/// *latency* per byte, ~0.7 GB/s — and frames/records here carry tens of
+/// *latency* per byte, ~0.7 GB/s — and records here carry tens of
 /// megabytes, so at that speed the checksum would cost a third of the
 /// Gram arithmetic it protects. Eight chains, each folding a whole
 /// little-endian `u64` per xor→multiply step, cut the multiply count 8×

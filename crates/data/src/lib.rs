@@ -41,9 +41,8 @@
 //!   nonzero entries.
 //! * [`binfmt`] — the bit-exact binary shard container ("ivmf shards
 //!   v1"): length-prefixed, FNV-checksummed records holding raw
-//!   little-endian `f64`/`usize` runs, shared by the binary shard
-//!   writers/readers in [`stream`] and the distrib wire protocol's job
-//!   pieces.
+//!   little-endian `f64`/`usize` runs, used by the binary shard
+//!   writers/readers in [`stream`].
 //! * [`prefetch`] — a double-buffered background-thread shard reader
 //!   ([`prefetch::PrefetchSource`], [`prefetch::PrefetchCsrSource`],
 //!   depth from `IVMF_PREFETCH`) that overlaps decode of shard *i+1*

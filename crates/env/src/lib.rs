@@ -11,21 +11,21 @@
 //!
 //! | variable | consumed by | meaning |
 //! |---|---|---|
-//! | [`THREADS`] | `ivmf-par` | worker count for parallel kernels (default: available parallelism) |
+//! | [`THREADS`] | `ivmf-par`, `ivmf-core` | worker count for parallel kernels, and how many merge-group units of the interval-Gram fold run concurrently (default: available parallelism) |
 //! | [`EXACT_INTERVAL`] | `ivmf-interval` | `1`/`true` pins the exact four-product interval operator at every size |
 //! | [`SHARD_ROWS`] | `ivmf-interval`, `ivmf-data` | default rows per shard for row-sharded matrices and chunked loaders |
 //! | [`SPARSE_THRESHOLD`] | `ivmf-core` | density cutoff in `(0, 1]` at or below which dense in-memory pipeline inputs take the sparse CSR Gram path (bitwise-identical results either way) |
 //! | [`TOPK_EIGEN`] | `ivmf-linalg` | `auto` (default) / `full` / `forced` — whether truncating eigendecompositions use the certified top-k Lanczos solver, the full `tred2`/`tql2` oracle, or the Lanczos path regardless of the profitability heuristic |
 //! | [`SNAPSHOT_DIR`] | `ivmf-core` | directory for automatic crash-safe pipeline snapshots: load-on-construct, save-on-drop (unset: snapshots only on explicit `snapshot_to`/`restore_from`) |
-//! | [`WORKERS`] | `ivmf-core`, `ivmf-distrib` | worker count for the distributed Gram coordinator; `> 1` fans large Gram streams out to that many workers (default 1: in-process) |
 //! | [`SHARD_FORMAT`] | `ivmf-data` | `text` (default) / `binary` — on-disk container the shard writers produce; readers auto-detect from magic bytes, payloads are bitwise identical |
 //! | [`PREFETCH`] | `ivmf-data`, `ivmf-core` | shard prefetch depth `0`/`1`/`2` (default 1): background-thread decode of the next shard(s) while the current one folds; `0` disables the thread |
-//! | [`WORKER_SPAWN`] | `ivmf-distrib` | `1`/`true` runs distributed workers as spawned `ivmf-worker` child processes instead of in-process threads |
 //! | [`REPLICATES`] | `ivmf-bench` | seeded replicates the `exp_*` binaries average over (default 5) |
 //! | [`SCALE`] | `ivmf-bench` | size multiplier in `(0, 1]` for the larger data sets |
 //! | [`BENCH_SMOKE`] | `ivmf-bench` | `1`/`true` runs every bench with a single sample (CI bitrot guard) |
 //! | [`BENCH_OUT`] | `linalg_kernels` bench | output path override for `BENCH_linalg.json` |
 //! | [`BENCH_ISVD_OUT`] | `isvd_pipeline` bench | output path override for `BENCH_isvd.json` |
+//!
+//! [`WORKERS`] and [`WORKER_SPAWN`] are retired names that no crate reads.
 //!
 //! **Unset** variables always fall back to the documented default. A
 //! variable that is **set but malformed** (`IVMF_THREADS=abc`,
@@ -95,28 +95,22 @@ pub const TOPK_EIGEN: &str = "IVMF_TOPK_EIGEN";
 /// automatic path; explicit `snapshot_to`/`restore_from` always work.
 pub const SNAPSHOT_DIR: &str = "IVMF_SNAPSHOT_DIR";
 
-/// Worker count for the distributed Gram coordinator (`ivmf-distrib`,
-/// routed by `ivmf-core`); positive integer, default 1. A value above 1
-/// fans Gram accumulation over large streams out to that many workers
-/// whose partial accumulators merge bitwise-identically to the 1-process
-/// fold — like [`THREADS`], the knob is pure execution strategy and never
-/// enters a stage-cache fingerprint, because the cached bytes are
-/// identical for every worker count.
+/// Retired: named the worker count of a multi-process Gram fan-out that
+/// no longer exists. No crate reads it; the interval-Gram fold now runs
+/// its merge-group units on [`THREADS`] threads. The name stays so run
+/// records can still list (and clear) it.
 pub const WORKERS: &str = "IVMF_WORKERS";
 
-/// When truthy, the distributed Gram coordinator runs its workers as
-/// spawned `ivmf-worker` child processes over localhost TCP instead of
-/// in-process threads (`ivmf-distrib`). Pure execution strategy, like
-/// [`WORKERS`]: results are bitwise identical either way, so it never
-/// enters a stage-cache fingerprint.
+/// Retired with [`WORKERS`]: selected child processes for that fan-out.
+/// No crate reads it.
 pub const WORKER_SPAWN: &str = "IVMF_WORKER_SPAWN";
 
 /// On-disk container format the shard writers in `ivmf-data` produce:
 /// `text` (the default, greppable line-per-row format) or `binary` (the
 /// "ivmf shards v1" checksummed record container). Readers always
 /// auto-detect the format from the file's magic bytes, and the decoded
-/// payloads are bitwise identical either way, so — like [`THREADS`] and
-/// [`WORKERS`] — this knob never enters a stage-cache fingerprint.
+/// payloads are bitwise identical either way, so — like [`THREADS`] —
+/// this knob never enters a stage-cache fingerprint.
 pub const SHARD_FORMAT: &str = "IVMF_SHARD_FORMAT";
 
 /// Shard prefetch depth for the out-of-core ingest readers in
@@ -306,41 +300,6 @@ pub fn snapshot_dir() -> Option<std::path::PathBuf> {
     } else {
         Some(std::path::PathBuf::from(v))
     }
-}
-
-/// The configured distributed-Gram worker count: `IVMF_WORKERS` when set
-/// to a positive integer, 1 (in-process, no distribution) when unset,
-/// panicking on a malformed value like every other `IVMF_*` knob. See
-/// [`try_workers`] for the non-panicking form.
-pub fn workers() -> usize {
-    match try_workers() {
-        Ok(v) => v.unwrap_or(1),
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// [`workers`] returning the validation error as a value instead of
-/// panicking: `Ok(None)` when unset, the count when a well-formed positive
-/// integer, and [`EnvVarError`] otherwise.
-pub fn try_workers() -> Result<Option<usize>, EnvVarError> {
-    try_usize_var(WORKERS, 1)
-}
-
-/// True when distributed workers should run as spawned `ivmf-worker`
-/// child processes: `IVMF_WORKER_SPAWN` set to `1`/`true` (the usual flag
-/// rule — unset, `0`, `false` and empty are false; anything else panics).
-/// See [`try_worker_spawn`] for the non-panicking form.
-pub fn worker_spawn() -> bool {
-    match try_worker_spawn() {
-        Ok(v) => v.unwrap_or(false),
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// [`worker_spawn`] returning the validation error as a value instead of
-/// panicking.
-pub fn try_worker_spawn() -> Result<Option<bool>, EnvVarError> {
-    try_flag(WORKER_SPAWN)
 }
 
 /// How truncating eigendecompositions pick their solver; parsed from
@@ -620,44 +579,6 @@ mod tests {
             );
         }
         std::env::remove_var(TOPK_EIGEN);
-    }
-
-    #[test]
-    fn workers_reads_the_documented_variable() {
-        // This test owns IVMF_WORKERS within this binary.
-        std::env::remove_var(WORKERS);
-        assert_eq!(workers(), 1);
-        assert_eq!(try_workers(), Ok(None));
-        std::env::set_var(WORKERS, "4");
-        assert_eq!(workers(), 4);
-        for bad in ["0", "-1", "abc", "2.5"] {
-            std::env::set_var(WORKERS, bad);
-            let err = try_workers().unwrap_err();
-            assert_eq!(err.value, bad);
-            let msg = err.to_string();
-            assert!(msg.contains(WORKERS), "error must name the variable: {msg}");
-            assert!(
-                msg.contains("integer >= 1"),
-                "error must state the expected format: {msg}"
-            );
-        }
-        std::env::remove_var(WORKERS);
-    }
-
-    #[test]
-    fn worker_spawn_reads_the_documented_variable() {
-        // This test owns IVMF_WORKER_SPAWN within this binary.
-        std::env::remove_var(WORKER_SPAWN);
-        assert!(!worker_spawn());
-        assert_eq!(try_worker_spawn(), Ok(None));
-        std::env::set_var(WORKER_SPAWN, "true");
-        assert!(worker_spawn());
-        std::env::set_var(WORKER_SPAWN, "0");
-        assert!(!worker_spawn());
-        std::env::set_var(WORKER_SPAWN, "maybe");
-        let err = try_worker_spawn().unwrap_err();
-        assert!(err.to_string().contains(WORKER_SPAWN), "{err}");
-        std::env::remove_var(WORKER_SPAWN);
     }
 
     #[test]

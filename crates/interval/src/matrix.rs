@@ -97,6 +97,30 @@ impl IntervalMatrix {
         &self.hi
     }
 
+    /// A copy of rows `start..end`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`IntervalError::Source`] when the range is reversed or
+    /// runs past the last row.
+    pub fn row_slice(&self, start: usize, end: usize) -> Result<IntervalMatrix> {
+        if start > end || end > self.rows() {
+            return Err(IntervalError::Source(format!(
+                "row range {start}..{end} out of bounds for {} rows",
+                self.rows()
+            )));
+        }
+        let cols = self.cols();
+        let rows = |m: &Matrix| {
+            Matrix::from_vec(
+                end - start,
+                cols,
+                m.as_slice()[start * cols..end * cols].to_vec(),
+            )
+        };
+        IntervalMatrix::from_bounds(rows(&self.lo)?, rows(&self.hi)?)
+    }
+
     /// Consumes the interval matrix and returns `(lo, hi)`.
     pub fn into_bounds(self) -> (Matrix, Matrix) {
         (self.lo, self.hi)

@@ -136,24 +136,12 @@ impl RowShardedIntervalMatrix {
                 "cannot shard an empty interval matrix".to_string(),
             ));
         }
-        let (rows, cols) = m.shape();
+        let rows = m.rows();
         let mut shards = Vec::new();
         let mut start = 0;
         while start < rows {
             let end = (start + shard_rows).min(rows);
-            let lo = Matrix::from_vec(
-                end - start,
-                cols,
-                m.lo().as_slice()[start * cols..end * cols].to_vec(),
-            )
-            .map_err(IntervalError::from)?;
-            let hi = Matrix::from_vec(
-                end - start,
-                cols,
-                m.hi().as_slice()[start * cols..end * cols].to_vec(),
-            )
-            .map_err(IntervalError::from)?;
-            shards.push(IntervalMatrix::from_bounds(lo, hi)?);
+            shards.push(m.row_slice(start, end)?);
             start = end;
         }
         RowShardedIntervalMatrix::from_shards(shards)
@@ -340,31 +328,14 @@ impl StreamingIntervalGram {
     /// An empty accumulator for a stream of `total_rows × cols` (the total
     /// row count picks the flavour; see the type docs).
     pub fn new(total_rows: usize, cols: usize) -> Self {
-        let flavour = if use_mr_gram(total_rows, cols) {
-            Flavour::MidRad {
-                mid: GramAccumulator::new(cols),
-                sum: GramAccumulator::new(cols),
-            }
-        } else {
-            Flavour::Exact {
-                lo: GramAccumulator::new(cols),
-                hi: GramAccumulator::new(cols),
-                cross: CrossGramAccumulator::new(cols, cols),
-            }
-        };
-        StreamingIntervalGram {
-            cols,
-            rows_seen: 0,
-            flavour,
-        }
+        StreamingIntervalGram::with_flavour(cols, use_mr_gram(total_rows, cols))
     }
 
-    /// An empty accumulator with the flavour forced explicitly instead of
-    /// derived from the total row count. Distributed workers use this to
-    /// replicate the coordinator's dispatch decision exactly: the
-    /// coordinator picks the flavour from the *whole* stream's shape, and
-    /// a worker seeing only its ≤ one-group unit must not re-derive it
-    /// from the unit's (smaller) row count.
+    /// An empty accumulator with the flavour given explicitly instead of
+    /// derived from a total row count. A merge-group unit folded on its
+    /// own accumulator (see [`StreamingIntervalGram::absorb_unit`]) must
+    /// take the flavour the whole stream picked: re-deriving it from the
+    /// unit's ≤ one group of rows could choose the other flavour.
     pub fn with_flavour(cols: usize, mid_rad: bool) -> Self {
         let flavour = if mid_rad {
             Flavour::MidRad {

@@ -518,30 +518,14 @@ impl SparseStreamingIntervalGram {
     /// total row count picks the flavour, exactly like the dense
     /// accumulator).
     pub fn new(total_rows: usize, cols: usize) -> Self {
-        let flavour = if use_mr_gram(total_rows, cols) {
-            SparseFlavour::MidRad {
-                mid: SparseGramAccumulator::new(cols),
-                sum: SparseGramAccumulator::new(cols),
-            }
-        } else {
-            SparseFlavour::Exact {
-                lo: SparseGramAccumulator::new(cols),
-                hi: SparseGramAccumulator::new(cols),
-                cross: Box::new(SparseCrossGramAccumulator::new(cols, cols)),
-            }
-        };
-        SparseStreamingIntervalGram {
-            cols,
-            rows_seen: 0,
-            flavour,
-        }
+        SparseStreamingIntervalGram::with_flavour(cols, use_mr_gram(total_rows, cols))
     }
 
-    /// An empty accumulator with the flavour forced explicitly — the
+    /// An empty accumulator with the flavour given explicitly — the
     /// sparse counterpart of
     /// [`StreamingIntervalGram::with_flavour`](crate::StreamingIntervalGram::with_flavour):
-    /// a distributed worker replicates the coordinator's whole-stream
-    /// dispatch decision instead of re-deriving it from its unit's rows.
+    /// a merge-group unit takes the whole stream's flavour instead of
+    /// re-deriving it from its own rows.
     pub fn with_flavour(cols: usize, mid_rad: bool) -> Self {
         let flavour = if mid_rad {
             SparseFlavour::MidRad {

@@ -557,9 +557,10 @@ impl RowBlocks for CsrShardedMatrix {
 /// and mirrors the upper triangle. This kernel walks the same rows in the
 /// same order, visits only stored entry pairs (the skipped zero terms are
 /// bitwise no-ops), applies the identically dispatched plain/`fmadd` step,
-/// and mirrors. Output row panels split across the worker pool exactly
-/// like the dense kernel — per-entry fold order is row order, so the split
-/// is invisible in results.
+/// and mirrors. It runs on the calling thread: equal row panels of one
+/// chunk's triangular output are too small and too unbalanced to pay for
+/// a thread split, and the interval-Gram fold parallelizes over whole
+/// merge-group units instead.
 /// One chunk's Gram partial, **upper triangle only** (the strict lower
 /// triangle stays zero). The accumulator folds these upper-triangle
 /// partials and mirrors once at `finish()` — bitwise identical to
@@ -586,16 +587,11 @@ fn csr_gram_chunk_upper(chunk: &CsrShard) -> Matrix {
 fn csr_gram_chunk_upper_into(chunk: &CsrShard, out: &mut Matrix) {
     let m = chunk.cols;
     debug_assert_eq!(out.shape(), (m, m));
-    let work = chunk.rows * m * m / 2;
-    let fused = work >= MATMUL_BLOCKED_MIN_WORK;
-    let threads = threads_for(work);
-    ivmf_par::par_row_panels(out.as_mut_slice(), m, threads, |first_row, panel| {
-        if fused {
-            csr_gram_panel(chunk, first_row, panel, m, fmadd);
-        } else {
-            csr_gram_panel(chunk, first_row, panel, m, |a, b, acc| acc + a * b);
-        }
-    });
+    if chunk.rows * m * m / 2 >= MATMUL_BLOCKED_MIN_WORK {
+        csr_gram_upper(chunk, out.as_mut_slice(), m, fmadd);
+    } else {
+        csr_gram_upper(chunk, out.as_mut_slice(), m, |a, b, acc| acc + a * b);
+    }
 }
 
 /// Zeros the upper triangle (diagonal included), resetting a scratch for
@@ -624,26 +620,18 @@ fn add_assign_upper(acc: &mut Matrix, rhs: &Matrix) {
     }
 }
 
-/// One contiguous panel of Gram output rows: all chunk rows ascending, all
-/// stored pairs `(a ≤ b)` with `a` inside the panel.
-fn csr_gram_panel(
+/// The upper-triangle fold: all chunk rows ascending, all stored pairs
+/// `(a ≤ b)`.
+fn csr_gram_upper(
     chunk: &CsrShard,
-    first_row: usize,
-    panel: &mut [f64],
+    out: &mut [f64],
     m: usize,
     step: impl Fn(f64, f64, f64) -> f64,
 ) {
-    let a_end = first_row + panel.len() / m;
     for k in 0..chunk.rows {
         let (cols, vals) = chunk.row_entries(k);
         for (t, (&a, &va)) in cols.iter().zip(vals).enumerate() {
-            if a >= a_end {
-                break;
-            }
-            if a < first_row {
-                continue;
-            }
-            let row = &mut panel[(a - first_row) * m..(a - first_row + 1) * m];
+            let row = &mut out[a * m..(a + 1) * m];
             for (&b, &vb) in cols[t..].iter().zip(&vals[t..]) {
                 row[b] = step(va, vb, row[b]);
             }
@@ -655,7 +643,8 @@ fn csr_gram_panel(
 /// identical to [`Matrix::matmul_tn`] of the densified chunks (the dense
 /// kernel's k-outer row order, with the same plain/`fmadd` dispatch on
 /// `a.cols · rows · b.cols`; chunk rows < `KC` keep the packed path in a
-/// single K-block).
+/// single K-block). Runs on the calling thread, like
+/// [`csr_gram_chunk_upper_into`].
 fn csr_cross_chunk(a: &CsrShard, b: &CsrShard) -> Result<Matrix> {
     if a.rows != b.rows {
         return Err(LinalgError::DimensionMismatch {
@@ -665,35 +654,25 @@ fn csr_cross_chunk(a: &CsrShard, b: &CsrShard) -> Result<Matrix> {
         });
     }
     let (k, ma, mb) = (a.rows, a.cols, b.cols);
-    let work = ma * k * mb;
-    let fused = work >= MATMUL_BLOCKED_MIN_WORK;
-    let threads = threads_for(work);
+    let fused = ma * k * mb >= MATMUL_BLOCKED_MIN_WORK;
     let mut out = Matrix::zeros(ma, mb);
-    ivmf_par::par_row_panels(out.as_mut_slice(), mb, threads, |first_row, panel| {
-        let i_end = first_row + panel.len() / mb;
-        for kk in 0..k {
-            let (a_cols, a_vals) = a.row_entries(kk);
-            let (b_cols, b_vals) = b.row_entries(kk);
-            for (&i, &va) in a_cols.iter().zip(a_vals) {
-                if i >= i_end {
-                    break;
+    let out_data = out.as_mut_slice();
+    for kk in 0..k {
+        let (a_cols, a_vals) = a.row_entries(kk);
+        let (b_cols, b_vals) = b.row_entries(kk);
+        for (&i, &va) in a_cols.iter().zip(a_vals) {
+            let row = &mut out_data[i * mb..(i + 1) * mb];
+            if fused {
+                for (&j, &vb) in b_cols.iter().zip(b_vals) {
+                    row[j] = fmadd(va, vb, row[j]);
                 }
-                if i < first_row {
-                    continue;
-                }
-                let row = &mut panel[(i - first_row) * mb..(i - first_row + 1) * mb];
-                if fused {
-                    for (&j, &vb) in b_cols.iter().zip(b_vals) {
-                        row[j] = fmadd(va, vb, row[j]);
-                    }
-                } else {
-                    for (&j, &vb) in b_cols.iter().zip(b_vals) {
-                        row[j] += va * vb;
-                    }
+            } else {
+                for (&j, &vb) in b_cols.iter().zip(b_vals) {
+                    row[j] += va * vb;
                 }
             }
         }
-    });
+    }
     Ok(out)
 }
 
@@ -993,11 +972,11 @@ fn recycle_csr_shard(s: CsrShard) {
 /// global chunk re-alignment and therefore bitwise-identical results —
 /// for the same logical matrix the two accumulators are interchangeable.
 ///
-/// Parallelism differs only in scheduling: the dense accumulator fans
-/// pending chunks across the pool, this one parallelizes inside each
-/// chunk kernel (row panels of the `m×m` output), which keeps peak memory
-/// at one `m×m` partial regardless of `IVMF_THREADS`. Fold order is chunk
-/// order either way, so the results agree bit for bit.
+/// Unlike the dense accumulator, which fans pending chunks across the
+/// pool, this one folds its chunks on the calling thread, which keeps
+/// peak memory at one `m×m` partial; the interval-Gram fold runs whole
+/// merge-group units concurrently instead. Fold order is chunk order
+/// either way, so the results agree bit for bit.
 /// The two-level fold mirrors the dense accumulator exactly: chunk
 /// partials fold into a `group` partial, sealed into the master `acc`
 /// every [`MERGE_GROUP_CHUNKS`] chunks, and

@@ -35,7 +35,7 @@
 //! bitwise with the one-shot kernels ([`Matrix::gram`], [`Matrix::matmul`])
 //! on the same data.
 //!
-//! ## Two-level fold and distributed merge
+//! ## Two-level fold and the unit merge
 //!
 //! The Gram accumulators fold at **two levels**: chunk results fold
 //! left-to-right into a *group* partial, and at every
@@ -49,10 +49,11 @@
 //!
 //! The payoff is [`GramAccumulator::absorb_unit`]: a *unit* — the rows of
 //! exactly one group (the final unit may be shorter) — can be folded by a
-//! separate accumulator (another thread, another process, another machine)
-//! and absorbed back in unit order, reproducing the single-accumulator
-//! state **bit for bit**. The `ivmf-distrib` coordinator/worker fan-out is
-//! built on this merge.
+//! separate, fresh accumulator and absorbed back in unit order,
+//! reproducing the single-accumulator state **bit for bit**: the unit's
+//! chunks, their order and its seal point coincide with the group the
+//! single accumulator would have sealed. The decomposition pipeline's
+//! interval-Gram stage folds several units concurrently on this merge.
 
 use crate::state_text::{
     bad_state, checked_len, parse_usize_line, read_f64_run, read_line, write_f64_run,
@@ -74,7 +75,8 @@ pub const STREAM_CHUNK_ROWS: usize = 128;
 pub const MERGE_GROUP_CHUNKS: usize = 64;
 
 /// Rows per merge group (`MERGE_GROUP_CHUNKS × STREAM_CHUNK_ROWS`): the
-/// work-unit granularity of the distributed Gram fan-out.
+/// granularity of the units that fold concurrently and merge with
+/// [`GramAccumulator::absorb_unit`].
 pub const GROUP_ROWS: usize = MERGE_GROUP_CHUNKS * STREAM_CHUNK_ROWS;
 
 /// A matrix presented as an ordered sequence of row blocks.
@@ -468,7 +470,7 @@ impl GramAccumulator {
     /// unit of the same stream — at most [`GROUP_ROWS`] rows, starting at
     /// this accumulator's current row — reproducing bit for bit the state
     /// this accumulator would hold had it folded those rows itself (the
-    /// distributed-merge contract; see the [module docs](self)).
+    /// unit-merge contract; see the [module docs](self)).
     ///
     /// Requires `self` to sit exactly on a group boundary (no pending
     /// tail, no open group) and `other` to span at most one group, so only
@@ -775,7 +777,7 @@ impl CrossGramAccumulator {
 
     /// Absorbs the state of an accumulator that folded the next
     /// ≤ [`GROUP_ROWS`]-row work unit of the same stream pair — the
-    /// distributed-merge counterpart of [`GramAccumulator::absorb_unit`],
+    /// unit-merge counterpart of [`GramAccumulator::absorb_unit`],
     /// with identical preconditions and the identical bitwise contract.
     pub fn absorb_unit(&mut self, other: CrossGramAccumulator) -> Result<()> {
         if other.pending_a.cols != self.pending_a.cols
@@ -1323,9 +1325,9 @@ mod tests {
     #[test]
     fn absorb_unit_reproduces_the_single_accumulator_bits() {
         // Cut a multi-group stream into GROUP_ROWS units, fold each in its
-        // own accumulator (the worker side), absorb in unit order (the
-        // coordinator side): state and finish must equal one accumulator
-        // that saw everything — including after continued pushes.
+        // own accumulator, absorb in unit order: state and finish must
+        // equal one accumulator that saw everything — including after
+        // continued pushes.
         let n = 3 * GROUP_ROWS + 205;
         let m = lcg_matrix(n, 5, 92);
         let mut single = GramAccumulator::new(5);
