@@ -11,11 +11,7 @@
 //! linear-in-`n` scaling at ~100 stored entries per row (`sparse_scaling`)
 //! and its win over the dense route at ~1% density
 //! (`sparse_vs_dense_gram`, whose ratio is the
-//! `sparse_vs_dense_gram_speedup` field), the out-of-core ingest of the
-//! binary shard container + pooled decode against the text container at
-//! the tallest sparse size (`ooc_ingest`: the decode-pass ratio is the
-//! `ooc_ingest_speedup` field, the end-to-end Gram ratio the
-//! `ooc_gram_e2e_speedup` field), plus the `sym_eigen` kernel
+//! `sparse_vs_dense_gram_speedup` field), plus the `sym_eigen` kernel
 //! that backs every eigen-route decomposition and the certified top-k
 //! solver against the full-spectrum oracle at pipeline-relevant rank
 //! (`sym_eigen_topk_vs_full`, whose ratio is the
@@ -302,111 +298,6 @@ fn bench_sparse_vs_dense_gram(c: &mut Criterion) {
     group.finish();
 }
 
-/// Out-of-core ingest: the same power-law CSR matrix (the tallest
-/// `sparse_scaling` shape at ~100 stored entries per row) is written to
-/// disk once as a text shard container and once as the binary
-/// "ivmf shards v1" container, then measured two ways.
-///
-/// The `*_decode` pair times the *ingest itself* — a full
-/// `CsrShardReader` pass decoding every shard — and its ratio becomes
-/// the `ooc_ingest_speedup` JSON field: the direct measure of the
-/// container + pooled-buffer work, which is what this route changed.
-///
-/// The `text`/`binary` pair times the end-to-end Gram through
-/// `stream_csr_interval_gram` — the exact route
-/// `Pipeline::new_streaming_csr_send` takes. The text pass pins
-/// `IVMF_PREFETCH=0` (the historical route: decimal parse, inline I/O,
-/// per-shard allocations); the binary pass runs the shipped default
-/// (binary decode into pooled buffers, prefetch thread). Its ratio lands
-/// as `ooc_gram_e2e_speedup`. On this benchmark's single-core container
-/// the end-to-end number is bounded by the Gram arithmetic itself —
-/// after the binary container cuts decode from ~25% of the wall to a
-/// few percent, the remaining time is ~all compute, and the prefetch
-/// thread has no second core to overlap on — so expect it well below
-/// the decode ratio; it is recorded to show exactly that the route is
-/// no longer I/O-bound. Outputs are bitwise identical — asserted once
-/// outside the timed region.
-fn bench_ooc_ingest(c: &mut Criterion) {
-    use ivmf_data::stream::{stream_csr_interval_gram, CsrShardReader, CsrShardWriter};
-    use ivmf_env::ShardFormat;
-
-    let mut group = c.benchmark_group("ooc_ingest");
-    group.sample_size(if smoke_mode() { 1 } else { 3 });
-    let (n, cols, nnz_per_row) = if smoke_mode() {
-        (2_000, 256, 20)
-    } else {
-        (160_000, 1024, 100)
-    };
-    let mut rng = SmallRng::seed_from_u64(12);
-    let csr = generate_power_law(
-        &PowerLawConfig::ratings_like(n, cols).with_nnz_per_row(nnz_per_row),
-        &mut rng,
-    );
-    let sharded = CsrShardedIntervalMatrix::from_csr(&csr, 4096).unwrap();
-    drop(csr);
-
-    let dir = std::env::temp_dir();
-    let pid = std::process::id();
-    let text_path = dir.join(format!("ivmf_bench_ooc_{pid}_text.ivs"));
-    let binary_path = dir.join(format!("ivmf_bench_ooc_{pid}_binary.ivs"));
-    for (path, format) in [
-        (&text_path, ShardFormat::Text),
-        (&binary_path, ShardFormat::Binary),
-    ] {
-        let mut w = CsrShardWriter::create_with_format(path, n, cols, format).unwrap();
-        for shard in sharded.shards() {
-            w.push_shard(shard).unwrap();
-        }
-        w.finish().unwrap();
-    }
-    drop(sharded);
-
-    // The two containers must decode to bitwise-identical Grams before
-    // the ratio means anything.
-    let g_text = stream_csr_interval_gram(&text_path, 4096).unwrap();
-    let g_binary = stream_csr_interval_gram(&binary_path, 4096).unwrap();
-    assert_eq!(g_text.lo().as_slice(), g_binary.lo().as_slice());
-    assert_eq!(g_text.hi().as_slice(), g_binary.hi().as_slice());
-    drop((g_text, g_binary));
-
-    // Ingest proper: decode every shard, no Gram. The raw readers (no
-    // prefetch wrapper) isolate the container + pooled-buffer cost.
-    let decode_pass = |p: &std::path::Path| {
-        let mut r = CsrShardReader::open(p, 4096).unwrap();
-        let mut nnz = 0usize;
-        while let Some(s) = r.read_shard().unwrap() {
-            nnz += s.nnz();
-            ivmf_interval::recycle_csr_interval_shard(s);
-        }
-        nnz
-    };
-    group.bench_with_input(
-        BenchmarkId::from_parameter("text_decode"),
-        &text_path,
-        |b, p| b.iter(|| decode_pass(p)),
-    );
-    group.bench_with_input(
-        BenchmarkId::from_parameter("binary_decode"),
-        &binary_path,
-        |b, p| b.iter(|| decode_pass(p)),
-    );
-
-    std::env::set_var(ivmf_env::PREFETCH, "0");
-    group.bench_with_input(BenchmarkId::from_parameter("text"), &text_path, |b, p| {
-        b.iter(|| stream_csr_interval_gram(p, 4096).unwrap())
-    });
-    std::env::set_var(ivmf_env::PREFETCH, "1");
-    group.bench_with_input(
-        BenchmarkId::from_parameter("binary"),
-        &binary_path,
-        |b, p| b.iter(|| stream_csr_interval_gram(p, 4096).unwrap()),
-    );
-    std::env::remove_var(ivmf_env::PREFETCH);
-    group.finish();
-    std::fs::remove_file(&text_path).ok();
-    std::fs::remove_file(&binary_path).ok();
-}
-
 fn bench_sym_eigen(c: &mut Criterion) {
     let mut group = c.benchmark_group("sym_eigen");
     group.sample_size(sample_count());
@@ -543,26 +434,6 @@ fn topk_eigen_speedup(results: &[(String, Duration)]) -> Option<f64> {
     (topk > 0.0).then(|| full / topk)
 }
 
-/// Median-over-median speedup of decoding the binary container into
-/// pooled buffers against parsing the text container, full pass at the
-/// 160k-row scale — the ingest cost itself, which is what the binary
-/// route changed.
-fn ooc_ingest_speedup(results: &[(String, Duration)]) -> Option<f64> {
-    let text = median_of(results, "ooc_ingest/text_decode")?;
-    let binary = median_of(results, "ooc_ingest/binary_decode")?;
-    (binary > 0.0).then(|| text / binary)
-}
-
-/// Median-over-median speedup of the binary+pool+prefetch route against
-/// the text container through the full out-of-core Gram. Compute-bound
-/// on a single-core container (see `bench_ooc_ingest`), so this ratio
-/// mostly certifies that ingest stopped being the bottleneck.
-fn ooc_gram_e2e_speedup(results: &[(String, Duration)]) -> Option<f64> {
-    let text = median_of(results, "ooc_ingest/text")?;
-    let binary = median_of(results, "ooc_ingest/binary")?;
-    (binary > 0.0).then(|| text / binary)
-}
-
 fn emit_json(
     results: &[(String, Duration)],
     baselines: &[(String, u128)],
@@ -627,12 +498,6 @@ fn emit_json(
             "  \"sym_eigen_topk_vs_full_speedup\": {speedup:.3},\n"
         ));
     }
-    if let Some(speedup) = ooc_ingest_speedup(results) {
-        json.push_str(&format!("  \"ooc_ingest_speedup\": {speedup:.3},\n"));
-    }
-    if let Some(speedup) = ooc_gram_e2e_speedup(results) {
-        json.push_str(&format!("  \"ooc_gram_e2e_speedup\": {speedup:.3},\n"));
-    }
     if let Some((top, _)) = stage_trace.first() {
         json.push_str("  \"stage_trace_m256_medians_ns\": {\n");
         for (i, (name, ns)) in stage_trace.iter().enumerate() {
@@ -679,7 +544,6 @@ fn main() {
     bench_snapshot_restore(&mut criterion);
     bench_sparse_scaling(&mut criterion);
     bench_sparse_vs_dense_gram(&mut criterion);
-    bench_ooc_ingest(&mut criterion);
     bench_sym_eigen(&mut criterion);
     bench_sym_eigen_topk(&mut criterion);
 
@@ -708,15 +572,6 @@ fn main() {
     }
     if let Some(speedup) = topk_eigen_speedup(&results) {
         println!("sym_eigen_topk_vs_full: {speedup:.2}x top-k vs full spectrum");
-    }
-    if let Some(speedup) = ooc_ingest_speedup(&results) {
-        println!("ooc_ingest: {speedup:.2}x binary+pool decode vs text parse at 160k rows");
-    }
-    if let Some(speedup) = ooc_gram_e2e_speedup(&results) {
-        println!(
-            "ooc_ingest: {speedup:.2}x end-to-end Gram (compute-bound on one core; \
-             see bench docs)"
-        );
     }
     let stage_trace = stage_trace_m256();
     if let Some((top, ns)) = stage_trace.first() {

@@ -1,13 +1,11 @@
 //! The bit-exact binary shard container — "ivmf shards v1".
 //!
-//! Text shards ([`crate::stream`]) are greppable and diffable, but the
-//! decimal round-trip dominates out-of-core ingest: parsing `f64`s back
-//! from shortest-round-trip text costs more CPU than the Gram arithmetic
-//! the rows feed. This container keeps the *values* in exactly the form
-//! the accumulators consume — raw little-endian `f64`/`usize` runs, the
-//! same primitives as [`ivmf_linalg::state_text`]'s run codecs — so
-//! decode is a bounds-checked `memcpy`, and results are bitwise identical
-//! to the text route by construction.
+//! Every shard file [`crate::stream`] writes and reads is one of these
+//! containers. It keeps the *values* in exactly the form the
+//! accumulators consume — raw little-endian `f64`/`usize` runs, the same
+//! primitives as [`ivmf_linalg::state_text`]'s run codecs — so decode is
+//! a bounds-checked `memcpy` rather than a decimal parse, and loading
+//! reproduces every bit.
 //!
 //! ## Layout
 //!
@@ -32,8 +30,7 @@
 //! everything else in the state format) followed by the binary runs:
 //!
 //! * header record (`REC_DENSE_HEADER` / `REC_CSR_HEADER`):
-//!   `dense <rows> <cols>\n` or `csr <rows> <cols>\n` — same line the
-//!   text format uses, so one parser serves both.
+//!   `dense <rows> <cols>\n` or `csr <rows> <cols>\n`.
 //! * dense block (`REC_DENSE_BLOCK`): `<rows>\n`, then the lo run and the
 //!   hi run (`rows·cols` values each).
 //! * CSR block (`REC_CSR_BLOCK`): `<rows> <nnz>\n`, then the row-offset
@@ -48,20 +45,18 @@
 
 use std::io::{self, Read, Write};
 
-use ivmf_interval::{CsrIntervalShard, IntervalMatrix};
+use ivmf_interval::CsrIntervalShard;
 use ivmf_linalg::pool;
 use ivmf_linalg::state_text::{
     bad_state, checked_len, parse_usize_line, read_f64_run_into, read_line, read_usize_run_into,
     write_f64_run, write_usize_run,
 };
-use ivmf_linalg::Matrix;
 
 use crate::fnv::fnv1a64;
 
-/// The container's leading magic bytes. Eight bytes so format sniffing is
-/// one fixed-size read; the trailing newline keeps `head -c8` output tidy
-/// and guarantees the magic can never prefix a valid text-format header
-/// (text headers start with a digit or `csr`).
+/// The container's leading magic bytes. Eight bytes so the check on open
+/// is one fixed-size read; the trailing newline keeps `head -c8` output
+/// tidy. A file that does not start with them is not a shard container.
 pub const MAGIC: [u8; 8] = *b"ivmfsh1\n";
 
 /// Record kind: dense container header (`dense <rows> <cols>\n` payload).
@@ -128,14 +123,9 @@ pub fn record_len(payload_len: usize) -> usize {
     1 + 8 + payload_len + 8
 }
 
-/// Encodes a dense interval row block as a `REC_DENSE_BLOCK` payload.
-pub fn encode_dense_block(m: &IntervalMatrix) -> io::Result<Vec<u8>> {
-    encode_dense_rows(m.rows(), m.lo().as_slice(), m.hi().as_slice())
-}
-
-/// [`encode_dense_block`] on raw row-major bound slices, so writers can
-/// cut a large matrix into several records without materializing
-/// sub-matrices.
+/// Encodes `rows` dense interval rows, given as raw row-major bound
+/// slices, as a `REC_DENSE_BLOCK` payload, so writers can cut a large
+/// matrix into several records without materializing sub-matrices.
 pub fn encode_dense_rows(rows: usize, lo: &[f64], hi: &[f64]) -> io::Result<Vec<u8>> {
     let mut buf = Vec::with_capacity(16 * lo.len() + 32);
     writeln!(buf, "{rows}")?;
@@ -164,16 +154,6 @@ pub fn decode_dense_block_into(
         return Err(bad_state("trailing bytes after dense block payload"));
     }
     Ok(rows)
-}
-
-/// Decodes a `REC_DENSE_BLOCK` payload into a fresh [`IntervalMatrix`]
-/// (backing buffers leased from the pool).
-pub fn decode_dense_block(payload: &[u8], cols: usize) -> io::Result<IntervalMatrix> {
-    let (mut lo, mut hi) = (pool::take_f64(0), pool::take_f64(0));
-    let rows = decode_dense_block_into(payload, cols, &mut lo, &mut hi)?;
-    let lo = Matrix::from_vec(rows, cols, lo).map_err(|e| bad_state(e.to_string()))?;
-    let hi = Matrix::from_vec(rows, cols, hi).map_err(|e| bad_state(e.to_string()))?;
-    IntervalMatrix::from_bounds(lo, hi).map_err(|e| bad_state(e.to_string()))
 }
 
 /// Encodes a sparse CSR interval row block as a `REC_CSR_BLOCK` payload.
@@ -256,22 +236,12 @@ pub fn decode_csr_block_into(
     Ok(rows)
 }
 
-/// Decodes a `REC_CSR_BLOCK` payload into a fresh [`CsrIntervalShard`]
-/// (backing buffers leased from the pool), running the full structural
-/// validation.
-pub fn decode_csr_block(payload: &[u8], cols: usize) -> io::Result<CsrIntervalShard> {
-    let (mut row_ptr, mut col_idx) = (pool::take_usize(0), pool::take_usize(0));
-    let (mut lo, mut hi) = (pool::take_f64(0), pool::take_f64(0));
-    let rows = decode_csr_block_into(payload, cols, &mut row_ptr, &mut col_idx, &mut lo, &mut hi)?;
-    CsrIntervalShard::new(rows, cols, row_ptr, col_idx, lo, hi)
-        .map_err(|e| bad_state(e.to_string()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn dense_block(rows: usize, cols: usize, seed: u64) -> IntervalMatrix {
+    /// Row-major `lo` / `hi` bounds of a `rows × cols` dense block.
+    fn dense_block(rows: usize, cols: usize, seed: u64) -> (Vec<f64>, Vec<f64>) {
         let mut s = seed;
         let mut next = || {
             s = s
@@ -281,11 +251,7 @@ mod tests {
         };
         let lo: Vec<f64> = (0..rows * cols).map(|_| next()).collect();
         let hi: Vec<f64> = lo.iter().map(|v| v + 0.5).collect();
-        IntervalMatrix::from_bounds(
-            Matrix::from_vec(rows, cols, lo).unwrap(),
-            Matrix::from_vec(rows, cols, hi).unwrap(),
-        )
-        .unwrap()
+        (lo, hi)
     }
 
     fn csr_block(rows: usize, cols: usize, seed: u64) -> CsrIntervalShard {
@@ -307,6 +273,14 @@ mod tests {
             }
         }
         CsrIntervalShard::from_triplets(rows, cols, &entries).unwrap()
+    }
+
+    /// Decodes one CSR block payload into a fresh shard, with the full
+    /// structural validation.
+    fn decode_csr(payload: &[u8], cols: usize) -> io::Result<CsrIntervalShard> {
+        let (mut rp, mut ci, mut lo, mut hi) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        let rows = decode_csr_block_into(payload, cols, &mut rp, &mut ci, &mut lo, &mut hi)?;
+        CsrIntervalShard::new(rows, cols, rp, ci, lo, hi).map_err(|e| bad_state(e.to_string()))
     }
 
     #[test]
@@ -347,11 +321,14 @@ mod tests {
     #[test]
     fn dense_blocks_round_trip_bit_for_bit() {
         for (rows, cols) in [(4usize, 7usize), (1, 1), (0, 5), (3, 0)] {
-            let m = dense_block(rows, cols, 11 + rows as u64);
-            let payload = encode_dense_block(&m).unwrap();
-            let back = decode_dense_block(&payload, cols).unwrap();
-            assert_eq!(m.lo().as_slice(), back.lo().as_slice());
-            assert_eq!(m.hi().as_slice(), back.hi().as_slice());
+            let (lo, hi) = dense_block(rows, cols, 11 + rows as u64);
+            let payload = encode_dense_rows(rows, &lo, &hi).unwrap();
+            let (mut back_lo, mut back_hi) = (Vec::new(), Vec::new());
+            let back_rows =
+                decode_dense_block_into(&payload, cols, &mut back_lo, &mut back_hi).unwrap();
+            assert_eq!(back_rows, rows);
+            assert_eq!(lo, back_lo);
+            assert_eq!(hi, back_hi);
         }
     }
 
@@ -361,24 +338,42 @@ mod tests {
         let b = dense_block(4, 3, 6);
         let (mut lo, mut hi) = (Vec::new(), Vec::new());
         assert_eq!(
-            decode_dense_block_into(&encode_dense_block(&a).unwrap(), 3, &mut lo, &mut hi).unwrap(),
+            decode_dense_block_into(
+                &encode_dense_rows(2, &a.0, &a.1).unwrap(),
+                3,
+                &mut lo,
+                &mut hi
+            )
+            .unwrap(),
             2
         );
         assert_eq!(
-            decode_dense_block_into(&encode_dense_block(&b).unwrap(), 3, &mut lo, &mut hi).unwrap(),
+            decode_dense_block_into(
+                &encode_dense_rows(4, &b.0, &b.1).unwrap(),
+                3,
+                &mut lo,
+                &mut hi
+            )
+            .unwrap(),
             4
         );
-        let mut want_lo = a.lo().as_slice().to_vec();
-        want_lo.extend_from_slice(b.lo().as_slice());
+        let mut want_lo = a.0.clone();
+        want_lo.extend_from_slice(&b.0);
         assert_eq!(lo, want_lo);
         assert_eq!(hi.len(), 18);
+        // Truncated and padded payloads are errors, not panics.
+        let good = encode_dense_rows(2, &a.0, &a.1).unwrap();
+        assert!(decode_dense_block_into(&good[..good.len() - 5], 3, &mut lo, &mut hi).is_err());
+        let mut padded = good.clone();
+        padded.extend_from_slice(b"junk");
+        assert!(decode_dense_block_into(&padded, 3, &mut lo, &mut hi).is_err());
     }
 
     #[test]
     fn csr_blocks_round_trip_and_stack_with_rebased_offsets() {
         let a = csr_block(3, 6, 21);
         let b = csr_block(5, 6, 22);
-        let back = decode_csr_block(&encode_csr_block(&a).unwrap(), 6).unwrap();
+        let back = decode_csr(&encode_csr_block(&a).unwrap(), 6).unwrap();
         assert_eq!(a, back);
 
         // Two stacked blocks decode into one contiguous staged run whose
@@ -420,16 +415,16 @@ mod tests {
     fn csr_decoder_rejects_malformed_blocks() {
         let good = encode_csr_block(&csr_block(3, 6, 31)).unwrap();
         // Column out of range for a narrower matrix.
-        assert!(decode_csr_block(&good, 1).is_err());
+        assert!(decode_csr(&good, 1).is_err());
         // Truncated payload is an error, not a panic.
-        assert!(decode_csr_block(&good[..good.len() - 5], 6).is_err());
+        assert!(decode_csr(&good[..good.len() - 5], 6).is_err());
         // Trailing bytes are rejected.
         let mut padded = good.clone();
         padded.extend_from_slice(b"junk");
-        assert!(decode_csr_block(&padded, 6).is_err());
+        assert!(decode_csr(&padded, 6).is_err());
         // Empty blocks are fine.
         let empty = csr_block(0, 4, 1);
         let payload = encode_csr_block(&empty).unwrap();
-        assert_eq!(decode_csr_block(&payload, 4).unwrap().nnz(), 0);
+        assert_eq!(decode_csr(&payload, 4).unwrap().nnz(), 0);
     }
 }

@@ -34,15 +34,14 @@
 //!   `to_dense()` wrappers for small fixtures.
 //! * [`split`] — train/test splitting helpers.
 //! * [`stream`] — chunked disk loaders for row-sharded interval matrices
-//!   (write, shard-by-shard reads honouring `IVMF_SHARD_ROWS`, and a
-//!   one-pass out-of-core interval Gram), with sparse CSR twins
-//!   ([`stream::CsrShardWriter`], [`stream::CsrShardReader`],
-//!   [`stream::stream_csr_interval_gram`]) that store and stream only the
-//!   nonzero entries.
+//!   (write, shard-by-shard reads, and a one-pass out-of-core interval
+//!   Gram), with sparse CSR twins ([`stream::CsrShardWriter`],
+//!   [`stream::CsrShardReader`], [`stream::stream_csr_interval_gram`])
+//!   that store and stream only the nonzero entries.
 //! * [`binfmt`] — the bit-exact binary shard container ("ivmf shards
-//!   v1"): length-prefixed, FNV-checksummed records holding raw
-//!   little-endian `f64`/`usize` runs, used by the binary shard
-//!   writers/readers in [`stream`].
+//!   v1"), the only shard file format: length-prefixed, FNV-checksummed
+//!   records holding raw little-endian `f64`/`usize` runs, used by every
+//!   shard writer and reader in [`stream`].
 //! * [`prefetch`] — a double-buffered background-thread shard reader
 //!   ([`prefetch::PrefetchSource`], [`prefetch::PrefetchCsrSource`],
 //!   depth from `IVMF_PREFETCH`) that overlaps decode of shard *i+1*

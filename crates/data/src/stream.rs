@@ -5,13 +5,12 @@
 //! it only has to *stream*. This module provides the disk side of that
 //! contract:
 //!
-//! * [`write_interval_matrix`] — writes an interval matrix to a simple
-//!   line-per-row text format (values printed with Rust's shortest
-//!   round-trip `f64` formatting, so loading reproduces every bit),
+//! * [`ShardWriter`] / [`write_interval_matrix`] — write an interval
+//!   matrix, incrementally or in one call,
 //! * [`ShardReader`] — reads such a file back in shards of a configurable
-//!   number of rows (`IVMF_SHARD_ROWS` by default), holding only one shard
-//!   in memory; it implements [`RowShardSource`], so it plugs directly
-//!   into `ivmf_core::Pipeline::new_streaming` for end-to-end out-of-core
+//!   number of rows, holding only one shard in memory; it implements
+//!   [`RowShardSource`], so it plugs directly into
+//!   `ivmf_core::Pipeline::new_streaming` for end-to-end out-of-core
 //!   decomposition of the Gram-route algorithms,
 //! * [`load_sharded`] — materializes the whole file as an in-memory
 //!   [`RowShardedIntervalMatrix`],
@@ -21,51 +20,25 @@
 //!   for matrices within one accumulation chunk).
 //!
 //! Sparse matrices get a CSR twin of each piece: [`CsrShardWriter`] /
-//! [`write_csr_matrix`] write a per-row sparse text format that stores only
-//! the nonzero entries, [`CsrShardReader`] streams it back as
-//! [`CsrIntervalShard`]s (implementing [`CsrShardSource`], so it plugs into
+//! [`write_csr_matrix`] store only the nonzero entries, [`CsrShardReader`]
+//! streams them back as [`CsrIntervalShard`]s (implementing
+//! [`CsrShardSource`], so it plugs into
 //! `ivmf_core::Pipeline::new_streaming_csr`), [`load_csr_sharded`]
 //! materializes the file as a [`CsrShardedIntervalMatrix`], and
 //! [`stream_csr_interval_gram`] runs the one-pass out-of-core sparse Gram
 //! in `O(shard nnz + m²)` memory — bitwise identical to the dense route.
 //!
-//! ## File formats
+//! ## File format
 //!
-//! Dense:
-//!
-//! ```text
-//! <rows> <cols>
-//! lo(0,0) hi(0,0) lo(0,1) hi(0,1) …   # one line per row, interleaved bounds
-//! …
-//! ```
-//!
-//! Sparse CSR (the leading `csr` token distinguishes the headers; `<k>` is
-//! the number of stored entries of the row, followed by `k` column/bound
-//! triples in ascending column order):
-//!
-//! ```text
-//! csr <rows> <cols>
-//! <k> col lo hi col lo hi …            # one line per row, stored entries only
-//! …
-//! ```
-//!
-//! Both formats print values with shortest round-trip `f64` formatting, so
-//! loading reproduces every bit.
-//!
-//! ## Binary containers
-//!
-//! Decimal parsing dominates out-of-core ingest, so every writer also
-//! speaks the binary container of [`crate::binfmt`] ("ivmf shards v1"):
-//! `IVMF_SHARD_FORMAT=binary` (or an explicit
-//! [`ShardWriter::create_with_format`] /
-//! [`CsrShardWriter::create_with_format`]) stores the same values as raw
-//! little-endian runs inside checksummed records. The readers sniff the
-//! leading magic bytes and decode either format transparently — the
-//! format never appears in a cache key because the decoded payloads are
-//! bitwise identical. Binary readers re-shard writer blocks to the
-//! consumer's `shard_rows` through a small staging buffer, and all
-//! readers lease their scratch from [`ivmf_linalg::pool`], so
-//! steady-state ingest allocates nothing.
+//! Every shard file is a binary container of [`crate::binfmt`] ("ivmf
+//! shards v1"): the magic, one header record (`dense <rows> <cols>` or
+//! `csr <rows> <cols>`), block records holding raw little-endian runs,
+//! and an end record. Values are stored bit-exactly, so loading
+//! reproduces every bit. Writers may cut blocks anywhere; readers
+//! re-shard them to the consumer's `shard_rows` through a small staging
+//! buffer, and lease their scratch from [`ivmf_linalg::pool`], so
+//! steady-state ingest allocates nothing. One private core below owns
+//! the container layout for both the dense and the CSR types.
 //!
 //! [`stream_interval_gram`] and [`stream_csr_interval_gram`] additionally
 //! wrap the reader in [`crate::prefetch`]'s background decoder
@@ -75,29 +48,28 @@
 //!
 //! ## Crash safety and error reporting
 //!
-//! Writers never leave a torn committed file: [`write_interval_matrix`]
-//! and [`write_csr_matrix`] go through [`crate::atomic::atomic_write`],
-//! and [`CsrShardWriter`] streams into a temporary sibling that only
-//! [`finish`](CsrShardWriter::finish) (flush + fsync + rename) promotes
-//! to the destination path — a writer dropped mid-stream removes its
-//! temp and leaves any previously committed file untouched.
+//! Writers never leave a torn committed file: rows stream into a
+//! temporary sibling that only `finish` (end record, flush, fsync,
+//! rename) promotes to the destination path — a writer dropped
+//! mid-stream removes its temp and leaves any previously committed file
+//! untouched.
 //!
-//! Readers treat the file as untrusted input: every malformed header,
-//! dimension overflow, out-of-range entry count or column, premature end
-//! of file and trailing token is rejected with a typed [`StreamError`]
-//! carried inside the returned `io::Error` (downcast via
-//! [`StreamError::from_io`]), and allocations are bounded before the
-//! header's claims are trusted.
+//! Readers treat the file as untrusted input. A file without the magic,
+//! a malformed or wrong-kind header, a dimension overflow, a premature
+//! end of file and rows beyond the declared count are each rejected with
+//! a typed [`StreamError`] carried inside the returned `io::Error`
+//! (downcast via [`StreamError::from_io`]); record checksums and the
+//! record length cap reject corrupted bytes before they are decoded.
 
 use std::fmt;
 use std::fs::{self, File};
-use std::io::{self, BufRead, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use ivmf_env::ShardFormat;
 use ivmf_interval::{
-    configured_shard_rows, recycle_csr_interval_shard, recycle_interval_matrix, CsrIntervalShard,
-    CsrShardSource, CsrShardedIntervalMatrix, IntervalError, IntervalMatrix, RowShardSource,
+    recycle_csr_interval_shard, recycle_interval_matrix, CsrIntervalShard, CsrShardSource,
+    CsrShardedIntervalMatrix, IntervalError, IntervalMatrix, RowShardSource,
     RowShardedIntervalMatrix, SparseStreamingIntervalGram, StreamingIntervalGram,
 };
 use ivmf_linalg::{pool, Matrix};
@@ -109,21 +81,17 @@ fn invalid_data(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
-/// Elements pre-allocated per vector before the file proves it is large
-/// enough — a corrupted header declaring billions of rows must not be
-/// able to reserve gigabytes up front.
-const PREALLOC_CAP: usize = 1 << 20;
-
 /// Typed parse/validation errors raised by the stream readers.
 ///
 /// Each variant names the file and (where applicable) the 0-based data
-/// row that failed, so corruption reports point at the exact line. The
-/// readers return these wrapped in an `io::Error` (kind
-/// `UnexpectedEof` for [`StreamError::UnexpectedEof`], `InvalidData`
-/// otherwise); recover the typed value with [`StreamError::from_io`].
+/// row that failed. The readers return these wrapped in an `io::Error`
+/// (kind `UnexpectedEof` for [`StreamError::UnexpectedEof`],
+/// `InvalidData` otherwise); recover the typed value with
+/// [`StreamError::from_io`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StreamError {
-    /// The first line is not a valid `<rows> <cols>` (dense) or
+    /// The file is not an "ivmf shards v1" container, or its header
+    /// record is not a valid `dense <rows> <cols>` (dense) or
     /// `csr <rows> <cols>` (sparse) header.
     MalformedHeader {
         /// File whose header failed to parse.
@@ -140,50 +108,21 @@ pub enum StreamError {
         /// Declared column count.
         cols: usize,
     },
-    /// The file ended before the declared number of rows was read.
+    /// The file ended before the declared rows and the end record were
+    /// read.
     UnexpectedEof {
         /// File that ended early.
         path: String,
         /// 0-based row at which data ran out.
         row: usize,
     },
-    /// A data line has a missing or unparseable value.
-    MalformedEntry {
-        /// File containing the bad line.
-        path: String,
-        /// 0-based row of the bad line.
-        row: usize,
-        /// What was wrong with it.
-        detail: String,
-    },
-    /// A CSR row declares more stored entries than the matrix has
-    /// columns.
-    EntryCountOutOfRange {
-        /// File containing the bad line.
-        path: String,
-        /// 0-based row of the bad line.
-        row: usize,
-        /// Declared stored-entry count.
-        count: usize,
-        /// Declared matrix width.
-        cols: usize,
-    },
-    /// A CSR entry names a column at or beyond the declared width.
-    ColumnOutOfRange {
-        /// File containing the bad line.
-        path: String,
-        /// 0-based row of the bad line.
-        row: usize,
-        /// Offending column index.
-        column: usize,
-        /// Declared matrix width.
-        cols: usize,
-    },
-    /// A line carries tokens past the declared entries.
+    /// The header record carries tokens past its dimensions, or the
+    /// container holds rows beyond the declared count.
     TrailingData {
-        /// File containing the bad line.
+        /// File containing the surplus.
         path: String,
-        /// 0-based row of the bad line (`usize::MAX` for the header).
+        /// The declared row count for surplus rows (`usize::MAX` for the
+        /// header).
         row: usize,
     },
 }
@@ -200,35 +139,11 @@ impl fmt::Display for StreamError {
             StreamError::UnexpectedEof { path, row } => {
                 write!(f, "{path}: unexpected end of file at row {row}")
             }
-            StreamError::MalformedEntry { path, row, detail } => {
-                write!(f, "{path}: row {row}: {detail}")
-            }
-            StreamError::EntryCountOutOfRange {
-                path,
-                row,
-                count,
-                cols,
-            } => write!(
-                f,
-                "{path}: row {row}: {count} stored entries exceed the {cols} declared columns"
-            ),
-            StreamError::ColumnOutOfRange {
-                path,
-                row,
-                column,
-                cols,
-            } => write!(
-                f,
-                "{path}: row {row}: column {column} out of range for width {cols}"
-            ),
             StreamError::TrailingData { path, row } => {
                 if *row == usize::MAX {
                     write!(f, "{path}: trailing tokens after the header")
                 } else {
-                    write!(
-                        f,
-                        "{path}: row {row}: trailing tokens after the declared entries"
-                    )
+                    write!(f, "{path}: data past the declared {row} rows")
                 }
             }
         }
@@ -254,11 +169,11 @@ impl StreamError {
     }
 }
 
-/// Parses and validates a `<rows> <cols>` header (with optional leading
-/// `tag`), rejecting missing/unparseable fields, trailing tokens and
-/// element counts that overflow `usize` (each cell stores two `f64`
-/// bounds, hence the factor of 2).
-fn parse_header(path: &Path, header: &str, tag: Option<&str>) -> io::Result<(usize, usize)> {
+/// Parses and validates a `<tag> <rows> <cols>` header, rejecting a
+/// wrong tag, missing/unparseable fields, trailing tokens and element
+/// counts that overflow `usize` (each cell stores two `f64` bounds, hence
+/// the factor of 2).
+fn parse_header(path: &Path, header: &str, tag: &str) -> io::Result<(usize, usize)> {
     let display = path.display().to_string();
     let malformed = |detail: &str| {
         StreamError::MalformedHeader {
@@ -268,10 +183,8 @@ fn parse_header(path: &Path, header: &str, tag: Option<&str>) -> io::Result<(usi
         .into_io()
     };
     let mut it = header.split_whitespace();
-    if let Some(tag) = tag {
-        if it.next() != Some(tag) {
-            return Err(malformed(&format!("expected leading '{tag}' token")));
-        }
+    if it.next() != Some(tag) {
+        return Err(malformed(&format!("expected leading '{tag}' token")));
     }
     let rows: usize = it
         .next()
@@ -303,152 +216,109 @@ fn parse_header(path: &Path, header: &str, tag: Option<&str>) -> io::Result<(usi
     Ok((rows, cols))
 }
 
-/// Values per binary block record: blocks stay tens of megabytes — far
-/// under [`binfmt::MAX_RECORD_LEN`] — and give readers re-sharding
-/// granularity without per-row record overhead.
+/// Values per block record: blocks stay tens of megabytes — far under
+/// [`binfmt::MAX_RECORD_LEN`] — and give readers re-sharding granularity
+/// without per-row record overhead.
 const BLOCK_VALUES: usize = 1 << 21;
 
-/// Incremental writer of the dense interval formats: create it with the
-/// final row/column counts, push row blocks as they are generated, and
-/// [`finish`](ShardWriter::finish) once every row has been written. Peak
-/// memory is one block — the file is produced without ever holding the
-/// full matrix.
-///
-/// [`ShardWriter::create`] picks the format from `IVMF_SHARD_FORMAT`
-/// (text by default); [`ShardWriter::create_with_format`] pins it. Both
-/// formats load back bit-exactly, so the choice is invisible downstream.
-///
-/// The writer is crash-safe exactly like [`CsrShardWriter`]: rows stream
-/// into a temporary sibling of the destination, and only `finish`
-/// (flush, fsync, rename) makes the file visible at `path`; a writer
-/// dropped before `finish` removes its temp and leaves any previously
-/// committed file untouched.
+/// What tells a dense container from a CSR one: its header and block
+/// record kinds and the header's leading tag.
+#[derive(Debug, Clone, Copy)]
+struct Layout {
+    header: u8,
+    block: u8,
+    tag: &'static str,
+}
+
+const DENSE: Layout = Layout {
+    header: binfmt::REC_DENSE_HEADER,
+    block: binfmt::REC_DENSE_BLOCK,
+    tag: "dense",
+};
+
+const CSR: Layout = Layout {
+    header: binfmt::REC_CSR_HEADER,
+    block: binfmt::REC_CSR_BLOCK,
+    tag: "csr",
+};
+
+/// The write half of the container core: magic and header record on
+/// create, shape and row-count checks plus block records on push, end
+/// record and crash-safe commit on finish. Rows stream into a temporary
+/// sibling of the destination; dropping the writer before `finish`
+/// removes it.
 #[derive(Debug)]
-pub struct ShardWriter {
+struct ContainerWriter {
     w: Option<BufWriter<File>>,
     path: PathBuf,
     tmp: PathBuf,
+    layout: Layout,
     rows: usize,
     cols: usize,
     rows_written: usize,
-    format: ShardFormat,
 }
 
-impl ShardWriter {
-    /// [`ShardWriter::create_with_format`] with the format configured by
-    /// `IVMF_SHARD_FORMAT`.
-    pub fn create(path: impl AsRef<Path>, rows: usize, cols: usize) -> io::Result<Self> {
-        Self::create_with_format(path, rows, cols, ivmf_env::shard_format())
-    }
-
-    /// Opens a temporary sibling of `path` and writes the header (text
-    /// line or magic + header record); `path` itself is only created by
-    /// [`finish`](ShardWriter::finish).
-    pub fn create_with_format(
-        path: impl AsRef<Path>,
-        rows: usize,
-        cols: usize,
-        format: ShardFormat,
-    ) -> io::Result<Self> {
-        let path = path.as_ref().to_path_buf();
-        let tmp = crate::atomic::temp_sibling(&path);
-        let mut w = BufWriter::new(File::create(&tmp)?);
-        let header = match format {
-            ShardFormat::Text => writeln!(w, "{rows} {cols}"),
-            ShardFormat::Binary => w.write_all(&binfmt::MAGIC).and_then(|()| {
-                binfmt::write_record(
-                    &mut w,
-                    binfmt::REC_DENSE_HEADER,
-                    format!("dense {rows} {cols}\n").as_bytes(),
-                )
-            }),
-        };
-        if let Err(e) = header {
-            drop(w);
-            fs::remove_file(&tmp).ok();
-            return Err(e);
-        }
-        Ok(ShardWriter {
-            w: Some(w),
-            path,
+impl ContainerWriter {
+    fn create(path: &Path, layout: Layout, rows: usize, cols: usize) -> io::Result<Self> {
+        let tmp = crate::atomic::temp_sibling(path);
+        let mut core = ContainerWriter {
+            w: Some(BufWriter::new(File::create(&tmp)?)),
+            path: path.to_path_buf(),
             tmp,
+            layout,
             rows,
             cols,
             rows_written: 0,
-            format,
-        })
-    }
-
-    /// The format this writer emits.
-    pub fn format(&self) -> ShardFormat {
-        self.format
-    }
-
-    /// Rows written so far.
-    pub fn rows_written(&self) -> usize {
-        self.rows_written
+        };
+        // An error propagates with `?`; Drop removes the temp file.
+        let header = format!("{} {rows} {cols}\n", layout.tag);
+        let w = core.writer();
+        w.write_all(&binfmt::MAGIC)?;
+        binfmt::write_record(w, layout.header, header.as_bytes())?;
+        Ok(core)
     }
 
     fn writer(&mut self) -> &mut BufWriter<File> {
         self.w.as_mut().expect("writer is only taken by finish")
     }
 
-    /// Appends the rows of `shard` to the file (row order across calls).
-    pub fn push_shard(&mut self, shard: &IntervalMatrix) -> io::Result<()> {
-        if shard.cols() != self.cols {
+    /// Appends a `rows × cols` shard as block records. `block(start)`
+    /// encodes the block that begins at shard row `start` and returns the
+    /// row it ends before together with the record payload.
+    fn push(
+        &mut self,
+        rows: usize,
+        cols: usize,
+        mut block: impl FnMut(usize) -> io::Result<(usize, Vec<u8>)>,
+    ) -> io::Result<()> {
+        if cols != self.cols {
             return Err(invalid_data(format!(
-                "shard has {} columns, file declares {}",
-                shard.cols(),
+                "shard has {cols} columns, file declares {}",
                 self.cols
             )));
         }
-        if self.rows_written + shard.rows() > self.rows {
+        if self.rows_written + rows > self.rows {
             return Err(invalid_data(format!(
-                "shard of {} rows overflows the declared {} rows ({} already written)",
-                shard.rows(),
-                self.rows,
-                self.rows_written
+                "shard of {rows} rows overflows the declared {} rows ({} already written)",
+                self.rows, self.rows_written
             )));
         }
-        match self.format {
-            ShardFormat::Text => {
-                let mut line = String::new();
-                for i in 0..shard.rows() {
-                    line.clear();
-                    for j in 0..self.cols {
-                        if j > 0 {
-                            line.push(' ');
-                        }
-                        let (lo, hi) = shard.get_raw(i, j);
-                        line.push_str(&format!("{lo:?} {hi:?}"));
-                    }
-                    writeln!(self.writer(), "{line}")?;
-                }
-            }
-            ShardFormat::Binary => {
-                // Cut large shards into bounded records so a single push
-                // can never approach the record length ceiling.
-                let block_rows = (BLOCK_VALUES / self.cols.max(1)).max(1);
-                let (lo, hi) = (shard.lo().as_slice(), shard.hi().as_slice());
-                let mut start = 0;
-                while start < shard.rows() {
-                    let take = block_rows.min(shard.rows() - start);
-                    let (s, e) = (start * self.cols, (start + take) * self.cols);
-                    let payload = binfmt::encode_dense_rows(take, &lo[s..e], &hi[s..e])?;
-                    binfmt::write_record(self.writer(), binfmt::REC_DENSE_BLOCK, &payload)?;
-                    start += take;
-                }
-            }
+        let kind = self.layout.block;
+        let mut start = 0;
+        while start < rows {
+            let (end, payload) = block(start)?;
+            binfmt::write_record(self.writer(), kind, &payload)?;
+            start = end;
         }
-        self.rows_written += shard.rows();
+        self.rows_written += rows;
         Ok(())
     }
 
     /// Validates that exactly the declared number of rows was written,
-    /// then commits the file: end record (binary), flush, fsync, rename
-    /// over `path`. On any error the temp file is removed and `path` is
-    /// left as it was.
-    pub fn finish(mut self) -> io::Result<()> {
+    /// then commits the file: end record, flush, fsync, rename over
+    /// `path`. On any error the temp file is removed and `path` is left
+    /// as it was.
+    fn finish(mut self) -> io::Result<()> {
         if self.rows_written != self.rows {
             // Drop removes the temp file.
             return Err(invalid_data(format!(
@@ -456,10 +326,8 @@ impl ShardWriter {
                 self.rows, self.rows_written
             )));
         }
-        if self.format == ShardFormat::Binary {
-            // An error propagates with `?`; Drop removes the temp file.
-            binfmt::write_record(self.writer(), binfmt::REC_END, b"")?;
-        }
+        // An error propagates with `?`; Drop removes the temp file.
+        binfmt::write_record(self.writer(), binfmt::REC_END, b"")?;
         let mut w = self.w.take().expect("finish consumes the writer");
         let flushed = w.flush().and_then(|()| w.get_ref().sync_all());
         drop(w);
@@ -471,7 +339,7 @@ impl ShardWriter {
     }
 }
 
-impl Drop for ShardWriter {
+impl Drop for ContainerWriter {
     fn drop(&mut self) {
         // An unfinished writer (crash, error path, forgotten finish)
         // must not leave its temp file behind.
@@ -482,73 +350,172 @@ impl Drop for ShardWriter {
     }
 }
 
-/// Writes an interval matrix to `path` in one call, in the format
-/// configured by `IVMF_SHARD_FORMAT`. Both formats load back bit-exactly.
-/// The write inherits [`ShardWriter`]'s crash safety: the file only
-/// appears at `path` complete, fsync'd and renamed.
-pub fn write_interval_matrix(path: impl AsRef<Path>, m: &IntervalMatrix) -> io::Result<()> {
-    let mut w = ShardWriter::create(path, m.rows(), m.cols())?;
-    w.push_shard(m)?;
-    w.finish()
+/// The per-type half of a reader: decoded writer blocks wait in the
+/// stage until a shard's worth of rows is available, so the reader's
+/// shard boundaries are independent of the writer's block boundaries.
+trait Stage: Default {
+    type Shard;
+    const LAYOUT: Layout;
+    /// Rows decoded but not yet emitted.
+    fn pending(&self) -> usize;
+    /// Decodes one block record payload onto the end of the stage.
+    fn decode(&mut self, payload: &[u8], cols: usize) -> io::Result<()>;
+    /// Emits the next `take` staged rows into pooled buffers.
+    fn emit(&mut self, take: usize, cols: usize) -> io::Result<Self::Shard>;
+    /// Empties the stage for a rewind.
+    fn clear(&mut self);
 }
 
-/// Reads the container magic if present. Returns `true` (and leaves the
-/// reader positioned after the magic) when the file is a binary
-/// container; rewinds to the start and returns `false` otherwise.
-fn sniff_magic(reader: &mut BufReader<File>) -> io::Result<bool> {
-    let mut magic = [0u8; 8];
-    let mut got = 0;
-    while got < 8 {
-        let n = reader.read(&mut magic[got..])?;
-        if n == 0 {
-            break;
+/// The read half of the container core: magic and header record on
+/// open, the record loop that fills the stage, and the end-of-pass check
+/// that the container holds exactly the declared rows followed by its end
+/// record.
+#[derive(Debug)]
+struct ContainerReader<S> {
+    path: PathBuf,
+    reader: BufReader<File>,
+    data_start: u64,
+    rows: usize,
+    cols: usize,
+    shard_rows: usize,
+    next_row: usize,
+    /// Whether the end record was seen.
+    done: bool,
+    stage: S,
+}
+
+impl<S: Stage> ContainerReader<S> {
+    fn open(path: &Path, shard_rows: usize) -> io::Result<Self> {
+        if shard_rows == 0 {
+            return Err(invalid_data("shard_rows must be at least 1".to_string()));
         }
-        got += n;
+        let mut reader = BufReader::new(File::open(path)?);
+        let display = path.display().to_string();
+        let malformed = |detail: String| {
+            StreamError::MalformedHeader {
+                path: display.clone(),
+                detail,
+            }
+            .into_io()
+        };
+        let mut magic = [0u8; 8];
+        match reader.read_exact(&mut magic) {
+            Ok(()) if magic == binfmt::MAGIC => {}
+            Err(e) if e.kind() != io::ErrorKind::UnexpectedEof => return Err(e),
+            _ => {
+                return Err(malformed(
+                    "not an ivmf shards v1 container (missing magic)".to_string(),
+                ))
+            }
+        }
+        let tag = S::LAYOUT.tag;
+        let (kind, payload) = binfmt::read_record(&mut reader)?.ok_or_else(|| {
+            StreamError::UnexpectedEof {
+                path: display.clone(),
+                row: 0,
+            }
+            .into_io()
+        })?;
+        if kind != S::LAYOUT.header {
+            return Err(malformed(format!(
+                "expected a '{tag}' header record, found record kind {kind}"
+            )));
+        }
+        let header = std::str::from_utf8(&payload)
+            .map_err(|_| malformed("header record is not UTF-8".to_string()))?;
+        let (rows, cols) = parse_header(path, header, tag)?;
+        Ok(ContainerReader {
+            path: path.to_path_buf(),
+            reader,
+            data_start: (binfmt::MAGIC.len() + binfmt::record_len(payload.len())) as u64,
+            rows,
+            cols,
+            shard_rows,
+            next_row: 0,
+            done: false,
+            stage: S::default(),
+        })
     }
-    if got == 8 && magic == binfmt::MAGIC {
-        return Ok(true);
-    }
-    reader.seek(SeekFrom::Start(0))?;
-    Ok(false)
-}
 
-/// Reads the header record of a binary container, returning the parsed
-/// `(rows, cols)` and the stream offset of the first block record.
-fn read_binary_header(
-    path: &Path,
-    reader: &mut BufReader<File>,
-    want_kind: u8,
-    tag: &str,
-) -> io::Result<(usize, usize, u64)> {
-    let (kind, payload) = binfmt::read_record(reader)?.ok_or_else(|| {
+    fn rewind(&mut self) -> io::Result<()> {
+        self.reader.seek(SeekFrom::Start(self.data_start))?;
+        self.next_row = 0;
+        self.done = false;
+        self.stage.clear();
+        Ok(())
+    }
+
+    fn eof(&self, row: usize) -> io::Error {
         StreamError::UnexpectedEof {
-            path: path.display().to_string(),
-            row: 0,
+            path: self.path.display().to_string(),
+            row,
         }
         .into_io()
-    })?;
-    if kind != want_kind {
-        return Err(StreamError::MalformedHeader {
-            path: path.display().to_string(),
-            detail: format!("expected a '{tag}' header record, found record kind {kind}"),
-        }
-        .into_io());
     }
-    let header = std::str::from_utf8(&payload).map_err(|_| {
-        StreamError::MalformedHeader {
-            path: path.display().to_string(),
-            detail: "header record is not UTF-8".to_string(),
+
+    fn surplus(&self) -> io::Error {
+        StreamError::TrailingData {
+            path: self.path.display().to_string(),
+            row: self.rows,
         }
         .into_io()
-    })?;
-    let (rows, cols) = parse_header(path, header, Some(tag))?;
-    let data_start = (8 + binfmt::record_len(payload.len())) as u64;
-    Ok((rows, cols, data_start))
+    }
+
+    /// Reads the next record: a block is decoded onto the stage, the end
+    /// record marks the container done, and end of file before the end
+    /// record is an `UnexpectedEof` at `row`.
+    fn next_record(&mut self, row: usize) -> io::Result<()> {
+        match binfmt::read_record(&mut self.reader)? {
+            // End of file without an end record: the writer never
+            // finished this container.
+            None => Err(self.eof(row)),
+            Some((kind, payload)) if kind == S::LAYOUT.block => {
+                self.stage.decode(&payload, self.cols)
+            }
+            Some((binfmt::REC_END, _)) => {
+                self.done = true;
+                Ok(())
+            }
+            Some((kind, _)) => Err(invalid_data(format!(
+                "{}: unexpected record kind {kind} in a {} shard container",
+                self.path.display(),
+                S::LAYOUT.tag
+            ))),
+        }
+    }
+
+    /// Decodes block records into the stage until the next shard is
+    /// buffered, then emits it. Once the declared rows are read, checks
+    /// that the end record follows them and returns `None`.
+    fn read_shard(&mut self) -> io::Result<Option<S::Shard>> {
+        if self.next_row >= self.rows {
+            if self.stage.pending() > 0 {
+                return Err(self.surplus());
+            }
+            if !self.done {
+                self.next_record(self.rows)?;
+                if !self.done {
+                    return Err(self.surplus());
+                }
+            }
+            return Ok(None);
+        }
+        let take = self.shard_rows.min(self.rows - self.next_row);
+        while self.stage.pending() < take {
+            let row = self.next_row + self.stage.pending();
+            if self.done {
+                // The end record arrived before the declared rows did.
+                return Err(self.eof(row));
+            }
+            self.next_record(row)?;
+        }
+        let shard = self.stage.emit(take, self.cols)?;
+        self.next_row += take;
+        Ok(Some(shard))
+    }
 }
 
-/// Staging buffer of the binary dense reader: decoded writer blocks wait
-/// here until `shard_rows` rows are available, so the reader's shard
-/// boundaries are independent of the writer's block boundaries.
+/// Staging buffer of the dense reader.
 #[derive(Debug, Default)]
 struct DenseStage {
     lo: Vec<f64>,
@@ -557,247 +524,235 @@ struct DenseStage {
     rows_staged: usize,
     /// Rows already emitted from the front of the stage.
     row_off: usize,
-    /// Whether the end record was seen.
-    done: bool,
 }
 
-impl DenseStage {
+impl Stage for DenseStage {
+    type Shard = IntervalMatrix;
+    const LAYOUT: Layout = DENSE;
+
+    fn pending(&self) -> usize {
+        self.rows_staged - self.row_off
+    }
+
+    fn decode(&mut self, payload: &[u8], cols: usize) -> io::Result<()> {
+        self.rows_staged +=
+            binfmt::decode_dense_block_into(payload, cols, &mut self.lo, &mut self.hi)?;
+        Ok(())
+    }
+
+    fn emit(&mut self, take: usize, cols: usize) -> io::Result<IntervalMatrix> {
+        let n = take * cols;
+        let start = self.row_off * cols;
+        let mut lo = pool::take_f64(n);
+        lo.extend_from_slice(&self.lo[start..start + n]);
+        let mut hi = pool::take_f64(n);
+        hi.extend_from_slice(&self.hi[start..start + n]);
+        self.row_off += take;
+        // Compact once the emitted prefix dominates the stage, keeping
+        // the staged residue (and thus peak memory) bounded by one block.
+        if self.row_off * 2 >= self.rows_staged {
+            self.lo.drain(..self.row_off * cols);
+            self.hi.drain(..self.row_off * cols);
+            self.rows_staged -= self.row_off;
+            self.row_off = 0;
+        }
+        IntervalMatrix::from_bounds(
+            Matrix::from_vec(take, cols, lo).map_err(|e| invalid_data(e.to_string()))?,
+            Matrix::from_vec(take, cols, hi).map_err(|e| invalid_data(e.to_string()))?,
+        )
+        .map_err(|e| invalid_data(e.to_string()))
+    }
+
     fn clear(&mut self) {
         self.lo.clear();
         self.hi.clear();
         self.rows_staged = 0;
         self.row_off = 0;
-        self.done = false;
     }
 }
 
-#[derive(Debug)]
-enum DenseBackend {
-    Text,
-    Binary(DenseStage),
+/// Staging buffer of the CSR reader. `row_ptr` holds absolute offsets
+/// into the staged entry arrays (leading 0), exactly as
+/// [`binfmt::decode_csr_block_into`] stacks them.
+#[derive(Debug, Default)]
+struct CsrStage {
+    row_ptr: Vec<usize>,
+    col_idx: Vec<usize>,
+    lo: Vec<f64>,
+    hi: Vec<f64>,
+    rows_staged: usize,
+    row_off: usize,
 }
 
-/// Reads an interval matrix file shard by shard, holding one shard (plus,
-/// for binary containers, a bounded staging buffer) in memory at a time.
-/// The format is sniffed from the leading bytes; see the
-/// [module docs](self) for both formats.
+impl Stage for CsrStage {
+    type Shard = CsrIntervalShard;
+    const LAYOUT: Layout = CSR;
+
+    fn pending(&self) -> usize {
+        self.rows_staged - self.row_off
+    }
+
+    fn decode(&mut self, payload: &[u8], cols: usize) -> io::Result<()> {
+        self.rows_staged += binfmt::decode_csr_block_into(
+            payload,
+            cols,
+            &mut self.row_ptr,
+            &mut self.col_idx,
+            &mut self.lo,
+            &mut self.hi,
+        )?;
+        Ok(())
+    }
+
+    /// Emits the next `take` rows with their offsets rebased to 0.
+    fn emit(&mut self, take: usize, cols: usize) -> io::Result<CsrIntervalShard> {
+        let (r0, r1) = (self.row_off, self.row_off + take);
+        let (s, e) = (self.row_ptr[r0], self.row_ptr[r1]);
+        let mut row_ptr = pool::take_usize(take + 1);
+        row_ptr.extend(self.row_ptr[r0..=r1].iter().map(|&p| p - s));
+        let mut col_idx = pool::take_usize(e - s);
+        col_idx.extend_from_slice(&self.col_idx[s..e]);
+        let mut lo = pool::take_f64(e - s);
+        lo.extend_from_slice(&self.lo[s..e]);
+        let mut hi = pool::take_f64(e - s);
+        hi.extend_from_slice(&self.hi[s..e]);
+        self.row_off = r1;
+        // Compact once the emitted prefix dominates the stage, keeping
+        // the staged residue (and thus peak memory) bounded by one block.
+        if self.row_off * 2 >= self.rows_staged {
+            let cut = self.row_ptr[self.row_off];
+            self.col_idx.drain(..cut);
+            self.lo.drain(..cut);
+            self.hi.drain(..cut);
+            self.row_ptr.drain(..self.row_off);
+            for p in self.row_ptr.iter_mut() {
+                *p -= cut;
+            }
+            self.rows_staged -= self.row_off;
+            self.row_off = 0;
+        }
+        CsrIntervalShard::new(take, cols, row_ptr, col_idx, lo, hi)
+            .map_err(|e| invalid_data(e.to_string()))
+    }
+
+    fn clear(&mut self) {
+        self.row_ptr.clear();
+        self.col_idx.clear();
+        self.lo.clear();
+        self.hi.clear();
+        self.rows_staged = 0;
+        self.row_off = 0;
+    }
+}
+
+/// Incremental writer of dense interval shard files: create it with the
+/// final row/column counts, push row blocks as they are generated, and
+/// [`finish`](ShardWriter::finish) once every row has been written. Peak
+/// memory is one block — the file is produced without ever holding the
+/// full matrix.
+///
+/// The writer is crash-safe: rows stream into a temporary sibling of the
+/// destination, and only `finish` (end record, flush, fsync, rename)
+/// makes the file visible at `path`; a writer dropped before `finish`
+/// removes its temp and leaves any previously committed file untouched.
+#[derive(Debug)]
+pub struct ShardWriter {
+    core: ContainerWriter,
+}
+
+impl ShardWriter {
+    /// Opens a temporary sibling of `path` and writes the magic and the
+    /// header record; `path` itself is only created by
+    /// [`finish`](ShardWriter::finish).
+    pub fn create(path: impl AsRef<Path>, rows: usize, cols: usize) -> io::Result<Self> {
+        ContainerWriter::create(path.as_ref(), DENSE, rows, cols).map(|core| ShardWriter { core })
+    }
+
+    /// Rows written so far.
+    pub fn rows_written(&self) -> usize {
+        self.core.rows_written
+    }
+
+    /// Appends the rows of `shard` to the file (row order across calls).
+    pub fn push_shard(&mut self, shard: &IntervalMatrix) -> io::Result<()> {
+        let cols = shard.cols();
+        // Cut large shards into bounded records so a single push can
+        // never approach the record length ceiling.
+        let block_rows = (BLOCK_VALUES / cols.max(1)).max(1);
+        let (lo, hi) = (shard.lo().as_slice(), shard.hi().as_slice());
+        self.core.push(shard.rows(), cols, |start| {
+            let end = (start + block_rows).min(shard.rows());
+            let (s, e) = (start * cols, end * cols);
+            let payload = binfmt::encode_dense_rows(end - start, &lo[s..e], &hi[s..e])?;
+            Ok((end, payload))
+        })
+    }
+
+    /// Validates that exactly the declared number of rows was written,
+    /// then commits the file: end record, flush, fsync, rename over
+    /// `path`. On any error the temp file is removed and `path` is left
+    /// as it was.
+    pub fn finish(self) -> io::Result<()> {
+        self.core.finish()
+    }
+}
+
+/// Writes an interval matrix to `path` in one call; it loads back
+/// bit-exactly. The write inherits [`ShardWriter`]'s crash safety: the
+/// file only appears at `path` complete, fsync'd and renamed.
+pub fn write_interval_matrix(path: impl AsRef<Path>, m: &IntervalMatrix) -> io::Result<()> {
+    let mut w = ShardWriter::create(path, m.rows(), m.cols())?;
+    w.push_shard(m)?;
+    w.finish()
+}
+
+/// Reads a dense interval shard file shard by shard, holding one shard
+/// plus a bounded staging buffer in memory at a time. See the
+/// [module docs](self) for the format.
 #[derive(Debug)]
 pub struct ShardReader {
-    path: PathBuf,
-    reader: BufReader<File>,
-    data_start: u64,
-    rows: usize,
-    cols: usize,
-    shard_rows: usize,
-    next_row: usize,
-    backend: DenseBackend,
+    core: ContainerReader<DenseStage>,
 }
 
 impl ShardReader {
     /// Opens `path`, reading the header; shards will have at most
     /// `shard_rows` rows (the last one takes the remainder).
     pub fn open(path: impl AsRef<Path>, shard_rows: usize) -> io::Result<Self> {
-        if shard_rows == 0 {
-            return Err(invalid_data("shard_rows must be at least 1".to_string()));
-        }
-        let path = path.as_ref().to_path_buf();
-        let mut reader = BufReader::new(File::open(&path)?);
-        let (rows, cols, data_start, backend) = if sniff_magic(&mut reader)? {
-            let (rows, cols, data_start) =
-                read_binary_header(&path, &mut reader, binfmt::REC_DENSE_HEADER, "dense")?;
-            (
-                rows,
-                cols,
-                data_start,
-                DenseBackend::Binary(DenseStage::default()),
-            )
-        } else {
-            let mut header = String::new();
-            reader.read_line(&mut header)?;
-            let (rows, cols) = parse_header(&path, &header, None)?;
-            (rows, cols, reader.stream_position()?, DenseBackend::Text)
-        };
-        Ok(ShardReader {
-            path,
-            reader,
-            data_start,
-            rows,
-            cols,
-            shard_rows,
-            next_row: 0,
-            backend,
-        })
-    }
-
-    /// [`ShardReader::open`] with the configured default shard size
-    /// (`IVMF_SHARD_ROWS`, or
-    /// [`ivmf_interval::DEFAULT_SHARD_ROWS`]).
-    pub fn open_env(path: impl AsRef<Path>) -> io::Result<Self> {
-        ShardReader::open(path, configured_shard_rows())
+        ContainerReader::open(path.as_ref(), shard_rows).map(|core| ShardReader { core })
     }
 
     /// Total number of rows in the file.
     pub fn rows(&self) -> usize {
-        self.rows
+        self.core.rows
     }
 
     /// Number of columns per row.
     pub fn cols(&self) -> usize {
-        self.cols
+        self.core.cols
     }
 
     /// Configured maximum rows per shard.
     pub fn shard_rows(&self) -> usize {
-        self.shard_rows
+        self.core.shard_rows
     }
 
     /// Rewinds to the first shard.
     pub fn rewind(&mut self) -> io::Result<()> {
-        self.reader.seek(SeekFrom::Start(self.data_start))?;
-        self.next_row = 0;
-        if let DenseBackend::Binary(stage) = &mut self.backend {
-            stage.clear();
-        }
-        Ok(())
+        self.core.rewind()
     }
 
     /// Reads the next shard, or `None` after the last row.
     pub fn read_shard(&mut self) -> io::Result<Option<IntervalMatrix>> {
-        if self.next_row >= self.rows {
-            return Ok(None);
-        }
-        let take = self.shard_rows.min(self.rows - self.next_row);
-        if matches!(self.backend, DenseBackend::Binary(_)) {
-            return self.read_shard_binary(take).map(Some);
-        }
-        // Bounded pre-allocation: the header's claims are untrusted
-        // until the data backs them up.
-        let prealloc = (take * self.cols).min(PREALLOC_CAP);
-        let mut lo = pool::take_f64(prealloc);
-        let mut hi = pool::take_f64(prealloc);
-        let mut line = String::new();
-        for r in 0..take {
-            let row = self.next_row + r;
-            line.clear();
-            if self.reader.read_line(&mut line)? == 0 {
-                return Err(StreamError::UnexpectedEof {
-                    path: self.path.display().to_string(),
-                    row,
-                }
-                .into_io());
-            }
-            let mut values = line.split_whitespace().map(|t| t.parse::<f64>());
-            for c in 0..self.cols {
-                match (values.next(), values.next()) {
-                    (Some(Ok(l)), Some(Ok(h))) => {
-                        lo.push(l);
-                        hi.push(h);
-                    }
-                    _ => {
-                        return Err(StreamError::MalformedEntry {
-                            path: self.path.display().to_string(),
-                            row,
-                            detail: format!("missing or unparseable bounds at column {c}"),
-                        }
-                        .into_io())
-                    }
-                }
-            }
-            if values.next().is_some() {
-                return Err(StreamError::TrailingData {
-                    path: self.path.display().to_string(),
-                    row,
-                }
-                .into_io());
-            }
-        }
-        self.next_row += take;
-        let shard = IntervalMatrix::from_bounds(
-            Matrix::from_vec(take, self.cols, lo).map_err(|e| invalid_data(e.to_string()))?,
-            Matrix::from_vec(take, self.cols, hi).map_err(|e| invalid_data(e.to_string()))?,
-        )
-        .map_err(|e| invalid_data(e.to_string()))?;
-        Ok(Some(shard))
-    }
-
-    /// Binary route of [`ShardReader::read_shard`]: decode block records
-    /// into the stage until `take` rows are buffered, then emit them into
-    /// pooled buffers. Writer block boundaries are invisible to the
-    /// caller.
-    fn read_shard_binary(&mut self, take: usize) -> io::Result<IntervalMatrix> {
-        let DenseBackend::Binary(stage) = &mut self.backend else {
-            unreachable!("only called on binary readers")
-        };
-        loop {
-            let avail = stage.rows_staged - stage.row_off;
-            if avail >= take {
-                break;
-            }
-            if stage.done {
-                // The end record arrived before the declared rows did.
-                return Err(StreamError::UnexpectedEof {
-                    path: self.path.display().to_string(),
-                    row: self.next_row + avail,
-                }
-                .into_io());
-            }
-            match binfmt::read_record(&mut self.reader)? {
-                None => {
-                    // End of file without an end record: the writer never
-                    // finished this container.
-                    return Err(StreamError::UnexpectedEof {
-                        path: self.path.display().to_string(),
-                        row: self.next_row + avail,
-                    }
-                    .into_io());
-                }
-                Some((binfmt::REC_DENSE_BLOCK, payload)) => {
-                    stage.rows_staged += binfmt::decode_dense_block_into(
-                        &payload,
-                        self.cols,
-                        &mut stage.lo,
-                        &mut stage.hi,
-                    )?;
-                }
-                Some((binfmt::REC_END, _)) => stage.done = true,
-                Some((kind, _)) => {
-                    return Err(invalid_data(format!(
-                        "{}: unexpected record kind {kind} in a dense shard container",
-                        self.path.display()
-                    )))
-                }
-            }
-        }
-        let n = take * self.cols;
-        let start = stage.row_off * self.cols;
-        let mut lo = pool::take_f64(n);
-        lo.extend_from_slice(&stage.lo[start..start + n]);
-        let mut hi = pool::take_f64(n);
-        hi.extend_from_slice(&stage.hi[start..start + n]);
-        stage.row_off += take;
-        // Compact once the emitted prefix dominates the stage, keeping
-        // the staged residue (and thus peak memory) bounded by one block.
-        if stage.row_off * 2 >= stage.rows_staged {
-            stage.lo.drain(..stage.row_off * self.cols);
-            stage.hi.drain(..stage.row_off * self.cols);
-            stage.rows_staged -= stage.row_off;
-            stage.row_off = 0;
-        }
-        self.next_row += take;
-        IntervalMatrix::from_bounds(
-            Matrix::from_vec(take, self.cols, lo).map_err(|e| invalid_data(e.to_string()))?,
-            Matrix::from_vec(take, self.cols, hi).map_err(|e| invalid_data(e.to_string()))?,
-        )
-        .map_err(|e| invalid_data(e.to_string()))
+        self.core.read_shard()
     }
 }
 
 impl RowShardSource for ShardReader {
     fn rows(&self) -> usize {
-        self.rows
+        self.core.rows
     }
     fn cols(&self) -> usize {
-        self.cols
+        self.core.cols
     }
     fn reset(&mut self) -> ivmf_interval::Result<()> {
         self.rewind()
@@ -845,7 +800,7 @@ pub fn stream_interval_gram(
     acc.finish().map_err(|e| invalid_data(e.to_string()))
 }
 
-/// Incremental writer of the sparse CSR text format: create it with the
+/// Incremental writer of sparse CSR shard files: create it with the
 /// final row/column counts, push row blocks as they are generated (e.g.
 /// one [`crate::synthetic::generate_power_law`] block at a time), and
 /// [`finish`](CsrShardWriter::finish) once every row has been written.
@@ -853,181 +808,74 @@ pub fn stream_interval_gram(
 /// the full matrix.
 ///
 /// The writer is crash-safe: rows stream into a temporary sibling of the
-/// destination, and only `finish` (which flushes, fsyncs and renames)
+/// destination, and only `finish` (end record, flush, fsync, rename)
 /// makes the file visible at `path`. A writer dropped before `finish` —
 /// including by a panic or an early return after an I/O error — removes
 /// its temp file and leaves any previously committed file untouched.
 #[derive(Debug)]
 pub struct CsrShardWriter {
-    w: Option<BufWriter<File>>,
-    path: PathBuf,
-    tmp: PathBuf,
-    rows: usize,
-    cols: usize,
-    rows_written: usize,
-    format: ShardFormat,
+    core: ContainerWriter,
 }
 
 impl CsrShardWriter {
-    /// [`CsrShardWriter::create_with_format`] with the format configured
-    /// by `IVMF_SHARD_FORMAT`.
+    /// Opens a temporary sibling of `path` and writes the magic and the
+    /// header record; `path` itself is only created by
+    /// [`finish`](CsrShardWriter::finish).
     pub fn create(path: impl AsRef<Path>, rows: usize, cols: usize) -> io::Result<Self> {
-        Self::create_with_format(path, rows, cols, ivmf_env::shard_format())
+        ContainerWriter::create(path.as_ref(), CSR, rows, cols).map(|core| CsrShardWriter { core })
     }
 
-    /// Opens a temporary sibling of `path` and writes the header (the
-    /// `csr <rows> <cols>` text line, or the container magic plus the
-    /// matching header record); `path` itself is only created by
-    /// [`finish`](CsrShardWriter::finish).
+    /// [`CsrShardWriter::create`]. Retained only for the workload
+    /// benchmark's source: the binary container is the only format.
     pub fn create_with_format(
         path: impl AsRef<Path>,
         rows: usize,
         cols: usize,
-        format: ShardFormat,
+        _format: ShardFormat,
     ) -> io::Result<Self> {
-        let path = path.as_ref().to_path_buf();
-        let tmp = crate::atomic::temp_sibling(&path);
-        let mut w = BufWriter::new(File::create(&tmp)?);
-        let header = match format {
-            ShardFormat::Text => writeln!(w, "csr {rows} {cols}"),
-            ShardFormat::Binary => w.write_all(&binfmt::MAGIC).and_then(|()| {
-                binfmt::write_record(
-                    &mut w,
-                    binfmt::REC_CSR_HEADER,
-                    format!("csr {rows} {cols}\n").as_bytes(),
-                )
-            }),
-        };
-        if let Err(e) = header {
-            drop(w);
-            fs::remove_file(&tmp).ok();
-            return Err(e);
-        }
-        Ok(CsrShardWriter {
-            w: Some(w),
-            path,
-            tmp,
-            rows,
-            cols,
-            rows_written: 0,
-            format,
-        })
-    }
-
-    /// The format this writer emits.
-    pub fn format(&self) -> ShardFormat {
-        self.format
+        Self::create(path, rows, cols)
     }
 
     /// Rows written so far.
     pub fn rows_written(&self) -> usize {
-        self.rows_written
-    }
-
-    fn writer(&mut self) -> &mut BufWriter<File> {
-        self.w.as_mut().expect("writer is only taken by finish")
+        self.core.rows_written
     }
 
     /// Appends the rows of `shard` to the file (row order across calls).
     pub fn push_shard(&mut self, shard: &CsrIntervalShard) -> io::Result<()> {
-        if shard.cols() != self.cols {
-            return Err(invalid_data(format!(
-                "shard has {} columns, file declares {}",
-                shard.cols(),
-                self.cols
-            )));
-        }
-        if self.rows_written + shard.rows() > self.rows {
-            return Err(invalid_data(format!(
-                "shard of {} rows overflows the declared {} rows ({} already written)",
-                shard.rows(),
-                self.rows,
-                self.rows_written
-            )));
-        }
-        match self.format {
-            ShardFormat::Text => {
-                let mut line = String::new();
-                for i in 0..shard.rows() {
-                    let (cols, lo, hi) = shard.row_entries(i);
-                    line.clear();
-                    line.push_str(&format!("{}", cols.len()));
-                    for ((&c, &l), &h) in cols.iter().zip(lo).zip(hi) {
-                        line.push_str(&format!(" {c} {l:?} {h:?}"));
-                    }
-                    writeln!(self.writer(), "{line}")?;
-                }
+        // Cut large shards into records of roughly BLOCK_VALUES stored
+        // entries (always at least one row per record) so a single push
+        // never approaches the record ceiling.
+        let row_ptr = shard.lo_shard().row_ptr();
+        self.core.push(shard.rows(), shard.cols(), |start| {
+            let base = row_ptr[start];
+            let mut end = start + 1;
+            while end < shard.rows() && row_ptr[end + 1] - base < BLOCK_VALUES {
+                end += 1;
             }
-            ShardFormat::Binary => {
-                // Cut large shards into records of roughly BLOCK_VALUES
-                // stored entries (always at least one row per record) so
-                // a single push never approaches the record ceiling.
-                let row_ptr = shard.lo_shard().row_ptr();
-                let mut start = 0;
-                while start < shard.rows() {
-                    let base = row_ptr[start];
-                    let mut end = start + 1;
-                    while end < shard.rows() && row_ptr[end + 1] - base < BLOCK_VALUES {
-                        end += 1;
-                    }
-                    let payload = if start == 0 && end == shard.rows() {
-                        binfmt::encode_csr_block(shard)?
-                    } else {
-                        let block = shard
-                            .row_slice(start, end)
-                            .map_err(|e| invalid_data(e.to_string()))?;
-                        binfmt::encode_csr_block(&block)?
-                    };
-                    binfmt::write_record(self.writer(), binfmt::REC_CSR_BLOCK, &payload)?;
-                    start = end;
-                }
-            }
-        }
-        self.rows_written += shard.rows();
-        Ok(())
+            let payload = if start == 0 && end == shard.rows() {
+                binfmt::encode_csr_block(shard)?
+            } else {
+                let block = shard
+                    .row_slice(start, end)
+                    .map_err(|e| invalid_data(e.to_string()))?;
+                binfmt::encode_csr_block(&block)?
+            };
+            Ok((end, payload))
+        })
     }
 
     /// Validates that exactly the declared number of rows was written,
-    /// then commits the file: end record (binary), flush, fsync, rename
-    /// over `path`. On any error the temp file is removed and `path` is
-    /// left as it was.
-    pub fn finish(mut self) -> io::Result<()> {
-        if self.rows_written != self.rows {
-            // Drop removes the temp file.
-            return Err(invalid_data(format!(
-                "file declares {} rows but {} were written",
-                self.rows, self.rows_written
-            )));
-        }
-        if self.format == ShardFormat::Binary {
-            binfmt::write_record(self.writer(), binfmt::REC_END, b"")?;
-            // An error above returns before take: Drop removes the temp.
-        }
-        let mut w = self.w.take().expect("finish consumes the writer");
-        let flushed = w.flush().and_then(|()| w.get_ref().sync_all());
-        drop(w);
-        let result = flushed.and_then(|()| crate::atomic::persist_temp(&self.tmp, &self.path));
-        if result.is_err() {
-            fs::remove_file(&self.tmp).ok();
-        }
-        result
+    /// then commits the file: end record, flush, fsync, rename over
+    /// `path`. On any error the temp file is removed and `path` is left
+    /// as it was.
+    pub fn finish(self) -> io::Result<()> {
+        self.core.finish()
     }
 }
 
-impl Drop for CsrShardWriter {
-    fn drop(&mut self) {
-        // An unfinished writer (crash, error path, forgotten finish)
-        // must not leave its temp file behind.
-        if let Some(w) = self.w.take() {
-            drop(w);
-            fs::remove_file(&self.tmp).ok();
-        }
-    }
-}
-
-/// Writes a CSR interval shard to `path` in the sparse text format in one
-/// call. Values use shortest round-trip formatting, so a subsequent load
-/// is bit-exact. The write inherits [`CsrShardWriter`]'s crash safety:
+/// Writes a CSR interval shard to `path` in one call; it loads back
+/// bit-exactly. The write inherits [`CsrShardWriter`]'s crash safety:
 /// the file only appears at `path` complete, fsync'd and renamed.
 pub fn write_csr_matrix(path: impl AsRef<Path>, m: &CsrIntervalShard) -> io::Result<()> {
     let mut w = CsrShardWriter::create(path, m.rows(), m.cols())?;
@@ -1035,296 +883,53 @@ pub fn write_csr_matrix(path: impl AsRef<Path>, m: &CsrIntervalShard) -> io::Res
     w.finish()
 }
 
-/// Staging buffer of the binary CSR reader: the CSR twin of
-/// [`DenseStage`]. `row_ptr` holds absolute offsets into the staged entry
-/// arrays (leading 0), exactly as
-/// [`binfmt::decode_csr_block_into`] stacks them.
-#[derive(Debug, Default)]
-struct CsrStage {
-    row_ptr: Vec<usize>,
-    col_idx: Vec<usize>,
-    lo: Vec<f64>,
-    hi: Vec<f64>,
-    rows_staged: usize,
-    row_off: usize,
-    done: bool,
-}
-
-impl CsrStage {
-    fn clear(&mut self) {
-        self.row_ptr.clear();
-        self.col_idx.clear();
-        self.lo.clear();
-        self.hi.clear();
-        self.rows_staged = 0;
-        self.row_off = 0;
-        self.done = false;
-    }
-}
-
-#[derive(Debug)]
-enum CsrBackend {
-    Text,
-    Binary(CsrStage),
-}
-
-/// Reads a sparse CSR interval matrix file shard by shard, holding one
-/// shard's stored entries (plus, for binary containers, a bounded staging
-/// buffer) in memory at a time. The format is sniffed from the leading
-/// bytes; see the [module docs](self) for both formats.
+/// Reads a sparse CSR interval shard file shard by shard, holding one
+/// shard's stored entries plus a bounded staging buffer in memory at a
+/// time. See the [module docs](self) for the format.
 #[derive(Debug)]
 pub struct CsrShardReader {
-    path: PathBuf,
-    reader: BufReader<File>,
-    data_start: u64,
-    rows: usize,
-    cols: usize,
-    shard_rows: usize,
-    next_row: usize,
-    backend: CsrBackend,
+    core: ContainerReader<CsrStage>,
 }
 
 impl CsrShardReader {
     /// Opens `path`, reading the `csr <rows> <cols>` header; shards will
     /// have at most `shard_rows` rows (the last one takes the remainder).
     pub fn open(path: impl AsRef<Path>, shard_rows: usize) -> io::Result<Self> {
-        if shard_rows == 0 {
-            return Err(invalid_data("shard_rows must be at least 1".to_string()));
-        }
-        let path = path.as_ref().to_path_buf();
-        let mut reader = BufReader::new(File::open(&path)?);
-        let (rows, cols, data_start, backend) = if sniff_magic(&mut reader)? {
-            let (rows, cols, data_start) =
-                read_binary_header(&path, &mut reader, binfmt::REC_CSR_HEADER, "csr")?;
-            (
-                rows,
-                cols,
-                data_start,
-                CsrBackend::Binary(CsrStage::default()),
-            )
-        } else {
-            let mut header = String::new();
-            reader.read_line(&mut header)?;
-            let (rows, cols) = parse_header(&path, &header, Some("csr"))?;
-            (rows, cols, reader.stream_position()?, CsrBackend::Text)
-        };
-        Ok(CsrShardReader {
-            path,
-            reader,
-            data_start,
-            rows,
-            cols,
-            shard_rows,
-            next_row: 0,
-            backend,
-        })
-    }
-
-    /// [`CsrShardReader::open`] with the configured default shard size
-    /// (`IVMF_SHARD_ROWS`, or [`ivmf_interval::DEFAULT_SHARD_ROWS`]).
-    pub fn open_env(path: impl AsRef<Path>) -> io::Result<Self> {
-        CsrShardReader::open(path, configured_shard_rows())
+        ContainerReader::open(path.as_ref(), shard_rows).map(|core| CsrShardReader { core })
     }
 
     /// Total number of rows in the file.
     pub fn rows(&self) -> usize {
-        self.rows
+        self.core.rows
     }
 
     /// Number of columns per row.
     pub fn cols(&self) -> usize {
-        self.cols
+        self.core.cols
     }
 
     /// Configured maximum rows per shard.
     pub fn shard_rows(&self) -> usize {
-        self.shard_rows
+        self.core.shard_rows
     }
 
     /// Rewinds to the first shard.
     pub fn rewind(&mut self) -> io::Result<()> {
-        self.reader.seek(SeekFrom::Start(self.data_start))?;
-        self.next_row = 0;
-        if let CsrBackend::Binary(stage) = &mut self.backend {
-            stage.clear();
-        }
-        Ok(())
+        self.core.rewind()
     }
 
     /// Reads the next shard, or `None` after the last row.
     pub fn read_shard(&mut self) -> io::Result<Option<CsrIntervalShard>> {
-        if self.next_row >= self.rows {
-            return Ok(None);
-        }
-        let take = self.shard_rows.min(self.rows - self.next_row);
-        if matches!(self.backend, CsrBackend::Binary(_)) {
-            return self.read_shard_binary(take).map(Some);
-        }
-        let mut row_ptr = pool::take_usize((take + 1).min(PREALLOC_CAP));
-        let mut col_idx = pool::take_usize(0);
-        let mut lo = pool::take_f64(0);
-        let mut hi = pool::take_f64(0);
-        row_ptr.push(0);
-        let mut line = String::new();
-        for r in 0..take {
-            let row = self.next_row + r;
-            line.clear();
-            if self.reader.read_line(&mut line)? == 0 {
-                return Err(StreamError::UnexpectedEof {
-                    path: self.path.display().to_string(),
-                    row,
-                }
-                .into_io());
-            }
-            let mut tokens = line.split_whitespace();
-            let k: usize = tokens.next().and_then(|t| t.parse().ok()).ok_or_else(|| {
-                StreamError::MalformedEntry {
-                    path: self.path.display().to_string(),
-                    row,
-                    detail: "missing or unparseable stored-entry count".to_string(),
-                }
-                .into_io()
-            })?;
-            if k > self.cols {
-                return Err(StreamError::EntryCountOutOfRange {
-                    path: self.path.display().to_string(),
-                    row,
-                    count: k,
-                    cols: self.cols,
-                }
-                .into_io());
-            }
-            for e in 0..k {
-                let c = tokens.next().and_then(|t| t.parse::<usize>().ok());
-                let l = tokens.next().and_then(|t| t.parse::<f64>().ok());
-                let h = tokens.next().and_then(|t| t.parse::<f64>().ok());
-                match (c, l, h) {
-                    (Some(c), Some(l), Some(h)) => {
-                        if c >= self.cols {
-                            return Err(StreamError::ColumnOutOfRange {
-                                path: self.path.display().to_string(),
-                                row,
-                                column: c,
-                                cols: self.cols,
-                            }
-                            .into_io());
-                        }
-                        col_idx.push(c);
-                        lo.push(l);
-                        hi.push(h);
-                    }
-                    _ => {
-                        return Err(StreamError::MalformedEntry {
-                            path: self.path.display().to_string(),
-                            row,
-                            detail: format!("missing or unparseable entry {e}"),
-                        }
-                        .into_io())
-                    }
-                }
-            }
-            if tokens.next().is_some() {
-                return Err(StreamError::TrailingData {
-                    path: self.path.display().to_string(),
-                    row,
-                }
-                .into_io());
-            }
-            row_ptr.push(col_idx.len());
-        }
-        self.next_row += take;
-        let shard = CsrIntervalShard::new(take, self.cols, row_ptr, col_idx, lo, hi)
-            .map_err(|e| invalid_data(e.to_string()))?;
-        Ok(Some(shard))
-    }
-
-    /// Binary route of [`CsrShardReader::read_shard`]: decode block
-    /// records into the stage until `take` rows are buffered, then emit
-    /// them (offsets rebased) into pooled buffers. Writer block
-    /// boundaries are invisible to the caller.
-    fn read_shard_binary(&mut self, take: usize) -> io::Result<CsrIntervalShard> {
-        let CsrBackend::Binary(stage) = &mut self.backend else {
-            unreachable!("only called on binary readers")
-        };
-        loop {
-            let avail = stage.rows_staged - stage.row_off;
-            if avail >= take {
-                break;
-            }
-            if stage.done {
-                // The end record arrived before the declared rows did.
-                return Err(StreamError::UnexpectedEof {
-                    path: self.path.display().to_string(),
-                    row: self.next_row + avail,
-                }
-                .into_io());
-            }
-            match binfmt::read_record(&mut self.reader)? {
-                None => {
-                    // End of file without an end record: the writer never
-                    // finished this container.
-                    return Err(StreamError::UnexpectedEof {
-                        path: self.path.display().to_string(),
-                        row: self.next_row + avail,
-                    }
-                    .into_io());
-                }
-                Some((binfmt::REC_CSR_BLOCK, payload)) => {
-                    stage.rows_staged += binfmt::decode_csr_block_into(
-                        &payload,
-                        self.cols,
-                        &mut stage.row_ptr,
-                        &mut stage.col_idx,
-                        &mut stage.lo,
-                        &mut stage.hi,
-                    )?;
-                }
-                Some((binfmt::REC_END, _)) => stage.done = true,
-                Some((kind, _)) => {
-                    return Err(invalid_data(format!(
-                        "{}: unexpected record kind {kind} in a CSR shard container",
-                        self.path.display()
-                    )))
-                }
-            }
-        }
-        let (r0, r1) = (stage.row_off, stage.row_off + take);
-        let (s, e) = (stage.row_ptr[r0], stage.row_ptr[r1]);
-        let mut row_ptr = pool::take_usize(take + 1);
-        row_ptr.extend(stage.row_ptr[r0..=r1].iter().map(|&p| p - s));
-        let mut col_idx = pool::take_usize(e - s);
-        col_idx.extend_from_slice(&stage.col_idx[s..e]);
-        let mut lo = pool::take_f64(e - s);
-        lo.extend_from_slice(&stage.lo[s..e]);
-        let mut hi = pool::take_f64(e - s);
-        hi.extend_from_slice(&stage.hi[s..e]);
-        stage.row_off = r1;
-        // Compact once the emitted prefix dominates the stage, keeping
-        // the staged residue (and thus peak memory) bounded by one block.
-        if stage.row_off * 2 >= stage.rows_staged {
-            let cut = stage.row_ptr[stage.row_off];
-            stage.col_idx.drain(..cut);
-            stage.lo.drain(..cut);
-            stage.hi.drain(..cut);
-            stage.row_ptr.drain(..stage.row_off);
-            for p in stage.row_ptr.iter_mut() {
-                *p -= cut;
-            }
-            stage.rows_staged -= stage.row_off;
-            stage.row_off = 0;
-        }
-        self.next_row += take;
-        CsrIntervalShard::new(take, self.cols, row_ptr, col_idx, lo, hi)
-            .map_err(|e| invalid_data(e.to_string()))
+        self.core.read_shard()
     }
 }
 
 impl CsrShardSource for CsrShardReader {
     fn rows(&self) -> usize {
-        self.rows
+        self.core.rows
     }
     fn cols(&self) -> usize {
-        self.cols
+        self.core.cols
     }
     fn reset(&mut self) -> ivmf_interval::Result<()> {
         self.rewind()
@@ -1380,7 +985,7 @@ mod tests {
     use rand::SeedableRng;
 
     fn temp_path(tag: &str) -> PathBuf {
-        std::env::temp_dir().join(format!("ivmf_stream_{}_{tag}.txt", std::process::id()))
+        std::env::temp_dir().join(format!("ivmf_stream_{}_{tag}.ivs", std::process::id()))
     }
 
     fn sample_matrix(seed: u64, rows: usize, cols: usize) -> IntervalMatrix {
@@ -1398,7 +1003,7 @@ mod tests {
         write_interval_matrix(&path, &m).unwrap();
         let loaded = load_sharded(&path, 5).unwrap();
         assert_eq!(loaded.num_shards(), 4);
-        assert_eq!(loaded.to_dense(), m, "text round-trip must be bit-exact");
+        assert_eq!(loaded.to_dense(), m, "round-trip must be bit-exact");
         std::fs::remove_file(&path).ok();
     }
 
@@ -1461,7 +1066,7 @@ mod tests {
         assert_eq!(
             loaded.to_dense(),
             m.to_dense(),
-            "CSR text round-trip must be bit-exact"
+            "CSR round-trip must be bit-exact"
         );
         std::fs::remove_file(&path).ok();
     }
@@ -1521,24 +1126,61 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// A hand-assembled container: magic, a header record, the given
+    /// records and, if `end`, the end record.
+    fn container(header_kind: u8, header: &str, records: &[(u8, Vec<u8>)], end: bool) -> Vec<u8> {
+        let mut buf = binfmt::MAGIC.to_vec();
+        binfmt::write_record(&mut buf, header_kind, header.as_bytes()).unwrap();
+        for (kind, payload) in records {
+            binfmt::write_record(&mut buf, *kind, payload).unwrap();
+        }
+        if end {
+            binfmt::write_record(&mut buf, binfmt::REC_END, b"").unwrap();
+        }
+        buf
+    }
+
+    fn dense_block(rows: usize, cols: usize) -> (u8, Vec<u8>) {
+        let lo: Vec<f64> = (0..rows * cols).map(|i| i as f64).collect();
+        let hi: Vec<f64> = lo.iter().map(|v| v + 0.5).collect();
+        let payload = binfmt::encode_dense_rows(rows, &lo, &hi).unwrap();
+        (binfmt::REC_DENSE_BLOCK, payload)
+    }
+
+    fn csr_block(seed: u64, rows: usize, cols: usize) -> (u8, Vec<u8>) {
+        let payload = binfmt::encode_csr_block(&sample_csr(seed, rows, cols, 2)).unwrap();
+        (binfmt::REC_CSR_BLOCK, payload)
+    }
+
     #[test]
     fn csr_formats_are_mutually_exclusive_and_validated() {
         let path = temp_path("csr_malformed");
         // A dense file is rejected by the CSR reader and vice versa.
         let dense = sample_matrix(15, 3, 3);
         write_interval_matrix(&path, &dense).unwrap();
-        assert!(CsrShardReader::open(&path, 4).is_err());
+        assert!(matches!(
+            typed(&CsrShardReader::open(&path, 4).unwrap_err()),
+            StreamError::MalformedHeader { .. }
+        ));
         let m = sample_csr(15, 3, 3, 2);
         write_csr_matrix(&path, &m).unwrap();
-        assert!(ShardReader::open(&path, 4).is_err());
-        // Truncated CSR payload fails loudly.
-        std::fs::write(&path, "csr 2 3\n1 0 1.0 2.0\n").unwrap();
+        assert!(matches!(
+            typed(&ShardReader::open(&path, 4).unwrap_err()),
+            StreamError::MalformedHeader { .. }
+        ));
+        // A block record of the other kind fails loudly mid-read.
+        let foreign = container(
+            binfmt::REC_CSR_HEADER,
+            "csr 2 3\n",
+            &[dense_block(2, 3)],
+            true,
+        );
+        std::fs::write(&path, foreign).unwrap();
         let mut reader = CsrShardReader::open(&path, 4).unwrap();
-        assert!(reader.read_shard().is_err());
-        // Declared entry count beyond the line's tokens fails loudly.
-        std::fs::write(&path, "csr 1 3\n2 0 1.0 2.0\n").unwrap();
-        let mut reader = CsrShardReader::open(&path, 4).unwrap();
-        assert!(reader.read_shard().is_err());
+        assert_eq!(
+            reader.read_shard().unwrap_err().kind(),
+            io::ErrorKind::InvalidData
+        );
         // Writer validates shape and row accounting.
         let w = CsrShardWriter::create(&path, 5, 3).unwrap();
         assert!(w.finish().is_err());
@@ -1556,118 +1198,212 @@ mod tests {
         StreamError::from_io(err).expect("reader errors must carry a typed StreamError")
     }
 
-    #[test]
-    fn dense_reader_errors_are_typed_and_named() {
-        let path = temp_path("typed_dense");
-        // Malformed header: unparseable row count.
-        std::fs::write(&path, "banana 2\n").unwrap();
+    /// The first error a full shard pass over `path` (shards of 2 rows)
+    /// raises, open included.
+    fn dense_error(path: &Path) -> io::Error {
+        load_sharded(path, 2).expect_err("expected a dense read error")
+    }
+
+    fn csr_error(path: &Path) -> io::Error {
+        load_csr_sharded(path, 2).expect_err("expected a CSR read error")
+    }
+
+    /// The container errors both readers share, driven through either.
+    fn assert_container_errors_are_typed(
+        path: &Path,
+        header_kind: u8,
+        tag: &str,
+        block: impl Fn(usize) -> (u8, Vec<u8>),
+        error: fn(&Path) -> io::Error,
+    ) {
+        let write = |bytes: Vec<u8>| std::fs::write(path, bytes).unwrap();
+        let header = |rows: usize| format!("{tag} {rows} 3\n");
+        // A legacy text shard file: not a container, and the error names
+        // the file.
+        let legacy = match tag {
+            "dense" => "1 3\n0.0 1.0 0.0 1.0 0.0 1.0\n",
+            _ => "csr 1 3\n1 0 0.0 1.0\n",
+        };
+        write(legacy.as_bytes().to_vec());
+        let err = error(path);
+        match typed(&err) {
+            StreamError::MalformedHeader { path: p, detail } => {
+                assert_eq!(p, &path.display().to_string());
+                assert!(detail.contains("ivmf shards v1"), "{detail}");
+            }
+            other => panic!("expected MalformedHeader, got {other:?}"),
+        }
+        // An empty file is not a container either.
+        write(Vec::new());
         assert!(matches!(
-            typed(&ShardReader::open(&path, 4).unwrap_err()),
+            typed(&error(path)),
             StreamError::MalformedHeader { .. }
         ));
-        // Trailing tokens after the header.
-        std::fs::write(&path, "2 2 surprise\n").unwrap();
+        // A header record of the wrong kind.
+        write(container(binfmt::REC_END, &header(2), &[], true));
         assert!(matches!(
-            typed(&ShardReader::open(&path, 4).unwrap_err()),
+            typed(&error(path)),
+            StreamError::MalformedHeader { .. }
+        ));
+        // A header record with an unparseable row count.
+        write(container(
+            header_kind,
+            &format!("{tag} banana 3\n"),
+            &[],
+            true,
+        ));
+        assert!(matches!(
+            typed(&error(path)),
+            StreamError::MalformedHeader { .. }
+        ));
+        // Trailing tokens inside the header record.
+        write(container(
+            header_kind,
+            &format!("{tag} 2 3 surprise\n"),
+            &[],
+            true,
+        ));
+        assert!(matches!(
+            typed(&error(path)),
             StreamError::TrailingData {
                 row: usize::MAX,
                 ..
             }
         ));
         // Element count overflowing usize is rejected before any read.
-        std::fs::write(&path, format!("{} 3\n", usize::MAX / 2)).unwrap();
+        write(container(header_kind, &header(usize::MAX / 2), &[], true));
         assert!(matches!(
-            typed(&ShardReader::open(&path, 4).unwrap_err()),
+            typed(&error(path)),
             StreamError::DimensionOverflow { cols: 3, .. }
         ));
-        // Unexpected EOF carries the failing row and the EOF io kind.
-        std::fs::write(&path, "2 2\n1.0 2.0 3.0 4.0\n").unwrap();
-        let err = ShardReader::open(&path, 4)
-            .unwrap()
-            .read_shard()
-            .unwrap_err();
+        // End of file right after the magic: no header record.
+        write(binfmt::MAGIC.to_vec());
+        assert!(matches!(
+            typed(&error(path)),
+            StreamError::UnexpectedEof { row: 0, .. }
+        ));
+        // End of file inside a block record: the io kind says EOF.
+        let mut torn = container(header_kind, &header(2), &[block(2)], true);
+        let cut = torn.len() - binfmt::record_len(0) - 12;
+        torn.truncate(cut);
+        write(torn);
+        assert_eq!(error(path).kind(), io::ErrorKind::UnexpectedEof);
+        // The end record before the declared rows: EOF at the first
+        // missing row.
+        write(container(header_kind, &header(5), &[block(3)], true));
+        let err = error(path);
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
         assert!(matches!(
             typed(&err),
-            StreamError::UnexpectedEof { row: 1, .. }
+            StreamError::UnexpectedEof { row: 3, .. }
         ));
-        // Unparseable value.
-        std::fs::write(&path, "1 2\n1.0 oops 3.0 4.0\n").unwrap();
-        let err = ShardReader::open(&path, 4)
-            .unwrap()
-            .read_shard()
-            .unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(matches!(
-            typed(&err),
-            StreamError::MalformedEntry { row: 0, .. }
-        ));
-        // Trailing tokens after the declared bounds.
-        std::fs::write(&path, "1 1\n1.0 2.0 3.0\n").unwrap();
-        let err = ShardReader::open(&path, 4)
-            .unwrap()
-            .read_shard()
-            .unwrap_err();
-        assert!(matches!(
-            typed(&err),
-            StreamError::TrailingData { row: 0, .. }
-        ));
+        // shard_rows == 0 is refused on open.
+        write(container(header_kind, &header(0), &[], true));
+        assert!(match tag {
+            "dense" => ShardReader::open(path, 0).is_err(),
+            _ => CsrShardReader::open(path, 0).is_err(),
+        });
+    }
+
+    #[test]
+    fn dense_reader_errors_are_typed_and_named() {
+        let path = temp_path("typed_dense");
+        assert_container_errors_are_typed(
+            &path,
+            binfmt::REC_DENSE_HEADER,
+            "dense",
+            |rows| dense_block(rows, 3),
+            dense_error,
+        );
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn csr_reader_errors_are_typed_and_named() {
         let path = temp_path("typed_csr");
-        // Entry count beyond the declared width.
-        std::fs::write(
+        assert_container_errors_are_typed(
             &path,
-            "csr 1 3\n4 0 1.0 2.0 1 1.0 2.0 2 1.0 2.0 2 1.0 2.0\n",
-        )
-        .unwrap();
-        let err = CsrShardReader::open(&path, 4)
-            .unwrap()
-            .read_shard()
-            .unwrap_err();
+            binfmt::REC_CSR_HEADER,
+            "csr",
+            |rows| csr_block(rows as u64, rows, 3),
+            csr_error,
+        );
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// The end-of-pass check both readers share: a container must hold
+    /// exactly its declared rows, followed by the end record.
+    fn assert_end_of_pass_is_checked(
+        path: &Path,
+        header_kind: u8,
+        tag: &str,
+        block: impl Fn(usize) -> (u8, Vec<u8>),
+        error: fn(&Path) -> io::Error,
+    ) {
+        let write = |bytes: Vec<u8>| std::fs::write(path, bytes).unwrap();
+        let header = |rows: usize| format!("{tag} {rows} 2\n");
+        // The end record is missing.
+        write(container(header_kind, &header(3), &[block(3)], false));
+        let err = error(path);
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
         assert!(matches!(
             typed(&err),
-            StreamError::EntryCountOutOfRange {
-                row: 0,
-                count: 4,
-                cols: 3,
-                ..
-            }
+            StreamError::UnexpectedEof { row: 3, .. }
         ));
-        // Column index beyond the declared width.
-        std::fs::write(&path, "csr 1 3\n1 7 1.0 2.0\n").unwrap();
-        let err = CsrShardReader::open(&path, 4)
-            .unwrap()
-            .read_shard()
-            .unwrap_err();
+        // A 0-row container without its end record.
+        write(container(header_kind, &header(0), &[], false));
         assert!(matches!(
-            typed(&err),
-            StreamError::ColumnOutOfRange {
-                row: 0,
-                column: 7,
-                cols: 3,
-                ..
-            }
+            typed(&error(path)),
+            StreamError::UnexpectedEof { row: 0, .. }
         ));
-        // Trailing tokens after the declared entries.
-        std::fs::write(&path, "csr 1 3\n1 0 1.0 2.0 extra\n").unwrap();
-        let err = CsrShardReader::open(&path, 4)
-            .unwrap()
-            .read_shard()
-            .unwrap_err();
+        // Blocks holding 9 rows under a 3-row header: staged residue.
+        write(container(header_kind, &header(3), &[block(9)], true));
         assert!(matches!(
-            typed(&err),
+            typed(&error(path)),
+            StreamError::TrailingData { row: 3, .. }
+        ));
+        // A further block record after the declared rows.
+        write(container(
+            header_kind,
+            &header(3),
+            &[block(3), block(3)],
+            true,
+        ));
+        assert!(matches!(
+            typed(&error(path)),
+            StreamError::TrailingData { row: 3, .. }
+        ));
+        // A 0-row container holding a block.
+        write(container(header_kind, &header(0), &[block(1)], true));
+        assert!(matches!(
+            typed(&error(path)),
             StreamError::TrailingData { row: 0, .. }
         ));
-        // Dimension overflow applies to the CSR header too.
-        std::fs::write(&path, format!("csr {} {}\n", usize::MAX / 2, 4)).unwrap();
-        assert!(matches!(
-            typed(&CsrShardReader::open(&path, 4).unwrap_err()),
-            StreamError::DimensionOverflow { .. }
-        ));
+    }
+
+    #[test]
+    fn dense_reader_rejects_missing_end_and_surplus_rows() {
+        let path = temp_path("end_dense");
+        assert_end_of_pass_is_checked(
+            &path,
+            binfmt::REC_DENSE_HEADER,
+            "dense",
+            |rows| dense_block(rows, 2),
+            dense_error,
+        );
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn csr_reader_rejects_missing_end_and_surplus_rows() {
+        let path = temp_path("end_csr");
+        assert_end_of_pass_is_checked(
+            &path,
+            binfmt::REC_CSR_HEADER,
+            "csr",
+            |rows| csr_block(rows as u64, rows, 2),
+            csr_error,
+        );
         std::fs::remove_file(&path).ok();
     }
 
@@ -1714,33 +1450,15 @@ mod tests {
     #[test]
     fn binary_dense_containers_round_trip_bitwise_across_shard_layouts() {
         let m = sample_matrix(31, 29, 6);
-        let text = temp_path("bin_dense_text");
         let bin = temp_path("bin_dense");
-        write_interval_matrix(&text, &m).unwrap();
-        let mut w = ShardWriter::create_with_format(&bin, 29, 6, ShardFormat::Binary).unwrap();
-        assert_eq!(w.format(), ShardFormat::Binary);
+        let mut w = ShardWriter::create(&bin, 29, 6).unwrap();
         // Push in writer blocks that do NOT divide the reader shards.
-        for start in (0..29).step_by(7) {
-            let end = (start + 7).min(29);
-            let block = IntervalMatrix::from_bounds(
-                Matrix::from_vec(
-                    end - start,
-                    6,
-                    m.lo().as_slice()[start * 6..end * 6].to_vec(),
-                )
-                .unwrap(),
-                Matrix::from_vec(
-                    end - start,
-                    6,
-                    m.hi().as_slice()[start * 6..end * 6].to_vec(),
-                )
-                .unwrap(),
-            )
-            .unwrap();
-            w.push_shard(&block).unwrap();
+        let blocks = RowShardedIntervalMatrix::from_dense(&m, 7).unwrap();
+        for block in blocks.shards() {
+            w.push_shard(block).unwrap();
         }
         w.finish().unwrap();
-        // The reader sniffs the format; shard layout is invisible.
+        // Writer block boundaries are invisible to the reader.
         for shard_rows in [1usize, 4, 29, 100] {
             assert_eq!(
                 load_sharded(&bin, shard_rows).unwrap().to_dense(),
@@ -1750,21 +1468,18 @@ mod tests {
         }
         assert_eq!(
             stream_interval_gram(&bin, 5).unwrap(),
-            stream_interval_gram(&text, 5).unwrap(),
-            "binary and text ingest must produce bitwise-identical Grams"
+            m.interval_gram_streamed().unwrap(),
+            "out-of-core and in-memory Grams must be bitwise identical"
         );
-        std::fs::remove_file(&text).ok();
         std::fs::remove_file(&bin).ok();
     }
 
     #[test]
     fn binary_csr_containers_round_trip_bitwise_across_shard_layouts() {
         let m = sample_csr(32, 41, 30, 5);
-        let text = temp_path("bin_csr_text");
         let bin = temp_path("bin_csr");
-        write_csr_matrix(&text, &m).unwrap();
         let blocks = ivmf_interval::CsrShardedIntervalMatrix::from_csr(&m, 9).unwrap();
-        let mut w = CsrShardWriter::create_with_format(&bin, 41, 30, ShardFormat::Binary).unwrap();
+        let mut w = CsrShardWriter::create(&bin, 41, 30).unwrap();
         for shard in blocks.shards() {
             w.push_shard(shard).unwrap();
         }
@@ -1778,10 +1493,9 @@ mod tests {
         }
         assert_eq!(
             stream_csr_interval_gram(&bin, 6).unwrap(),
-            stream_csr_interval_gram(&text, 6).unwrap(),
-            "binary and text CSR ingest must produce bitwise-identical Grams"
+            m.to_dense().interval_gram_streamed().unwrap(),
+            "out-of-core sparse and in-memory dense Grams must be bitwise identical"
         );
-        std::fs::remove_file(&text).ok();
         std::fs::remove_file(&bin).ok();
     }
 
@@ -1789,9 +1503,7 @@ mod tests {
     fn binary_containers_report_typed_errors_never_panic() {
         let m = sample_csr(33, 13, 10, 3);
         let path = temp_path("bin_corrupt");
-        let mut w = CsrShardWriter::create_with_format(&path, 13, 10, ShardFormat::Binary).unwrap();
-        w.push_shard(&m).unwrap();
-        w.finish().unwrap();
+        write_csr_matrix(&path, &m).unwrap();
         let committed = std::fs::read(&path).unwrap();
 
         // Truncation inside the block record: UnexpectedEof.
@@ -1838,9 +1550,7 @@ mod tests {
     fn binary_readers_rewind_and_prefetch_depths_agree_bitwise() {
         let m = sample_csr(34, 27, 18, 4);
         let path = temp_path("bin_rewind");
-        let mut w = CsrShardWriter::create_with_format(&path, 27, 18, ShardFormat::Binary).unwrap();
-        w.push_shard(&m).unwrap();
-        w.finish().unwrap();
+        write_csr_matrix(&path, &m).unwrap();
         let mut reader = CsrShardReader::open(&path, 5).unwrap();
         let first = reader.read_shard().unwrap().unwrap();
         while reader.read_shard().unwrap().is_some() {}
@@ -1863,9 +1573,17 @@ mod tests {
         let path = temp_path("malformed");
         std::fs::write(&path, "not a header\n").unwrap();
         assert!(ShardReader::open(&path, 4).is_err());
-        std::fs::write(&path, "2 2\n1.0 2.0 3.0 4.0\n").unwrap();
+        assert!(CsrShardReader::open(&path, 4).is_err());
+        // A dense container declaring two rows but holding one: the
+        // shard read must fail loudly.
+        let one_row = container(
+            binfmt::REC_DENSE_HEADER,
+            "dense 2 2\n",
+            &[dense_block(1, 2)],
+            true,
+        );
+        std::fs::write(&path, one_row).unwrap();
         let mut reader = ShardReader::open(&path, 4).unwrap();
-        // Second row is missing: the shard read must fail loudly.
         assert!(reader.read_shard().is_err());
         let m = sample_matrix(4, 2, 2);
         write_interval_matrix(&path, &m).unwrap();

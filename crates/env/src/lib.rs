@@ -13,11 +13,10 @@
 //! |---|---|---|
 //! | [`THREADS`] | `ivmf-par`, `ivmf-core` | worker count for parallel kernels, and how many merge-group units of the interval-Gram fold run concurrently (default: available parallelism) |
 //! | [`EXACT_INTERVAL`] | `ivmf-interval` | `1`/`true` pins the exact four-product interval operator at every size |
-//! | [`SHARD_ROWS`] | `ivmf-interval`, `ivmf-data` | default rows per shard for row-sharded matrices and chunked loaders |
+//! | [`SHARD_ROWS`] | `ivmf-interval` | default rows per shard for row-sharded matrices |
 //! | [`SPARSE_THRESHOLD`] | `ivmf-core` | density cutoff in `(0, 1]` at or below which dense in-memory pipeline inputs take the sparse CSR Gram path (bitwise-identical results either way) |
 //! | [`TOPK_EIGEN`] | `ivmf-linalg` | `auto` (default) / `full` / `forced` — whether truncating eigendecompositions use the certified top-k Lanczos solver, the full `tred2`/`tql2` oracle, or the Lanczos path regardless of the profitability heuristic |
 //! | [`SNAPSHOT_DIR`] | `ivmf-core` | directory for automatic crash-safe pipeline snapshots: load-on-construct, save-on-drop (unset: snapshots only on explicit `snapshot_to`/`restore_from`) |
-//! | [`SHARD_FORMAT`] | `ivmf-data` | `text` (default) / `binary` — on-disk container the shard writers produce; readers auto-detect from magic bytes, payloads are bitwise identical |
 //! | [`PREFETCH`] | `ivmf-data`, `ivmf-core` | shard prefetch depth `0`/`1`/`2` (default 1): background-thread decode of the next shard(s) while the current one folds; `0` disables the thread |
 //! | [`REPLICATES`] | `ivmf-bench` | seeded replicates the `exp_*` binaries average over (default 5) |
 //! | [`SCALE`] | `ivmf-bench` | size multiplier in `(0, 1]` for the larger data sets |
@@ -25,7 +24,8 @@
 //! | [`BENCH_OUT`] | `linalg_kernels` bench | output path override for `BENCH_linalg.json` |
 //! | [`BENCH_ISVD_OUT`] | `isvd_pipeline` bench | output path override for `BENCH_isvd.json` |
 //!
-//! [`WORKERS`] and [`WORKER_SPAWN`] are retired names that no crate reads.
+//! [`WORKERS`], [`WORKER_SPAWN`] and [`SHARD_FORMAT`] are retired names
+//! that no crate reads.
 //!
 //! **Unset** variables always fall back to the documented default. A
 //! variable that is **set but malformed** (`IVMF_THREADS=abc`,
@@ -64,11 +64,10 @@ pub const THREADS: &str = "IVMF_THREADS";
 pub const EXACT_INTERVAL: &str = "IVMF_EXACT_INTERVAL";
 
 /// Default number of rows per shard used when splitting a dense matrix
-/// into a [`row-sharded`](https://docs.rs) representation and by the
-/// chunked disk loaders in `ivmf-data`; positive integer. Shard size never
-/// changes results (the streaming accumulators re-align their arithmetic
-/// to fixed global chunk boundaries) — it only trades peak memory against
-/// per-shard overhead.
+/// into a [`row-sharded`](https://docs.rs) representation; positive
+/// integer. Shard size never changes results (the streaming accumulators
+/// re-align their arithmetic to fixed global chunk boundaries) — it only
+/// trades peak memory against per-shard overhead.
 pub const SHARD_ROWS: &str = "IVMF_SHARD_ROWS";
 
 /// Density cutoff in `(0, 1]` for auto-selecting the sparse CSR Gram path
@@ -105,12 +104,10 @@ pub const WORKERS: &str = "IVMF_WORKERS";
 /// No crate reads it.
 pub const WORKER_SPAWN: &str = "IVMF_WORKER_SPAWN";
 
-/// On-disk container format the shard writers in `ivmf-data` produce:
-/// `text` (the default, greppable line-per-row format) or `binary` (the
-/// "ivmf shards v1" checksummed record container). Readers always
-/// auto-detect the format from the file's magic bytes, and the decoded
-/// payloads are bitwise identical either way, so — like [`THREADS`] —
-/// this knob never enters a stage-cache fingerprint.
+/// Retired: chose between a decimal text shard container and the binary
+/// "ivmf shards v1" container. The binary container is now the only
+/// shard format, and no crate reads this variable; the name stays for the
+/// workload benchmark's source, which lists (and clears) it.
 pub const SHARD_FORMAT: &str = "IVMF_SHARD_FORMAT";
 
 /// Shard prefetch depth for the out-of-core ingest readers in
@@ -352,53 +349,15 @@ pub fn try_topk_eigen_mode() -> Result<Option<TopkEigenMode>, EnvVarError> {
     }
 }
 
-/// On-disk shard container format; parsed from [`SHARD_FORMAT`] by
-/// [`shard_format`]. The format is a pure storage concern: readers
-/// auto-detect it from magic bytes and the decoded payloads are bitwise
-/// identical, so it never changes results.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// The shard container format. Retained only for the workload
+/// benchmark's source, which names it when it creates its container; the
+/// "ivmf shards v1" binary container is the only format and no crate
+/// reads [`SHARD_FORMAT`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardFormat {
-    /// Line-per-row decimal text (the default): greppable, diffable,
-    /// shortest round-trip `f64` formatting.
-    #[default]
-    Text,
     /// The "ivmf shards v1" binary container: length-prefixed checksummed
     /// records with raw little-endian `f64`/`usize` runs.
     Binary,
-}
-
-/// The configured shard container format: `IVMF_SHARD_FORMAT` parsed
-/// case-insensitively as `text`/`binary`, defaulting to
-/// [`ShardFormat::Text`] when unset and panicking on any other value like
-/// every other `IVMF_*` knob. See [`try_shard_format`] for the
-/// non-panicking form.
-pub fn shard_format() -> ShardFormat {
-    match try_shard_format() {
-        Ok(v) => v.unwrap_or_default(),
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// [`shard_format`] returning the validation error as a value instead of
-/// panicking: `Ok(None)` when unset, the parsed format when well-formed,
-/// and [`EnvVarError`] for anything other than `text`/`binary`
-/// (case-insensitive, surrounding whitespace ignored).
-pub fn try_shard_format() -> Result<Option<ShardFormat>, EnvVarError> {
-    let Ok(raw) = std::env::var(SHARD_FORMAT) else {
-        return Ok(None);
-    };
-    let v = raw.trim();
-    if v.eq_ignore_ascii_case("text") {
-        Ok(Some(ShardFormat::Text))
-    } else if v.eq_ignore_ascii_case("binary") {
-        Ok(Some(ShardFormat::Binary))
-    } else {
-        Err(EnvVarError {
-            name: SHARD_FORMAT.to_string(),
-            value: raw,
-            expected: "text or binary".to_string(),
-        })
-    }
 }
 
 /// The configured shard prefetch depth: `IVMF_PREFETCH` as an integer in
@@ -596,38 +555,6 @@ mod tests {
             assert_eq!(snapshot_dir(), None, "{blank:?} should read as unset");
         }
         std::env::remove_var(SNAPSHOT_DIR);
-    }
-
-    #[test]
-    fn shard_format_parses_and_defaults_when_unset() {
-        // This test owns IVMF_SHARD_FORMAT within this binary.
-        std::env::remove_var(SHARD_FORMAT);
-        assert_eq!(shard_format(), ShardFormat::Text);
-        assert_eq!(try_shard_format(), Ok(None));
-        for (raw, format) in [
-            ("text", ShardFormat::Text),
-            ("binary", ShardFormat::Binary),
-            ("TEXT", ShardFormat::Text),
-            (" Binary ", ShardFormat::Binary),
-        ] {
-            std::env::set_var(SHARD_FORMAT, raw);
-            assert_eq!(shard_format(), format, "{raw:?}");
-        }
-        for bad in ["", "bin", "1", "json"] {
-            std::env::set_var(SHARD_FORMAT, bad);
-            let err = try_shard_format().unwrap_err();
-            assert_eq!(err.value, bad);
-            let msg = err.to_string();
-            assert!(
-                msg.contains(SHARD_FORMAT),
-                "error must name the variable: {msg}"
-            );
-            assert!(
-                msg.contains("text or binary"),
-                "error must state the expected format: {msg}"
-            );
-        }
-        std::env::remove_var(SHARD_FORMAT);
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Out-of-core sparse decomposition: a rating-matrix-shaped power-law
 //! interval matrix is generated block by block, written to disk in the
 //! sparse CSR **binary container** (`ivmf shards v1`: checksummed
-//! length-prefixed records, bit-exact and a fraction of the text
-//! format's parse cost), and decomposed with the Gram-route algorithms
+//! length-prefixed records holding bit-exact raw runs), and decomposed with the Gram-route algorithms
 //! (ISVD2–4) **without ever holding the matrix in memory** — at no point
 //! does anything larger than one row block plus the `m × m` Gram
 //! accumulators exist. The session wraps the reader in the env-driven
@@ -25,7 +24,6 @@ use std::time::Instant;
 use ivmf_core::{IsvdAlgorithm, IsvdConfig, Pipeline};
 use ivmf_data::stream::{CsrShardReader, CsrShardWriter};
 use ivmf_data::synthetic::{generate_power_law, PowerLawConfig};
-use ivmf_env::ShardFormat;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -46,8 +44,7 @@ fn main() {
     let block_config = PowerLawConfig::ratings_like(block_rows, cols).with_nnz_per_row(nnz_per_row);
     let mut rng = SmallRng::seed_from_u64(7);
     let start = Instant::now();
-    let mut writer = CsrShardWriter::create_with_format(&path, rows, cols, ShardFormat::Binary)
-        .expect("create CSR file");
+    let mut writer = CsrShardWriter::create(&path, rows, cols).expect("create CSR file");
     let mut written = 0usize;
     let mut nnz = 0usize;
     while written < rows {

@@ -1,10 +1,11 @@
 //! Acceptance suite for the binary shard containers and the pooled /
 //! prefetched ingest pipeline:
 //!
-//! * **text ↔ binary equivalence** (property-tested): any interval
-//!   matrix / CSR interval shard — including empty and degenerate shapes
-//!   — written as a text container and as a binary container reads back
-//!   bit-for-bit identically from both, at every shard granularity;
+//! * **container ↔ in-memory equivalence** (property-tested): any
+//!   interval matrix / CSR interval shard — including empty and
+//!   degenerate shapes — written as a container reads back bit-for-bit
+//!   identical to the in-memory original, at every write split and shard
+//!   granularity;
 //! * **fault injection**: a binary record stream corrupted at an
 //!   arbitrary byte (truncation, bit flip, hard I/O error via
 //!   `ivmf_data::fault`) always surfaces a typed `io::Error` or a clean
@@ -12,8 +13,8 @@
 //! * **prefetch / pool bitwise identity**: all five ISVD algorithms over
 //!   a disk-streamed session (`Pipeline::new_streaming_send` /
 //!   `new_streaming_csr_send`) produce bitwise-identical factors at
-//!   every `IVMF_PREFETCH` depth (0, 1, 2), in both container formats,
-//!   and on a re-run that reuses the dirty buffer pool.
+//!   every `IVMF_PREFETCH` depth (0, 1, 2), from containers blocked two
+//!   different ways, and on a re-run that reuses the dirty buffer pool.
 
 use std::io::Read;
 use std::path::PathBuf;
@@ -24,8 +25,7 @@ use ivmf_core::{IsvdAlgorithm, IsvdConfig, IsvdResult};
 use ivmf_data::fault::{FaultSchedule, FaultyReader};
 use ivmf_data::stream::{CsrShardReader, CsrShardWriter, ShardReader, ShardWriter};
 use ivmf_data::{binfmt, synthetic};
-use ivmf_env::ShardFormat;
-use ivmf_interval::{CsrIntervalShard, IntervalMatrix};
+use ivmf_interval::{CsrIntervalShard, IntervalMatrix, RowShardedIntervalMatrix};
 use ivmf_linalg::Matrix;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -45,27 +45,13 @@ fn tmp_path(tag: &str) -> PathBuf {
     ))
 }
 
-fn write_dense(path: &PathBuf, m: &IntervalMatrix, format: ShardFormat, split: usize) {
-    let mut w = ShardWriter::create_with_format(path, m.rows(), m.cols(), format).unwrap();
-    let mut start = 0;
-    while start < m.rows() {
-        let end = (start + split.max(1)).min(m.rows());
-        let cols = m.cols();
-        let lo = Matrix::from_vec(
-            end - start,
-            cols,
-            m.lo().as_slice()[start * cols..end * cols].to_vec(),
-        )
-        .unwrap();
-        let hi = Matrix::from_vec(
-            end - start,
-            cols,
-            m.hi().as_slice()[start * cols..end * cols].to_vec(),
-        )
-        .unwrap();
-        w.push_shard(&IntervalMatrix::from_bounds(lo, hi).unwrap())
-            .unwrap();
-        start = end;
+fn write_dense(path: &PathBuf, m: &IntervalMatrix, split: usize) {
+    let mut w = ShardWriter::create(path, m.rows(), m.cols()).unwrap();
+    if m.rows() > 0 {
+        let blocks = RowShardedIntervalMatrix::from_dense(m, split.max(1)).unwrap();
+        for shard in blocks.shards() {
+            w.push_shard(shard).unwrap();
+        }
     }
     w.finish().unwrap();
 }
@@ -80,8 +66,8 @@ fn read_dense(path: &PathBuf, shard_rows: usize) -> (Vec<f64>, Vec<f64>) {
     (lo, hi)
 }
 
-fn write_csr(path: &PathBuf, s: &CsrIntervalShard, format: ShardFormat, split: usize) {
-    let mut w = CsrShardWriter::create_with_format(path, s.rows(), s.cols(), format).unwrap();
+fn write_csr(path: &PathBuf, s: &CsrIntervalShard, split: usize) {
+    let mut w = CsrShardWriter::create(path, s.rows(), s.cols()).unwrap();
     let mut start = 0;
     while start < s.rows() {
         let end = (start + split.max(1)).min(s.rows());
@@ -151,43 +137,38 @@ fn csr_shard(rows: usize, cols: usize, seed: u64) -> CsrIntervalShard {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Text and binary dense containers round-trip the same matrix
-    /// bit-for-bit at every write split and read granularity.
+    /// Dense containers round-trip the in-memory matrix bit-for-bit at
+    /// every write split and read granularity.
     #[test]
-    fn dense_text_and_binary_containers_agree_bitwise(
+    fn dense_containers_round_trip_bitwise(
         (rows, cols, seed, split, shard_rows) in arb_dense()
     ) {
         let m = dense_matrix(rows, cols, seed);
-        let (pt, pb) = (tmp_path("pd_text"), tmp_path("pd_bin"));
-        write_dense(&pt, &m, ShardFormat::Text, split);
-        write_dense(&pb, &m, ShardFormat::Binary, split);
-        let text = read_dense(&pt, shard_rows);
-        let binary = read_dense(&pb, shard_rows);
-        prop_assert_eq!(&text.0, &binary.0);
-        prop_assert_eq!(&text.1, &binary.1);
-        prop_assert_eq!(text.0, m.lo().as_slice().to_vec());
-        prop_assert_eq!(text.1, m.hi().as_slice().to_vec());
-        std::fs::remove_file(&pt).ok();
-        std::fs::remove_file(&pb).ok();
+        let path = tmp_path("pd");
+        write_dense(&path, &m, split);
+        let (lo, hi) = read_dense(&path, shard_rows);
+        prop_assert_eq!(lo, m.lo().as_slice().to_vec());
+        prop_assert_eq!(hi, m.hi().as_slice().to_vec());
+        std::fs::remove_file(&path).ok();
     }
 
-    /// The CSR twin: identical structure and values from both container
-    /// formats, including empty matrices and all-empty rows.
+    /// The CSR twin: the in-memory shard's structure and values read
+    /// back identically, including empty matrices and all-empty rows.
     #[test]
-    fn csr_text_and_binary_containers_agree_bitwise(
+    fn csr_containers_round_trip_bitwise(
         (rows, cols, seed, split, shard_rows) in arb_dense()
     ) {
         let s = csr_shard(rows, cols, seed);
-        let (pt, pb) = (tmp_path("pc_text"), tmp_path("pc_bin"));
-        write_csr(&pt, &s, ShardFormat::Text, split);
-        write_csr(&pb, &s, ShardFormat::Binary, split);
-        let text = read_csr(&pt, shard_rows);
-        let binary = read_csr(&pb, shard_rows);
-        prop_assert_eq!(&text, &binary);
-        prop_assert_eq!(text.0.len(), s.rows());
-        prop_assert_eq!(text.2.len(), s.nnz());
-        std::fs::remove_file(&pt).ok();
-        std::fs::remove_file(&pb).ok();
+        let path = tmp_path("pc");
+        write_csr(&path, &s, split);
+        let read = read_csr(&path, shard_rows);
+        let pat = s.lo_shard();
+        let lens: Vec<usize> = pat.row_ptr().windows(2).map(|w| w[1] - w[0]).collect();
+        prop_assert_eq!(&read.0, &lens);
+        prop_assert_eq!(&read.1, &pat.col_idx().to_vec());
+        prop_assert_eq!(&read.2, &pat.values().to_vec());
+        prop_assert_eq!(&read.3, &s.hi_values().to_vec());
+        std::fs::remove_file(&path).ok();
     }
 
     /// A binary record stream corrupted at any byte — truncated, a bit
@@ -270,8 +251,9 @@ fn assert_results_bitwise(a: &[IsvdResult; 5], b: &[IsvdResult; 5], context: &st
 }
 
 /// All five algorithms, streamed from disk with prefetch depths 0 / 1 / 2
-/// and from both container formats, match the in-memory dense session
-/// bitwise; a second pass over dirty pooled buffers matches too.
+/// and from containers blocked two ways (37-row blocks, one block), match
+/// the in-memory dense session bitwise; a second pass over dirty pooled
+/// buffers matches too.
 #[test]
 fn streamed_sessions_are_prefetch_pool_and_format_invariant() {
     let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
@@ -283,9 +265,9 @@ fn streamed_sessions_are_prefetch_pool_and_format_invariant() {
     let config = IsvdConfig::new(4);
     let reference = run_all(&m, &config).unwrap();
 
-    let (pt, pb) = (tmp_path("sess_text"), tmp_path("sess_bin"));
-    write_dense(&pt, &m, ShardFormat::Text, 37);
-    write_dense(&pb, &m, ShardFormat::Binary, 37);
+    let (pt, pb) = (tmp_path("sess_split"), tmp_path("sess_whole"));
+    write_dense(&pt, &m, 37);
+    write_dense(&pb, &m, m.rows());
     for path in [&pt, &pb] {
         for depth in ["0", "1", "2"] {
             std::env::set_var(ivmf_env::PREFETCH, depth);
@@ -309,7 +291,7 @@ fn streamed_sessions_are_prefetch_pool_and_format_invariant() {
 }
 
 /// The sparse twin of the invariance test: CSR containers through
-/// `new_streaming_csr_send` at every depth and format, against the dense
+/// `new_streaming_csr_send` at every depth and blocking, against the dense
 /// in-memory reference over the same logical matrix.
 #[test]
 fn streamed_csr_sessions_are_prefetch_pool_and_format_invariant() {
@@ -319,9 +301,9 @@ fn streamed_csr_sessions_are_prefetch_pool_and_format_invariant() {
     let config = IsvdConfig::new(4);
     let reference = run_all(&dense, &config).unwrap();
 
-    let (pt, pb) = (tmp_path("csess_text"), tmp_path("csess_bin"));
-    write_csr(&pt, &s, ShardFormat::Text, 31);
-    write_csr(&pb, &s, ShardFormat::Binary, 31);
+    let (pt, pb) = (tmp_path("csess_split"), tmp_path("csess_whole"));
+    write_csr(&pt, &s, 31);
+    write_csr(&pb, &s, s.rows());
     for path in [&pt, &pb] {
         for depth in ["0", "1", "2"] {
             std::env::set_var(ivmf_env::PREFETCH, depth);
