@@ -41,9 +41,7 @@ use ivmf_core::isvd::isvd;
 use ivmf_core::pipeline::{run_all, Pipeline};
 use ivmf_core::{IsvdAlgorithm, IsvdConfig};
 use ivmf_data::synthetic::{generate_power_law, generate_uniform, PowerLawConfig, SyntheticConfig};
-use ivmf_interval::{
-    CsrShardedIntervalMatrix, RowShardedIntervalMatrix, SparseStreamingIntervalGram,
-};
+use ivmf_interval::{CsrShardedIntervalMatrix, RowShardedIntervalMatrix, StreamingIntervalGram};
 use ivmf_linalg::eigen_sym::sym_eigen;
 use ivmf_linalg::random::{symmetric_matrix, uniform_matrix};
 use ivmf_linalg::{sym_eigen_topk_with, TopkOptions};
@@ -231,9 +229,9 @@ fn bench_snapshot_restore(c: &mut Criterion) {
 }
 
 fn sparse_interval_gram(m: &CsrShardedIntervalMatrix) {
-    let mut acc = SparseStreamingIntervalGram::new(m.rows(), m.cols());
+    let mut acc = StreamingIntervalGram::new_csr(m.rows(), m.cols());
     for shard in m.shards() {
-        acc.push_shard(shard).unwrap();
+        acc.push_csr_shard(shard).unwrap();
     }
     acc.finish().unwrap();
 }

@@ -112,7 +112,7 @@ use ivmf_data::prefetch::{PrefetchCsrSource, PrefetchSource};
 use ivmf_interval::{
     recycle_csr_interval_shard, recycle_interval_matrix, use_mr_gram, CsrIntervalShard,
     CsrShardSource, CsrShardedIntervalMatrix, IntervalMatrix, RowShardSource,
-    RowShardedIntervalMatrix, SparseStreamingIntervalGram, StreamingIntervalGram,
+    RowShardedIntervalMatrix, StreamingIntervalGram,
 };
 use ivmf_linalg::streaming::GROUP_ROWS;
 use ivmf_linalg::svd::{svd_truncated, Svd};
@@ -1049,91 +1049,18 @@ fn use_sparse_gram(input: &PipelineInput<'_>) -> Result<bool> {
     Ok(input_density_scan(input)? <= threshold)
 }
 
-/// The session's streaming interval-Gram accumulator: the dense
-/// chunk-realigned fold or its sparse CSR counterpart. The two produce
-/// bitwise-identical Grams for the same logical matrix (the sparse kernels
-/// skip only terms the dense fold's zero-operand arithmetic contributes
-/// nothing to), so which one a session holds is pure kernel selection.
-/// Cross-representation pushes convert the incoming shard: a sparse
-/// accumulator CSR-compresses appended dense rows, a dense accumulator
-/// densifies appended CSR rows — both conversions preserve the fold
-/// bit for bit.
-#[derive(Debug, Clone)]
-pub(crate) enum GramAccum {
-    Dense(StreamingIntervalGram),
-    Sparse(SparseStreamingIntervalGram),
-}
-
-impl GramAccum {
-    /// An empty accumulator in the given representation and flavour. The
-    /// session decides the flavour once, from the total shape
-    /// (`use_mr_gram(rows, cols)`); merge-group units replicate it with
-    /// [`GramAccum::empty_like`] instead of re-deriving it from their own
-    /// ≤ one group of rows.
-    fn empty(cols: usize, mid_rad: bool, sparse: bool) -> GramAccum {
-        if sparse {
-            GramAccum::Sparse(SparseStreamingIntervalGram::with_flavour(cols, mid_rad))
-        } else {
-            GramAccum::Dense(StreamingIntervalGram::with_flavour(cols, mid_rad))
-        }
-    }
-
-    /// An empty accumulator in this one's representation and flavour.
-    fn empty_like(&self) -> GramAccum {
-        match self {
-            GramAccum::Dense(acc) => GramAccum::empty(acc.cols(), acc.is_mid_rad(), false),
-            GramAccum::Sparse(acc) => GramAccum::empty(acc.cols(), acc.is_mid_rad(), true),
-        }
-    }
-
-    pub(crate) fn is_mid_rad(&self) -> bool {
-        match self {
-            GramAccum::Dense(acc) => acc.is_mid_rad(),
-            GramAccum::Sparse(acc) => acc.is_mid_rad(),
-        }
-    }
-
-    pub(crate) fn rows_seen(&self) -> usize {
-        match self {
-            GramAccum::Dense(acc) => acc.rows_seen(),
-            GramAccum::Sparse(acc) => acc.rows_seen(),
-        }
-    }
-
-    fn push_dense(&mut self, shard: &IntervalMatrix) -> Result<()> {
-        match self {
-            GramAccum::Dense(acc) => acc.push_shard(shard).map_err(IvmfError::from),
-            GramAccum::Sparse(acc) => acc
-                .push_shard(&CsrIntervalShard::from_dense(shard))
-                .map_err(IvmfError::from),
-        }
-    }
-
-    fn push_csr(&mut self, shard: &CsrIntervalShard) -> Result<()> {
-        match self {
-            GramAccum::Dense(acc) => acc.push_shard(&shard.to_dense()).map_err(IvmfError::from),
-            GramAccum::Sparse(acc) => acc.push_shard(shard).map_err(IvmfError::from),
-        }
-    }
-
-    /// Merges the accumulator of the next merge-group unit (built by
-    /// [`GramAccum::empty_like`]); `absorb_unit` on the inner
-    /// accumulators enforces the alignment that makes the merged state
-    /// bitwise the state of one accumulator folding every row itself.
-    fn absorb(&mut self, unit: GramAccum) -> Result<()> {
-        match (self, unit) {
-            (GramAccum::Dense(a), GramAccum::Dense(b)) => a.absorb_unit(b),
-            (GramAccum::Sparse(a), GramAccum::Sparse(b)) => a.absorb_unit(b),
-            _ => unreachable!("units are built by `empty_like`"),
-        }
-        .map_err(IvmfError::from)
-    }
-
-    fn finish(&self) -> Result<IntervalMatrix> {
-        match self {
-            GramAccum::Dense(acc) => acc.finish().map_err(IvmfError::from),
-            GramAccum::Sparse(acc) => acc.finish().map_err(IvmfError::from),
-        }
+/// An empty interval-Gram accumulator in the given flavour and
+/// representation. The session decides the flavour once, from the total
+/// shape (`use_mr_gram(rows, cols)`); merge-group units replicate the
+/// master's flavour and representation instead of re-deriving them from
+/// their own ≤ one group of rows. The dense and CSR representations
+/// produce bitwise-identical Grams, so which one a session holds is pure
+/// kernel selection.
+fn empty_gram(cols: usize, mid_rad: bool, csr: bool) -> StreamingIntervalGram {
+    if csr {
+        StreamingIntervalGram::with_flavour_csr(cols, mid_rad)
+    } else {
+        StreamingIntervalGram::with_flavour(cols, mid_rad)
     }
 }
 
@@ -1143,7 +1070,7 @@ impl GramAccum {
 trait GramShard: Sized + Send + Sync + 'static {
     fn rows(&self) -> usize;
     fn row_slice(&self, start: usize, end: usize) -> Result<Self>;
-    fn push_into(&self, acc: &mut GramAccum) -> Result<()>;
+    fn push_into(&self, acc: &mut StreamingIntervalGram) -> Result<()>;
     fn recycle(self);
     /// One pass over the input's shards in row order: borrowed from an
     /// in-memory input, moved out of a lazy source (rewound first).
@@ -1160,8 +1087,8 @@ impl GramShard for IntervalMatrix {
     fn row_slice(&self, start: usize, end: usize) -> Result<Self> {
         IntervalMatrix::row_slice(self, start, end).map_err(IvmfError::from)
     }
-    fn push_into(&self, acc: &mut GramAccum) -> Result<()> {
-        acc.push_dense(self)
+    fn push_into(&self, acc: &mut StreamingIntervalGram) -> Result<()> {
+        acc.push_shard(self).map_err(IvmfError::from)
     }
     fn recycle(self) {
         recycle_interval_matrix(self);
@@ -1198,8 +1125,8 @@ impl GramShard for CsrIntervalShard {
     fn row_slice(&self, start: usize, end: usize) -> Result<Self> {
         CsrIntervalShard::row_slice(self, start, end).map_err(IvmfError::from)
     }
-    fn push_into(&self, acc: &mut GramAccum) -> Result<()> {
-        acc.push_csr(self)
+    fn push_into(&self, acc: &mut StreamingIntervalGram) -> Result<()> {
+        acc.push_csr_shard(self).map_err(IvmfError::from)
     }
     fn recycle(self) {
         recycle_csr_interval_shard(self);
@@ -1320,7 +1247,7 @@ impl<'a, S: GramShard> Piece<'a, S> {
 fn fold_units<'a, S: GramShard>(
     input: &'a PipelineInput<'_>,
     rows: usize,
-    master: &mut GramAccum,
+    master: &mut StreamingIntervalGram,
 ) -> Result<()> {
     let threads = ivmf_par::configured_threads();
     if threads <= 1 || rows <= GROUP_ROWS {
@@ -1357,19 +1284,19 @@ fn fold_units<'a, S: GramShard>(
 /// Folds consecutive units concurrently, one thread each, then absorbs
 /// them into `master` in unit order and recycles their owned shards.
 fn fold_unit_batch<S: GramShard>(
-    master: &mut GramAccum,
+    master: &mut StreamingIntervalGram,
     units: Vec<Vec<Piece<'_, S>>>,
 ) -> Result<()> {
-    let proto = &*master;
+    let (cols, mid_rad, csr) = (master.cols(), master.is_mid_rad(), master.is_csr());
     let folded = ivmf_par::par_map(units.len(), units.len(), |i| {
-        let mut acc = proto.empty_like();
+        let mut acc = empty_gram(cols, mid_rad, csr);
         for piece in &units[i] {
             piece.with_rows(&mut |s| s.push_into(&mut acc))?;
         }
         Ok::<_, IvmfError>(acc)
     });
     for acc in folded {
-        master.absorb(acc?)?;
+        master.absorb_unit(acc?)?;
     }
     units.into_iter().flatten().for_each(Piece::recycle);
     Ok(())
@@ -1381,7 +1308,7 @@ fn fold_unit_batch<S: GramShard>(
 pub(crate) struct GramState {
     /// The matrix id the accumulator's content corresponds to.
     pub(crate) matrix: u64,
-    pub(crate) acc: GramAccum,
+    pub(crate) acc: StreamingIntervalGram,
 }
 
 /// A decomposition session over one interval matrix: executes
@@ -1674,7 +1601,7 @@ impl<'m> Pipeline<'m> {
                 if state.matrix == old_id
                     && state.acc.is_mid_rad() == use_mr_gram(new_rows_total, cols) =>
             {
-                state.acc.push_dense(&rows)?;
+                state.acc.push_shard(&rows)?;
                 state.matrix = new_id;
                 let gram = state.acc.finish()?;
                 let key = StageKey {
@@ -1761,7 +1688,7 @@ impl<'m> Pipeline<'m> {
                 if state.matrix == old_id
                     && state.acc.is_mid_rad() == use_mr_gram(new_rows_total, cols) =>
             {
-                state.acc.push_csr(&rows)?;
+                state.acc.push_csr_shard(&rows)?;
                 state.matrix = new_id;
                 let gram = state.acc.finish()?;
                 let key = StageKey {
@@ -2058,7 +1985,7 @@ impl<'m> Pipeline<'m> {
                 // Units fold concurrently on `IVMF_THREADS` threads and
                 // merge in unit order — bitwise the one-thread fold, so
                 // the thread count stays out of the key too.
-                let mut acc = GramAccum::empty(cols, use_mr_gram(rows, cols), sparse);
+                let mut acc = empty_gram(cols, use_mr_gram(rows, cols), sparse);
                 if input.is_sparse() {
                     fold_units::<CsrIntervalShard>(input, rows, &mut acc)?;
                 } else {
@@ -2792,7 +2719,7 @@ mod tests {
         let mut s = Pipeline::new(&sparse_m, IsvdConfig::new(3)).unwrap();
         s.run(IsvdAlgorithm::Isvd2).unwrap();
         assert!(
-            matches!(s.gram_state.as_ref().unwrap().acc, GramAccum::Sparse(_)),
+            s.gram_state.as_ref().unwrap().acc.is_csr(),
             "5% dense input must take the sparse Gram path"
         );
 
@@ -2804,7 +2731,7 @@ mod tests {
             let mut s = Pipeline::new(&dense_m, IsvdConfig::new(3)).unwrap();
             s.run(IsvdAlgorithm::Isvd2).unwrap();
             assert!(
-                matches!(s.gram_state.as_ref().unwrap().acc, GramAccum::Dense(_)),
+                !s.gram_state.as_ref().unwrap().acc.is_csr(),
                 "full-density input must keep the dense Gram path"
             );
         }

@@ -73,15 +73,13 @@ use std::path::{Path, PathBuf};
 use std::rc::Rc;
 
 use ivmf_align::Alignment;
-use ivmf_interval::{IntervalMatrix, SparseStreamingIntervalGram, StreamingIntervalGram};
+use ivmf_interval::{IntervalMatrix, StreamingIntervalGram};
 use ivmf_linalg::state_text::{bad_state, checked_len, read_line};
 use ivmf_linalg::svd::Svd;
 use ivmf_linalg::Matrix;
 
 use crate::isvd::BoundEigen;
-use crate::pipeline::{
-    AlignedSolveOut, BoundSvds, GramAccum, GramState, Pipeline, StageId, StageKey,
-};
+use crate::pipeline::{AlignedSolveOut, BoundSvds, GramState, Pipeline, StageId, StageKey};
 
 /// First line of every snapshot this version of the crate writes. A
 /// different line (future format bump, corruption) restores nothing.
@@ -382,34 +380,32 @@ fn encode_payload(stage: StageId, value: &Rc<dyn Any>) -> Option<Vec<u8>> {
     ok.then_some(buf)
 }
 
-fn encode_gram(acc: &GramAccum) -> io::Result<Vec<u8>> {
+fn encode_gram(acc: &StreamingIntervalGram) -> io::Result<Vec<u8>> {
     let mut buf: Vec<u8> = Vec::new();
-    match acc {
-        GramAccum::Dense(a) => {
-            writeln!(buf, "dense")?;
-            a.write_state(&mut buf)?;
-        }
-        GramAccum::Sparse(a) => {
-            writeln!(buf, "sparse")?;
-            a.write_state(&mut buf)?;
-        }
-    }
+    writeln!(buf, "{}", if acc.is_csr() { "sparse" } else { "dense" })?;
+    acc.write_state(&mut buf)?;
     Ok(buf)
 }
 
-fn decode_gram(payload: &[u8]) -> io::Result<GramAccum> {
+fn decode_gram(payload: &[u8]) -> io::Result<StreamingIntervalGram> {
     let mut r: &[u8] = payload;
     let r: &mut dyn BufRead = &mut r;
-    let tag = read_line(r)?;
-    match tag.as_str() {
-        "dense" => Ok(GramAccum::Dense(StreamingIntervalGram::read_state(r)?)),
-        "sparse" => Ok(GramAccum::Sparse(SparseStreamingIntervalGram::read_state(
-            r,
-        )?)),
-        other => Err(bad_state(format!(
-            "unknown gram accumulator representation '{other}'"
-        ))),
+    let csr = match read_line(r)?.as_str() {
+        "dense" => false,
+        "sparse" => true,
+        other => {
+            return Err(bad_state(format!(
+                "unknown gram accumulator representation '{other}'"
+            )))
+        }
+    };
+    let acc = StreamingIntervalGram::read_state(r)?;
+    if acc.is_csr() != csr {
+        return Err(bad_state(
+            "gram accumulator state disagrees with its representation tag",
+        ));
     }
+    Ok(acc)
 }
 
 // ---------------------------------------------------------------------------

@@ -70,7 +70,7 @@ use ivmf_env::ShardFormat;
 use ivmf_interval::{
     recycle_csr_interval_shard, recycle_interval_matrix, CsrIntervalShard, CsrShardSource,
     CsrShardedIntervalMatrix, IntervalError, IntervalMatrix, RowShardSource,
-    RowShardedIntervalMatrix, SparseStreamingIntervalGram, StreamingIntervalGram,
+    RowShardedIntervalMatrix, StreamingIntervalGram,
 };
 use ivmf_linalg::{pool, Matrix};
 
@@ -965,12 +965,12 @@ pub fn stream_csr_interval_gram(
     shard_rows: usize,
 ) -> io::Result<IntervalMatrix> {
     let reader = CsrShardReader::open(path, shard_rows)?;
-    let mut acc = SparseStreamingIntervalGram::new(reader.rows(), reader.cols());
+    let mut acc = StreamingIntervalGram::new_csr(reader.rows(), reader.cols());
     // Decode on a background thread (IVMF_PREFETCH) while this thread
     // folds; delivery is in order, so results are bitwise unchanged.
     let mut src = PrefetchCsrSource::from_env(Box::new(reader));
     while let Some(shard) = src.next_shard().map_err(|e| invalid_data(e.to_string()))? {
-        acc.push_shard(&shard)
+        acc.push_csr_shard(&shard)
             .map_err(|e| invalid_data(e.to_string()))?;
         recycle_csr_interval_shard(shard);
     }

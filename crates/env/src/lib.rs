@@ -13,7 +13,6 @@
 //! |---|---|---|
 //! | [`THREADS`] | `ivmf-par`, `ivmf-core` | worker count for parallel kernels, and how many merge-group units of the interval-Gram fold run concurrently (default: available parallelism) |
 //! | [`EXACT_INTERVAL`] | `ivmf-interval` | `1`/`true` pins the exact four-product interval operator at every size |
-//! | [`SHARD_ROWS`] | `ivmf-interval` | default rows per shard for row-sharded matrices |
 //! | [`SPARSE_THRESHOLD`] | `ivmf-core` | density cutoff in `(0, 1]` at or below which dense in-memory pipeline inputs take the sparse CSR Gram path (bitwise-identical results either way) |
 //! | [`TOPK_EIGEN`] | `ivmf-linalg` | `auto` (default) / `full` / `forced` — whether truncating eigendecompositions use the certified top-k Lanczos solver, the full `tred2`/`tql2` oracle, or the Lanczos path regardless of the profitability heuristic |
 //! | [`SNAPSHOT_DIR`] | `ivmf-core` | directory for automatic crash-safe pipeline snapshots: load-on-construct, save-on-drop (unset: snapshots only on explicit `snapshot_to`/`restore_from`) |
@@ -24,8 +23,8 @@
 //! | [`BENCH_OUT`] | `linalg_kernels` bench | output path override for `BENCH_linalg.json` |
 //! | [`BENCH_ISVD_OUT`] | `isvd_pipeline` bench | output path override for `BENCH_isvd.json` |
 //!
-//! [`WORKERS`], [`WORKER_SPAWN`] and [`SHARD_FORMAT`] are retired names
-//! that no crate reads.
+//! [`WORKERS`], [`WORKER_SPAWN`], [`SHARD_FORMAT`] and [`SHARD_ROWS`] are
+//! retired names that no crate reads.
 //!
 //! **Unset** variables always fall back to the documented default. A
 //! variable that is **set but malformed** (`IVMF_THREADS=abc`,
@@ -62,13 +61,6 @@ pub const THREADS: &str = "IVMF_THREADS";
 /// When truthy, pins the interval matrix product / Gram to the paper's
 /// exact four-product envelope regardless of size (`ivmf-interval`).
 pub const EXACT_INTERVAL: &str = "IVMF_EXACT_INTERVAL";
-
-/// Default number of rows per shard used when splitting a dense matrix
-/// into a [`row-sharded`](https://docs.rs) representation; positive
-/// integer. Shard size never changes results (the streaming accumulators
-/// re-align their arithmetic to fixed global chunk boundaries) — it only
-/// trades peak memory against per-shard overhead.
-pub const SHARD_ROWS: &str = "IVMF_SHARD_ROWS";
 
 /// Density cutoff in `(0, 1]` for auto-selecting the sparse CSR Gram path
 /// on dense in-memory pipeline inputs (`ivmf-core`): inputs whose fraction
@@ -109,6 +101,12 @@ pub const WORKER_SPAWN: &str = "IVMF_WORKER_SPAWN";
 /// shard format, and no crate reads this variable; the name stays for the
 /// workload benchmark's source, which lists (and clears) it.
 pub const SHARD_FORMAT: &str = "IVMF_SHARD_FORMAT";
+
+/// Retired: set the default rows per shard of two dense-to-sharded
+/// constructors that only a test called. Shard size never changed
+/// results. No crate reads it; the name stays for the workload
+/// benchmark's source, which lists (and clears) it.
+pub const SHARD_ROWS: &str = "IVMF_SHARD_ROWS";
 
 /// Shard prefetch depth for the out-of-core ingest readers in
 /// `ivmf-data` (routed by `ivmf-core`): `0` disables the background I/O
@@ -254,16 +252,6 @@ pub fn flag(name: &str) -> bool {
 /// Reads a string variable verbatim (`None` when unset or non-UTF-8).
 pub fn string_var(name: &str) -> Option<String> {
     std::env::var(name).ok()
-}
-
-/// The configured default shard size: `IVMF_SHARD_ROWS` when set to a
-/// positive integer, `None` when unset (callers pick their own default),
-/// panicking on a malformed value like every other `IVMF_*` knob.
-pub fn shard_rows() -> Option<usize> {
-    match try_usize_var(SHARD_ROWS, 1) {
-        Ok(v) => v,
-        Err(e) => panic!("{e}"),
-    }
 }
 
 /// The configured sparse-Gram density cutoff: `IVMF_SPARSE_THRESHOLD` when
@@ -495,16 +483,6 @@ mod tests {
         std::env::set_var(V, "out.json");
         assert_eq!(string_var(V).as_deref(), Some("out.json"));
         std::env::remove_var(V);
-    }
-
-    #[test]
-    fn shard_rows_reads_the_documented_variable() {
-        // This test owns IVMF_SHARD_ROWS within this binary.
-        std::env::remove_var(SHARD_ROWS);
-        assert_eq!(shard_rows(), None);
-        std::env::set_var(SHARD_ROWS, "7");
-        assert_eq!(shard_rows(), Some(7));
-        std::env::remove_var(SHARD_ROWS);
     }
 
     #[test]

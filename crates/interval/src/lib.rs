@@ -61,13 +61,9 @@ pub use matrix::IntervalMatrix;
 pub use mr::{exact_interval_forced, MrMatrix, EXACT_INTERVAL_ENV, MR_MIN_WORK};
 pub use scalar::Interval;
 pub use sharded::{
-    configured_shard_rows, use_mr_gram, BoundBlocks, RowShardSource, RowShardedIntervalMatrix,
-    StreamingIntervalGram, DEFAULT_SHARD_ROWS,
+    use_mr_gram, BoundBlocks, RowShardSource, RowShardedIntervalMatrix, StreamingIntervalGram,
 };
-pub use sparse::{
-    CsrIntervalShard, CsrShardSource, CsrShardedIntervalMatrix, SparseBoundBlocks,
-    SparseStreamingIntervalGram,
-};
+pub use sparse::{CsrIntervalShard, CsrShardSource, CsrShardedIntervalMatrix, SparseBoundBlocks};
 pub use vector::IntervalVector;
 
 /// Convenience result alias.

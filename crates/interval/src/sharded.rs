@@ -18,9 +18,9 @@
 //!   [`IntervalMatrix`] (whose bounds implement
 //!   [`RowBlocks`](ivmf_linalg::RowBlocks) directly),
 //! * [`StreamingIntervalGram`] — the flavour-dispatched streaming
-//!   accumulator: per shard it feeds the bound (or block-converted
-//!   midpoint–radius) rows into the scalar accumulators, and
-//!   [`StreamingIntervalGram::finish`] applies the same entry-wise
+//!   accumulator, over dense or CSR scalar accumulators: per shard it
+//!   feeds the bound (or block-converted midpoint–radius) rows into them,
+//!   and [`StreamingIntervalGram::finish`] applies the same entry-wise
 //!   envelope / radius combination as the dense operators,
 //! * [`RowShardSource`] — the lazy-loading counterpart for shard streams
 //!   that do not fit in memory (implemented by the chunked disk loaders
@@ -34,23 +34,19 @@
 //! coincides bitwise with the one-shot
 //! [`IntervalMatrix::interval_gram_fast`].
 
-use ivmf_linalg::{CrossGramAccumulator, GramAccumulator, Matrix, RowBlocks};
+use std::io;
 
-use crate::{exact_interval_forced, IntervalError, IntervalMatrix, Result, MR_MIN_WORK};
+use ivmf_linalg::sparse::{CsrCross, CsrGram};
+use ivmf_linalg::state_text::{bad_state, parse_usize_line, read_line};
+use ivmf_linalg::streaming::{DenseCross, DenseGram};
+use ivmf_linalg::{
+    ChunkKernel, CrossGramAccumulator, GramAccumulator, Matrix, RowBlocks,
+    SparseCrossGramAccumulator, SparseGramAccumulator, StreamAccumulator,
+};
 
-/// Default rows per shard when the caller does not specify one and
-/// `IVMF_SHARD_ROWS` is unset: large enough that per-shard overhead is
-/// negligible, small enough that one shard of a paper-scale wide matrix
-/// fits comfortably in cache-friendly memory.
-pub const DEFAULT_SHARD_ROWS: usize = 4096;
-
-/// The configured shard size: `IVMF_SHARD_ROWS` when set (panicking on a
-/// malformed value, like every `IVMF_*` knob), [`DEFAULT_SHARD_ROWS`]
-/// otherwise. Shard size never changes results — only peak memory and
-/// append granularity.
-pub fn configured_shard_rows() -> usize {
-    ivmf_env::shard_rows().unwrap_or(DEFAULT_SHARD_ROWS)
-}
+use crate::{
+    exact_interval_forced, CsrIntervalShard, IntervalError, IntervalMatrix, Result, MR_MIN_WORK,
+};
 
 /// True when the size-dispatched interval Gram of a `rows × cols` matrix
 /// takes the midpoint–radius enclosure (the exact four-product envelope
@@ -145,12 +141,6 @@ impl RowShardedIntervalMatrix {
             start = end;
         }
         RowShardedIntervalMatrix::from_shards(shards)
-    }
-
-    /// [`RowShardedIntervalMatrix::from_dense`] with the configured
-    /// default shard size (`IVMF_SHARD_ROWS`, or [`DEFAULT_SHARD_ROWS`]).
-    pub fn from_dense_env(m: &IntervalMatrix) -> Result<Self> {
-        RowShardedIntervalMatrix::from_dense(m, configured_shard_rows())
     }
 
     /// Appends a new block of rows as its own shard at the bottom.
@@ -286,9 +276,10 @@ impl RowBlocks for BoundBlocks<'_> {
 
 /// Streaming accumulator for the interval Gram matrix `M†ᵀ M†`.
 ///
-/// The flavour is fixed at construction from the **total** row count (so
-/// it matches what [`IntervalMatrix::interval_gram_fast`] would pick for
-/// the dense matrix) and the live `IVMF_EXACT_INTERVAL` switch:
+/// Two choices are fixed when it is built. The **flavour** follows the
+/// **total** row count (so it matches what
+/// [`IntervalMatrix::interval_gram_fast`] would pick for the dense matrix)
+/// and the live `IVMF_EXACT_INTERVAL` switch:
 ///
 /// * **exact** — scalar accumulators for `loᵀ·lo`, `hiᵀ·hi` and the cross
 ///   product `loᵀ·hi`; [`StreamingIntervalGram::finish`] takes the same
@@ -299,6 +290,18 @@ impl RowBlocks for BoundBlocks<'_> {
 ///   [`StreamingIntervalGram::finish`] applies the same radius clamp and
 ///   bound reconstruction as [`crate::MrMatrix::gram`].
 ///
+/// The **representation** of the scalar accumulators is dense
+/// ([`StreamingIntervalGram::new`], [`StreamingIntervalGram::with_flavour`])
+/// or CSR, folding stored entries only
+/// ([`StreamingIntervalGram::new_csr`],
+/// [`StreamingIntervalGram::with_flavour_csr`]). Either accepts both
+/// shard types: a shard of the other representation is converted first
+/// ([`CsrIntervalShard::from_dense`] / [`CsrIntervalShard::to_dense`]),
+/// which preserves every bit. The two representations produce
+/// bitwise-identical Grams for the same logical matrix (skipping a zero
+/// term never changes a sum's bits), so the choice is pure kernel
+/// selection.
+///
 /// [`StreamingIntervalGram::finish`] is non-consuming, so new shards can
 /// keep arriving afterwards; continuing the fold performs exactly the
 /// operation sequence of a cold recompute over the extended matrix
@@ -308,58 +311,88 @@ impl RowBlocks for BoundBlocks<'_> {
 pub struct StreamingIntervalGram {
     cols: usize,
     rows_seen: usize,
-    flavour: Flavour,
+    folds: Folds,
 }
 
+/// The scalar accumulators of one interval Gram, in its representation.
 #[derive(Debug, Clone)]
-enum Flavour {
+enum Folds {
+    Dense(Flavour<DenseGram, DenseCross>),
+    Csr(Flavour<CsrGram, CsrCross>),
+}
+
+/// The scalar accumulators one flavour folds: Gram accumulators with
+/// chunk kernel `G` and a cross-product accumulator with kernel `X`.
+#[derive(Debug, Clone)]
+enum Flavour<G: ChunkKernel, X: ChunkKernel> {
     Exact {
-        lo: GramAccumulator,
-        hi: GramAccumulator,
-        cross: CrossGramAccumulator,
+        lo: StreamAccumulator<G>,
+        hi: StreamAccumulator<G>,
+        cross: Box<StreamAccumulator<X>>,
     },
     MidRad {
-        mid: GramAccumulator,
-        sum: GramAccumulator,
+        mid: StreamAccumulator<G>,
+        sum: StreamAccumulator<G>,
     },
 }
 
 impl StreamingIntervalGram {
-    /// An empty accumulator for a stream of `total_rows × cols` (the total
-    /// row count picks the flavour; see the type docs).
+    /// An empty dense accumulator for a stream of `total_rows × cols` (the
+    /// total row count picks the flavour; see the type docs).
     pub fn new(total_rows: usize, cols: usize) -> Self {
         StreamingIntervalGram::with_flavour(cols, use_mr_gram(total_rows, cols))
     }
 
-    /// An empty accumulator with the flavour given explicitly instead of
-    /// derived from a total row count. A merge-group unit folded on its
-    /// own accumulator (see [`StreamingIntervalGram::absorb_unit`]) must
-    /// take the flavour the whole stream picked: re-deriving it from the
-    /// unit's ≤ one group of rows could choose the other flavour.
+    /// An empty dense accumulator with the flavour given explicitly
+    /// instead of derived from a total row count. A merge-group unit
+    /// folded on its own accumulator (see
+    /// [`StreamingIntervalGram::absorb_unit`]) must take the flavour the
+    /// whole stream picked: re-deriving it from the unit's ≤ one group of
+    /// rows could choose the other flavour.
     pub fn with_flavour(cols: usize, mid_rad: bool) -> Self {
-        let flavour = if mid_rad {
-            Flavour::MidRad {
-                mid: GramAccumulator::new(cols),
-                sum: GramAccumulator::new(cols),
-            }
-        } else {
-            Flavour::Exact {
-                lo: GramAccumulator::new(cols),
-                hi: GramAccumulator::new(cols),
-                cross: CrossGramAccumulator::new(cols, cols),
-            }
-        };
+        let flavour = Flavour::empty(
+            mid_rad,
+            || GramAccumulator::new(cols),
+            || CrossGramAccumulator::new(cols, cols),
+        );
+        StreamingIntervalGram::build(cols, Folds::Dense(flavour))
+    }
+
+    /// [`StreamingIntervalGram::new`] in the CSR representation.
+    pub fn new_csr(total_rows: usize, cols: usize) -> Self {
+        StreamingIntervalGram::with_flavour_csr(cols, use_mr_gram(total_rows, cols))
+    }
+
+    /// [`StreamingIntervalGram::with_flavour`] in the CSR representation.
+    pub fn with_flavour_csr(cols: usize, mid_rad: bool) -> Self {
+        let flavour = Flavour::empty(
+            mid_rad,
+            || SparseGramAccumulator::new(cols),
+            || SparseCrossGramAccumulator::new(cols, cols),
+        );
+        StreamingIntervalGram::build(cols, Folds::Csr(flavour))
+    }
+
+    fn build(cols: usize, folds: Folds) -> Self {
         StreamingIntervalGram {
             cols,
             rows_seen: 0,
-            flavour,
+            folds,
         }
     }
 
     /// True when this accumulator runs the midpoint–radius enclosure
     /// (false: the exact four-product envelope).
     pub fn is_mid_rad(&self) -> bool {
-        matches!(self.flavour, Flavour::MidRad { .. })
+        match &self.folds {
+            Folds::Dense(f) => f.is_mid_rad(),
+            Folds::Csr(f) => f.is_mid_rad(),
+        }
+    }
+
+    /// True when the scalar accumulators are the CSR ones (false: dense).
+    pub fn is_csr(&self) -> bool {
+        matches!(self.folds, Folds::Csr(_))
     }
 
     /// Total rows pushed so far.
@@ -372,22 +405,27 @@ impl StreamingIntervalGram {
         self.cols
     }
 
-    /// Feeds the next interval shard (row order across calls).
-    pub fn push_shard(&mut self, shard: &IntervalMatrix) -> Result<()> {
-        if shard.cols() != self.cols {
+    fn check_cols(&self, shape: (usize, usize)) -> Result<()> {
+        if shape.1 != self.cols {
             return Err(IntervalError::DimensionMismatch {
                 op: "interval_gram_accumulate",
                 lhs: (self.rows_seen, self.cols),
-                rhs: shard.shape(),
+                rhs: shape,
             });
         }
-        match &mut self.flavour {
-            Flavour::Exact { lo, hi, cross } => {
+        Ok(())
+    }
+
+    /// Feeds the next dense interval shard (row order across calls).
+    pub fn push_shard(&mut self, shard: &IntervalMatrix) -> Result<()> {
+        self.check_cols(shard.shape())?;
+        match &mut self.folds {
+            Folds::Dense(Flavour::Exact { lo, hi, cross }) => {
                 lo.push_block(shard.lo())?;
                 hi.push_block(shard.hi())?;
                 cross.push_blocks(shard.lo(), shard.hi())?;
             }
-            Flavour::MidRad { mid, sum } => {
+            Folds::Dense(Flavour::MidRad { mid, sum }) => {
                 // Block midpoint–radius conversion is entry-wise, so the
                 // blocks of the converted streams are exactly the
                 // corresponding row blocks of the dense conversion.
@@ -397,6 +435,30 @@ impl StreamingIntervalGram {
                 mid.push_block(&mid_block)?;
                 sum.push_block(&sum_block)?;
             }
+            Folds::Csr(_) => return self.push_csr_shard(&CsrIntervalShard::from_dense(shard)),
+        }
+        self.rows_seen += shard.rows();
+        Ok(())
+    }
+
+    /// Feeds the next CSR interval shard (row order across calls).
+    pub fn push_csr_shard(&mut self, shard: &CsrIntervalShard) -> Result<()> {
+        self.check_cols(shard.shape())?;
+        match &mut self.folds {
+            Folds::Csr(Flavour::Exact { lo, hi, cross }) => {
+                let hi_shard = shard.hi_shard();
+                lo.push_block(shard.lo_shard())?;
+                hi.push_block(&hi_shard)?;
+                cross.push_blocks(shard.lo_shard(), &hi_shard)?;
+            }
+            Folds::Csr(Flavour::MidRad { mid, sum }) => {
+                // Midpoint–radius payload derivation is entry-wise and
+                // zero-preserving, so these shards store exactly the
+                // nonzero entries of the dense block conversion.
+                mid.push_block(&shard.mid_shard())?;
+                sum.push_block(&shard.mag_shard())?;
+            }
+            Folds::Dense(_) => return self.push_shard(&shard.to_dense()),
         }
         self.rows_seen += shard.rows();
         Ok(())
@@ -404,12 +466,133 @@ impl StreamingIntervalGram {
 
     /// The interval Gram of every row seen so far (non-consuming).
     pub fn finish(&self) -> Result<IntervalMatrix> {
-        let m = self.cols;
-        match &self.flavour {
+        match &self.folds {
+            Folds::Dense(f) => f.finish(self.cols),
+            Folds::Csr(f) => f.finish(self.cols),
+        }
+    }
+
+    /// Absorbs the state of an accumulator that folded the next
+    /// ≤ [`ivmf_linalg::streaming::GROUP_ROWS`]-row work unit of the same
+    /// interval stream, delegating to the inner scalar accumulators'
+    /// [`GramAccumulator::absorb_unit`] (so the merged state is bitwise
+    /// the single-process state). Representation and flavour must match —
+    /// a unit folded any other way holds incompatible partials.
+    pub fn absorb_unit(&mut self, other: StreamingIntervalGram) -> Result<()> {
+        if other.cols != self.cols {
+            return Err(IntervalError::DimensionMismatch {
+                op: "absorb_unit",
+                lhs: (self.rows_seen, self.cols),
+                rhs: (other.rows_seen, other.cols),
+            });
+        }
+        match (&mut self.folds, other.folds) {
+            (Folds::Dense(f), Folds::Dense(unit)) => f.absorb(unit)?,
+            (Folds::Csr(f), Folds::Csr(unit)) => f.absorb(unit)?,
+            _ => {
+                return Err(IntervalError::Source(
+                    "absorb_unit representation mismatch: the unit was folded with the other (dense/CSR) scalar accumulators".to_string(),
+                ));
+            }
+        }
+        self.rows_seen += other.rows_seen;
+        Ok(())
+    }
+
+    /// Serializes the complete accumulator state — representation,
+    /// flavour and every inner scalar accumulator — as bit-exact state
+    /// text. The midpoint–radius flavour **must** persist its inner
+    /// accumulators rather than any finished interval result: the mid/sum
+    /// conversion is not bit-exactly invertible, so only the raw pending
+    /// buffers let a restored accumulator continue the fold bitwise.
+    pub fn write_state(&self, w: &mut dyn io::Write) -> io::Result<()> {
+        let tag = if self.is_csr() { CSR_TAG } else { DENSE_TAG };
+        let flavour = self.is_mid_rad() as u8;
+        writeln!(w, "{tag} {} {} {flavour}", self.cols, self.rows_seen)?;
+        match &self.folds {
+            Folds::Dense(f) => f.write(w),
+            Folds::Csr(f) => f.write(w),
+        }
+    }
+
+    /// Restores an accumulator written by
+    /// [`StreamingIntervalGram::write_state`], in the representation its
+    /// header names, revalidating that every inner accumulator agrees
+    /// with the header on shape and row count (so a spliced or corrupted
+    /// state errors instead of producing an inconsistent fold).
+    pub fn read_state(r: &mut dyn io::BufRead) -> io::Result<Self> {
+        let (csr, cols, rows_seen, mid_rad) = read_header(r)?;
+        let folds = if csr {
+            Folds::Csr(Flavour::read(r, mid_rad, cols, rows_seen)?)
+        } else {
+            Folds::Dense(Flavour::read(r, mid_rad, cols, rows_seen)?)
+        };
+        Ok(StreamingIntervalGram {
+            cols,
+            rows_seen,
+            folds,
+        })
+    }
+}
+
+/// State header tags of the two representations.
+const DENSE_TAG: &str = "intervalgram";
+const CSR_TAG: &str = "sparseintervalgram";
+
+/// Parses the `<tag> <cols> <rows_seen> <flavour>` header into
+/// `(csr, cols, rows_seen, mid_rad)`.
+fn read_header(r: &mut dyn io::BufRead) -> io::Result<(bool, usize, usize, bool)> {
+    let line = read_line(r)?;
+    let (tag, fields) = line.split_once(' ').unwrap_or((&line, ""));
+    let csr = match tag {
+        DENSE_TAG => false,
+        CSR_TAG => true,
+        _ => {
+            return Err(bad_state(format!(
+                "expected {DENSE_TAG:?} or {CSR_TAG:?} state header, got {line:?}"
+            )))
+        }
+    };
+    let f = parse_usize_line(fields, 3)?;
+    if f[0] == 0 {
+        return Err(bad_state("interval accumulator state has zero columns"));
+    }
+    if f[2] > 1 {
+        return Err(bad_state(format!("unknown flavour tag {}", f[2])));
+    }
+    Ok((csr, f[0], f[1], f[2] == 1))
+}
+
+impl<G: ChunkKernel, X: ChunkKernel> Flavour<G, X> {
+    fn empty(
+        mid_rad: bool,
+        gram: impl Fn() -> StreamAccumulator<G>,
+        cross: impl FnOnce() -> StreamAccumulator<X>,
+    ) -> Self {
+        if mid_rad {
+            Flavour::MidRad {
+                mid: gram(),
+                sum: gram(),
+            }
+        } else {
+            Flavour::Exact {
+                lo: gram(),
+                hi: gram(),
+                cross: Box::new(cross()),
+            }
+        }
+    }
+
+    fn is_mid_rad(&self) -> bool {
+        matches!(self, Flavour::MidRad { .. })
+    }
+
+    fn finish(&self, m: usize) -> Result<IntervalMatrix> {
+        match self {
             Flavour::Exact { lo, hi, cross } => {
-                let t1 = lo.finish();
-                let t4 = hi.finish();
-                let t2 = cross.finish()?;
+                let t1 = lo.try_finish()?;
+                let t4 = hi.try_finish()?;
+                let t2 = cross.try_finish()?;
                 // Same envelope (values and fold order) as the dense
                 // `IntervalMatrix::interval_gram`.
                 let mut glo = Matrix::zeros(m, m);
@@ -424,8 +607,8 @@ impl StreamingIntervalGram {
                 IntervalMatrix::from_bounds(glo, ghi)
             }
             Flavour::MidRad { mid, sum } => {
-                let p1 = mid.finish();
-                let p2 = sum.finish();
+                let p1 = mid.try_finish()?;
+                let p2 = sum.try_finish()?;
                 // Same radius clamp and bound reconstruction as
                 // `MrMatrix::gram().to_interval()`.
                 let rad = p2.sub(&p1.map(f64::abs))?.map(|x| x.max(0.0));
@@ -436,43 +619,23 @@ impl StreamingIntervalGram {
         }
     }
 
-    /// Absorbs the state of an accumulator that folded the next
-    /// ≤ [`ivmf_linalg::streaming::GROUP_ROWS`]-row work unit of the same interval
-    /// stream, delegating to the inner scalar accumulators'
-    /// [`GramAccumulator::absorb_unit`] (so the merged state is bitwise
-    /// the single-process state). The flavours must match — a unit folded
-    /// under the wrong flavour holds incompatible partials.
-    pub fn absorb_unit(&mut self, other: StreamingIntervalGram) -> Result<()> {
-        if other.cols != self.cols {
-            return Err(IntervalError::DimensionMismatch {
-                op: "absorb_unit",
-                lhs: (self.rows_seen, self.cols),
-                rhs: (other.rows_seen, other.cols),
-            });
-        }
-        let unit_rows = other.rows_seen;
-        match (&mut self.flavour, other.flavour) {
+    fn absorb(&mut self, unit: Self) -> Result<()> {
+        match (self, unit) {
             (
                 Flavour::Exact { lo, hi, cross },
                 Flavour::Exact {
-                    lo: olo,
-                    hi: ohi,
-                    cross: ocross,
+                    lo: l,
+                    hi: h,
+                    cross: x,
                 },
             ) => {
-                lo.absorb_unit(olo)?;
-                hi.absorb_unit(ohi)?;
-                cross.absorb_unit(ocross)?;
+                lo.absorb_unit(l)?;
+                hi.absorb_unit(h)?;
+                cross.absorb_unit(*x)?;
             }
-            (
-                Flavour::MidRad { mid, sum },
-                Flavour::MidRad {
-                    mid: omid,
-                    sum: osum,
-                },
-            ) => {
-                mid.absorb_unit(omid)?;
-                sum.absorb_unit(osum)?;
+            (Flavour::MidRad { mid, sum }, Flavour::MidRad { mid: m, sum: s }) => {
+                mid.absorb_unit(m)?;
+                sum.absorb_unit(s)?;
             }
             _ => {
                 return Err(IntervalError::Source(
@@ -480,20 +643,11 @@ impl StreamingIntervalGram {
                 ));
             }
         }
-        self.rows_seen += unit_rows;
         Ok(())
     }
 
-    /// Serializes the complete accumulator state — flavour plus every
-    /// inner scalar accumulator — as bit-exact state text. The midpoint–
-    /// radius flavour **must** persist its inner accumulators rather than
-    /// any finished interval result: the mid/sum conversion is not
-    /// bit-exactly invertible, so only the raw pending buffers let a
-    /// restored accumulator continue the fold bitwise.
-    pub fn write_state(&self, w: &mut dyn std::io::Write) -> std::io::Result<()> {
-        let tag = self.is_mid_rad() as u8;
-        writeln!(w, "intervalgram {} {} {}", self.cols, self.rows_seen, tag)?;
-        match &self.flavour {
+    fn write(&self, w: &mut dyn io::Write) -> io::Result<()> {
+        match self {
             Flavour::Exact { lo, hi, cross } => {
                 lo.write_state(w)?;
                 hi.write_state(w)?;
@@ -506,97 +660,41 @@ impl StreamingIntervalGram {
         }
     }
 
-    /// Restores an accumulator written by
-    /// [`StreamingIntervalGram::write_state`], revalidating that every
-    /// inner accumulator agrees with the header on shape and row count
-    /// (so a spliced or corrupted state errors instead of producing an
-    /// inconsistent fold).
-    pub fn read_state(r: &mut dyn std::io::BufRead) -> std::io::Result<Self> {
-        let (cols, rows_seen, mid_rad) = read_interval_gram_header(r, "intervalgram")?;
-        let flavour = if mid_rad {
-            let mid = GramAccumulator::read_state(r)?;
-            let sum = GramAccumulator::read_state(r)?;
-            check_inner(
-                &[mid.cols(), sum.cols()],
-                cols,
-                &[mid.rows_seen(), sum.rows_seen()],
-                rows_seen,
-            )?;
+    /// Reads the inner accumulators and checks each against the header's
+    /// column and row counts.
+    fn read(
+        r: &mut dyn io::BufRead,
+        mid_rad: bool,
+        cols: usize,
+        rows_seen: usize,
+    ) -> io::Result<Self> {
+        Ok(if mid_rad {
+            let mid = read_inner(r, cols, rows_seen)?;
+            let sum = read_inner(r, cols, rows_seen)?;
             Flavour::MidRad { mid, sum }
         } else {
-            let lo = GramAccumulator::read_state(r)?;
-            let hi = GramAccumulator::read_state(r)?;
-            let cross = CrossGramAccumulator::read_state(r)?;
-            check_inner(
-                &[lo.cols(), hi.cols(), cross.a_cols(), cross.b_cols()],
-                cols,
-                &[lo.rows_seen(), hi.rows_seen(), cross.rows_seen()],
-                rows_seen,
-            )?;
+            let lo = read_inner(r, cols, rows_seen)?;
+            let hi = read_inner(r, cols, rows_seen)?;
+            let cross = Box::new(read_inner(r, cols, rows_seen)?);
             Flavour::Exact { lo, hi, cross }
-        };
-        Ok(StreamingIntervalGram {
-            cols,
-            rows_seen,
-            flavour,
         })
     }
 }
 
-/// Parses the `<tag> <cols> <rows_seen> <flavour>` header shared by the
-/// dense and sparse interval-Gram accumulator states.
-pub(crate) fn read_interval_gram_header(
-    r: &mut dyn std::io::BufRead,
-    tag: &str,
-) -> std::io::Result<(usize, usize, bool)> {
-    let bad = |msg: String| std::io::Error::new(std::io::ErrorKind::InvalidData, msg);
-    let mut line = String::new();
-    if r.read_line(&mut line)? == 0 {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::UnexpectedEof,
-            "unexpected end of stream while reading state",
-        ));
-    }
-    let mut t = line.split_ascii_whitespace();
-    if t.next() != Some(tag) {
-        return Err(bad(format!("expected {tag:?} state header, got {line:?}")));
-    }
-    let mut field = || -> std::io::Result<usize> {
-        t.next()
-            .ok_or_else(|| bad("truncated state header".to_string()))?
-            .parse()
-            .map_err(|_| bad("malformed state header field".to_string()))
-    };
-    let (cols, rows_seen, flavour) = (field()?, field()?, field()?);
-    if t.next().is_some() {
-        return Err(bad("trailing tokens in state header".to_string()));
-    }
-    if cols == 0 {
-        return Err(bad(
-            "interval accumulator state has zero columns".to_string()
-        ));
-    }
-    if flavour > 1 {
-        return Err(bad(format!("unknown flavour tag {flavour}")));
-    }
-    Ok((cols, rows_seen, flavour == 1))
-}
-
-/// Checks every inner accumulator's column and row count against the
-/// outer header.
-pub(crate) fn check_inner(
-    inner_cols: &[usize],
+/// Reads one inner scalar accumulator and checks it against the
+/// interval-Gram header: a `cols × cols` product over `rows_seen` rows.
+fn read_inner<K: ChunkKernel>(
+    r: &mut dyn io::BufRead,
     cols: usize,
-    inner_rows: &[usize],
     rows_seen: usize,
-) -> std::io::Result<()> {
-    if inner_cols.iter().any(|&c| c != cols) || inner_rows.iter().any(|&n| n != rows_seen) {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
+) -> io::Result<StreamAccumulator<K>> {
+    let acc = StreamAccumulator::<K>::read_state(r)?;
+    if acc.output_shape() != (cols, cols) || acc.rows_seen() != rows_seen {
+        return Err(bad_state(
             "inner accumulator state disagrees with the interval-Gram header",
         ));
     }
-    Ok(())
+    Ok(acc)
 }
 
 impl IntervalMatrix {
@@ -804,26 +902,44 @@ mod tests {
 
     #[test]
     fn interval_gram_read_state_rejects_corrupted_text() {
+        // Both representations go through one reader and must reject the
+        // same corruptions.
         let m = random_interval(23, 50, 5);
-        let mut acc = StreamingIntervalGram::new(50, 5);
-        acc.push_shard(&m).unwrap();
-        let mut buf = Vec::new();
-        acc.write_state(&mut buf).unwrap();
-        let corrupt = |b: &[u8]| {
-            StreamingIntervalGram::read_state(&mut std::io::BufReader::new(b)).unwrap_err()
-        };
-        corrupt(&buf[..buf.len() / 2]); // truncation
-        let mut spam = buf.clone();
-        spam[.."intervalgram".len()].copy_from_slice(b"intervalspam");
-        corrupt(&spam); // tag
-        let header_len = buf.iter().position(|&b| b == b'\n').unwrap();
-        assert_eq!(&buf[..header_len], b"intervalgram 5 50 0");
-        let mut flavour = buf.clone();
-        flavour[header_len - 1] = b'2';
-        corrupt(&flavour); // unknown flavour
-                           // Header/inner disagreement: bump the outer row count.
-        let mut bumped = buf.clone();
-        bumped[..header_len].copy_from_slice(b"intervalgram 5 51 0");
-        corrupt(&bumped);
+        let csr = CsrIntervalShard::from_dense(&m);
+        let dense_acc = StreamingIntervalGram::new(50, 5);
+        let csr_acc = StreamingIntervalGram::new_csr(50, 5);
+        for (mut acc, tag, other) in [
+            (dense_acc, "intervalgram", "sparseintervalgram"),
+            (csr_acc, "sparseintervalgram", "intervalgram"),
+        ] {
+            if acc.is_csr() {
+                acc.push_csr_shard(&csr).unwrap();
+            } else {
+                acc.push_shard(&m).unwrap();
+            }
+            let mut buf = Vec::new();
+            acc.write_state(&mut buf).unwrap();
+            let corrupt = |b: &[u8]| {
+                StreamingIntervalGram::read_state(&mut std::io::BufReader::new(b)).unwrap_err()
+            };
+            corrupt(&buf[..buf.len() / 2]); // truncation
+            let mut spam = buf.clone();
+            spam[tag.len() - 4..tag.len()].copy_from_slice(b"spam");
+            corrupt(&spam); // tag
+            let header_len = buf.iter().position(|&b| b == b'\n').unwrap();
+            assert_eq!(&buf[..header_len], format!("{tag} 5 50 0").as_bytes());
+            let mut flavour = buf.clone();
+            flavour[header_len - 1] = b'2';
+            corrupt(&flavour); // unknown flavour
+                               // Header/inner disagreement: bump the outer row count.
+            let mut bumped = buf.clone();
+            bumped[..header_len].copy_from_slice(format!("{tag} 5 51 0").as_bytes());
+            corrupt(&bumped);
+            // A header naming the other representation over these inner
+            // states.
+            let mut spliced = other.as_bytes().to_vec();
+            spliced.extend_from_slice(&buf[tag.len()..]);
+            corrupt(&spliced);
+        }
     }
 }

@@ -10,12 +10,12 @@
 //!   [`CsrShardedIntervalMatrix`], an ordered set of such shards;
 //! * [`CsrShardSource`] — the lazy out-of-core stream trait, mirroring
 //!   [`RowShardSource`](crate::RowShardSource) with CSR shards;
-//! * [`SparseStreamingIntervalGram`] — the flavour-dispatched streaming
-//!   accumulator over the **sparse** scalar accumulators of
-//!   [`ivmf_linalg::sparse`], with the same
-//!   [`use_mr_gram`](crate::use_mr_gram) dispatch on the total shape and
-//!   the same entry-wise envelope / radius finish arithmetic as
-//!   [`StreamingIntervalGram`](crate::StreamingIntervalGram).
+//! * the CSR representation of
+//!   [`StreamingIntervalGram`](crate::StreamingIntervalGram)
+//!   ([`StreamingIntervalGram::new_csr`](crate::StreamingIntervalGram::new_csr)),
+//!   which folds CSR shards through the **sparse** scalar accumulators of
+//!   [`ivmf_linalg::sparse`]; flavour dispatch, envelope and radius clamp
+//!   are the dense representation's own code.
 //!
 //! ## Bitwise equality with the dense interval path
 //!
@@ -26,16 +26,13 @@
 //! conversion, and the sparse scalar accumulators are bitwise identical
 //! to the dense ones (see [`ivmf_linalg::sparse`]). The streamed sparse
 //! interval Gram therefore agrees **bit for bit** with the dense
-//! [`StreamingIntervalGram`](crate::StreamingIntervalGram) on the same
-//! logical matrix, for every shard layout, thread count, and flavour.
+//! representation on the same logical matrix, for every shard layout,
+//! thread count, and flavour.
 
-use ivmf_linalg::sparse::{
-    CsrRowBlocks, CsrShard, SparseCrossGramAccumulator, SparseGramAccumulator,
-};
+use ivmf_linalg::sparse::{CsrRowBlocks, CsrShard};
 use ivmf_linalg::Matrix;
 
-use crate::sharded::configured_shard_rows;
-use crate::{use_mr_gram, IntervalError, IntervalMatrix, Result};
+use crate::{IntervalError, IntervalMatrix, Result, StreamingIntervalGram};
 
 /// One interval row block in compressed-sparse-row form: a single
 /// sparsity pattern (`row_ptr`/`col_idx`) with aligned `lo`/`hi` value
@@ -295,13 +292,6 @@ impl CsrShardedIntervalMatrix {
         CsrShardedIntervalMatrix::from_csr(&CsrIntervalShard::from_dense(m), shard_rows)
     }
 
-    /// [`CsrShardedIntervalMatrix::from_dense`] with the configured
-    /// default shard size (`IVMF_SHARD_ROWS`, or
-    /// [`DEFAULT_SHARD_ROWS`](crate::DEFAULT_SHARD_ROWS)).
-    pub fn from_dense_env(m: &IntervalMatrix) -> Result<Self> {
-        CsrShardedIntervalMatrix::from_dense(m, configured_shard_rows())
-    }
-
     /// Splits one big CSR interval shard into shards of at most
     /// `shard_rows` rows.
     pub fn from_csr(m: &CsrIntervalShard, shard_rows: usize) -> Result<Self> {
@@ -445,9 +435,9 @@ impl CsrShardedIntervalMatrix {
     /// only — same flavour dispatch as the dense path, bitwise identical
     /// to it for every shard layout.
     pub fn interval_gram_streamed(&self) -> Result<IntervalMatrix> {
-        let mut acc = SparseStreamingIntervalGram::new(self.rows, self.cols);
+        let mut acc = StreamingIntervalGram::new_csr(self.rows, self.cols);
         for s in &self.shards {
-            acc.push_shard(s)?;
+            acc.push_csr_shard(s)?;
         }
         acc.finish()
     }
@@ -484,251 +474,6 @@ impl CsrRowBlocks for SparseBoundBlocks<'_> {
             }
         }
         Ok(())
-    }
-}
-
-/// Streaming accumulator for the interval Gram matrix `M†ᵀ M†` over CSR
-/// interval shards — the sparse counterpart of
-/// [`StreamingIntervalGram`](crate::StreamingIntervalGram), with the
-/// same [`use_mr_gram`] flavour dispatch on the **total** shape and the
-/// same entry-wise finish arithmetic, so the two accumulators agree bit
-/// for bit on the same logical matrix (see the module docs).
-#[derive(Debug, Clone)]
-pub struct SparseStreamingIntervalGram {
-    cols: usize,
-    rows_seen: usize,
-    flavour: SparseFlavour,
-}
-
-#[derive(Debug, Clone)]
-enum SparseFlavour {
-    Exact {
-        lo: SparseGramAccumulator,
-        hi: SparseGramAccumulator,
-        cross: Box<SparseCrossGramAccumulator>,
-    },
-    MidRad {
-        mid: SparseGramAccumulator,
-        sum: SparseGramAccumulator,
-    },
-}
-
-impl SparseStreamingIntervalGram {
-    /// An empty accumulator for a stream of `total_rows × cols` (the
-    /// total row count picks the flavour, exactly like the dense
-    /// accumulator).
-    pub fn new(total_rows: usize, cols: usize) -> Self {
-        SparseStreamingIntervalGram::with_flavour(cols, use_mr_gram(total_rows, cols))
-    }
-
-    /// An empty accumulator with the flavour given explicitly — the
-    /// sparse counterpart of
-    /// [`StreamingIntervalGram::with_flavour`](crate::StreamingIntervalGram::with_flavour):
-    /// a merge-group unit takes the whole stream's flavour instead of
-    /// re-deriving it from its own rows.
-    pub fn with_flavour(cols: usize, mid_rad: bool) -> Self {
-        let flavour = if mid_rad {
-            SparseFlavour::MidRad {
-                mid: SparseGramAccumulator::new(cols),
-                sum: SparseGramAccumulator::new(cols),
-            }
-        } else {
-            SparseFlavour::Exact {
-                lo: SparseGramAccumulator::new(cols),
-                hi: SparseGramAccumulator::new(cols),
-                cross: Box::new(SparseCrossGramAccumulator::new(cols, cols)),
-            }
-        };
-        SparseStreamingIntervalGram {
-            cols,
-            rows_seen: 0,
-            flavour,
-        }
-    }
-
-    /// True when this accumulator runs the midpoint–radius enclosure
-    /// (false: the exact four-product envelope).
-    pub fn is_mid_rad(&self) -> bool {
-        matches!(self.flavour, SparseFlavour::MidRad { .. })
-    }
-
-    /// Total rows pushed so far.
-    pub fn rows_seen(&self) -> usize {
-        self.rows_seen
-    }
-
-    /// Number of columns of the stream (and of the Gram output).
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Feeds the next CSR interval shard (row order across calls).
-    pub fn push_shard(&mut self, shard: &CsrIntervalShard) -> Result<()> {
-        if shard.cols() != self.cols {
-            return Err(IntervalError::DimensionMismatch {
-                op: "interval_gram_accumulate",
-                lhs: (self.rows_seen, self.cols),
-                rhs: shard.shape(),
-            });
-        }
-        match &mut self.flavour {
-            SparseFlavour::Exact { lo, hi, cross } => {
-                let hi_shard = shard.hi_shard();
-                lo.push_block(shard.lo_shard())?;
-                hi.push_block(&hi_shard)?;
-                cross.push_blocks(shard.lo_shard(), &hi_shard)?;
-            }
-            SparseFlavour::MidRad { mid, sum } => {
-                // Midpoint–radius payload derivation is entry-wise and
-                // zero-preserving, so these shards store exactly the
-                // nonzero entries of the dense block conversion.
-                mid.push_block(&shard.mid_shard())?;
-                sum.push_block(&shard.mag_shard())?;
-            }
-        }
-        self.rows_seen += shard.rows();
-        Ok(())
-    }
-
-    /// The interval Gram of every row seen so far (non-consuming).
-    pub fn finish(&self) -> Result<IntervalMatrix> {
-        let m = self.cols;
-        match &self.flavour {
-            SparseFlavour::Exact { lo, hi, cross } => {
-                let t1 = lo.finish();
-                let t4 = hi.finish();
-                let t2 = cross.finish()?;
-                // Same envelope (values and fold order) as the dense
-                // `StreamingIntervalGram::finish`.
-                let mut glo = Matrix::zeros(m, m);
-                let mut ghi = Matrix::zeros(m, m);
-                for i in 0..m {
-                    for j in 0..m {
-                        let vals = [t1[(i, j)], t2[(i, j)], t2[(j, i)], t4[(i, j)]];
-                        glo[(i, j)] = vals.iter().cloned().fold(f64::INFINITY, f64::min);
-                        ghi[(i, j)] = vals.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-                    }
-                }
-                IntervalMatrix::from_bounds(glo, ghi)
-            }
-            SparseFlavour::MidRad { mid, sum } => {
-                let p1 = mid.finish();
-                let p2 = sum.finish();
-                // Same radius clamp and bound reconstruction as the
-                // dense `StreamingIntervalGram::finish`.
-                let rad = p2.sub(&p1.map(f64::abs))?.map(|x| x.max(0.0));
-                let glo = p1.sub(&rad)?;
-                let ghi = p1.add(&rad)?;
-                IntervalMatrix::from_bounds(glo, ghi)
-            }
-        }
-    }
-
-    /// Absorbs the state of an accumulator that folded the next
-    /// ≤ [`ivmf_linalg::streaming::GROUP_ROWS`]-row work unit of the same stream —
-    /// the sparse counterpart of
-    /// [`StreamingIntervalGram::absorb_unit`](crate::StreamingIntervalGram::absorb_unit),
-    /// with the same flavour-match requirement and bitwise contract.
-    pub fn absorb_unit(&mut self, other: SparseStreamingIntervalGram) -> Result<()> {
-        if other.cols != self.cols {
-            return Err(IntervalError::DimensionMismatch {
-                op: "absorb_unit",
-                lhs: (self.rows_seen, self.cols),
-                rhs: (other.rows_seen, other.cols),
-            });
-        }
-        let unit_rows = other.rows_seen;
-        match (&mut self.flavour, other.flavour) {
-            (
-                SparseFlavour::Exact { lo, hi, cross },
-                SparseFlavour::Exact {
-                    lo: olo,
-                    hi: ohi,
-                    cross: ocross,
-                },
-            ) => {
-                lo.absorb_unit(olo)?;
-                hi.absorb_unit(ohi)?;
-                cross.absorb_unit(*ocross)?;
-            }
-            (
-                SparseFlavour::MidRad { mid, sum },
-                SparseFlavour::MidRad {
-                    mid: omid,
-                    sum: osum,
-                },
-            ) => {
-                mid.absorb_unit(omid)?;
-                sum.absorb_unit(osum)?;
-            }
-            _ => {
-                return Err(IntervalError::Source(
-                    "absorb_unit flavour mismatch: the unit was folded under a different interval-Gram flavour".to_string(),
-                ));
-            }
-        }
-        self.rows_seen += unit_rows;
-        Ok(())
-    }
-
-    /// Serializes the complete accumulator state as bit-exact state
-    /// text; the sparse counterpart of
-    /// [`StreamingIntervalGram::write_state`](crate::StreamingIntervalGram::write_state)
-    /// (the same reasoning applies: only the raw inner accumulators let
-    /// a restore continue the fold bitwise).
-    pub fn write_state(&self, w: &mut dyn std::io::Write) -> std::io::Result<()> {
-        let tag = self.is_mid_rad() as u8;
-        writeln!(
-            w,
-            "sparseintervalgram {} {} {}",
-            self.cols, self.rows_seen, tag
-        )?;
-        match &self.flavour {
-            SparseFlavour::Exact { lo, hi, cross } => {
-                lo.write_state(w)?;
-                hi.write_state(w)?;
-                cross.write_state(w)
-            }
-            SparseFlavour::MidRad { mid, sum } => {
-                mid.write_state(w)?;
-                sum.write_state(w)
-            }
-        }
-    }
-
-    /// Restores an accumulator written by
-    /// [`SparseStreamingIntervalGram::write_state`], revalidating every
-    /// inner accumulator against the header.
-    pub fn read_state(r: &mut dyn std::io::BufRead) -> std::io::Result<Self> {
-        let (cols, rows_seen, mid_rad) =
-            crate::sharded::read_interval_gram_header(r, "sparseintervalgram")?;
-        let flavour = if mid_rad {
-            let mid = SparseGramAccumulator::read_state(r)?;
-            let sum = SparseGramAccumulator::read_state(r)?;
-            crate::sharded::check_inner(
-                &[mid.cols(), sum.cols()],
-                cols,
-                &[mid.rows_seen(), sum.rows_seen()],
-                rows_seen,
-            )?;
-            SparseFlavour::MidRad { mid, sum }
-        } else {
-            let lo = SparseGramAccumulator::read_state(r)?;
-            let hi = SparseGramAccumulator::read_state(r)?;
-            let cross = Box::new(SparseCrossGramAccumulator::read_state(r)?);
-            crate::sharded::check_inner(
-                &[lo.cols(), hi.cols(), cross.a_cols(), cross.b_cols()],
-                cols,
-                &[lo.rows_seen(), hi.rows_seen(), cross.rows_seen()],
-                rows_seen,
-            )?;
-            SparseFlavour::Exact { lo, hi, cross }
-        };
-        Ok(SparseStreamingIntervalGram {
-            cols,
-            rows_seen,
-            flavour,
-        })
     }
 }
 
@@ -846,10 +591,10 @@ mod tests {
         let reference = dense_acc.finish().unwrap();
         for shard_rows in [1usize, 7, 64, 150] {
             let sharded = CsrShardedIntervalMatrix::from_dense(&m, shard_rows).unwrap();
-            let mut acc = SparseStreamingIntervalGram::new(150, 8);
+            let mut acc = StreamingIntervalGram::new_csr(150, 8);
             assert!(!acc.is_mid_rad());
             for s in sharded.shards() {
-                acc.push_shard(s).unwrap();
+                acc.push_csr_shard(s).unwrap();
             }
             assert_eq!(acc.rows_seen(), 150);
             assert_bitwise(
@@ -874,7 +619,7 @@ mod tests {
             .lock()
             .unwrap_or_else(|e| e.into_inner());
         let m = random_sparse_interval(6, 170, 70, 5);
-        assert!(SparseStreamingIntervalGram::new(170, 70).is_mid_rad());
+        assert!(StreamingIntervalGram::new_csr(170, 70).is_mid_rad());
         let mut dense_acc = StreamingIntervalGram::new(170, 70);
         dense_acc.push_shard(&m).unwrap();
         let reference = dense_acc.finish().unwrap();
@@ -895,7 +640,7 @@ mod tests {
             .unwrap_or_else(|e| e.into_inner());
         let m = random_sparse_interval(7, 170, 70, 4);
         std::env::set_var(crate::EXACT_INTERVAL_ENV, "1");
-        let pinned = SparseStreamingIntervalGram::new(170, 70);
+        let pinned = StreamingIntervalGram::new_csr(170, 70);
         let sharded = CsrShardedIntervalMatrix::from_dense(&m, 33).unwrap();
         let sparse = sharded.interval_gram_streamed();
         let mut dense_acc = StreamingIntervalGram::new(170, 70);
@@ -912,11 +657,11 @@ mod tests {
         let tail = random_sparse_interval(9, 37, 10, 3);
         let total_rows = 177;
 
-        let mut acc = SparseStreamingIntervalGram::new(total_rows, 10);
-        acc.push_shard(&CsrIntervalShard::from_dense(&head))
+        let mut acc = StreamingIntervalGram::new_csr(total_rows, 10);
+        acc.push_csr_shard(&CsrIntervalShard::from_dense(&head))
             .unwrap();
         let _snapshot = acc.finish().unwrap(); // non-consuming
-        acc.push_shard(&CsrIntervalShard::from_dense(&tail))
+        acc.push_csr_shard(&CsrIntervalShard::from_dense(&tail))
             .unwrap();
         assert_eq!(acc.rows_seen(), total_rows);
 
@@ -929,10 +674,41 @@ mod tests {
             "incremental vs dense",
         );
         assert!(acc
-            .push_shard(&CsrIntervalShard::from_dense(&random_sparse_interval(
+            .push_csr_shard(&CsrIntervalShard::from_dense(&random_sparse_interval(
                 10, 3, 5, 2
             )))
             .is_err());
+    }
+
+    #[test]
+    fn either_representation_accepts_both_shard_types_bitwise() {
+        // Both flavours: mixed dense/CSR pushes into either representation
+        // convert the foreign shard and keep every bit; absorbing a unit
+        // of the other representation is a typed error.
+        let head = random_sparse_interval(12, 140, 10, 3);
+        let tail = random_sparse_interval(13, 37, 10, 3);
+        for mid_rad in [false, true] {
+            let mut dense = StreamingIntervalGram::with_flavour(10, mid_rad);
+            dense.push_shard(&head).unwrap();
+            dense
+                .push_csr_shard(&CsrIntervalShard::from_dense(&tail))
+                .unwrap();
+            let mut csr = StreamingIntervalGram::with_flavour_csr(10, mid_rad);
+            csr.push_shard(&head).unwrap();
+            csr.push_csr_shard(&CsrIntervalShard::from_dense(&tail))
+                .unwrap();
+            assert!(csr.is_csr() && !dense.is_csr());
+            assert_eq!(csr.rows_seen(), 177);
+            assert_bitwise(
+                &csr.finish().unwrap(),
+                &dense.finish().unwrap(),
+                &format!("mixed pushes (mid_rad = {mid_rad})"),
+            );
+            let err = StreamingIntervalGram::with_flavour(10, mid_rad)
+                .absorb_unit(StreamingIntervalGram::with_flavour_csr(10, mid_rad))
+                .unwrap_err();
+            assert!(err.to_string().contains("representation"), "{err}");
+        }
     }
 
     #[test]
@@ -956,8 +732,8 @@ mod tests {
         assert_eq!(zcsr.nnz(), 0);
         let mut dense_acc = StreamingIntervalGram::new(140, 6);
         dense_acc.push_shard(&zero).unwrap();
-        let mut acc = SparseStreamingIntervalGram::new(140, 6);
-        acc.push_shard(&zcsr).unwrap();
+        let mut acc = StreamingIntervalGram::new_csr(140, 6);
+        acc.push_csr_shard(&zcsr).unwrap();
         assert_bitwise(
             &acc.finish().unwrap(),
             &dense_acc.finish().unwrap(),
@@ -968,8 +744,8 @@ mod tests {
         let dense_single = single.to_dense();
         let mut dense_acc = StreamingIntervalGram::new(140, 6);
         dense_acc.push_shard(&dense_single).unwrap();
-        let mut acc = SparseStreamingIntervalGram::new(140, 6);
-        acc.push_shard(&single).unwrap();
+        let mut acc = StreamingIntervalGram::new_csr(140, 6);
+        acc.push_csr_shard(&single).unwrap();
         assert_bitwise(
             &acc.finish().unwrap(),
             &dense_acc.finish().unwrap(),
@@ -988,16 +764,15 @@ mod tests {
                 CsrIntervalShard::from_dense(&head),
                 CsrIntervalShard::from_dense(&tail),
             );
-            let mut acc = SparseStreamingIntervalGram::new(total, cols);
-            acc.push_shard(&head_csr).unwrap();
+            let mut acc = StreamingIntervalGram::new_csr(total, cols);
+            acc.push_csr_shard(&head_csr).unwrap();
             let mut buf = Vec::new();
             acc.write_state(&mut buf).unwrap();
             let mut restored =
-                SparseStreamingIntervalGram::read_state(&mut std::io::BufReader::new(&buf[..]))
-                    .unwrap();
+                StreamingIntervalGram::read_state(&mut std::io::BufReader::new(&buf[..])).unwrap();
             assert_eq!(restored.is_mid_rad(), acc.is_mid_rad(), "{label}");
-            acc.push_shard(&tail_csr).unwrap();
-            restored.push_shard(&tail_csr).unwrap();
+            acc.push_csr_shard(&tail_csr).unwrap();
+            restored.push_csr_shard(&tail_csr).unwrap();
             assert_bitwise(
                 &restored.finish().unwrap(),
                 &acc.finish().unwrap(),

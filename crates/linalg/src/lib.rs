@@ -49,10 +49,12 @@ pub mod cond;
 pub mod eigen_sym;
 pub mod eigen_topk;
 mod error;
+mod fold;
 mod kernel;
 pub mod lu;
 mod matrix;
 pub mod norms;
+mod pending;
 pub mod pinv;
 pub mod pool;
 pub mod qr;
@@ -67,6 +69,7 @@ pub use eigen_topk::{
     topk_profitable, TopkOptions, TopkReport, DEFAULT_TOPK_TOL,
 };
 pub use error::LinalgError;
+pub use fold::{ChunkKernel, StreamAccumulator};
 pub use matrix::{ColScale, Matrix, MATMUL_BLOCKED_MIN_WORK, MATMUL_PAR_MIN_WORK};
 pub use sparse::{
     gram_streamed_csr, matmul_left_streamed_csr, matmul_left_streamed_csr_t, matmul_streamed_csr,

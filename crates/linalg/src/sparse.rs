@@ -12,13 +12,17 @@
 //!   [`CsrShardedMatrix`], an ordered set of shards forming one virtual
 //!   matrix ([`CsrRowBlocks`] is the lazy-source trait behind both);
 //! * [`SparseGramAccumulator`] / [`SparseCrossGramAccumulator`] — Gram and
-//!   cross-product accumulators that fold **over stored entries only**,
-//!   with the same fixed [`STREAM_CHUNK_ROWS`]-row global chunk
-//!   re-alignment as the dense accumulators;
+//!   cross-product accumulators that fold **over stored entries only**;
 //! * [`gram_streamed_csr`] / [`matmul_streamed_csr`] /
 //!   [`matmul_left_streamed_csr`] (and its transposed-output form
 //!   [`matmul_left_streamed_csr_t`]) — the streamed products the
 //!   decomposition pipeline's Gram-route stages run.
+//!
+//! Chunk re-alignment onto the fixed [`STREAM_CHUNK_ROWS`]-row global grid,
+//! the two-level fold, the unit merge and the state text are not repeated
+//! here: they are the same code the dense accumulators run (see the
+//! [`streaming`](crate::streaming) module docs). What this module adds is
+//! a CSR row buffer and the CSR chunk kernels below.
 //!
 //! ## Bitwise equality with the dense kernels
 //!
@@ -42,17 +46,12 @@
 //! The equivalence is property-tested here and end-to-end (ISVD2–4) in the
 //! workspace `sparse_equivalence` suite.
 
-use crate::kernel::{fmadd, mirror_upper, KC};
+use crate::fold::{add_assign, realign, ChunkKernel, Partials, RowBuffer, StreamAccumulator};
+use crate::kernel::{fmadd, KC};
 use crate::matrix::threads_for;
-use crate::state_text::{
-    bad_state, checked_len, parse_usize_line, read_f64_run, read_line, write_f64_run,
-    write_usize_line,
-};
-use crate::streaming::{
-    parse_state_header, validate_fold_header, GROUP_ROWS, MERGE_GROUP_CHUNKS, PAR_FOLD_CHUNKS,
-};
+use crate::pending::PendingCsrRows;
 use crate::{LinalgError, Matrix, Result, RowBlocks, MATMUL_BLOCKED_MIN_WORK, STREAM_CHUNK_ROWS};
-use std::io;
+use std::borrow::Cow;
 
 /// One row block of a sparse matrix in compressed-sparse-row (CSR) form.
 ///
@@ -63,11 +62,11 @@ use std::io;
 /// so [`CsrShard::from_dense`]'s zero-dropping is invisible in results.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CsrShard {
-    rows: usize,
-    cols: usize,
-    row_ptr: Vec<usize>,
-    col_idx: Vec<usize>,
-    values: Vec<f64>,
+    pub(crate) rows: usize,
+    pub(crate) cols: usize,
+    pub(crate) row_ptr: Vec<usize>,
+    pub(crate) col_idx: Vec<usize>,
+    pub(crate) values: Vec<f64>,
 }
 
 impl CsrShard {
@@ -547,28 +546,27 @@ impl RowBlocks for CsrShardedMatrix {
 // over stored entries only.
 // ---------------------------------------------------------------------------
 
-/// Gram `chunkᵀ · chunk` of one (at most [`STREAM_CHUNK_ROWS`]-row) CSR
-/// chunk — bitwise identical to [`Matrix::gram`] of the densified chunk.
+/// Gram partial `chunkᵀ · chunk` of one (at most [`STREAM_CHUNK_ROWS`]-row)
+/// CSR chunk, **upper triangle only**: the diagonal and the entries above
+/// it are bitwise those of [`Matrix::gram`] of the densified chunk, and
+/// the strict lower triangle stays zero.
 ///
 /// The dense SYRK accumulates each upper-triangle entry `(a, b)` over the
 /// chunk rows ascending — plain `+=` below [`MATMUL_BLOCKED_MIN_WORK`]
 /// (skipping zero `ra`), a register-tile `fmadd` fold in a single packed
-/// K-block (chunk rows ≤ [`STREAM_CHUNK_ROWS`] < `KC`) at or above it —
-/// and mirrors the upper triangle. This kernel walks the same rows in the
-/// same order, visits only stored entry pairs (the skipped zero terms are
-/// bitwise no-ops), applies the identically dispatched plain/`fmadd` step,
-/// and mirrors. It runs on the calling thread: equal row panels of one
-/// chunk's triangular output are too small and too unbalanced to pay for
-/// a thread split, and the interval-Gram fold parallelizes over whole
-/// merge-group units instead.
-/// One chunk's Gram partial, **upper triangle only** (the strict lower
-/// triangle stays zero). The accumulator folds these upper-triangle
-/// partials and mirrors once at `finish()` — bitwise identical to
-/// mirroring every chunk and folding full matrices, because each mirrored
-/// entry is a copy of its transpose twin, and folding identical values in
-/// identical order produces identical bits. Skipping the per-chunk mirror
-/// and the lower-triangle folds halves the `O(m²)`-per-chunk overhead
-/// that dominates at high sparsity.
+/// K-block (chunk rows ≤ [`STREAM_CHUNK_ROWS`] < `KC`) at or above it. This
+/// kernel walks the same rows in the same order, visits only stored entry
+/// pairs (the skipped zero terms are bitwise no-ops) and applies the
+/// identically dispatched plain/`fmadd` step. It does not mirror: the CSR
+/// Gram folds upper-triangle partials and mirrors once at `finish`, which
+/// yields the bits of mirroring every chunk (each mirrored entry is a copy
+/// of its transpose twin, folded in the same order) at half the
+/// `O(m²)`-per-chunk cost that dominates at high sparsity.
+///
+/// It runs on the calling thread: equal row panels of one chunk's
+/// triangular output are too small and too unbalanced to pay for a thread
+/// split, and the interval-Gram fold parallelizes over whole merge-group
+/// units instead.
 fn csr_gram_chunk_upper(chunk: &CsrShard) -> Matrix {
     let m = chunk.cols;
     let mut out = Matrix::zeros(m, m);
@@ -601,21 +599,6 @@ fn zero_upper(mat: &mut Matrix) {
     for i in 0..m {
         for v in &mut mat.as_mut_slice()[i * m + i..(i + 1) * m] {
             *v = 0.0;
-        }
-    }
-}
-
-/// In-place sum of the upper triangles (diagonal included); the strict
-/// lower triangles of both sides are zero by construction.
-fn add_assign_upper(acc: &mut Matrix, rhs: &Matrix) {
-    let m = rhs.cols();
-    for i in 0..m {
-        let (a_row, b_row) = (
-            &mut acc.as_mut_slice()[i * m + i..(i + 1) * m],
-            &rhs.as_slice()[i * m + i..(i + 1) * m],
-        );
-        for (a, &b) in a_row.iter_mut().zip(b_row) {
-            *a += b;
         }
     }
 }
@@ -815,148 +798,9 @@ fn csr_left_matmul_chunk_t(lhs: &Matrix, offset: usize, chunk: &CsrShard) -> Res
 }
 
 // ---------------------------------------------------------------------------
-// The chunk-realigning pending buffer and streaming accumulators.
+// The two CSR Gram-type accumulators and the streamed products.
+// Re-alignment and the two-level fold live in `crate::fold`.
 // ---------------------------------------------------------------------------
-
-/// CSR row buffer re-aligning arbitrary incoming blocks to the fixed
-/// global chunk grid — the sparse counterpart of the dense accumulators'
-/// pending buffer, with the same [`PAR_FOLD_CHUNKS`]-chunk row bound.
-#[derive(Debug, Clone)]
-struct PendingCsrRows {
-    cols: usize,
-    /// Offsets into `col_idx`/`values`, one per buffered row plus the
-    /// leading 0 (so `row_ptr.len() - 1` rows are buffered).
-    row_ptr: Vec<usize>,
-    col_idx: Vec<usize>,
-    values: Vec<f64>,
-}
-
-impl PendingCsrRows {
-    fn new(cols: usize) -> Self {
-        PendingCsrRows {
-            cols,
-            row_ptr: vec![0],
-            col_idx: Vec::new(),
-            values: Vec::new(),
-        }
-    }
-
-    fn rows(&self) -> usize {
-        self.row_ptr.len() - 1
-    }
-
-    /// Rows that fit before the buffer holds [`PAR_FOLD_CHUNKS`] full
-    /// chunks (strictly positive after every drain, so the piece-wise push
-    /// loops always make progress).
-    fn capacity_rows(&self) -> usize {
-        PAR_FOLD_CHUNKS * STREAM_CHUNK_ROWS - self.rows()
-    }
-
-    /// Appends rows `start..start + n` of `block`.
-    fn push_rows(&mut self, block: &CsrShard, start: usize, n: usize) {
-        let (s, e) = (block.row_ptr[start], block.row_ptr[start + n]);
-        self.col_idx.extend_from_slice(&block.col_idx[s..e]);
-        self.values.extend_from_slice(&block.values[s..e]);
-        let base = *self.row_ptr.last().expect("row_ptr is never empty");
-        self.row_ptr.extend(
-            block.row_ptr[start + 1..=start + n]
-                .iter()
-                .map(|&p| base + p - s),
-        );
-    }
-
-    fn full_chunks(&self) -> usize {
-        self.rows() / STREAM_CHUNK_ROWS
-    }
-
-    /// Copy of full chunk `i` (rows `i*C .. (i+1)*C` of the buffer).
-    fn chunk(&self, i: usize) -> CsrShard {
-        self.slice(i * STREAM_CHUNK_ROWS, (i + 1) * STREAM_CHUNK_ROWS)
-    }
-
-    /// Copies rows `r0..r1` into a standalone shard whose three backing
-    /// buffers come from the [`crate::pool`] — the fold loops recycle them
-    /// via [`recycle_csr_shard`] after each chunk kernel, so steady-state
-    /// streaming stops hitting the allocator. The copied structure and
-    /// values are identical to a freshly allocated slice.
-    fn slice(&self, r0: usize, r1: usize) -> CsrShard {
-        let (s, e) = (self.row_ptr[r0], self.row_ptr[r1]);
-        let mut row_ptr = crate::pool::take_usize(r1 - r0 + 1);
-        row_ptr.extend(self.row_ptr[r0..=r1].iter().map(|&p| p - s));
-        let mut col_idx = crate::pool::take_usize(e - s);
-        col_idx.extend_from_slice(&self.col_idx[s..e]);
-        let mut values = crate::pool::take_f64(e - s);
-        values.extend_from_slice(&self.values[s..e]);
-        CsrShard {
-            rows: r1 - r0,
-            cols: self.cols,
-            row_ptr,
-            col_idx,
-            values,
-        }
-    }
-
-    fn drain_chunks(&mut self, n: usize) {
-        let rows = n * STREAM_CHUNK_ROWS;
-        let cut = self.row_ptr[rows];
-        self.col_idx.drain(..cut);
-        self.values.drain(..cut);
-        self.row_ptr.drain(..rows);
-        for p in &mut self.row_ptr {
-            *p -= cut;
-        }
-    }
-
-    /// The buffered tail (fewer than [`STREAM_CHUNK_ROWS`] rows), if any.
-    fn remainder(&self) -> Option<CsrShard> {
-        if self.rows() == 0 {
-            return None;
-        }
-        Some(self.slice(0, self.rows()))
-    }
-
-    fn nnz(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Writes the three CSR payload lines (offsets, columns, values); the
-    /// row and entry counts live in the caller's header line.
-    fn write_state(&self, w: &mut dyn io::Write) -> io::Result<()> {
-        write_usize_line(w, &self.row_ptr)?;
-        write_usize_line(w, &self.col_idx)?;
-        write_f64_run(w, &self.values)
-    }
-
-    /// Reads the payload lines back for declared `rows`/`nnz`, running the
-    /// full CSR structure validation of [`CsrShard::new`] so corrupted
-    /// offsets or out-of-range columns surface as errors, never as a
-    /// buffer that later panics mid-fold.
-    fn read_state(
-        r: &mut dyn io::BufRead,
-        cols: usize,
-        rows: usize,
-        nnz: usize,
-    ) -> io::Result<Self> {
-        let row_ptr = parse_usize_line(&read_line(r)?, rows + 1)?;
-        let col_idx = parse_usize_line(&read_line(r)?, nnz)?;
-        let values = read_f64_run(r, nnz)?;
-        let shard = CsrShard::new(rows, cols, row_ptr, col_idx, values)
-            .map_err(|e| bad_state(e.to_string()))?;
-        Ok(PendingCsrRows {
-            cols,
-            row_ptr: shard.row_ptr,
-            col_idx: shard.col_idx,
-            values: shard.values,
-        })
-    }
-}
-
-/// Entry-wise in-place sum (shapes already validated by callers).
-fn add_assign(acc: &mut Matrix, rhs: &Matrix) {
-    for (a, &b) in acc.as_mut_slice().iter_mut().zip(rhs.as_slice()) {
-        *a += b;
-    }
-}
 
 /// Returns a consumed chunk shard's three backing buffers to the
 /// [`crate::pool`] (an allocator hint, never a correctness requirement).
@@ -966,42 +810,88 @@ fn recycle_csr_shard(s: CsrShard) {
     crate::pool::recycle_f64(s.values);
 }
 
+/// Chunk kernel of [`SparseGramAccumulator`]: the upper-triangle CSR Gram
+/// of each chunk into one reused scratch per drain.
+#[derive(Debug, Clone)]
+pub enum CsrGram {}
+
+impl ChunkKernel for CsrGram {
+    type Rows = PendingCsrRows;
+    const TAG: &'static str = "sparsegram";
+    const UPPER: bool = true;
+    const RECYCLE: bool = true;
+
+    fn fold_chunks(rows: &PendingCsrRows, full: usize, sum: &mut Partials<Self>) -> Result<()> {
+        let m = rows.cols;
+        // Pool-backed zeroed scratch: this drain runs once per
+        // PAR_FOLD_CHUNKS chunks, so without the pool every drain would
+        // allocate (and fault in) a fresh m×m buffer.
+        let mut scratch = Matrix::from_vec(m, m, crate::pool::take_zeroed_f64(m * m))
+            .expect("pooled buffer has exactly m*m elements");
+        for i in 0..full {
+            let c = rows.chunk(i);
+            csr_gram_chunk_upper_into(&c, &mut scratch);
+            recycle_csr_shard(c);
+            sum.fold(Cow::Borrowed(&scratch));
+            if i + 1 < full {
+                zero_upper(&mut scratch);
+            }
+        }
+        crate::pool::recycle_f64(scratch.into_vec());
+        Ok(())
+    }
+
+    fn tail(rem: CsrShard) -> Result<Matrix> {
+        let g = csr_gram_chunk_upper(&rem);
+        recycle_csr_shard(rem);
+        Ok(g)
+    }
+}
+
+/// Chunk kernel of [`SparseCrossGramAccumulator`]: the CSR `AᵀB` per
+/// chunk pair.
+#[derive(Debug, Clone)]
+pub enum CsrCross {}
+
+impl ChunkKernel for CsrCross {
+    type Rows = (PendingCsrRows, PendingCsrRows);
+    const TAG: &'static str = "sparsecrossgram";
+    const RECYCLE: bool = true;
+
+    fn fold_chunks(rows: &Self::Rows, full: usize, sum: &mut Partials<Self>) -> Result<()> {
+        for i in 0..full {
+            let p = Self::tail(rows.chunk(i))?;
+            sum.fold(Cow::Owned(p));
+        }
+        Ok(())
+    }
+
+    fn tail((a, b): (CsrShard, CsrShard)) -> Result<Matrix> {
+        let p = csr_cross_chunk(&a, &b);
+        recycle_csr_shard(a);
+        recycle_csr_shard(b);
+        p
+    }
+}
+
 /// Streaming accumulator for the Gram matrix `AᵀA` over a CSR row-block
 /// stream, folding **over stored entries only**: the sparse counterpart
-/// of [`GramAccumulator`](crate::GramAccumulator), with the same fixed
-/// global chunk re-alignment and therefore bitwise-identical results —
-/// for the same logical matrix the two accumulators are interchangeable.
+/// of [`GramAccumulator`](crate::GramAccumulator). Both run the one
+/// chunk re-alignment and two-level fold of the
+/// [`streaming`](crate::streaming) module docs, so for the same logical
+/// matrix they are interchangeable bit for bit, unit merge included.
 ///
-/// Unlike the dense accumulator, which fans pending chunks across the
-/// pool, this one folds its chunks on the calling thread, which keeps
-/// peak memory at one `m×m` partial; the interval-Gram fold runs whole
-/// merge-group units concurrently instead. Fold order is chunk order
-/// either way, so the results agree bit for bit.
-/// The two-level fold mirrors the dense accumulator exactly: chunk
-/// partials fold into a `group` partial, sealed into the master `acc`
-/// every [`MERGE_GROUP_CHUNKS`] chunks, and
-/// [`SparseGramAccumulator::absorb_unit`] merges a worker's
-/// ≤ [`GROUP_ROWS`]-row unit with the identical bitwise contract (see the
-/// [`streaming`](crate::streaming) module docs).
-#[derive(Debug, Clone)]
-pub struct SparseGramAccumulator {
-    pending: PendingCsrRows,
-    /// Master fold: sum of sealed merge groups, upper triangles only.
-    acc: Option<Matrix>,
-    /// The open (unsealed) group partial, upper triangle only.
-    group: Option<Matrix>,
-    rows_seen: usize,
-}
+/// Two things differ from the dense accumulator. Its chunks fold on the
+/// calling thread through one reused scratch, which keeps peak memory at
+/// one `m×m` partial (the interval-Gram fold runs whole merge-group units
+/// concurrently instead). And its partials hold upper triangles only,
+/// mirrored once when it finishes.
+pub type SparseGramAccumulator = StreamAccumulator<CsrGram>;
 
 impl SparseGramAccumulator {
     /// An empty accumulator for a stream with `cols` columns.
     pub fn new(cols: usize) -> Self {
-        SparseGramAccumulator {
-            pending: PendingCsrRows::new(cols),
-            acc: None,
-            group: None,
-            rows_seen: 0,
-        }
+        StreamAccumulator::empty(PendingCsrRows::new(cols))
     }
 
     /// Number of columns of the stream (and of the Gram output).
@@ -1009,208 +899,22 @@ impl SparseGramAccumulator {
         self.pending.cols
     }
 
-    /// Total rows folded or buffered so far.
-    pub fn rows_seen(&self) -> usize {
-        self.rows_seen
-    }
-
     /// Feeds the next CSR row block (row order across calls).
     pub fn push_block(&mut self, block: &CsrShard) -> Result<()> {
-        if block.cols != self.pending.cols {
+        if block.cols != self.cols() {
             return Err(LinalgError::DimensionMismatch {
                 op: "sparse_gram_accumulate",
-                lhs: (self.rows_seen, self.pending.cols),
+                lhs: (self.rows_seen(), self.cols()),
                 rhs: block.shape(),
             });
         }
-        let rows = block.rows;
-        let mut start = 0;
-        loop {
-            let take = self.pending.capacity_rows().min(rows - start);
-            self.pending.push_rows(block, start, take);
-            start += take;
-            self.rows_seen += take;
-            self.drain_full_chunks();
-            if start >= rows {
-                break;
-            }
-        }
-        Ok(())
-    }
-
-    fn drain_full_chunks(&mut self) {
-        let full = self.pending.full_chunks();
-        if full == 0 {
-            return;
-        }
-        // `drain_chunks` runs only below, so the difference still counts
-        // the chunks folded *before* this call — the global chunk index
-        // the group-boundary check needs.
-        let mut folded = (self.rows_seen - self.pending.rows()) / STREAM_CHUNK_ROWS;
-        let m = self.pending.cols;
-        // Pool-backed zeroed scratch: this drain runs once per
-        // PAR_FOLD_CHUNKS chunks, so without the pool every drain would
-        // allocate (and fault in) a fresh m×m buffer.
-        let mut scratch = Matrix::from_vec(m, m, crate::pool::take_zeroed_f64(m * m))
-            .expect("pooled buffer has exactly m*m elements");
-        for i in 0..full {
-            let c = self.pending.chunk(i);
-            csr_gram_chunk_upper_into(&c, &mut scratch);
-            recycle_csr_shard(c);
-            self.fold(&scratch, &mut folded);
-            if i + 1 < full {
-                zero_upper(&mut scratch);
-            }
-        }
-        crate::pool::recycle_f64(scratch.into_vec());
-        self.pending.drain_chunks(full);
-    }
-
-    // The running partials hold upper triangles only (see
-    // [`csr_gram_chunk_upper`]); `finish` mirrors once at the end. Folds
-    // the chunk into the group partial, sealing the group into the master
-    // at every [`MERGE_GROUP_CHUNKS`] boundary.
-    fn fold(&mut self, g: &Matrix, folded_chunks: &mut usize) {
-        match &mut self.group {
-            None => self.group = Some(g.clone()),
-            Some(a) => add_assign_upper(a, g),
-        }
-        *folded_chunks += 1;
-        if *folded_chunks % MERGE_GROUP_CHUNKS == 0 {
-            self.seal_group();
-        }
-    }
-
-    /// Moves the completed group partial into the master fold.
-    fn seal_group(&mut self) {
-        if let Some(g) = self.group.take() {
-            match &mut self.acc {
-                None => self.acc = Some(g),
-                Some(a) => {
-                    add_assign_upper(a, &g);
-                    crate::pool::recycle_f64(g.into_vec());
-                }
-            }
-        }
+        self.push(block)
     }
 
     /// The Gram matrix of every row seen so far (non-consuming, like the
     /// dense accumulator; same `master ⊕ (group ⊕ tail)` order).
     pub fn finish(&self) -> Matrix {
-        let mut tail = self.group.clone();
-        if let Some(rem) = self.pending.remainder() {
-            let g = csr_gram_chunk_upper(&rem);
-            recycle_csr_shard(rem);
-            match &mut tail {
-                None => tail = Some(g),
-                Some(t) => add_assign_upper(t, &g),
-            }
-        }
-        let mut acc = self.acc.clone();
-        if let Some(t) = tail {
-            match &mut acc {
-                None => acc = Some(t),
-                Some(a) => add_assign_upper(a, &t),
-            }
-        }
-        let mut acc = acc.unwrap_or_else(|| Matrix::zeros(self.pending.cols, self.pending.cols));
-        mirror_upper(&mut acc);
-        acc
-    }
-
-    /// Absorbs the state of an accumulator that folded the next
-    /// ≤ [`GROUP_ROWS`]-row work unit of the same stream — the sparse
-    /// counterpart of
-    /// [`GramAccumulator::absorb_unit`](crate::GramAccumulator::absorb_unit),
-    /// with identical preconditions and the identical bitwise contract.
-    pub fn absorb_unit(&mut self, other: SparseGramAccumulator) -> Result<()> {
-        if other.pending.cols != self.pending.cols {
-            return Err(LinalgError::DimensionMismatch {
-                op: "absorb_unit",
-                lhs: (self.rows_seen, self.pending.cols),
-                rhs: (other.rows_seen, other.pending.cols),
-            });
-        }
-        if self.pending.rows() != 0 || self.group.is_some() || self.rows_seen % GROUP_ROWS != 0 {
-            return Err(LinalgError::InvalidArgument(
-                "absorb_unit target must sit on a merge-group boundary".to_string(),
-            ));
-        }
-        if other.rows_seen > GROUP_ROWS {
-            return Err(LinalgError::InvalidArgument(format!(
-                "absorbed unit spans {} rows, more than one {GROUP_ROWS}-row merge group",
-                other.rows_seen
-            )));
-        }
-        // A ≤ GROUP_ROWS unit has at most one completed group (its `acc`),
-        // which is exactly the next group of the combined stream.
-        if let Some(g) = other.acc {
-            match &mut self.acc {
-                None => self.acc = Some(g),
-                Some(a) => add_assign_upper(a, &g),
-            }
-        }
-        self.group = other.group;
-        self.pending = other.pending;
-        self.rows_seen += other.rows_seen;
-        Ok(())
-    }
-
-    /// Serializes the complete accumulator state (CSR pending buffer,
-    /// upper-triangular partial fold, row count) as bit-exact state text;
-    /// the sparse counterpart of
-    /// [`GramAccumulator::write_state`](crate::GramAccumulator::write_state).
-    pub fn write_state(&self, w: &mut dyn io::Write) -> io::Result<()> {
-        writeln!(
-            w,
-            "sparsegram {} {} {} {} {} {}",
-            self.pending.cols,
-            self.rows_seen,
-            self.pending.rows(),
-            self.pending.nnz(),
-            self.acc.is_some() as u8,
-            self.group.is_some() as u8
-        )?;
-        self.pending.write_state(w)?;
-        if let Some(a) = &self.acc {
-            write_f64_run(w, a.as_slice())?;
-        }
-        if let Some(g) = &self.group {
-            write_f64_run(w, g.as_slice())?;
-        }
-        Ok(())
-    }
-
-    /// Restores an accumulator written by
-    /// [`SparseGramAccumulator::write_state`], revalidating every
-    /// structural invariant.
-    pub fn read_state(r: &mut dyn io::BufRead) -> io::Result<Self> {
-        let header = read_line(r)?;
-        let head = parse_state_header(&header, "sparsegram", 6)?;
-        let (cols, rows_seen, pending_rows, nnz, has_acc, has_group) =
-            (head[0], head[1], head[2], head[3], head[4], head[5]);
-        validate_fold_header(cols, rows_seen, pending_rows, has_acc, has_group)?;
-        let pending = PendingCsrRows::read_state(r, cols, pending_rows, nnz)?;
-        let mut read_square = || -> io::Result<Matrix> {
-            let vals = read_f64_run(r, checked_len(cols, cols)?)?;
-            Matrix::from_vec(cols, cols, vals).map_err(|e| bad_state(e.to_string()))
-        };
-        let acc = if has_acc == 1 {
-            Some(read_square()?)
-        } else {
-            None
-        };
-        let group = if has_group == 1 {
-            Some(read_square()?)
-        } else {
-            None
-        };
-        Ok(SparseGramAccumulator {
-            pending,
-            acc,
-            group,
-            rows_seen,
-        })
+        self.try_finish().expect("the Gram kernel cannot fail")
     }
 }
 
@@ -1219,246 +923,43 @@ impl SparseGramAccumulator {
 /// interval Gram): the sparse counterpart of
 /// [`CrossGramAccumulator`](crate::CrossGramAccumulator), bitwise
 /// identical to it on the same logical matrices.
-#[derive(Debug, Clone)]
-pub struct SparseCrossGramAccumulator {
-    pending_a: PendingCsrRows,
-    pending_b: PendingCsrRows,
-    /// Master fold: sum of sealed merge groups (full matrices).
-    acc: Option<Matrix>,
-    /// The open (unsealed) group partial.
-    group: Option<Matrix>,
-    rows_seen: usize,
-}
+pub type SparseCrossGramAccumulator = StreamAccumulator<CsrCross>;
 
 impl SparseCrossGramAccumulator {
     /// An empty accumulator for streams with `a_cols` / `b_cols` columns.
     pub fn new(a_cols: usize, b_cols: usize) -> Self {
-        SparseCrossGramAccumulator {
-            pending_a: PendingCsrRows::new(a_cols),
-            pending_b: PendingCsrRows::new(b_cols),
-            acc: None,
-            group: None,
-            rows_seen: 0,
-        }
-    }
-
-    /// Total rows folded or buffered so far.
-    pub fn rows_seen(&self) -> usize {
-        self.rows_seen
+        StreamAccumulator::empty((PendingCsrRows::new(a_cols), PendingCsrRows::new(b_cols)))
     }
 
     /// Column count of the first stream (rows of the `AᵀB` output).
     pub fn a_cols(&self) -> usize {
-        self.pending_a.cols
+        self.pending.0.cols
     }
 
     /// Column count of the second stream (columns of the `AᵀB` output).
     pub fn b_cols(&self) -> usize {
-        self.pending_b.cols
+        self.pending.1.cols
     }
 
     /// Feeds the next CSR row block of each stream; the blocks must cover
     /// the same rows (equal row counts).
     pub fn push_blocks(&mut self, a: &CsrShard, b: &CsrShard) -> Result<()> {
-        if a.rows != b.rows || a.cols != self.pending_a.cols || b.cols != self.pending_b.cols {
+        if a.rows != b.rows || a.cols != self.a_cols() || b.cols != self.b_cols() {
             return Err(LinalgError::DimensionMismatch {
                 op: "sparse_cross_gram_accumulate",
                 lhs: a.shape(),
                 rhs: b.shape(),
             });
         }
-        let rows = a.rows;
-        let mut start = 0;
-        loop {
-            let take = self.pending_a.capacity_rows().min(rows - start);
-            self.pending_a.push_rows(a, start, take);
-            self.pending_b.push_rows(b, start, take);
-            start += take;
-            self.rows_seen += take;
-            self.drain_full_chunks()?;
-            if start >= rows {
-                break;
-            }
-        }
-        Ok(())
-    }
-
-    fn drain_full_chunks(&mut self) -> Result<()> {
-        let full = self.pending_a.full_chunks();
-        let mut folded = (self.rows_seen - self.pending_a.rows()) / STREAM_CHUNK_ROWS;
-        for i in 0..full {
-            let ca = self.pending_a.chunk(i);
-            let cb = self.pending_b.chunk(i);
-            let p = csr_cross_chunk(&ca, &cb);
-            recycle_csr_shard(ca);
-            recycle_csr_shard(cb);
-            self.fold(p?, &mut folded);
-        }
-        self.pending_a.drain_chunks(full);
-        self.pending_b.drain_chunks(full);
-        Ok(())
-    }
-
-    /// Chunk-into-group fold with group sealing, exactly as in
-    /// [`SparseGramAccumulator::fold`].
-    fn fold(&mut self, p: Matrix, folded_chunks: &mut usize) {
-        match &mut self.group {
-            None => self.group = Some(p),
-            Some(a) => {
-                add_assign(a, &p);
-                crate::pool::recycle_f64(p.into_vec());
-            }
-        }
-        *folded_chunks += 1;
-        if *folded_chunks % MERGE_GROUP_CHUNKS == 0 {
-            self.seal_group();
-        }
-    }
-
-    fn seal_group(&mut self) {
-        if let Some(g) = self.group.take() {
-            match &mut self.acc {
-                None => self.acc = Some(g),
-                Some(a) => {
-                    add_assign(a, &g);
-                    crate::pool::recycle_f64(g.into_vec());
-                }
-            }
-        }
+        self.push((a, b))
     }
 
     /// The cross product `AᵀB` of every row pair seen so far
     /// (non-consuming; same `master ⊕ (group ⊕ tail)` order).
     pub fn finish(&self) -> Result<Matrix> {
-        let mut tail = self.group.clone();
-        if let (Some(ra), Some(rb)) = (self.pending_a.remainder(), self.pending_b.remainder()) {
-            let p = csr_cross_chunk(&ra, &rb);
-            recycle_csr_shard(ra);
-            recycle_csr_shard(rb);
-            let p = p?;
-            match &mut tail {
-                None => tail = Some(p),
-                Some(t) => add_assign(t, &p),
-            }
-        }
-        let mut acc = self.acc.clone();
-        if let Some(t) = tail {
-            match &mut acc {
-                None => acc = Some(t),
-                Some(a) => add_assign(a, &t),
-            }
-        }
-        Ok(acc.unwrap_or_else(|| Matrix::zeros(self.pending_a.cols, self.pending_b.cols)))
-    }
-
-    /// Absorbs the state of an accumulator that folded the next
-    /// ≤ [`GROUP_ROWS`]-row work unit of the same stream pair — identical
-    /// preconditions and bitwise contract as
-    /// [`SparseGramAccumulator::absorb_unit`].
-    pub fn absorb_unit(&mut self, other: SparseCrossGramAccumulator) -> Result<()> {
-        if other.pending_a.cols != self.pending_a.cols
-            || other.pending_b.cols != self.pending_b.cols
-        {
-            return Err(LinalgError::DimensionMismatch {
-                op: "absorb_unit",
-                lhs: (self.pending_a.cols, self.pending_b.cols),
-                rhs: (other.pending_a.cols, other.pending_b.cols),
-            });
-        }
-        if self.pending_a.rows() != 0 || self.group.is_some() || self.rows_seen % GROUP_ROWS != 0 {
-            return Err(LinalgError::InvalidArgument(
-                "absorb_unit target must sit on a merge-group boundary".to_string(),
-            ));
-        }
-        if other.rows_seen > GROUP_ROWS {
-            return Err(LinalgError::InvalidArgument(format!(
-                "absorbed unit spans {} rows, more than one {GROUP_ROWS}-row merge group",
-                other.rows_seen
-            )));
-        }
-        if let Some(g) = other.acc {
-            match &mut self.acc {
-                None => self.acc = Some(g),
-                Some(a) => add_assign(a, &g),
-            }
-        }
-        self.group = other.group;
-        self.pending_a = other.pending_a;
-        self.pending_b = other.pending_b;
-        self.rows_seen += other.rows_seen;
-        Ok(())
-    }
-
-    /// Serializes the complete accumulator state as bit-exact state text;
-    /// the sparse counterpart of
-    /// [`CrossGramAccumulator::write_state`](crate::CrossGramAccumulator::write_state).
-    pub fn write_state(&self, w: &mut dyn io::Write) -> io::Result<()> {
-        writeln!(
-            w,
-            "sparsecrossgram {} {} {} {} {} {} {} {}",
-            self.pending_a.cols,
-            self.pending_b.cols,
-            self.rows_seen,
-            self.pending_a.rows(),
-            self.pending_a.nnz(),
-            self.pending_b.nnz(),
-            self.acc.is_some() as u8,
-            self.group.is_some() as u8
-        )?;
-        self.pending_a.write_state(w)?;
-        self.pending_b.write_state(w)?;
-        if let Some(a) = &self.acc {
-            write_f64_run(w, a.as_slice())?;
-        }
-        if let Some(g) = &self.group {
-            write_f64_run(w, g.as_slice())?;
-        }
-        Ok(())
-    }
-
-    /// Restores an accumulator written by
-    /// [`SparseCrossGramAccumulator::write_state`], revalidating every
-    /// structural invariant (one pending row count covers both lockstep
-    /// buffers).
-    pub fn read_state(r: &mut dyn io::BufRead) -> io::Result<Self> {
-        let header = read_line(r)?;
-        let head = parse_state_header(&header, "sparsecrossgram", 8)?;
-        let (a_cols, b_cols, rows_seen, pending_rows, a_nnz, b_nnz, has_acc, has_group) = (
-            head[0], head[1], head[2], head[3], head[4], head[5], head[6], head[7],
-        );
-        validate_fold_header(a_cols, rows_seen, pending_rows, has_acc, has_group)?;
-        if b_cols == 0 {
-            return Err(bad_state("accumulator state has zero columns"));
-        }
-        let pending_a = PendingCsrRows::read_state(r, a_cols, pending_rows, a_nnz)?;
-        let pending_b = PendingCsrRows::read_state(r, b_cols, pending_rows, b_nnz)?;
-        let mut read_cross = || -> io::Result<Matrix> {
-            let vals = read_f64_run(r, checked_len(a_cols, b_cols)?)?;
-            Matrix::from_vec(a_cols, b_cols, vals).map_err(|e| bad_state(e.to_string()))
-        };
-        let acc = if has_acc == 1 {
-            Some(read_cross()?)
-        } else {
-            None
-        };
-        let group = if has_group == 1 {
-            Some(read_cross()?)
-        } else {
-            None
-        };
-        Ok(SparseCrossGramAccumulator {
-            pending_a,
-            pending_b,
-            acc,
-            group,
-            rows_seen,
-        })
+        self.try_finish()
     }
 }
-
-// ---------------------------------------------------------------------------
-// Streamed top-level products.
-// ---------------------------------------------------------------------------
 
 /// Gram matrix `AᵀA` of a CSR row-block source through the sparse
 /// streaming accumulator: bitwise identical to [`crate::gram_streamed`]
@@ -1491,15 +992,18 @@ pub fn matmul_streamed_csr(source: &dyn CsrRowBlocks, rhs: &Matrix) -> Result<Ma
     let mut out = Matrix::zeros(n, m);
     let mut pending = PendingCsrRows::new(k);
     let mut next_row = 0usize;
-    let write = |next_row: &mut usize, p: Matrix, out: &mut Matrix| -> Result<()> {
-        if *next_row + p.rows() > n {
+    let mut write = |chunk: CsrShard| -> Result<()> {
+        let p = csr_matmul_chunk(&chunk, rhs);
+        recycle_csr_shard(chunk);
+        let p = p?;
+        if next_row + p.rows() > n {
             return Err(LinalgError::InvalidArgument(format!(
                 "CSR row-block source delivered more than its declared {n} rows"
             )));
         }
         let len = p.rows() * m;
-        out.as_mut_slice()[*next_row * m..*next_row * m + len].copy_from_slice(p.as_slice());
-        *next_row += p.rows();
+        out.as_mut_slice()[next_row * m..next_row * m + len].copy_from_slice(p.as_slice());
+        next_row += p.rows();
         Ok(())
     };
     source.for_each_csr_block(&mut |block| {
@@ -1510,30 +1014,12 @@ pub fn matmul_streamed_csr(source: &dyn CsrRowBlocks, rhs: &Matrix) -> Result<Ma
                 rhs: block.shape(),
             });
         }
-        let rows = block.rows();
-        let mut start = 0;
-        loop {
-            let take = pending.capacity_rows().min(rows - start);
-            pending.push_rows(block, start, take);
-            start += take;
-            let full = pending.full_chunks();
-            for i in 0..full {
-                let chunk = pending.chunk(i);
-                let p = csr_matmul_chunk(&chunk, rhs)?;
-                recycle_csr_shard(chunk);
-                write(&mut next_row, p, &mut out)?;
-            }
-            pending.drain_chunks(full);
-            if start >= rows {
-                break;
-            }
-        }
-        Ok(())
+        realign(&mut pending, block, |pending, full| {
+            (0..full).try_for_each(|i| write(pending.chunk(i)))
+        })
     })?;
     if let Some(rem) = pending.remainder() {
-        let p = csr_matmul_chunk(&rem, rhs)?;
-        recycle_csr_shard(rem);
-        write(&mut next_row, p, &mut out)?;
+        write(rem)?;
     }
     if next_row != n {
         return Err(LinalgError::InvalidArgument(format!(
@@ -1570,12 +1056,12 @@ pub fn matmul_left_streamed_csr_t(lhs: &Matrix, source: &dyn CsrRowBlocks) -> Re
     let mut acc: Option<Matrix> = None;
     let mut pending = PendingCsrRows::new(m);
     let mut offset = 0usize;
-    let fold = |acc: &mut Option<Matrix>, offset: &mut usize, chunk: CsrShard| -> Result<()> {
-        let p = csr_left_matmul_chunk_t(lhs, *offset, &chunk)?;
-        *offset += chunk.rows();
+    let mut fold = |chunk: CsrShard| -> Result<()> {
+        let p = csr_left_matmul_chunk_t(lhs, offset, &chunk)?;
+        offset += chunk.rows();
         recycle_csr_shard(chunk);
-        match acc {
-            None => *acc = Some(p),
+        match &mut acc {
+            None => acc = Some(p),
             Some(a) => add_assign(a, &p),
         }
         Ok(())
@@ -1588,25 +1074,12 @@ pub fn matmul_left_streamed_csr_t(lhs: &Matrix, source: &dyn CsrRowBlocks) -> Re
                 rhs: block.shape(),
             });
         }
-        let rows = block.rows();
-        let mut start = 0;
-        loop {
-            let take = pending.capacity_rows().min(rows - start);
-            pending.push_rows(block, start, take);
-            start += take;
-            let full = pending.full_chunks();
-            for i in 0..full {
-                fold(&mut acc, &mut offset, pending.chunk(i))?;
-            }
-            pending.drain_chunks(full);
-            if start >= rows {
-                break;
-            }
-        }
-        Ok(())
+        realign(&mut pending, block, |pending, full| {
+            (0..full).try_for_each(|i| fold(pending.chunk(i)))
+        })
     })?;
     if let Some(rem) = pending.remainder() {
-        fold(&mut acc, &mut offset, rem)?;
+        fold(rem)?;
     }
     if offset != n {
         return Err(LinalgError::InvalidArgument(format!(
@@ -1619,6 +1092,7 @@ pub fn matmul_left_streamed_csr_t(lhs: &Matrix, source: &dyn CsrRowBlocks) -> Re
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::streaming::GROUP_ROWS;
     use crate::{gram_streamed, matmul_left_streamed, matmul_streamed, RowShardedMatrix};
 
     /// Deterministic pseudo-random sparse fill: ~`nnz_per_row` stored

@@ -35,6 +35,14 @@
 //! bitwise with the one-shot kernels ([`Matrix::gram`], [`Matrix::matmul`])
 //! on the same data.
 //!
+//! The re-alignment is written once, for the dense accumulators here, their
+//! CSR counterparts in [`sparse`](crate::sparse) and all four streamed
+//! products: a private core cuts each pushed block into pieces of at most
+//! a few chunks, hands the full chunks to the caller's chunk kernel and
+//! keeps the tail. The two-level fold below is likewise one piece of code
+//! for all four Gram-type accumulators; each of them only adds a row
+//! buffer, a chunk kernel and a state header tag.
+//!
 //! ## Two-level fold and the unit merge
 //!
 //! The Gram accumulators fold at **two levels**: chunk results fold
@@ -55,11 +63,10 @@
 //! single accumulator would have sealed. The decomposition pipeline's
 //! interval-Gram stage folds several units concurrently on this merge.
 
-use crate::state_text::{
-    bad_state, checked_len, parse_usize_line, read_f64_run, read_line, write_f64_run,
-};
+use crate::fold::{add_assign, realign, ChunkKernel, Partials, RowBuffer, StreamAccumulator};
+use crate::pending::PendingRows;
 use crate::{LinalgError, Matrix, Result};
-use std::io;
+use std::borrow::Cow;
 
 /// Number of rows per internal accumulation chunk. Part of the arithmetic
 /// contract (chunk boundaries determine rounding order), so it is a fixed
@@ -233,92 +240,79 @@ impl RowBlocks for RowShardedMatrix {
     }
 }
 
-/// Entry-wise in-place sum (shapes already validated by callers).
-fn add_assign(acc: &mut Matrix, rhs: &Matrix) {
-    for (a, &b) in acc.as_mut_slice().iter_mut().zip(rhs.as_slice()) {
-        *a += b;
+/// Runs `kernel(i, lone)` on full chunks `0..full` and returns the results
+/// in chunk order. A lone chunk (`lone == true`) parallelizes inside its
+/// packed kernel; several chunks run as jobs across the [`ivmf_par`] pool,
+/// each kernel inline. Identical results either way — the kernels are
+/// thread-count-deterministic and the caller folds in chunk order.
+fn map_chunks<T: Send>(full: usize, kernel: impl Fn(usize, bool) -> T + Sync) -> Vec<T> {
+    if full == 1 {
+        vec![kernel(0, true)]
+    } else {
+        ivmf_par::par_map(full, ivmf_par::configured_threads(), |i| kernel(i, false))
     }
 }
 
-/// Upper bound on buffered full chunks: incoming blocks are consumed in
-/// pieces of at most this many chunks, each piece drained before the next
-/// is copied in. This caps every accumulator's transient buffer at
-/// `PAR_FOLD_CHUNKS × STREAM_CHUNK_ROWS` rows — pushing a huge dense
-/// block does *not* duplicate it in memory — while still handing
-/// [`ivmf_par::par_map`] several chunks at a time to schedule. Purely a
-/// memory/scheduling knob: chunk boundaries and fold order (and therefore
-/// every bit of the results) are unaffected.
-pub(crate) const PAR_FOLD_CHUNKS: usize = 8;
-
-/// Row buffer that re-aligns arbitrary incoming blocks to the fixed global
-/// chunk grid: rows accumulate in order, full [`STREAM_CHUNK_ROWS`]-row
-/// chunks are handed out for folding, the tail stays buffered.
+/// Chunk kernel of [`GramAccumulator`]: the packed SYRK per chunk.
 #[derive(Debug, Clone)]
-struct PendingRows {
-    cols: usize,
-    rows: usize,
-    data: Vec<f64>,
+pub enum DenseGram {}
+
+impl ChunkKernel for DenseGram {
+    type Rows = PendingRows;
+    const TAG: &'static str = "gram";
+
+    fn fold_chunks(rows: &PendingRows, full: usize, sum: &mut Partials<Self>) -> Result<()> {
+        let grams = map_chunks(full, |i, lone| {
+            let c = rows.chunk(i);
+            let g = if lone { c.gram() } else { c.gram_impl(1) };
+            crate::pool::recycle_f64(c.into_vec());
+            g
+        });
+        for g in grams {
+            sum.fold(Cow::Owned(g));
+        }
+        Ok(())
+    }
+
+    fn tail(rem: Matrix) -> Result<Matrix> {
+        let g = rem.gram();
+        crate::pool::recycle_f64(rem.into_vec());
+        Ok(g)
+    }
 }
 
-impl PendingRows {
-    fn new(cols: usize) -> Self {
-        PendingRows {
-            cols,
-            rows: 0,
-            data: Vec::new(),
+/// Chunk kernel of [`CrossGramAccumulator`]: the packed `AᵀB` per chunk
+/// pair.
+#[derive(Debug, Clone)]
+pub enum DenseCross {}
+
+impl ChunkKernel for DenseCross {
+    type Rows = (PendingRows, PendingRows);
+    const TAG: &'static str = "crossgram";
+
+    fn fold_chunks(rows: &Self::Rows, full: usize, sum: &mut Partials<Self>) -> Result<()> {
+        let products = map_chunks(full, |i, lone| {
+            let (ca, cb) = rows.chunk(i);
+            let p = if lone {
+                ca.matmul_tn(&cb)
+            } else {
+                ca.matmul_tn_impl(&cb, 1)
+            };
+            crate::pool::recycle_f64(ca.into_vec());
+            crate::pool::recycle_f64(cb.into_vec());
+            p
+        });
+        for p in products {
+            sum.fold(Cow::Owned(p?));
         }
+        Ok(())
     }
 
-    /// Rows that fit before the buffer holds [`PAR_FOLD_CHUNKS`] full
-    /// chunks. Strictly positive whenever the buffer's full chunks have
-    /// been drained (the invariant every accumulator re-establishes after
-    /// each piece), so the piece-wise push loops always make progress.
-    fn capacity_rows(&self) -> usize {
-        PAR_FOLD_CHUNKS * STREAM_CHUNK_ROWS - self.rows
-    }
-
-    /// Appends rows `start..start + n` of `block`.
-    fn push_rows(&mut self, block: &Matrix, start: usize, n: usize) {
-        self.data
-            .extend_from_slice(&block.as_slice()[start * self.cols..(start + n) * self.cols]);
-        self.rows += n;
-    }
-
-    fn full_chunks(&self) -> usize {
-        self.rows / STREAM_CHUNK_ROWS
-    }
-
-    /// Copy of full chunk `i` (rows `i*C .. (i+1)*C` of the buffer). The
-    /// backing buffer comes from the [`crate::pool`], so steady-state
-    /// streaming recycles the same chunk-sized allocations instead of
-    /// hitting the allocator once per chunk; the copied values are
-    /// identical either way.
-    fn chunk(&self, i: usize) -> Matrix {
-        let len = STREAM_CHUNK_ROWS * self.cols;
-        let mut buf = crate::pool::take_f64(len);
-        buf.extend_from_slice(&self.data[i * len..(i + 1) * len]);
-        Matrix::from_vec(STREAM_CHUNK_ROWS, self.cols, buf)
-            .expect("chunk slicing preserves the shape")
-    }
-
-    fn drain_chunks(&mut self, n: usize) {
-        self.data.drain(..n * STREAM_CHUNK_ROWS * self.cols);
-        self.rows -= n * STREAM_CHUNK_ROWS;
-    }
-
-    /// The buffered tail (fewer than [`STREAM_CHUNK_ROWS`] rows), if any,
-    /// in a pool buffer like [`PendingRows::chunk`]'s — consumers recycle
-    /// both the same way.
-    fn remainder(&self) -> Option<Matrix> {
-        if self.rows == 0 {
-            return None;
-        }
-        let mut buf = crate::pool::take_f64(self.data.len());
-        buf.extend_from_slice(&self.data);
-        Some(
-            Matrix::from_vec(self.rows, self.cols, buf)
-                .expect("buffer length is rows*cols by construction"),
-        )
+    fn tail((ra, rb): (Matrix, Matrix)) -> Result<Matrix> {
+        let p = ra.matmul_tn(&rb);
+        crate::pool::recycle_f64(ra.into_vec());
+        crate::pool::recycle_f64(rb.into_vec());
+        p
     }
 }
 
@@ -330,25 +324,12 @@ impl PendingRows {
 /// (non-consuming, so more rows can be appended afterwards — the
 /// incremental-update path of the decomposition pipeline). See the
 /// [module docs](self) for the bitwise guarantees.
-#[derive(Debug, Clone)]
-pub struct GramAccumulator {
-    pending: PendingRows,
-    /// Master partial: fold of the completed merge groups, in order.
-    acc: Option<Matrix>,
-    /// Group partial: fold of the chunks since the last group boundary.
-    group: Option<Matrix>,
-    rows_seen: usize,
-}
+pub type GramAccumulator = StreamAccumulator<DenseGram>;
 
 impl GramAccumulator {
     /// An empty accumulator for a stream with `cols` columns.
     pub fn new(cols: usize) -> Self {
-        GramAccumulator {
-            pending: PendingRows::new(cols),
-            acc: None,
-            group: None,
-            rows_seen: 0,
-        }
+        StreamAccumulator::empty(PendingRows::new(cols))
     }
 
     /// Number of columns of the stream (and of the Gram output).
@@ -356,530 +337,64 @@ impl GramAccumulator {
         self.pending.cols
     }
 
-    /// Total rows folded or buffered so far.
-    pub fn rows_seen(&self) -> usize {
-        self.rows_seen
-    }
-
     /// Feeds the next row block (row order across calls).
     pub fn push_block(&mut self, block: &Matrix) -> Result<()> {
-        if block.cols() != self.pending.cols {
+        if block.cols() != self.cols() {
             return Err(LinalgError::DimensionMismatch {
                 op: "gram_accumulate",
-                lhs: (self.rows_seen, self.pending.cols),
+                lhs: (self.rows_seen(), self.cols()),
                 rhs: block.shape(),
             });
         }
-        // Consume the block in bounded pieces so the pending buffer never
-        // exceeds PAR_FOLD_CHUNKS chunks (a huge block is folded, not
-        // duplicated). Chunk boundaries and fold order are unchanged.
-        let rows = block.rows();
-        let mut start = 0;
-        loop {
-            let take = self.pending.capacity_rows().min(rows - start);
-            self.pending.push_rows(block, start, take);
-            start += take;
-            self.rows_seen += take;
-            self.drain_full_chunks();
-            if start >= rows {
-                break;
-            }
-        }
-        Ok(())
+        self.push(block)
     }
 
-    fn drain_full_chunks(&mut self) {
-        let full = self.pending.full_chunks();
-        // `drain_chunks` runs only below, so the difference still counts
-        // the chunks folded *before* this call — the global chunk index
-        // the group-boundary check needs.
-        let mut folded = (self.rows_seen - self.pending.rows) / STREAM_CHUNK_ROWS;
-        if full == 1 {
-            // A lone chunk parallelizes inside the SYRK kernel.
-            let c = self.pending.chunk(0);
-            let g = c.gram();
-            crate::pool::recycle_f64(c.into_vec());
-            self.fold(g, &mut folded);
-        } else if full > 1 {
-            // Several chunks: schedule them as jobs across the pool, each
-            // running its kernel inline. Identical results either way —
-            // the kernels are thread-count-deterministic and the fold
-            // below is in chunk order.
-            let pending = &self.pending;
-            let grams = ivmf_par::par_map(full, ivmf_par::configured_threads(), |i| {
-                let c = pending.chunk(i);
-                let g = c.gram_impl(1);
-                crate::pool::recycle_f64(c.into_vec());
-                g
-            });
-            for g in grams {
-                self.fold(g, &mut folded);
-            }
-        }
-        self.pending.drain_chunks(full);
-    }
-
-    /// Folds one chunk result into the group partial, sealing the group
-    /// into the master at every [`MERGE_GROUP_CHUNKS`] boundary.
-    fn fold(&mut self, g: Matrix, folded_chunks: &mut usize) {
-        match &mut self.group {
-            None => self.group = Some(g),
-            Some(a) => add_assign(a, &g),
-        }
-        *folded_chunks += 1;
-        if *folded_chunks % MERGE_GROUP_CHUNKS == 0 {
-            self.seal_group();
-        }
-    }
-
-    /// Moves the completed group partial into the master fold.
-    fn seal_group(&mut self) {
-        if let Some(g) = self.group.take() {
-            match &mut self.acc {
-                None => self.acc = Some(g),
-                Some(a) => add_assign(a, &g),
-            }
-        }
-    }
-
-    /// The Gram matrix of every row seen so far. Non-consuming: the
-    /// buffered tail is folded into a copy, so the accumulator keeps
-    /// accepting blocks afterwards. Combination order is fixed:
-    /// `master ⊕ (group ⊕ tail)`.
+    /// The Gram matrix of every row seen so far (non-consuming; see
+    /// [`StreamAccumulator::try_finish`]).
     pub fn finish(&self) -> Matrix {
-        let mut tail = self.group.clone();
-        if let Some(rem) = self.pending.remainder() {
-            let g = rem.gram();
-            crate::pool::recycle_f64(rem.into_vec());
-            match &mut tail {
-                None => tail = Some(g),
-                Some(t) => add_assign(t, &g),
-            }
-        }
-        let mut acc = self.acc.clone();
-        if let Some(t) = tail {
-            match &mut acc {
-                None => acc = Some(t),
-                Some(a) => add_assign(a, &t),
-            }
-        }
-        acc.unwrap_or_else(|| Matrix::zeros(self.pending.cols, self.pending.cols))
+        self.try_finish().expect("the Gram kernel cannot fail")
     }
-
-    /// Absorbs the state of an accumulator that folded the *next* work
-    /// unit of the same stream — at most [`GROUP_ROWS`] rows, starting at
-    /// this accumulator's current row — reproducing bit for bit the state
-    /// this accumulator would hold had it folded those rows itself (the
-    /// unit-merge contract; see the [module docs](self)).
-    ///
-    /// Requires `self` to sit exactly on a group boundary (no pending
-    /// tail, no open group) and `other` to span at most one group, so only
-    /// the final unit of a stream may be partial.
-    pub fn absorb_unit(&mut self, other: GramAccumulator) -> Result<()> {
-        if other.pending.cols != self.pending.cols {
-            return Err(LinalgError::DimensionMismatch {
-                op: "absorb_unit",
-                lhs: (self.rows_seen, self.pending.cols),
-                rhs: (other.rows_seen, other.pending.cols),
-            });
-        }
-        if self.pending.rows != 0 || self.group.is_some() || self.rows_seen % GROUP_ROWS != 0 {
-            return Err(LinalgError::InvalidArgument(
-                "absorb_unit target must sit on a merge-group boundary".to_string(),
-            ));
-        }
-        if other.rows_seen > GROUP_ROWS {
-            return Err(LinalgError::InvalidArgument(format!(
-                "absorbed unit spans {} rows, more than one {GROUP_ROWS}-row merge group",
-                other.rows_seen
-            )));
-        }
-        // A ≤ GROUP_ROWS unit has at most one completed group (its `acc`),
-        // which is exactly the next group of the combined stream.
-        if let Some(g) = other.acc {
-            match &mut self.acc {
-                None => self.acc = Some(g),
-                Some(a) => add_assign(a, &g),
-            }
-        }
-        self.group = other.group;
-        self.pending = other.pending;
-        self.rows_seen += other.rows_seen;
-        Ok(())
-    }
-
-    /// Serializes the complete accumulator state — pending row buffer,
-    /// partial fold and row count — as bit-exact state text (see
-    /// [`crate::state_text`]). [`GramAccumulator::read_state`] restores an
-    /// accumulator that continues the fold with exactly the operation
-    /// sequence (and therefore exactly the bits) of the original.
-    pub fn write_state(&self, w: &mut dyn io::Write) -> io::Result<()> {
-        writeln!(
-            w,
-            "gram {} {} {} {} {}",
-            self.pending.cols,
-            self.rows_seen,
-            self.pending.rows,
-            self.acc.is_some() as u8,
-            self.group.is_some() as u8
-        )?;
-        write_f64_run(w, &self.pending.data)?;
-        if let Some(a) = &self.acc {
-            write_f64_run(w, a.as_slice())?;
-        }
-        if let Some(g) = &self.group {
-            write_f64_run(w, g.as_slice())?;
-        }
-        Ok(())
-    }
-
-    /// Restores an accumulator written by [`GramAccumulator::write_state`].
-    /// Every structural invariant is revalidated — a corrupted or
-    /// truncated stream yields an error, never a panic or a silently
-    /// inconsistent accumulator.
-    pub fn read_state(r: &mut dyn io::BufRead) -> io::Result<Self> {
-        let header = read_line(r)?;
-        let head = parse_state_header(&header, "gram", 5)?;
-        let (cols, rows_seen, pending_rows, has_acc, has_group) =
-            (head[0], head[1], head[2], head[3], head[4]);
-        validate_fold_header(cols, rows_seen, pending_rows, has_acc, has_group)?;
-        let data = read_f64_run(r, checked_len(pending_rows, cols)?)?;
-        let acc = if has_acc == 1 {
-            let vals = read_f64_run(r, checked_len(cols, cols)?)?;
-            Some(Matrix::from_vec(cols, cols, vals).map_err(|e| bad_state(e.to_string()))?)
-        } else {
-            None
-        };
-        let group = if has_group == 1 {
-            let vals = read_f64_run(r, checked_len(cols, cols)?)?;
-            Some(Matrix::from_vec(cols, cols, vals).map_err(|e| bad_state(e.to_string()))?)
-        } else {
-            None
-        };
-        Ok(GramAccumulator {
-            pending: PendingRows {
-                cols,
-                rows: pending_rows,
-                data,
-            },
-            acc,
-            group,
-            rows_seen,
-        })
-    }
-}
-
-/// Parses a state header line: the expected tag followed by exactly
-/// `fields` integers.
-pub(crate) fn parse_state_header(line: &str, tag: &str, fields: usize) -> io::Result<Vec<usize>> {
-    let rest = line
-        .strip_prefix(tag)
-        .filter(|r| r.starts_with(' '))
-        .ok_or_else(|| bad_state(format!("expected {tag:?} state header, got {line:?}")))?;
-    parse_usize_line(rest, fields)
-}
-
-/// Shared invariants of every chunk-realigned fold header: a non-empty
-/// column count, a pending tail strictly below one chunk, folded rows on
-/// a chunk boundary, a master partial present exactly when at least one
-/// merge group has completed, and a group partial present exactly when
-/// the folded chunk count sits off a group boundary. Violations mean the
-/// state did not come from a healthy accumulator.
-pub(crate) fn validate_fold_header(
-    cols: usize,
-    rows_seen: usize,
-    pending_rows: usize,
-    has_acc: usize,
-    has_group: usize,
-) -> io::Result<()> {
-    if cols == 0 {
-        return Err(bad_state("accumulator state has zero columns"));
-    }
-    if has_acc > 1 {
-        return Err(bad_state(format!("malformed acc flag {has_acc}")));
-    }
-    if has_group > 1 {
-        return Err(bad_state(format!("malformed group flag {has_group}")));
-    }
-    if pending_rows >= STREAM_CHUNK_ROWS || pending_rows > rows_seen {
-        return Err(bad_state(format!(
-            "pending tail of {pending_rows} rows is inconsistent with {rows_seen} rows seen"
-        )));
-    }
-    let folded = rows_seen - pending_rows;
-    if folded % STREAM_CHUNK_ROWS != 0 {
-        return Err(bad_state(format!(
-            "folded row count {folded} is not on a {STREAM_CHUNK_ROWS}-row chunk boundary"
-        )));
-    }
-    let chunks = folded / STREAM_CHUNK_ROWS;
-    if (has_acc == 1) != (chunks / MERGE_GROUP_CHUNKS > 0) {
-        return Err(bad_state(format!(
-            "acc flag {has_acc} contradicts {folded} folded rows"
-        )));
-    }
-    if (has_group == 1) != (chunks % MERGE_GROUP_CHUNKS > 0) {
-        return Err(bad_state(format!(
-            "group flag {has_group} contradicts {folded} folded rows"
-        )));
-    }
-    Ok(())
 }
 
 /// Streaming accumulator for the cross product `AᵀB` over a pair of
 /// row-block streams fed in lockstep (the `loᵀ·hi` term of the exact
-/// interval Gram). Same chunk re-alignment and bitwise guarantees as
-/// [`GramAccumulator`].
-#[derive(Debug, Clone)]
-pub struct CrossGramAccumulator {
-    pending_a: PendingRows,
-    pending_b: PendingRows,
-    /// Master partial: fold of the completed merge groups, in order.
-    acc: Option<Matrix>,
-    /// Group partial: fold of the chunks since the last group boundary.
-    group: Option<Matrix>,
-    rows_seen: usize,
-}
+/// interval Gram). Same chunk re-alignment, two-level fold, unit merge
+/// and bitwise guarantees as [`GramAccumulator`].
+pub type CrossGramAccumulator = StreamAccumulator<DenseCross>;
 
 impl CrossGramAccumulator {
     /// An empty accumulator for streams with `a_cols` / `b_cols` columns.
     pub fn new(a_cols: usize, b_cols: usize) -> Self {
-        CrossGramAccumulator {
-            pending_a: PendingRows::new(a_cols),
-            pending_b: PendingRows::new(b_cols),
-            acc: None,
-            group: None,
-            rows_seen: 0,
-        }
-    }
-
-    /// Total rows folded or buffered so far.
-    pub fn rows_seen(&self) -> usize {
-        self.rows_seen
+        StreamAccumulator::empty((PendingRows::new(a_cols), PendingRows::new(b_cols)))
     }
 
     /// Column count of the first stream (rows of the `AᵀB` output).
     pub fn a_cols(&self) -> usize {
-        self.pending_a.cols
+        self.pending.0.cols
     }
 
     /// Column count of the second stream (columns of the `AᵀB` output).
     pub fn b_cols(&self) -> usize {
-        self.pending_b.cols
+        self.pending.1.cols
     }
 
     /// Feeds the next row block of each stream; the blocks must cover the
     /// same rows (equal row counts).
     pub fn push_blocks(&mut self, a: &Matrix, b: &Matrix) -> Result<()> {
-        if a.rows() != b.rows()
-            || a.cols() != self.pending_a.cols
-            || b.cols() != self.pending_b.cols
-        {
+        if a.rows() != b.rows() || a.cols() != self.a_cols() || b.cols() != self.b_cols() {
             return Err(LinalgError::DimensionMismatch {
                 op: "cross_gram_accumulate",
                 lhs: a.shape(),
                 rhs: b.shape(),
             });
         }
-        // Same bounded piece-wise consumption as `GramAccumulator`, with
-        // the two streams advanced in lockstep.
-        let rows = a.rows();
-        let mut start = 0;
-        loop {
-            let take = self.pending_a.capacity_rows().min(rows - start);
-            self.pending_a.push_rows(a, start, take);
-            self.pending_b.push_rows(b, start, take);
-            start += take;
-            self.rows_seen += take;
-            self.drain_full_chunks()?;
-            if start >= rows {
-                break;
-            }
-        }
-        Ok(())
-    }
-
-    fn drain_full_chunks(&mut self) -> Result<()> {
-        let full = self.pending_a.full_chunks();
-        let mut folded = (self.rows_seen - self.pending_a.rows) / STREAM_CHUNK_ROWS;
-        if full == 1 {
-            let ca = self.pending_a.chunk(0);
-            let cb = self.pending_b.chunk(0);
-            let p = ca.matmul_tn(&cb);
-            crate::pool::recycle_f64(ca.into_vec());
-            crate::pool::recycle_f64(cb.into_vec());
-            self.fold(p?, &mut folded);
-        } else if full > 1 {
-            let (pa, pb) = (&self.pending_a, &self.pending_b);
-            let products = ivmf_par::par_map(full, ivmf_par::configured_threads(), |i| {
-                let ca = pa.chunk(i);
-                let cb = pb.chunk(i);
-                let p = ca.matmul_tn_impl(&cb, 1);
-                crate::pool::recycle_f64(ca.into_vec());
-                crate::pool::recycle_f64(cb.into_vec());
-                p
-            });
-            for p in products {
-                self.fold(p?, &mut folded);
-            }
-        }
-        self.pending_a.drain_chunks(full);
-        self.pending_b.drain_chunks(full);
-        Ok(())
-    }
-
-    /// Chunk-into-group fold with group sealing, exactly as in
-    /// [`GramAccumulator::fold`].
-    fn fold(&mut self, p: Matrix, folded_chunks: &mut usize) {
-        match &mut self.group {
-            None => self.group = Some(p),
-            Some(a) => add_assign(a, &p),
-        }
-        *folded_chunks += 1;
-        if *folded_chunks % MERGE_GROUP_CHUNKS == 0 {
-            self.seal_group();
-        }
-    }
-
-    fn seal_group(&mut self) {
-        if let Some(g) = self.group.take() {
-            match &mut self.acc {
-                None => self.acc = Some(g),
-                Some(a) => add_assign(a, &g),
-            }
-        }
+        self.push((a, b))
     }
 
     /// The cross product `AᵀB` of every row pair seen so far
-    /// (non-consuming, like [`GramAccumulator::finish`]; same
-    /// `master ⊕ (group ⊕ tail)` order).
+    /// (non-consuming, like [`GramAccumulator::finish`]).
     pub fn finish(&self) -> Result<Matrix> {
-        let mut tail = self.group.clone();
-        if let (Some(ra), Some(rb)) = (self.pending_a.remainder(), self.pending_b.remainder()) {
-            let p = ra.matmul_tn(&rb);
-            crate::pool::recycle_f64(ra.into_vec());
-            crate::pool::recycle_f64(rb.into_vec());
-            let p = p?;
-            match &mut tail {
-                None => tail = Some(p),
-                Some(t) => add_assign(t, &p),
-            }
-        }
-        let mut acc = self.acc.clone();
-        if let Some(t) = tail {
-            match &mut acc {
-                None => acc = Some(t),
-                Some(a) => add_assign(a, &t),
-            }
-        }
-        Ok(acc.unwrap_or_else(|| Matrix::zeros(self.pending_a.cols, self.pending_b.cols)))
-    }
-
-    /// Absorbs the state of an accumulator that folded the next
-    /// ≤ [`GROUP_ROWS`]-row work unit of the same stream pair — the
-    /// unit-merge counterpart of [`GramAccumulator::absorb_unit`],
-    /// with identical preconditions and the identical bitwise contract.
-    pub fn absorb_unit(&mut self, other: CrossGramAccumulator) -> Result<()> {
-        if other.pending_a.cols != self.pending_a.cols
-            || other.pending_b.cols != self.pending_b.cols
-        {
-            return Err(LinalgError::DimensionMismatch {
-                op: "absorb_unit",
-                lhs: (self.pending_a.cols, self.pending_b.cols),
-                rhs: (other.pending_a.cols, other.pending_b.cols),
-            });
-        }
-        if self.pending_a.rows != 0 || self.group.is_some() || self.rows_seen % GROUP_ROWS != 0 {
-            return Err(LinalgError::InvalidArgument(
-                "absorb_unit target must sit on a merge-group boundary".to_string(),
-            ));
-        }
-        if other.rows_seen > GROUP_ROWS {
-            return Err(LinalgError::InvalidArgument(format!(
-                "absorbed unit spans {} rows, more than one {GROUP_ROWS}-row merge group",
-                other.rows_seen
-            )));
-        }
-        if let Some(g) = other.acc {
-            match &mut self.acc {
-                None => self.acc = Some(g),
-                Some(a) => add_assign(a, &g),
-            }
-        }
-        self.group = other.group;
-        self.pending_a = other.pending_a;
-        self.pending_b = other.pending_b;
-        self.rows_seen += other.rows_seen;
-        Ok(())
-    }
-
-    /// Serializes the complete accumulator state (both pending buffers,
-    /// the partial fold and the row count) as bit-exact state text; the
-    /// counterpart of [`GramAccumulator::write_state`].
-    pub fn write_state(&self, w: &mut dyn io::Write) -> io::Result<()> {
-        writeln!(
-            w,
-            "crossgram {} {} {} {} {} {}",
-            self.pending_a.cols,
-            self.pending_b.cols,
-            self.rows_seen,
-            self.pending_a.rows,
-            self.acc.is_some() as u8,
-            self.group.is_some() as u8
-        )?;
-        write_f64_run(w, &self.pending_a.data)?;
-        write_f64_run(w, &self.pending_b.data)?;
-        if let Some(a) = &self.acc {
-            write_f64_run(w, a.as_slice())?;
-        }
-        if let Some(g) = &self.group {
-            write_f64_run(w, g.as_slice())?;
-        }
-        Ok(())
-    }
-
-    /// Restores an accumulator written by
-    /// [`CrossGramAccumulator::write_state`], revalidating every
-    /// structural invariant (the two streams advance in lockstep, so one
-    /// pending row count covers both buffers).
-    pub fn read_state(r: &mut dyn io::BufRead) -> io::Result<Self> {
-        let header = read_line(r)?;
-        let head = parse_state_header(&header, "crossgram", 6)?;
-        let (a_cols, b_cols, rows_seen, pending_rows, has_acc, has_group) =
-            (head[0], head[1], head[2], head[3], head[4], head[5]);
-        validate_fold_header(a_cols, rows_seen, pending_rows, has_acc, has_group)?;
-        if b_cols == 0 {
-            return Err(bad_state("accumulator state has zero columns"));
-        }
-        let data_a = read_f64_run(r, checked_len(pending_rows, a_cols)?)?;
-        let data_b = read_f64_run(r, checked_len(pending_rows, b_cols)?)?;
-        let acc = if has_acc == 1 {
-            let vals = read_f64_run(r, checked_len(a_cols, b_cols)?)?;
-            Some(Matrix::from_vec(a_cols, b_cols, vals).map_err(|e| bad_state(e.to_string()))?)
-        } else {
-            None
-        };
-        let group = if has_group == 1 {
-            let vals = read_f64_run(r, checked_len(a_cols, b_cols)?)?;
-            Some(Matrix::from_vec(a_cols, b_cols, vals).map_err(|e| bad_state(e.to_string()))?)
-        } else {
-            None
-        };
-        Ok(CrossGramAccumulator {
-            pending_a: PendingRows {
-                cols: a_cols,
-                rows: pending_rows,
-                data: data_a,
-            },
-            pending_b: PendingRows {
-                cols: b_cols,
-                rows: pending_rows,
-                data: data_b,
-            },
-            acc,
-            group,
-            rows_seen,
-        })
+        self.try_finish()
     }
 }
 
@@ -917,16 +432,16 @@ pub fn matmul_streamed(source: &dyn RowBlocks, rhs: &Matrix) -> Result<Matrix> {
     let mut out = Matrix::zeros(n, m);
     let mut pending = PendingRows::new(k);
     let mut next_row = 0usize;
-    let write = |next_row: &mut usize, p: Matrix, out: &mut Matrix| -> Result<()> {
-        if *next_row + p.rows() > n {
+    let mut write = |p: Matrix| -> Result<()> {
+        if next_row + p.rows() > n {
             // An over-delivering source (more rows than it declared).
             return Err(LinalgError::InvalidArgument(format!(
                 "row-block source delivered more than its declared {n} rows"
             )));
         }
         let len = p.rows() * m;
-        out.as_mut_slice()[*next_row * m..*next_row * m + len].copy_from_slice(p.as_slice());
-        *next_row += p.rows();
+        out.as_mut_slice()[next_row * m..next_row * m + len].copy_from_slice(p.as_slice());
+        next_row += p.rows();
         Ok(())
     };
     source.for_each_block(&mut |block| {
@@ -937,42 +452,24 @@ pub fn matmul_streamed(source: &dyn RowBlocks, rhs: &Matrix) -> Result<Matrix> {
                 rhs: block.shape(),
             });
         }
-        // Bounded piece-wise consumption (see `PAR_FOLD_CHUNKS`).
-        let rows = block.rows();
-        let mut start = 0;
-        loop {
-            let take = pending.capacity_rows().min(rows - start);
-            pending.push_rows(block, start, take);
-            start += take;
-            let full = pending.full_chunks();
-            if full == 1 {
-                let chunk = pending.chunk(0);
-                let p = chunk.matmul(rhs)?;
+        realign(&mut pending, block, |pending, full| {
+            let products = map_chunks(full, |i, lone| {
+                let chunk = pending.chunk(i);
+                let p = if lone {
+                    chunk.matmul(rhs)
+                } else {
+                    chunk.matmul_impl(rhs, 1)
+                };
                 crate::pool::recycle_f64(chunk.into_vec());
-                write(&mut next_row, p, &mut out)?;
-            } else if full > 1 {
-                let pending_ref = &pending;
-                let products = ivmf_par::par_map(full, ivmf_par::configured_threads(), |i| {
-                    let chunk = pending_ref.chunk(i);
-                    let p = chunk.matmul_impl(rhs, 1);
-                    crate::pool::recycle_f64(chunk.into_vec());
-                    p
-                });
-                for p in products {
-                    write(&mut next_row, p?, &mut out)?;
-                }
-            }
-            pending.drain_chunks(full);
-            if start >= rows {
-                break;
-            }
-        }
-        Ok(())
+                p
+            });
+            products.into_iter().try_for_each(|p| write(p?))
+        })
     })?;
     if let Some(rem) = pending.remainder() {
         let p = rem.matmul(rhs)?;
         crate::pool::recycle_f64(rem.into_vec());
-        write(&mut next_row, p, &mut out)?;
+        write(p)?;
     }
     if next_row != n {
         // An under-delivering source: the missing bottom rows of `out`
@@ -1001,13 +498,13 @@ pub fn matmul_left_streamed(lhs: &Matrix, source: &dyn RowBlocks) -> Result<Matr
     let mut acc: Option<Matrix> = None;
     let mut pending = PendingRows::new(m);
     let mut offset = 0usize;
-    let fold = |acc: &mut Option<Matrix>, offset: &mut usize, chunk: Matrix| -> Result<()> {
-        let l = lhs.col_range(*offset, *offset + chunk.rows())?;
+    let mut fold = |chunk: Matrix| -> Result<()> {
+        let l = lhs.col_range(offset, offset + chunk.rows())?;
         let p = l.matmul(&chunk)?;
-        *offset += chunk.rows();
+        offset += chunk.rows();
         crate::pool::recycle_f64(chunk.into_vec());
-        match acc {
-            None => *acc = Some(p),
+        match &mut acc {
+            None => acc = Some(p),
             Some(a) => add_assign(a, &p),
         }
         Ok(())
@@ -1020,26 +517,12 @@ pub fn matmul_left_streamed(lhs: &Matrix, source: &dyn RowBlocks) -> Result<Matr
                 rhs: block.shape(),
             });
         }
-        // Bounded piece-wise consumption (see `PAR_FOLD_CHUNKS`).
-        let rows = block.rows();
-        let mut start = 0;
-        loop {
-            let take = pending.capacity_rows().min(rows - start);
-            pending.push_rows(block, start, take);
-            start += take;
-            let full = pending.full_chunks();
-            for i in 0..full {
-                fold(&mut acc, &mut offset, pending.chunk(i))?;
-            }
-            pending.drain_chunks(full);
-            if start >= rows {
-                break;
-            }
-        }
-        Ok(())
+        realign(&mut pending, block, |pending, full| {
+            (0..full).try_for_each(|i| fold(pending.chunk(i)))
+        })
     })?;
     if let Some(rem) = pending.remainder() {
-        fold(&mut acc, &mut offset, rem)?;
+        fold(rem)?;
     }
     if offset != n {
         // Under-delivery would silently truncate the reduction (an
@@ -1054,6 +537,7 @@ pub fn matmul_left_streamed(lhs: &Matrix, source: &dyn RowBlocks) -> Result<Matr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fold::PAR_FOLD_CHUNKS;
 
     /// Deterministic pseudo-random fill independent of the `rand` stub.
     fn lcg_matrix(rows: usize, cols: usize, mut state: u64) -> Matrix {
@@ -1278,7 +762,7 @@ mod tests {
         let mut monolithic = GramAccumulator::new(5);
         monolithic.push_block(&m).unwrap();
         assert!(
-            monolithic.pending.rows < STREAM_CHUNK_ROWS,
+            monolithic.pending.rows() < STREAM_CHUNK_ROWS,
             "full chunks must be drained after every push"
         );
         let sharded = RowShardedMatrix::from_matrix(&m, 1).unwrap();

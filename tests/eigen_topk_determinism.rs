@@ -2,7 +2,7 @@
 //!
 //! * `sym_eigen_topk_with` is bitwise identical across `IVMF_THREADS`
 //!   ∈ {1, 4},
-//! * the solver is invariant to `IVMF_SHARD_ROWS` when reached through
+//! * the solver is invariant to the shard layout when reached through
 //!   the row-sharded and sparse CSR Gram routes (the streamed Grams are
 //!   bitwise equal, and so are their top-k eigendecompositions),
 //! * the full pipeline (all five algorithms × every decomposition
@@ -106,10 +106,9 @@ fn topk_is_bitwise_invariant_across_thread_counts() {
 
 #[test]
 fn topk_is_invariant_to_shard_layout_through_the_gram_route() {
-    // Whatever IVMF_SHARD_ROWS says, the streamed interval Gram is
-    // bitwise equal to the dense one — so the top-k eigensolver applied
-    // to its bound matrices is bitwise equal too. No env mutation: the
-    // layouts the CI shard pass would induce are enumerated directly.
+    // Whatever the shard layout, the streamed interval Gram is bitwise
+    // equal to the dense one — so the top-k eigensolver applied to its
+    // bound matrices is bitwise equal too.
     let m = synthetic(7010, 40, 30);
     let reference = m.interval_gram_streamed().unwrap();
     let eig_lo = sym_eigen_topk_with(reference.lo(), 6, &forced()).unwrap();

@@ -16,7 +16,7 @@ use ivmf_core::pipeline::run_all;
 use ivmf_core::{run_all_sparse, DecompositionTarget, IsvdAlgorithm, IsvdConfig, IsvdResult};
 use ivmf_data::synthetic::{generate_power_law, PowerLawConfig};
 use ivmf_interval::{
-    CsrIntervalShard, CsrShardedIntervalMatrix, IntervalMatrix, SparseStreamingIntervalGram,
+    CsrIntervalShard, CsrShardedIntervalMatrix, IntervalMatrix, StreamingIntervalGram,
 };
 use ivmf_linalg::{
     matmul_left_streamed, matmul_left_streamed_csr, matmul_streamed, matmul_streamed_csr, Matrix,
@@ -49,9 +49,9 @@ fn assert_results_bitwise(a: &[IsvdResult; 5], b: &[IsvdResult; 5], context: &st
 }
 
 fn sparse_gram(m: &CsrShardedIntervalMatrix) -> IntervalMatrix {
-    let mut acc = SparseStreamingIntervalGram::new(m.rows(), m.cols());
+    let mut acc = StreamingIntervalGram::new_csr(m.rows(), m.cols());
     for shard in m.shards() {
-        acc.push_shard(shard).unwrap();
+        acc.push_csr_shard(shard).unwrap();
     }
     acc.finish().unwrap()
 }

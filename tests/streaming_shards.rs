@@ -124,26 +124,6 @@ fn streamed_gram_is_bitwise_invariant_across_shard_sizes_and_thread_counts() {
 }
 
 #[test]
-fn forced_shard_size_env_controls_default_sharding() {
-    // The CI forced-shard pass exports IVMF_SHARD_ROWS=7 for the whole
-    // suite; honour a pre-existing value and restore it afterwards.
-    let prev = std::env::var(ivmf_env::SHARD_ROWS).ok();
-    std::env::set_var(ivmf_env::SHARD_ROWS, "7");
-    let m = synthetic(904, 23, 8);
-    let sharded = RowShardedIntervalMatrix::from_dense_env(&m).unwrap();
-    assert_eq!(sharded.num_shards(), 4); // ceil(23 / 7)
-    match prev {
-        Some(v) => std::env::set_var(ivmf_env::SHARD_ROWS, v),
-        None => std::env::remove_var(ivmf_env::SHARD_ROWS),
-    }
-    // Whatever the shard size, results equal the dense path.
-    let config = IsvdConfig::new(4);
-    let dense = run_all(&m, &config).unwrap();
-    let results = ivmf_core::run_all_sharded(&sharded, &config).unwrap();
-    assert_results_bitwise(&results, &dense, "env-sharded");
-}
-
-#[test]
 fn append_rows_across_chunk_boundaries_matches_cold_and_reuses_gram() {
     // Base taller than one chunk so appends land in a non-trivial
     // accumulator state; three successive appends.
