@@ -270,6 +270,12 @@ pub(crate) fn invert_factor_transpose(factor: &Matrix, config: &IsvdConfig) -> R
 
 /// Inverts (or pseudo-inverts) the averaged factor itself: given `factor` of
 /// shape `p x r`, returns an `r x p` matrix approximating `factor⁻¹`.
+///
+/// The one-shot reference for the right tightening, which builds
+/// `Σ⁻¹ · factor⁻¹` in row blocks of `factor` instead
+/// (`pipeline::stream_right_tighten`); the tests compare the two bit for
+/// bit.
+#[cfg(test)]
 pub(crate) fn invert_factor(factor: &Matrix, config: &IsvdConfig) -> Result<Matrix> {
     if factor.is_square() && is_well_conditioned(factor, config.condition_threshold) {
         Ok(invert(factor)?)

@@ -95,8 +95,10 @@ pub type Result<T> = std::result::Result<T, IvmfError>;
 
 #[cfg(test)]
 pub(crate) mod test_support {
+    pub use ivmf_linalg::random::assert_same_bits;
+
     use ivmf_interval::IntervalMatrix;
-    use ivmf_linalg::random::{bit_pattern, uniform_matrix};
+    use ivmf_linalg::random::uniform_matrix;
     use ivmf_linalg::Matrix;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
@@ -110,18 +112,5 @@ pub(crate) mod test_support {
         let spans = Matrix::from_fn(n, m, |_, _| rng.gen_range(0.0..span));
         let hi = lo.add(&spans).unwrap();
         IntervalMatrix::from_bounds(lo, hi).unwrap()
-    }
-
-    /// Asserts two matrices are equal bit for bit, signed zeros included
-    /// (NaN compares by NaN-ness; see [`bit_pattern`]).
-    pub fn assert_same_bits(a: &Matrix, b: &Matrix, context: &str) {
-        assert_eq!(a.shape(), b.shape(), "{context}: shape");
-        for (i, (x, y)) in a.as_slice().iter().zip(b.as_slice()).enumerate() {
-            assert_eq!(
-                bit_pattern(*x),
-                bit_pattern(*y),
-                "{context}: entry {i} ({x} vs {y})"
-            );
-        }
     }
 }

@@ -114,16 +114,19 @@ use ivmf_interval::{
     CsrShardSource, CsrShardedIntervalMatrix, IntervalMatrix, RowShardSource,
     RowShardedIntervalMatrix, StreamingIntervalGram,
 };
+use ivmf_linalg::cond::is_well_conditioned;
+use ivmf_linalg::lu::invert;
+use ivmf_linalg::pinv::{PinvGram, TallPinv, PINV_ROW_ALIGN};
 use ivmf_linalg::streaming::GROUP_ROWS;
 use ivmf_linalg::svd::{svd_truncated, Svd};
 use ivmf_linalg::{
     matmul_left_streamed, matmul_left_streamed_csr_t, matmul_streamed, matmul_streamed_csr,
-    CsrRowBlocks, CsrShard, LinalgError, Matrix, RowBlocks,
+    ColBlocks, CsrRowBlocks, CsrShard, Dispatch, LinalgError, Matrix, RowBlocks,
 };
 
 use crate::isvd::{
-    bound_eigen, invert_factor, invert_factor_transpose, scale_left_factor, BoundEigen,
-    IsvdAlgorithm, IsvdConfig, IsvdResult,
+    bound_eigen, invert_factor_transpose, scale_left_factor, BoundEigen, IsvdAlgorithm, IsvdConfig,
+    IsvdResult,
 };
 use crate::sigma_inverse::sigma_inverse_matrix;
 use crate::target::{DecompositionTarget, FactorBounds};
@@ -982,20 +985,118 @@ fn stream_matmul_scalar(input: &PipelineInput<'_>, rhs: &Matrix) -> Result<Inter
 /// transposed streamed counterpart of
 /// [`IntervalMatrix::matmul_scalar_left`], bitwise identical for every
 /// shard layout. Sparse inputs run the transposed CSR reduction kernel,
-/// which produces the tall `m x p` layout directly.
-fn stream_matmul_scalar_left_t(lhs: &Matrix, input: &PipelineInput<'_>) -> Result<IntervalMatrix> {
+/// which produces the tall `m x p` layout directly. `lhs` is handed over
+/// in column blocks, once per bound product.
+fn stream_matmul_scalar_left_t<L: ColBlocks>(
+    mut lhs: L,
+    input: &PipelineInput<'_>,
+) -> Result<IntervalMatrix> {
     let (p, q) = if input.is_sparse() {
         (
-            matmul_left_streamed_csr_t(lhs, &SparseBoundStream { input, hi: false })?,
-            matmul_left_streamed_csr_t(lhs, &SparseBoundStream { input, hi: true })?,
+            matmul_left_streamed_csr_t(&mut lhs, &SparseBoundStream { input, hi: false })?,
+            matmul_left_streamed_csr_t(&mut lhs, &SparseBoundStream { input, hi: true })?,
         )
     } else {
         (
-            matmul_left_streamed(lhs, &BoundStream { input, hi: false })?.transpose(),
-            matmul_left_streamed(lhs, &BoundStream { input, hi: true })?.transpose(),
+            matmul_left_streamed(&mut lhs, &BoundStream { input, hi: false })?.transpose(),
+            matmul_left_streamed(&mut lhs, &BoundStream { input, hi: true })?.transpose(),
         )
     };
     IntervalMatrix::envelope_of(p, q).map_err(IvmfError::from)
+}
+
+/// Rows of `U†` per block of the right tightening's projector: a multiple
+/// of both the pseudo-inverse Gram's row alignment and the streamed
+/// products' chunk, so every chunk the reduction asks for falls inside
+/// one block.
+const TIGHTEN_BLOCK_ROWS: usize = 4 * PINV_ROW_ALIGN;
+const _: () = assert!(TIGHTEN_BLOCK_ROWS % ivmf_linalg::STREAM_CHUNK_ROWS == 0);
+
+/// Rows `start..end` of the midpoint `mid(U†) = 0.5·(lo + hi)`, entry for
+/// entry as [`IntervalMatrix::mid`] computes them.
+fn mid_rows(u: &IntervalMatrix, start: usize, end: usize) -> Matrix {
+    let r = u.cols();
+    let (lo, hi) = (
+        &u.lo().as_slice()[start * r..end * r],
+        &u.hi().as_slice()[start * r..end * r],
+    );
+    let mid = lo.iter().zip(hi).map(|(&a, &b)| 0.5 * (a + b)).collect();
+    Matrix::from_vec(end - start, r, mid).expect("rows x r entries")
+}
+
+/// The right tightening's `r x n` projector `Σ⁻¹ · pinv(mid U†)` as a
+/// column-block source: the `r x r` pseudo-inverse state is built up
+/// front from row blocks of `mid(U†)`, and each block of
+/// [`TIGHTEN_BLOCK_ROWS`] projector columns is computed when the
+/// reduction first asks for one of its columns. Every product runs the
+/// whole product's kernel ([`Dispatch`]), so the columns are bitwise
+/// those of the materialized `Σ⁻¹ · pinv(mid U†)`; memory is one block.
+struct TightenProjector<'a> {
+    u: &'a IntervalMatrix,
+    sigma_inv: &'a Matrix,
+    pinv: TallPinv,
+    /// Dispatch of the whole `Σ⁻¹ · pinv` product.
+    apply: Dispatch,
+    /// Projector columns `first..first + block.cols()`.
+    block: Matrix,
+    first: usize,
+}
+
+impl<'a> TightenProjector<'a> {
+    fn new(u: &'a IntervalMatrix, sigma_inv: &'a Matrix, cutoff: f64) -> Result<Self> {
+        let (n, r) = u.shape();
+        let mut gram = PinvGram::new(n, r)?;
+        for start in (0..n).step_by(TIGHTEN_BLOCK_ROWS) {
+            gram.push(&mid_rows(u, start, (start + TIGHTEN_BLOCK_ROWS).min(n)))?;
+        }
+        Ok(TightenProjector {
+            u,
+            sigma_inv,
+            pinv: gram.finish(cutoff)?,
+            apply: Dispatch::for_shape(sigma_inv.rows(), sigma_inv.cols(), n),
+            block: Matrix::zeros(sigma_inv.rows(), 0),
+            first: 0,
+        })
+    }
+}
+
+impl ColBlocks for TightenProjector<'_> {
+    fn shape(&self) -> (usize, usize) {
+        (self.sigma_inv.rows(), self.u.rows())
+    }
+
+    fn col_block(&mut self, start: usize, end: usize) -> ivmf_linalg::Result<(&Matrix, usize)> {
+        if start < self.first || end > self.first + self.block.cols() {
+            let first = start / TIGHTEN_BLOCK_ROWS * TIGHTEN_BLOCK_ROWS;
+            let last = (end.div_ceil(TIGHTEN_BLOCK_ROWS) * TIGHTEN_BLOCK_ROWS).min(self.u.rows());
+            let cols = self.pinv.columns(&mid_rows(self.u, first, last))?;
+            self.block = self.sigma_inv.matmul_with(&cols, self.apply)?;
+            self.first = first;
+        }
+        Ok((&self.block, start - self.first))
+    }
+}
+
+/// The right tightening of ISVD4: `(Σ⁻¹ · (mid U†)⁻¹ ·
+/// M†)ᵀ`, `m x r`. Following the paper's rule the averaged factor is
+/// inverted directly when it is square and well-conditioned (an `r x r`
+/// product) and pseudo-inverted otherwise, in row blocks through
+/// [`TightenProjector`]; the reduction streams over the input's shards.
+fn stream_right_tighten(
+    input: &PipelineInput<'_>,
+    u: &IntervalMatrix,
+    sigma_inv: &Matrix,
+    config: &IsvdConfig,
+) -> Result<IntervalMatrix> {
+    let (n, r) = u.shape();
+    if n == r {
+        let mid = u.mid();
+        if is_well_conditioned(&mid, config.condition_threshold) {
+            return stream_matmul_scalar_left_t(&sigma_inv.matmul(&invert(&mid)?)?, input);
+        }
+    }
+    let projector = TightenProjector::new(u, sigma_inv, config.pinv_cutoff)?;
+    stream_matmul_scalar_left_t(projector, input)
 }
 
 /// Default density cutoff for auto-selecting the sparse Gram path on
@@ -1780,6 +1881,15 @@ impl<'m> Pipeline<'m> {
         self.stage_interval_gram(&mut run)
     }
 
+    /// The [`StageId::RightTighten`] output: ISVD4's recomputed right
+    /// factor bounds `(lo, hi)`, each `m x r`, from the aligned solve it
+    /// shares with ISVD3.
+    pub fn right_tighten(&mut self) -> Result<Rc<(Matrix, Matrix)>> {
+        let mut run = RunLog::default();
+        let (_, solved) = self.solve_prefix(&mut run)?;
+        self.stage_right_tighten(&mut run, solved)
+    }
+
     // -- plan executors --
 
     fn exec_isvd0(&mut self, run: &mut RunLog) -> Result<crate::target::IntervalSvd> {
@@ -2110,14 +2220,11 @@ impl<'m> Pipeline<'m> {
         let config = self.config;
         self.cache.get_or_compute(key, run, |t| {
             timed(&mut t.decomposition, || {
-                let u_avg = solved.u.mid();
-                let u_inv = invert_factor(&u_avg, &config)?;
-                // r x n projector; the degenerate left operand needs two
-                // bound products instead of the four of the general
-                // interval product, with identical results. The reduction
-                // over the row dimension streams over the input's shards.
-                let projector = solved.sigma_inv.matmul(&u_inv)?;
-                let recomputed = stream_matmul_scalar_left_t(&projector, input)?; // m x r
+                // The degenerate (scalar) left operand needs two bound
+                // products instead of the four of the general interval
+                // product, with identical results.
+                let recomputed =
+                    stream_right_tighten(input, &solved.u, &solved.sigma_inv, &config)?;
                 Ok::<_, IvmfError>(recomputed.into_bounds())
             })
         })
@@ -2216,7 +2323,104 @@ pub(crate) fn run_single(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_support::random_interval_matrix;
+    use crate::test_support::{assert_same_bits, random_interval_matrix};
+
+    /// The projector of [`TightenProjector`] assembled from the column
+    /// blocks the streamed reduction asks for (one per 128-row chunk).
+    fn assembled_projector(u: &IntervalMatrix, sigma_inv: &Matrix, cutoff: f64) -> Result<Matrix> {
+        let mut projector = TightenProjector::new(u, sigma_inv, cutoff)?;
+        let (p, n) = projector.shape();
+        let mut out = Matrix::zeros(p, n);
+        for start in (0..n).step_by(ivmf_linalg::STREAM_CHUNK_ROWS) {
+            let end = (start + ivmf_linalg::STREAM_CHUNK_ROWS).min(n);
+            let (block, offset) = projector.col_block(start, end)?;
+            for i in 0..p {
+                out.row_mut(i)[start..end]
+                    .copy_from_slice(&block.row(i)[offset..offset + end - start]);
+            }
+        }
+        Ok(out)
+    }
+
+    /// The bitwise oracle of the right tightening: the one-shot chain
+    /// `mid(U†) → invert_factor → Σ⁻¹ · _` (the materialized `r x n`
+    /// projector) against the row-block [`TightenProjector`], and the
+    /// streamed bound products of both. Edge-case entries (±0,
+    /// subnormals, NaN, ±Inf, 1e300; a non-finite Gram is rejected by the
+    /// eigensolver on both sides), rank-deficient and zero columns, `n` on
+    /// both sides of the packed-kernel dispatch points (`n·r²` and
+    /// `n·r²/2`) and across projector blocks, at 1 and 2 threads.
+    #[test]
+    fn right_tighten_blocks_match_the_one_shot_chain_bitwise() {
+        use crate::isvd::invert_factor;
+        use ivmf_linalg::random::{
+            assert_same_outcome, dispatch_boundary_rows, factor_edge_cases,
+            finite_edge_case_matrix, uniform_matrix,
+        };
+        use rand::rngs::SmallRng;
+        use rand::SeedableRng;
+
+        // Other tests in this binary may run while the variable reads 2;
+        // every result here is thread-count invariant, which is part of
+        // what this test checks.
+        let prev = std::env::var(ivmf_par::THREADS_ENV).ok();
+        let mut rng = SmallRng::seed_from_u64(55);
+        let config = IsvdConfig::new(1);
+        for threads in ["1", "2"] {
+            std::env::set_var(ivmf_par::THREADS_ENV, threads);
+            for r in [1usize, 7, 20] {
+                let block_edge = TIGHTEN_BLOCK_ROWS + 300;
+                for n in dispatch_boundary_rows(r).into_iter().chain([block_edge]) {
+                    if threads != "1" && n * r * r < ivmf_linalg::MATMUL_PAR_MIN_WORK {
+                        continue; // smaller products never split across workers
+                    }
+                    let sigma_inv = finite_edge_case_matrix(&mut rng, r, r);
+                    // The streamed products pair each chunk with projector
+                    // columns the assembled check covers, so they run only
+                    // up to two projector blocks (`block_edge` rows).
+                    let m = random_interval_matrix(n as u64, n.min(block_edge), 3, 1.0);
+                    let csr = CsrShardedIntervalMatrix::from_dense(&m, 500).unwrap();
+                    let inputs = if n <= block_edge {
+                        vec![PipelineInput::Dense(&m), PipelineInput::SparseSharded(&csr)]
+                    } else {
+                        Vec::new()
+                    };
+                    for (kind, lo) in factor_edge_cases(&mut rng, n, r) {
+                        let hi = lo.add(&uniform_matrix(&mut rng, n, r, 0.0, 0.5)).unwrap();
+                        let u = IntervalMatrix::from_bounds(lo, hi).unwrap();
+                        let context = format!("{kind} {n}x{r} threads {threads}");
+                        let reference = invert_factor(&u.mid(), &config)
+                            .and_then(|inv| Ok(sigma_inv.matmul(&inv)?));
+                        if n != r {
+                            let blocks = assembled_projector(&u, &sigma_inv, config.pinv_cutoff);
+                            assert_same_outcome(&reference, &blocks, &context);
+                        }
+                        for input in &inputs {
+                            let context = format!("{context} {input:?}");
+                            let got = stream_right_tighten(input, &u, &sigma_inv, &config);
+                            match &reference {
+                                Ok(p) => {
+                                    let want = stream_matmul_scalar_left_t(p, input).unwrap();
+                                    let got = got.unwrap();
+                                    assert_same_bits(want.lo(), got.lo(), &format!("{context} lo"));
+                                    assert_same_bits(want.hi(), got.hi(), &format!("{context} hi"));
+                                }
+                                Err(e) => assert_eq!(
+                                    got.unwrap_err().to_string(),
+                                    e.to_string(),
+                                    "{context}: error"
+                                ),
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        match prev {
+            Some(v) => std::env::set_var(ivmf_par::THREADS_ENV, v),
+            None => std::env::remove_var(ivmf_par::THREADS_ENV),
+        }
+    }
 
     #[test]
     fn plans_cover_all_algorithms_and_share_as_documented() {

@@ -49,6 +49,14 @@
 //! `par_row_panels` call (one call per K-block), so *their* A buffers live
 //! for one K-block: a ~`MC·KC·8 B` allocation amortized against the
 //! ≥ `MATMUL_PAR_MIN_WORK` compute that triggered the parallel path.
+//!
+//! `BPACK` is never shrunk: it keeps the widest B panel the thread has
+//! ever packed (`KC × m`, `m` rounded up to `NR`) for the life of the
+//! thread. One product with an `n`-wide right operand — `W·Uᵀ` of a tall
+//! pseudo-inverse, say — therefore pins an `n`-sized buffer on that
+//! thread for good; callers that must stay within a bound independent of
+//! `n` compute such products in column blocks
+//! ([`crate::pinv::TallPinv::columns`]).
 
 use std::cell::RefCell;
 
@@ -80,27 +88,46 @@ pub(crate) trait Src: Sync {
     fn get(&self, i: usize, j: usize) -> f64;
 }
 
-/// The matrix as stored.
-pub(crate) struct Plain<'a>(pub &'a Matrix);
+/// Columns `offset..offset + width` of the matrix as stored, read in
+/// place: the whole matrix ([`Plain::of`]) or a column block of it
+/// ([`Plain::window`], a left operand's block with no copy).
+pub(crate) struct Plain<'a> {
+    m: &'a Matrix,
+    offset: usize,
+    width: usize,
+}
 
-/// The transpose view: element `(i, j)` reads `(j, i)` of the backing
-/// matrix.
-pub(crate) struct Trans<'a>(pub &'a Matrix);
+impl<'a> Plain<'a> {
+    /// The whole matrix.
+    pub fn of(m: &'a Matrix) -> Self {
+        Self::window(m, 0, m.cols())
+    }
+
+    /// Columns `offset..offset + width`.
+    pub fn window(m: &'a Matrix, offset: usize, width: usize) -> Self {
+        debug_assert!(offset + width <= m.cols());
+        Plain { m, offset, width }
+    }
+}
 
 impl Src for Plain<'_> {
     #[inline(always)]
     fn rows(&self) -> usize {
-        self.0.rows()
+        self.m.rows()
     }
     #[inline(always)]
     fn cols(&self) -> usize {
-        self.0.cols()
+        self.width
     }
     #[inline(always)]
     fn get(&self, i: usize, j: usize) -> f64 {
-        self.0.as_slice()[i * self.0.cols() + j]
+        self.m.as_slice()[i * self.m.cols() + self.offset + j]
     }
 }
+
+/// The transpose view: element `(i, j)` reads `(j, i)` of the backing
+/// matrix.
+pub(crate) struct Trans<'a>(pub &'a Matrix);
 
 impl Src for Trans<'_> {
     #[inline(always)]

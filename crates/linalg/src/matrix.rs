@@ -66,6 +66,45 @@ pub(crate) fn threads_for(work: usize) -> usize {
     }
 }
 
+/// How one product runs — the reference loops or the packed kernel, and
+/// on how many workers — decided once from the *whole* product's shape.
+///
+/// The two kernels round differently (the packed one fuses with
+/// `fmadd`), and the reference loops skip zero left entries, so they can
+/// disagree in the last bit or in the sign of a zero. A product computed
+/// in blocks passes the whole product's `Dispatch` to every block
+/// ([`Matrix::matmul_with`]); each entry then runs exactly the arithmetic
+/// of the one-shot product, whatever the block sizes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Dispatch {
+    packed: bool,
+    threads: usize,
+}
+
+impl Dispatch {
+    /// The dispatch of a product of `n·k·m` scalar multiplications (`n×k`
+    /// times `k×m`): the packed kernel at or above
+    /// [`MATMUL_BLOCKED_MIN_WORK`], split across `IVMF_THREADS` workers at
+    /// or above [`MATMUL_PAR_MIN_WORK`].
+    pub fn for_shape(n: usize, k: usize, m: usize) -> Self {
+        Self::for_work(n * k * m)
+    }
+
+    /// The dispatch of a product of `work` scalar multiplications.
+    pub(crate) fn for_work(work: usize) -> Self {
+        Dispatch {
+            packed: work >= MATMUL_BLOCKED_MIN_WORK,
+            threads: threads_for(work),
+        }
+    }
+
+    /// The Gram dispatch of an `n × m` operand ([`Matrix::gram`] counts
+    /// `n·m²/2` multiplications for its upper triangle).
+    pub(crate) fn for_gram(n: usize, m: usize) -> Self {
+        Self::for_work(n * m * m / 2)
+    }
+}
+
 impl Matrix {
     /// Creates a `rows x cols` matrix filled with zeros.
     pub fn zeros(rows: usize, cols: usize) -> Self {
@@ -370,8 +409,7 @@ impl Matrix {
     /// fixed global order, so the result is bitwise identical for every
     /// thread count.
     pub fn matmul(&self, rhs: &Matrix) -> Result<Matrix> {
-        let work = self.rows * self.cols * rhs.cols;
-        self.matmul_impl(rhs, threads_for(work))
+        self.matmul_with(rhs, Dispatch::for_shape(self.rows, self.cols, rhs.cols))
     }
 
     /// [`Matrix::matmul`] with an explicit worker count (the kernel is
@@ -379,6 +417,20 @@ impl Matrix {
     /// scheduling). Used by the streaming layer, which parallelizes across
     /// chunks and therefore runs each chunk product inline.
     pub(crate) fn matmul_impl(&self, rhs: &Matrix, threads: usize) -> Result<Matrix> {
+        let work = self.rows * self.cols * rhs.cols;
+        self.matmul_with(
+            rhs,
+            Dispatch {
+                threads,
+                ..Dispatch::for_work(work)
+            },
+        )
+    }
+
+    /// [`Matrix::matmul`] with the kernel `dispatch` chose, typically for a
+    /// larger product this one is a row or column block of: every entry
+    /// is then bitwise the entry of that larger product.
+    pub fn matmul_with(&self, rhs: &Matrix, dispatch: Dispatch) -> Result<Matrix> {
         if self.cols != rhs.rows {
             return Err(LinalgError::DimensionMismatch {
                 op: "matmul",
@@ -386,14 +438,44 @@ impl Matrix {
                 rhs: rhs.shape(),
             });
         }
-        let (n, k, m) = (self.rows, self.cols, rhs.cols);
-        let work = n * k * m;
-        if work < MATMUL_BLOCKED_MIN_WORK {
-            return self.matmul_naive(rhs);
-        }
+        Ok(self.matmul_window(0, self.cols, rhs, dispatch))
+    }
+
+    /// `self[:, offset..offset + width] · rhs`, reading the column window
+    /// in place: bitwise equal to [`Matrix::matmul_with`] on a copy of the
+    /// window. Callers check `offset + width <= cols` and
+    /// `width == rhs.rows()`.
+    pub(crate) fn matmul_window(
+        &self,
+        offset: usize,
+        width: usize,
+        rhs: &Matrix,
+        dispatch: Dispatch,
+    ) -> Matrix {
+        debug_assert!(offset + width <= self.cols && width == rhs.rows);
+        let (n, m) = (self.rows, rhs.cols);
         let mut out = Matrix::zeros(n, m);
-        gemm_into(&Plain(self), &Plain(rhs), &mut out, threads, false);
-        Ok(out)
+        if !dispatch.packed {
+            // The reference i-k-j loop: both operands walk contiguous
+            // rows, and zero entries of `self` are skipped.
+            for i in 0..n {
+                let a_row = &self.row(i)[offset..offset + width];
+                let out_row = &mut out.data[i * m..(i + 1) * m];
+                for (kk, &a) in a_row.iter().enumerate() {
+                    if a == 0.0 {
+                        continue;
+                    }
+                    let b_row = &rhs.data[kk * m..(kk + 1) * m];
+                    for (o, &b) in out_row.iter_mut().zip(b_row.iter()) {
+                        *o += a * b;
+                    }
+                }
+            }
+        } else {
+            let lhs = Plain::window(self, offset, width);
+            gemm_into(&lhs, &Plain::of(rhs), &mut out, dispatch.threads, false);
+        }
+        out
     }
 
     /// Matrix product with a transposed right operand: `self * rhsᵀ`, for
@@ -405,6 +487,12 @@ impl Matrix {
     /// transposed view while packing, and small products fall back to
     /// row-by-row dot products (both operands walk contiguous rows).
     pub fn matmul_nt(&self, rhs: &Matrix) -> Result<Matrix> {
+        self.matmul_nt_with(rhs, Dispatch::for_shape(self.rows, self.cols, rhs.rows))
+    }
+
+    /// [`Matrix::matmul_nt`] with the kernel `dispatch` chose (see
+    /// [`Matrix::matmul_with`]).
+    pub(crate) fn matmul_nt_with(&self, rhs: &Matrix, dispatch: Dispatch) -> Result<Matrix> {
         if self.cols != rhs.cols {
             return Err(LinalgError::DimensionMismatch {
                 op: "matmul_nt",
@@ -412,10 +500,9 @@ impl Matrix {
                 rhs: rhs.shape(),
             });
         }
-        let (n, k, m) = (self.rows, self.cols, rhs.rows);
-        let work = n * k * m;
+        let (n, m) = (self.rows, rhs.rows);
         let mut out = Matrix::zeros(n, m);
-        if work < MATMUL_BLOCKED_MIN_WORK {
+        if !dispatch.packed {
             for i in 0..n {
                 let a_row = self.row(i);
                 let out_row = &mut out.data[i * m..(i + 1) * m];
@@ -429,10 +516,10 @@ impl Matrix {
             }
         } else {
             gemm_into(
-                &Plain(self),
+                &Plain::of(self),
                 &Trans(rhs),
                 &mut out,
-                threads_for(work),
+                dispatch.threads,
                 false,
             );
         }
@@ -481,7 +568,7 @@ impl Matrix {
                 }
             }
         } else {
-            gemm_into(&Trans(self), &Plain(rhs), &mut out, threads, false);
+            gemm_into(&Trans(self), &Plain::of(rhs), &mut out, threads, false);
         }
         Ok(out)
     }
@@ -494,29 +581,13 @@ impl Matrix {
     /// Kept callable so the `linalg_kernels` bench can track the blocked
     /// kernel's speedup against it and so tests can cross-check the two.
     pub fn matmul_naive(&self, rhs: &Matrix) -> Result<Matrix> {
-        if self.cols != rhs.rows {
-            return Err(LinalgError::DimensionMismatch {
-                op: "matmul",
-                lhs: self.shape(),
-                rhs: rhs.shape(),
-            });
-        }
-        let (n, k, m) = (self.rows, self.cols, rhs.cols);
-        let mut out = Matrix::zeros(n, m);
-        for i in 0..n {
-            let a_row = self.row(i);
-            let out_row = &mut out.data[i * m..(i + 1) * m];
-            for (kk, &a) in a_row.iter().enumerate().take(k) {
-                if a == 0.0 {
-                    continue;
-                }
-                let b_row = &rhs.data[kk * m..(kk + 1) * m];
-                for (o, &b) in out_row.iter_mut().zip(b_row.iter()) {
-                    *o += a * b;
-                }
-            }
-        }
-        Ok(out)
+        self.matmul_with(
+            rhs,
+            Dispatch {
+                packed: false,
+                threads: 1,
+            },
+        )
     }
 
     /// Computes the Gram matrix `selfᵀ * self` without materializing the
@@ -539,8 +610,28 @@ impl Matrix {
     pub(crate) fn gram_impl(&self, threads: usize) -> Matrix {
         let (n, m) = self.shape();
         let mut out = Matrix::zeros(m, m);
-        let work = n * m * m / 2;
-        if work < MATMUL_BLOCKED_MIN_WORK {
+        let dispatch = Dispatch {
+            threads,
+            ..Dispatch::for_gram(n, m)
+        };
+        self.gram_upper_into(&mut out, dispatch);
+        mirror_upper(&mut out);
+        out
+    }
+
+    /// Adds this block's Gram `selfᵀ·self` into the upper triangle of
+    /// `out` (diagonal included; strict-lower entries are scratch until the
+    /// caller mirrors), with the kernel `dispatch` chose. Folding the row blocks
+    /// of a matrix in order, under the whole matrix's
+    /// [`Dispatch::for_gram`], reproduces its [`Matrix::gram`] upper
+    /// triangle bit for bit as long as every block but the last holds a
+    /// multiple of `KC` rows: the reference loop is one running sum per
+    /// entry in row order, and the packed kernel adds one partial per
+    /// `KC`-row K-block, counted from the first row.
+    pub(crate) fn gram_upper_into(&self, out: &mut Matrix, dispatch: Dispatch) {
+        let (n, m) = self.shape();
+        debug_assert_eq!(out.shape(), (m, m));
+        if !dispatch.packed {
             for i in 0..n {
                 let row = self.row(i);
                 for a in 0..m {
@@ -555,10 +646,8 @@ impl Matrix {
                 }
             }
         } else {
-            gemm_into(&Trans(self), &Plain(self), &mut out, threads, true);
+            gemm_into(&Trans(self), &Plain::of(self), out, dispatch.threads, true);
         }
-        mirror_upper(&mut out);
-        out
     }
 
     /// Computes the left Gram matrix `self * selfᵀ` without materializing
@@ -581,7 +670,7 @@ impl Matrix {
             }
         } else {
             gemm_into(
-                &Plain(self),
+                &Plain::of(self),
                 &Trans(self),
                 &mut out,
                 threads_for(work),
@@ -652,25 +741,6 @@ impl Matrix {
             out.row_mut(i).copy_from_slice(&self.row(i)[..r]);
         }
         out
-    }
-
-    /// Copies the half-open column range `start..end` into a new matrix
-    /// (the column-block counterpart of [`Matrix::take_cols`], used by the
-    /// streaming left-product accumulator to pair lhs column blocks with
-    /// row chunks of the right operand).
-    pub fn col_range(&self, start: usize, end: usize) -> Result<Matrix> {
-        if start > end || end > self.cols {
-            return Err(LinalgError::InvalidArgument(format!(
-                "column range {start}..{end} out of bounds for {} columns",
-                self.cols
-            )));
-        }
-        let width = end - start;
-        let mut out = Matrix::zeros(self.rows, width);
-        for i in 0..self.rows {
-            out.row_mut(i).copy_from_slice(&self.row(i)[start..end]);
-        }
-        Ok(out)
     }
 
     /// Keeps the first `r` rows.
@@ -957,6 +1027,7 @@ impl fmt::Debug for Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::random::assert_same_bits;
 
     fn sample() -> Matrix {
         Matrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]])
@@ -1376,17 +1447,6 @@ mod tests {
                     u[(i, j)] = 0.0;
                 }
             }
-        }
-    }
-
-    fn assert_same_bits(a: &Matrix, b: &Matrix, context: &str) {
-        assert_eq!(a.shape(), b.shape(), "{context}: shape");
-        for (i, (x, y)) in a.as_slice().iter().zip(b.as_slice()).enumerate() {
-            assert_eq!(
-                crate::random::bit_pattern(*x),
-                crate::random::bit_pattern(*y),
-                "{context}: entry {i} ({x} vs {y})"
-            );
         }
     }
 

@@ -1,9 +1,11 @@
 //! Random matrix constructors used by tests, property tests and workload
 //! generators.
 
+use std::fmt::{Debug, Display};
+
 use rand::Rng;
 
-use crate::Matrix;
+use crate::{Matrix, MATMUL_BLOCKED_MIN_WORK};
 
 /// A matrix with entries drawn uniformly from `[lo, hi)`.
 pub fn uniform_matrix<R: Rng + ?Sized>(
@@ -55,6 +57,89 @@ pub fn bit_pattern(x: f64) -> u64 {
         f64::NAN.to_bits()
     } else {
         x.to_bits()
+    }
+}
+
+/// [`edge_case_matrix`] with every entry that is non-finite or of
+/// magnitude `1e10` or more replaced by `0.0`: the signed zeros,
+/// subnormals and ordinary values survive.
+pub fn finite_edge_case_matrix<R: Rng + ?Sized>(rng: &mut R, rows: usize, cols: usize) -> Matrix {
+    edge_case_matrix(rng, rows, cols).map(|x| {
+        if x.is_finite() && x.abs() < 1e10 {
+            x
+        } else {
+            0.0
+        }
+    })
+}
+
+/// Named `n × r` inputs for the bitwise oracles of the pseudo-inverse
+/// and its callers: raw edge cases (NaN and ±Inf make the eigensolver
+/// reject the Gram), edge cases with only the finite small ones kept (±0
+/// and subnormals), a rank-deficient matrix with a repeated column, and a
+/// matrix with a `+0` and a `-0` column.
+pub fn factor_edge_cases<R: Rng + ?Sized>(
+    rng: &mut R,
+    n: usize,
+    r: usize,
+) -> Vec<(&'static str, Matrix)> {
+    let edge = edge_case_matrix(rng, n, r);
+    let small_edge = finite_edge_case_matrix(rng, n, r);
+    let mut deficient = low_rank_matrix(rng, n, r, r.div_ceil(2));
+    let mut zero_cols = uniform_matrix(rng, n, r, -1.0, 1.0);
+    for i in 0..n {
+        deficient[(i, r - 1)] = deficient[(i, 0)];
+        zero_cols[(i, 0)] = 0.0;
+        zero_cols[(i, r - 1)] = -0.0;
+    }
+    vec![
+        ("edge", edge),
+        ("small edge", small_edge),
+        ("rank-deficient", deficient),
+        ("zero columns", zero_cols),
+    ]
+}
+
+/// Row counts `n` on both sides of the points where the products of an
+/// `n × r` factor switch to the packed kernel: `n·r²` (`A·V`, `W·Uᵀ`)
+/// and `n·r²/2` (the Gram) reaching [`MATMUL_BLOCKED_MIN_WORK`], plus
+/// `n = r`.
+pub fn dispatch_boundary_rows(r: usize) -> [usize; 5] {
+    let matmul_point = MATMUL_BLOCKED_MIN_WORK.div_ceil(r * r);
+    let gram_point = (2 * MATMUL_BLOCKED_MIN_WORK).div_ceil(r * r);
+    [
+        r,
+        matmul_point - 1,
+        matmul_point,
+        gram_point - 1,
+        gram_point,
+    ]
+}
+
+/// Asserts two matrices are equal bit for bit, signed zeros included
+/// (NaN compares by NaN-ness; see [`bit_pattern`]).
+pub fn assert_same_bits(a: &Matrix, b: &Matrix, context: &str) {
+    assert_eq!(a.shape(), b.shape(), "{context}: shape");
+    for (i, (x, y)) in a.as_slice().iter().zip(b.as_slice()).enumerate() {
+        assert_eq!(
+            bit_pattern(*x),
+            bit_pattern(*y),
+            "{context}: entry {i} ({x} vs {y})"
+        );
+    }
+}
+
+/// Asserts two outcomes agree: both `Ok` with the same bits
+/// ([`assert_same_bits`]), or both `Err` with the same message.
+pub fn assert_same_outcome<E: Debug + Display>(
+    want: &Result<Matrix, E>,
+    got: &Result<Matrix, E>,
+    context: &str,
+) {
+    match (want, got) {
+        (Ok(w), Ok(g)) => assert_same_bits(w, g, context),
+        (Err(w), Err(g)) => assert_eq!(w.to_string(), g.to_string(), "{context}: error"),
+        _ => panic!("{context}: {want:?} vs {got:?}"),
     }
 }
 

@@ -50,6 +50,7 @@ use crate::fold::{add_assign, realign, ChunkKernel, Partials, RowBuffer, StreamA
 use crate::kernel::{fmadd, KC};
 use crate::matrix::threads_for;
 use crate::pending::PendingCsrRows;
+use crate::streaming::{lhs_block, ColBlocks};
 use crate::{LinalgError, Matrix, Result, RowBlocks, MATMUL_BLOCKED_MIN_WORK, STREAM_CHUNK_ROWS};
 use std::borrow::Cow;
 
@@ -747,15 +748,12 @@ fn csr_matmul_chunk(chunk: &CsrShard, rhs: &Matrix) -> Result<Matrix> {
 /// K-block — one `fmadd` fold per entry — and below
 /// [`MATMUL_BLOCKED_MIN_WORK`] the naive kernel's plain `+=` with its
 /// explicit skip of zero `lhs` entries.
-fn csr_left_matmul_chunk_t(lhs: &Matrix, offset: usize, chunk: &CsrShard) -> Result<Matrix> {
+fn csr_left_matmul_chunk_t(lhs: &Matrix, offset: usize, chunk: &CsrShard) -> Matrix {
     let (p, kdim, m) = (lhs.rows(), chunk.rows, chunk.cols);
-    if offset + kdim > lhs.cols() {
-        return Err(LinalgError::DimensionMismatch {
-            op: "csr_left_matmul",
-            lhs: lhs.shape(),
-            rhs: (offset + kdim, m),
-        });
-    }
+    debug_assert!(
+        offset + kdim <= lhs.cols(),
+        "`lhs_block` checked the column range"
+    );
     debug_assert!(kdim <= KC, "left chunks come from the pending buffer");
     let work = p * kdim * m;
     let fused = work >= MATMUL_BLOCKED_MIN_WORK;
@@ -794,7 +792,7 @@ fn csr_left_matmul_chunk_t(lhs: &Matrix, offset: usize, chunk: &CsrShard) -> Res
             }
         }
     });
-    Ok(out)
+    out
 }
 
 // ---------------------------------------------------------------------------
@@ -1032,7 +1030,7 @@ pub fn matmul_streamed_csr(source: &dyn CsrRowBlocks, rhs: &Matrix) -> Result<Ma
 /// Reduction-streamed product `lhs · source` over a CSR source: bitwise
 /// identical to [`crate::matmul_left_streamed`] over the same logical
 /// rows. The transpose of [`matmul_left_streamed_csr_t`].
-pub fn matmul_left_streamed_csr(lhs: &Matrix, source: &dyn CsrRowBlocks) -> Result<Matrix> {
+pub fn matmul_left_streamed_csr<L: ColBlocks>(lhs: L, source: &dyn CsrRowBlocks) -> Result<Matrix> {
     Ok(matmul_left_streamed_csr_t(lhs, source)?.transpose())
 }
 
@@ -1044,12 +1042,16 @@ pub fn matmul_left_streamed_csr(lhs: &Matrix, source: &dyn CsrRowBlocks) -> Resu
 /// [`crate::matmul_left_streamed`] over the same logical rows, for every
 /// shard layout and thread count. Tall right factors (`m x r`) come out in
 /// their own layout, with no transpose pass.
-pub fn matmul_left_streamed_csr_t(lhs: &Matrix, source: &dyn CsrRowBlocks) -> Result<Matrix> {
+pub fn matmul_left_streamed_csr_t<L: ColBlocks>(
+    mut lhs: L,
+    source: &dyn CsrRowBlocks,
+) -> Result<Matrix> {
     let (n, m) = source.shape();
-    if lhs.cols() != n {
+    let (p, lhs_cols) = lhs.shape();
+    if lhs_cols != n {
         return Err(LinalgError::DimensionMismatch {
             op: "matmul_left_streamed_csr",
-            lhs: lhs.shape(),
+            lhs: (p, lhs_cols),
             rhs: (n, m),
         });
     }
@@ -1057,12 +1059,13 @@ pub fn matmul_left_streamed_csr_t(lhs: &Matrix, source: &dyn CsrRowBlocks) -> Re
     let mut pending = PendingCsrRows::new(m);
     let mut offset = 0usize;
     let mut fold = |chunk: CsrShard| -> Result<()> {
-        let p = csr_left_matmul_chunk_t(lhs, offset, &chunk)?;
+        let (b, o) = lhs_block(&mut lhs, offset, chunk.rows(), n)?;
+        let part = csr_left_matmul_chunk_t(b, o, &chunk);
         offset += chunk.rows();
         recycle_csr_shard(chunk);
         match &mut acc {
-            None => acc = Some(p),
-            Some(a) => add_assign(a, &p),
+            None => acc = Some(part),
+            Some(a) => add_assign(a, &part),
         }
         Ok(())
     };
@@ -1086,7 +1089,7 @@ pub fn matmul_left_streamed_csr_t(lhs: &Matrix, source: &dyn CsrRowBlocks) -> Re
             "CSR row-block source delivered {offset} of its declared {n} rows"
         )));
     }
-    Ok(acc.unwrap_or_else(|| Matrix::zeros(m, lhs.rows())))
+    Ok(acc.unwrap_or_else(|| Matrix::zeros(m, p)))
 }
 
 #[cfg(test)]

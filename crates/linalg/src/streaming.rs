@@ -65,7 +65,7 @@
 
 use crate::fold::{add_assign, realign, ChunkKernel, Partials, RowBuffer, StreamAccumulator};
 use crate::pending::PendingRows;
-use crate::{LinalgError, Matrix, Result};
+use crate::{Dispatch, LinalgError, Matrix, Result};
 use std::borrow::Cow;
 
 /// Number of rows per internal accumulation chunk. Part of the arithmetic
@@ -116,6 +116,69 @@ impl RowBlocks for Matrix {
     fn for_each_block(&self, f: &mut dyn FnMut(&Matrix) -> Result<()>) -> Result<()> {
         f(self)
     }
+}
+
+/// The `p × n` left operand of the reduction-streamed products
+/// ([`matmul_left_streamed`] and its CSR forms), handed over one column
+/// block at a time as the reduction reaches the matching rows of the
+/// right operand. A [`Matrix`] is one (`&Matrix` lends its own columns);
+/// a lazy operand computes each block on demand, so it never holds all
+/// `n` columns.
+pub trait ColBlocks {
+    /// `(p, n)` of the whole (virtual) operand.
+    fn shape(&self) -> (usize, usize);
+    /// Columns `start..end` of the operand, as a matrix `b` with `p` rows
+    /// and an offset `o`: columns `o..o + (end - start)` of `b` are the
+    /// requested ones. Callers ask for ascending, contiguous ranges with
+    /// `end <= n`.
+    fn col_block(&mut self, start: usize, end: usize) -> Result<(&Matrix, usize)>;
+}
+
+impl ColBlocks for &Matrix {
+    fn shape(&self) -> (usize, usize) {
+        Matrix::shape(self)
+    }
+    fn col_block(&mut self, start: usize, _end: usize) -> Result<(&Matrix, usize)> {
+        Ok((*self, start))
+    }
+}
+
+impl<L: ColBlocks + ?Sized> ColBlocks for &mut L {
+    fn shape(&self) -> (usize, usize) {
+        (**self).shape()
+    }
+    fn col_block(&mut self, start: usize, end: usize) -> Result<(&Matrix, usize)> {
+        (**self).col_block(start, end)
+    }
+}
+
+/// The column block of `lhs` that pairs with the `rows` rows of a chunk
+/// starting at row `offset` of an `n`-row right operand. An
+/// over-delivering source (more rows than its declared `n`) and a block
+/// that does not hold the requested columns are errors.
+pub(crate) fn lhs_block<L: ColBlocks>(
+    lhs: &mut L,
+    offset: usize,
+    rows: usize,
+    n: usize,
+) -> Result<(&Matrix, usize)> {
+    if offset + rows > n {
+        return Err(LinalgError::InvalidArgument(format!(
+            "row-block source delivered more than its declared {n} rows"
+        )));
+    }
+    let p = lhs.shape().0;
+    let (b, o) = lhs.col_block(offset, offset + rows)?;
+    if b.rows() != p || o + rows > b.cols() {
+        return Err(LinalgError::InvalidArgument(format!(
+            "column block {offset}..{} came back as columns {o}..{} of a {} x {} matrix",
+            offset + rows,
+            o + rows,
+            b.rows(),
+            b.cols()
+        )));
+    }
+    Ok((b, o))
 }
 
 /// An ordered set of row-block shards forming one (virtual) matrix.
@@ -481,17 +544,19 @@ pub fn matmul_streamed(source: &dyn RowBlocks, rhs: &Matrix) -> Result<Matrix> {
     Ok(out)
 }
 
-/// Reduction-streamed product `lhs · source` for `lhs` of shape `p×n` and
-/// a source of `n` rows: per global chunk, the matching column block of
-/// `lhs` multiplies the chunk, and the partial products fold in chunk
-/// order. Bitwise identical for every shard layout; equal to
-/// [`Matrix::matmul`] whenever the source fits in one chunk.
-pub fn matmul_left_streamed(lhs: &Matrix, source: &dyn RowBlocks) -> Result<Matrix> {
+/// Reduction-streamed product `lhs · source` for a `p×n` left operand
+/// and a source of `n` rows: per global chunk, the matching column block
+/// of `lhs` multiplies the chunk (read in place, never copied), and the
+/// partial products fold in chunk order. Bitwise identical for every
+/// shard layout; equal to [`Matrix::matmul`] whenever the source fits in
+/// one chunk. `lhs` is any [`ColBlocks`], a `&Matrix` included.
+pub fn matmul_left_streamed<L: ColBlocks>(mut lhs: L, source: &dyn RowBlocks) -> Result<Matrix> {
     let (n, m) = source.shape();
-    if lhs.cols() != n {
+    let (p, lhs_cols) = lhs.shape();
+    if lhs_cols != n {
         return Err(LinalgError::DimensionMismatch {
             op: "matmul_left_streamed",
-            lhs: lhs.shape(),
+            lhs: (p, lhs_cols),
             rhs: (n, m),
         });
     }
@@ -499,13 +564,14 @@ pub fn matmul_left_streamed(lhs: &Matrix, source: &dyn RowBlocks) -> Result<Matr
     let mut pending = PendingRows::new(m);
     let mut offset = 0usize;
     let mut fold = |chunk: Matrix| -> Result<()> {
-        let l = lhs.col_range(offset, offset + chunk.rows())?;
-        let p = l.matmul(&chunk)?;
-        offset += chunk.rows();
+        let rows = chunk.rows();
+        let (b, o) = lhs_block(&mut lhs, offset, rows, n)?;
+        let part = b.matmul_window(o, rows, &chunk, Dispatch::for_shape(p, rows, m));
+        offset += rows;
         crate::pool::recycle_f64(chunk.into_vec());
         match &mut acc {
-            None => acc = Some(p),
-            Some(a) => add_assign(a, &p),
+            None => acc = Some(part),
+            Some(a) => add_assign(a, &part),
         }
         Ok(())
     };
@@ -525,13 +591,12 @@ pub fn matmul_left_streamed(lhs: &Matrix, source: &dyn RowBlocks) -> Result<Matr
         fold(rem)?;
     }
     if offset != n {
-        // Under-delivery would silently truncate the reduction (an
-        // over-delivering source already fails `lhs.col_range`).
+        // Under-delivery would silently truncate the reduction.
         return Err(LinalgError::InvalidArgument(format!(
             "row-block source delivered {offset} of its declared {n} rows"
         )));
     }
-    Ok(acc.unwrap_or_else(|| Matrix::zeros(lhs.rows(), m)))
+    Ok(acc.unwrap_or_else(|| Matrix::zeros(p, m)))
 }
 
 #[cfg(test)]
@@ -750,6 +815,64 @@ mod tests {
             "one-chunk left matmul",
         );
         assert!(matmul_left_streamed(&lcg_matrix(2, 3, 1), &m).is_err());
+    }
+
+    /// A left operand computed a block of `width` columns at a time,
+    /// `short` columns too narrow when set (a buggy lazy operand).
+    struct Blocked<'a> {
+        lhs: &'a Matrix,
+        width: usize,
+        short: usize,
+        block: Matrix,
+        calls: usize,
+    }
+
+    impl ColBlocks for Blocked<'_> {
+        fn shape(&self) -> (usize, usize) {
+            self.lhs.shape()
+        }
+        fn col_block(&mut self, start: usize, end: usize) -> Result<(&Matrix, usize)> {
+            let first = start / self.width * self.width;
+            let last = (end.div_ceil(self.width) * self.width).min(self.lhs.cols()) - self.short;
+            self.block = Matrix::from_fn(self.lhs.rows(), last - first, |i, j| {
+                self.lhs[(i, first + j)]
+            });
+            self.calls += 1;
+            Ok((&self.block, start - first))
+        }
+    }
+
+    #[test]
+    fn column_block_operands_match_the_borrowed_matrix_bitwise() {
+        let n = 3 * STREAM_CHUNK_ROWS + 45;
+        let m = lcg_matrix(n, 9, 55);
+        let lhs = lcg_matrix(5, n, 56);
+        let want = matmul_left_streamed(&lhs, &m).unwrap();
+        let csr = crate::CsrShard::from_dense(&m);
+        let want_t = crate::matmul_left_streamed_csr_t(&lhs, &csr).unwrap();
+        for width in [1usize, 100, STREAM_CHUNK_ROWS, n] {
+            let blocked = |short| Blocked {
+                lhs: &lhs,
+                width,
+                short,
+                block: Matrix::zeros(0, 0),
+                calls: 0,
+            };
+            let mut source = blocked(0);
+            let got = matmul_left_streamed(&mut source, &m).unwrap();
+            assert_bitwise(&got, &want, &format!("dense, {width}-column blocks"));
+            assert_eq!(
+                source.calls,
+                n.div_ceil(STREAM_CHUNK_ROWS),
+                "one request per chunk"
+            );
+            let got_t = crate::matmul_left_streamed_csr_t(blocked(0), &csr).unwrap();
+            assert_bitwise(&got_t, &want_t, &format!("CSR, {width}-column blocks"));
+            // A block that does not reach the requested columns is an
+            // error, not a panic.
+            assert!(matmul_left_streamed(blocked(1), &m).is_err());
+            assert!(crate::matmul_left_streamed_csr_t(blocked(1), &csr).is_err());
+        }
     }
 
     #[test]

@@ -24,7 +24,7 @@
 
 use crate::eigen_sym::sym_eigen;
 use crate::eigen_topk::sym_eigen_topk;
-use crate::{LinalgError, Matrix, Result};
+use crate::{Dispatch, LinalgError, Matrix, Result};
 
 /// Result of a singular value decomposition `M ≈ U Σ Vᵀ`.
 #[derive(Debug, Clone)]
@@ -91,10 +91,9 @@ pub fn svd(m: &Matrix) -> Result<Svd> {
     if c <= n {
         // Eigen-decompose the c x c Gram matrix MᵀM.
         let eig = sym_eigen(&m.gram())?;
-        let singular_values: Vec<f64> =
-            eig.eigenvalues.iter().map(|&l| l.max(0.0).sqrt()).collect();
+        let singular_values = singular_values_of_gram(&eig.eigenvalues);
         let v = eig.eigenvectors;
-        let u = recover_other_factor(m, &v, &singular_values);
+        let u = recover_other_factor(m, &v, &singular_values, Dispatch::for_shape(n, c, v.cols()))?;
         Ok(Svd {
             u,
             singular_values,
@@ -103,10 +102,14 @@ pub fn svd(m: &Matrix) -> Result<Svd> {
     } else {
         // Eigen-decompose the n x n Gram matrix MMᵀ.
         let eig = sym_eigen(&m.outer_gram())?;
-        let singular_values: Vec<f64> =
-            eig.eigenvalues.iter().map(|&l| l.max(0.0).sqrt()).collect();
+        let singular_values = singular_values_of_gram(&eig.eigenvalues);
         let u = eig.eigenvectors;
-        let v = recover_other_factor(&m.transpose(), &u, &singular_values);
+        let v = recover_other_factor(
+            &m.transpose(),
+            &u,
+            &singular_values,
+            Dispatch::for_shape(c, n, u.cols()),
+        )?;
         Ok(Svd {
             u,
             singular_values,
@@ -142,10 +145,9 @@ pub fn svd_truncated(m: &Matrix, r: usize) -> Result<Svd> {
     if c <= n {
         // Top-k of the c x c Gram matrix MᵀM gives V and Σ.
         let eig = sym_eigen_topk(&m.gram(), k)?;
-        let singular_values: Vec<f64> =
-            eig.eigenvalues.iter().map(|&l| l.max(0.0).sqrt()).collect();
+        let singular_values = singular_values_of_gram(&eig.eigenvalues);
         let v = eig.eigenvectors;
-        let u = recover_other_factor(m, &v, &singular_values);
+        let u = recover_other_factor(m, &v, &singular_values, Dispatch::for_shape(n, c, v.cols()))?;
         Ok(Svd {
             u,
             singular_values,
@@ -154,10 +156,14 @@ pub fn svd_truncated(m: &Matrix, r: usize) -> Result<Svd> {
     } else {
         // Top-k of the n x n Gram matrix MMᵀ gives U and Σ.
         let eig = sym_eigen_topk(&m.outer_gram(), k)?;
-        let singular_values: Vec<f64> =
-            eig.eigenvalues.iter().map(|&l| l.max(0.0).sqrt()).collect();
+        let singular_values = singular_values_of_gram(&eig.eigenvalues);
         let u = eig.eigenvectors;
-        let v = recover_other_factor(&m.transpose(), &u, &singular_values);
+        let v = recover_other_factor(
+            &m.transpose(),
+            &u,
+            &singular_values,
+            Dispatch::for_shape(c, n, u.cols()),
+        )?;
         Ok(Svd {
             u,
             singular_values,
@@ -166,15 +172,35 @@ pub fn svd_truncated(m: &Matrix, r: usize) -> Result<Svd> {
     }
 }
 
+/// The singular values `σ = √max(λ, 0)` of a matrix whose Gram has the
+/// eigenvalues `λ` (descending in, descending out).
+pub(crate) fn singular_values_of_gram(eigenvalues: &[f64]) -> Vec<f64> {
+    eigenvalues.iter().map(|&l| l.max(0.0).sqrt()).collect()
+}
+
 /// Given `m` (n x c) and the right factor `v` (c x k) together with the
 /// singular values, recovers the left factor `u = M V Σ⁻¹`, using zero
-/// columns where the singular value is numerically zero.
-fn recover_other_factor(m: &Matrix, v: &Matrix, singular_values: &[f64]) -> Matrix {
-    let mut u = m.matmul(v).expect("shapes agree by construction");
+/// columns where the singular value is numerically zero (at or below
+/// `1e-13 · σ_max`).
+///
+/// `dispatch` is the kernel of the whole `M V` product: when `m` is a
+/// block of rows of a larger matrix, passing that matrix's dispatch
+/// recovers the matching rows of its left factor bit for bit (the
+/// row-blocked pseudo-inverse, [`crate::pinv::TallPinv::columns`]).
+///
+/// # Errors
+///
+/// [`LinalgError::DimensionMismatch`] when `m` and `v` do not chain.
+pub(crate) fn recover_other_factor(
+    m: &Matrix,
+    v: &Matrix,
+    singular_values: &[f64],
+    dispatch: Dispatch,
+) -> Result<Matrix> {
+    let mut u = m.matmul_with(v, dispatch)?;
     let smax = singular_values.first().copied().unwrap_or(0.0);
-    u.scale_cols_by_inverse(singular_values, smax * 1e-13)
-        .expect("one singular value per column by construction");
-    u
+    u.scale_cols_by_inverse(singular_values, smax * 1e-13)?;
+    Ok(u)
 }
 
 #[cfg(test)]
@@ -350,7 +376,8 @@ mod tests {
                     }
                 })
                 .collect();
-            let fast = recover_other_factor(&m, &v, &sigma);
+            let whole = Dispatch::for_shape(rows, 24, k);
+            let fast = recover_other_factor(&m, &v, &sigma, whole).unwrap();
             // The column-at-a-time Σ⁻¹ loop recover_other_factor replaced.
             let mut slow = m.matmul(&v).unwrap();
             let tol = sigma[0] * 1e-13;
