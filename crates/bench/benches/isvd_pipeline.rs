@@ -41,7 +41,7 @@ use ivmf_core::isvd::isvd;
 use ivmf_core::pipeline::{run_all, Pipeline};
 use ivmf_core::{IsvdAlgorithm, IsvdConfig};
 use ivmf_data::synthetic::{generate_power_law, generate_uniform, PowerLawConfig, SyntheticConfig};
-use ivmf_interval::{CsrShardedIntervalMatrix, RowShardedIntervalMatrix, StreamingIntervalGram};
+use ivmf_interval::{CsrShardedIntervalMatrix, RowShardedIntervalMatrix};
 use ivmf_linalg::eigen_sym::sym_eigen;
 use ivmf_linalg::random::{symmetric_matrix, uniform_matrix};
 use ivmf_linalg::{sym_eigen_topk_with, TopkOptions};
@@ -228,14 +228,6 @@ fn bench_snapshot_restore(c: &mut Criterion) {
     std::fs::remove_file(&snap_path).ok();
 }
 
-fn sparse_interval_gram(m: &CsrShardedIntervalMatrix) {
-    let mut acc = StreamingIntervalGram::new_csr(m.rows(), m.cols());
-    for shard in m.shards() {
-        acc.push_csr_shard(shard).unwrap();
-    }
-    acc.finish().unwrap();
-}
-
 /// Sparse streamed interval Gram at rating-matrix shapes: row count grows
 /// 4x per step at a fixed ~100 stored entries per row, so the per-row work
 /// is constant and the trajectory shows whether the sparse route scales
@@ -261,7 +253,7 @@ fn bench_sparse_scaling(c: &mut Criterion) {
         );
         let sharded = CsrShardedIntervalMatrix::from_csr(&csr, 4096).unwrap();
         group.bench_with_input(BenchmarkId::from_parameter(n), &sharded, |b, s| {
-            b.iter(|| sparse_interval_gram(s))
+            b.iter(|| s.interval_gram_streamed().unwrap())
         });
     }
     group.finish();
@@ -291,7 +283,7 @@ fn bench_sparse_vs_dense_gram(c: &mut Criterion) {
         b.iter(|| m.interval_gram_streamed().unwrap())
     });
     group.bench_with_input(BenchmarkId::from_parameter("sparse"), &sharded, |b, s| {
-        b.iter(|| sparse_interval_gram(s))
+        b.iter(|| s.interval_gram_streamed().unwrap())
     });
     group.finish();
 }

@@ -12,6 +12,18 @@ pub enum IvmfError {
     InvalidConfig(String),
     /// The input matrix has an unusable shape for the requested operation.
     InvalidInput(String),
+    /// An input cell is no valid interval: a NaN or infinite bound, or
+    /// `lo > hi`.
+    InvalidBounds {
+        /// Row of the cell in the (extended) input matrix.
+        row: usize,
+        /// Column of the cell.
+        col: usize,
+        /// Its lower bound.
+        lo: f64,
+        /// Its upper bound.
+        hi: f64,
+    },
     /// Error from the dense linear-algebra layer.
     Linalg(LinalgError),
     /// Error from the interval-algebra layer.
@@ -25,6 +37,11 @@ impl fmt::Display for IvmfError {
         match self {
             IvmfError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
             IvmfError::InvalidInput(msg) => write!(f, "invalid input: {msg}"),
+            IvmfError::InvalidBounds { row, col, lo, hi } => write!(
+                f,
+                "invalid bounds [{lo}, {hi}] at row {row}, column {col}: \
+                 bounds must be finite with lo <= hi"
+            ),
             IvmfError::Linalg(e) => write!(f, "linear algebra error: {e}"),
             IvmfError::Interval(e) => write!(f, "interval algebra error: {e}"),
             IvmfError::Align(e) => write!(f, "alignment error: {e}"),

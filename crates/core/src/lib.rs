@@ -84,8 +84,8 @@ pub mod timing;
 pub use error::IvmfError;
 pub use isvd::{IsvdAlgorithm, IsvdConfig, IsvdResult};
 pub use pipeline::{
-    run_all, run_all_batch, run_all_batch_sharded, run_all_sharded, run_all_sparse, DecompPlan,
-    Pipeline, StageCache, StageEvent, StageId, DEFAULT_SPARSE_THRESHOLD, DENSE_STAGE_MAX_ENTRIES,
+    run_all, run_all_batch, run_all_batch_sharded, run_all_sharded, DecompPlan, Pipeline,
+    StageCache, StageEvent, StageId, DEFAULT_SPARSE_THRESHOLD, DENSE_STAGE_MAX_ENTRIES,
 };
 pub use snapshot::RestoreReport;
 pub use target::{DecompositionTarget, IntervalSvd, RawFactors};
@@ -97,11 +97,24 @@ pub type Result<T> = std::result::Result<T, IvmfError>;
 pub(crate) mod test_support {
     pub use ivmf_linalg::random::assert_same_bits;
 
+    use crate::{IsvdAlgorithm, IsvdResult};
     use ivmf_interval::IntervalMatrix;
     use ivmf_linalg::random::uniform_matrix;
     use ivmf_linalg::Matrix;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
+
+    /// Asserts two batched runs produced bitwise-identical factors.
+    pub fn assert_results_bitwise(a: &[IsvdResult; 5], b: &[IsvdResult; 5], context: &str) {
+        for ((ra, rb), alg) in a.iter().zip(b.iter()).zip(IsvdAlgorithm::all()) {
+            assert_eq!(ra.factors.u, rb.factors.u, "{context}: {alg} U differs");
+            assert_eq!(ra.factors.v, rb.factors.v, "{context}: {alg} V differs");
+            assert_eq!(
+                ra.factors.sigma, rb.factors.sigma,
+                "{context}: {alg} core differs"
+            );
+        }
+    }
 
     /// The standard fixture of the ISVD test suites: a seeded interval
     /// matrix with lower bounds in `[0.5, 4)` and per-entry spans in

@@ -43,7 +43,7 @@
 //! ## Row-sharded and streaming inputs
 //!
 //! A session's matrix can be supplied dense, as an in-memory
-//! [`RowShardedIntervalMatrix`], or as a lazy [`RowShardSource`]
+//! [`ShardedIntervalMatrix`], or as a lazy [`ShardSource`]
 //! ([`Pipeline::new_streaming`]) that materializes one shard at a time.
 //! Every Gram-route stage folds the shards through the chunk-realigned
 //! streaming accumulators of `ivmf_linalg::streaming` /
@@ -54,16 +54,17 @@
 //! sharded sessions share entries.
 //!
 //! Sparse CSR inputs extend the same contract to million-user rating
-//! matrices: a session over a [`CsrShardedIntervalMatrix`]
-//! ([`Pipeline::new_sparse`] / [`Pipeline::from_csr_shards`]) or a lazy
-//! [`CsrShardSource`] ([`Pipeline::new_streaming_csr`]) routes every
-//! Gram-route stage through the sparse streaming kernels of
-//! `ivmf_linalg::sparse`, which fold over stored entries only and are
-//! **bitwise identical** to the dense kernels on the same logical matrix,
-//! so ISVD2–4 run out-of-core on inputs whose dense form could never be
-//! materialized. Dense-only stages (ISVD0's midpoint SVD, ISVD1's bound
-//! SVDs) densify sparse inputs only below [`DENSE_STAGE_MAX_ENTRIES`]
-//! and return a clear error above it — never a silent densification.
+//! matrices: the session is generic over the shard representation
+//! ([`IntervalShard`]), so a session over CSR shards
+//! ([`Pipeline::new_sharded`] / [`Pipeline::from_shards`] /
+//! [`Pipeline::new_streaming_csr`]) routes every Gram-route stage through
+//! the sparse streaming kernels of `ivmf_linalg::sparse`, which fold over
+//! stored entries only and are **bitwise identical** to the dense kernels
+//! on the same logical matrix, so ISVD2–4 run out-of-core on inputs whose
+//! dense form could never be materialized. Dense-only stages (ISVD0's
+//! midpoint SVD, ISVD1's bound SVDs) densify sparse inputs only below
+//! [`DENSE_STAGE_MAX_ENTRIES`] and return a clear error above it — never a
+//! silent densification.
 //! Dense in-memory inputs whose density is at or below the
 //! `IVMF_SPARSE_THRESHOLD` cutoff (default [`DEFAULT_SPARSE_THRESHOLD`])
 //! take the sparse Gram path automatically; the swap is pure kernel
@@ -102,6 +103,7 @@
 //! ```
 
 use std::any::Any;
+use std::borrow::Cow;
 use std::cell::{OnceCell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -110,19 +112,15 @@ use std::time::{Duration, Instant};
 use ivmf_align::{ilsa, Alignment};
 use ivmf_data::prefetch::{PrefetchCsrSource, PrefetchSource};
 use ivmf_interval::{
-    recycle_csr_interval_shard, recycle_interval_matrix, use_mr_gram, CsrIntervalShard,
-    CsrShardSource, CsrShardedIntervalMatrix, IntervalMatrix, RowShardSource,
-    RowShardedIntervalMatrix, StreamingIntervalGram,
+    use_mr_gram, BoundBlocks, CsrIntervalShard, IntervalError, IntervalMatrix, IntervalShard,
+    Result as IResult, ShardSource, ShardWalk, ShardedIntervalMatrix, StreamingIntervalGram,
 };
 use ivmf_linalg::cond::is_well_conditioned;
 use ivmf_linalg::lu::invert;
 use ivmf_linalg::pinv::{PinvGram, TallPinv, PINV_ROW_ALIGN};
 use ivmf_linalg::streaming::GROUP_ROWS;
 use ivmf_linalg::svd::{svd_truncated, Svd};
-use ivmf_linalg::{
-    matmul_left_streamed, matmul_left_streamed_csr_t, matmul_streamed, matmul_streamed_csr,
-    ColBlocks, CsrRowBlocks, CsrShard, Dispatch, LinalgError, Matrix, RowBlocks,
-};
+use ivmf_linalg::{ColBlocks, Dispatch, Matrix};
 
 use crate::isvd::{
     bound_eigen, invert_factor_transpose, scale_left_factor, BoundEigen, IsvdAlgorithm, IsvdConfig,
@@ -312,10 +310,9 @@ fn fnv1a_u64(hash: &mut u64, value: u64) {
 /// same id as its dense concatenation — deliberate, because every stage
 /// output is bitwise shard-layout-invariant.
 ///
-/// Sparse (CSR) sessions hash the stored entries instead — per row the
-/// entry count, then `(column, bound)` pairs in column order — under a
-/// sparse domain tag. The stream is equally shard-layout-blind (rows fold
-/// in row order regardless of how they are cut into shards), but it is a
+/// The words are the representation's [`IntervalShard::content_words`]:
+/// sparse (CSR) sessions hash the stored entries only, under a sparse
+/// domain tag. The stream is equally shard-layout-blind, but it is a
 /// *representation-level* identity: hashing the implicit zeros of a
 /// million-user matrix would cost `O(nm)` and defeat out-of-core
 /// operation, so a sparse session deliberately never shares cache entries
@@ -330,54 +327,21 @@ struct ContentHash {
 }
 
 impl ContentHash {
-    fn new(cols: usize) -> Self {
+    fn new<S: IntervalShard>(cols: usize) -> Self {
         ContentHash {
             rows: 0,
             cols,
-            sparse: false,
+            sparse: S::CSR,
             h_lo: FNV_OFFSET,
             h_hi: FNV_OFFSET,
         }
     }
 
-    fn new_sparse(cols: usize) -> Self {
-        ContentHash {
-            sparse: true,
-            ..ContentHash::new(cols)
-        }
-    }
-
     /// Folds the next row block (row order across calls).
-    fn push(&mut self, shard: &IntervalMatrix) {
-        debug_assert!(!self.sparse, "dense rows pushed into a sparse stream");
-        for &x in shard.lo().as_slice() {
-            fnv1a_u64(&mut self.h_lo, x.to_bits());
-        }
-        for &x in shard.hi().as_slice() {
-            fnv1a_u64(&mut self.h_hi, x.to_bits());
-        }
-        self.rows += shard.rows();
-    }
-
-    /// Folds the next CSR row shard (row order across calls): per row the
-    /// stored-entry count into both streams, then each `(column, lo-bits)`
-    /// pair into the lower stream and `(column, hi-bits)` into the upper.
-    /// The per-row count delimiter keeps the stream injective over row
-    /// boundaries (without it, moving an entry across adjacent rows could
-    /// collide).
-    fn push_csr(&mut self, shard: &CsrIntervalShard) {
-        debug_assert!(self.sparse, "CSR rows pushed into a dense stream");
-        for i in 0..shard.rows() {
-            let (cols, lo, hi) = shard.row_entries(i);
-            fnv1a_u64(&mut self.h_lo, cols.len() as u64);
-            fnv1a_u64(&mut self.h_hi, cols.len() as u64);
-            for ((&c, &l), &h) in cols.iter().zip(lo).zip(hi) {
-                fnv1a_u64(&mut self.h_lo, c as u64);
-                fnv1a_u64(&mut self.h_lo, l.to_bits());
-                fnv1a_u64(&mut self.h_hi, c as u64);
-                fnv1a_u64(&mut self.h_hi, h.to_bits());
-            }
-        }
+    fn push<S: IntervalShard>(&mut self, shard: &S) {
+        debug_assert_eq!(S::CSR, self.sparse, "rows of the other representation");
+        let (h_lo, h_hi) = (&mut self.h_lo, &mut self.h_hi);
+        shard.content_words(|w| fnv1a_u64(h_lo, w), |w| fnv1a_u64(h_hi, w));
         self.rows += shard.rows();
     }
 
@@ -394,39 +358,28 @@ impl ContentHash {
     }
 }
 
-/// Content identity of an interval matrix: an FNV-1a hash over its shape and
-/// the IEEE-754 bit patterns of both bounds. Two matrices with identical
-/// contents share stage outputs even across separate [`Pipeline`] sessions
-/// on one cache — regardless of shard layout, since only row-ordered
-/// content enters the hash; hashing is `O(nm)`, negligible against the
-/// `O(nm²)` Gram stage it guards.
+/// Content identity of an interval matrix — a dense matrix, or a
+/// [`ShardedIntervalMatrix`] of either representation: an FNV-1a hash over
+/// its shape and the IEEE-754 bit patterns of its bounds. Two matrices
+/// with identical contents share stage outputs even across separate
+/// [`Pipeline`] sessions on one cache — regardless of shard layout, since
+/// only row-ordered content enters the hash; hashing is `O(nm)` (`O(nnz)`
+/// for CSR), negligible against the `O(nm²)` Gram stage it guards.
+///
+/// CSR matrices hash their stored entries under a sparse domain tag, so
+/// their id never equals the dense id of the same logical matrix (see
+/// [`IntervalShard::content_words`]): a session fixes its representation
+/// up front, so cross-representation sharing has nothing to serve.
 ///
 /// Identity is the 64-bit hash alone — a hit does not re-compare the
 /// inputs, so two *distinct* matrices whose hashes collide (probability
 /// ≈ 2⁻⁶⁴ per pair) would silently share entries on one cache. That
 /// residual risk is accepted; callers that cannot tolerate it should use
 /// one cache per matrix, as [`run_all_batch`] does.
-pub fn matrix_id(m: &IntervalMatrix) -> u64 {
-    let mut c = ContentHash::new(m.cols());
-    c.push(m);
-    c.id()
-}
-
-/// Content identity of a sparse CSR interval matrix: shard-layout-blind
-/// like [`matrix_id`] (two sparse sessions over different shardings of the
-/// same stored entries share cache entries), but hashed over the CSR
-/// streams — per row the entry count, then `(column, bound)` pairs — under
-/// a sparse domain tag, so it is a *representation-level* identity and
-/// never equals the dense [`matrix_id`] of the same logical matrix.
-/// Deliberate: folding the implicit zeros into the dense hash would cost
-/// `O(nm)` per session, defeating out-of-core sparse inputs; a session
-/// fixes its representation up front, so cross-representation sharing has
-/// nothing to serve. Hashing is `O(nnz)`.
-pub fn sparse_matrix_id(m: &CsrShardedIntervalMatrix) -> u64 {
-    let mut c = ContentHash::new_sparse(m.cols());
-    for shard in m.shards() {
-        c.push_csr(shard);
-    }
+pub fn matrix_id<S: IntervalShard>(m: &impl AsRef<[S]>) -> u64 {
+    let shards = m.as_ref();
+    let mut c = ContentHash::new::<S>(shards.first().map_or(0, S::cols));
+    shards.iter().for_each(|shard| c.push(shard));
     c.id()
 }
 
@@ -685,125 +638,70 @@ pub(crate) struct AlignedSolveOut {
 // The pipeline session.
 // ---------------------------------------------------------------------------
 
-/// The matrix behind a [`Pipeline`] session: a borrowed dense matrix, a
-/// borrowed or owned set of row-block shards (dense or sparse CSR), or a
-/// lazy shard source that materializes one shard at a time (out-of-core
-/// inputs, again dense or sparse).
-enum PipelineInput<'m> {
-    Dense(&'m IntervalMatrix),
-    Sharded(&'m RowShardedIntervalMatrix),
-    Owned(RowShardedIntervalMatrix),
-    Lazy(RefCell<Box<dyn RowShardSource + 'm>>),
-    SparseSharded(&'m CsrShardedIntervalMatrix),
-    SparseOwned(CsrShardedIntervalMatrix),
-    SparseLazy(RefCell<Box<dyn CsrShardSource + 'm>>),
+/// The matrix behind a [`Pipeline`] session, in the shard representation
+/// `S` fixed at construction: borrowed shards (a dense matrix is one), an
+/// owned sharded matrix (the form appends extend), or a lazy shard source
+/// that materializes one shard at a time (out-of-core inputs).
+enum PipelineInput<'m, S> {
+    Borrowed(&'m [S]),
+    Owned(ShardedIntervalMatrix<S>),
+    Lazy(RefCell<Box<dyn ShardSource<S> + 'm>>),
 }
 
-impl PipelineInput<'_> {
-    /// The in-memory sharded matrix behind the `Sharded`/`Owned` variants
-    /// (which differ only in ownership), `None` for every other input.
-    fn as_sharded(&self) -> Option<&RowShardedIntervalMatrix> {
+impl<'m, S: IntervalShard> PipelineInput<'m, S> {
+    fn shape(&self) -> (usize, usize) {
         match self {
-            PipelineInput::Sharded(s) => Some(s),
-            PipelineInput::Owned(s) => Some(s),
-            _ => None,
+            PipelineInput::Borrowed(shards) => (
+                shards.iter().map(S::rows).sum(),
+                shards.first().map_or(0, S::cols),
+            ),
+            PipelineInput::Owned(m) => m.shape(),
+            PipelineInput::Lazy(src) => src.borrow().shape(),
         }
     }
 
-    /// The in-memory CSR matrix behind the `SparseSharded`/`SparseOwned`
-    /// variants, `None` for every other input.
-    fn as_csr_sharded(&self) -> Option<&CsrShardedIntervalMatrix> {
-        match self {
-            PipelineInput::SparseSharded(s) => Some(s),
-            PipelineInput::SparseOwned(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// True for the CSR-backed variants.
-    fn is_sparse(&self) -> bool {
-        matches!(
-            self,
-            PipelineInput::SparseSharded(_)
-                | PipelineInput::SparseOwned(_)
-                | PipelineInput::SparseLazy(_)
-        )
+    /// One pass over the shards in row order: borrowed from an in-memory
+    /// input, moved out of a lazy source (rewound first).
+    fn walk<'a>(&'a self, f: &mut dyn FnMut(Piece<'a, S>) -> IResult<()>) -> IResult<()> {
+        let shards = match self {
+            PipelineInput::Borrowed(shards) => shards,
+            PipelineInput::Owned(m) => m.shards(),
+            PipelineInput::Lazy(src) => {
+                let mut src = src.borrow_mut();
+                src.rewind()?;
+                while let Some(shard) = src.pull()? {
+                    f(Piece::Owned(shard))?;
+                }
+                return Ok(());
+            }
+        };
+        shards.iter().try_for_each(|shard| f(Piece::whole(shard)))
     }
 }
 
-impl std::fmt::Debug for PipelineInput<'_> {
+/// One pass over the input's shards, in row order; a lazy source's
+/// freshly decoded shards go back to the buffer pool once `f` has seen
+/// them.
+impl<S: IntervalShard> ShardWalk<S> for PipelineInput<'_, S> {
+    fn shape(&self) -> (usize, usize) {
+        PipelineInput::shape(self)
+    }
+    fn for_each_shard(&self, f: &mut dyn FnMut(&S) -> IResult<()>) -> IResult<()> {
+        self.walk(&mut |piece| piece.visit(f))
+    }
+}
+
+impl<S: IntervalShard> std::fmt::Debug for PipelineInput<'_, S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let kind = match self {
-            PipelineInput::Dense(_) => "Dense",
-            PipelineInput::Sharded(_) => "Sharded",
+            PipelineInput::Borrowed(_) => "Borrowed",
             PipelineInput::Owned(_) => "Owned",
             PipelineInput::Lazy(_) => "Lazy",
-            PipelineInput::SparseSharded(_) => "SparseSharded",
-            PipelineInput::SparseOwned(_) => "SparseOwned",
-            PipelineInput::SparseLazy(_) => "SparseLazy",
         };
-        let (rows, cols) = input_shape(self);
-        if let Some(s) = self.as_sharded() {
-            return write!(f, "{kind}({rows}x{cols}, {} shards)", s.num_shards());
-        }
-        if let Some(s) = self.as_csr_sharded() {
-            return write!(
-                f,
-                "{kind}({rows}x{cols}, {} shards, {} nnz)",
-                s.num_shards(),
-                s.nnz()
-            );
-        }
-        write!(f, "{kind}({rows}x{cols})")
+        let repr = if S::CSR { "csr" } else { "dense" };
+        let (rows, cols) = self.shape();
+        write!(f, "{kind}({repr}, {rows}x{cols})")
     }
-}
-
-fn input_shape(input: &PipelineInput<'_>) -> (usize, usize) {
-    if let Some(s) = input.as_sharded() {
-        return s.shape();
-    }
-    if let Some(s) = input.as_csr_sharded() {
-        return s.shape();
-    }
-    match input {
-        PipelineInput::Dense(m) => m.shape(),
-        PipelineInput::Lazy(src) => {
-            let src = src.borrow();
-            (src.rows(), src.cols())
-        }
-        PipelineInput::SparseLazy(src) => {
-            let src = src.borrow();
-            (src.rows(), src.cols())
-        }
-        _ => unreachable!("sharded variants handled above"),
-    }
-}
-
-/// One pass over the input's row-block shards, in row order (a dense
-/// matrix is one shard; a lazy source is rewound first, and its freshly
-/// decoded shards go back to the buffer pool once `f` has seen them).
-fn input_for_each_shard(
-    input: &PipelineInput<'_>,
-    f: &mut dyn FnMut(&IntervalMatrix) -> Result<()>,
-) -> Result<()> {
-    if input.is_sparse() {
-        // Sparse inputs densify one shard at a time — only reachable
-        // through the guarded dense-only paths (`input_mid`/`input_dense`
-        // call `ensure_densifiable` first); the Gram-route stages dispatch
-        // to `input_for_each_csr_shard` instead and never land here.
-        return input_for_each_csr_shard(input, &mut |shard| f(&shard.to_dense()));
-    }
-    IntervalMatrix::walk(input, &mut |piece| piece.visit(f))
-}
-
-/// One pass over a sparse input's CSR row shards, in row order (a lazy
-/// source is rewound first). Panics on dense inputs — callers dispatch on
-/// [`PipelineInput::is_sparse`] first.
-fn input_for_each_csr_shard(
-    input: &PipelineInput<'_>,
-    f: &mut dyn FnMut(&CsrIntervalShard) -> Result<()>,
-) -> Result<()> {
-    CsrIntervalShard::walk(input, &mut |piece| piece.visit(f))
 }
 
 /// Ceiling on the dense entry count (`rows × cols`) a dense-only stage may
@@ -818,11 +716,11 @@ pub const DENSE_STAGE_MAX_ENTRIES: usize = 1 << 22;
 /// Guard for the dense-only paths: errors when a sparse input is too
 /// large to densify (see [`DENSE_STAGE_MAX_ENTRIES`]). Dense inputs pass
 /// unconditionally — they are already materialized.
-fn ensure_densifiable(input: &PipelineInput<'_>) -> Result<()> {
-    if !input.is_sparse() {
+fn ensure_densifiable<S: IntervalShard>(input: &PipelineInput<'_, S>) -> Result<()> {
+    if !S::CSR {
         return Ok(());
     }
-    let (rows, cols) = input_shape(input);
+    let (rows, cols) = input.shape();
     let entries = rows.saturating_mul(cols);
     if entries > DENSE_STAGE_MAX_ENTRIES {
         return Err(IvmfError::InvalidInput(format!(
@@ -834,56 +732,42 @@ fn ensure_densifiable(input: &PipelineInput<'_>) -> Result<()> {
     Ok(())
 }
 
-/// The midpoint matrix, assembled shard by shard (entry-wise, so bitwise
-/// identical to the dense `mid()` for every input kind: a sparse shard's
-/// stored midpoints use the same `0.5 * (lo + hi)` formula, and implicit
-/// `[0, 0]` entries yield the `+0.0` the dense formula produces).
-fn input_mid(input: &PipelineInput<'_>) -> Result<Matrix> {
-    let (rows, cols) = input_shape(input);
+/// The midpoint matrix, assembled shard by shard (entry-wise and
+/// zero-preserving, so bitwise identical to the dense `mid()` for every
+/// input kind and representation).
+fn input_mid<S: IntervalShard>(input: &PipelineInput<'_, S>) -> Result<Matrix> {
+    let (rows, cols) = input.shape();
     ensure_densifiable(input)?;
-    if input.is_sparse() {
-        let mut data = vec![0.0; rows * cols];
-        let mut base = 0usize;
-        input_for_each_csr_shard(input, &mut |shard| {
-            let mid = shard.mid_shard();
-            for i in 0..mid.rows() {
-                let (cs, vs) = mid.row_entries(i);
-                for (&c, &v) in cs.iter().zip(vs) {
-                    data[(base + i) * cols + c] = v;
-                }
-            }
-            base += shard.rows();
-            Ok(())
-        })?;
-        return Matrix::from_vec(rows, cols, data).map_err(IvmfError::from);
-    }
     let mut data = Vec::with_capacity(rows * cols);
-    input_for_each_shard(input, &mut |shard| {
-        data.extend_from_slice(shard.mid().as_slice());
+    input.for_each_shard(&mut |shard| {
+        data.extend_from_slice(shard.as_dense().mid().as_slice());
         Ok(())
     })?;
     Matrix::from_vec(rows, cols, data).map_err(IvmfError::from)
 }
 
-/// The dense interval matrix, materializing (and memoizing) it for
-/// sharded and lazy inputs. Only the stages that genuinely need the whole
-/// matrix at once — the bound SVDs of ISVD1 and ISVD0's midpoint SVD —
-/// go through this; the Gram-route stages stream. Sparse inputs densify
-/// only below [`DENSE_STAGE_MAX_ENTRIES`] and error with a pointer to
-/// ISVD2–4 above it.
-fn input_dense<'a>(
-    input: &'a PipelineInput<'_>,
+/// The dense interval matrix: borrowed for a one-shard dense input,
+/// materialized (and memoized) otherwise. Only the stages that genuinely
+/// need the whole matrix at once — the bound SVDs of ISVD1 and ISVD0's
+/// midpoint SVD — go through this; the Gram-route stages stream. Sparse
+/// inputs densify only below [`DENSE_STAGE_MAX_ENTRIES`] and error with a
+/// pointer to ISVD2–4 above it.
+fn input_dense<'a, S: IntervalShard>(
+    input: &'a PipelineInput<'_, S>,
     cell: &'a OnceCell<IntervalMatrix>,
 ) -> Result<&'a IntervalMatrix> {
-    if let PipelineInput::Dense(m) = input {
-        return Ok(m);
+    if let PipelineInput::Borrowed([m]) = input {
+        if let Cow::Borrowed(m) = m.as_dense() {
+            return Ok(m);
+        }
     }
     ensure_densifiable(input)?;
     if cell.get().is_none() {
-        let (rows, cols) = input_shape(input);
+        let (rows, cols) = input.shape();
         let mut lo = Vec::with_capacity(rows * cols);
         let mut hi = Vec::with_capacity(rows * cols);
-        input_for_each_shard(input, &mut |shard| {
+        input.for_each_shard(&mut |shard| {
+            let shard = shard.as_dense();
             lo.extend_from_slice(shard.lo().as_slice());
             hi.extend_from_slice(shard.hi().as_slice());
             Ok(())
@@ -899,83 +783,25 @@ fn input_dense<'a>(
     Ok(cell.get().expect("just initialized"))
 }
 
-/// One bound (`lo` or `hi`) of the input as a scalar row-block stream for
-/// the chunk-realigned streaming kernels. Shard-source errors surface as
-/// [`LinalgError::InvalidArgument`] and are converted back at the call
-/// sites.
-struct BoundStream<'a, 'm> {
-    input: &'a PipelineInput<'m>,
+/// Row-streamed product `bound(M) · rhs` over the input's shards, through
+/// the representation's kernel (the CSR kernel is bitwise identical to
+/// the dense one on the same logical matrix; see `ivmf_linalg::sparse`).
+fn stream_bound_matmul<S: IntervalShard>(
+    input: &PipelineInput<'_, S>,
     hi: bool,
-}
-
-impl RowBlocks for BoundStream<'_, '_> {
-    fn rows(&self) -> usize {
-        input_shape(self.input).0
-    }
-    fn cols(&self) -> usize {
-        input_shape(self.input).1
-    }
-    fn for_each_block(
-        &self,
-        f: &mut dyn FnMut(&Matrix) -> ivmf_linalg::Result<()>,
-    ) -> ivmf_linalg::Result<()> {
-        let hi = self.hi;
-        let mut adapted = |shard: &IntervalMatrix| -> Result<()> {
-            f(if hi { shard.hi() } else { shard.lo() }).map_err(IvmfError::from)
-        };
-        input_for_each_shard(self.input, &mut adapted)
-            .map_err(|e| LinalgError::InvalidArgument(format!("row-shard stream: {e}")))
-    }
-}
-
-/// One bound (`lo` or `hi`) of a *sparse* input as a CSR row-block stream
-/// for the sparse streaming kernels: the CSR counterpart of
-/// [`BoundStream`], yielding each shard's bound pattern without ever
-/// densifying.
-struct SparseBoundStream<'a, 'm> {
-    input: &'a PipelineInput<'m>,
-    hi: bool,
-}
-
-impl CsrRowBlocks for SparseBoundStream<'_, '_> {
-    fn rows(&self) -> usize {
-        input_shape(self.input).0
-    }
-    fn cols(&self) -> usize {
-        input_shape(self.input).1
-    }
-    fn for_each_csr_block(
-        &self,
-        f: &mut dyn FnMut(&CsrShard) -> ivmf_linalg::Result<()>,
-    ) -> ivmf_linalg::Result<()> {
-        let hi = self.hi;
-        let mut adapted = |shard: &CsrIntervalShard| -> Result<()> {
-            if hi {
-                f(&shard.hi_shard()).map_err(IvmfError::from)
-            } else {
-                f(shard.lo_shard()).map_err(IvmfError::from)
-            }
-        };
-        input_for_each_csr_shard(self.input, &mut adapted)
-            .map_err(|e| LinalgError::InvalidArgument(format!("row-shard stream: {e}")))
-    }
-}
-
-/// Row-streamed product `bound(M) · rhs` over the input's shards. Sparse
-/// inputs route through the CSR streaming kernel — bitwise identical to
-/// the dense kernel on the same logical matrix (see `ivmf_linalg::sparse`).
-fn stream_bound_matmul(input: &PipelineInput<'_>, hi: bool, rhs: &Matrix) -> Result<Matrix> {
-    if input.is_sparse() {
-        return matmul_streamed_csr(&SparseBoundStream { input, hi }, rhs).map_err(IvmfError::from);
-    }
-    matmul_streamed(&BoundStream { input, hi }, rhs).map_err(IvmfError::from)
+    rhs: &Matrix,
+) -> Result<Matrix> {
+    S::bound_product(&BoundBlocks::new(input, hi), rhs).map_err(IvmfError::from)
 }
 
 /// Row-streamed `M† · rhs` for a scalar right operand: the streamed
 /// counterpart of [`IntervalMatrix::matmul_scalar`] — the same
 /// [`IntervalMatrix::envelope_of`] combination over the two bound
 /// products — bitwise identical for every shard layout.
-fn stream_matmul_scalar(input: &PipelineInput<'_>, rhs: &Matrix) -> Result<IntervalMatrix> {
+fn stream_matmul_scalar<S: IntervalShard>(
+    input: &PipelineInput<'_, S>,
+    rhs: &Matrix,
+) -> Result<IntervalMatrix> {
     let p = stream_bound_matmul(input, false, rhs)?;
     let q = stream_bound_matmul(input, true, rhs)?;
     IntervalMatrix::envelope_of(p, q).map_err(IvmfError::from)
@@ -984,24 +810,14 @@ fn stream_matmul_scalar(input: &PipelineInput<'_>, rhs: &Matrix) -> Result<Inter
 /// Reduction-streamed `(lhs · M†)ᵀ` for a scalar left operand: the
 /// transposed streamed counterpart of
 /// [`IntervalMatrix::matmul_scalar_left`], bitwise identical for every
-/// shard layout. Sparse inputs run the transposed CSR reduction kernel,
-/// which produces the tall `m x p` layout directly. `lhs` is handed over
-/// in column blocks, once per bound product.
-fn stream_matmul_scalar_left_t<L: ColBlocks>(
+/// shard layout. `lhs` is handed over in column blocks, once per bound
+/// product.
+fn stream_matmul_scalar_left_t<S: IntervalShard, L: ColBlocks>(
     mut lhs: L,
-    input: &PipelineInput<'_>,
+    input: &PipelineInput<'_, S>,
 ) -> Result<IntervalMatrix> {
-    let (p, q) = if input.is_sparse() {
-        (
-            matmul_left_streamed_csr_t(&mut lhs, &SparseBoundStream { input, hi: false })?,
-            matmul_left_streamed_csr_t(&mut lhs, &SparseBoundStream { input, hi: true })?,
-        )
-    } else {
-        (
-            matmul_left_streamed(&mut lhs, &BoundStream { input, hi: false })?.transpose(),
-            matmul_left_streamed(&mut lhs, &BoundStream { input, hi: true })?.transpose(),
-        )
-    };
+    let p = S::bound_product_left_t(&mut lhs, &BoundBlocks::new(input, false))?;
+    let q = S::bound_product_left_t(&mut lhs, &BoundBlocks::new(input, true))?;
     IntervalMatrix::envelope_of(p, q).map_err(IvmfError::from)
 }
 
@@ -1082,8 +898,8 @@ impl ColBlocks for TightenProjector<'_> {
 /// inverted directly when it is square and well-conditioned (an `r x r`
 /// product) and pseudo-inverted otherwise, in row blocks through
 /// [`TightenProjector`]; the reduction streams over the input's shards.
-fn stream_right_tighten(
-    input: &PipelineInput<'_>,
+fn stream_right_tighten<S: IntervalShard>(
+    input: &PipelineInput<'_, S>,
     u: &IntervalMatrix,
     sigma_inv: &Matrix,
     config: &IsvdConfig,
@@ -1111,14 +927,15 @@ pub const DEFAULT_SPARSE_THRESHOLD: f64 = 0.1;
 /// entry counts when either bound is nonzero — the same predicate
 /// `CsrIntervalShard::from_dense` uses). One `O(nm)` comparison pass,
 /// negligible against the `O(nm²)` Gram it steers.
-fn input_density_scan(input: &PipelineInput<'_>) -> Result<f64> {
-    let (rows, cols) = input_shape(input);
+fn input_density_scan<S: IntervalShard>(input: &PipelineInput<'_, S>) -> Result<f64> {
+    let (rows, cols) = input.shape();
     let total = rows.saturating_mul(cols);
     if total == 0 {
         return Ok(0.0);
     }
     let mut nnz = 0usize;
-    input_for_each_shard(input, &mut |shard| {
+    input.for_each_shard(&mut |shard| {
+        let shard = shard.as_dense();
         let lo = shard.lo().as_slice();
         let hi = shard.hi().as_slice();
         nnz += lo
@@ -1139,8 +956,8 @@ fn input_density_scan(input: &PipelineInput<'_>) -> Result<f64> {
 /// source. The choice is pure kernel selection: results are bitwise
 /// identical either way, which is why it can key off a live environment
 /// read without entering the cache fingerprint.
-fn use_sparse_gram(input: &PipelineInput<'_>) -> Result<bool> {
-    if input.is_sparse() {
+fn use_sparse_gram<S: IntervalShard>(input: &PipelineInput<'_, S>) -> Result<bool> {
+    if S::CSR {
         return Ok(true);
     }
     if matches!(input, PipelineInput::Lazy(_)) {
@@ -1165,97 +982,6 @@ fn empty_gram(cols: usize, mid_rad: bool, csr: bool) -> StreamingIntervalGram {
     }
 }
 
-/// A shard representation the interval-Gram fold accepts: what the unit
-/// fold needs to walk an input, cut its shards on unit boundaries, and
-/// fold and recycle the pieces.
-trait GramShard: Sized + Send + Sync + 'static {
-    fn rows(&self) -> usize;
-    fn row_slice(&self, start: usize, end: usize) -> Result<Self>;
-    fn push_into(&self, acc: &mut StreamingIntervalGram) -> Result<()>;
-    fn recycle(self);
-    /// One pass over the input's shards in row order: borrowed from an
-    /// in-memory input, moved out of a lazy source (rewound first).
-    fn walk<'a>(
-        input: &'a PipelineInput<'_>,
-        f: &mut dyn FnMut(Piece<'a, Self>) -> Result<()>,
-    ) -> Result<()>;
-}
-
-impl GramShard for IntervalMatrix {
-    fn rows(&self) -> usize {
-        IntervalMatrix::rows(self)
-    }
-    fn row_slice(&self, start: usize, end: usize) -> Result<Self> {
-        IntervalMatrix::row_slice(self, start, end).map_err(IvmfError::from)
-    }
-    fn push_into(&self, acc: &mut StreamingIntervalGram) -> Result<()> {
-        acc.push_shard(self).map_err(IvmfError::from)
-    }
-    fn recycle(self) {
-        recycle_interval_matrix(self);
-    }
-    fn walk<'a>(
-        input: &'a PipelineInput<'_>,
-        f: &mut dyn FnMut(Piece<'a, Self>) -> Result<()>,
-    ) -> Result<()> {
-        if let Some(s) = input.as_sharded() {
-            return s
-                .shards()
-                .iter()
-                .try_for_each(|shard| f(Piece::whole(shard)));
-        }
-        match input {
-            PipelineInput::Dense(m) => f(Piece::whole(m)),
-            PipelineInput::Lazy(src) => {
-                let mut src = src.borrow_mut();
-                src.reset().map_err(IvmfError::from)?;
-                while let Some(shard) = src.next_shard().map_err(IvmfError::from)? {
-                    f(Piece::Owned(shard))?;
-                }
-                Ok(())
-            }
-            _ => unreachable!("sparse inputs fold through the CSR walk"),
-        }
-    }
-}
-
-impl GramShard for CsrIntervalShard {
-    fn rows(&self) -> usize {
-        CsrIntervalShard::rows(self)
-    }
-    fn row_slice(&self, start: usize, end: usize) -> Result<Self> {
-        CsrIntervalShard::row_slice(self, start, end).map_err(IvmfError::from)
-    }
-    fn push_into(&self, acc: &mut StreamingIntervalGram) -> Result<()> {
-        acc.push_csr_shard(self).map_err(IvmfError::from)
-    }
-    fn recycle(self) {
-        recycle_csr_interval_shard(self);
-    }
-    fn walk<'a>(
-        input: &'a PipelineInput<'_>,
-        f: &mut dyn FnMut(Piece<'a, Self>) -> Result<()>,
-    ) -> Result<()> {
-        if let Some(s) = input.as_csr_sharded() {
-            return s
-                .shards()
-                .iter()
-                .try_for_each(|shard| f(Piece::whole(shard)));
-        }
-        match input {
-            PipelineInput::SparseLazy(src) => {
-                let mut src = src.borrow_mut();
-                src.reset().map_err(IvmfError::from)?;
-                while let Some(shard) = src.next_shard().map_err(IvmfError::from)? {
-                    f(Piece::Owned(shard))?;
-                }
-                Ok(())
-            }
-            _ => unreachable!("dense inputs fold through the dense walk"),
-        }
-    }
-}
-
 /// A merge-group unit's share of one input shard: rows `range` of a shard
 /// borrowed from an in-memory input, or a shard owned by the fold (moved
 /// out of a lazy source, or copied out of one that straddles a unit
@@ -1265,7 +991,7 @@ enum Piece<'a, S> {
     Owned(S),
 }
 
-impl<'a, S: GramShard> Piece<'a, S> {
+impl<'a, S: IntervalShard> Piece<'a, S> {
     fn whole(shard: &'a S) -> Self {
         Piece::Borrowed(shard, 0..shard.rows())
     }
@@ -1280,7 +1006,7 @@ impl<'a, S: GramShard> Piece<'a, S> {
     /// Splits off the first `head` rows when the piece is longer; the
     /// tail is `None` otherwise. Borrowed pieces only narrow their range;
     /// an owned shard is copied into two owned halves and recycled.
-    fn split(self, head: usize) -> Result<(Self, Option<Self>)> {
+    fn split(self, head: usize) -> IResult<(Self, Option<Self>)> {
         let rows = self.rows();
         if rows <= head {
             return Ok((self, None));
@@ -1303,7 +1029,7 @@ impl<'a, S: GramShard> Piece<'a, S> {
 
     /// Calls `f` on the piece's rows; only a partial range of a borrowed
     /// shard is copied first.
-    fn with_rows(&self, f: &mut dyn FnMut(&S) -> Result<()>) -> Result<()> {
+    fn with_rows(&self, f: &mut dyn FnMut(&S) -> IResult<()>) -> IResult<()> {
         match self {
             Piece::Borrowed(s, range) if range.len() == s.rows() => f(s),
             Piece::Borrowed(s, range) => f(&s.row_slice(range.start, range.end)?),
@@ -1312,7 +1038,7 @@ impl<'a, S: GramShard> Piece<'a, S> {
     }
 
     /// [`Piece::with_rows`], then [`Piece::recycle`].
-    fn visit(self, f: &mut dyn FnMut(&S) -> Result<()>) -> Result<()> {
+    fn visit(self, f: &mut dyn FnMut(&S) -> IResult<()>) -> IResult<()> {
         self.with_rows(f)?;
         self.recycle();
         Ok(())
@@ -1345,21 +1071,19 @@ impl<'a, S: GramShard> Piece<'a, S> {
 /// shards are borrowed, and only the rows of one that straddles a unit
 /// boundary are copied, inside the thread folding them; streamed shards
 /// are moved into their unit and copied only when they straddle.
-fn fold_units<'a, S: GramShard>(
-    input: &'a PipelineInput<'_>,
+fn fold_units<'a, S: IntervalShard>(
+    input: &'a PipelineInput<'_, S>,
     rows: usize,
     master: &mut StreamingIntervalGram,
-) -> Result<()> {
+) -> IResult<()> {
     let threads = ivmf_par::configured_threads();
     if threads <= 1 || rows <= GROUP_ROWS {
-        return S::walk(input, &mut |piece| {
-            piece.visit(&mut |s| s.push_into(master))
-        });
+        return input.for_each_shard(&mut |s| s.push_into(master));
     }
     let mut sealed: Vec<Vec<Piece<'a, S>>> = Vec::new();
     let mut open: Vec<Piece<'a, S>> = Vec::new();
     let mut open_rows = 0;
-    S::walk(input, &mut |piece| {
+    input.walk(&mut |piece| {
         let mut rest = Some(piece);
         while let Some(piece) = rest.take() {
             let (head, tail) = piece.split(GROUP_ROWS - open_rows)?;
@@ -1384,17 +1108,17 @@ fn fold_units<'a, S: GramShard>(
 
 /// Folds consecutive units concurrently, one thread each, then absorbs
 /// them into `master` in unit order and recycles their owned shards.
-fn fold_unit_batch<S: GramShard>(
+fn fold_unit_batch<S: IntervalShard>(
     master: &mut StreamingIntervalGram,
     units: Vec<Vec<Piece<'_, S>>>,
-) -> Result<()> {
+) -> IResult<()> {
     let (cols, mid_rad, csr) = (master.cols(), master.is_mid_rad(), master.is_csr());
     let folded = ivmf_par::par_map(units.len(), units.len(), |i| {
         let mut acc = empty_gram(cols, mid_rad, csr);
         for piece in &units[i] {
             piece.with_rows(&mut |s| s.push_into(&mut acc))?;
         }
-        Ok::<_, IvmfError>(acc)
+        Ok::<_, IntervalError>(acc)
     });
     for acc in folded {
         master.absorb_unit(acc?)?;
@@ -1420,18 +1144,21 @@ pub(crate) struct GramState {
 /// use and served from the cache afterwards. See the
 /// [module docs](self) for the full sharing matrix.
 ///
-/// The input can be a dense matrix ([`Pipeline::new`]), a set of row-block
-/// shards ([`Pipeline::new_sharded`] borrowed, [`Pipeline::from_shards`]
-/// owned — the owned form accepts [`Pipeline::append_rows`]), or a lazy
-/// shard source ([`Pipeline::new_streaming`]) for matrices larger than
-/// memory. Every Gram-route stage (interval Gram, left-factor recovery,
-/// aligned solve, right tightening) streams over the shards with
-/// chunk-realigned arithmetic, so **results are bitwise identical across
-/// input kinds and shard layouts**; only ISVD0/ISVD1's SVD stages
+/// The session's shard representation `S` — dense [`IntervalMatrix`]
+/// rows (the default) or [`CsrIntervalShard`]s — is fixed at
+/// construction. The input can be a dense matrix ([`Pipeline::new`]), a
+/// set of row-block shards of either representation
+/// ([`Pipeline::new_sharded`] borrowed, [`Pipeline::from_shards`] owned),
+/// or a lazy shard source ([`Pipeline::new_streaming`],
+/// [`Pipeline::new_streaming_csr`]) for matrices larger than memory.
+/// Every Gram-route stage (interval Gram, left-factor recovery, aligned
+/// solve, right tightening) streams over the shards with chunk-realigned
+/// arithmetic, so **results are bitwise identical across input kinds,
+/// representations and shard layouts**; only ISVD0/ISVD1's SVD stages
 /// materialize the dense bounds (memoized per session).
 #[derive(Debug)]
-pub struct Pipeline<'m> {
-    input: PipelineInput<'m>,
+pub struct Pipeline<'m, S: IntervalShard = IntervalMatrix> {
+    input: PipelineInput<'m, S>,
     config: IsvdConfig,
     content: ContentHash,
     pub(crate) matrix: u64,
@@ -1456,38 +1183,24 @@ impl<'m> Pipeline<'m> {
         config: IsvdConfig,
         cache: StageCache,
     ) -> Result<Self> {
-        Pipeline::from_input(PipelineInput::Dense(m), config, cache)
-    }
-
-    /// Creates a session over a borrowed row-sharded matrix. Results are
-    /// bitwise identical to a dense session over the concatenated rows
-    /// (and the two share cache entries: the content id ignores shard
-    /// layout).
-    pub fn new_sharded(m: &'m RowShardedIntervalMatrix, config: IsvdConfig) -> Result<Self> {
-        Pipeline::from_input(PipelineInput::Sharded(m), config, StageCache::new())
-    }
-
-    /// Creates a session that owns its row-sharded matrix — the form that
-    /// accepts [`Pipeline::append_rows`] without copying the existing
-    /// shards.
-    pub fn from_shards(m: RowShardedIntervalMatrix, config: IsvdConfig) -> Result<Self> {
-        Pipeline::from_input(PipelineInput::Owned(m), config, StageCache::new())
+        let input = PipelineInput::Borrowed(std::slice::from_ref(m));
+        Pipeline::from_input(input, config, cache)
     }
 
     /// Creates a session over a lazy shard source (e.g. a chunked disk
-    /// loader from `ivmf-data`): the Gram-route stages of ISVD2–4 stream
-    /// the shards one at a time and never materialize the dense bounds, so
-    /// matrices larger than memory decompose end to end (the factor
-    /// outputs themselves are `n×r` / `m×r` — far smaller than the `n×m`
-    /// input for the paper's ranks). ISVD0/ISVD1 still materialize the
-    /// dense matrix on first use. Construction makes one streaming pass to
-    /// fingerprint the content.
-    pub fn new_streaming(source: Box<dyn RowShardSource + 'm>, config: IsvdConfig) -> Result<Self> {
-        Pipeline::from_input(
-            PipelineInput::Lazy(RefCell::new(source)),
-            config,
-            StageCache::new(),
-        )
+    /// loader from `ivmf-data`, any [`ivmf_interval::RowShardSource`]):
+    /// the Gram-route stages of ISVD2–4 stream the shards one at a time
+    /// and never materialize the dense bounds, so matrices larger than
+    /// memory decompose end to end (the factor outputs themselves are
+    /// `n×r` / `m×r` — far smaller than the `n×m` input for the paper's
+    /// ranks). ISVD0/ISVD1 still materialize the dense matrix on first
+    /// use. Construction makes one streaming pass to fingerprint the
+    /// content.
+    pub fn new_streaming(
+        source: Box<dyn ShardSource<IntervalMatrix> + 'm>,
+        config: IsvdConfig,
+    ) -> Result<Self> {
+        Pipeline::lazy(source, config)
     }
 
     /// [`Pipeline::new_streaming`] for a `Send` shard source: wraps it in
@@ -1496,81 +1209,73 @@ impl<'m> Pipeline<'m> {
     /// the Gram stages fold shard *i*. Delivery stays strictly in order —
     /// every result is bitwise identical to the unprefetched session.
     pub fn new_streaming_send(
-        source: Box<dyn RowShardSource + Send>,
+        source: Box<dyn ShardSource<IntervalMatrix> + Send>,
         config: IsvdConfig,
     ) -> Result<Self> {
-        Pipeline::new_streaming(Box::new(PrefetchSource::from_env(source)), config)
+        Pipeline::lazy(Box::new(PrefetchSource::from_env(source)), config)
     }
+}
 
-    /// Creates a session over a borrowed sparse CSR row-sharded matrix.
-    /// Every Gram-route stage (ISVD2–4) streams the CSR shards through the
-    /// sparse kernels of `ivmf_linalg::sparse` — **bitwise identical** to a
-    /// dense session over [`CsrShardedIntervalMatrix::to_dense`], at
-    /// `O(nnz)` instead of `O(nm)` per streamed row pass. The dense-only
-    /// stages (ISVD0/ISVD1) densify only below
-    /// [`DENSE_STAGE_MAX_ENTRIES`] and error with a pointer to ISVD2–4
-    /// above it.
-    pub fn new_sparse(m: &'m CsrShardedIntervalMatrix, config: IsvdConfig) -> Result<Self> {
-        Pipeline::from_input(PipelineInput::SparseSharded(m), config, StageCache::new())
-    }
-
-    /// Creates a session that owns its sparse CSR row-sharded matrix — the
-    /// sparse form that accepts [`Pipeline::append_rows_csr`] (and
-    /// [`Pipeline::append_rows`], which CSR-compresses the dense rows)
-    /// without copying the existing shards.
-    pub fn from_csr_shards(m: CsrShardedIntervalMatrix, config: IsvdConfig) -> Result<Self> {
-        Pipeline::from_input(PipelineInput::SparseOwned(m), config, StageCache::new())
-    }
-
-    /// Creates a session over a lazy CSR shard source (e.g. a sparse disk
-    /// loader from `ivmf-data`): the sparse counterpart of
-    /// [`Pipeline::new_streaming`]. ISVD2–4 stream the CSR shards one at a
-    /// time — the resident footprint is one shard plus the `m×m` Gram
-    /// accumulator — so million-row sparse matrices decompose end to end
-    /// out-of-core. Construction makes one streaming pass to fingerprint
-    /// the content.
+impl<'m> Pipeline<'m, CsrIntervalShard> {
+    /// [`Pipeline::new_streaming`] over a lazy CSR shard source (any
+    /// [`ivmf_interval::CsrShardSource`], e.g. a sparse disk loader from
+    /// `ivmf-data`): ISVD2–4 stream the CSR shards one at a time — the
+    /// resident footprint is one shard plus the `m×m` Gram accumulator —
+    /// so million-row sparse matrices decompose end to end out-of-core.
     pub fn new_streaming_csr(
-        source: Box<dyn CsrShardSource + 'm>,
+        source: Box<dyn ShardSource<CsrIntervalShard> + 'm>,
         config: IsvdConfig,
     ) -> Result<Self> {
-        Pipeline::from_input(
-            PipelineInput::SparseLazy(RefCell::new(source)),
-            config,
-            StageCache::new(),
-        )
+        Pipeline::lazy(source, config)
     }
 
-    /// [`Pipeline::new_streaming_csr`] for a `Send` shard source: the CSR
-    /// twin of [`Pipeline::new_streaming_send`], overlapping disk decode
-    /// with the sparse Gram fold via
-    /// [`ivmf_data::prefetch::PrefetchCsrSource`] at the `IVMF_PREFETCH`
-    /// depth. Bitwise identical to the unprefetched session.
+    /// [`Pipeline::new_streaming_send`] over a `Send` CSR shard source,
+    /// prefetched through [`ivmf_data::prefetch::PrefetchCsrSource`].
     pub fn new_streaming_csr_send(
-        source: Box<dyn CsrShardSource + Send>,
+        source: Box<dyn ShardSource<CsrIntervalShard> + Send>,
         config: IsvdConfig,
     ) -> Result<Self> {
-        Pipeline::new_streaming_csr(Box::new(PrefetchCsrSource::from_env(source)), config)
+        Pipeline::lazy(Box::new(PrefetchCsrSource::from_env(source)), config)
+    }
+}
+
+impl<'m, S: IntervalShard> Pipeline<'m, S> {
+    /// Creates a session over a borrowed sharded matrix of either
+    /// representation. Results are bitwise identical to a dense session
+    /// over the concatenated rows. A dense sharded session shares cache
+    /// entries with a dense one (the content id ignores shard layout); a
+    /// CSR session hashes stored entries only (see [`matrix_id`]), and
+    /// its dense-only stages (ISVD0/ISVD1) densify only below
+    /// [`DENSE_STAGE_MAX_ENTRIES`], erroring with a pointer to ISVD2–4
+    /// above it.
+    pub fn new_sharded(m: &'m ShardedIntervalMatrix<S>, config: IsvdConfig) -> Result<Self> {
+        let input = PipelineInput::Borrowed(m.shards());
+        Pipeline::from_input(input, config, StageCache::new())
     }
 
-    fn from_input(input: PipelineInput<'m>, config: IsvdConfig, cache: StageCache) -> Result<Self> {
-        let (_, cols) = input_shape(&input);
-        config.validate(input_shape(&input))?;
-        let mut content = if input.is_sparse() {
-            ContentHash::new_sparse(cols)
-        } else {
-            ContentHash::new(cols)
-        };
-        if input.is_sparse() {
-            input_for_each_csr_shard(&input, &mut |shard| {
-                content.push_csr(shard);
-                Ok(())
-            })?;
-        } else {
-            input_for_each_shard(&input, &mut |shard| {
-                content.push(shard);
-                Ok(())
-            })?;
-        }
+    /// Creates a session that owns its sharded matrix — the form that
+    /// accepts [`Pipeline::append_rows`] without copying the existing
+    /// shards.
+    pub fn from_shards(m: ShardedIntervalMatrix<S>, config: IsvdConfig) -> Result<Self> {
+        Pipeline::from_input(PipelineInput::Owned(m), config, StageCache::new())
+    }
+
+    fn lazy(source: Box<dyn ShardSource<S> + 'm>, config: IsvdConfig) -> Result<Self> {
+        let input = PipelineInput::Lazy(RefCell::new(source));
+        Pipeline::from_input(input, config, StageCache::new())
+    }
+
+    fn from_input(
+        input: PipelineInput<'m, S>,
+        config: IsvdConfig,
+        cache: StageCache,
+    ) -> Result<Self> {
+        config.validate(input.shape())?;
+        let mut content = ContentHash::new::<S>(input.shape().1);
+        input.for_each_shard(&mut |shard| {
+            content.push(shard);
+            Ok(())
+        })?;
         let matrix = content.id();
         let mut pipeline = Pipeline {
             input,
@@ -1591,7 +1296,7 @@ impl<'m> Pipeline<'m> {
 
     /// `(rows, cols)` of the session's (virtual) input matrix.
     pub fn shape(&self) -> (usize, usize) {
-        input_shape(&self.input)
+        self.input.shape()
     }
 
     /// The session's input as a dense interval matrix, materializing it on
@@ -1611,9 +1316,9 @@ impl<'m> Pipeline<'m> {
         &self.cache
     }
 
-    /// Content identity of the session's matrix ([`matrix_id`] /
-    /// [`sparse_matrix_id`], extended by appends) — the id snapshot files
-    /// are named by and validated against.
+    /// Content identity of the session's matrix ([`matrix_id`], extended
+    /// by appends) — the id snapshot files are named by and validated
+    /// against.
     pub fn content_id(&self) -> u64 {
         self.matrix
     }
@@ -1644,17 +1349,16 @@ impl<'m> Pipeline<'m> {
     /// threshold (or `IVMF_EXACT_INTERVAL` changed), the accumulator is
     /// discarded and the next run recomputes cold under the new flavour.
     ///
-    /// Borrowed dense/sharded inputs are converted to an owned sharded
+    /// The rows are checked before anything changes: a NaN or infinite
+    /// bound, or `lo > hi`, is an [`IvmfError::InvalidBounds`] naming the
+    /// cell's row in the extended matrix, and the session is left as it
+    /// was. Dense rows appended to a CSR session are CSR-compressed; CSR
+    /// rows are refused by a dense session (it never densifies them
+    /// implicitly). Borrowed inputs are converted to an owned sharded
     /// copy on first append; lazy shard-source sessions reject appends
-    /// (the source owns the data). On a sparse session the rows are
-    /// CSR-compressed and the append delegates to
-    /// [`Pipeline::append_rows_csr`] — same incremental refresh, same
-    /// bitwise guarantee.
-    pub fn append_rows(&mut self, rows: IntervalMatrix) -> Result<()> {
-        if self.input.is_sparse() {
-            return self.append_rows_csr(CsrIntervalShard::from_dense(&rows));
-        }
-        let (_, cols) = input_shape(&self.input);
+    /// (the source owns the data).
+    pub fn append_rows<R: IntervalShard>(&mut self, rows: R) -> Result<()> {
+        let (n, cols) = self.shape();
         if rows.rows() == 0 {
             return Err(IvmfError::InvalidInput(
                 "append_rows needs at least one row".to_string(),
@@ -1666,28 +1370,31 @@ impl<'m> Pipeline<'m> {
                 rows.cols()
             )));
         }
+        if let Some((row, col, lo, hi)) = rows.first_invalid_cell() {
+            let row = n + row;
+            return Err(IvmfError::InvalidBounds { row, col, lo, hi });
+        }
+        let Some(rows) = S::adopt(rows) else {
+            return Err(IvmfError::InvalidInput(
+                "a dense session does not take CSR rows (they are never densified \
+                 implicitly); append dense rows"
+                    .to_string(),
+            ));
+        };
         // Convert borrowed inputs into an owned sharded matrix.
-        let replacement = match &self.input {
-            PipelineInput::Owned(_) => None,
-            PipelineInput::Dense(m) => {
-                Some(RowShardedIntervalMatrix::from_shards(vec![(*m).clone()])?)
+        match &self.input {
+            PipelineInput::Owned(_) => {}
+            PipelineInput::Borrowed(shards) => {
+                let owned = ShardedIntervalMatrix::from_shards(shards.to_vec())?;
+                self.input = PipelineInput::Owned(owned);
             }
-            PipelineInput::Sharded(s) => Some((*s).clone()),
             PipelineInput::Lazy(_) => {
                 return Err(IvmfError::InvalidInput(
                     "append_rows is not supported on a lazy shard-source session; \
-                     collect the shards into a RowShardedIntervalMatrix first"
+                     collect the shards into a sharded matrix first"
                         .to_string(),
                 ))
             }
-            PipelineInput::SparseSharded(_)
-            | PipelineInput::SparseOwned(_)
-            | PipelineInput::SparseLazy(_) => {
-                unreachable!("sparse sessions delegate to append_rows_csr above")
-            }
-        };
-        if let Some(owned) = replacement {
-            self.input = PipelineInput::Owned(owned);
         }
 
         let old_id = self.matrix;
@@ -1702,7 +1409,7 @@ impl<'m> Pipeline<'m> {
                 if state.matrix == old_id
                     && state.acc.is_mid_rad() == use_mr_gram(new_rows_total, cols) =>
             {
-                state.acc.push_shard(&rows)?;
+                rows.push_into(&mut state.acc)?;
                 state.matrix = new_id;
                 let gram = state.acc.finish()?;
                 let key = StageKey {
@@ -1718,94 +1425,8 @@ impl<'m> Pipeline<'m> {
             _ => self.gram_state = None,
         }
 
-        match &mut self.input {
-            PipelineInput::Owned(s) => s.append_rows(rows)?,
-            _ => unreachable!("input was converted to Owned above"),
-        }
-        self.matrix = new_id;
-        self.dense = OnceCell::new();
-        self.cache.prune_matrix(old_id);
-        Ok(())
-    }
-
-    /// The CSR counterpart of [`Pipeline::append_rows`]: appends a sparse
-    /// row shard to a *sparse* session with the same incremental Gram
-    /// refresh (`O(Δnnz·m)` fold into the retained accumulator, refreshed
-    /// Gram seeded under the extended matrix's id, downstream stages
-    /// invalidated exactly). Results are bitwise identical to a cold
-    /// recompute over the extended matrix.
-    ///
-    /// A borrowed sparse input is converted to an owned copy on first
-    /// append; lazy CSR shard-source sessions reject appends; dense
-    /// sessions reject CSR appends (use [`Pipeline::append_rows`], which
-    /// keeps the session's dense content hash consistent).
-    pub fn append_rows_csr(&mut self, rows: CsrIntervalShard) -> Result<()> {
-        let (_, cols) = input_shape(&self.input);
-        if rows.rows() == 0 {
-            return Err(IvmfError::InvalidInput(
-                "append_rows needs at least one row".to_string(),
-            ));
-        }
-        if rows.cols() != cols {
-            return Err(IvmfError::InvalidInput(format!(
-                "appended rows have {} columns, the matrix has {cols}",
-                rows.cols()
-            )));
-        }
-        // Convert a borrowed sparse input into an owned sharded matrix.
-        let replacement = match &self.input {
-            PipelineInput::SparseOwned(_) => None,
-            PipelineInput::SparseSharded(s) => Some((*s).clone()),
-            PipelineInput::SparseLazy(_) => {
-                return Err(IvmfError::InvalidInput(
-                    "append_rows is not supported on a lazy shard-source session; \
-                     collect the shards into a CsrShardedIntervalMatrix first"
-                        .to_string(),
-                ))
-            }
-            PipelineInput::Dense(_)
-            | PipelineInput::Sharded(_)
-            | PipelineInput::Owned(_)
-            | PipelineInput::Lazy(_) => {
-                return Err(IvmfError::InvalidInput(
-                    "append_rows_csr requires a sparse session; dense sessions append \
-                     dense rows via append_rows"
-                        .to_string(),
-                ))
-            }
-        };
-        if let Some(owned) = replacement {
-            self.input = PipelineInput::SparseOwned(owned);
-        }
-
-        let old_id = self.matrix;
-        self.content.push_csr(&rows);
-        let new_id = self.content.id();
-        let new_rows_total = self.content.rows;
-
-        // Incremental Gram refresh, exactly as in the dense append.
-        match self.gram_state.take() {
-            Some(mut state)
-                if state.matrix == old_id
-                    && state.acc.is_mid_rad() == use_mr_gram(new_rows_total, cols) =>
-            {
-                state.acc.push_csr_shard(&rows)?;
-                state.matrix = new_id;
-                let gram = state.acc.finish()?;
-                let key = StageKey {
-                    matrix: new_id,
-                    fingerprint: stage_fingerprint(StageId::IntervalGram, &self.config),
-                    stage: StageId::IntervalGram,
-                };
-                self.cache.seed(key, Rc::new(gram));
-                self.gram_state = Some(state);
-            }
-            _ => self.gram_state = None,
-        }
-
-        match &mut self.input {
-            PipelineInput::SparseOwned(s) => s.append_rows(rows)?,
-            _ => unreachable!("input was converted to SparseOwned above"),
+        if let PipelineInput::Owned(m) = &mut self.input {
+            m.append_rows(rows)?;
         }
         self.matrix = new_id;
         self.dense = OnceCell::new();
@@ -2086,7 +1707,7 @@ impl<'m> Pipeline<'m> {
         let matrix = self.matrix;
         self.cache.get_or_compute(key, run, |t| {
             timed(&mut t.preprocessing, || {
-                let (rows, cols) = input_shape(input);
+                let (rows, cols) = input.shape();
                 // Sparse inputs always fold through the CSR accumulator;
                 // dense in-memory inputs switch to it below the
                 // `IVMF_SPARSE_THRESHOLD` density cutoff. Both paths are
@@ -2096,11 +1717,7 @@ impl<'m> Pipeline<'m> {
                 // merge in unit order — bitwise the one-thread fold, so
                 // the thread count stays out of the key too.
                 let mut acc = empty_gram(cols, use_mr_gram(rows, cols), sparse);
-                if input.is_sparse() {
-                    fold_units::<CsrIntervalShard>(input, rows, &mut acc)?;
-                } else {
-                    fold_units::<IntervalMatrix>(input, rows, &mut acc)?;
-                }
+                fold_units(input, rows, &mut acc)?;
                 if acc.rows_seen() != rows {
                     // An under-delivering lazy source would otherwise
                     // yield a silently partial Gram.
@@ -2254,59 +1871,49 @@ pub fn run_all_batch(
     matrices: &[IntervalMatrix],
     config: &IsvdConfig,
 ) -> Result<Vec<[IsvdResult; 5]>> {
+    run_batch(matrices.iter().map(std::slice::from_ref), config)
+}
+
+/// The batch loop: one session per shard list, on one cache cleared in
+/// between.
+fn run_batch<'m, S: IntervalShard>(
+    inputs: impl Iterator<Item = &'m [S]>,
+    config: &IsvdConfig,
+) -> Result<Vec<[IsvdResult; 5]>> {
     let mut cache = StageCache::new();
-    let mut out = Vec::with_capacity(matrices.len());
-    for m in matrices {
+    let mut out = Vec::new();
+    for shards in inputs {
         cache.clear();
-        let mut pipeline = Pipeline::with_cache(m, *config, cache)?;
-        let results = pipeline.run_all()?;
+        let input = PipelineInput::Borrowed(shards);
+        let mut pipeline = Pipeline::from_input(input, *config, cache)?;
+        out.push(pipeline.run_all()?);
         cache = pipeline.into_cache();
-        out.push(results);
     }
     Ok(out)
 }
 
-/// [`run_all`] over a row-sharded matrix: bitwise identical to the dense
-/// driver on the concatenated rows (every stage either streams with
-/// chunk-realigned arithmetic or materializes the dense matrix), with the
-/// same shared-stage accounting.
-pub fn run_all_sharded(
-    m: &RowShardedIntervalMatrix,
+/// [`run_all`] over a sharded matrix of either representation: bitwise
+/// identical to the dense driver on the concatenated rows (every stage
+/// either streams with chunk-realigned arithmetic or materializes the
+/// dense matrix), with the same shared-stage accounting. This driver runs
+/// ISVD0/ISVD1 too, so a CSR matrix must be below
+/// [`DENSE_STAGE_MAX_ENTRIES`]; for larger ones run ISVD2–4 individually
+/// through [`Pipeline::new_sharded`].
+pub fn run_all_sharded<S: IntervalShard>(
+    m: &ShardedIntervalMatrix<S>,
     config: &IsvdConfig,
 ) -> Result<[IsvdResult; 5]> {
     Pipeline::new_sharded(m, *config)?.run_all()
 }
 
-/// Multi-matrix batch API over row-sharded matrices: the sharded
-/// counterpart of [`run_all_batch`], clearing the shared cache between
-/// matrices so memory stays bounded by one matrix's working set.
-pub fn run_all_batch_sharded(
-    matrices: &[RowShardedIntervalMatrix],
+/// Multi-matrix batch API over sharded matrices: the sharded counterpart
+/// of [`run_all_batch`], clearing the shared cache between matrices so
+/// memory stays bounded by one matrix's working set.
+pub fn run_all_batch_sharded<S: IntervalShard>(
+    matrices: &[ShardedIntervalMatrix<S>],
     config: &IsvdConfig,
 ) -> Result<Vec<[IsvdResult; 5]>> {
-    let mut cache = StageCache::new();
-    let mut out = Vec::with_capacity(matrices.len());
-    for m in matrices {
-        cache.clear();
-        let mut pipeline = Pipeline::from_input(PipelineInput::Sharded(m), *config, cache)?;
-        let results = pipeline.run_all()?;
-        cache = pipeline.into_cache();
-        out.push(results);
-    }
-    Ok(out)
-}
-
-/// [`run_all`] over a sparse CSR row-sharded matrix: the Gram-route stages
-/// of ISVD2–4 stream the stored entries and are bitwise identical to the
-/// dense driver over [`CsrShardedIntervalMatrix::to_dense`]; ISVD0/ISVD1
-/// densify the input (this driver runs all five algorithms, so the matrix
-/// must be below [`DENSE_STAGE_MAX_ENTRIES`] — for larger inputs run
-/// ISVD2–4 individually through [`Pipeline::new_sparse`]).
-pub fn run_all_sparse(
-    m: &CsrShardedIntervalMatrix,
-    config: &IsvdConfig,
-) -> Result<[IsvdResult; 5]> {
-    Pipeline::new_sparse(m, *config)?.run_all()
+    run_batch(matrices.iter().map(ShardedIntervalMatrix::shards), config)
 }
 
 /// Single-algorithm entry used by the [`crate::isvd::isvd`] dispatcher and
@@ -2323,7 +1930,8 @@ pub(crate) fn run_single(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_support::{assert_same_bits, random_interval_matrix};
+    use crate::test_support::{assert_results_bitwise, assert_same_bits, random_interval_matrix};
+    use ivmf_interval::{CsrShardedIntervalMatrix, RowShardedIntervalMatrix};
 
     /// The projector of [`TightenProjector`] assembled from the column
     /// blocks the streamed reduction asks for (one per 128-row chunk).
@@ -2340,6 +1948,30 @@ mod tests {
             }
         }
         Ok(out)
+    }
+
+    /// One input's [`stream_right_tighten`] against the streamed products
+    /// of the materialized projector `reference` (or its error).
+    fn check_tighten<S: IntervalShard>(
+        input: &PipelineInput<'_, S>,
+        (u, sigma_inv, config, reference): (&IntervalMatrix, &Matrix, &IsvdConfig, &Result<Matrix>),
+        context: &str,
+    ) {
+        let context = format!("{context} {input:?}");
+        let got = stream_right_tighten(input, u, sigma_inv, config);
+        match reference {
+            Ok(p) => {
+                let want = stream_matmul_scalar_left_t(p, input).unwrap();
+                let got = got.unwrap();
+                assert_same_bits(want.lo(), got.lo(), &format!("{context} lo"));
+                assert_same_bits(want.hi(), got.hi(), &format!("{context} hi"));
+            }
+            Err(e) => assert_eq!(
+                got.unwrap_err().to_string(),
+                e.to_string(),
+                "{context}: error"
+            ),
+        }
     }
 
     /// The bitwise oracle of the right tightening: the one-shot chain
@@ -2380,11 +2012,8 @@ mod tests {
                     // up to two projector blocks (`block_edge` rows).
                     let m = random_interval_matrix(n as u64, n.min(block_edge), 3, 1.0);
                     let csr = CsrShardedIntervalMatrix::from_dense(&m, 500).unwrap();
-                    let inputs = if n <= block_edge {
-                        vec![PipelineInput::Dense(&m), PipelineInput::SparseSharded(&csr)]
-                    } else {
-                        Vec::new()
-                    };
+                    let dense = PipelineInput::Borrowed(std::slice::from_ref(&m));
+                    let csr = PipelineInput::Borrowed(csr.shards());
                     for (kind, lo) in factor_edge_cases(&mut rng, n, r) {
                         let hi = lo.add(&uniform_matrix(&mut rng, n, r, 0.0, 0.5)).unwrap();
                         let u = IntervalMatrix::from_bounds(lo, hi).unwrap();
@@ -2395,22 +2024,10 @@ mod tests {
                             let blocks = assembled_projector(&u, &sigma_inv, config.pinv_cutoff);
                             assert_same_outcome(&reference, &blocks, &context);
                         }
-                        for input in &inputs {
-                            let context = format!("{context} {input:?}");
-                            let got = stream_right_tighten(input, &u, &sigma_inv, &config);
-                            match &reference {
-                                Ok(p) => {
-                                    let want = stream_matmul_scalar_left_t(p, input).unwrap();
-                                    let got = got.unwrap();
-                                    assert_same_bits(want.lo(), got.lo(), &format!("{context} lo"));
-                                    assert_same_bits(want.hi(), got.hi(), &format!("{context} hi"));
-                                }
-                                Err(e) => assert_eq!(
-                                    got.unwrap_err().to_string(),
-                                    e.to_string(),
-                                    "{context}: error"
-                                ),
-                            }
+                        if n <= block_edge {
+                            let tighten = (&u, &sigma_inv, &config, &reference);
+                            check_tighten(&dense, tighten, &context);
+                            check_tighten(&csr, tighten, &context);
                         }
                     }
                 }
@@ -2673,17 +2290,6 @@ mod tests {
         assert!(run_all(&m, &IsvdConfig::new(0)).is_err());
     }
 
-    fn assert_results_bitwise(a: &[IsvdResult; 5], b: &[IsvdResult; 5], context: &str) {
-        for ((ra, rb), alg) in a.iter().zip(b.iter()).zip(IsvdAlgorithm::all()) {
-            assert_eq!(ra.factors.u, rb.factors.u, "{context}: {alg} U differs");
-            assert_eq!(ra.factors.v, rb.factors.v, "{context}: {alg} V differs");
-            assert_eq!(
-                ra.factors.sigma, rb.factors.sigma,
-                "{context}: {alg} core differs"
-            );
-        }
-    }
-
     #[test]
     fn sharded_run_all_is_bitwise_identical_to_dense_for_every_shard_layout() {
         let m = random_interval_matrix(40, 17, 11, 1.0);
@@ -2708,9 +2314,12 @@ mod tests {
         let mut p = Pipeline::new(&m, IsvdConfig::new(4)).unwrap();
         p.run(IsvdAlgorithm::Isvd4).unwrap();
         let cache = p.into_cache();
-        let mut p2 =
-            Pipeline::from_input(PipelineInput::Sharded(&sharded), IsvdConfig::new(4), cache)
-                .unwrap();
+        let mut p2 = Pipeline::from_input(
+            PipelineInput::Borrowed(sharded.shards()),
+            IsvdConfig::new(4),
+            cache,
+        )
+        .unwrap();
         let r = p2.run(IsvdAlgorithm::Isvd4).unwrap();
         assert_eq!(r.timings.cache_misses, 0, "sharded session must hit");
     }
@@ -2802,43 +2411,29 @@ mod tests {
         );
     }
 
-    /// A deliberately minimal lazy source over pre-cut shards, counting
-    /// passes (what a disk loader would do with files).
-    struct VecSource {
-        shards: Vec<IntervalMatrix>,
+    /// A deliberately minimal lazy source over pre-cut shards of either
+    /// representation (what a disk loader would do with files).
+    struct VecSource<S> {
+        m: ShardedIntervalMatrix<S>,
         cursor: usize,
-        rows: usize,
-        cols: usize,
     }
 
-    impl VecSource {
-        fn new(m: &IntervalMatrix, shard_rows: usize) -> Self {
-            let sharded = RowShardedIntervalMatrix::from_dense(m, shard_rows).unwrap();
-            VecSource {
-                rows: m.rows(),
-                cols: m.cols(),
-                shards: sharded.shards().to_vec(),
-                cursor: 0,
-            }
+    impl<S: IntervalShard> ShardSource<S> for VecSource<S> {
+        fn shape(&self) -> (usize, usize) {
+            self.m.shape()
         }
-    }
-
-    impl RowShardSource for VecSource {
-        fn rows(&self) -> usize {
-            self.rows
-        }
-        fn cols(&self) -> usize {
-            self.cols
-        }
-        fn reset(&mut self) -> ivmf_interval::Result<()> {
+        fn rewind(&mut self) -> ivmf_interval::Result<()> {
             self.cursor = 0;
             Ok(())
         }
-        fn next_shard(&mut self) -> ivmf_interval::Result<Option<IntervalMatrix>> {
-            let shard = self.shards.get(self.cursor).cloned();
+        fn pull(&mut self) -> ivmf_interval::Result<Option<S>> {
             self.cursor += 1;
-            Ok(shard)
+            Ok(self.m.shards().get(self.cursor - 1).cloned())
         }
+    }
+
+    fn vec_source<S: IntervalShard>(m: ShardedIntervalMatrix<S>) -> Box<VecSource<S>> {
+        Box::new(VecSource { m, cursor: 0 })
     }
 
     #[test]
@@ -2846,7 +2441,8 @@ mod tests {
         let m = random_interval_matrix(49, 15, 10, 1.0);
         let config = IsvdConfig::new(4);
         let dense = run_all(&m, &config).unwrap();
-        let mut session = Pipeline::new_streaming(Box::new(VecSource::new(&m, 4)), config).unwrap();
+        let shards = RowShardedIntervalMatrix::from_dense(&m, 4).unwrap();
+        let mut session = Pipeline::new_streaming(vec_source(shards), config).unwrap();
         let streamed = session.run_all().unwrap();
         assert_results_bitwise(&streamed, &dense, "lazy vs dense");
         // Appends are rejected on lazy sessions.
@@ -2886,7 +2482,7 @@ mod tests {
         let csr = CsrIntervalShard::from_dense(&m);
         for shard_rows in [1usize, 3, 4, 17, 40] {
             let sharded = CsrShardedIntervalMatrix::from_csr(&csr, shard_rows).unwrap();
-            let results = run_all_sparse(&sharded, &config).unwrap();
+            let results = run_all_sharded(&sharded, &config).unwrap();
             assert_results_bitwise(&results, &dense, &format!("sparse shard_rows={shard_rows}"));
         }
     }
@@ -2899,14 +2495,17 @@ mod tests {
         let b = CsrShardedIntervalMatrix::from_csr(&csr, 9).unwrap();
         // The sparse id is shard-layout-blind but representation-tagged:
         // it never equals the dense id of the same logical matrix.
-        assert_eq!(sparse_matrix_id(&a), sparse_matrix_id(&b));
-        assert_ne!(sparse_matrix_id(&a), matrix_id(&m));
-        let mut p = Pipeline::new_sparse(&a, IsvdConfig::new(4)).unwrap();
+        assert_eq!(matrix_id(&a), matrix_id(&b));
+        assert_ne!(matrix_id(&a), matrix_id(&m));
+        let mut p = Pipeline::new_sharded(&a, IsvdConfig::new(4)).unwrap();
         p.run(IsvdAlgorithm::Isvd4).unwrap();
         let cache = p.into_cache();
-        let mut p2 =
-            Pipeline::from_input(PipelineInput::SparseSharded(&b), IsvdConfig::new(4), cache)
-                .unwrap();
+        let mut p2 = Pipeline::from_input(
+            PipelineInput::Borrowed(b.shards()),
+            IsvdConfig::new(4),
+            cache,
+        )
+        .unwrap();
         let r = p2.run(IsvdAlgorithm::Isvd4).unwrap();
         assert_eq!(
             r.timings.cache_misses, 0,
@@ -2951,7 +2550,7 @@ mod tests {
             (0..rows).map(|i| (i, (i * 7) % cols, 1.0, 2.0)).collect();
         let shard = CsrIntervalShard::from_triplets(rows, cols, &triplets).unwrap();
         let sharded = CsrShardedIntervalMatrix::from_csr(&shard, 512).unwrap();
-        let mut session = Pipeline::new_sparse(&sharded, IsvdConfig::new(2)).unwrap();
+        let mut session = Pipeline::new_sharded(&sharded, IsvdConfig::new(2)).unwrap();
         let err = session.run(IsvdAlgorithm::Isvd0).unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("dense-only stage"), "unexpected error: {msg}");
@@ -2961,44 +2560,6 @@ mod tests {
         assert!(session.matrix().is_err());
     }
 
-    /// Lazy CSR source over pre-cut shards — what a sparse disk loader
-    /// would do with files.
-    struct VecCsrSource {
-        shards: Vec<CsrIntervalShard>,
-        cursor: usize,
-        rows: usize,
-        cols: usize,
-    }
-
-    impl VecCsrSource {
-        fn new(m: &CsrShardedIntervalMatrix) -> Self {
-            VecCsrSource {
-                rows: m.rows(),
-                cols: m.cols(),
-                shards: m.shards().to_vec(),
-                cursor: 0,
-            }
-        }
-    }
-
-    impl CsrShardSource for VecCsrSource {
-        fn rows(&self) -> usize {
-            self.rows
-        }
-        fn cols(&self) -> usize {
-            self.cols
-        }
-        fn reset(&mut self) -> ivmf_interval::Result<()> {
-            self.cursor = 0;
-            Ok(())
-        }
-        fn next_shard(&mut self) -> ivmf_interval::Result<Option<CsrIntervalShard>> {
-            let shard = self.shards.get(self.cursor).cloned();
-            self.cursor += 1;
-            Ok(shard)
-        }
-    }
-
     #[test]
     fn lazy_csr_sources_match_dense_bitwise_and_reject_appends() {
         let m = sparse_test_matrix(54, 36, 12, 4);
@@ -3006,8 +2567,7 @@ mod tests {
         let dense = run_all(&m, &config).unwrap();
         let sharded =
             CsrShardedIntervalMatrix::from_csr(&CsrIntervalShard::from_dense(&m), 5).unwrap();
-        let mut session =
-            Pipeline::new_streaming_csr(Box::new(VecCsrSource::new(&sharded)), config).unwrap();
+        let mut session = Pipeline::new_streaming_csr(vec_source(sharded), config).unwrap();
         let streamed = session.run_all().unwrap();
         assert_results_bitwise(&streamed, &dense, "sparse lazy vs dense");
         assert!(session
@@ -3020,14 +2580,14 @@ mod tests {
         let base = sparse_test_matrix(56, 20, 9, 3);
         let extra = sparse_test_matrix(57, 6, 9, 2);
         let config = IsvdConfig::new(3);
-        let mut session = Pipeline::from_csr_shards(
+        let mut session = Pipeline::from_shards(
             CsrShardedIntervalMatrix::from_csr(&CsrIntervalShard::from_dense(&base), 7).unwrap(),
             config,
         )
         .unwrap();
         session.run_all().unwrap();
         session
-            .append_rows_csr(CsrIntervalShard::from_dense(&extra))
+            .append_rows(CsrIntervalShard::from_dense(&extra))
             .unwrap();
         let incremental = session.run_all().unwrap();
 
@@ -3051,7 +2611,7 @@ mod tests {
         let dense_m = random_interval_matrix(59, 8, 9, 1.0);
         let mut dense_session = Pipeline::new(&dense_m, config).unwrap();
         assert!(dense_session
-            .append_rows_csr(CsrIntervalShard::from_triplets(2, 9, &[(0, 1, 1.0, 2.0)]).unwrap())
+            .append_rows(CsrIntervalShard::from_triplets(2, 9, &[(0, 1, 1.0, 2.0)]).unwrap())
             .is_err());
     }
 }

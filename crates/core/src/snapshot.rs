@@ -73,7 +73,7 @@ use std::path::{Path, PathBuf};
 use std::rc::Rc;
 
 use ivmf_align::Alignment;
-use ivmf_interval::{IntervalMatrix, StreamingIntervalGram};
+use ivmf_interval::{IntervalMatrix, IntervalShard, StreamingIntervalGram};
 use ivmf_linalg::state_text::{bad_state, checked_len, read_line};
 use ivmf_linalg::svd::Svd;
 use ivmf_linalg::Matrix;
@@ -517,7 +517,7 @@ pub fn snapshot_path(dir: &Path, content_id: u64) -> PathBuf {
 // Pipeline entry points.
 // ---------------------------------------------------------------------------
 
-impl Pipeline<'_> {
+impl<S: IntervalShard> Pipeline<'_, S> {
     /// Serializes the session's snapshot — the cache entries keyed to its
     /// matrix plus the retained Gram accumulator — to `w`. See the
     /// [module docs](self) for the format.
@@ -741,7 +741,7 @@ impl Pipeline<'_> {
     }
 }
 
-impl Drop for Pipeline<'_> {
+impl<S: IntervalShard> Drop for Pipeline<'_, S> {
     fn drop(&mut self) {
         self.auto_save();
     }
@@ -750,8 +750,8 @@ impl Drop for Pipeline<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_support::random_interval_matrix;
-    use crate::{IsvdAlgorithm, IsvdConfig, IsvdResult};
+    use crate::test_support::{assert_results_bitwise, random_interval_matrix};
+    use crate::{IsvdAlgorithm, IsvdConfig};
     use ivmf_interval::RowShardedIntervalMatrix;
 
     /// These tests drive explicit snapshot buffers/files; the automatic
@@ -763,17 +763,6 @@ mod tests {
 
     fn temp_file(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("ivmf_snap_{}_{tag}.snap", std::process::id()))
-    }
-
-    fn assert_results_bitwise(a: &[IsvdResult; 5], b: &[IsvdResult; 5], context: &str) {
-        for ((ra, rb), alg) in a.iter().zip(b.iter()).zip(IsvdAlgorithm::all()) {
-            assert_eq!(ra.factors.u, rb.factors.u, "{context}: {alg} U differs");
-            assert_eq!(ra.factors.v, rb.factors.v, "{context}: {alg} V differs");
-            assert_eq!(
-                ra.factors.sigma, rb.factors.sigma,
-                "{context}: {alg} core differs"
-            );
-        }
     }
 
     fn snapshot_bytes(p: &Pipeline<'_>) -> Vec<u8> {

@@ -35,16 +35,15 @@
 //! * [`split`] — train/test splitting helpers.
 //! * [`stream`] — chunked disk loaders for row-sharded interval matrices
 //!   (write, shard-by-shard reads, and a one-pass out-of-core interval
-//!   Gram), with sparse CSR twins ([`stream::CsrShardWriter`],
-//!   [`stream::CsrShardReader`], [`stream::stream_csr_interval_gram`])
-//!   that store and stream only the nonzero entries.
+//!   Gram), for dense rows and for sparse CSR rows
+//!   ([`stream::CsrShardWriter`], [`stream::CsrShardReader`]) that store
+//!   and stream only the nonzero entries.
 //! * [`binfmt`] — the bit-exact binary shard container ("ivmf shards
 //!   v1"), the only shard file format: length-prefixed, FNV-checksummed
 //!   records holding raw little-endian `f64`/`usize` runs, used by every
 //!   shard writer and reader in [`stream`].
 //! * [`prefetch`] — a double-buffered background-thread shard reader
-//!   ([`prefetch::PrefetchSource`], [`prefetch::PrefetchCsrSource`],
-//!   depth from `IVMF_PREFETCH`) that overlaps decode of shard *i+1*
+//!   ([`prefetch::Prefetch`] over either shard type, depth from `IVMF_PREFETCH`) that overlaps decode of shard *i+1*
 //!   with the Gram fold of shard *i* while preserving strict in-order
 //!   delivery, so results stay bitwise identical.
 //! * [`atomic`] — crash-safe write-to-temp-then-rename file commits used
@@ -91,5 +90,6 @@ pub mod fnv;
 pub mod prefetch;
 pub mod ratings;
 pub mod split;
+mod stage;
 pub mod stream;
 pub mod synthetic;

@@ -33,40 +33,12 @@ use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
 use std::thread::JoinHandle;
 
 use ivmf_interval::{
-    CsrIntervalShard, CsrShardSource, IntervalError, IntervalMatrix, Result as IResult,
-    RowShardSource,
+    CsrIntervalShard, CsrShardSource, IntervalError, IntervalMatrix, IntervalShard,
+    Result as IResult, RowShardSource, ShardSource,
 };
 
-/// The uniform face the engine sees over the two shard-source traits.
-trait ShardStream: Send {
-    type Shard: Send + 'static;
-    fn reset(&mut self) -> IResult<()>;
-    fn next(&mut self) -> IResult<Option<Self::Shard>>;
-}
-
-struct DenseStream(Box<dyn RowShardSource + Send>);
-
-impl ShardStream for DenseStream {
-    type Shard = IntervalMatrix;
-    fn reset(&mut self) -> IResult<()> {
-        self.0.reset()
-    }
-    fn next(&mut self) -> IResult<Option<IntervalMatrix>> {
-        self.0.next_shard()
-    }
-}
-
-struct CsrStream(Box<dyn CsrShardSource + Send>);
-
-impl ShardStream for CsrStream {
-    type Shard = CsrIntervalShard;
-    fn reset(&mut self) -> IResult<()> {
-        self.0.reset()
-    }
-    fn next(&mut self) -> IResult<Option<CsrIntervalShard>> {
-        self.0.next_shard()
-    }
-}
+/// The stream the worker pumps.
+type Stream<T> = Box<dyn ShardSource<T> + Send>;
 
 /// Commands the consumer side sends to the worker thread.
 enum Cmd<T> {
@@ -78,21 +50,18 @@ enum Cmd<T> {
     Stop,
 }
 
-fn worker_loop<T: Send + 'static>(
-    mut stream: Box<dyn ShardStream<Shard = T>>,
-    cmds: mpsc::Receiver<Cmd<T>>,
-) {
+fn worker_loop<T: Send + 'static>(mut stream: Stream<T>, cmds: mpsc::Receiver<Cmd<T>>) {
     while let Ok(cmd) = cmds.recv() {
         let tx = match cmd {
             Cmd::Start(tx) => tx,
             Cmd::Stop => return,
         };
-        if let Err(e) = stream.reset() {
+        if let Err(e) = stream.rewind() {
             let _ = tx.send(Err(e));
             continue;
         }
         loop {
-            let item = stream.next();
+            let item = stream.pull();
             let end = matches!(item, Ok(None)) || item.is_err();
             // A failed send means the consumer abandoned this pass
             // (reset or drop) — fall back to waiting for the next
@@ -107,7 +76,7 @@ fn worker_loop<T: Send + 'static>(
 enum Engine<T: Send + 'static> {
     /// Depth 0: no thread, no buffering — calls pass straight through to
     /// the wrapped source, preserving its exact semantics.
-    Inline(Box<dyn ShardStream<Shard = T>>),
+    Inline(Stream<T>),
     Threaded {
         cmd: Sender<Cmd<T>>,
         handle: Option<JoinHandle<()>>,
@@ -118,7 +87,7 @@ enum Engine<T: Send + 'static> {
 }
 
 impl<T: Send + 'static> Engine<T> {
-    fn new(stream: Box<dyn ShardStream<Shard = T>>, depth: usize) -> Self {
+    fn new(stream: Stream<T>, depth: usize) -> Self {
         if depth == 0 {
             return Engine::Inline(stream);
         }
@@ -142,7 +111,7 @@ impl<T: Send + 'static> Engine<T> {
 
     fn reset(&mut self) -> IResult<()> {
         match self {
-            Engine::Inline(s) => s.reset(),
+            Engine::Inline(s) => s.rewind(),
             Engine::Threaded {
                 cmd,
                 rx,
@@ -165,7 +134,7 @@ impl<T: Send + 'static> Engine<T> {
 
     fn next(&mut self) -> IResult<Option<T>> {
         if let Engine::Inline(s) = self {
-            return s.next();
+            return s.pull();
         }
         if let Engine::Threaded { finished: true, .. } = self {
             return Ok(None);
@@ -214,25 +183,30 @@ impl<T: Send + 'static> Drop for Engine<T> {
     }
 }
 
-/// A [`RowShardSource`] adapter that decodes shards on a background
-/// thread, `depth` shards ahead of the consumer. Depth 0 is a true
-/// pass-through (no thread); depth 1 (the `IVMF_PREFETCH` default)
-/// double-buffers — decode of shard *i+1* overlaps the fold of shard
-/// *i*. Delivery is strictly in order, so results are bitwise identical
-/// at every depth.
-pub struct PrefetchSource {
-    engine: Engine<IntervalMatrix>,
+/// A shard-source adapter that decodes shards on a background thread,
+/// `depth` shards ahead of the consumer. Depth 0 is a true pass-through
+/// (no thread); depth 1 (the `IVMF_PREFETCH` default) double-buffers —
+/// decode of shard *i+1* overlaps the fold of shard *i*. Delivery is
+/// strictly in order, so results are bitwise identical at every depth.
+pub struct Prefetch<S: IntervalShard> {
+    engine: Engine<S>,
     rows: usize,
     cols: usize,
     depth: usize,
 }
 
-impl PrefetchSource {
+/// [`Prefetch`] over dense shards, a [`RowShardSource`].
+pub type PrefetchSource = Prefetch<IntervalMatrix>;
+
+/// [`Prefetch`] over CSR shards, a [`CsrShardSource`].
+pub type PrefetchCsrSource = Prefetch<CsrIntervalShard>;
+
+impl<S: IntervalShard> Prefetch<S> {
     /// Wraps `source`, prefetching up to `depth` shards ahead.
-    pub fn new(source: Box<dyn RowShardSource + Send>, depth: usize) -> Self {
-        let (rows, cols) = (source.rows(), source.cols());
-        PrefetchSource {
-            engine: Engine::new(Box::new(DenseStream(source)), depth),
+    pub fn new(source: Box<dyn ShardSource<S> + Send>, depth: usize) -> Self {
+        let (rows, cols) = source.shape();
+        Prefetch {
+            engine: Engine::new(source, depth),
             rows,
             cols,
             depth,
@@ -240,13 +214,18 @@ impl PrefetchSource {
     }
 
     /// Wraps `source` with the depth configured by `IVMF_PREFETCH`.
-    pub fn from_env(source: Box<dyn RowShardSource + Send>) -> Self {
+    pub fn from_env(source: Box<dyn ShardSource<S> + Send>) -> Self {
         Self::new(source, ivmf_env::prefetch())
     }
 
     /// The configured prefetch depth (0 = inline).
     pub fn depth(&self) -> usize {
         self.depth
+    }
+
+    /// The next shard, or `None` after the last one.
+    pub fn next_shard(&mut self) -> IResult<Option<S>> {
+        self.engine.next()
     }
 }
 
@@ -262,37 +241,6 @@ impl RowShardSource for PrefetchSource {
     }
     fn next_shard(&mut self) -> IResult<Option<IntervalMatrix>> {
         self.engine.next()
-    }
-}
-
-/// The CSR twin of [`PrefetchSource`].
-pub struct PrefetchCsrSource {
-    engine: Engine<CsrIntervalShard>,
-    rows: usize,
-    cols: usize,
-    depth: usize,
-}
-
-impl PrefetchCsrSource {
-    /// Wraps `source`, prefetching up to `depth` shards ahead.
-    pub fn new(source: Box<dyn CsrShardSource + Send>, depth: usize) -> Self {
-        let (rows, cols) = (source.rows(), source.cols());
-        PrefetchCsrSource {
-            engine: Engine::new(Box::new(CsrStream(source)), depth),
-            rows,
-            cols,
-            depth,
-        }
-    }
-
-    /// Wraps `source` with the depth configured by `IVMF_PREFETCH`.
-    pub fn from_env(source: Box<dyn CsrShardSource + Send>) -> Self {
-        Self::new(source, ivmf_env::prefetch())
-    }
-
-    /// The configured prefetch depth (0 = inline).
-    pub fn depth(&self) -> usize {
-        self.depth
     }
 }
 

@@ -241,7 +241,7 @@ pub fn cf_interval_csr(
 }
 
 /// [`cf_interval_csr`] cut into row shards of at most `shard_rows` rows —
-/// ready for `ivmf_core::Pipeline::new_sparse` / `run_all_sparse`.
+/// ready for `ivmf_core::Pipeline::new_sharded` / `run_all_sharded`.
 pub fn cf_interval_csr_sharded(
     dataset: &RatingDataset,
     alpha: f64,

@@ -3,30 +3,23 @@
 //! The decomposition pipeline's streaming stages consume interval matrices
 //! one row-block shard at a time, so a matrix never has to fit in memory —
 //! it only has to *stream*. This module provides the disk side of that
-//! contract:
+//! contract, for dense rows and for sparse CSR rows that store only the
+//! nonzero entries:
 //!
-//! * [`ShardWriter`] / [`write_interval_matrix`] — write an interval
-//!   matrix, incrementally or in one call,
-//! * [`ShardReader`] — reads such a file back in shards of a configurable
-//!   number of rows, holding only one shard in memory; it implements
-//!   [`RowShardSource`], so it plugs directly into
-//!   `ivmf_core::Pipeline::new_streaming` for end-to-end out-of-core
-//!   decomposition of the Gram-route algorithms,
+//! * [`ShardWriter`] / [`write_interval_matrix`] and [`CsrShardWriter`] /
+//!   [`write_csr_matrix`] — write a matrix, incrementally or in one call,
+//! * [`ShardReader`] / [`CsrShardReader`] — read such a file back in
+//!   shards of a configurable number of rows; they implement
+//!   [`RowShardSource`] / [`CsrShardSource`], so they plug directly into
+//!   `ivmf_core::Pipeline::new_streaming{,_csr}` for end-to-end
+//!   out-of-core decomposition of the Gram-route algorithms,
 //! * [`load_sharded`] — materializes the whole file as an in-memory
-//!   [`RowShardedIntervalMatrix`],
-//! * [`stream_interval_gram`] — one-pass out-of-core interval Gram:
-//!   `O(shard + m²)` peak memory regardless of the row count, bitwise
-//!   identical to the in-memory streamed Gram (and to the dense fast path
-//!   for matrices within one accumulation chunk).
-//!
-//! Sparse matrices get a CSR twin of each piece: [`CsrShardWriter`] /
-//! [`write_csr_matrix`] store only the nonzero entries, [`CsrShardReader`]
-//! streams them back as [`CsrIntervalShard`]s (implementing
-//! [`CsrShardSource`], so it plugs into
-//! `ivmf_core::Pipeline::new_streaming_csr`), [`load_csr_sharded`]
-//! materializes the file as a [`CsrShardedIntervalMatrix`], and
-//! [`stream_csr_interval_gram`] runs the one-pass out-of-core sparse Gram
-//! in `O(shard nnz + m²)` memory — bitwise identical to the dense route.
+//!   [`ShardedIntervalMatrix`] of either shard type ([`StoredShard`]),
+//! * [`stream_interval_gram`] — one-pass out-of-core interval Gram in
+//!   `O(record + m²)` peak memory regardless of the row count, bitwise
+//!   identical to the in-memory streamed Gram in either representation
+//!   (and to the dense fast path for matrices within one accumulation
+//!   chunk).
 //!
 //! ## File format
 //!
@@ -34,14 +27,16 @@
 //! shards v1"): the magic, one header record (`dense <rows> <cols>` or
 //! `csr <rows> <cols>`), block records holding raw little-endian runs,
 //! and an end record. Values are stored bit-exactly, so loading
-//! reproduces every bit. Writers may cut blocks anywhere; readers
-//! re-shard them to the consumer's `shard_rows` through a small staging
-//! buffer, and lease their scratch from [`ivmf_linalg::pool`], so
-//! steady-state ingest allocates nothing. One private core below owns
-//! the container layout for both the dense and the CSR types.
+//! reproduces every bit. Writers cut blocks of at most `BLOCK_VALUES`
+//! (2²¹) cells — stored entries for CSR — per record; readers re-shard
+//! them to the consumer's `shard_rows` through a staging buffer, and
+//! lease their scratch from [`ivmf_linalg::pool`], so steady-state
+//! ingest allocates nothing. A reader decodes one whole record at a time
+//! whatever its `shard_rows`, so its memory is bounded by the writer's
+//! record size (see [`ShardReader`]). One private core below owns the
+//! container layout for both the dense and the CSR types.
 //!
-//! [`stream_interval_gram`] and [`stream_csr_interval_gram`] additionally
-//! wrap the reader in [`crate::prefetch`]'s background decoder
+//! [`stream_interval_gram`] additionally wraps the reader in [`crate::prefetch`]'s background decoder
 //! (`IVMF_PREFETCH`), overlapping decode of shard *i+1* with the Gram
 //! fold of shard *i*; delivery stays strictly in order, so results are
 //! bitwise invariant to the prefetch depth too.
@@ -64,20 +59,20 @@
 use std::fmt;
 use std::fs::{self, File};
 use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
 
 use ivmf_env::ShardFormat;
 use ivmf_interval::{
-    recycle_csr_interval_shard, recycle_interval_matrix, CsrIntervalShard, CsrShardSource,
-    CsrShardedIntervalMatrix, IntervalError, IntervalMatrix, RowShardSource,
-    RowShardedIntervalMatrix, StreamingIntervalGram,
+    CsrIntervalShard, CsrShardSource, IntervalError, IntervalMatrix, IntervalShard, RowShardSource,
+    ShardSource, ShardedIntervalMatrix, StreamingIntervalGram,
 };
-use ivmf_linalg::{pool, Matrix};
 
 use crate::binfmt;
-use crate::prefetch::{PrefetchCsrSource, PrefetchSource};
+use crate::prefetch::Prefetch;
+use crate::stage::{CsrStage, DenseStage, Layout, Stage};
 
-fn invalid_data(msg: String) -> io::Error {
+pub(crate) fn invalid_data(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
@@ -216,32 +211,6 @@ fn parse_header(path: &Path, header: &str, tag: &str) -> io::Result<(usize, usiz
     Ok((rows, cols))
 }
 
-/// Values per block record: blocks stay tens of megabytes — far under
-/// [`binfmt::MAX_RECORD_LEN`] — and give readers re-sharding granularity
-/// without per-row record overhead.
-const BLOCK_VALUES: usize = 1 << 21;
-
-/// What tells a dense container from a CSR one: its header and block
-/// record kinds and the header's leading tag.
-#[derive(Debug, Clone, Copy)]
-struct Layout {
-    header: u8,
-    block: u8,
-    tag: &'static str,
-}
-
-const DENSE: Layout = Layout {
-    header: binfmt::REC_DENSE_HEADER,
-    block: binfmt::REC_DENSE_BLOCK,
-    tag: "dense",
-};
-
-const CSR: Layout = Layout {
-    header: binfmt::REC_CSR_HEADER,
-    block: binfmt::REC_CSR_BLOCK,
-    tag: "csr",
-};
-
 /// The write half of the container core: magic and header record on
 /// create, shape and row-count checks plus block records on push, end
 /// record and crash-safe commit on finish. Rows stream into a temporary
@@ -348,22 +317,6 @@ impl Drop for ContainerWriter {
             fs::remove_file(&self.tmp).ok();
         }
     }
-}
-
-/// The per-type half of a reader: decoded writer blocks wait in the
-/// stage until a shard's worth of rows is available, so the reader's
-/// shard boundaries are independent of the writer's block boundaries.
-trait Stage: Default {
-    type Shard;
-    const LAYOUT: Layout;
-    /// Rows decoded but not yet emitted.
-    fn pending(&self) -> usize;
-    /// Decodes one block record payload onto the end of the stage.
-    fn decode(&mut self, payload: &[u8], cols: usize) -> io::Result<()>;
-    /// Emits the next `take` staged rows into pooled buffers.
-    fn emit(&mut self, take: usize, cols: usize) -> io::Result<Self::Shard>;
-    /// Empties the stage for a rewind.
-    fn clear(&mut self);
 }
 
 /// The read half of the container core: magic and header record on
@@ -515,157 +468,60 @@ impl<S: Stage> ContainerReader<S> {
     }
 }
 
-/// Staging buffer of the dense reader.
-#[derive(Debug, Default)]
-struct DenseStage {
-    lo: Vec<f64>,
-    hi: Vec<f64>,
-    /// Rows currently decoded into the stage (including already-emitted).
-    rows_staged: usize,
-    /// Rows already emitted from the front of the stage.
-    row_off: usize,
+/// A shard type the container stores: dense [`IntervalMatrix`] rows or
+/// [`CsrIntervalShard`]s. Its stage decodes (and encodes) the
+/// representation's block records; everything else about a shard file is
+/// written once, in [`ShardFileWriter`] and [`ShardFileReader`].
+pub trait StoredShard: IntervalShard {
+    /// The reader-side staging buffer of this representation.
+    #[doc(hidden)]
+    type Stage: Stage<Shard = Self>;
 }
 
-impl Stage for DenseStage {
-    type Shard = IntervalMatrix;
-    const LAYOUT: Layout = DENSE;
-
-    fn pending(&self) -> usize {
-        self.rows_staged - self.row_off
-    }
-
-    fn decode(&mut self, payload: &[u8], cols: usize) -> io::Result<()> {
-        self.rows_staged +=
-            binfmt::decode_dense_block_into(payload, cols, &mut self.lo, &mut self.hi)?;
-        Ok(())
-    }
-
-    fn emit(&mut self, take: usize, cols: usize) -> io::Result<IntervalMatrix> {
-        let n = take * cols;
-        let start = self.row_off * cols;
-        let mut lo = pool::take_f64(n);
-        lo.extend_from_slice(&self.lo[start..start + n]);
-        let mut hi = pool::take_f64(n);
-        hi.extend_from_slice(&self.hi[start..start + n]);
-        self.row_off += take;
-        // Compact once the emitted prefix dominates the stage, keeping
-        // the staged residue (and thus peak memory) bounded by one block.
-        if self.row_off * 2 >= self.rows_staged {
-            self.lo.drain(..self.row_off * cols);
-            self.hi.drain(..self.row_off * cols);
-            self.rows_staged -= self.row_off;
-            self.row_off = 0;
-        }
-        IntervalMatrix::from_bounds(
-            Matrix::from_vec(take, cols, lo).map_err(|e| invalid_data(e.to_string()))?,
-            Matrix::from_vec(take, cols, hi).map_err(|e| invalid_data(e.to_string()))?,
-        )
-        .map_err(|e| invalid_data(e.to_string()))
-    }
-
-    fn clear(&mut self) {
-        self.lo.clear();
-        self.hi.clear();
-        self.rows_staged = 0;
-        self.row_off = 0;
-    }
+impl StoredShard for IntervalMatrix {
+    type Stage = DenseStage;
 }
 
-/// Staging buffer of the CSR reader. `row_ptr` holds absolute offsets
-/// into the staged entry arrays (leading 0), exactly as
-/// [`binfmt::decode_csr_block_into`] stacks them.
-#[derive(Debug, Default)]
-struct CsrStage {
-    row_ptr: Vec<usize>,
-    col_idx: Vec<usize>,
-    lo: Vec<f64>,
-    hi: Vec<f64>,
-    rows_staged: usize,
-    row_off: usize,
+impl StoredShard for CsrIntervalShard {
+    type Stage = CsrStage;
 }
 
-impl Stage for CsrStage {
-    type Shard = CsrIntervalShard;
-    const LAYOUT: Layout = CSR;
-
-    fn pending(&self) -> usize {
-        self.rows_staged - self.row_off
-    }
-
-    fn decode(&mut self, payload: &[u8], cols: usize) -> io::Result<()> {
-        self.rows_staged += binfmt::decode_csr_block_into(
-            payload,
-            cols,
-            &mut self.row_ptr,
-            &mut self.col_idx,
-            &mut self.lo,
-            &mut self.hi,
-        )?;
-        Ok(())
-    }
-
-    /// Emits the next `take` rows with their offsets rebased to 0.
-    fn emit(&mut self, take: usize, cols: usize) -> io::Result<CsrIntervalShard> {
-        let (r0, r1) = (self.row_off, self.row_off + take);
-        let (s, e) = (self.row_ptr[r0], self.row_ptr[r1]);
-        let mut row_ptr = pool::take_usize(take + 1);
-        row_ptr.extend(self.row_ptr[r0..=r1].iter().map(|&p| p - s));
-        let mut col_idx = pool::take_usize(e - s);
-        col_idx.extend_from_slice(&self.col_idx[s..e]);
-        let mut lo = pool::take_f64(e - s);
-        lo.extend_from_slice(&self.lo[s..e]);
-        let mut hi = pool::take_f64(e - s);
-        hi.extend_from_slice(&self.hi[s..e]);
-        self.row_off = r1;
-        // Compact once the emitted prefix dominates the stage, keeping
-        // the staged residue (and thus peak memory) bounded by one block.
-        if self.row_off * 2 >= self.rows_staged {
-            let cut = self.row_ptr[self.row_off];
-            self.col_idx.drain(..cut);
-            self.lo.drain(..cut);
-            self.hi.drain(..cut);
-            self.row_ptr.drain(..self.row_off);
-            for p in self.row_ptr.iter_mut() {
-                *p -= cut;
-            }
-            self.rows_staged -= self.row_off;
-            self.row_off = 0;
-        }
-        CsrIntervalShard::new(take, cols, row_ptr, col_idx, lo, hi)
-            .map_err(|e| invalid_data(e.to_string()))
-    }
-
-    fn clear(&mut self) {
-        self.row_ptr.clear();
-        self.col_idx.clear();
-        self.lo.clear();
-        self.hi.clear();
-        self.rows_staged = 0;
-        self.row_off = 0;
-    }
-}
-
-/// Incremental writer of dense interval shard files: create it with the
-/// final row/column counts, push row blocks as they are generated, and
-/// [`finish`](ShardWriter::finish) once every row has been written. Peak
-/// memory is one block — the file is produced without ever holding the
-/// full matrix.
+/// Incremental writer of shard files of shard type `S` ([`ShardWriter`]
+/// for dense rows, [`CsrShardWriter`] for CSR rows that store only the
+/// nonzero entries): create it with the final row/column counts, push
+/// row blocks as they are generated (e.g. one
+/// [`crate::synthetic::generate_power_law`] block at a time), and
+/// [`finish`](ShardFileWriter::finish) once every row has been written.
+/// Peak memory is one block — the file is produced without ever holding
+/// the full matrix.
 ///
 /// The writer is crash-safe: rows stream into a temporary sibling of the
 /// destination, and only `finish` (end record, flush, fsync, rename)
-/// makes the file visible at `path`; a writer dropped before `finish`
-/// removes its temp and leaves any previously committed file untouched.
+/// makes the file visible at `path`. A writer dropped before `finish` —
+/// including by a panic or an early return after an I/O error — removes
+/// its temp file and leaves any previously committed file untouched.
 #[derive(Debug)]
-pub struct ShardWriter {
+pub struct ShardFileWriter<S> {
     core: ContainerWriter,
+    shard: PhantomData<S>,
 }
 
-impl ShardWriter {
+/// The writer of dense interval shard files.
+pub type ShardWriter = ShardFileWriter<IntervalMatrix>;
+
+/// The writer of sparse CSR interval shard files.
+pub type CsrShardWriter = ShardFileWriter<CsrIntervalShard>;
+
+impl<S: StoredShard> ShardFileWriter<S> {
     /// Opens a temporary sibling of `path` and writes the magic and the
     /// header record; `path` itself is only created by
-    /// [`finish`](ShardWriter::finish).
+    /// [`finish`](ShardFileWriter::finish).
     pub fn create(path: impl AsRef<Path>, rows: usize, cols: usize) -> io::Result<Self> {
-        ContainerWriter::create(path.as_ref(), DENSE, rows, cols).map(|core| ShardWriter { core })
+        let core = ContainerWriter::create(path.as_ref(), S::Stage::LAYOUT, rows, cols)?;
+        Ok(ShardFileWriter {
+            core,
+            shard: PhantomData,
+        })
     }
 
     /// Rows written so far.
@@ -673,19 +529,14 @@ impl ShardWriter {
         self.core.rows_written
     }
 
-    /// Appends the rows of `shard` to the file (row order across calls).
-    pub fn push_shard(&mut self, shard: &IntervalMatrix) -> io::Result<()> {
-        let cols = shard.cols();
-        // Cut large shards into bounded records so a single push can
-        // never approach the record length ceiling.
-        let block_rows = (BLOCK_VALUES / cols.max(1)).max(1);
-        let (lo, hi) = (shard.lo().as_slice(), shard.hi().as_slice());
-        self.core.push(shard.rows(), cols, |start| {
-            let end = (start + block_rows).min(shard.rows());
-            let (s, e) = (start * cols, end * cols);
-            let payload = binfmt::encode_dense_rows(end - start, &lo[s..e], &hi[s..e])?;
-            Ok((end, payload))
-        })
+    /// Appends the rows of `shard` to the file (row order across calls),
+    /// cut into records of at most `BLOCK_VALUES` cells or stored
+    /// entries (always at least one row) so a single push never
+    /// approaches the record length ceiling.
+    pub fn push_shard(&mut self, shard: &S) -> io::Result<()> {
+        let (rows, cols) = (shard.rows(), shard.cols());
+        self.core
+            .push(rows, cols, |start| S::Stage::encode(shard, start))
     }
 
     /// Validates that exactly the declared number of rows was written,
@@ -697,28 +548,64 @@ impl ShardWriter {
     }
 }
 
+impl CsrShardWriter {
+    /// [`ShardFileWriter::create`]. Retained only for the workload
+    /// benchmark's source: the binary container is the only format.
+    pub fn create_with_format(
+        path: impl AsRef<Path>,
+        rows: usize,
+        cols: usize,
+        _format: ShardFormat,
+    ) -> io::Result<Self> {
+        Self::create(path, rows, cols)
+    }
+}
+
 /// Writes an interval matrix to `path` in one call; it loads back
-/// bit-exactly. The write inherits [`ShardWriter`]'s crash safety: the
-/// file only appears at `path` complete, fsync'd and renamed.
+/// bit-exactly. The write inherits [`ShardFileWriter`]'s crash safety:
+/// the file only appears at `path` complete, fsync'd and renamed.
 pub fn write_interval_matrix(path: impl AsRef<Path>, m: &IntervalMatrix) -> io::Result<()> {
     let mut w = ShardWriter::create(path, m.rows(), m.cols())?;
     w.push_shard(m)?;
     w.finish()
 }
 
-/// Reads a dense interval shard file shard by shard, holding one shard
-/// plus a bounded staging buffer in memory at a time. See the
-/// [module docs](self) for the format.
-#[derive(Debug)]
-pub struct ShardReader {
-    core: ContainerReader<DenseStage>,
+/// Writes a CSR interval shard to `path` in one call, like
+/// [`write_interval_matrix`].
+pub fn write_csr_matrix(path: impl AsRef<Path>, m: &CsrIntervalShard) -> io::Result<()> {
+    let mut w = CsrShardWriter::create(path, m.rows(), m.cols())?;
+    w.push_shard(m)?;
+    w.finish()
 }
 
-impl ShardReader {
+/// Reads a shard file of shard type `S` ([`ShardReader`] for dense rows,
+/// [`CsrShardReader`] for CSR rows) shard by shard. See the
+/// [module docs](self) for the format.
+///
+/// Memory: the reader decodes one whole writer record at a time,
+/// whatever its `shard_rows`, and stages it until emitted — up to
+/// `BLOCK_VALUES` = 2²¹ cells per record (about 32 MiB of lower and
+/// upper bounds) for a dense file, 2²¹ stored entries (about 48 MiB of
+/// column indices and both bounds) for a CSR one — plus the shard it
+/// hands out. A file written in smaller pushes (each push is cut into its
+/// own records) keeps a pass smaller; `tests/right_tighten_memory.rs`
+/// writes 4096-row records for that reason.
+#[derive(Debug)]
+pub struct ShardFileReader<S: StoredShard> {
+    core: ContainerReader<S::Stage>,
+}
+
+/// The reader of dense interval shard files, a [`RowShardSource`].
+pub type ShardReader = ShardFileReader<IntervalMatrix>;
+
+/// The reader of sparse CSR interval shard files, a [`CsrShardSource`].
+pub type CsrShardReader = ShardFileReader<CsrIntervalShard>;
+
+impl<S: StoredShard> ShardFileReader<S> {
     /// Opens `path`, reading the header; shards will have at most
     /// `shard_rows` rows (the last one takes the remainder).
     pub fn open(path: impl AsRef<Path>, shard_rows: usize) -> io::Result<Self> {
-        ContainerReader::open(path.as_ref(), shard_rows).map(|core| ShardReader { core })
+        ContainerReader::open(path.as_ref(), shard_rows).map(|core| ShardFileReader { core })
     }
 
     /// Total number of rows in the file.
@@ -742,7 +629,7 @@ impl ShardReader {
     }
 
     /// Reads the next shard, or `None` after the last row.
-    pub fn read_shard(&mut self) -> io::Result<Option<IntervalMatrix>> {
+    pub fn read_shard(&mut self) -> io::Result<Option<S>> {
         self.core.read_shard()
     }
 }
@@ -764,166 +651,6 @@ impl RowShardSource for ShardReader {
     }
 }
 
-/// Loads the whole file as an in-memory row-sharded matrix (shards of
-/// `shard_rows` rows).
-pub fn load_sharded(
-    path: impl AsRef<Path>,
-    shard_rows: usize,
-) -> io::Result<RowShardedIntervalMatrix> {
-    let mut reader = ShardReader::open(path, shard_rows)?;
-    let mut shards = Vec::new();
-    while let Some(shard) = reader.read_shard()? {
-        shards.push(shard);
-    }
-    RowShardedIntervalMatrix::from_shards(shards).map_err(|e| invalid_data(e.to_string()))
-}
-
-/// One-pass out-of-core interval Gram `M†ᵀ M†` of the file at `path`: each
-/// shard is loaded, folded into the streaming accumulator and dropped, so
-/// peak memory is one shard plus the `m×m` accumulators — independent of
-/// the row count. Bitwise identical to the in-memory streamed Gram of the
-/// same matrix.
-pub fn stream_interval_gram(
-    path: impl AsRef<Path>,
-    shard_rows: usize,
-) -> io::Result<IntervalMatrix> {
-    let reader = ShardReader::open(path, shard_rows)?;
-    let mut acc = StreamingIntervalGram::new(reader.rows(), reader.cols());
-    // Decode on a background thread (IVMF_PREFETCH) while this thread
-    // folds; delivery is in order, so results are bitwise unchanged.
-    let mut src = PrefetchSource::from_env(Box::new(reader));
-    while let Some(shard) = src.next_shard().map_err(|e| invalid_data(e.to_string()))? {
-        acc.push_shard(&shard)
-            .map_err(|e| invalid_data(e.to_string()))?;
-        recycle_interval_matrix(shard);
-    }
-    acc.finish().map_err(|e| invalid_data(e.to_string()))
-}
-
-/// Incremental writer of sparse CSR shard files: create it with the
-/// final row/column counts, push row blocks as they are generated (e.g.
-/// one [`crate::synthetic::generate_power_law`] block at a time), and
-/// [`finish`](CsrShardWriter::finish) once every row has been written.
-/// Peak memory is one block — the file is produced without ever holding
-/// the full matrix.
-///
-/// The writer is crash-safe: rows stream into a temporary sibling of the
-/// destination, and only `finish` (end record, flush, fsync, rename)
-/// makes the file visible at `path`. A writer dropped before `finish` —
-/// including by a panic or an early return after an I/O error — removes
-/// its temp file and leaves any previously committed file untouched.
-#[derive(Debug)]
-pub struct CsrShardWriter {
-    core: ContainerWriter,
-}
-
-impl CsrShardWriter {
-    /// Opens a temporary sibling of `path` and writes the magic and the
-    /// header record; `path` itself is only created by
-    /// [`finish`](CsrShardWriter::finish).
-    pub fn create(path: impl AsRef<Path>, rows: usize, cols: usize) -> io::Result<Self> {
-        ContainerWriter::create(path.as_ref(), CSR, rows, cols).map(|core| CsrShardWriter { core })
-    }
-
-    /// [`CsrShardWriter::create`]. Retained only for the workload
-    /// benchmark's source: the binary container is the only format.
-    pub fn create_with_format(
-        path: impl AsRef<Path>,
-        rows: usize,
-        cols: usize,
-        _format: ShardFormat,
-    ) -> io::Result<Self> {
-        Self::create(path, rows, cols)
-    }
-
-    /// Rows written so far.
-    pub fn rows_written(&self) -> usize {
-        self.core.rows_written
-    }
-
-    /// Appends the rows of `shard` to the file (row order across calls).
-    pub fn push_shard(&mut self, shard: &CsrIntervalShard) -> io::Result<()> {
-        // Cut large shards into records of roughly BLOCK_VALUES stored
-        // entries (always at least one row per record) so a single push
-        // never approaches the record ceiling.
-        let row_ptr = shard.lo_shard().row_ptr();
-        self.core.push(shard.rows(), shard.cols(), |start| {
-            let base = row_ptr[start];
-            let mut end = start + 1;
-            while end < shard.rows() && row_ptr[end + 1] - base < BLOCK_VALUES {
-                end += 1;
-            }
-            let payload = if start == 0 && end == shard.rows() {
-                binfmt::encode_csr_block(shard)?
-            } else {
-                let block = shard
-                    .row_slice(start, end)
-                    .map_err(|e| invalid_data(e.to_string()))?;
-                binfmt::encode_csr_block(&block)?
-            };
-            Ok((end, payload))
-        })
-    }
-
-    /// Validates that exactly the declared number of rows was written,
-    /// then commits the file: end record, flush, fsync, rename over
-    /// `path`. On any error the temp file is removed and `path` is left
-    /// as it was.
-    pub fn finish(self) -> io::Result<()> {
-        self.core.finish()
-    }
-}
-
-/// Writes a CSR interval shard to `path` in one call; it loads back
-/// bit-exactly. The write inherits [`CsrShardWriter`]'s crash safety:
-/// the file only appears at `path` complete, fsync'd and renamed.
-pub fn write_csr_matrix(path: impl AsRef<Path>, m: &CsrIntervalShard) -> io::Result<()> {
-    let mut w = CsrShardWriter::create(path, m.rows(), m.cols())?;
-    w.push_shard(m)?;
-    w.finish()
-}
-
-/// Reads a sparse CSR interval shard file shard by shard, holding one
-/// shard's stored entries plus a bounded staging buffer in memory at a
-/// time. See the [module docs](self) for the format.
-#[derive(Debug)]
-pub struct CsrShardReader {
-    core: ContainerReader<CsrStage>,
-}
-
-impl CsrShardReader {
-    /// Opens `path`, reading the `csr <rows> <cols>` header; shards will
-    /// have at most `shard_rows` rows (the last one takes the remainder).
-    pub fn open(path: impl AsRef<Path>, shard_rows: usize) -> io::Result<Self> {
-        ContainerReader::open(path.as_ref(), shard_rows).map(|core| CsrShardReader { core })
-    }
-
-    /// Total number of rows in the file.
-    pub fn rows(&self) -> usize {
-        self.core.rows
-    }
-
-    /// Number of columns per row.
-    pub fn cols(&self) -> usize {
-        self.core.cols
-    }
-
-    /// Configured maximum rows per shard.
-    pub fn shard_rows(&self) -> usize {
-        self.core.shard_rows
-    }
-
-    /// Rewinds to the first shard.
-    pub fn rewind(&mut self) -> io::Result<()> {
-        self.core.rewind()
-    }
-
-    /// Reads the next shard, or `None` after the last row.
-    pub fn read_shard(&mut self) -> io::Result<Option<CsrIntervalShard>> {
-        self.core.read_shard()
-    }
-}
-
 impl CsrShardSource for CsrShardReader {
     fn rows(&self) -> usize {
         self.core.rows
@@ -941,38 +668,49 @@ impl CsrShardSource for CsrShardReader {
     }
 }
 
-/// Loads the whole CSR file as an in-memory sparse sharded matrix (shards
-/// of `shard_rows` rows).
-pub fn load_csr_sharded(
+/// Loads the whole file as an in-memory sharded matrix of shard type `S`
+/// (shards of `shard_rows` rows); a container of the other
+/// representation is a typed [`StreamError::MalformedHeader`].
+pub fn load_sharded<S: StoredShard>(
     path: impl AsRef<Path>,
     shard_rows: usize,
-) -> io::Result<CsrShardedIntervalMatrix> {
-    let mut reader = CsrShardReader::open(path, shard_rows)?;
+) -> io::Result<ShardedIntervalMatrix<S>> {
+    let mut reader = ShardFileReader::<S>::open(path, shard_rows)?;
     let mut shards = Vec::new();
     while let Some(shard) = reader.read_shard()? {
         shards.push(shard);
     }
-    CsrShardedIntervalMatrix::from_shards(shards).map_err(|e| invalid_data(e.to_string()))
+    ShardedIntervalMatrix::from_shards(shards).map_err(|e| invalid_data(e.to_string()))
 }
 
-/// One-pass out-of-core **sparse** interval Gram of the CSR file at
-/// `path`: each shard's stored entries are loaded, folded into the sparse
-/// streaming accumulator and dropped, so peak memory is one shard's
-/// nonzeros plus the `m×m` accumulators — independent of the row count.
-/// Bitwise identical to the dense Gram of the densified matrix.
-pub fn stream_csr_interval_gram(
+/// One-pass out-of-core interval Gram `M†ᵀ M†` of the file at `path`,
+/// through the scalar accumulators of shard type `S`: each shard is
+/// loaded, folded and dropped, so peak memory is one writer record (see
+/// [`ShardReader`]) plus the `m×m` accumulators — independent of the row
+/// count. Bitwise identical to the in-memory streamed Gram of the same
+/// matrix in either representation.
+pub fn stream_interval_gram<S: StoredShard>(
     path: impl AsRef<Path>,
     shard_rows: usize,
-) -> io::Result<IntervalMatrix> {
-    let reader = CsrShardReader::open(path, shard_rows)?;
-    let mut acc = StreamingIntervalGram::new_csr(reader.rows(), reader.cols());
+) -> io::Result<IntervalMatrix>
+where
+    ShardFileReader<S>: ShardSource<S>,
+{
+    let reader = ShardFileReader::<S>::open(path, shard_rows)?;
+    let (rows, cols) = (reader.rows(), reader.cols());
+    let mut acc = if S::CSR {
+        StreamingIntervalGram::new_csr(rows, cols)
+    } else {
+        StreamingIntervalGram::new(rows, cols)
+    };
     // Decode on a background thread (IVMF_PREFETCH) while this thread
     // folds; delivery is in order, so results are bitwise unchanged.
-    let mut src = PrefetchCsrSource::from_env(Box::new(reader));
+    let mut src = Prefetch::<S>::from_env(Box::new(reader));
     while let Some(shard) = src.next_shard().map_err(|e| invalid_data(e.to_string()))? {
-        acc.push_csr_shard(&shard)
+        shard
+            .push_into(&mut acc)
             .map_err(|e| invalid_data(e.to_string()))?;
-        recycle_csr_interval_shard(shard);
+        shard.recycle();
     }
     acc.finish().map_err(|e| invalid_data(e.to_string()))
 }
@@ -1001,7 +739,7 @@ mod tests {
         let m = sample_matrix(1, 19, 7);
         let path = temp_path("round_trip");
         write_interval_matrix(&path, &m).unwrap();
-        let loaded = load_sharded(&path, 5).unwrap();
+        let loaded = load_sharded::<IntervalMatrix>(&path, 5).unwrap();
         assert_eq!(loaded.num_shards(), 4);
         assert_eq!(loaded.to_dense(), m, "round-trip must be bit-exact");
         std::fs::remove_file(&path).ok();
@@ -1037,7 +775,7 @@ mod tests {
         write_interval_matrix(&path, &m).unwrap();
         let expected = m.interval_gram_streamed().unwrap();
         for shard_rows in [1usize, 5, 37] {
-            let gram = stream_interval_gram(&path, shard_rows).unwrap();
+            let gram = stream_interval_gram::<IntervalMatrix>(&path, shard_rows).unwrap();
             assert_eq!(
                 gram, expected,
                 "out-of-core gram (shard_rows={shard_rows}) diverged"
@@ -1060,7 +798,7 @@ mod tests {
         let m = sample_csr(11, 23, 40, 6);
         let path = temp_path("csr_round_trip");
         write_csr_matrix(&path, &m).unwrap();
-        let loaded = load_csr_sharded(&path, 5).unwrap();
+        let loaded = load_sharded::<CsrIntervalShard>(&path, 5).unwrap();
         assert_eq!(loaded.num_shards(), 5);
         assert_eq!(loaded.nnz(), m.nnz());
         assert_eq!(
@@ -1082,7 +820,7 @@ mod tests {
         }
         assert_eq!(w.rows_written(), 30);
         w.finish().unwrap();
-        let loaded = load_csr_sharded(&path, 30).unwrap();
+        let loaded = load_sharded::<CsrIntervalShard>(&path, 30).unwrap();
         assert_eq!(loaded.to_dense(), whole.to_dense());
         std::fs::remove_file(&path).ok();
     }
@@ -1117,7 +855,7 @@ mod tests {
         write_csr_matrix(&path, &m).unwrap();
         let expected = m.to_dense().interval_gram_streamed().unwrap();
         for shard_rows in [1usize, 5, 37] {
-            let gram = stream_csr_interval_gram(&path, shard_rows).unwrap();
+            let gram = stream_interval_gram::<CsrIntervalShard>(&path, shard_rows).unwrap();
             assert_eq!(
                 gram, expected,
                 "out-of-core sparse gram (shard_rows={shard_rows}) diverged"
@@ -1201,11 +939,11 @@ mod tests {
     /// The first error a full shard pass over `path` (shards of 2 rows)
     /// raises, open included.
     fn dense_error(path: &Path) -> io::Error {
-        load_sharded(path, 2).expect_err("expected a dense read error")
+        load_sharded::<IntervalMatrix>(path, 2).expect_err("expected a dense read error")
     }
 
     fn csr_error(path: &Path) -> io::Error {
-        load_csr_sharded(path, 2).expect_err("expected a CSR read error")
+        load_sharded::<CsrIntervalShard>(path, 2).expect_err("expected a CSR read error")
     }
 
     /// The container errors both readers share, driven through either.
@@ -1431,7 +1169,7 @@ mod tests {
             // dropped unfinished here
         }
         assert!(temps("after drop").is_empty());
-        let loaded = load_csr_sharded(&path, 8).unwrap();
+        let loaded = load_sharded::<CsrIntervalShard>(&path, 8).unwrap();
         assert_eq!(loaded.to_dense(), committed.to_dense());
         // A finish that fails row validation also cleans up and keeps
         // the committed file.
@@ -1441,7 +1179,9 @@ mod tests {
             .is_err());
         assert!(temps("after failed finish").is_empty());
         assert_eq!(
-            load_csr_sharded(&path, 8).unwrap().to_dense(),
+            load_sharded::<CsrIntervalShard>(&path, 8)
+                .unwrap()
+                .to_dense(),
             committed.to_dense()
         );
         std::fs::remove_file(&path).ok();
@@ -1453,7 +1193,7 @@ mod tests {
         let bin = temp_path("bin_dense");
         let mut w = ShardWriter::create(&bin, 29, 6).unwrap();
         // Push in writer blocks that do NOT divide the reader shards.
-        let blocks = RowShardedIntervalMatrix::from_dense(&m, 7).unwrap();
+        let blocks = ivmf_interval::RowShardedIntervalMatrix::from_dense(&m, 7).unwrap();
         for block in blocks.shards() {
             w.push_shard(block).unwrap();
         }
@@ -1461,13 +1201,15 @@ mod tests {
         // Writer block boundaries are invisible to the reader.
         for shard_rows in [1usize, 4, 29, 100] {
             assert_eq!(
-                load_sharded(&bin, shard_rows).unwrap().to_dense(),
+                load_sharded::<IntervalMatrix>(&bin, shard_rows)
+                    .unwrap()
+                    .to_dense(),
                 m,
                 "binary round-trip diverged at shard_rows={shard_rows}"
             );
         }
         assert_eq!(
-            stream_interval_gram(&bin, 5).unwrap(),
+            stream_interval_gram::<IntervalMatrix>(&bin, 5).unwrap(),
             m.interval_gram_streamed().unwrap(),
             "out-of-core and in-memory Grams must be bitwise identical"
         );
@@ -1486,13 +1228,15 @@ mod tests {
         w.finish().unwrap();
         for shard_rows in [1usize, 4, 41, 100] {
             assert_eq!(
-                load_csr_sharded(&bin, shard_rows).unwrap().to_dense(),
+                load_sharded::<CsrIntervalShard>(&bin, shard_rows)
+                    .unwrap()
+                    .to_dense(),
                 m.to_dense(),
                 "binary CSR round-trip diverged at shard_rows={shard_rows}"
             );
         }
         assert_eq!(
-            stream_csr_interval_gram(&bin, 6).unwrap(),
+            stream_interval_gram::<CsrIntervalShard>(&bin, 6).unwrap(),
             m.to_dense().interval_gram_streamed().unwrap(),
             "out-of-core sparse and in-memory dense Grams must be bitwise identical"
         );
@@ -1558,10 +1302,10 @@ mod tests {
         assert_eq!(reader.read_shard().unwrap().unwrap(), first);
 
         // IVMF_PREFETCH must not perturb bits (depth 0 vs 1 vs 2).
-        let baseline = stream_csr_interval_gram(&path, 5).unwrap();
+        let baseline = stream_interval_gram::<CsrIntervalShard>(&path, 5).unwrap();
         for depth in ["0", "1", "2"] {
             std::env::set_var(ivmf_env::PREFETCH, depth);
-            let gram = stream_csr_interval_gram(&path, 5).unwrap();
+            let gram = stream_interval_gram::<CsrIntervalShard>(&path, 5).unwrap();
             std::env::remove_var(ivmf_env::PREFETCH);
             assert_eq!(gram, baseline, "prefetch depth {depth} perturbed the Gram");
         }

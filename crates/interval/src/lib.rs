@@ -61,34 +61,14 @@ pub use matrix::IntervalMatrix;
 pub use mr::{exact_interval_forced, MrMatrix, EXACT_INTERVAL_ENV, MR_MIN_WORK};
 pub use scalar::Interval;
 pub use sharded::{
-    use_mr_gram, BoundBlocks, RowShardSource, RowShardedIntervalMatrix, StreamingIntervalGram,
+    use_mr_gram, BoundBlocks, IntervalShard, RowShardSource, RowShardedIntervalMatrix, ShardSource,
+    ShardWalk, ShardedIntervalMatrix, StreamingIntervalGram,
 };
-pub use sparse::{CsrIntervalShard, CsrShardSource, CsrShardedIntervalMatrix, SparseBoundBlocks};
+pub use sparse::{CsrIntervalShard, CsrShardSource, CsrShardedIntervalMatrix};
 pub use vector::IntervalVector;
 
 /// Convenience result alias.
 pub type Result<T> = std::result::Result<T, IntervalError>;
-
-/// Returns a consumed dense interval shard's two bound buffers to the
-/// [`ivmf_linalg::pool`], so the next decoded shard can reuse them instead
-/// of allocating. Purely an allocator hint: dropping the matrix instead is
-/// always correct, just slower in steady-state streaming loops.
-pub fn recycle_interval_matrix(m: IntervalMatrix) {
-    let (lo, hi) = m.into_bounds();
-    ivmf_linalg::pool::recycle_f64(lo.into_vec());
-    ivmf_linalg::pool::recycle_f64(hi.into_vec());
-}
-
-/// The CSR twin of [`recycle_interval_matrix`]: returns a consumed sparse
-/// interval shard's four backing buffers to the pool.
-pub fn recycle_csr_interval_shard(s: CsrIntervalShard) {
-    let (lo, hi) = s.into_parts();
-    let (_, _, row_ptr, col_idx, values) = lo.into_parts();
-    ivmf_linalg::pool::recycle_usize(row_ptr);
-    ivmf_linalg::pool::recycle_usize(col_idx);
-    ivmf_linalg::pool::recycle_f64(values);
-    ivmf_linalg::pool::recycle_f64(hi);
-}
 
 #[cfg(test)]
 pub(crate) mod test_env {
@@ -98,4 +78,15 @@ pub(crate) mod test_env {
     /// racing a reader test in this binary would flip the other's
     /// interval-operator flavour mid-assertion.
     pub static EXACT_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    /// Asserts two interval matrices are equal in every bit.
+    pub fn assert_bitwise(a: &crate::IntervalMatrix, b: &crate::IntervalMatrix, context: &str) {
+        assert_eq!(a.shape(), b.shape(), "{context}: shape");
+        for (bound, (x, y)) in [("lo", (a.lo(), b.lo())), ("hi", (a.hi(), b.hi()))] {
+            for (i, (p, q)) in x.as_slice().iter().zip(y.as_slice()).enumerate() {
+                let (p, q) = (p.to_bits(), q.to_bits());
+                assert_eq!(p, q, "{context}: {bound} entry {i} differs");
+            }
+        }
+    }
 }

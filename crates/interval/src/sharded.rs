@@ -13,18 +13,23 @@
 //! lifts the chunk-realigned scalar accumulators of
 //! [`ivmf_linalg::streaming`] to interval matrices:
 //!
-//! * [`RowShardedIntervalMatrix`] — an ordered set of interval row-block
-//!   shards behind the same row-block idea as the dense
-//!   [`IntervalMatrix`] (whose bounds implement
-//!   [`RowBlocks`](ivmf_linalg::RowBlocks) directly),
+//! * [`IntervalShard`] — the one place that knows a shard's
+//!   representation: implemented by the dense [`IntervalMatrix`] and by
+//!   [`CsrIntervalShard`], it supplies everything the generic layers above
+//!   ask of a shard (slicing, densifying, conversion, validation, content
+//!   words, the Gram push and the streamed bound products);
+//! * [`ShardedIntervalMatrix`] — an ordered set of row-block shards of one
+//!   representation ([`RowShardedIntervalMatrix`] and
+//!   [`CsrShardedIntervalMatrix`] name the two), and [`BoundBlocks`], one
+//!   bound of any [`ShardWalk`] as a scalar row-block stream;
 //! * [`StreamingIntervalGram`] — the flavour-dispatched streaming
 //!   accumulator, over dense or CSR scalar accumulators: per shard it
 //!   feeds the bound (or block-converted midpoint–radius) rows into them,
 //!   and [`StreamingIntervalGram::finish`] applies the same entry-wise
 //!   envelope / radius combination as the dense operators,
-//! * [`RowShardSource`] — the lazy-loading counterpart for shard streams
-//!   that do not fit in memory (implemented by the chunked disk loaders
-//!   in `ivmf-data`).
+//! * [`ShardSource`] — the lazy-loading counterpart for shard streams
+//!   that do not fit in memory; every [`RowShardSource`] and every
+//!   [`CsrShardSource`] (the chunked disk loaders in `ivmf-data`) is one.
 //!
 //! Because the scalar accumulators re-align arithmetic to fixed global
 //! chunk boundaries and the interval-specific steps (midpoint, radius,
@@ -34,18 +39,22 @@
 //! coincides bitwise with the one-shot
 //! [`IntervalMatrix::interval_gram_fast`].
 
+use std::borrow::Cow;
+use std::fmt;
 use std::io;
 
 use ivmf_linalg::sparse::{CsrCross, CsrGram};
 use ivmf_linalg::state_text::{bad_state, parse_usize_line, read_line};
 use ivmf_linalg::streaming::{DenseCross, DenseGram};
 use ivmf_linalg::{
-    ChunkKernel, CrossGramAccumulator, GramAccumulator, Matrix, RowBlocks,
-    SparseCrossGramAccumulator, SparseGramAccumulator, StreamAccumulator,
+    matmul_left_streamed, matmul_streamed, ChunkKernel, ColBlocks, CrossGramAccumulator,
+    GramAccumulator, LinalgError, Matrix, RowBlocks, SparseCrossGramAccumulator,
+    SparseGramAccumulator, StreamAccumulator,
 };
 
 use crate::{
-    exact_interval_forced, CsrIntervalShard, IntervalError, IntervalMatrix, Result, MR_MIN_WORK,
+    exact_interval_forced, CsrIntervalShard, CsrShardSource, IntervalError, IntervalMatrix, Result,
+    MR_MIN_WORK,
 };
 
 /// True when the size-dispatched interval Gram of a `rows × cols` matrix
@@ -55,6 +64,132 @@ use crate::{
 /// [`MR_MIN_WORK`] and `IVMF_EXACT_INTERVAL` not set.
 pub fn use_mr_gram(rows: usize, cols: usize) -> bool {
     cols * rows * cols >= MR_MIN_WORK && !exact_interval_forced()
+}
+
+/// A row-block shard representation: the dense [`IntervalMatrix`] or the
+/// sparse [`CsrIntervalShard`].
+///
+/// Sparse CSR data is bitwise the same computation as dense (skipping a
+/// `[0, 0]` entry never changes a sum's bits), so the sharded container,
+/// the decomposition session and the disk loaders are written once,
+/// generic over this trait; each method is the one spot where the two
+/// representations differ.
+pub trait IntervalShard: Clone + fmt::Debug + PartialEq + Send + Sync + 'static {
+    /// True for the CSR representation: sessions over it hash stored
+    /// entries only and always fold the Gram through the sparse kernels.
+    const CSR: bool;
+    /// Number of rows.
+    fn rows(&self) -> usize;
+    /// Number of columns.
+    fn cols(&self) -> usize;
+    /// The shard of rows `start..end`.
+    fn row_slice(&self, start: usize, end: usize) -> Result<Self>;
+    /// The shard as a dense interval matrix: borrowed when it is one,
+    /// materialized otherwise (implicit entries become `[0, 0]`).
+    fn as_dense(&self) -> Cow<'_, IntervalMatrix>;
+    /// A dense interval matrix in this representation: borrowed as is,
+    /// or CSR-compressed (dropping `[0, 0]` entries, a bitwise no-op in
+    /// every kernel).
+    fn from_dense_rows(m: &IntervalMatrix) -> Cow<'_, Self>;
+    /// The shard as dense rows; CSR rows are never densified implicitly.
+    fn into_dense(self) -> Option<IntervalMatrix>;
+    /// The shard as CSR rows (a lossless compression of dense rows).
+    fn into_csr(self) -> CsrIntervalShard;
+    /// Rows of representation `R` in this one: dense rows are
+    /// CSR-compressed for a CSR target, and a dense target refuses CSR
+    /// rows (`None`).
+    fn adopt<R: IntervalShard>(rows: R) -> Option<Self>;
+    /// The first cell in row order that is no valid input interval — a
+    /// NaN or infinite bound, or `lo > hi` — as `(row, col, lo, hi)`.
+    /// Implicit CSR entries (`[0, 0]`) are always valid.
+    fn first_invalid_cell(&self) -> Option<(usize, usize, f64, f64)>;
+    /// Feeds the shard's content, in row order, into a lower-bound and an
+    /// upper-bound word stream: dense shards every bound's bit pattern;
+    /// CSR shards per row the stored-entry count, then `(column, bound
+    /// bits)` pairs — the per-row count keeps the stream injective across
+    /// row boundaries, and hashing implicit zeros would cost `O(nm)`.
+    fn content_words(&self, lo: impl FnMut(u64), hi: impl FnMut(u64));
+    /// Feeds the shard into an interval-Gram accumulator of either
+    /// representation (a shard of the other one is converted first, which
+    /// keeps every bit).
+    fn push_into(&self, acc: &mut StreamingIntervalGram) -> Result<()>;
+    /// The row-streamed product `bound · rhs` through this
+    /// representation's streaming kernel.
+    fn bound_product(bound: &BoundBlocks<'_, Self>, rhs: &Matrix) -> ivmf_linalg::Result<Matrix>;
+    /// The reduction-streamed `(lhs · bound)ᵀ`, `m x p`, through this
+    /// representation's streaming kernel.
+    fn bound_product_left_t<L: ColBlocks>(
+        lhs: L,
+        bound: &BoundBlocks<'_, Self>,
+    ) -> ivmf_linalg::Result<Matrix>;
+    /// Returns the shard's backing buffers to the [`ivmf_linalg::pool`],
+    /// so the next decoded shard can reuse them instead of allocating
+    /// (dropping the shard instead is always correct, just slower in
+    /// steady-state streaming loops).
+    fn recycle(self);
+}
+
+impl IntervalShard for IntervalMatrix {
+    const CSR: bool = false;
+    fn rows(&self) -> usize {
+        IntervalMatrix::rows(self)
+    }
+    fn cols(&self) -> usize {
+        IntervalMatrix::cols(self)
+    }
+    fn row_slice(&self, start: usize, end: usize) -> Result<Self> {
+        IntervalMatrix::row_slice(self, start, end)
+    }
+    fn as_dense(&self) -> Cow<'_, IntervalMatrix> {
+        Cow::Borrowed(self)
+    }
+    fn from_dense_rows(m: &IntervalMatrix) -> Cow<'_, Self> {
+        Cow::Borrowed(m)
+    }
+    fn into_dense(self) -> Option<IntervalMatrix> {
+        Some(self)
+    }
+    fn into_csr(self) -> CsrIntervalShard {
+        CsrIntervalShard::from_dense(&self)
+    }
+    fn adopt<R: IntervalShard>(rows: R) -> Option<Self> {
+        rows.into_dense()
+    }
+    fn first_invalid_cell(&self) -> Option<(usize, usize, f64, f64)> {
+        let cols = self.cols();
+        let cells = self.lo().as_slice().iter().zip(self.hi().as_slice());
+        cells
+            .enumerate()
+            .find(|&(_, (&l, &h))| !valid_input(l, h))
+            .map(|(k, (&l, &h))| (k / cols, k % cols, l, h))
+    }
+    fn content_words(&self, mut lo: impl FnMut(u64), mut hi: impl FnMut(u64)) {
+        self.lo().as_slice().iter().for_each(|x| lo(x.to_bits()));
+        self.hi().as_slice().iter().for_each(|x| hi(x.to_bits()));
+    }
+    fn push_into(&self, acc: &mut StreamingIntervalGram) -> Result<()> {
+        acc.push_shard(self)
+    }
+    fn bound_product(bound: &BoundBlocks<'_, Self>, rhs: &Matrix) -> ivmf_linalg::Result<Matrix> {
+        matmul_streamed(bound, rhs)
+    }
+    fn bound_product_left_t<L: ColBlocks>(
+        lhs: L,
+        bound: &BoundBlocks<'_, Self>,
+    ) -> ivmf_linalg::Result<Matrix> {
+        Ok(matmul_left_streamed(lhs, bound)?.transpose())
+    }
+    fn recycle(self) {
+        let (lo, hi) = self.into_bounds();
+        ivmf_linalg::pool::recycle_f64(lo.into_vec());
+        ivmf_linalg::pool::recycle_f64(hi.into_vec());
+    }
+}
+
+/// A valid input interval: finite bounds with `lo <= hi`. (Intermediate
+/// factors may be improper; input rows may not.)
+pub(crate) fn valid_input(lo: f64, hi: f64) -> bool {
+    lo.is_finite() && hi.is_finite() && lo <= hi
 }
 
 /// A lazily produced stream of interval row-block shards.
@@ -77,25 +212,127 @@ pub trait RowShardSource {
     fn next_shard(&mut self) -> Result<Option<IntervalMatrix>>;
 }
 
-/// An ordered set of interval row-block shards forming one (virtual)
-/// interval matrix.
+/// A rewindable lazy stream of shards of representation `S` — what a
+/// lazy decomposition session and the prefetcher read. Every
+/// [`RowShardSource`] is one over dense shards and every
+/// [`CsrShardSource`] one over CSR shards.
+pub trait ShardSource<S> {
+    /// `(rows, cols)` of the whole stream.
+    fn shape(&self) -> (usize, usize);
+    /// Rewinds the stream to the first shard.
+    fn rewind(&mut self) -> Result<()>;
+    /// The next shard, or `None` after the last one.
+    fn pull(&mut self) -> Result<Option<S>>;
+}
+
+impl<T: RowShardSource + ?Sized> ShardSource<IntervalMatrix> for T {
+    fn shape(&self) -> (usize, usize) {
+        (self.rows(), self.cols())
+    }
+    fn rewind(&mut self) -> Result<()> {
+        self.reset()
+    }
+    fn pull(&mut self) -> Result<Option<IntervalMatrix>> {
+        self.next_shard()
+    }
+}
+
+impl<T: CsrShardSource + ?Sized> ShardSource<CsrIntervalShard> for T {
+    fn shape(&self) -> (usize, usize) {
+        (self.rows(), self.cols())
+    }
+    fn rewind(&mut self) -> Result<()> {
+        self.reset()
+    }
+    fn pull(&mut self) -> Result<Option<CsrIntervalShard>> {
+        self.next_shard()
+    }
+}
+
+/// One row-ordered pass over the shards of a (virtual) interval matrix —
+/// what a [`BoundBlocks`] view streams. Implemented by
+/// [`ShardedIntervalMatrix`] and by the decomposition session's input.
+pub trait ShardWalk<S> {
+    /// `(rows, cols)` of the whole matrix.
+    fn shape(&self) -> (usize, usize);
+    /// Calls `f` on every shard, in row order.
+    fn for_each_shard(&self, f: &mut dyn FnMut(&S) -> Result<()>) -> Result<()>;
+}
+
+/// One bound (`lo` or `hi`) of a [`ShardWalk`] viewed as a scalar
+/// row-block stream: [`RowBlocks`] over dense shards,
+/// [`CsrRowBlocks`](ivmf_linalg::CsrRowBlocks) over CSR shards (each
+/// shard's bound pattern, never densified), so the streaming kernels
+/// consume it directly. Errors of the walk itself (a failing lazy source)
+/// surface as [`LinalgError::InvalidArgument`].
+#[derive(Clone, Copy)]
+pub struct BoundBlocks<'a, S> {
+    walk: &'a dyn ShardWalk<S>,
+    hi: bool,
+}
+
+impl<'a, S> BoundBlocks<'a, S> {
+    /// The lower (`hi == false`) or upper bound of `walk`.
+    pub fn new(walk: &'a dyn ShardWalk<S>, hi: bool) -> Self {
+        BoundBlocks { walk, hi }
+    }
+
+    pub(crate) fn shape(&self) -> (usize, usize) {
+        self.walk.shape()
+    }
+
+    /// Calls `f` on every shard with the bound flag, mapping the walk's
+    /// own errors into the kernels' error type.
+    pub(crate) fn for_each_shard(
+        &self,
+        f: &mut dyn FnMut(&S, bool) -> ivmf_linalg::Result<()>,
+    ) -> ivmf_linalg::Result<()> {
+        self.walk
+            .for_each_shard(&mut |s| Ok(f(s, self.hi)?))
+            .map_err(|e| match e {
+                IntervalError::Linalg(e) => e,
+                e => LinalgError::InvalidArgument(format!("row-shard stream: {e}")),
+            })
+    }
+}
+
+impl RowBlocks for BoundBlocks<'_, IntervalMatrix> {
+    fn rows(&self) -> usize {
+        self.shape().0
+    }
+    fn cols(&self) -> usize {
+        self.shape().1
+    }
+    fn for_each_block(
+        &self,
+        f: &mut dyn FnMut(&Matrix) -> ivmf_linalg::Result<()>,
+    ) -> ivmf_linalg::Result<()> {
+        self.for_each_shard(&mut |s, hi| f(if hi { s.hi() } else { s.lo() }))
+    }
+}
+
+/// An ordered set of interval row-block shards of one representation
+/// forming one (virtual) interval matrix.
 ///
 /// Shards may have any positive row count; all share one column count.
 /// The shard layout is invisible in results — every consumer re-aligns
 /// its arithmetic to fixed global chunk boundaries — so it only bounds
 /// peak per-block memory and sets the granularity of
-/// [`RowShardedIntervalMatrix::append_rows`].
+/// [`ShardedIntervalMatrix::append_rows`].
 #[derive(Debug, Clone, PartialEq)]
-pub struct RowShardedIntervalMatrix {
-    shards: Vec<IntervalMatrix>,
+pub struct ShardedIntervalMatrix<S> {
+    shards: Vec<S>,
     rows: usize,
     cols: usize,
 }
 
-impl RowShardedIntervalMatrix {
+/// A sharded matrix of dense interval shards.
+pub type RowShardedIntervalMatrix = ShardedIntervalMatrix<IntervalMatrix>;
+
+impl<S: IntervalShard> ShardedIntervalMatrix<S> {
     /// Builds a sharded interval matrix from explicit shards (non-empty
     /// list, no zero-row shards, consistent column counts).
-    pub fn from_shards(shards: Vec<IntervalMatrix>) -> Result<Self> {
+    pub fn from_shards(shards: Vec<S>) -> Result<Self> {
         let Some(first) = shards.first() else {
             return Err(IntervalError::Source(
                 "a sharded interval matrix needs at least one shard".to_string(),
@@ -111,17 +348,22 @@ impl RowShardedIntervalMatrix {
                 return Err(IntervalError::DimensionMismatch {
                     op: "interval_shards",
                     lhs: (rows, cols),
-                    rhs: s.shape(),
+                    rhs: (s.rows(), s.cols()),
                 });
             }
             rows += s.rows();
         }
-        Ok(RowShardedIntervalMatrix { shards, rows, cols })
+        Ok(ShardedIntervalMatrix { shards, rows, cols })
     }
 
     /// Splits a dense interval matrix into shards of at most `shard_rows`
-    /// rows (the last shard takes the remainder).
+    /// rows (the last shard takes the remainder), in this representation.
     pub fn from_dense(m: &IntervalMatrix, shard_rows: usize) -> Result<Self> {
+        Self::split(&S::from_dense_rows(m), shard_rows)
+    }
+
+    /// Splits one shard into shards of at most `shard_rows` rows.
+    pub(crate) fn split(m: &S, shard_rows: usize) -> Result<Self> {
         if shard_rows == 0 {
             return Err(IntervalError::Source(
                 "shard_rows must be at least 1".to_string(),
@@ -132,19 +374,18 @@ impl RowShardedIntervalMatrix {
                 "cannot shard an empty interval matrix".to_string(),
             ));
         }
-        let rows = m.rows();
         let mut shards = Vec::new();
         let mut start = 0;
-        while start < rows {
-            let end = (start + shard_rows).min(rows);
+        while start < m.rows() {
+            let end = (start + shard_rows).min(m.rows());
             shards.push(m.row_slice(start, end)?);
             start = end;
         }
-        RowShardedIntervalMatrix::from_shards(shards)
+        Self::from_shards(shards)
     }
 
     /// Appends a new block of rows as its own shard at the bottom.
-    pub fn append_rows(&mut self, rows: IntervalMatrix) -> Result<()> {
+    pub fn append_rows(&mut self, rows: S) -> Result<()> {
         if rows.rows() == 0 {
             return Err(IntervalError::Source(
                 "appended shard has zero rows".to_string(),
@@ -154,7 +395,7 @@ impl RowShardedIntervalMatrix {
             return Err(IntervalError::DimensionMismatch {
                 op: "append_rows",
                 lhs: (self.rows, self.cols),
-                rhs: rows.shape(),
+                rhs: (rows.rows(), rows.cols()),
             });
         }
         self.rows += rows.rows();
@@ -183,15 +424,17 @@ impl RowShardedIntervalMatrix {
     }
 
     /// The shards, in row order.
-    pub fn shards(&self) -> &[IntervalMatrix] {
+    pub fn shards(&self) -> &[S] {
         &self.shards
     }
 
-    /// Materializes the dense interval matrix (row-order concatenation).
+    /// Materializes the dense interval matrix (row-order concatenation;
+    /// for CSR shards the escape hatch for small fixtures).
     pub fn to_dense(&self) -> IntervalMatrix {
         let mut lo = Vec::with_capacity(self.rows * self.cols);
         let mut hi = Vec::with_capacity(self.rows * self.cols);
         for s in &self.shards {
+            let s = s.as_dense();
             lo.extend_from_slice(s.lo().as_slice());
             hi.extend_from_slice(s.hi().as_slice());
         }
@@ -202,75 +445,63 @@ impl RowShardedIntervalMatrix {
         .expect("validated shard shapes")
     }
 
-    /// The midpoint matrix, assembled shard by shard (entry-wise, so it is
-    /// bitwise identical to [`IntervalMatrix::mid`] of the dense matrix)
-    /// without materializing the dense bounds.
+    /// The midpoint matrix, assembled shard by shard: entry-wise and
+    /// zero-preserving, so it is bitwise identical to
+    /// [`IntervalMatrix::mid`] of the dense matrix.
     pub fn mid(&self) -> Matrix {
         let mut data = Vec::with_capacity(self.rows * self.cols);
         for s in &self.shards {
-            data.extend_from_slice(s.mid().as_slice());
+            data.extend_from_slice(s.as_dense().mid().as_slice());
         }
         Matrix::from_vec(self.rows, self.cols, data).expect("validated shard shapes")
     }
 
     /// The lower bounds as a scalar row-block stream.
-    pub fn lo_blocks(&self) -> BoundBlocks<'_> {
-        BoundBlocks {
-            shards: &self.shards,
-            hi: false,
-            rows: self.rows,
-            cols: self.cols,
-        }
+    pub fn lo_blocks(&self) -> BoundBlocks<'_, S> {
+        BoundBlocks::new(self, false)
     }
 
     /// The upper bounds as a scalar row-block stream.
-    pub fn hi_blocks(&self) -> BoundBlocks<'_> {
-        BoundBlocks {
-            shards: &self.shards,
-            hi: true,
-            rows: self.rows,
-            cols: self.cols,
-        }
+    pub fn hi_blocks(&self) -> BoundBlocks<'_, S> {
+        BoundBlocks::new(self, true)
     }
 
-    /// The streamed interval Gram matrix `M†ᵀ M†` — same flavour dispatch
-    /// as [`IntervalMatrix::interval_gram_fast`], bitwise identical for
-    /// every shard layout.
+    /// The streamed interval Gram matrix `M†ᵀ M†` (through the scalar
+    /// accumulators of this representation) — same flavour dispatch as
+    /// [`IntervalMatrix::interval_gram_fast`], bitwise identical for
+    /// every shard layout and representation.
     pub fn interval_gram_streamed(&self) -> Result<IntervalMatrix> {
-        let mut acc = StreamingIntervalGram::new(self.rows, self.cols);
+        let mut acc = if S::CSR {
+            StreamingIntervalGram::new_csr(self.rows, self.cols)
+        } else {
+            StreamingIntervalGram::new(self.rows, self.cols)
+        };
         for s in &self.shards {
-            acc.push_shard(s)?;
+            s.push_into(&mut acc)?;
         }
         acc.finish()
     }
 }
 
-/// One bound of a sharded interval matrix viewed as a scalar row-block
-/// stream (implements [`ivmf_linalg::RowBlocks`], so the scalar streaming
-/// kernels consume it directly).
-#[derive(Debug, Clone, Copy)]
-pub struct BoundBlocks<'a> {
-    shards: &'a [IntervalMatrix],
-    hi: bool,
-    rows: usize,
-    cols: usize,
+/// A single shard is the one-shard list.
+impl AsRef<[IntervalMatrix]> for IntervalMatrix {
+    fn as_ref(&self) -> &[IntervalMatrix] {
+        std::slice::from_ref(self)
+    }
 }
 
-impl RowBlocks for BoundBlocks<'_> {
-    fn rows(&self) -> usize {
-        self.rows
+impl<S> AsRef<[S]> for ShardedIntervalMatrix<S> {
+    fn as_ref(&self) -> &[S] {
+        &self.shards
     }
-    fn cols(&self) -> usize {
-        self.cols
+}
+
+impl<S: IntervalShard> ShardWalk<S> for ShardedIntervalMatrix<S> {
+    fn shape(&self) -> (usize, usize) {
+        (self.rows, self.cols)
     }
-    fn for_each_block(
-        &self,
-        f: &mut dyn FnMut(&Matrix) -> ivmf_linalg::Result<()>,
-    ) -> ivmf_linalg::Result<()> {
-        for s in self.shards {
-            f(if self.hi { s.hi() } else { s.lo() })?;
-        }
-        Ok(())
+    fn for_each_shard(&self, f: &mut dyn FnMut(&S) -> Result<()>) -> Result<()> {
+        self.shards.iter().try_for_each(f)
     }
 }
 
@@ -713,6 +944,7 @@ impl IntervalMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_env::assert_bitwise;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -722,19 +954,6 @@ mod tests {
         let span = Matrix::from_fn(rows, cols, |_, _| rng.gen_range(0.0..1.0));
         let hi = lo.add(&span).unwrap();
         IntervalMatrix::from_bounds(lo, hi).unwrap()
-    }
-
-    fn assert_bitwise(a: &IntervalMatrix, b: &IntervalMatrix, context: &str) {
-        assert_eq!(a.shape(), b.shape(), "{context}: shape");
-        for (bound, (x, y)) in [("lo", (a.lo(), b.lo())), ("hi", (a.hi(), b.hi()))] {
-            for (i, (p, q)) in x.as_slice().iter().zip(y.as_slice()).enumerate() {
-                assert_eq!(
-                    p.to_bits(),
-                    q.to_bits(),
-                    "{context}: {bound} entry {i} differs ({p} vs {q})"
-                );
-            }
-        }
     }
 
     #[test]

@@ -1,15 +1,14 @@
-//! Sparse CSR interval row shards and the sparse streaming interval Gram.
+//! Sparse CSR interval row shards.
 //!
 //! A rating-matrix interval enclosure is sparse in a structured way: the
 //! unobserved cells are exactly `[0, 0]`, so one sparsity pattern carries
-//! both bounds. This module is the sparse counterpart of
-//! [`sharded`](crate::sharded):
+//! both bounds. This module holds the CSR representation of
+//! [`IntervalShard`]:
 //!
 //! * [`CsrIntervalShard`] — one interval row block as a shared CSR
 //!   pattern with `lo`/`hi` payloads (implicit entries are `[0, 0]`), and
 //!   [`CsrShardedIntervalMatrix`], an ordered set of such shards;
-//! * [`CsrShardSource`] — the lazy out-of-core stream trait, mirroring
-//!   [`RowShardSource`](crate::RowShardSource) with CSR shards;
+//! * [`CsrShardSource`] — the lazy out-of-core stream trait of CSR shards;
 //! * the CSR representation of
 //!   [`StreamingIntervalGram`](crate::StreamingIntervalGram)
 //!   ([`StreamingIntervalGram::new_csr`](crate::StreamingIntervalGram::new_csr)),
@@ -29,10 +28,16 @@
 //! representation on the same logical matrix, for every shard layout,
 //! thread count, and flavour.
 
-use ivmf_linalg::sparse::{CsrRowBlocks, CsrShard};
-use ivmf_linalg::Matrix;
+use std::borrow::Cow;
 
-use crate::{IntervalError, IntervalMatrix, Result, StreamingIntervalGram};
+use ivmf_linalg::sparse::{CsrRowBlocks, CsrShard};
+use ivmf_linalg::{matmul_left_streamed_csr_t, matmul_streamed_csr, ColBlocks, Matrix};
+
+use crate::sharded::valid_input;
+use crate::{
+    BoundBlocks, IntervalError, IntervalMatrix, IntervalShard, Result, ShardedIntervalMatrix,
+    StreamingIntervalGram,
+};
 
 /// One interval row block in compressed-sparse-row form: a single
 /// sparsity pattern (`row_ptr`/`col_idx`) with aligned `lo`/`hi` value
@@ -169,7 +174,7 @@ impl CsrIntervalShard {
 
     /// Deconstructs into the pattern-plus-lo shard and the hi payload —
     /// the inverse of assembly, letting consumers recycle the backing
-    /// buffers (see [`crate::recycle_csr_interval_shard`]).
+    /// buffers (see [`IntervalShard::recycle`]).
     pub fn into_parts(self) -> (CsrShard, Vec<f64>) {
         (self.lo, self.hi)
     }
@@ -230,6 +235,76 @@ impl CsrIntervalShard {
     }
 }
 
+impl IntervalShard for CsrIntervalShard {
+    const CSR: bool = true;
+    fn rows(&self) -> usize {
+        CsrIntervalShard::rows(self)
+    }
+    fn cols(&self) -> usize {
+        CsrIntervalShard::cols(self)
+    }
+    fn row_slice(&self, start: usize, end: usize) -> Result<Self> {
+        CsrIntervalShard::row_slice(self, start, end)
+    }
+    fn as_dense(&self) -> Cow<'_, IntervalMatrix> {
+        Cow::Owned(self.to_dense())
+    }
+    fn from_dense_rows(m: &IntervalMatrix) -> Cow<'_, Self> {
+        Cow::Owned(CsrIntervalShard::from_dense(m))
+    }
+    fn into_dense(self) -> Option<IntervalMatrix> {
+        None
+    }
+    fn into_csr(self) -> CsrIntervalShard {
+        self
+    }
+    fn adopt<R: IntervalShard>(rows: R) -> Option<Self> {
+        Some(rows.into_csr())
+    }
+    fn first_invalid_cell(&self) -> Option<(usize, usize, f64, f64)> {
+        (0..self.rows()).find_map(|i| {
+            let (cols, lo, hi) = self.row_entries(i);
+            let mut cells = cols.iter().zip(lo.iter().zip(hi));
+            cells
+                .find(|&(_, (&l, &h))| !valid_input(l, h))
+                .map(|(&j, (&l, &h))| (i, j, l, h))
+        })
+    }
+    fn content_words(&self, mut lo: impl FnMut(u64), mut hi: impl FnMut(u64)) {
+        for i in 0..self.rows() {
+            let (cols, lo_vals, hi_vals) = self.row_entries(i);
+            lo(cols.len() as u64);
+            hi(cols.len() as u64);
+            for ((&c, &l), &h) in cols.iter().zip(lo_vals).zip(hi_vals) {
+                lo(c as u64);
+                lo(l.to_bits());
+                hi(c as u64);
+                hi(h.to_bits());
+            }
+        }
+    }
+    fn push_into(&self, acc: &mut StreamingIntervalGram) -> Result<()> {
+        acc.push_csr_shard(self)
+    }
+    fn bound_product(bound: &BoundBlocks<'_, Self>, rhs: &Matrix) -> ivmf_linalg::Result<Matrix> {
+        matmul_streamed_csr(bound, rhs)
+    }
+    fn bound_product_left_t<L: ColBlocks>(
+        lhs: L,
+        bound: &BoundBlocks<'_, Self>,
+    ) -> ivmf_linalg::Result<Matrix> {
+        matmul_left_streamed_csr_t(lhs, bound)
+    }
+    fn recycle(self) {
+        let (lo, hi) = self.into_parts();
+        let (_, _, row_ptr, col_idx, values) = lo.into_parts();
+        ivmf_linalg::pool::recycle_usize(row_ptr);
+        ivmf_linalg::pool::recycle_usize(col_idx);
+        ivmf_linalg::pool::recycle_f64(values);
+        ivmf_linalg::pool::recycle_f64(hi);
+    }
+}
+
 /// A lazily produced stream of CSR interval row shards — the sparse
 /// counterpart of [`RowShardSource`](crate::RowShardSource), implemented
 /// by the CSR disk loaders in `ivmf-data`. Consumers make one pass per
@@ -246,240 +321,57 @@ pub trait CsrShardSource {
     fn next_shard(&mut self) -> Result<Option<CsrIntervalShard>>;
 }
 
-/// An ordered set of CSR interval row shards forming one (virtual)
-/// sparse interval matrix — the sparse counterpart of
-/// [`RowShardedIntervalMatrix`](crate::RowShardedIntervalMatrix). Shard
-/// layout is invisible in results; it only bounds peak per-block memory
-/// and sets the granularity of
-/// [`CsrShardedIntervalMatrix::append_rows`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct CsrShardedIntervalMatrix {
-    shards: Vec<CsrIntervalShard>,
-    rows: usize,
-    cols: usize,
-}
+/// A sharded matrix of CSR interval shards.
+pub type CsrShardedIntervalMatrix = ShardedIntervalMatrix<CsrIntervalShard>;
 
 impl CsrShardedIntervalMatrix {
-    /// Builds a sharded matrix from explicit shards (non-empty list, no
-    /// zero-row shards, consistent column counts).
-    pub fn from_shards(shards: Vec<CsrIntervalShard>) -> Result<Self> {
-        let Some(first) = shards.first() else {
-            return Err(IntervalError::Source(
-                "a sharded CSR interval matrix needs at least one shard".to_string(),
-            ));
-        };
-        let cols = first.cols();
-        let mut rows = 0;
-        for (i, s) in shards.iter().enumerate() {
-            if s.rows() == 0 {
-                return Err(IntervalError::Source(format!("shard {i} has zero rows")));
-            }
-            if s.cols() != cols {
-                return Err(IntervalError::DimensionMismatch {
-                    op: "csr_interval_shards",
-                    lhs: (rows, cols),
-                    rhs: s.shape(),
-                });
-            }
-            rows += s.rows();
-        }
-        Ok(CsrShardedIntervalMatrix { shards, rows, cols })
-    }
-
-    /// Splits a dense interval matrix into CSR shards of at most
-    /// `shard_rows` rows.
-    pub fn from_dense(m: &IntervalMatrix, shard_rows: usize) -> Result<Self> {
-        CsrShardedIntervalMatrix::from_csr(&CsrIntervalShard::from_dense(m), shard_rows)
-    }
-
     /// Splits one big CSR interval shard into shards of at most
     /// `shard_rows` rows.
     pub fn from_csr(m: &CsrIntervalShard, shard_rows: usize) -> Result<Self> {
-        if shard_rows == 0 {
-            return Err(IntervalError::Source(
-                "shard_rows must be at least 1".to_string(),
-            ));
-        }
-        if m.rows() == 0 {
-            return Err(IntervalError::Source(
-                "cannot shard an empty interval matrix".to_string(),
-            ));
-        }
-        let mut shards = Vec::new();
-        let mut start = 0;
-        while start < m.rows() {
-            let end = (start + shard_rows).min(m.rows());
-            shards.push(m.row_slice(start, end)?);
-            start = end;
-        }
-        CsrShardedIntervalMatrix::from_shards(shards)
-    }
-
-    /// Appends a new block of rows as its own shard at the bottom.
-    pub fn append_rows(&mut self, rows: CsrIntervalShard) -> Result<()> {
-        if rows.rows() == 0 {
-            return Err(IntervalError::Source(
-                "appended shard has zero rows".to_string(),
-            ));
-        }
-        if rows.cols() != self.cols {
-            return Err(IntervalError::DimensionMismatch {
-                op: "append_rows",
-                lhs: (self.rows, self.cols),
-                rhs: rows.shape(),
-            });
-        }
-        self.rows += rows.rows();
-        self.shards.push(rows);
-        Ok(())
-    }
-
-    /// Number of rows across all shards.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// `(rows, cols)` of the full (virtual) interval matrix.
-    pub fn shape(&self) -> (usize, usize) {
-        (self.rows, self.cols)
-    }
-
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shards, in row order.
-    pub fn shards(&self) -> &[CsrIntervalShard] {
-        &self.shards
+        Self::split(m, shard_rows)
     }
 
     /// Total stored entries across all shards.
     pub fn nnz(&self) -> usize {
-        self.shards.iter().map(CsrIntervalShard::nnz).sum()
+        self.shards().iter().map(CsrIntervalShard::nnz).sum()
     }
 
     /// Fraction of cells with a stored entry.
     pub fn density(&self) -> f64 {
-        if self.rows * self.cols == 0 {
+        let cells = self.rows() * self.cols();
+        if cells == 0 {
             0.0
         } else {
-            self.nnz() as f64 / (self.rows * self.cols) as f64
+            self.nnz() as f64 / cells as f64
         }
-    }
-
-    /// Materializes the dense interval matrix (row-order concatenation;
-    /// the escape hatch for small fixtures).
-    pub fn to_dense(&self) -> IntervalMatrix {
-        let mut lo = Matrix::zeros(self.rows, self.cols);
-        let mut hi = Matrix::zeros(self.rows, self.cols);
-        let mut base = 0;
-        for s in &self.shards {
-            for i in 0..s.rows() {
-                let (cols, lo_vals, hi_vals) = s.row_entries(i);
-                for ((&j, &l), &h) in cols.iter().zip(lo_vals).zip(hi_vals) {
-                    lo[(base + i, j)] = l;
-                    hi[(base + i, j)] = h;
-                }
-            }
-            base += s.rows();
-        }
-        IntervalMatrix::from_bounds(lo, hi).expect("bounds share a shape")
-    }
-
-    /// The dense midpoint matrix, assembled from stored entries only
-    /// (bitwise identical to [`IntervalMatrix::mid`] of the dense
-    /// matrix: the entry-wise formula is zero-preserving).
-    pub fn mid(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.rows, self.cols);
-        let mut base = 0;
-        for s in &self.shards {
-            let mid = s.mid_shard();
-            for i in 0..s.rows() {
-                let (cols, vals) = mid.row_entries(i);
-                for (&j, &v) in cols.iter().zip(vals) {
-                    out[(base + i, j)] = v;
-                }
-            }
-            base += s.rows();
-        }
-        out
-    }
-
-    /// The lower bounds as a scalar CSR row-block stream.
-    pub fn lo_blocks(&self) -> SparseBoundBlocks<'_> {
-        SparseBoundBlocks {
-            shards: &self.shards,
-            hi: false,
-            rows: self.rows,
-            cols: self.cols,
-        }
-    }
-
-    /// The upper bounds as a scalar CSR row-block stream.
-    pub fn hi_blocks(&self) -> SparseBoundBlocks<'_> {
-        SparseBoundBlocks {
-            shards: &self.shards,
-            hi: true,
-            rows: self.rows,
-            cols: self.cols,
-        }
-    }
-
-    /// The streamed interval Gram matrix `M†ᵀ M†` over stored entries
-    /// only — same flavour dispatch as the dense path, bitwise identical
-    /// to it for every shard layout.
-    pub fn interval_gram_streamed(&self) -> Result<IntervalMatrix> {
-        let mut acc = StreamingIntervalGram::new_csr(self.rows, self.cols);
-        for s in &self.shards {
-            acc.push_csr_shard(s)?;
-        }
-        acc.finish()
     }
 }
 
-/// One bound of a sharded CSR interval matrix viewed as a scalar CSR
-/// row-block stream (implements
-/// [`CsrRowBlocks`](ivmf_linalg::CsrRowBlocks), so the sparse streaming
-/// kernels consume it directly).
-#[derive(Debug, Clone, Copy)]
-pub struct SparseBoundBlocks<'a> {
-    shards: &'a [CsrIntervalShard],
-    hi: bool,
-    rows: usize,
-    cols: usize,
-}
-
-impl CsrRowBlocks for SparseBoundBlocks<'_> {
+impl CsrRowBlocks for BoundBlocks<'_, CsrIntervalShard> {
     fn rows(&self) -> usize {
-        self.rows
+        self.shape().0
     }
     fn cols(&self) -> usize {
-        self.cols
+        self.shape().1
     }
     fn for_each_csr_block(
         &self,
         f: &mut dyn FnMut(&CsrShard) -> ivmf_linalg::Result<()>,
     ) -> ivmf_linalg::Result<()> {
-        for s in self.shards {
-            if self.hi {
-                f(&s.hi_shard())?;
+        self.for_each_shard(&mut |s, hi| {
+            if hi {
+                f(&s.hi_shard())
             } else {
-                f(s.lo_shard())?;
+                f(s.lo_shard())
             }
-        }
-        Ok(())
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_env::assert_bitwise;
     use crate::StreamingIntervalGram;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
@@ -505,19 +397,6 @@ mod tests {
             }
         }
         IntervalMatrix::from_bounds(lo, hi).unwrap()
-    }
-
-    fn assert_bitwise(a: &IntervalMatrix, b: &IntervalMatrix, context: &str) {
-        assert_eq!(a.shape(), b.shape(), "{context}: shape");
-        for (bound, (x, y)) in [("lo", (a.lo(), b.lo())), ("hi", (a.hi(), b.hi()))] {
-            for (i, (p, q)) in x.as_slice().iter().zip(y.as_slice()).enumerate() {
-                assert_eq!(
-                    p.to_bits(),
-                    q.to_bits(),
-                    "{context}: {bound} entry {i} differs ({p} vs {q})"
-                );
-            }
-        }
     }
 
     #[test]

@@ -2,13 +2,21 @@
 //! decomposition pipeline: a batched `run_all` (shared-stage cache on) must
 //! produce *exactly* the same factorizations as five standalone `isvd`
 //! calls — the cache changes when a stage runs, never its arithmetic — and
-//! the per-run accounting must report the sharing truthfully.
+//! the per-run accounting must report the sharing truthfully. Every way to
+//! open a session, dense or CSR, must reproduce pinned content ids and
+//! factor bits, and appends must reject bad bounds before changing state.
 
 use ivmf_core::isvd::isvd;
 use ivmf_core::pipeline::{run_all, run_all_batch, DecompPlan, Pipeline, StageId};
-use ivmf_core::{DecompositionTarget, IntervalSvd, IsvdAlgorithm, IsvdConfig};
+use ivmf_core::{
+    DecompositionTarget, IntervalSvd, IsvdAlgorithm, IsvdConfig, IsvdResult, IvmfError,
+};
+use ivmf_data::stream::{write_csr_matrix, write_interval_matrix, CsrShardReader, ShardReader};
 use ivmf_data::synthetic::{generate_uniform, SyntheticConfig};
-use ivmf_interval::IntervalMatrix;
+use ivmf_interval::{
+    CsrIntervalShard, CsrShardedIntervalMatrix, IntervalMatrix, IntervalShard,
+    RowShardedIntervalMatrix,
+};
 use ivmf_linalg::random::uniform_matrix;
 use ivmf_linalg::Matrix;
 use rand::rngs::SmallRng;
@@ -212,4 +220,244 @@ fn mixed_targets_share_stages_within_one_session() {
         .expect("standalone");
         assert_bitwise_equal(&r.factors, &standalone.factors, &format!("ISVD4 {target}"));
     }
+}
+
+/// The matrix every entry kind opens: 36 rows (a third of the cells
+/// `[0, 0]`, so the CSR form stores less) and the 5 rows appended to it.
+fn entry_kind_fixture() -> (IntervalMatrix, IntervalMatrix) {
+    let full = random_interval_matrix(808, 41, 11, 1.0);
+    let keep = |i: usize, j: usize| (i * 11 + j) % 3 != 1;
+    let thin =
+        |b: &Matrix| Matrix::from_fn(41, 11, |i, j| if keep(i, j) { b[(i, j)] } else { 0.0 });
+    let full = IntervalMatrix::from_bounds(thin(full.lo()), thin(full.hi())).unwrap();
+    (
+        full.row_slice(0, 36).unwrap(),
+        full.row_slice(36, 41).unwrap(),
+    )
+}
+
+/// FNV-1a of the bits of every factor (U, Σ, V bounds) of the runs.
+fn factor_digest(results: &[IsvdResult]) -> u64 {
+    let mut bytes = Vec::new();
+    for r in results {
+        let f = &r.factors;
+        let sigma: Vec<f64> = f.sigma.iter().flat_map(|s| [s.lo(), s.hi()]).collect();
+        let (u, v) = (&f.u, &f.v);
+        for vals in [
+            u.lo().as_slice(),
+            u.hi().as_slice(),
+            &sigma,
+            v.lo().as_slice(),
+            v.hi().as_slice(),
+        ] {
+            for x in vals {
+                bytes.extend_from_slice(&x.to_bits().to_le_bytes());
+            }
+        }
+    }
+    ivmf_data::fnv::fnv1a64(&bytes)
+}
+
+/// A session's content id and factor digest, then — if the append of
+/// `rows` is accepted — the same pair after it (a rejected append must
+/// leave the id).
+type EntryOutcome = ((u64, u64), Option<(u64, u64)>);
+
+fn exercise<S: IntervalShard, R: IntervalShard>(
+    mut session: Pipeline<'_, S>,
+    rows: R,
+) -> EntryOutcome {
+    let state = |s: &mut Pipeline<'_, S>| (s.content_id(), factor_digest(&s.run_all().unwrap()));
+    let before = state(&mut session);
+    let after = match session.append_rows(rows) {
+        Ok(()) => Some(state(&mut session)),
+        Err(_) => {
+            assert_eq!(
+                session.content_id(),
+                before.0,
+                "a rejected append moved the id"
+            );
+            None
+        }
+    };
+    (before, after)
+}
+
+#[test]
+fn every_entry_kind_reproduces_pinned_ids_factor_bits_and_append_behaviour() {
+    // Computed at commit 7e31f33, when each representation still had its
+    // own session code: content ids name snapshot files, so they must not
+    // move, and every entry kind must keep the factor bits.
+    const DENSE: (u64, u64) = (0xfea0_61ac_d070_8252, 0x3970_02b0_67d7_2034);
+    const CSR: (u64, u64) = (0x3de7_8314_913f_96ad, 0xd633_8c1b_cc11_1293);
+    const DIGESTS: (u64, u64) = (0xe29d_af96_6e75_1513, 0x0eb5_d9b5_e91a_c1d3);
+
+    let (m, extra) = entry_kind_fixture();
+    let extra_csr = CsrIntervalShard::from_dense(&extra);
+    let c = IsvdConfig::new(4);
+    let dense_shards = RowShardedIntervalMatrix::from_dense(&m, 7).unwrap();
+    let csr = CsrIntervalShard::from_dense(&m);
+    let csr_one = CsrShardedIntervalMatrix::from_csr(&csr, m.rows()).unwrap();
+    let csr_shards = CsrShardedIntervalMatrix::from_csr(&csr, 7).unwrap();
+    let tmp = |tag| std::env::temp_dir().join(format!("ivmf_kinds_{}_{tag}", std::process::id()));
+    let (dense_path, csr_path) = (tmp("dense"), tmp("csr"));
+    write_interval_matrix(&dense_path, &m).unwrap();
+    write_csr_matrix(&csr_path, &csr).unwrap();
+    let reader = || Box::new(ShardReader::open(&dense_path, 7).unwrap());
+    let csr_reader = || Box::new(CsrShardReader::open(&csr_path, 7).unwrap());
+
+    // Every entry kind of each representation, and whether it accepts an
+    // append (lazy sessions do not).
+    let dense_kinds = [
+        ("dense borrowed", Pipeline::new(&m, c), true),
+        (
+            "dense sharded",
+            Pipeline::new_sharded(&dense_shards, c),
+            true,
+        ),
+        (
+            "dense owned",
+            Pipeline::from_shards(dense_shards.clone(), c),
+            true,
+        ),
+        ("dense lazy", Pipeline::new_streaming(reader(), c), false),
+        (
+            "dense lazy send",
+            Pipeline::new_streaming_send(reader(), c),
+            false,
+        ),
+    ];
+    let csr_kinds = [
+        ("csr borrowed", Pipeline::new_sharded(&csr_one, c), true),
+        ("csr sharded", Pipeline::new_sharded(&csr_shards, c), true),
+        (
+            "csr owned",
+            Pipeline::from_shards(csr_shards.clone(), c),
+            true,
+        ),
+        (
+            "csr lazy",
+            Pipeline::new_streaming_csr(csr_reader(), c),
+            false,
+        ),
+        (
+            "csr lazy send",
+            Pipeline::new_streaming_csr_send(csr_reader(), c),
+            false,
+        ),
+    ];
+    let mut cases = Vec::new();
+    for (kind, session, accepts) in dense_kinds {
+        cases.push((
+            kind,
+            exercise(session.unwrap(), extra.clone()),
+            DENSE,
+            accepts,
+        ));
+    }
+    for (kind, session, accepts) in csr_kinds {
+        cases.push((
+            kind,
+            exercise(session.unwrap(), extra_csr.clone()),
+            CSR,
+            accepts,
+        ));
+    }
+    // Mixed representations: a CSR session compresses dense rows, a dense
+    // session refuses CSR rows.
+    let csr_session = Pipeline::from_shards(csr_shards, c).unwrap();
+    cases.push(("dense rows, csr", exercise(csr_session, extra), CSR, true));
+    let dense_session = Pipeline::from_shards(dense_shards, c).unwrap();
+    cases.push((
+        "csr rows, dense",
+        exercise(dense_session, extra_csr),
+        DENSE,
+        false,
+    ));
+    std::fs::remove_file(&dense_path).ok();
+    std::fs::remove_file(&csr_path).ok();
+
+    // The factor bits depend on the eigensolver mode (a forced top-k
+    // solve is certified, not bitwise the full one), the content ids not.
+    let ((_, digest), appended) = cases[0].1;
+    let digests = (digest, appended.unwrap().1);
+    if std::env::var(ivmf_env::TOPK_EIGEN).map_or(true, |v| v == "auto") {
+        assert_eq!(digests, DIGESTS, "factor bits moved");
+    }
+    for (kind, (before, after), ids, accepts) in cases {
+        assert_eq!(before, (ids.0, digests.0), "{kind}: id and factor bits");
+        let want = accepts.then_some((ids.1, digests.1));
+        assert_eq!(after, want, "{kind}: id and factor bits after the append");
+    }
+}
+
+/// Appends `rows` (bad at `cell` = (local row, col)) and asserts the
+/// typed rejection names the cell's row in the extended matrix, leaves
+/// the content id, and keeps the retained Gram a cache hit.
+fn assert_bad_append_rejected<S: IntervalShard, R: IntervalShard>(
+    session: &mut Pipeline<'_, S>,
+    rows: R,
+    cell: (usize, usize, f64, f64),
+    context: &str,
+) {
+    let id = session.content_id();
+    let (hits, misses) = (session.cache().hits(), session.cache().misses());
+    match session.append_rows(rows) {
+        Err(IvmfError::InvalidBounds { row, col, lo, hi }) => {
+            assert_eq!(
+                (row, col),
+                (session.shape().0 + cell.0, cell.1),
+                "{context}"
+            );
+            assert_eq!(
+                (lo.to_bits(), hi.to_bits()),
+                (cell.2.to_bits(), cell.3.to_bits()),
+                "{context}"
+            );
+        }
+        other => panic!("{context}: expected InvalidBounds, got {other:?}"),
+    }
+    assert_eq!(session.content_id(), id, "{context}: content id moved");
+    session.interval_gram().unwrap();
+    assert_eq!(
+        session.cache().hits(),
+        hits + 1,
+        "{context}: Gram not a hit"
+    );
+    assert_eq!(
+        session.cache().misses(),
+        misses,
+        "{context}: Gram recomputed"
+    );
+}
+
+#[test]
+fn appends_reject_nan_inf_and_inverted_bounds_before_any_state_changes() {
+    let (m, extra) = entry_kind_fixture();
+    let csr = CsrShardedIntervalMatrix::from_dense(&m, 7).unwrap();
+    let config = IsvdConfig::new(4);
+    let mut dense = Pipeline::new(&m, config).unwrap();
+    let mut sparse = Pipeline::new_sharded(&csr, config).unwrap();
+    dense.run(IsvdAlgorithm::Isvd2).unwrap();
+    sparse.run(IsvdAlgorithm::Isvd2).unwrap();
+    for (label, (i, j, lo, hi)) in [
+        ("NaN", (1, 4, f64::NAN, 2.0)),
+        ("+Inf", (3, 9, 0.5, f64::INFINITY)),
+        ("inverted", (4, 2, 3.0, 1.0)),
+    ] {
+        let mut bad = extra.clone().into_bounds();
+        bad.0[(i, j)] = lo;
+        bad.1[(i, j)] = hi;
+        let bad = IntervalMatrix::from_bounds(bad.0, bad.1).unwrap();
+        let cell = (i, j, lo, hi);
+        let bad_csr = CsrIntervalShard::from_dense(&bad);
+        assert_bad_append_rejected(&mut dense, bad.clone(), cell, &format!("dense {label}"));
+        assert_bad_append_rejected(&mut sparse, bad_csr, cell, &format!("csr {label}"));
+        assert_bad_append_rejected(&mut sparse, bad, cell, &format!("dense rows, csr {label}"));
+    }
+    // The sessions still take valid rows afterwards.
+    dense.append_rows(extra.clone()).unwrap();
+    sparse.append_rows(extra).unwrap();
+    assert_eq!(dense.shape(), (41, 11));
+    assert_eq!(sparse.shape(), (41, 11));
 }

@@ -6,14 +6,14 @@
 //!   Gram and the streamed scalar matmuls across random power-law
 //!   matrices, shard layouts (always including 1-row shards and
 //!   shard == n) and both matmul sides,
-//! * full ISVD0–4 through `run_all_sparse` equals the dense `run_all`
+//! * full ISVD0–4 through `run_all_sharded` equals the dense `run_all`
 //!   bitwise for every decomposition target and ≥ 4 shard layouts,
 //! * `IVMF_THREADS` (1 vs 4) never changes a bit of the sparse route,
 //! * degenerate shapes: rows with no stored entries, an entirely empty
 //!   shard, a single-nonzero matrix, and an all-zero matrix.
 
 use ivmf_core::pipeline::run_all;
-use ivmf_core::{run_all_sparse, DecompositionTarget, IsvdAlgorithm, IsvdConfig, IsvdResult};
+use ivmf_core::{run_all_sharded, DecompositionTarget, IsvdAlgorithm, IsvdConfig, IsvdResult};
 use ivmf_data::synthetic::{generate_power_law, PowerLawConfig};
 use ivmf_interval::{
     CsrIntervalShard, CsrShardedIntervalMatrix, IntervalMatrix, StreamingIntervalGram,
@@ -113,7 +113,7 @@ fn sparse_run_all_matches_dense_for_every_target_and_layout() {
         let reference = run_all(&dense, &config).unwrap();
         for shard_rows in [1usize, 5, 13, 34] {
             let sharded = CsrShardedIntervalMatrix::from_csr(&csr, shard_rows).unwrap();
-            let results = run_all_sparse(&sharded, &config).unwrap();
+            let results = run_all_sharded(&sharded, &config).unwrap();
             assert_results_bitwise(
                 &results,
                 &reference,
@@ -135,7 +135,7 @@ fn sparse_route_is_bitwise_invariant_across_thread_counts() {
     let prev = std::env::var(ivmf_par::THREADS_ENV).ok();
     for threads in ["1", "4"] {
         std::env::set_var(ivmf_par::THREADS_ENV, threads);
-        let results = run_all_sparse(&sharded, &config).unwrap();
+        let results = run_all_sharded(&sharded, &config).unwrap();
         assert_results_bitwise(&results, &reference, &format!("threads {threads}"));
     }
     match prev {
@@ -161,7 +161,7 @@ fn degenerate_sparse_shapes_match_dense() {
     for shard_rows in [1usize, 2, 3, 6] {
         let sharded = CsrShardedIntervalMatrix::from_csr(&csr, shard_rows).unwrap();
         assert_results_bitwise(
-            &run_all_sparse(&sharded, &config).unwrap(),
+            &run_all_sharded(&sharded, &config).unwrap(),
             &run_all(&dense, &config).unwrap(),
             &format!("empty-row matrix, shard_rows {shard_rows}"),
         );
@@ -171,7 +171,7 @@ fn degenerate_sparse_shapes_match_dense() {
     let single = CsrIntervalShard::from_triplets(7, 4, &[(3, 2, 1.5, 2.5)]).unwrap();
     let sharded = CsrShardedIntervalMatrix::from_csr(&single, 2).unwrap();
     assert_results_bitwise(
-        &run_all_sparse(&sharded, &config).unwrap(),
+        &run_all_sharded(&sharded, &config).unwrap(),
         &run_all(&single.to_dense(), &config).unwrap(),
         "single-nonzero matrix",
     );
@@ -180,7 +180,7 @@ fn degenerate_sparse_shapes_match_dense() {
     let empty = CsrIntervalShard::from_triplets(5, 4, &[]).unwrap();
     assert_eq!(empty.nnz(), 0);
     let sharded = CsrShardedIntervalMatrix::from_csr(&empty, 2).unwrap();
-    let sparse = run_all_sparse(&sharded, &config);
+    let sparse = run_all_sharded(&sharded, &config);
     let dense = run_all(&empty.to_dense(), &config);
     match (sparse, dense) {
         (Ok(s), Ok(d)) => assert_results_bitwise(&s, &d, "all-zero matrix"),

@@ -108,7 +108,7 @@ fn state_format_bytes_are_pinned() {
 
     let mut dense_session = Pipeline::new(&m, IsvdConfig::new(2)).unwrap();
     dense_session.interval_gram().unwrap();
-    let mut csr_session = Pipeline::new_sparse(&csr, IsvdConfig::new(2)).unwrap();
+    let mut csr_session = Pipeline::new_sharded(&csr, IsvdConfig::new(2)).unwrap();
     csr_session.interval_gram().unwrap();
     got.push(("dense snapshot", bytes(|w| dense_session.write_snapshot(w))));
     got.push(("sparse snapshot", bytes(|w| csr_session.write_snapshot(w))));
@@ -143,7 +143,7 @@ fn state_format_bytes_are_pinned() {
 
     // The pinned snapshot bytes restore the Gram accumulator.
     let snapshot = &got[9].1;
-    let mut restored = Pipeline::new_sparse(&csr, IsvdConfig::new(2)).unwrap();
+    let mut restored = Pipeline::new_sharded(&csr, IsvdConfig::new(2)).unwrap();
     let report = restored.read_snapshot(&mut &snapshot[..]);
     assert!(report.gram_restored && report.checksum_ok, "{report:?}");
 }

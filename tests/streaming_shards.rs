@@ -183,7 +183,7 @@ fn lazy_disk_loader_decomposes_end_to_end_identically_to_memory() {
     assert_results_bitwise(&streamed, &dense, "disk loader");
 
     // The one-pass out-of-core Gram agrees with the session's Gram stage.
-    let gram = stream_interval_gram(&path, 13).unwrap();
+    let gram = stream_interval_gram::<IntervalMatrix>(&path, 13).unwrap();
     assert_eq!(gram, *session.interval_gram().unwrap());
     std::fs::remove_file(&path).ok();
 }

@@ -23,10 +23,10 @@
 use std::path::PathBuf;
 
 use ivmf_core::pipeline::{run_all, Pipeline};
-use ivmf_core::{run_all_sparse, IsvdAlgorithm, IsvdConfig, IsvdResult};
+use ivmf_core::{run_all_sharded, IsvdAlgorithm, IsvdConfig, IsvdResult};
 use ivmf_data::stream::{CsrShardReader, CsrShardWriter};
 use ivmf_data::synthetic::{generate_power_law, generate_uniform, PowerLawConfig, SyntheticConfig};
-use ivmf_interval::{CsrShardedIntervalMatrix, RowShardedIntervalMatrix};
+use ivmf_interval::{CsrShardedIntervalMatrix, IntervalShard, RowShardedIntervalMatrix};
 use ivmf_linalg::streaming::GROUP_ROWS;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -56,7 +56,7 @@ fn assert_bitwise(a: &[IsvdResult], b: &[IsvdResult], algs: &[IsvdAlgorithm], co
 
 /// Runs all five algorithms and returns them with the session's snapshot
 /// bytes (written after the run, so they hold the retained accumulator).
-fn run_and_snapshot(mut session: Pipeline<'_>) -> (Vec<IsvdResult>, Vec<u8>) {
+fn run_and_snapshot<S: IntervalShard>(mut session: Pipeline<'_, S>) -> (Vec<IsvdResult>, Vec<u8>) {
     let results = session.run_all().unwrap().to_vec();
     let mut snapshot = Vec::new();
     session.write_snapshot(&mut snapshot).unwrap();
@@ -65,9 +65,9 @@ fn run_and_snapshot(mut session: Pipeline<'_>) -> (Vec<IsvdResult>, Vec<u8>) {
 
 /// ISVD2–4 after appending `extra` to a session that already folded its
 /// Gram.
-fn append_then_gram_route(
-    mut session: Pipeline<'_>,
-    append: impl FnOnce(&mut Pipeline<'_>),
+fn append_then_gram_route<S: IntervalShard>(
+    mut session: Pipeline<'_, S>,
+    append: impl FnOnce(&mut Pipeline<'_, S>),
 ) -> Vec<IsvdResult> {
     session.run(IsvdAlgorithm::Isvd2).unwrap();
     append(&mut session);
@@ -164,7 +164,7 @@ fn unit_fold_is_thread_count_invariant_on_every_route() {
 
         std::env::set_var(ivmf_env::THREADS, "1");
         let cold_dense = run_all(&dense_ext, &config).unwrap();
-        let cold_sparse = run_all_sparse(
+        let cold_sparse = run_all_sharded(
             &CsrShardedIntervalMatrix::from_csr(&csr_ext, GROUP_ROWS / 2).unwrap(),
             &config,
         )
@@ -184,7 +184,7 @@ fn unit_fold_is_thread_count_invariant_on_every_route() {
                 ),
                 (
                     "sparse in-memory",
-                    run_and_snapshot(Pipeline::new_sparse(&sparse, config).unwrap()),
+                    run_and_snapshot(Pipeline::new_sharded(&sparse, config).unwrap()),
                 ),
                 ("sparse streamed", run_and_snapshot(streamed())),
             ];
@@ -219,8 +219,8 @@ fn unit_fold_is_thread_count_invariant_on_every_route() {
                 &format!("{flavour}, dense append, IVMF_THREADS={threads}"),
             );
             let appended =
-                append_then_gram_route(Pipeline::new_sparse(&sparse, config).unwrap(), |s| {
-                    s.append_rows_csr(csr_extra.clone()).unwrap()
+                append_then_gram_route(Pipeline::new_sharded(&sparse, config).unwrap(), |s| {
+                    s.append_rows(csr_extra.clone()).unwrap()
                 });
             assert_bitwise(
                 &appended,
