@@ -1,7 +1,9 @@
 //! # ivmf-bench
 //!
 //! Experiment harnesses that regenerate every table and figure of the
-//! paper's evaluation section, plus Criterion micro-benchmarks.
+//! paper's evaluation section, and the shared runner they use. The
+//! workspace-level integration suites and examples are attached to this
+//! crate too.
 //!
 //! Each binary in `src/bin/` reproduces one artefact:
 //!
@@ -20,9 +22,9 @@
 //! (`IVMF_REPLICATES`, `IVMF_SCALE`, `IVMF_THREADS`,
 //! `IVMF_EXACT_INTERVAL`) so the full grids stay laptop-friendly.
 //!
-//! Run them with `cargo run --release -p ivmf-bench --bin <name>`. The
-//! `linalg_kernels` bench additionally records kernel medians and speedups
-//! to `BENCH_linalg.json` at the repository root.
+//! Run them with `cargo run --release -p ivmf-bench --bin <name>`.
+//! Performance is measured by the workload benchmark in `perfbench/`
+//! (declared in `BENCHMARK.json`), not by this crate.
 //!
 //! ## Example
 //!
@@ -60,93 +62,3 @@ pub use runner::{
     ExperimentOptions,
 };
 pub use table::Table;
-
-/// True when `IVMF_BENCH_SMOKE` is set to `1`/`true` (shared [`ivmf_env`]
-/// rule): the Criterion-style benches then run every benchmark with a
-/// single sample — the CI bitrot guard that keeps `cargo bench` runs fast
-/// while still exercising every kernel and the JSON emitters.
-pub fn bench_smoke_mode() -> bool {
-    ivmf_env::flag(ivmf_env::BENCH_SMOKE)
-}
-
-/// Samples per benchmark: 1 in smoke mode, 10 otherwise.
-pub fn bench_sample_count() -> usize {
-    if bench_smoke_mode() {
-        1
-    } else {
-        10
-    }
-}
-
-/// Reads the `(name, median_ns)` pairs out of a committed `BENCH_*.json`
-/// report (the format this workspace's bench emitters write: one result
-/// object per line). Missing or unparsable files yield an empty list —
-/// the benches then simply report no baseline ratios.
-///
-/// This is how the perf trajectory accumulates across PRs: each bench run
-/// compares against the medians *committed in the repository* rather than
-/// against constants frozen at some historical commit.
-pub fn read_bench_medians(path: &str) -> Vec<(String, u128)> {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return Vec::new();
-    };
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let Some(name) = extract_after(line, "\"name\": \"")
-            .map(|rest| rest.chars().take_while(|&c| c != '"').collect::<String>())
-        else {
-            continue;
-        };
-        let Some(ns) = extract_after(line, "\"median_ns\": ")
-            .map(|rest| {
-                rest.chars()
-                    .take_while(|c| c.is_ascii_digit())
-                    .collect::<String>()
-            })
-            .and_then(|digits| digits.parse::<u128>().ok())
-        else {
-            continue;
-        };
-        out.push((name, ns));
-    }
-    out
-}
-
-fn extract_after<'a>(line: &'a str, pattern: &str) -> Option<&'a str> {
-    line.find(pattern).map(|i| &line[i + pattern.len()..])
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn read_bench_medians_parses_the_emitted_format() {
-        let path =
-            std::env::temp_dir().join(format!("ivmf_bench_medians_{}.json", std::process::id()));
-        std::fs::write(
-            &path,
-            concat!(
-                "{\n  \"bench\": \"isvd_pipeline\",\n  \"results\": [\n",
-                "    {\"name\": \"isvd_pipeline/ISVD0\", \"median_ns\": 362795, \"baseline_ns\": 1},\n",
-                "    {\"name\": \"sym_eigen/128\", \"median_ns\": 3755107}\n",
-                "  ],\n  \"smoke\": false\n}\n"
-            ),
-        )
-        .unwrap();
-        let medians = read_bench_medians(path.to_str().unwrap());
-        assert_eq!(
-            medians,
-            vec![
-                ("isvd_pipeline/ISVD0".to_string(), 362_795),
-                ("sym_eigen/128".to_string(), 3_755_107),
-            ]
-        );
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn read_bench_medians_tolerates_missing_files() {
-        assert!(read_bench_medians("/nonexistent/ivmf/bench.json").is_empty());
-    }
-}

@@ -12,7 +12,7 @@
 //! identical to a cold recompute (every `f64` round-trips through its
 //! raw bit pattern, so every bit survives).
 //!
-//! ## File format (version 1)
+//! ## File format (version 2)
 //!
 //! Text record headers, binary payloads; payload byte counts make the
 //! records self-delimiting:

@@ -45,11 +45,11 @@
 
 use std::io::{self, Read, Write};
 
-use ivmf_interval::CsrIntervalShard;
+use ivmf_interval::{valid_input, CsrIntervalShard};
 use ivmf_linalg::pool;
 use ivmf_linalg::state_text::{
-    bad_state, checked_len, parse_usize_line, read_f64_run_into, read_line, read_usize_run_into,
-    write_f64_run, write_usize_run,
+    bad_state, checked_len, parse_usize_line, read_line, read_usize_run_into, write_f64_run,
+    write_usize_run,
 };
 
 use crate::fnv::fnv1a64;
@@ -134,26 +134,68 @@ pub fn encode_dense_rows(rows: usize, lo: &[f64], hi: &[f64]) -> io::Result<Vec<
     Ok(buf)
 }
 
+/// Reads a block's `lo` run and the `hi` run after it (`n` values each,
+/// as [`write_f64_run`] lays them out), appending them to `lo` / `hi`.
+/// The `hi` decode loop checks each cell against its freshly decoded
+/// lower bound and returns the block-relative index of the first that is
+/// not a proper interval — a NaN or infinite bound, or `lo > hi`; every
+/// value is appended either way.
+fn read_bound_runs_into(
+    r: &mut &[u8],
+    n: usize,
+    lo: &mut Vec<f64>,
+    hi: &mut Vec<f64>,
+) -> io::Result<Option<usize>> {
+    let nbytes = checked_len(n, 8)?;
+    // Both runs are `nbytes` plus a terminator.
+    if r.len() / 2 <= nbytes {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "block payload ends inside its bound runs",
+        ));
+    }
+    let (lo_run, rest) = r.split_at(nbytes + 1);
+    let (hi_run, rest) = rest.split_at(nbytes + 1);
+    if lo_run[nbytes] != b'\n' || hi_run[nbytes] != b'\n' {
+        return Err(bad_state("missing terminator after binary f64 run"));
+    }
+    let decode = |c: &[u8]| f64::from_le_bytes(c.try_into().expect("8-byte chunk"));
+    let start = lo.len();
+    lo.extend(lo_run[..nbytes].chunks_exact(8).map(decode));
+    let mut bad = None;
+    let cells = hi_run[..nbytes].chunks_exact(8).zip(&lo[start..]);
+    hi.extend(cells.enumerate().map(|(i, (c, &l))| {
+        let h = decode(c);
+        if !valid_input(l, h) && bad.is_none() {
+            bad = Some(i);
+        }
+        h
+    }));
+    *r = rest;
+    Ok(bad)
+}
+
 /// Decodes a `REC_DENSE_BLOCK` payload, appending the block's `lo` / `hi`
-/// values to the caller's buffers and returning the block's row count.
-/// Appends nothing useful on error — callers treat any failure as fatal
-/// for the read.
+/// values to the caller's buffers. Returns the block's row count and the
+/// row-major index within the block of its first cell that is not a
+/// proper interval (NaN or ±Inf bound, or `lo > hi`), if any. Appends
+/// nothing useful on error — callers treat any failure as fatal for the
+/// read.
 pub fn decode_dense_block_into(
     payload: &[u8],
     cols: usize,
     lo: &mut Vec<f64>,
     hi: &mut Vec<f64>,
-) -> io::Result<usize> {
+) -> io::Result<(usize, Option<usize>)> {
     let mut r: &[u8] = payload;
     let line = read_line(&mut r)?;
     let rows = parse_usize_line(&line, 1)?[0];
     let n = checked_len(rows, cols)?;
-    read_f64_run_into(&mut r, n, lo)?;
-    read_f64_run_into(&mut r, n, hi)?;
+    let bad = read_bound_runs_into(&mut r, n, lo, hi)?;
     if !r.is_empty() {
         return Err(bad_state("trailing bytes after dense block payload"));
     }
-    Ok(rows)
+    Ok((rows, bad))
 }
 
 /// Encodes a sparse CSR interval row block as a `REC_CSR_BLOCK` payload.
@@ -169,15 +211,17 @@ pub fn encode_csr_block(s: &CsrIntervalShard) -> io::Result<Vec<u8>> {
 }
 
 /// Decodes a `REC_CSR_BLOCK` payload, appending the block to the caller's
-/// staged CSR arrays and returning the block's row count.
+/// staged CSR arrays. Returns the block's row count and the index within
+/// the block of its first stored entry that is not a proper interval
+/// (NaN or ±Inf bound, or `lo > hi`), if any.
 ///
 /// `row_ptr` holds *absolute* offsets into the staged entry arrays: if it
 /// is empty the leading `0` is pushed first, and the block's offsets are
 /// rebased onto the current last offset, so consecutive blocks stack into
 /// one contiguous staged run. Offset monotonicity, the final-offset/entry
-///-count agreement and the column range are validated here; the full
-/// structural validation (sorted unique columns, proper intervals) runs
-/// when a [`CsrIntervalShard`] is assembled from the staged rows.
+///-count agreement, the column range and the intervals are validated
+/// here; the rest of the structural validation (sorted unique columns)
+/// runs when a [`CsrIntervalShard`] is assembled from the staged rows.
 pub fn decode_csr_block_into(
     payload: &[u8],
     cols: usize,
@@ -185,7 +229,7 @@ pub fn decode_csr_block_into(
     col_idx: &mut Vec<usize>,
     lo: &mut Vec<f64>,
     hi: &mut Vec<f64>,
-) -> io::Result<usize> {
+) -> io::Result<(usize, Option<usize>)> {
     let mut r: &[u8] = payload;
     let line = read_line(&mut r)?;
     let dims = parse_usize_line(&line, 2)?;
@@ -228,12 +272,11 @@ pub fn decode_csr_block_into(
             "CSR block column index out of range for {cols} columns"
         )));
     }
-    read_f64_run_into(&mut r, nnz, lo)?;
-    read_f64_run_into(&mut r, nnz, hi)?;
+    let bad = read_bound_runs_into(&mut r, nnz, lo, hi)?;
     if !r.is_empty() {
         return Err(bad_state("trailing bytes after CSR block payload"));
     }
-    Ok(rows)
+    Ok((rows, bad))
 }
 
 #[cfg(test)]
@@ -279,7 +322,7 @@ mod tests {
     /// structural validation.
     fn decode_csr(payload: &[u8], cols: usize) -> io::Result<CsrIntervalShard> {
         let (mut rp, mut ci, mut lo, mut hi) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
-        let rows = decode_csr_block_into(payload, cols, &mut rp, &mut ci, &mut lo, &mut hi)?;
+        let (rows, _) = decode_csr_block_into(payload, cols, &mut rp, &mut ci, &mut lo, &mut hi)?;
         CsrIntervalShard::new(rows, cols, rp, ci, lo, hi).map_err(|e| bad_state(e.to_string()))
     }
 
@@ -324,9 +367,8 @@ mod tests {
             let (lo, hi) = dense_block(rows, cols, 11 + rows as u64);
             let payload = encode_dense_rows(rows, &lo, &hi).unwrap();
             let (mut back_lo, mut back_hi) = (Vec::new(), Vec::new());
-            let back_rows =
-                decode_dense_block_into(&payload, cols, &mut back_lo, &mut back_hi).unwrap();
-            assert_eq!(back_rows, rows);
+            let back = decode_dense_block_into(&payload, cols, &mut back_lo, &mut back_hi).unwrap();
+            assert_eq!(back, (rows, None));
             assert_eq!(lo, back_lo);
             assert_eq!(hi, back_hi);
         }
@@ -345,7 +387,7 @@ mod tests {
                 &mut hi
             )
             .unwrap(),
-            2
+            (2, None)
         );
         assert_eq!(
             decode_dense_block_into(
@@ -355,7 +397,7 @@ mod tests {
                 &mut hi
             )
             .unwrap(),
-            4
+            (4, None)
         );
         let mut want_lo = a.0.clone();
         want_lo.extend_from_slice(&b.0);
@@ -398,7 +440,7 @@ mod tests {
             &mut hi,
         )
         .unwrap();
-        assert_eq!((ra, rb), (3, 5));
+        assert_eq!((ra, rb), ((3, None), (5, None)));
         assert_eq!(rp.len(), 9);
         assert_eq!(*rp.last().unwrap(), a.nnz() + b.nnz());
         assert_eq!(ci.len(), a.nnz() + b.nnz());

@@ -41,8 +41,15 @@ pub trait Stage: Default + fmt::Debug + Send + 'static {
     fn encode(shard: &Self::Shard, start: usize) -> io::Result<(usize, Vec<u8>)>;
     /// Rows decoded but not yet emitted.
     fn pending(&self) -> usize;
-    /// Decodes one block record payload onto the end of the stage.
-    fn decode(&mut self, payload: &[u8], cols: usize) -> io::Result<()>;
+    /// Decodes one block record payload onto the end of the stage and
+    /// returns its first cell that is not a proper interval (a NaN or
+    /// infinite bound, or `lo > hi`) as `(row within the block, col, lo,
+    /// hi)`, if any.
+    fn decode(
+        &mut self,
+        payload: &[u8],
+        cols: usize,
+    ) -> io::Result<Option<(usize, usize, f64, f64)>>;
     /// Emits the next `take` staged rows into pooled buffers.
     fn emit(&mut self, take: usize, cols: usize) -> io::Result<Self::Shard>;
     /// Empties the stage for a rewind.
@@ -84,10 +91,16 @@ impl Stage for DenseStage {
         self.rows_staged - self.row_off
     }
 
-    fn decode(&mut self, payload: &[u8], cols: usize) -> io::Result<()> {
-        self.rows_staged +=
+    fn decode(
+        &mut self,
+        payload: &[u8],
+        cols: usize,
+    ) -> io::Result<Option<(usize, usize, f64, f64)>> {
+        let start = self.lo.len();
+        let (rows, bad) =
             binfmt::decode_dense_block_into(payload, cols, &mut self.lo, &mut self.hi)?;
-        Ok(())
+        self.rows_staged += rows;
+        Ok(bad.map(|i| (i / cols, i % cols, self.lo[start + i], self.hi[start + i])))
     }
 
     fn emit(&mut self, take: usize, cols: usize) -> io::Result<IntervalMatrix> {
@@ -164,8 +177,13 @@ impl Stage for CsrStage {
         self.rows_staged - self.row_off
     }
 
-    fn decode(&mut self, payload: &[u8], cols: usize) -> io::Result<()> {
-        self.rows_staged += binfmt::decode_csr_block_into(
+    fn decode(
+        &mut self,
+        payload: &[u8],
+        cols: usize,
+    ) -> io::Result<Option<(usize, usize, f64, f64)>> {
+        let (first_row, start) = (self.rows_staged, self.lo.len());
+        let (rows, bad) = binfmt::decode_csr_block_into(
             payload,
             cols,
             &mut self.row_ptr,
@@ -173,7 +191,14 @@ impl Stage for CsrStage {
             &mut self.lo,
             &mut self.hi,
         )?;
-        Ok(())
+        self.rows_staged += rows;
+        Ok(bad.map(|i| {
+            let e = start + i;
+            // Entry `e` lies in the block row after every row ending at or
+            // before it.
+            let row = self.row_ptr[first_row + 1..].partition_point(|&p| p <= e);
+            (row, self.col_idx[e], self.lo[e], self.hi[e])
+        }))
     }
 
     /// Emits the next `take` rows with their offsets rebased to 0.

@@ -51,8 +51,9 @@
 //!
 //! Readers treat the file as untrusted input. A file without the magic,
 //! a malformed or wrong-kind header, a dimension overflow, a premature
-//! end of file and rows beyond the declared count are each rejected with
-//! a typed [`StreamError`] carried inside the returned `io::Error`
+//! end of file, rows beyond the declared count and a cell that is not a
+//! proper interval (a NaN or ±Inf bound, or `lo > hi`) are each rejected
+//! with a typed [`StreamError`] carried inside the returned `io::Error`
 //! (downcast via [`StreamError::from_io`]); record checksums and the
 //! record length cap reject corrupted bytes before they are decoded.
 
@@ -83,7 +84,7 @@ pub(crate) fn invalid_data(msg: String) -> io::Error {
 /// (kind `UnexpectedEof` for [`StreamError::UnexpectedEof`],
 /// `InvalidData` otherwise); recover the typed value with
 /// [`StreamError::from_io`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum StreamError {
     /// The file is not an "ivmf shards v1" container, or its header
     /// record is not a valid `dense <rows> <cols>` (dense) or
@@ -120,6 +121,20 @@ pub enum StreamError {
         /// header).
         row: usize,
     },
+    /// A stored cell is not a proper interval: a bound is NaN or
+    /// infinite, or `lo > hi`.
+    InvalidCell {
+        /// File holding the cell.
+        path: String,
+        /// 0-based row of the cell in the whole matrix.
+        row: usize,
+        /// 0-based column of the cell.
+        col: usize,
+        /// The stored lower bound.
+        lo: f64,
+        /// The stored upper bound.
+        hi: f64,
+    },
 }
 
 impl fmt::Display for StreamError {
@@ -141,6 +156,16 @@ impl fmt::Display for StreamError {
                     write!(f, "{path}: data past the declared {row} rows")
                 }
             }
+            StreamError::InvalidCell {
+                path,
+                row,
+                col,
+                lo,
+                hi,
+            } => write!(
+                f,
+                "{path}: cell ({row}, {col}) holds [{lo}, {hi}], not a finite interval with lo <= hi"
+            ),
         }
     }
 }
@@ -414,16 +439,28 @@ impl<S: Stage> ContainerReader<S> {
         .into_io()
     }
 
-    /// Reads the next record: a block is decoded onto the stage, the end
-    /// record marks the container done, and end of file before the end
-    /// record is an `UnexpectedEof` at `row`.
+    /// Reads the next record: a block is decoded onto the stage (`row` is
+    /// the global row of its first row; a cell that is not a proper
+    /// interval is an [`StreamError::InvalidCell`]), the end record marks
+    /// the container done, and end of file before the end record is an
+    /// `UnexpectedEof` at `row`.
     fn next_record(&mut self, row: usize) -> io::Result<()> {
         match binfmt::read_record(&mut self.reader)? {
             // End of file without an end record: the writer never
             // finished this container.
             None => Err(self.eof(row)),
             Some((kind, payload)) if kind == S::LAYOUT.block => {
-                self.stage.decode(&payload, self.cols)
+                match self.stage.decode(&payload, self.cols)? {
+                    None => Ok(()),
+                    Some((r, col, lo, hi)) => Err(StreamError::InvalidCell {
+                        path: self.path.display().to_string(),
+                        row: row + r,
+                        col,
+                        lo,
+                        hi,
+                    }
+                    .into_io()),
+                }
             }
             Some((binfmt::REC_END, _)) => {
                 self.done = true;

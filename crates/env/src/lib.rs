@@ -4,10 +4,9 @@
 //! the canonical variable names and the (previously per-crate, ad-hoc)
 //! parsing rules. Every consumer — the worker pool in `ivmf-par`, the
 //! interval-product dispatch in `ivmf-interval`, the shard loaders in
-//! `ivmf-data`, the experiment binaries and Criterion-style benches in
-//! `ivmf-bench` — goes through these helpers, so a variable is parsed the
-//! same way everywhere and the README's environment table has a single
-//! source of truth to point at.
+//! `ivmf-data`, the experiment binaries in `ivmf-bench` — goes through
+//! these helpers, so a variable is parsed the same way everywhere and the
+//! README's environment table has a single source of truth to point at.
 //!
 //! | variable | consumed by | meaning |
 //! |---|---|---|
@@ -19,12 +18,12 @@
 //! | [`PREFETCH`] | `ivmf-data`, `ivmf-core` | shard prefetch depth `0`/`1`/`2` (default 1): background-thread decode of the next shard(s) while the current one folds; `0` disables the thread |
 //! | [`REPLICATES`] | `ivmf-bench` | seeded replicates the `exp_*` binaries average over (default 5) |
 //! | [`SCALE`] | `ivmf-bench` | size multiplier in `(0, 1]` for the larger data sets |
-//! | [`BENCH_SMOKE`] | `ivmf-bench` | `1`/`true` runs every bench with a single sample (CI bitrot guard) |
-//! | [`BENCH_OUT`] | `linalg_kernels` bench | output path override for `BENCH_linalg.json` |
-//! | [`BENCH_ISVD_OUT`] | `isvd_pipeline` bench | output path override for `BENCH_isvd.json` |
+//! | [`BENCH_SMOKE`] | retired, listed by perfbench | single-sample mode of the deleted micro-benchmarks |
+//! | [`BENCH_OUT`] | retired, listed by perfbench | report path of the deleted kernel micro-benchmark |
+//! | [`BENCH_ISVD_OUT`] | retired, listed by perfbench | report path of the deleted pipeline micro-benchmark |
 //!
-//! [`WORKERS`], [`WORKER_SPAWN`], [`SHARD_FORMAT`] and [`SHARD_ROWS`] are
-//! retired names that no crate reads.
+//! [`WORKERS`], [`WORKER_SPAWN`], [`SHARD_FORMAT`], [`SHARD_ROWS`] and the
+//! three `BENCH_*` names are retired names that no crate reads.
 //!
 //! **Unset** variables always fall back to the documented default. A
 //! variable that is **set but malformed** (`IVMF_THREADS=abc`,
@@ -123,13 +122,18 @@ pub const REPLICATES: &str = "IVMF_REPLICATES";
 /// Size multiplier in `(0, 1]` applied to the larger experiment data sets.
 pub const SCALE: &str = "IVMF_SCALE";
 
-/// When truthy, every Criterion-style bench runs with a single sample.
+/// Retired: ran every micro-benchmark with a single sample. The
+/// micro-benchmarks are deleted (the workload benchmark in `perfbench/` is
+/// the only one) and no crate reads it; the name stays for the workload
+/// benchmark's source, which lists (and clears) it.
 pub const BENCH_SMOKE: &str = "IVMF_BENCH_SMOKE";
 
-/// Output path override for the kernel bench's `BENCH_linalg.json`.
+/// Retired with [`BENCH_SMOKE`]: set the kernel micro-benchmark's report
+/// path.
 pub const BENCH_OUT: &str = "IVMF_BENCH_OUT";
 
-/// Output path override for the pipeline bench's `BENCH_isvd.json`.
+/// Retired with [`BENCH_SMOKE`]: set the pipeline micro-benchmark's report
+/// path.
 pub const BENCH_ISVD_OUT: &str = "IVMF_BENCH_ISVD_OUT";
 
 /// A set-but-malformed `IVMF_*` environment variable.

@@ -61,8 +61,8 @@ pub use matrix::IntervalMatrix;
 pub use mr::{exact_interval_forced, MrMatrix, EXACT_INTERVAL_ENV, MR_MIN_WORK};
 pub use scalar::Interval;
 pub use sharded::{
-    use_mr_gram, BoundBlocks, IntervalShard, RowShardSource, RowShardedIntervalMatrix, ShardSource,
-    ShardWalk, ShardedIntervalMatrix, StreamingIntervalGram,
+    use_mr_gram, valid_input, BoundBlocks, IntervalShard, RowShardSource, RowShardedIntervalMatrix,
+    ShardSource, ShardWalk, ShardedIntervalMatrix, StreamingIntervalGram,
 };
 pub use sparse::{CsrIntervalShard, CsrShardSource, CsrShardedIntervalMatrix};
 pub use vector::IntervalVector;

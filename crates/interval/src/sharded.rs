@@ -187,8 +187,9 @@ impl IntervalShard for IntervalMatrix {
 }
 
 /// A valid input interval: finite bounds with `lo <= hi`. (Intermediate
-/// factors may be improper; input rows may not.)
-pub(crate) fn valid_input(lo: f64, hi: f64) -> bool {
+/// factors may be improper; input rows — appended or read from a shard
+/// file — may not.)
+pub fn valid_input(lo: f64, hi: f64) -> bool {
     lo.is_finite() && hi.is_finite() && lo <= hi
 }
 

@@ -578,8 +578,8 @@ impl Matrix {
     /// operands contiguously and skipping zero entries of `self` (a win on
     /// the sparse synthetic workloads).
     ///
-    /// Kept callable so the `linalg_kernels` bench can track the blocked
-    /// kernel's speedup against it and so tests can cross-check the two.
+    /// Kept as the tests' reference: they cross-check the packed kernel
+    /// against it.
     pub fn matmul_naive(&self, rhs: &Matrix) -> Result<Matrix> {
         self.matmul_with(
             rhs,

@@ -156,11 +156,10 @@ pub fn read_f64_run(r: &mut dyn BufRead, expected: usize) -> io::Result<Vec<f64>
     Ok(out)
 }
 
-/// [`read_f64_run`] appending into a caller-supplied buffer — the
-/// allocation-free variant the pooled ingest path uses (the buffer
-/// typically comes from [`crate::pool::take_f64`] and already has the
-/// capacity from a previous round). Appends exactly `expected` values or
-/// returns an error with `out` in an unspecified (but valid) state.
+/// [`read_f64_run`] appending into a caller-supplied buffer (e.g. one
+/// from [`crate::pool::take_f64`] that already has the capacity from a
+/// previous round). Appends exactly `expected` values or returns an error
+/// with `out` in an unspecified (but valid) state.
 pub fn read_f64_run_into(
     r: &mut dyn BufRead,
     expected: usize,

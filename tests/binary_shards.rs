@@ -10,20 +10,24 @@
 //!   arbitrary byte (truncation, bit flip, hard I/O error via
 //!   `ivmf_data::fault`) always surfaces a typed `io::Error` or a clean
 //!   end-of-stream — never a panic and never silently wrong data;
+//! * **cell validation**: a stored cell that is not a proper interval
+//!   (NaN or ±Inf bound, or lo > hi) is a typed error naming its cell;
 //! * **prefetch / pool bitwise identity**: all five ISVD algorithms over
 //!   a disk-streamed session (`Pipeline::new_streaming_send` /
 //!   `new_streaming_csr_send`) produce bitwise-identical factors at
 //!   every `IVMF_PREFETCH` depth (0, 1, 2), from containers blocked two
 //!   different ways, and on a re-run that reuses the dirty buffer pool.
 
-use std::io::Read;
+use std::io::{self, Read};
 use std::path::PathBuf;
 use std::sync::Mutex;
 
 use ivmf_core::pipeline::{run_all, Pipeline};
 use ivmf_core::{IsvdAlgorithm, IsvdConfig, IsvdResult};
 use ivmf_data::fault::{FaultSchedule, FaultyReader};
-use ivmf_data::stream::{CsrShardReader, CsrShardWriter, ShardReader, ShardWriter};
+use ivmf_data::stream::{
+    load_sharded, CsrShardReader, CsrShardWriter, ShardReader, ShardWriter, StreamError,
+};
 use ivmf_data::{binfmt, synthetic};
 use ivmf_interval::{CsrIntervalShard, IntervalMatrix, RowShardedIntervalMatrix};
 use ivmf_linalg::Matrix;
@@ -323,4 +327,59 @@ fn streamed_csr_sessions_are_prefetch_pool_and_format_invariant() {
     std::env::remove_var(ivmf_env::PREFETCH);
     std::fs::remove_file(&pt).ok();
     std::fs::remove_file(&pb).ok();
+}
+
+/// The shard readers reject a stored cell that is not a proper interval —
+/// a NaN or ±Inf bound, or lo > hi — with a typed error naming its global
+/// row and column, in dense and CSR containers, through `load_sharded`
+/// and through a lazy session. Unchecked, the exact-flavour Gram envelope
+/// drops a NaN and reads finite while ISVD2's left factor comes out NaN.
+#[test]
+fn readers_reject_improper_cells_naming_the_cell() {
+    // Poisoned (row, col, lo, hi) cells, and the first one in row order.
+    type Cell = (usize, usize, f64, f64);
+    let cases: [(&[Cell], (usize, usize)); 3] = [
+        (&[(7, 2, f64::NAN, 0.5), (9, 4, 0.5, 0.25)], (7, 2)),
+        (&[(9, 4, 0.5, 0.25)], (9, 4)),
+        (&[(5, 1, 0.25, f64::INFINITY)], (5, 1)),
+    ];
+    let base = dense_matrix(12, 5, 3);
+    for (cells, (row, col)) in cases {
+        let (mut lo, mut hi) = (base.lo().clone(), base.hi().clone());
+        for &(r, c, l, h) in cells {
+            lo[(r, c)] = l;
+            hi[(r, c)] = h;
+        }
+        let m = IntervalMatrix::from_bounds(lo, hi).unwrap();
+        let (pd, pc) = (tmp_path("bad_dense"), tmp_path("bad_csr"));
+        // Four-row records, read in three-row shards: the bad cells sit
+        // past the first record and off the shard boundaries.
+        write_dense(&pd, &m, 4);
+        write_csr(&pc, &CsrIntervalShard::from_dense(&m), 4);
+        let cell = format!("cell ({row}, {col})");
+        let check_io = |err: io::Error| {
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            match StreamError::from_io(&err) {
+                Some(StreamError::InvalidCell { row: r, col: c, .. }) => {
+                    assert_eq!((*r, *c), (row, col))
+                }
+                other => panic!("expected InvalidCell at {cell}, got {other:?}"),
+            }
+            assert!(err.to_string().contains(&cell), "{err}");
+        };
+        check_io(load_sharded::<IntervalMatrix>(&pd, 3).unwrap_err());
+        check_io(load_sharded::<CsrIntervalShard>(&pc, 3).unwrap_err());
+
+        let config = IsvdConfig::new(2);
+        let dense = Pipeline::new_streaming(Box::new(ShardReader::open(&pd, 3).unwrap()), config)
+            .and_then(|mut s| s.run(IsvdAlgorithm::Isvd2));
+        let csr =
+            Pipeline::new_streaming_csr(Box::new(CsrShardReader::open(&pc, 3).unwrap()), config)
+                .and_then(|mut s| s.run(IsvdAlgorithm::Isvd2));
+        for err in [dense.unwrap_err(), csr.unwrap_err()] {
+            assert!(err.to_string().contains(&cell), "{err}");
+        }
+        std::fs::remove_file(&pd).ok();
+        std::fs::remove_file(&pc).ok();
+    }
 }

@@ -12,9 +12,10 @@
 //! * the fallback-to-full path demonstrably triggers on a starved basis,
 //!   and with fallback disabled the typed `NoConvergence` error stays
 //!   reachable,
-//! * on the Grams the decomposition pipeline truncates, the default basis
-//!   cap returns every answer a `4k + 32` cap certifies bitwise unchanged
-//!   and certifies the ones that cap cannot without the dense solver,
+//! * on the Grams the decomposition pipeline truncates (and a uniform
+//!   320×256 Gram on the forced path), the default basis cap returns
+//!   every answer a `4k + 32` cap certifies bitwise unchanged and
+//!   certifies the ones that cap cannot without the dense solver,
 //! * NaN and ±Inf entries are rejected up front on every path with a
 //!   typed error naming their position.
 //!
@@ -319,44 +320,57 @@ fn anchor_basis(n: usize, k: usize) -> usize {
 
 #[test]
 fn default_cap_returns_every_anchor_certified_answer_bitwise() {
-    let (mut certified, mut rescued) = (0, 0);
+    let mut inputs = Vec::new();
     for (seed, rows, cols) in [(1000, 560, 256), (1003, 480, 250)] {
         for (name, a) in pipeline_grams(seed, rows, cols) {
-            for k in [5, 10, 20] {
-                let context = format!("{rows}x{cols} seed {seed} {name} k={k}");
-                let (eig, report) = sym_eigen_topk_report(&a, k, &TopkOptions::default()).unwrap();
-                assert!(!report.used_dense, "{context}: the dense solver ran");
-                let short = TopkOptions::default()
-                    .with_max_basis(anchor_basis(cols, k))
-                    .with_fallback(false);
-                match sym_eigen_topk_report(&a, k, &short) {
-                    Ok((short_eig, short_report)) => {
-                        certified += 1;
-                        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-                        assert_eq!(
-                            bits(&eig.eigenvalues),
-                            bits(&short_eig.eigenvalues),
-                            "{context}: eigenvalues"
-                        );
-                        assert_eq!(
-                            bits(eig.eigenvectors.as_slice()),
-                            bits(short_eig.eigenvectors.as_slice()),
-                            "{context}: eigenvectors"
-                        );
-                        assert_eq!(report.basis_size, short_report.basis_size, "{context}");
-                        assert_eq!(
-                            bits(&report.residuals),
-                            bits(&short_report.residuals),
-                            "{context}: residuals"
-                        );
-                    }
-                    Err(LinalgError::NoConvergence { .. }) => {
-                        rescued += 1;
-                        assert!(report.basis_size > anchor_basis(cols, k), "{context}");
-                        assert_certified(&a, &eig, &context);
-                    }
-                    Err(e) => panic!("{context}: {e:?}"),
+            inputs.push((
+                format!("{rows}x{cols} seed {seed} {name}"),
+                a,
+                TopkOptions::default(),
+            ));
+        }
+    }
+    // The Gram of a uniform 320×256 factor on the forced top-k path.
+    let uniform = uniform_matrix(&mut SmallRng::seed_from_u64(8), 320, 256, -1.0, 1.0).gram();
+    inputs.push(("uniform 320x256 forced".to_string(), uniform, forced()));
+    let (mut certified, mut rescued) = (0, 0);
+    for (input, a, opts) in inputs {
+        let cols = a.cols();
+        for k in [5, 10, 20] {
+            let context = format!("{input} k={k}");
+            let (eig, report) = sym_eigen_topk_report(&a, k, &opts).unwrap();
+            assert!(!report.used_dense, "{context}: the dense solver ran");
+            let short = opts
+                .clone()
+                .with_max_basis(anchor_basis(cols, k))
+                .with_fallback(false);
+            match sym_eigen_topk_report(&a, k, &short) {
+                Ok((short_eig, short_report)) => {
+                    certified += 1;
+                    let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(&eig.eigenvalues),
+                        bits(&short_eig.eigenvalues),
+                        "{context}: eigenvalues"
+                    );
+                    assert_eq!(
+                        bits(eig.eigenvectors.as_slice()),
+                        bits(short_eig.eigenvectors.as_slice()),
+                        "{context}: eigenvectors"
+                    );
+                    assert_eq!(report.basis_size, short_report.basis_size, "{context}");
+                    assert_eq!(
+                        bits(&report.residuals),
+                        bits(&short_report.residuals),
+                        "{context}: residuals"
+                    );
                 }
+                Err(LinalgError::NoConvergence { .. }) => {
+                    rescued += 1;
+                    assert!(report.basis_size > anchor_basis(cols, k), "{context}");
+                    assert_certified(&a, &eig, &context);
+                }
+                Err(e) => panic!("{context}: {e:?}"),
             }
         }
     }
