@@ -546,8 +546,8 @@ impl StageCache {
     /// subsequent lookup that consumes the entry reports a hit, which is
     /// exactly the accounting signal "this run did not recompute the
     /// stage".
-    pub(crate) fn seed<T: Any>(&mut self, key: StageKey, value: Rc<T>) {
-        self.entries.insert(key, value as Rc<dyn Any>);
+    pub(crate) fn seed(&mut self, key: StageKey, value: Rc<dyn Any>) {
+        self.entries.insert(key, value);
     }
 
     /// Read access to the raw entry map for the snapshot writer.

@@ -12,26 +12,29 @@
 //! identical to a cold recompute (every `f64` round-trips through its
 //! raw bit pattern, so every bit survives).
 //!
-//! ## File format (version 2)
+//! ## File format (version 3)
 //!
-//! Text record headers, binary payloads; payload byte counts make the
-//! records self-delimiting:
+//! One [`ivmf_data::binfmt`] record container — the shard files' frame
+//! (`[kind: u8] [len: u64 LE] [payload] [fnv1a64(payload): u64 LE]`) and
+//! kind table — behind a magic of its own:
 //!
 //! ```text
-//! ivmf snapshot v2
-//! matrix <content-id:016x>
-//! entry <stage> <fingerprint:016x> <nbytes> <payload-hash:016x>
-//! <payload: exactly nbytes bytes, little-endian u64/f64-bits fields>
+//! [magic: b"ivmfsn3\n"]
+//! [REC_SNAPSHOT_MATRIX] <content-id: u64 LE>
+//! [REC_SNAPSHOT_ENTRY]  <content-id:016x> <stage> <fingerprint:016x>\n <stage payload>
 //! …
-//! gram <nbytes> <payload-hash:016x>
-//! <payload: dense|sparse accumulator state>
-//! end <file-hash:016x>
+//! [REC_SNAPSHOT_GRAM]   <content-id:016x>\n <StreamingIntervalGram::write_state>
+//! [REC_END]             <fnv1a64 of every byte before this record: u64 LE>
 //! ```
 //!
-//! Every payload carries its own FNV-1a content hash, and the trailing
-//! `end` record hashes everything before it. Entries are sorted by stage
-//! name and fingerprint, so snapshotting the same session state twice
-//! produces identical bytes.
+//! Stage payloads use the [`ivmf_linalg::state_text`] codec: a text line
+//! of dimensions, then raw little-endian binary runs, for each matrix or
+//! vector of the stage's output in field order. Every record carries its
+//! own checksum, and the `REC_END` record hashes everything before it.
+//! Every state record's header line names the matrix it belongs to, so a
+//! record spliced in from another matrix's snapshot never restores.
+//! Entries are sorted by stage name and fingerprint, so snapshotting the
+//! same session state twice produces identical bytes.
 //!
 //! ## Recovery policy
 //!
@@ -42,16 +45,19 @@
 //! | failure | effect |
 //! |---|---|
 //! | file missing | nothing restored (cold start) |
-//! | unknown version line | nothing restored |
+//! | unknown magic | nothing restored |
 //! | `matrix` id ≠ session's content id | every record dropped (stale snapshot) |
+//! | record's content id ≠ session's (spliced record) | that record dropped |
 //! | whole-file hash mismatch / missing `end` | per-entry salvage: each record stands on its own hash |
 //! | payload hash mismatch (bit rot) | that record dropped |
-//! | truncated payload (torn write, kill) | that record and the unreadable tail dropped |
+//! | truncated payload (torn write, kill), or a length past the end or over `MAX_RECORD_LEN` | that record and the unreadable tail dropped |
 //! | undecodable payload | that record dropped |
 //! | accumulator row count ≠ session rows | gram record dropped |
 //!
 //! Dropped state is simply recomputed on next use; restored entries are
-//! consumed as ordinary cache hits.
+//! consumed as ordinary cache hits. The writer skips an entry whose
+//! payload would exceed `MAX_RECORD_LEN`, the way it skips a foreign
+//! one, so it never writes a record its own reader rejects.
 //!
 //! ## Automatic warm restarts
 //!
@@ -66,24 +72,29 @@
 //! is indistinguishable from the computed one.
 
 use std::any::Any;
-use std::collections::HashMap;
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
 
 use ivmf_align::Alignment;
+use ivmf_data::binfmt::{self, Frame, REC_END, REC_SNAPSHOT_ENTRY, REC_SNAPSHOT_GRAM};
+use ivmf_data::fnv::fnv1a64;
 use ivmf_interval::{IntervalMatrix, IntervalShard, StreamingIntervalGram};
-use ivmf_linalg::state_text::{bad_state, checked_len, read_line};
+use ivmf_linalg::state_text::{
+    bad_state, checked_len, parse_usize_line, read_f64_run, read_line, read_usize_run_into,
+    write_f64_run, write_usize_run,
+};
 use ivmf_linalg::svd::Svd;
 use ivmf_linalg::Matrix;
 
 use crate::isvd::BoundEigen;
 use crate::pipeline::{AlignedSolveOut, BoundSvds, GramState, Pipeline, StageId, StageKey};
 
-/// First line of every snapshot this version of the crate writes. A
-/// different line (future format bump, corruption) restores nothing.
-const VERSION_LINE: &str = "ivmf snapshot v2";
+/// Leading bytes of every snapshot this version of the crate writes.
+/// Anything else — a `v2` text-framed snapshot, a future format bump,
+/// corruption — restores nothing (a clean cold start).
+const MAGIC: [u8; 8] = *b"ivmfsn3\n";
 
 /// Outcome of a snapshot restore: how much state survived validation.
 ///
@@ -93,7 +104,7 @@ const VERSION_LINE: &str = "ivmf snapshot v2";
 pub struct RestoreReport {
     /// Stage-cache entries that validated and were seeded into the cache.
     pub restored: usize,
-    /// Records rejected by any validation step (hash, version, stale
+    /// Records rejected by any validation step (checksum, magic, stale
     /// matrix id, truncation, undecodable payload).
     pub dropped: usize,
     /// True when the retained Gram accumulator was restored, re-arming
@@ -106,19 +117,146 @@ pub struct RestoreReport {
 }
 
 // ---------------------------------------------------------------------------
-// Hashing.
+// Payload codec: `state_text` header lines and binary runs.
 // ---------------------------------------------------------------------------
 
-/// The payload and whole-file content hash of the snapshot format
-/// (hex-printed with 16 digits): the workspace's shared word-parallel
-/// FNV-1a from [`ivmf_data::fnv`] — the same digest the binary shard
-/// records carry, so snapshot validation keeps the one hashing
-/// implementation and its throughput. Swapping the
-/// earlier word-at-a-time variant for the shared one changed every
-/// digest, hence the `v2` version line: `v1` snapshots restore nothing
-/// (a clean cold start) instead of tripping checksum salvage.
-fn fnv1a_bytes(bytes: &[u8]) -> u64 {
-    ivmf_data::fnv::fnv1a64(bytes)
+/// A stage output type as a record payload, bit-exact.
+trait Payload: Sized + 'static {
+    fn write(&self, w: &mut dyn Write) -> io::Result<()>;
+    fn read(r: &mut dyn BufRead) -> io::Result<Self>;
+}
+
+/// Reads a `state_text` line of exactly `N` integers.
+fn read_dims<const N: usize>(r: &mut dyn BufRead) -> io::Result<[usize; N]> {
+    let dims = parse_usize_line(&read_line(r)?, N)?;
+    Ok(dims.try_into().expect("parse_usize_line returns N values"))
+}
+
+impl Payload for Matrix {
+    fn write(&self, w: &mut dyn Write) -> io::Result<()> {
+        writeln!(w, "{} {}", self.rows(), self.cols())?;
+        write_f64_run(w, self.as_slice())
+    }
+    fn read(r: &mut dyn BufRead) -> io::Result<Self> {
+        let [rows, cols] = read_dims(r)?;
+        let data = read_f64_run(r, checked_len(rows, cols)?)?;
+        Matrix::from_vec(rows, cols, data).map_err(|e| bad_state(e.to_string()))
+    }
+}
+
+impl Payload for Vec<f64> {
+    fn write(&self, w: &mut dyn Write) -> io::Result<()> {
+        writeln!(w, "{}", self.len())?;
+        write_f64_run(w, self)
+    }
+    fn read(r: &mut dyn BufRead) -> io::Result<Self> {
+        let [len] = read_dims(r)?;
+        read_f64_run(r, len)
+    }
+}
+
+impl Payload for IntervalMatrix {
+    fn write(&self, w: &mut dyn Write) -> io::Result<()> {
+        self.lo().write(w)?;
+        self.hi().write(w)
+    }
+    fn read(r: &mut dyn BufRead) -> io::Result<Self> {
+        let lo = Matrix::read(r)?;
+        let hi = Matrix::read(r)?;
+        IntervalMatrix::from_bounds(lo, hi).map_err(|e| bad_state(e.to_string()))
+    }
+}
+
+impl Payload for Alignment {
+    fn write(&self, w: &mut dyn Write) -> io::Result<()> {
+        let flips: Vec<usize> = self.flip.iter().map(|&f| usize::from(f)).collect();
+        writeln!(w, "{}", self.mapping.len())?;
+        write_usize_run(w, &self.mapping)?;
+        write_usize_run(w, &flips)?;
+        write_f64_run(w, &self.matched_similarity)
+    }
+    fn read(r: &mut dyn BufRead) -> io::Result<Self> {
+        let [len] = read_dims(r)?;
+        let (mut mapping, mut flips) = (Vec::new(), Vec::new());
+        read_usize_run_into(r, len, &mut mapping)?;
+        read_usize_run_into(r, len, &mut flips)?;
+        let matched_similarity = read_f64_run(r, len)?;
+        if flips.iter().any(|&f| f > 1) {
+            return Err(bad_state("alignment flip flags must be 0 or 1"));
+        }
+        Ok(Alignment {
+            mapping,
+            flip: flips.into_iter().map(|f| f == 1).collect(),
+            matched_similarity,
+        })
+    }
+}
+
+impl<A: Payload, B: Payload> Payload for (A, B) {
+    fn write(&self, w: &mut dyn Write) -> io::Result<()> {
+        self.0.write(w)?;
+        self.1.write(w)
+    }
+    fn read(r: &mut dyn BufRead) -> io::Result<Self> {
+        Ok((A::read(r)?, B::read(r)?))
+    }
+}
+
+/// [`Payload`] for a struct: its fields, in the order listed.
+macro_rules! struct_payload {
+    ($t:ty; $($field:ident),+) => {
+        impl Payload for $t {
+            fn write(&self, w: &mut dyn Write) -> io::Result<()> {
+                $(self.$field.write(w)?;)+
+                Ok(())
+            }
+            fn read(r: &mut dyn BufRead) -> io::Result<Self> {
+                // Struct expression fields evaluate in the order written.
+                Ok(Self { $($field: Payload::read(r)?),+ })
+            }
+        }
+    };
+}
+
+struct_payload!(Svd; u, singular_values, v);
+struct_payload!(BoundSvds; lo, hi);
+struct_payload!(BoundEigen; v, sigma);
+struct_payload!(AlignedSolveOut; v_lo, sigma_lo, u, sigma_inv);
+
+/// How one stage's cached value is written to and read from its entry
+/// record.
+struct Codec {
+    /// Writes the value; `Ok(false)` when it is not of the stage's
+    /// payload type (a foreign entry on a shared cache — skipped).
+    write: fn(&dyn Any, &mut dyn Write) -> io::Result<bool>,
+    read: fn(&mut dyn BufRead) -> io::Result<Rc<dyn Any>>,
+}
+
+impl Codec {
+    fn of<T: Payload>() -> Codec {
+        Codec {
+            write: |value, w| match value.downcast_ref::<T>() {
+                Some(v) => v.write(w).map(|()| true),
+                None => Ok(false),
+            },
+            read: |r| Ok(Rc::new(T::read(r)?)),
+        }
+    }
+}
+
+/// The one stage → payload-type table.
+fn codec(stage: StageId) -> Codec {
+    use StageId::*;
+    match stage {
+        Midpoint => Codec::of::<Matrix>(),
+        MidpointSvd => Codec::of::<Svd>(),
+        BoundSvd => Codec::of::<BoundSvds>(),
+        SvdAlign | GramAlign => Codec::of::<Alignment>(),
+        IntervalGram => Codec::of::<IntervalMatrix>(),
+        BoundEigenLo | BoundEigenHi => Codec::of::<BoundEigen>(),
+        LeftRecover | RightTighten => Codec::of::<(Matrix, Matrix)>(),
+        AlignedSolve => Codec::of::<AlignedSolveOut>(),
+    }
 }
 
 fn stage_from_name(name: &str) -> Option<StageId> {
@@ -139,372 +277,17 @@ fn stage_from_name(name: &str) -> Option<StageId> {
     all.into_iter().find(|s| s.name() == name)
 }
 
-// ---------------------------------------------------------------------------
-// Payload codecs: binary little-endian (bit-exact via `f64::to_bits`, and
-// an order of magnitude faster to load than text — a warm restart must
-// beat the recompute it replaces). Every read is bounds-checked against
-// the record's byte count before it allocates.
-// ---------------------------------------------------------------------------
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64s(buf: &mut Vec<u8>, vals: &[f64]) {
-    buf.reserve(vals.len() * 8);
-    for v in vals {
-        buf.extend_from_slice(&v.to_bits().to_le_bytes());
+/// Reads a state record's header line, `<content-id:016x>` followed by
+/// the record's own fields, and returns those fields — or an error when
+/// the id does not name `matrix` (a record spliced in from another
+/// matrix's snapshot).
+fn header_fields(r: &mut dyn BufRead, matrix: u64) -> io::Result<String> {
+    let line = read_line(r)?;
+    let (id, fields) = line.split_once(' ').unwrap_or((&line, ""));
+    if u64::from_str_radix(id, 16).ok() != Some(matrix) {
+        return Err(bad_state("record belongs to another matrix"));
     }
-}
-
-fn take_u64(r: &mut &[u8]) -> io::Result<u64> {
-    if r.len() < 8 {
-        return Err(bad_state("truncated binary field"));
-    }
-    let mut b = [0u8; 8];
-    b.copy_from_slice(&r[..8]);
-    *r = &r[8..];
-    Ok(u64::from_le_bytes(b))
-}
-
-fn take_usize(r: &mut &[u8]) -> io::Result<usize> {
-    usize::try_from(take_u64(r)?).map_err(|_| bad_state("binary length does not fit usize"))
-}
-
-fn take_f64s(r: &mut &[u8], len: usize) -> io::Result<Vec<f64>> {
-    let nbytes = len
-        .checked_mul(8)
-        .ok_or_else(|| bad_state("binary f64 run length overflows"))?;
-    if r.len() < nbytes {
-        // Checked before the allocation: a corrupted length can never
-        // trigger an oversized reserve.
-        return Err(bad_state("truncated binary f64 run"));
-    }
-    let mut out = Vec::with_capacity(len);
-    for chunk in r[..nbytes].chunks_exact(8) {
-        let mut b = [0u8; 8];
-        b.copy_from_slice(chunk);
-        out.push(f64::from_bits(u64::from_le_bytes(b)));
-    }
-    *r = &r[nbytes..];
-    Ok(out)
-}
-
-fn write_matrix(buf: &mut Vec<u8>, m: &Matrix) {
-    put_u64(buf, m.rows() as u64);
-    put_u64(buf, m.cols() as u64);
-    put_f64s(buf, m.as_slice());
-}
-
-fn read_matrix(r: &mut &[u8]) -> io::Result<Matrix> {
-    let rows = take_usize(r)?;
-    let cols = take_usize(r)?;
-    let len = checked_len(rows, cols)?;
-    let data = take_f64s(r, len)?;
-    Matrix::from_vec(rows, cols, data).map_err(|e| bad_state(e.to_string()))
-}
-
-fn write_f64s(buf: &mut Vec<u8>, v: &[f64]) {
-    put_u64(buf, v.len() as u64);
-    put_f64s(buf, v);
-}
-
-fn read_f64s(r: &mut &[u8]) -> io::Result<Vec<f64>> {
-    let len = take_usize(r)?;
-    take_f64s(r, len)
-}
-
-fn write_usizes(buf: &mut Vec<u8>, v: &[usize]) {
-    put_u64(buf, v.len() as u64);
-    for &x in v {
-        put_u64(buf, x as u64);
-    }
-}
-
-fn read_usizes(r: &mut &[u8]) -> io::Result<Vec<usize>> {
-    let len = take_usize(r)?;
-    if r.len()
-        < len
-            .checked_mul(8)
-            .ok_or_else(|| bad_state("length overflows"))?
-    {
-        return Err(bad_state("truncated binary usize run"));
-    }
-    (0..len).map(|_| take_usize(r)).collect()
-}
-
-fn write_interval(buf: &mut Vec<u8>, m: &IntervalMatrix) {
-    write_matrix(buf, m.lo());
-    write_matrix(buf, m.hi());
-}
-
-fn read_interval(r: &mut &[u8]) -> io::Result<IntervalMatrix> {
-    let lo = read_matrix(r)?;
-    let hi = read_matrix(r)?;
-    IntervalMatrix::from_bounds(lo, hi).map_err(|e| bad_state(e.to_string()))
-}
-
-fn write_svd(buf: &mut Vec<u8>, s: &Svd) {
-    write_matrix(buf, &s.u);
-    write_f64s(buf, &s.singular_values);
-    write_matrix(buf, &s.v);
-}
-
-fn read_svd(r: &mut &[u8]) -> io::Result<Svd> {
-    Ok(Svd {
-        u: read_matrix(r)?,
-        singular_values: read_f64s(r)?,
-        v: read_matrix(r)?,
-    })
-}
-
-fn write_alignment(buf: &mut Vec<u8>, a: &Alignment) {
-    write_usizes(buf, &a.mapping);
-    let flips: Vec<usize> = a.flip.iter().map(|&f| usize::from(f)).collect();
-    write_usizes(buf, &flips);
-    write_f64s(buf, &a.matched_similarity);
-}
-
-fn read_alignment(r: &mut &[u8]) -> io::Result<Alignment> {
-    let mapping = read_usizes(r)?;
-    let flips = read_usizes(r)?;
-    let matched_similarity = read_f64s(r)?;
-    if flips.len() != mapping.len() || matched_similarity.len() != mapping.len() {
-        return Err(bad_state("alignment field lengths disagree"));
-    }
-    if flips.iter().any(|&f| f > 1) {
-        return Err(bad_state("alignment flip flags must be 0 or 1"));
-    }
-    Ok(Alignment {
-        mapping,
-        flip: flips.into_iter().map(|f| f == 1).collect(),
-        matched_similarity,
-    })
-}
-
-fn write_bound_eigen(buf: &mut Vec<u8>, e: &BoundEigen) {
-    write_matrix(buf, &e.v);
-    write_f64s(buf, &e.sigma);
-}
-
-fn read_bound_eigen(r: &mut &[u8]) -> io::Result<BoundEigen> {
-    Ok(BoundEigen {
-        v: read_matrix(r)?,
-        sigma: read_f64s(r)?,
-    })
-}
-
-fn write_aligned_solve(buf: &mut Vec<u8>, s: &AlignedSolveOut) {
-    write_matrix(buf, &s.v_lo);
-    write_f64s(buf, &s.sigma_lo);
-    write_interval(buf, &s.u);
-    write_matrix(buf, &s.sigma_inv);
-}
-
-fn read_aligned_solve(r: &mut &[u8]) -> io::Result<AlignedSolveOut> {
-    Ok(AlignedSolveOut {
-        v_lo: read_matrix(r)?,
-        sigma_lo: read_f64s(r)?,
-        u: read_interval(r)?,
-        sigma_inv: read_matrix(r)?,
-    })
-}
-
-/// Serializes one cache entry's payload, or `None` when the stored value
-/// does not downcast to the stage's documented payload type (foreign
-/// entry on a shared cache — skipped, never corrupted).
-fn encode_payload(stage: StageId, value: &Rc<dyn Any>) -> Option<Vec<u8>> {
-    let mut buf: Vec<u8> = Vec::new();
-    let ok = match stage {
-        StageId::Midpoint => match value.downcast_ref::<Matrix>() {
-            Some(m) => {
-                write_matrix(&mut buf, m);
-                true
-            }
-            None => false,
-        },
-        StageId::MidpointSvd => match value.downcast_ref::<Svd>() {
-            Some(s) => {
-                write_svd(&mut buf, s);
-                true
-            }
-            None => false,
-        },
-        StageId::BoundSvd => match value.downcast_ref::<BoundSvds>() {
-            Some(s) => {
-                write_svd(&mut buf, &s.lo);
-                write_svd(&mut buf, &s.hi);
-                true
-            }
-            None => false,
-        },
-        StageId::SvdAlign | StageId::GramAlign => match value.downcast_ref::<Alignment>() {
-            Some(a) => {
-                write_alignment(&mut buf, a);
-                true
-            }
-            None => false,
-        },
-        StageId::IntervalGram => match value.downcast_ref::<IntervalMatrix>() {
-            Some(m) => {
-                write_interval(&mut buf, m);
-                true
-            }
-            None => false,
-        },
-        StageId::BoundEigenLo | StageId::BoundEigenHi => match value.downcast_ref::<BoundEigen>() {
-            Some(e) => {
-                write_bound_eigen(&mut buf, e);
-                true
-            }
-            None => false,
-        },
-        StageId::LeftRecover | StageId::RightTighten => {
-            match value.downcast_ref::<(Matrix, Matrix)>() {
-                Some((a, b)) => {
-                    write_matrix(&mut buf, a);
-                    write_matrix(&mut buf, b);
-                    true
-                }
-                None => false,
-            }
-        }
-        StageId::AlignedSolve => match value.downcast_ref::<AlignedSolveOut>() {
-            Some(s) => {
-                write_aligned_solve(&mut buf, s);
-                true
-            }
-            None => false,
-        },
-    };
-    ok.then_some(buf)
-}
-
-fn encode_gram(acc: &StreamingIntervalGram) -> io::Result<Vec<u8>> {
-    let mut buf: Vec<u8> = Vec::new();
-    writeln!(buf, "{}", if acc.is_csr() { "sparse" } else { "dense" })?;
-    acc.write_state(&mut buf)?;
-    Ok(buf)
-}
-
-fn decode_gram(payload: &[u8]) -> io::Result<StreamingIntervalGram> {
-    let mut r: &[u8] = payload;
-    let r: &mut dyn BufRead = &mut r;
-    let csr = match read_line(r)?.as_str() {
-        "dense" => false,
-        "sparse" => true,
-        other => {
-            return Err(bad_state(format!(
-                "unknown gram accumulator representation '{other}'"
-            )))
-        }
-    };
-    let acc = StreamingIntervalGram::read_state(r)?;
-    if acc.is_csr() != csr {
-        return Err(bad_state(
-            "gram accumulator state disagrees with its representation tag",
-        ));
-    }
-    Ok(acc)
-}
-
-// ---------------------------------------------------------------------------
-// Record framing.
-// ---------------------------------------------------------------------------
-
-/// Byte cursor over the snapshot body: lines for the record headers,
-/// exact byte runs for the payloads (which may themselves contain
-/// newlines).
-struct Records<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Records<'a> {
-    fn line(&mut self) -> Option<&'a str> {
-        let rest = self.buf.get(self.pos..)?;
-        let end = rest.iter().position(|&b| b == b'\n')?;
-        self.pos += end + 1;
-        std::str::from_utf8(&rest[..end]).ok()
-    }
-
-    fn bytes(&mut self, n: usize) -> Option<&'a [u8]> {
-        let rest = self.buf.get(self.pos..)?;
-        if rest.len() < n {
-            return None;
-        }
-        self.pos += n;
-        Some(&rest[..n])
-    }
-
-    fn at_end(&self) -> bool {
-        self.pos >= self.buf.len()
-    }
-}
-
-fn parse_hex_u64(tok: &str) -> Option<u64> {
-    u64::from_str_radix(tok, 16).ok()
-}
-
-/// `entry <stage> <fingerprint:016x> <nbytes> <hash:016x>`
-fn parse_entry_line(line: &str) -> Option<(&str, u64, usize, u64)> {
-    let mut it = line.split_whitespace();
-    if it.next() != Some("entry") {
-        return None;
-    }
-    let stage = it.next()?;
-    let fingerprint = parse_hex_u64(it.next()?)?;
-    let nbytes: usize = it.next()?.parse().ok()?;
-    let hash = parse_hex_u64(it.next()?)?;
-    if it.next().is_some() {
-        return None;
-    }
-    Some((stage, fingerprint, nbytes, hash))
-}
-
-/// `gram <nbytes> <hash:016x>`
-fn parse_gram_line(line: &str) -> Option<(usize, u64)> {
-    let mut it = line.split_whitespace();
-    if it.next() != Some("gram") {
-        return None;
-    }
-    let nbytes: usize = it.next()?.parse().ok()?;
-    let hash = parse_hex_u64(it.next()?)?;
-    if it.next().is_some() {
-        return None;
-    }
-    Some((nbytes, hash))
-}
-
-/// `matrix <id:016x>`
-fn parse_matrix_line(line: &str) -> Option<u64> {
-    let mut it = line.split_whitespace();
-    if it.next() != Some("matrix") {
-        return None;
-    }
-    let id = parse_hex_u64(it.next()?)?;
-    if it.next().is_some() {
-        return None;
-    }
-    Some(id)
-}
-
-/// Splits off a well-formed trailing `end <hash:016x>\n` record,
-/// returning the body before it and the declared whole-file hash.
-fn split_end_record(buf: &[u8]) -> Option<(&[u8], u64)> {
-    if buf.last() != Some(&b'\n') {
-        return None;
-    }
-    let without_nl = &buf[..buf.len() - 1];
-    let start = without_nl
-        .iter()
-        .rposition(|&b| b == b'\n')
-        .map(|i| i + 1)
-        .unwrap_or(0);
-    let line = std::str::from_utf8(&without_nl[start..]).ok()?;
-    let rest = line.strip_prefix("end ")?;
-    let hash = parse_hex_u64(rest.trim())?;
-    Some((&buf[..start], hash))
+    Ok(fields.to_string())
 }
 
 /// The snapshot file a session with content id `content_id` saves to and
@@ -522,42 +305,40 @@ impl<S: IntervalShard> Pipeline<'_, S> {
     /// matrix plus the retained Gram accumulator — to `w`. See the
     /// [module docs](self) for the format.
     pub fn write_snapshot(&self, w: &mut dyn Write) -> io::Result<()> {
-        let entries: &HashMap<StageKey, Rc<dyn Any>> = self.cache.entries();
+        let entries = self.cache.entries();
         let mut keys: Vec<&StageKey> = entries.keys().filter(|k| k.matrix == self.matrix).collect();
         // Deterministic record order: identical session state produces
         // identical snapshot bytes.
         keys.sort_by_key(|k| (k.stage.name(), k.fingerprint));
-        let mut body: Vec<u8> = Vec::new();
-        writeln!(body, "{VERSION_LINE}")?;
-        writeln!(body, "matrix {:016x}", self.matrix)?;
+        let mut file = MAGIC.to_vec();
+        binfmt::write_record(
+            &mut file,
+            binfmt::REC_SNAPSHOT_MATRIX,
+            &self.matrix.to_le_bytes(),
+        )?;
+        // Writing into a `Vec` fails only on a payload over
+        // `MAX_RECORD_LEN`, which `write_record` refuses before writing a
+        // byte: such a record is skipped, like a foreign entry.
+        let mut payload = Vec::new();
         for key in keys {
-            let Some(payload) = encode_payload(key.stage, &entries[key]) else {
-                continue;
-            };
-            writeln!(
-                body,
-                "entry {} {:016x} {} {:016x}",
-                key.stage.name(),
-                key.fingerprint,
-                payload.len(),
-                fnv1a_bytes(&payload)
-            )?;
-            body.extend_from_slice(&payload);
+            payload.clear();
+            let (stage, fingerprint) = (key.stage.name(), key.fingerprint);
+            writeln!(payload, "{:016x} {stage} {fingerprint:016x}", self.matrix)?;
+            if (codec(key.stage).write)(&*entries[key], &mut payload)? {
+                binfmt::write_record(&mut file, REC_SNAPSHOT_ENTRY, &payload).ok();
+            }
         }
         if let Some(state) = &self.gram_state {
             if state.matrix == self.matrix {
-                let payload = encode_gram(&state.acc)?;
-                writeln!(
-                    body,
-                    "gram {} {:016x}",
-                    payload.len(),
-                    fnv1a_bytes(&payload)
-                )?;
-                body.extend_from_slice(&payload);
+                payload.clear();
+                writeln!(payload, "{:016x}", self.matrix)?;
+                state.acc.write_state(&mut payload)?;
+                binfmt::write_record(&mut file, REC_SNAPSHOT_GRAM, &payload).ok();
             }
         }
-        w.write_all(&body)?;
-        writeln!(w, "end {:016x}", fnv1a_bytes(&body))?;
+        let hash = fnv1a64(&file);
+        binfmt::write_record(&mut file, REC_END, &hash.to_le_bytes())?;
+        w.write_all(&file)?;
         w.flush()
     }
 
@@ -582,118 +363,99 @@ impl<S: IntervalShard> Pipeline<'_, S> {
             // An empty file is a cold start, not a corrupt record.
             return report;
         }
-        let body: &[u8] = match split_end_record(&buf) {
-            Some((body, declared)) if fnv1a_bytes(body) == declared => {
-                report.checksum_ok = true;
-                body
-            }
-            // Missing or mismatched file hash: per-entry salvage over
-            // whatever precedes the end record (or the whole buffer).
-            Some((body, _)) => body,
-            None => &buf,
-        };
-        let mut records = Records { buf: body, pos: 0 };
-        if records.line() != Some(VERSION_LINE) {
+        let Some(mut rest) = buf.strip_prefix(&MAGIC[..]) else {
             report.dropped += 1;
             return report;
-        }
-        let Some(file_matrix) = records.line().and_then(parse_matrix_line) else {
+        };
+        let file_matrix = match binfmt::read_frame(&mut rest) {
+            Ok(Some(Frame {
+                kind: binfmt::REC_SNAPSHOT_MATRIX,
+                payload,
+                intact: true,
+            })) => payload.try_into().ok().map(u64::from_le_bytes),
+            _ => None,
+        };
+        let Some(file_matrix) = file_matrix else {
             report.dropped += 1;
             return report;
         };
         loop {
-            let Some(line) = records.line() else {
-                if !records.at_end() {
-                    // Unterminated trailing bytes: a torn record.
+            let at = buf.len() - rest.len();
+            let frame = match binfmt::read_frame(&mut rest) {
+                Ok(Some(frame)) => frame,
+                // End of file without an end record: the records read so
+                // far stand on their own checksums.
+                Ok(None) => break,
+                // A torn frame, or a length past the end or the limit:
+                // where the next record starts is unknowable.
+                Err(_) => {
                     report.dropped += 1;
+                    break;
                 }
-                break;
             };
-            if let Some((stage_name, fingerprint, nbytes, hash)) = parse_entry_line(line) {
-                let Some(payload) = records.bytes(nbytes) else {
-                    report.dropped += 1;
-                    break;
-                };
-                if fnv1a_bytes(payload) != hash || file_matrix != self.matrix {
-                    report.dropped += 1;
-                    continue;
-                }
-                let Some(stage) = stage_from_name(stage_name) else {
-                    report.dropped += 1;
-                    continue;
-                };
-                match self.restore_entry(stage, fingerprint, payload) {
-                    Ok(()) => report.restored += 1,
-                    Err(_) => report.dropped += 1,
-                }
-            } else if let Some((nbytes, hash)) = parse_gram_line(line) {
-                let Some(payload) = records.bytes(nbytes) else {
-                    report.dropped += 1;
-                    break;
-                };
-                if fnv1a_bytes(payload) != hash || file_matrix != self.matrix {
-                    report.dropped += 1;
-                    continue;
-                }
-                match decode_gram(payload) {
-                    Ok(acc) if acc.rows_seen() == self.shape().0 => {
-                        self.gram_state = Some(GramState {
-                            matrix: self.matrix,
-                            acc,
-                        });
-                        report.gram_restored = true;
-                    }
-                    _ => report.dropped += 1,
-                }
-            } else {
-                // Unrecognized record header: payload boundaries are
-                // unknowable from here on.
-                report.dropped += 1;
+            if frame.kind == REC_END && rest.is_empty() {
+                report.checksum_ok =
+                    frame.intact && frame.payload[..] == fnv1a64(&buf[..at]).to_le_bytes();
                 break;
+            }
+            if !frame.intact || file_matrix != self.matrix {
+                report.dropped += 1;
+                continue;
+            }
+            match frame.kind {
+                REC_SNAPSHOT_ENTRY if self.restore_entry(&frame.payload).is_ok() => {
+                    report.restored += 1
+                }
+                REC_SNAPSHOT_GRAM if self.restore_gram(&frame.payload).is_ok() => {
+                    report.gram_restored = true
+                }
+                _ => report.dropped += 1,
             }
         }
         report
     }
 
-    /// Seeds one validated entry into the cache under the session's
-    /// matrix id. Each stage decodes to its documented payload type; a
-    /// payload that fails to decode errors out and is dropped by the
-    /// caller.
-    fn restore_entry(
-        &mut self,
-        stage: StageId,
-        fingerprint: u64,
-        payload: &[u8],
-    ) -> io::Result<()> {
+    /// Seeds one entry record into the cache under the session's matrix
+    /// id, decoding the stage's payload type; an undecodable payload is
+    /// an error and the caller drops it.
+    fn restore_entry(&mut self, payload: &[u8]) -> io::Result<()> {
+        let mut r = payload;
+        let fields = header_fields(&mut r, self.matrix)?;
+        let (stage, fingerprint) = fields
+            .split_once(' ')
+            .and_then(|(name, fp)| {
+                Some((stage_from_name(name)?, u64::from_str_radix(fp, 16).ok()?))
+            })
+            .ok_or_else(|| bad_state(format!("malformed entry header {fields:?}")))?;
+        let value = (codec(stage).read)(&mut r)?;
+        if !r.is_empty() {
+            return Err(bad_state("trailing bytes after entry payload"));
+        }
         let key = StageKey {
             matrix: self.matrix,
             fingerprint,
             stage,
         };
-        let mut slice: &[u8] = payload;
-        let r = &mut slice;
-        match stage {
-            StageId::Midpoint => self.cache.seed(key, Rc::new(read_matrix(r)?)),
-            StageId::MidpointSvd => self.cache.seed(key, Rc::new(read_svd(r)?)),
-            StageId::BoundSvd => self.cache.seed(
-                key,
-                Rc::new(BoundSvds {
-                    lo: read_svd(r)?,
-                    hi: read_svd(r)?,
-                }),
-            ),
-            StageId::SvdAlign | StageId::GramAlign => {
-                self.cache.seed(key, Rc::new(read_alignment(r)?))
-            }
-            StageId::IntervalGram => self.cache.seed(key, Rc::new(read_interval(r)?)),
-            StageId::BoundEigenLo | StageId::BoundEigenHi => {
-                self.cache.seed(key, Rc::new(read_bound_eigen(r)?))
-            }
-            StageId::LeftRecover | StageId::RightTighten => self
-                .cache
-                .seed(key, Rc::new((read_matrix(r)?, read_matrix(r)?))),
-            StageId::AlignedSolve => self.cache.seed(key, Rc::new(read_aligned_solve(r)?)),
+        self.cache.seed(key, value);
+        Ok(())
+    }
+
+    /// Restores the retained Gram accumulator from its record; an
+    /// undecodable payload, or one whose row count is not the session's,
+    /// is an error and the caller drops it.
+    fn restore_gram(&mut self, payload: &[u8]) -> io::Result<()> {
+        let mut r = payload;
+        if !header_fields(&mut r, self.matrix)?.is_empty() {
+            return Err(bad_state("malformed gram header"));
         }
+        let acc = StreamingIntervalGram::read_state(&mut r)?;
+        if !r.is_empty() || acc.rows_seen() != self.shape().0 {
+            return Err(bad_state("gram accumulator does not fit the session"));
+        }
+        self.gram_state = Some(GramState {
+            matrix: self.matrix,
+            acc,
+        });
         Ok(())
     }
 
@@ -771,24 +533,26 @@ mod tests {
         buf
     }
 
-    /// Number of `entry`/`gram` records a snapshot holds.
-    fn record_count(bytes: &[u8]) -> usize {
-        let (body, _) = split_end_record(bytes).unwrap();
-        let mut records = Records { buf: body, pos: 0 };
-        records.line().unwrap();
-        records.line().unwrap();
-        let mut count = 0;
-        while let Some(line) = records.line() {
-            if let Some((_, _, nbytes, _)) = parse_entry_line(line) {
-                records.bytes(nbytes).unwrap();
-            } else if let Some((nbytes, _)) = parse_gram_line(line) {
-                records.bytes(nbytes).unwrap();
-            } else {
-                panic!("unrecognized record header: {line}");
-            }
-            count += 1;
+    /// The records after the magic: `(kind, payload offset, payload)`.
+    fn records(bytes: &[u8]) -> Vec<(u8, usize, Vec<u8>)> {
+        let mut rest = bytes.strip_prefix(&MAGIC[..]).unwrap();
+        let mut out = Vec::new();
+        loop {
+            let payload_at = bytes.len() - rest.len() + 9;
+            let Some(frame) = binfmt::read_frame(&mut rest).unwrap() else {
+                return out;
+            };
+            assert!(frame.intact);
+            out.push((frame.kind, payload_at, frame.payload));
         }
-        count
+    }
+
+    /// Number of entry/gram records a snapshot holds.
+    fn record_count(bytes: &[u8]) -> usize {
+        let kinds = records(bytes).into_iter().map(|r| r.0);
+        kinds
+            .filter(|&k| k == REC_SNAPSHOT_ENTRY || k == REC_SNAPSHOT_GRAM)
+            .count()
     }
 
     #[test]
@@ -800,11 +564,12 @@ mod tests {
         let a = snapshot_bytes(&p);
         let b = snapshot_bytes(&p);
         assert_eq!(a, b, "same session state must snapshot identically");
-        assert!(a.starts_with(VERSION_LINE.as_bytes()));
-        let (_, declared) = split_end_record(&a).unwrap();
+        assert!(a.starts_with(&MAGIC));
+        let (kind, _, declared) = records(&a).pop().unwrap();
+        assert_eq!(kind, REC_END);
         assert_eq!(
             declared,
-            fnv1a_bytes(&a[..a.len() - "end 0000000000000000\n".len()])
+            fnv1a64(&a[..a.len() - binfmt::record_len(8)]).to_le_bytes()
         );
     }
 
@@ -906,8 +671,7 @@ mod tests {
         let mut p = Pipeline::new(&m, IsvdConfig::new(3)).unwrap();
         p.run(IsvdAlgorithm::Isvd4).unwrap();
         let mut bytes = snapshot_bytes(&p);
-        let v1 = VERSION_LINE.as_bytes();
-        bytes[v1.len() - 1] += 1; // "…v1" -> "…v2"
+        bytes[MAGIC.len() - 2] += 1; // "…3\n" -> "…4\n"
 
         let mut q = Pipeline::new(&m, IsvdConfig::new(3)).unwrap();
         let report = q.read_snapshot(&mut &bytes[..]);
@@ -927,17 +691,8 @@ mod tests {
         let total = record_count(&bytes);
 
         // Flip one bit inside the first entry's payload.
-        let header_at = bytes
-            .windows(7)
-            .position(|w| w == b"\nentry ")
-            .expect("snapshot has entries");
-        let payload_at = header_at
-            + 1
-            + bytes[header_at + 1..]
-                .iter()
-                .position(|&b| b == b'\n')
-                .unwrap()
-            + 1;
+        let (kind, payload_at, _) = records(&bytes)[1];
+        assert_eq!(kind, REC_SNAPSHOT_ENTRY);
         bytes[payload_at + 2] ^= 0x10;
 
         let mut q = Pipeline::new(&m, config).unwrap();
@@ -973,6 +728,68 @@ mod tests {
             let rerun = q.run_all().unwrap();
             assert_results_bitwise(&rerun, &original, &format!("cut={cut}"));
         }
+
+        // Cut exactly before the end record: every record is whole.
+        let mut q = Pipeline::new(&m, config).unwrap();
+        let report = q.read_snapshot(&mut &bytes[..bytes.len() - binfmt::record_len(8)]);
+        assert!(!report.checksum_ok, "missing end record");
+        assert_eq!((report.restored, report.dropped), (total - 1, 0));
+        assert!(report.gram_restored);
+    }
+
+    /// A snapshot file of the given records and a correct end record.
+    fn assemble(records: &[(u8, Vec<u8>)]) -> Vec<u8> {
+        let mut file = MAGIC.to_vec();
+        for (kind, payload) in records {
+            binfmt::write_record(&mut file, *kind, payload).unwrap();
+        }
+        let hash = fnv1a64(&file);
+        binfmt::write_record(&mut file, REC_END, &hash.to_le_bytes()).unwrap();
+        file
+    }
+
+    #[test]
+    fn records_that_do_not_fit_the_session_are_dropped_alone() {
+        no_auto_snapshots();
+        let m = random_interval_matrix(102, 11, 7, 1.0);
+        let config = IsvdConfig::new(4);
+        let mut p = Pipeline::new(&m, config).unwrap();
+        let original = p.run_all().unwrap();
+        let bytes = snapshot_bytes(&p);
+        let total = record_count(&bytes);
+        let mut own: Vec<(u8, Vec<u8>)> = records(&bytes).into_iter().map(|r| (r.0, r.2)).collect();
+        own.pop(); // the end record: `assemble` writes a correct one
+        let (entry, gram) = (1, own.len() - 1);
+        assert_eq!(
+            (own[entry].0, own[gram].0),
+            (REC_SNAPSHOT_ENTRY, REC_SNAPSHOT_GRAM)
+        );
+
+        // An undecodable entry payload behind an intact checksum.
+        let mut undecodable = own.clone();
+        let header_len = own[entry].1.iter().position(|&b| b == b'\n').unwrap() + 1;
+        undecodable[entry].1.truncate(header_len);
+        undecodable[entry].1.extend_from_slice(b"junk");
+        // A Gram accumulator under this matrix's id over fewer rows.
+        let mut short_gram = own.clone();
+        let mut acc = StreamingIntervalGram::with_flavour(7, false);
+        acc.push_shard(&random_interval_matrix(104, 5, 7, 1.0))
+            .unwrap();
+        short_gram[gram].1 = format!("{:016x}\n", p.content_id()).into_bytes();
+        acc.write_state(&mut short_gram[gram].1).unwrap();
+
+        for (name, recs, restored, gram_restored) in [
+            ("undecodable", undecodable, total - 2, true),
+            ("short gram", short_gram, total - 1, false),
+        ] {
+            let mut fresh = Pipeline::new(&m, config).unwrap();
+            let report = fresh.read_snapshot(&mut &assemble(&recs)[..]);
+            assert!(report.checksum_ok, "{name}");
+            assert_eq!(report.dropped, 1, "{name}: exactly the misfit record");
+            assert_eq!(report.restored, restored, "{name}");
+            assert_eq!(report.gram_restored, gram_restored, "{name}");
+            assert_results_bitwise(&fresh.run_all().unwrap(), &original, name);
+        }
     }
 
     #[test]
@@ -997,8 +814,11 @@ mod tests {
         let original = p.run_all().unwrap();
         let mut bytes = snapshot_bytes(&p);
         let total = record_count(&bytes);
-        let n = bytes.len();
-        bytes[n - 3] = if bytes[n - 3] == b'0' { b'1' } else { b'0' };
+        // An intact end record declaring the wrong whole-file hash.
+        let (_, _, declared) = records(&bytes).pop().unwrap();
+        let wrong = u64::from_le_bytes(declared.try_into().unwrap()) ^ 1;
+        bytes.truncate(bytes.len() - binfmt::record_len(8));
+        binfmt::write_record(&mut bytes, REC_END, &wrong.to_le_bytes()).unwrap();
 
         let mut q = Pipeline::new(&m, config).unwrap();
         let report = q.read_snapshot(&mut &bytes[..]);

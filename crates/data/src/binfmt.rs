@@ -1,19 +1,22 @@
-//! The bit-exact binary shard container — "ivmf shards v1".
+//! The bit-exact binary record container: shard files and snapshots.
 //!
 //! Every shard file [`crate::stream`] writes and reads is one of these
-//! containers. It keeps the *values* in exactly the form the
-//! accumulators consume — raw little-endian `f64`/`usize` runs, the same
-//! primitives as [`ivmf_linalg::state_text`]'s run codecs — so decode is
-//! a bounds-checked `memcpy` rather than a decimal parse, and loading
+//! containers, and so is every crash-recovery snapshot
+//! (`ivmf_core::snapshot`). Both use the one record frame and the one
+//! record-kind table below. Payloads keep their *values* in exactly the
+//! form the accumulators consume — [`ivmf_linalg::state_text`]'s header
+//! lines and raw little-endian `f64`/`usize` runs — so decode is a
+//! bounds-checked `memcpy` rather than a decimal parse, and loading
 //! reproduces every bit.
 //!
 //! ## Layout
 //!
 //! ```text
-//! [magic: b"ivmfsh1\n"] [header record] [block record]* [end record]
+//! [magic: 8 bytes] [record]*
 //! ```
 //!
-//! Every record has the same frame structure:
+//! The magic names the container: [`MAGIC`] for a shard file, the
+//! snapshot module's own for a snapshot. Every record has the same frame:
 //!
 //! ```text
 //! [kind: u8] [payload_len: u64 LE] [payload bytes] [fnv1a64(payload): u64 LE]
@@ -21,13 +24,15 @@
 //!
 //! with the workspace's shared word-parallel FNV-1a ([`crate::fnv`]) as
 //! the per-record checksum — a torn write or flipped bit surfaces as a
-//! typed [`std::io::ErrorKind::InvalidData`] / `UnexpectedEof` error,
-//! never a garbage matrix. The explicit [`REC_END`] record makes
-//! truncation *at a record boundary* detectable too: a reader that hits
-//! end-of-file without having seen it knows the writer never finished.
+//! typed [`std::io::ErrorKind::InvalidData`] / `UnexpectedEof` error (or a
+//! [`Frame`] that is not intact), never a garbage matrix. An explicit
+//! [`REC_END`] record makes truncation *at a record boundary* detectable
+//! too: a reader that hits end-of-file without having seen it knows the
+//! writer never finished.
 //!
-//! Record payloads open with a one-line text header (greppable, like
-//! everything else in the state format) followed by the binary runs:
+//! A shard container is `[header record] [block record]* [end record]`.
+//! Its payloads open with a one-line text header followed by the binary
+//! runs:
 //!
 //! * header record (`REC_DENSE_HEADER` / `REC_CSR_HEADER`):
 //!   `dense <rows> <cols>\n` or `csr <rows> <cols>\n`.
@@ -42,6 +47,7 @@
 //! whatever `shard_rows` the consumer asked for. The `_into` decoders
 //! append into caller-owned buffers (normally leased from
 //! [`ivmf_linalg::pool`]) so steady-state ingest performs no allocation.
+//! The snapshot's records are described in `ivmf_core::snapshot`.
 
 use std::io::{self, Read, Write};
 
@@ -54,40 +60,82 @@ use ivmf_linalg::state_text::{
 
 use crate::fnv::fnv1a64;
 
-/// The container's leading magic bytes. Eight bytes so the check on open
-/// is one fixed-size read; the trailing newline keeps `head -c8` output
-/// tidy. A file that does not start with them is not a shard container.
+/// The shard container's leading magic bytes. Eight bytes so the check
+/// on open is one fixed-size read; the trailing newline keeps `head -c8`
+/// output tidy. A file that does not start with them is not a shard
+/// container.
 pub const MAGIC: [u8; 8] = *b"ivmfsh1\n";
 
-/// Record kind: dense container header (`dense <rows> <cols>\n` payload).
-pub const REC_DENSE_HEADER: u8 = 1;
-/// Record kind: CSR container header (`csr <rows> <cols>\n` payload).
-pub const REC_CSR_HEADER: u8 = 2;
-/// Record kind: a dense interval row block.
-pub const REC_DENSE_BLOCK: u8 = 3;
-/// Record kind: a sparse CSR interval row block.
-pub const REC_CSR_BLOCK: u8 = 4;
-/// Record kind: end of container (empty payload).
-pub const REC_END: u8 = 5;
+// The one record-kind table, for shard containers and snapshots alike.
 
-/// Ceiling on a declared record payload length: a corrupted length field
-/// must not trigger a multi-gigabyte allocation before the checksum gets
-/// a chance to reject the record.
+/// Shard record: dense container header (`dense <rows> <cols>\n` payload).
+pub const REC_DENSE_HEADER: u8 = 1;
+/// Shard record: CSR container header (`csr <rows> <cols>\n` payload).
+pub const REC_CSR_HEADER: u8 = 2;
+/// Shard record: a dense interval row block.
+pub const REC_DENSE_BLOCK: u8 = 3;
+/// Shard record: a sparse CSR interval row block.
+pub const REC_CSR_BLOCK: u8 = 4;
+/// End of container. A shard container's payload is empty; a snapshot's
+/// is the FNV-1a of every byte before the record (`u64` LE).
+pub const REC_END: u8 = 5;
+/// Snapshot record: the content id of the snapshot's matrix (`u64` LE).
+pub const REC_SNAPSHOT_MATRIX: u8 = 6;
+/// Snapshot record: one memoized stage output.
+pub const REC_SNAPSHOT_ENTRY: u8 = 7;
+/// Snapshot record: the retained interval-Gram accumulator.
+pub const REC_SNAPSHOT_GRAM: u8 = 8;
+
+/// Ceiling on a record payload length. Writers refuse a larger payload,
+/// and readers reject a larger declared length before reading it.
 pub const MAX_RECORD_LEN: u64 = 1 << 31;
 
-/// Writes one checksummed record. The caller flushes.
+/// The first allocation step of a payload read. Each later step at most
+/// doubles what has already arrived, so a corrupted length field costs at
+/// most `max(FIRST_STEP, 2 × bytes present)` before the read fails.
+const FIRST_STEP: usize = 1 << 20;
+
+/// Writes one checksummed record. A payload over [`MAX_RECORD_LEN`] is an
+/// [`io::ErrorKind::InvalidInput`] error, raised before anything is
+/// written. The caller flushes.
 pub fn write_record(w: &mut dyn Write, kind: u8, payload: &[u8]) -> io::Result<()> {
+    if payload.len() as u64 > MAX_RECORD_LEN {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!(
+                "a {}-byte record payload exceeds the {MAX_RECORD_LEN}-byte limit",
+                payload.len()
+            ),
+        ));
+    }
     w.write_all(&[kind])?;
     w.write_all(&(payload.len() as u64).to_le_bytes())?;
     w.write_all(payload)?;
     w.write_all(&fnv1a64(payload).to_le_bytes())
 }
 
-/// Reads one record, validating the declared length and the checksum.
-/// Returns `None` on a clean end-of-stream at a record boundary; any
-/// mid-record truncation is an `UnexpectedEof` error and any checksum
-/// mismatch is `InvalidData`.
-pub fn read_record(r: &mut dyn Read) -> io::Result<Option<(u8, Vec<u8>)>> {
+/// One whole record frame as read from a stream.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Frame {
+    /// The record kind byte (not covered by the checksum: callers
+    /// validate kinds).
+    pub kind: u8,
+    /// The payload bytes.
+    pub payload: Vec<u8>,
+    /// Whether the payload matches its checksum. A frame that is not
+    /// intact is still whole: the next record starts right after it.
+    pub intact: bool,
+}
+
+/// Reads one record frame — the one record parser. Returns `None` on a
+/// clean end-of-stream at a record boundary. A frame cut short is an
+/// `UnexpectedEof` error and a declared length over [`MAX_RECORD_LEN`] is
+/// `InvalidData`: after either, the next record's offset is unknown. A
+/// checksum mismatch is not an error but a [`Frame`] with `intact: false`.
+///
+/// The payload buffer grows with the bytes that actually arrive, so a
+/// length field that lies cannot allocate far beyond the input.
+pub fn read_frame(r: &mut dyn Read) -> io::Result<Option<Frame>> {
     let mut kind = [0u8; 1];
     // Distinguish "no more records" from "record cut short": end-of-stream
     // before the first byte is a clean close.
@@ -102,18 +150,37 @@ pub fn read_record(r: &mut dyn Read) -> io::Result<Option<(u8, Vec<u8>)>> {
             "record declares a {len}-byte payload (limit {MAX_RECORD_LEN})"
         )));
     }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
+    let len = len as usize;
+    let mut payload = Vec::new();
+    while payload.len() < len {
+        let step = (len - payload.len()).min(payload.len().max(FIRST_STEP));
+        payload.reserve_exact(step);
+        if (&mut *r).take(step as u64).read_to_end(&mut payload)? < step {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "record payload cut short",
+            ));
+        }
+    }
     let mut sum_bytes = [0u8; 8];
     r.read_exact(&mut sum_bytes)?;
-    let declared = u64::from_le_bytes(sum_bytes);
-    let actual = fnv1a64(&payload);
-    if declared != actual {
-        return Err(bad_state(format!(
-            "record checksum mismatch: declared {declared:#018x}, computed {actual:#018x}"
-        )));
+    let intact = u64::from_le_bytes(sum_bytes) == fnv1a64(&payload);
+    Ok(Some(Frame {
+        kind: kind[0],
+        payload,
+        intact,
+    }))
+}
+
+/// [`read_frame`] for readers that treat a checksum mismatch as fatal:
+/// returns the record's kind and payload, and `InvalidData` for a frame
+/// that is not intact.
+pub fn read_record(r: &mut dyn Read) -> io::Result<Option<(u8, Vec<u8>)>> {
+    match read_frame(r)? {
+        None => Ok(None),
+        Some(Frame { intact: false, .. }) => Err(bad_state("record checksum mismatch")),
+        Some(Frame { kind, payload, .. }) => Ok(Some((kind, payload))),
     }
-    Ok(Some((kind[0], payload)))
 }
 
 /// Bytes a record with the given payload occupies on disk (kind + length
@@ -359,6 +426,51 @@ mod tests {
 
         // record_len matches what write_record emits.
         assert_eq!(buf.len(), record_len(13) + record_len(0));
+    }
+
+    #[test]
+    fn frames_walk_past_a_bad_checksum_and_stop_at_a_lying_length() {
+        let mut buf = Vec::new();
+        write_record(&mut buf, REC_SNAPSHOT_ENTRY, b"first").unwrap();
+        write_record(&mut buf, REC_SNAPSHOT_GRAM, b"second").unwrap();
+        buf[10] ^= 0x01; // inside "first"
+        let mut r: &[u8] = &buf;
+        let bad = read_frame(&mut r).unwrap().unwrap();
+        assert_eq!((bad.kind, bad.intact), (REC_SNAPSHOT_ENTRY, false));
+        let good = read_frame(&mut r).unwrap().unwrap();
+        let want = Frame {
+            kind: REC_SNAPSHOT_GRAM,
+            payload: b"second".to_vec(),
+            intact: true,
+        };
+        assert_eq!(good, want);
+        assert!(read_frame(&mut r).unwrap().is_none());
+
+        // A length past the end of the input is a torn frame; one past
+        // the limit is rejected before any payload byte is read.
+        let one = &buf[record_len(5)..];
+        for (len, kind) in [
+            (7, io::ErrorKind::UnexpectedEof),
+            (MAX_RECORD_LEN, io::ErrorKind::UnexpectedEof),
+            (MAX_RECORD_LEN + 1, io::ErrorKind::InvalidData),
+            (u64::MAX, io::ErrorKind::InvalidData),
+        ] {
+            let mut lying = one.to_vec();
+            lying[1..9].copy_from_slice(&len.to_le_bytes());
+            let err = read_frame(&mut &lying[..]).unwrap_err();
+            assert_eq!(err.kind(), kind, "declared length {len}");
+        }
+    }
+
+    #[test]
+    fn write_record_refuses_an_oversized_payload_before_writing() {
+        // Zeroed pages are mapped lazily: the refused payload is never
+        // touched, so this costs address space, not memory.
+        let huge = vec![0u8; MAX_RECORD_LEN as usize + 1];
+        let mut out = Vec::new();
+        let err = write_record(&mut out, REC_SNAPSHOT_ENTRY, &huge).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(out.is_empty());
     }
 
     #[test]

@@ -2,6 +2,7 @@ use serde::{Deserialize, Serialize};
 
 use ivmf_linalg::Matrix;
 
+use crate::scalar::envelope;
 use crate::{Interval, IntervalError, Result};
 
 /// A dense interval-valued matrix `M† = [M_lo, M_hi]`.
@@ -347,9 +348,8 @@ impl IntervalMatrix {
         let mut hi = Matrix::zeros(r, c);
         for i in 0..r {
             for j in 0..c {
-                let vals = [t1[(i, j)], t2[(i, j)], t3[(i, j)], t4[(i, j)]];
-                lo[(i, j)] = vals.iter().cloned().fold(f64::INFINITY, f64::min);
-                hi[(i, j)] = vals.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+                (lo[(i, j)], hi[(i, j)]) =
+                    envelope([t1[(i, j)], t2[(i, j)], t3[(i, j)], t4[(i, j)]]);
             }
         }
         Ok(IntervalMatrix { lo, hi })
@@ -416,9 +416,8 @@ impl IntervalMatrix {
         let mut hi = Matrix::zeros(r, c);
         for i in 0..r {
             for j in 0..c {
-                let vals = [t1[(i, j)], t2[(i, j)], t2[(j, i)], t4[(i, j)]];
-                lo[(i, j)] = vals.iter().cloned().fold(f64::INFINITY, f64::min);
-                hi[(i, j)] = vals.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+                (lo[(i, j)], hi[(i, j)]) =
+                    envelope([t1[(i, j)], t2[(i, j)], t2[(j, i)], t4[(i, j)]]);
             }
         }
         Ok(IntervalMatrix { lo, hi })

@@ -184,18 +184,30 @@ impl Sub for Interval {
     }
 }
 
+/// The `[min, max]` envelope of an interval product's four endpoint
+/// products. NaN for both bounds when any product is NaN — `f64::min` /
+/// `f64::max` would silently drop it; otherwise exactly the
+/// `fold(±∞, min/max)` chain, signed zeros included.
+pub(crate) fn envelope(products: [f64; 4]) -> (f64, f64) {
+    if products.iter().any(|p| p.is_nan()) {
+        return (f64::NAN, f64::NAN);
+    }
+    let lo = products.iter().copied().fold(f64::INFINITY, f64::min);
+    let hi = products.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    (lo, hi)
+}
+
 impl Mul for Interval {
     type Output = Interval;
 
     fn mul(self, rhs: Interval) -> Interval {
-        let p1 = self.lo * rhs.lo;
-        let p2 = self.lo * rhs.hi;
-        let p3 = self.hi * rhs.lo;
-        let p4 = self.hi * rhs.hi;
-        Interval {
-            lo: p1.min(p2).min(p3).min(p4),
-            hi: p1.max(p2).max(p3).max(p4),
-        }
+        let (lo, hi) = envelope([
+            self.lo * rhs.lo,
+            self.lo * rhs.hi,
+            self.hi * rhs.lo,
+            self.hi * rhs.hi,
+        ]);
+        Interval { lo, hi }
     }
 }
 

@@ -52,6 +52,7 @@ use ivmf_linalg::{
     SparseGramAccumulator, StreamAccumulator,
 };
 
+use crate::scalar::envelope;
 use crate::{
     exact_interval_forced, CsrIntervalShard, CsrShardSource, IntervalError, IntervalMatrix, Result,
     MR_MIN_WORK,
@@ -825,15 +826,14 @@ impl<G: ChunkKernel, X: ChunkKernel> Flavour<G, X> {
                 let t1 = lo.try_finish()?;
                 let t4 = hi.try_finish()?;
                 let t2 = cross.try_finish()?;
-                // Same envelope (values and fold order) as the dense
+                // Same envelope as the dense
                 // `IntervalMatrix::interval_gram`.
                 let mut glo = Matrix::zeros(m, m);
                 let mut ghi = Matrix::zeros(m, m);
                 for i in 0..m {
                     for j in 0..m {
-                        let vals = [t1[(i, j)], t2[(i, j)], t2[(j, i)], t4[(i, j)]];
-                        glo[(i, j)] = vals.iter().cloned().fold(f64::INFINITY, f64::min);
-                        ghi[(i, j)] = vals.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+                        (glo[(i, j)], ghi[(i, j)]) =
+                            envelope([t1[(i, j)], t2[(i, j)], t2[(j, i)], t4[(i, j)]]);
                     }
                 }
                 IntervalMatrix::from_bounds(glo, ghi)
@@ -981,6 +981,34 @@ mod tests {
         lo.extend_from_slice(extra.lo().as_slice());
         assert_eq!(sharded.to_dense().lo().as_slice(), &lo[..]);
         assert!(sharded.append_rows(random_interval(4, 2, 5)).is_err());
+    }
+
+    /// A NaN bound poisons every envelope entry it enters, in both bounds:
+    /// the four-value envelope must not let `f64::min`/`max` drop it.
+    #[test]
+    fn nan_bound_poisons_the_envelope_entries_it_enters() {
+        // Row 0, column 0 has a NaN lower bound.
+        let lo = vec![f64::NAN, 1.0, 2.0, 3.0, -1.0, 0.5];
+        let hi = vec![1.0, 2.0, 3.0, 4.0, 0.0, 1.5];
+        let (rp, ci) = (vec![0, 2, 4, 6], vec![0, 1, 0, 1, 0, 1]);
+        let csr = CsrIntervalShard::new(3, 2, rp, ci, lo.clone(), hi.clone()).unwrap();
+        let bound = |v| Matrix::from_vec(3, 2, v).unwrap();
+        let m = IntervalMatrix::from_bounds(bound(lo), bound(hi)).unwrap();
+        let mut dense = StreamingIntervalGram::with_flavour(2, false);
+        dense.push_shard(&m).unwrap();
+        let mut sparse = StreamingIntervalGram::with_flavour_csr(2, false);
+        sparse.push_csr_shard(&csr).unwrap();
+        let nan = |g: &IntervalMatrix, i, j| g.lo()[(i, j)].is_nan() && g.hi()[(i, j)].is_nan();
+        let clean = |g: &IntervalMatrix, i, j| !g.lo()[(i, j)].is_nan() && !g.hi()[(i, j)].is_nan();
+        for g in [m.interval_gram(), dense.finish(), sparse.finish()] {
+            let g = g.unwrap();
+            assert!(nan(&g, 0, 0) && nan(&g, 0, 1) && nan(&g, 1, 0), "{g:?}");
+            assert!(clean(&g, 1, 1), "{g:?}");
+        }
+        let p = m.interval_matmul(&random_interval(9, 2, 2)).unwrap();
+        for j in 0..2 {
+            assert!(nan(&p, 0, j) && clean(&p, 1, j) && clean(&p, 2, j), "{p:?}");
+        }
     }
 
     #[test]

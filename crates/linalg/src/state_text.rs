@@ -1,19 +1,21 @@
-//! Bit-exact, line-oriented text serialization helpers for accumulator
-//! state.
+//! Bit-exact state serialization helpers: text header lines plus raw
+//! binary runs.
 //!
 //! The streaming Gram accumulators ([`crate::GramAccumulator`] and
 //! friends) are the only pipeline state that cannot be recomputed from a
 //! cached result: their pending row buffers hold a partial chunk whose
 //! future rounding depends on every buffered bit. Snapshotting them
 //! therefore needs a serialization that round-trips `f64` values
-//! **exactly**. These helpers provide that on top of plain text: values
-//! are written with Rust's `{:?}` formatting (the shortest decimal that
-//! parses back to the identical bits, including `inf`/`-inf`/`NaN`) and
-//! read back with `str::parse`, one whitespace-separated line per
-//! logical vector. Bulk `f64` payloads use raw little-endian binary
-//! runs instead ([`write_f64_run`]/[`read_f64_run`]) — headers stay
-//! greppable text, but the hundreds of thousands of values a snapshot
-//! restore loads must decode much faster than recomputing them.
+//! **exactly**. Every state payload here — accumulator state, snapshot
+//! entries, shard blocks — has the same shape: short greppable text
+//! header lines of integers ([`write_usize_line`] /
+//! [`parse_usize_line`], read with [`read_line`]) that give the shapes,
+//! then the values as raw little-endian binary runs ([`write_f64_run`] /
+//! [`read_f64_run`], [`write_usize_run`] / [`read_usize_run_into`]).
+//! Bit-exactness is structural — [`f64::to_bits`] round-trips every
+//! pattern, NaN payloads included — and a binary run decodes far faster
+//! than a decimal parse, which a warm restart needs to beat the
+//! recompute it replaces.
 //!
 //! Readers validate everything they consume — token counts, numeric
 //! parses, declared lengths — and report problems as
@@ -53,18 +55,6 @@ pub fn read_line(r: &mut dyn BufRead) -> io::Result<String> {
     Ok(line)
 }
 
-/// Writes `vals` as one space-separated line of `{:?}`-formatted floats
-/// (an empty slice writes an empty line).
-pub fn write_f64_line(w: &mut dyn Write, vals: &[f64]) -> io::Result<()> {
-    for (i, v) in vals.iter().enumerate() {
-        if i > 0 {
-            w.write_all(b" ")?;
-        }
-        write!(w, "{v:?}")?;
-    }
-    w.write_all(b"\n")
-}
-
 /// Writes `vals` as one space-separated line of integers.
 pub fn write_usize_line(w: &mut dyn Write, vals: &[usize]) -> io::Result<()> {
     for (i, v) in vals.iter().enumerate() {
@@ -74,30 +64,6 @@ pub fn write_usize_line(w: &mut dyn Write, vals: &[usize]) -> io::Result<()> {
         write!(w, "{v}")?;
     }
     w.write_all(b"\n")
-}
-
-/// Parses a line written by [`write_f64_line`], requiring exactly
-/// `expected` values.
-pub fn parse_f64_line(line: &str, expected: usize) -> io::Result<Vec<f64>> {
-    let mut out = Vec::with_capacity(expected.min(PREALLOC_CAP));
-    for tok in line.split_ascii_whitespace() {
-        if out.len() == expected {
-            return Err(bad_state(format!(
-                "expected {expected} float values, found more"
-            )));
-        }
-        let v: f64 = tok
-            .parse()
-            .map_err(|_| bad_state(format!("malformed float value {tok:?}")))?;
-        out.push(v);
-    }
-    if out.len() != expected {
-        return Err(bad_state(format!(
-            "expected {expected} float values, found {}",
-            out.len()
-        )));
-    }
-    Ok(out)
 }
 
 /// Parses a line written by [`write_usize_line`], requiring exactly
@@ -124,25 +90,65 @@ pub fn parse_usize_line(line: &str, expected: usize) -> io::Result<Vec<usize>> {
     Ok(out)
 }
 
-/// Writes `vals` as a raw little-endian run of `f64` bit patterns — 8
-/// bytes per value, terminated by one `\n`. The binary twin of
-/// [`write_f64_line`] for bulk payloads (snapshot restores must load
-/// state far faster than recomputing it, and text formatting dominates
-/// at matrix sizes); bit-exactness is structural, since
-/// [`f64::to_bits`] round-trips every pattern including NaN payloads.
-pub fn write_f64_run(w: &mut dyn Write, vals: &[f64]) -> io::Result<()> {
-    // Convert block-wise into a fixed staging buffer: the inner loop is a
-    // plain 8-byte store per value (no per-value capacity bookkeeping),
-    // and the staging cost stays bounded regardless of the run length.
-    let mut bytes = vec![0u8; vals.len().min(PREALLOC_CAP) * 8];
-    for block in vals.chunks(PREALLOC_CAP.max(1)) {
-        let staged = &mut bytes[..block.len() * 8];
-        for (dst, v) in staged.chunks_exact_mut(8).zip(block) {
-            dst.copy_from_slice(&v.to_bits().to_le_bytes());
+/// Bytes of the stack buffer runs are staged through on write.
+const STAGE_BYTES: usize = 16 << 10;
+
+/// Writes `vals` as 8-byte little-endian words, staged block-wise through
+/// a stack buffer (a plain 8-byte store per value, no allocation), then
+/// the `\n` terminator.
+fn write_words<T: Copy>(w: &mut dyn Write, vals: &[T], word: impl Fn(T) -> u64) -> io::Result<()> {
+    let mut staged = [0u8; STAGE_BYTES];
+    for block in vals.chunks(STAGE_BYTES / 8) {
+        let bytes = &mut staged[..block.len() * 8];
+        for (dst, &v) in bytes.chunks_exact_mut(8).zip(block) {
+            dst.copy_from_slice(&word(v).to_le_bytes());
         }
-        w.write_all(staged)?;
+        w.write_all(bytes)?;
     }
     w.write_all(b"\n")
+}
+
+/// Feeds a run of `n` 8-byte words to `take` in slices of whole words —
+/// straight out of the reader's buffer where it holds them — then checks
+/// the `\n` terminator. Truncation surfaces as `UnexpectedEof`.
+fn read_words(
+    r: &mut dyn BufRead,
+    n: usize,
+    what: &str,
+    mut take: impl FnMut(&[u8]) -> io::Result<()>,
+) -> io::Result<()> {
+    let mut remaining = checked_len(n, 8)?;
+    let mut word = [0u8; 8];
+    while remaining > 0 {
+        let buf = r.fill_buf()?;
+        let whole = buf.len().min(remaining) / 8 * 8;
+        if whole == 0 {
+            // Fewer than 8 bytes buffered: a word straddles the buffer.
+            r.read_exact(&mut word)?;
+            take(&word)?;
+            remaining -= 8;
+        } else {
+            take(&buf[..whole])?;
+            r.consume(whole);
+            remaining -= whole;
+        }
+    }
+    let mut sep = [0u8; 1];
+    r.read_exact(&mut sep)?;
+    if sep[0] != b'\n' {
+        return Err(bad_state(format!(
+            "missing terminator after binary {what} run"
+        )));
+    }
+    Ok(())
+}
+
+/// Writes `vals` as a raw little-endian run of `f64` bit patterns — 8
+/// bytes per value, terminated by one `\n`. Bit-exactness is
+/// structural, since [`f64::to_bits`] round-trips every pattern
+/// including NaN payloads.
+pub fn write_f64_run(w: &mut dyn Write, vals: &[f64]) -> io::Result<()> {
+    write_words(w, vals, f64::to_bits)
 }
 
 /// Reads a run written by [`write_f64_run`], requiring exactly
@@ -152,39 +158,12 @@ pub fn write_f64_run(w: &mut dyn Write, vals: &[f64]) -> io::Result<()> {
 /// reservation.
 pub fn read_f64_run(r: &mut dyn BufRead, expected: usize) -> io::Result<Vec<f64>> {
     let mut out = Vec::with_capacity(expected.min(PREALLOC_CAP));
-    read_f64_run_into(r, expected, &mut out)?;
+    read_words(r, expected, "f64", |bytes| {
+        let decode = |c: &[u8]| f64::from_le_bytes(c.try_into().expect("8-byte chunk"));
+        out.extend(bytes.chunks_exact(8).map(decode));
+        Ok(())
+    })?;
     Ok(out)
-}
-
-/// [`read_f64_run`] appending into a caller-supplied buffer (e.g. one
-/// from [`crate::pool::take_f64`] that already has the capacity from a
-/// previous round). Appends exactly `expected` values or returns an error
-/// with `out` in an unspecified (but valid) state.
-pub fn read_f64_run_into(
-    r: &mut dyn BufRead,
-    expected: usize,
-    out: &mut Vec<f64>,
-) -> io::Result<()> {
-    let nbytes = checked_len(expected, 8)?;
-    out.reserve(expected.min(PREALLOC_CAP));
-    let mut chunk = [0u8; 8192];
-    let mut remaining = nbytes;
-    while remaining > 0 {
-        let take = remaining.min(chunk.len());
-        r.read_exact(&mut chunk[..take])?;
-        for c in chunk[..take].chunks_exact(8) {
-            let mut b = [0u8; 8];
-            b.copy_from_slice(c);
-            out.push(f64::from_bits(u64::from_le_bytes(b)));
-        }
-        remaining -= take;
-    }
-    let mut sep = [0u8; 1];
-    r.read_exact(&mut sep)?;
-    if sep[0] != b'\n' {
-        return Err(bad_state("missing terminator after binary f64 run"));
-    }
-    Ok(())
 }
 
 /// Writes `vals` as a raw little-endian run of `u64`-encoded `usize`
@@ -192,54 +171,27 @@ pub fn read_f64_run_into(
 /// [`write_f64_run`], for CSR index payloads that would be needlessly
 /// slow as text.
 pub fn write_usize_run(w: &mut dyn Write, vals: &[usize]) -> io::Result<()> {
-    let mut bytes = vec![0u8; vals.len().min(PREALLOC_CAP) * 8];
-    for block in vals.chunks(PREALLOC_CAP.max(1)) {
-        let staged = &mut bytes[..block.len() * 8];
-        for (dst, &v) in staged.chunks_exact_mut(8).zip(block) {
-            dst.copy_from_slice(&(v as u64).to_le_bytes());
-        }
-        w.write_all(staged)?;
-    }
-    w.write_all(b"\n")
+    write_words(w, vals, |v| v as u64)
 }
 
 /// Reads a run written by [`write_usize_run`], requiring exactly
-/// `expected` values plus the terminator.
-pub fn read_usize_run(r: &mut dyn BufRead, expected: usize) -> io::Result<Vec<usize>> {
-    let mut out = Vec::with_capacity(expected.min(PREALLOC_CAP));
-    read_usize_run_into(r, expected, &mut out)?;
-    Ok(out)
-}
-
-/// [`read_usize_run`] appending into a caller-supplied buffer — the
-/// integer twin of [`read_f64_run_into`] for pooled index buffers.
-/// Values that overflow `usize` are malformed data, not a panic.
+/// `expected` values plus the terminator, and appends them to `out` (e.g.
+/// a pooled index buffer that already has the capacity from a previous
+/// round). Values that overflow `usize` are malformed data, not a panic;
+/// on error `out` is left in an unspecified (but valid) state.
 pub fn read_usize_run_into(
     r: &mut dyn BufRead,
     expected: usize,
     out: &mut Vec<usize>,
 ) -> io::Result<()> {
-    let nbytes = checked_len(expected, 8)?;
     out.reserve(expected.min(PREALLOC_CAP));
-    let mut chunk = [0u8; 8192];
-    let mut remaining = nbytes;
-    while remaining > 0 {
-        let take = remaining.min(chunk.len());
-        r.read_exact(&mut chunk[..take])?;
-        for c in chunk[..take].chunks_exact(8) {
-            let mut b = [0u8; 8];
-            b.copy_from_slice(c);
-            let v = u64::from_le_bytes(b);
+    read_words(r, expected, "usize", |bytes| {
+        for c in bytes.chunks_exact(8) {
+            let v = u64::from_le_bytes(c.try_into().expect("8-byte chunk"));
             out.push(usize::try_from(v).map_err(|_| bad_state("usize value overflows"))?);
         }
-        remaining -= take;
-    }
-    let mut sep = [0u8; 1];
-    r.read_exact(&mut sep)?;
-    if sep[0] != b'\n' {
-        return Err(bad_state("missing terminator after binary usize run"));
-    }
-    Ok(())
+        Ok(())
+    })
 }
 
 /// `a * b` with overflow reported as malformed data (a corrupted header
@@ -254,40 +206,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn f64_line_round_trips_every_bit_pattern_class() {
-        let vals = [
-            0.0,
-            -0.0,
-            1.0,
-            -1.5,
-            0.1,
-            1.0 / 3.0,
-            f64::MIN_POSITIVE,
-            f64::MIN_POSITIVE / 8.0, // subnormal
-            f64::MAX,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            f64::NAN,
-            1e-300,
-            -2.2250738585072014e-308,
-        ];
-        let mut buf = Vec::new();
-        write_f64_line(&mut buf, &vals).unwrap();
-        let line = String::from_utf8(buf).unwrap();
-        let back = parse_f64_line(line.trim_end(), vals.len()).unwrap();
-        for (a, b) in vals.iter().zip(&back) {
-            assert_eq!(a.to_bits(), b.to_bits(), "{a} round-trips");
-        }
-    }
-
-    #[test]
     fn parse_rejects_wrong_counts_and_garbage() {
-        assert!(parse_f64_line("1.0 2.0", 3).is_err());
-        assert!(parse_f64_line("1.0 2.0 3.0 4.0", 3).is_err());
-        assert!(parse_f64_line("1.0 abc", 2).is_err());
+        assert!(parse_usize_line("1 2", 3).is_err());
+        assert!(parse_usize_line("1 2 3 4", 3).is_err());
         assert!(parse_usize_line("1 2 junk", 3).is_err());
         assert!(parse_usize_line("-1", 1).is_err());
-        assert!(parse_f64_line("", 0).is_ok());
+        assert!(parse_usize_line("", 0).is_ok());
         assert!(parse_usize_line("7", 1).is_ok());
     }
 
@@ -335,33 +259,22 @@ mod tests {
         let mut buf = Vec::new();
         write_usize_run(&mut buf, &vals).unwrap();
         assert_eq!(buf.len(), vals.len() * 8 + 1);
-        assert_eq!(read_usize_run(&mut &buf[..], vals.len()).unwrap(), vals);
-        // The _into variant appends after existing contents.
+        let mut back = Vec::new();
+        read_usize_run_into(&mut &buf[..], vals.len(), &mut back).unwrap();
+        assert_eq!(back, vals);
+        // Values append after existing contents.
         let mut out = vec![99usize];
         read_usize_run_into(&mut &buf[..], vals.len(), &mut out).unwrap();
         assert_eq!(out[0], 99);
         assert_eq!(&out[1..], &vals);
         // Truncation → UnexpectedEof; wrong terminator → InvalidData.
-        let err = read_usize_run(&mut &buf[..buf.len() - 3], vals.len()).unwrap_err();
+        let err = read_usize_run_into(&mut &buf[..buf.len() - 3], vals.len(), &mut Vec::new())
+            .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
         let mut mangled = buf.clone();
         *mangled.last_mut().unwrap() = b'x';
-        let err = read_usize_run(&mut &mangled[..], vals.len()).unwrap_err();
+        let err = read_usize_run_into(&mut &mangled[..], vals.len(), &mut Vec::new()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-    }
-
-    #[test]
-    fn f64_run_into_appends_after_existing_contents() {
-        let vals = [1.5f64, -0.25, f64::NAN];
-        let mut buf = Vec::new();
-        write_f64_run(&mut buf, &vals).unwrap();
-        let mut out = vec![7.0f64];
-        read_f64_run_into(&mut &buf[..], vals.len(), &mut out).unwrap();
-        assert_eq!(out.len(), 4);
-        assert_eq!(out[0], 7.0);
-        for (a, b) in vals.iter().zip(&out[1..]) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
     }
 
     #[test]

@@ -10,13 +10,12 @@
 //! (with its SVD left factor) or the projector would each cost a full
 //! `n × r`. Nothing is credited: the stage's own output is `m × r`.
 //!
-//! Live and peak bytes come from a counting global allocator (std only).
-//! This binary holds this one test, so nothing else allocates while it
-//! measures.
+//! Live and peak bytes come from the counting global allocator in
+//! `tests/support/counting_alloc.rs`. This binary holds this one test,
+//! so nothing else allocates while it measures.
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 
 use ivmf_core::{IsvdAlgorithm, IsvdConfig, Pipeline};
 use ivmf_data::stream::{CsrShardReader, CsrShardWriter};
@@ -24,67 +23,9 @@ use ivmf_data::synthetic::{generate_power_law, PowerLawConfig};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-/// Bytes currently allocated, and the most ever allocated at once.
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-/// The system allocator, counting live bytes and their peak.
-struct Counting;
-
-fn grow(bytes: usize) {
-    let live = LIVE.fetch_add(bytes, Ordering::SeqCst) + bytes;
-    PEAK.fetch_max(live, Ordering::SeqCst);
-}
-
-fn shrink(bytes: usize) {
-    LIVE.fetch_sub(bytes, Ordering::SeqCst);
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// whose allocations therefore meet the `GlobalAlloc` contract; the
-// counters are atomics and never touch the memory handed out.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // SAFETY: the caller's `layout` is passed through as received.
-        let p = System.alloc(layout);
-        if !p.is_null() {
-            grow(layout.size());
-        }
-        p
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        // SAFETY: as in `alloc`.
-        let p = System.alloc_zeroed(layout);
-        if !p.is_null() {
-            grow(layout.size());
-        }
-        p
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` with this `layout`, since
-        // every allocation of this allocator does.
-        System.dealloc(ptr, layout);
-        shrink(layout.size());
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        // SAFETY: as in `dealloc`; `new_size` is passed through.
-        let p = System.realloc(ptr, layout, new_size);
-        if !p.is_null() {
-            if new_size > layout.size() {
-                grow(new_size - layout.size());
-            } else {
-                shrink(layout.size() - new_size);
-            }
-        }
-        p
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::{LIVE, PEAK};
 
 const ROWS: usize = 60_000;
 const COLS: usize = 64;

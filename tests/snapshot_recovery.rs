@@ -17,6 +17,7 @@ use std::sync::Mutex;
 use ivmf_core::pipeline::{Pipeline, StageId};
 use ivmf_core::snapshot::snapshot_path;
 use ivmf_core::{IsvdAlgorithm, IsvdConfig, IsvdResult, RestoreReport};
+use ivmf_data::binfmt;
 use ivmf_data::fault::{FaultSchedule, FaultyWriter};
 use ivmf_interval::{IntervalMatrix, RowShardedIntervalMatrix};
 use ivmf_linalg::random::uniform_matrix;
@@ -64,6 +65,22 @@ fn snapshot_bytes(p: &Pipeline<'_>) -> Vec<u8> {
     let mut buf = Vec::new();
     p.write_snapshot(&mut buf).unwrap();
     buf
+}
+
+/// Offset of the first entry record's payload, found by walking the
+/// records from the end of the 8-byte magic; a payload starts 9 bytes
+/// into its record (kind byte, length field).
+fn first_entry_payload(bytes: &[u8]) -> usize {
+    let mut rest = &bytes[8..];
+    loop {
+        let at = bytes.len() - rest.len();
+        let frame = binfmt::read_frame(&mut rest)
+            .unwrap()
+            .expect("snapshot has entries");
+        if frame.kind == binfmt::REC_SNAPSHOT_ENTRY {
+            return at + 9;
+        }
+    }
 }
 
 /// The flagship scenario: a streaming session is killed between row
@@ -190,17 +207,7 @@ fn single_bit_corruption_drops_one_record_and_stays_bitwise_correct() {
     let path = dir.join("flipped.snap");
 
     // Land the flip inside the first entry's payload bytes.
-    let header_at = bytes
-        .windows(7)
-        .position(|w| w == b"\nentry ")
-        .expect("snapshot has entries") as u64;
-    let payload_at = header_at
-        + 1
-        + bytes[(header_at as usize + 1)..]
-            .iter()
-            .position(|&b| b == b'\n')
-            .unwrap() as u64
-        + 1;
+    let payload_at = first_entry_payload(&bytes) as u64;
     for bit in [0u8, 3, 7] {
         let mut w = FaultyWriter::new(
             std::fs::File::create(&path).unwrap(),
@@ -219,8 +226,9 @@ fn single_bit_corruption_drops_one_record_and_stays_bitwise_correct() {
     }
 }
 
-/// A mangled trailing checksum line switches the loader to per-record
-/// salvage: everything with an intact payload hash still restores.
+/// A mangled end record (its last bytes, the frame's own checksum)
+/// switches the loader to per-record salvage: everything with an intact
+/// payload checksum still restores.
 #[test]
 fn corrupted_checksum_still_salvages_every_intact_record() {
     let _guard = lock();
@@ -263,16 +271,29 @@ fn version_bump_and_stale_matrix_are_rejected_wholesale() {
     let bytes = snapshot_bytes(&warm);
     let dir = temp_dir("reject");
 
-    // Future version: the first line reads "ivmf snapshot v3".
+    // Future version: the magic reads "ivmfsn4\n".
     let mut bumped = bytes.clone();
     let v_at = bumped.iter().position(|&b| b == b'\n').unwrap() - 1;
-    bumped[v_at] = b'3';
+    bumped[v_at] = b'4';
     let path = dir.join("future.snap");
     std::fs::write(&path, &bumped).unwrap();
     let mut p = Pipeline::new(&m, config).unwrap();
     let report = p.restore_from(&path).unwrap();
     assert_eq!(report.restored, 0, "future formats must not be guessed at");
     assert!(!report.gram_restored);
+
+    // Past version: a v2 file, text record headers behind a version line.
+    let v2 = format!(
+        "ivmf snapshot v2\nmatrix {:016x}\nend 0123456789abcdef\n",
+        warm.content_id()
+    );
+    let path = dir.join("v2.snap");
+    std::fs::write(&path, v2).unwrap();
+    let mut p = Pipeline::new(&m, config).unwrap();
+    let report = p.restore_from(&path).unwrap();
+    assert_eq!(report.restored, 0, "a v2 file restores nothing");
+    assert_eq!(report.dropped, 1);
+    assert!(!report.gram_restored && !report.checksum_ok);
 
     // Stale matrix: intact file, wrong data set.
     let path = dir.join("stale.snap");

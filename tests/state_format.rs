@@ -8,8 +8,8 @@
 //! * `write_state` of the interval Gram in both representations and both
 //!   flavours;
 //! * `write_snapshot` of a dense and of a CSR session after
-//!   `interval_gram()` only — which covers the snapshot's `gram` record
-//!   with its `dense`/`sparse` tag line and the version line.
+//!   `interval_gram()` only — which covers the snapshot's magic, its
+//!   record framing and its Gram record.
 //!
 //! The input has `GROUP_ROWS + 300` rows, so every state carries a master
 //! partial, a group partial and a pending tail. Its values are small
@@ -116,9 +116,10 @@ fn state_format_bytes_are_pinned() {
     // Every state holds a master, a group and a pending tail: 66 folded
     // chunks (one sealed group, two open) and 44 pending rows.
     assert!(got[0].1.starts_with(b"gram 6 8492 44 1 1\n"));
-    // The snapshot's Gram record names its representation.
+    // The snapshot's Gram record holds the accumulator state, whose own
+    // header names its representation.
     let text = String::from_utf8_lossy(&got[9].1);
-    assert!(text.contains("\nsparse\nsparseintervalgram 6 8492 1\n"));
+    assert!(text.contains("\nsparseintervalgram 6 8492 1\n"));
 
     let expected: [(&str, u64); 10] = [
         ("gram", 0x15b1f69e8e3638d0),
@@ -129,8 +130,8 @@ fn state_format_bytes_are_pinned() {
         ("sparseintervalgram exact", 0xbc9244c5974670e2),
         ("intervalgram midrad", 0xaef8aaf128811bc2),
         ("sparseintervalgram midrad", 0xd3c2e410ae5f28d6),
-        ("dense snapshot", 0xa9a536b56886f3bf),
-        ("sparse snapshot", 0xfa661fe2d68670f1),
+        ("dense snapshot", 0xf15e8580d6615da2),
+        ("sparse snapshot", 0xbaff6d9c4f71f8b9),
     ];
     for ((name, buf), (want_name, want)) in got.iter().zip(expected) {
         assert_eq!(*name, want_name);
