@@ -120,7 +120,7 @@ use ivmf_linalg::lu::invert;
 use ivmf_linalg::pinv::{PinvGram, TallPinv, PINV_ROW_ALIGN};
 use ivmf_linalg::streaming::GROUP_ROWS;
 use ivmf_linalg::svd::{svd_truncated, Svd};
-use ivmf_linalg::{ColBlocks, Dispatch, Matrix};
+use ivmf_linalg::{matmul_left_streamed_t, matmul_streamed, ColBlocks, Dispatch, Matrix};
 
 use crate::isvd::{
     bound_eigen, invert_factor_transpose, scale_left_factor, BoundEigen, IsvdAlgorithm, IsvdConfig,
@@ -784,14 +784,14 @@ fn input_dense<'a, S: IntervalShard>(
 }
 
 /// Row-streamed product `bound(M) · rhs` over the input's shards, through
-/// the representation's kernel (the CSR kernel is bitwise identical to
-/// the dense one on the same logical matrix; see `ivmf_linalg::sparse`).
+/// their block type's kernel (the CSR kernel is bitwise identical to the
+/// dense one on the same logical matrix; see `ivmf_linalg::sparse`).
 fn stream_bound_matmul<S: IntervalShard>(
     input: &PipelineInput<'_, S>,
     hi: bool,
     rhs: &Matrix,
 ) -> Result<Matrix> {
-    S::bound_product(&BoundBlocks::new(input, hi), rhs).map_err(IvmfError::from)
+    matmul_streamed(&BoundBlocks::new(input, hi), rhs).map_err(IvmfError::from)
 }
 
 /// Row-streamed `M† · rhs` for a scalar right operand: the streamed
@@ -816,8 +816,8 @@ fn stream_matmul_scalar_left_t<S: IntervalShard, L: ColBlocks>(
     mut lhs: L,
     input: &PipelineInput<'_, S>,
 ) -> Result<IntervalMatrix> {
-    let p = S::bound_product_left_t(&mut lhs, &BoundBlocks::new(input, false))?;
-    let q = S::bound_product_left_t(&mut lhs, &BoundBlocks::new(input, true))?;
+    let p = matmul_left_streamed_t(&mut lhs, &BoundBlocks::new(input, false))?;
+    let q = matmul_left_streamed_t(&mut lhs, &BoundBlocks::new(input, true))?;
     IntervalMatrix::envelope_of(p, q).map_err(IvmfError::from)
 }
 
@@ -1078,7 +1078,7 @@ fn fold_units<'a, S: IntervalShard>(
 ) -> IResult<()> {
     let threads = ivmf_par::configured_threads();
     if threads <= 1 || rows <= GROUP_ROWS {
-        return input.for_each_shard(&mut |s| s.push_into(master));
+        return input.for_each_shard(&mut |s| master.push(s));
     }
     let mut sealed: Vec<Vec<Piece<'a, S>>> = Vec::new();
     let mut open: Vec<Piece<'a, S>> = Vec::new();
@@ -1116,7 +1116,7 @@ fn fold_unit_batch<S: IntervalShard>(
     let folded = ivmf_par::par_map(units.len(), units.len(), |i| {
         let mut acc = empty_gram(cols, mid_rad, csr);
         for piece in &units[i] {
-            piece.with_rows(&mut |s| s.push_into(&mut acc))?;
+            piece.with_rows(&mut |s| acc.push(s))?;
         }
         Ok::<_, IntervalError>(acc)
     });
@@ -1374,7 +1374,7 @@ impl<'m, S: IntervalShard> Pipeline<'m, S> {
             let row = n + row;
             return Err(IvmfError::InvalidBounds { row, col, lo, hi });
         }
-        let Some(rows) = S::adopt(rows) else {
+        let Some(rows) = S::adopt(&rows).map(Cow::into_owned) else {
             return Err(IvmfError::InvalidInput(
                 "a dense session does not take CSR rows (they are never densified \
                  implicitly); append dense rows"
@@ -1409,7 +1409,7 @@ impl<'m, S: IntervalShard> Pipeline<'m, S> {
                 if state.matrix == old_id
                     && state.acc.is_mid_rad() == use_mr_gram(new_rows_total, cols) =>
             {
-                rows.push_into(&mut state.acc)?;
+                state.acc.push(&rows)?;
                 state.matrix = new_id;
                 let gram = state.acc.finish()?;
                 let key = StageKey {

@@ -773,8 +773,7 @@ mod tests {
         // A Gram accumulator under this matrix's id over fewer rows.
         let mut short_gram = own.clone();
         let mut acc = StreamingIntervalGram::with_flavour(7, false);
-        acc.push_shard(&random_interval_matrix(104, 5, 7, 1.0))
-            .unwrap();
+        acc.push(&random_interval_matrix(104, 5, 7, 1.0)).unwrap();
         short_gram[gram].1 = format!("{:016x}\n", p.content_id()).into_bytes();
         acc.write_state(&mut short_gram[gram].1).unwrap();
 

@@ -744,9 +744,7 @@ where
     // folds; delivery is in order, so results are bitwise unchanged.
     let mut src = Prefetch::<S>::from_env(Box::new(reader));
     while let Some(shard) = src.next_shard().map_err(|e| invalid_data(e.to_string()))? {
-        shard
-            .push_into(&mut acc)
-            .map_err(|e| invalid_data(e.to_string()))?;
+        acc.push(&shard).map_err(|e| invalid_data(e.to_string()))?;
         shard.recycle();
     }
     acc.finish().map_err(|e| invalid_data(e.to_string()))

@@ -15,13 +15,16 @@
 //!
 //! * [`IntervalShard`] — the one place that knows a shard's
 //!   representation: implemented by the dense [`IntervalMatrix`] and by
-//!   [`CsrIntervalShard`], it supplies everything the generic layers above
-//!   ask of a shard (slicing, densifying, conversion, validation, content
-//!   words, the Gram push and the streamed bound products);
+//!   [`CsrIntervalShard`], it names its scalar [`RowBlock`] type and
+//!   supplies everything the generic layers above ask of a shard
+//!   (slicing, conversion, validation, content words, and its bounds and
+//!   midpoint–radius payloads as scalar blocks);
 //! * [`ShardedIntervalMatrix`] — an ordered set of row-block shards of one
 //!   representation ([`RowShardedIntervalMatrix`] and
 //!   [`CsrShardedIntervalMatrix`] name the two), and [`BoundBlocks`], one
-//!   bound of any [`ShardWalk`] as a scalar row-block stream;
+//!   bound of any [`ShardWalk`] as a [`RowBlocks`] source of the shards'
+//!   scalar blocks, which the streamed products of [`ivmf_linalg`] take
+//!   directly;
 //! * [`StreamingIntervalGram`] — the flavour-dispatched streaming
 //!   accumulator, over dense or CSR scalar accumulators: per shard it
 //!   feeds the bound (or block-converted midpoint–radius) rows into them,
@@ -43,13 +46,10 @@ use std::borrow::Cow;
 use std::fmt;
 use std::io;
 
-use ivmf_linalg::sparse::{CsrCross, CsrGram};
 use ivmf_linalg::state_text::{bad_state, parse_usize_line, read_line};
-use ivmf_linalg::streaming::{DenseCross, DenseGram};
 use ivmf_linalg::{
-    matmul_left_streamed, matmul_streamed, ChunkKernel, ColBlocks, CrossGramAccumulator,
-    GramAccumulator, LinalgError, Matrix, RowBlocks, SparseCrossGramAccumulator,
-    SparseGramAccumulator, StreamAccumulator,
+    ChunkKernel, CrossGramAccumulator, CsrShard, GramAccumulator, LinalgError, Matrix, RowBlock,
+    RowBlocks, StreamAccumulator,
 };
 
 use crate::scalar::envelope;
@@ -79,6 +79,10 @@ pub trait IntervalShard: Clone + fmt::Debug + PartialEq + Send + Sync + 'static 
     /// True for the CSR representation: sessions over it hash stored
     /// entries only and always fold the Gram through the sparse kernels.
     const CSR: bool;
+    /// The scalar row block the shard's bounds are stored as: the streamed
+    /// products fold a bound of a shard stream through this block type's
+    /// kernels.
+    type Block: RowBlock;
     /// Number of rows.
     fn rows(&self) -> usize;
     /// Number of columns.
@@ -88,18 +92,14 @@ pub trait IntervalShard: Clone + fmt::Debug + PartialEq + Send + Sync + 'static 
     /// The shard as a dense interval matrix: borrowed when it is one,
     /// materialized otherwise (implicit entries become `[0, 0]`).
     fn as_dense(&self) -> Cow<'_, IntervalMatrix>;
-    /// A dense interval matrix in this representation: borrowed as is,
-    /// or CSR-compressed (dropping `[0, 0]` entries, a bitwise no-op in
-    /// every kernel).
-    fn from_dense_rows(m: &IntervalMatrix) -> Cow<'_, Self>;
-    /// The shard as dense rows; CSR rows are never densified implicitly.
-    fn into_dense(self) -> Option<IntervalMatrix>;
-    /// The shard as CSR rows (a lossless compression of dense rows).
-    fn into_csr(self) -> CsrIntervalShard;
+    /// The shard as CSR rows: borrowed when it is one, CSR-compressed
+    /// otherwise (dropping `[0, 0]` entries, a bitwise no-op in every
+    /// kernel).
+    fn as_csr(&self) -> Cow<'_, CsrIntervalShard>;
     /// Rows of representation `R` in this one: dense rows are
     /// CSR-compressed for a CSR target, and a dense target refuses CSR
-    /// rows (`None`).
-    fn adopt<R: IntervalShard>(rows: R) -> Option<Self>;
+    /// rows (`None`) — they are never densified implicitly.
+    fn adopt<R: IntervalShard>(rows: &R) -> Option<Cow<'_, Self>>;
     /// The first cell in row order that is no valid input interval — a
     /// NaN or infinite bound, or `lo > hi` — as `(row, col, lo, hi)`.
     /// Implicit CSR entries (`[0, 0]`) are always valid.
@@ -110,19 +110,14 @@ pub trait IntervalShard: Clone + fmt::Debug + PartialEq + Send + Sync + 'static 
     /// bits)` pairs — the per-row count keeps the stream injective across
     /// row boundaries, and hashing implicit zeros would cost `O(nm)`.
     fn content_words(&self, lo: impl FnMut(u64), hi: impl FnMut(u64));
-    /// Feeds the shard into an interval-Gram accumulator of either
-    /// representation (a shard of the other one is converted first, which
-    /// keeps every bit).
-    fn push_into(&self, acc: &mut StreamingIntervalGram) -> Result<()>;
-    /// The row-streamed product `bound · rhs` through this
-    /// representation's streaming kernel.
-    fn bound_product(bound: &BoundBlocks<'_, Self>, rhs: &Matrix) -> ivmf_linalg::Result<Matrix>;
-    /// The reduction-streamed `(lhs · bound)ᵀ`, `m x p`, through this
-    /// representation's streaming kernel.
-    fn bound_product_left_t<L: ColBlocks>(
-        lhs: L,
-        bound: &BoundBlocks<'_, Self>,
-    ) -> ivmf_linalg::Result<Matrix>;
+    /// The lower (`hi == false`) or upper bound as a scalar block.
+    fn bound(&self, hi: bool) -> Cow<'_, Self::Block>;
+    /// The midpoint `0.5·(lo + hi)` and the Rump magnitude `|mid| + rad`
+    /// (with `rad = 0.5·|hi − lo|`) as scalar blocks: the two streams the
+    /// midpoint–radius Gram folds. Both are entry-wise and map `[0, 0]` to
+    /// `0.0`, so the CSR payloads are exactly the nonzero entries of the
+    /// dense conversion.
+    fn mid_rad(&self) -> (Self::Block, Self::Block);
     /// Returns the shard's backing buffers to the [`ivmf_linalg::pool`],
     /// so the next decoded shard can reuse them instead of allocating
     /// (dropping the shard instead is always correct, just slower in
@@ -132,6 +127,7 @@ pub trait IntervalShard: Clone + fmt::Debug + PartialEq + Send + Sync + 'static 
 
 impl IntervalShard for IntervalMatrix {
     const CSR: bool = false;
+    type Block = Matrix;
     fn rows(&self) -> usize {
         IntervalMatrix::rows(self)
     }
@@ -144,17 +140,11 @@ impl IntervalShard for IntervalMatrix {
     fn as_dense(&self) -> Cow<'_, IntervalMatrix> {
         Cow::Borrowed(self)
     }
-    fn from_dense_rows(m: &IntervalMatrix) -> Cow<'_, Self> {
-        Cow::Borrowed(m)
+    fn as_csr(&self) -> Cow<'_, CsrIntervalShard> {
+        Cow::Owned(CsrIntervalShard::from_dense(self))
     }
-    fn into_dense(self) -> Option<IntervalMatrix> {
-        Some(self)
-    }
-    fn into_csr(self) -> CsrIntervalShard {
-        CsrIntervalShard::from_dense(&self)
-    }
-    fn adopt<R: IntervalShard>(rows: R) -> Option<Self> {
-        rows.into_dense()
+    fn adopt<R: IntervalShard>(rows: &R) -> Option<Cow<'_, Self>> {
+        (!R::CSR).then(|| rows.as_dense())
     }
     fn first_invalid_cell(&self) -> Option<(usize, usize, f64, f64)> {
         let cols = self.cols();
@@ -168,22 +158,19 @@ impl IntervalShard for IntervalMatrix {
         self.lo().as_slice().iter().for_each(|x| lo(x.to_bits()));
         self.hi().as_slice().iter().for_each(|x| hi(x.to_bits()));
     }
-    fn push_into(&self, acc: &mut StreamingIntervalGram) -> Result<()> {
-        acc.push_shard(self)
+    fn bound(&self, hi: bool) -> Cow<'_, Matrix> {
+        Cow::Borrowed(if hi { self.hi() } else { self.lo() })
     }
-    fn bound_product(bound: &BoundBlocks<'_, Self>, rhs: &Matrix) -> ivmf_linalg::Result<Matrix> {
-        matmul_streamed(bound, rhs)
-    }
-    fn bound_product_left_t<L: ColBlocks>(
-        lhs: L,
-        bound: &BoundBlocks<'_, Self>,
-    ) -> ivmf_linalg::Result<Matrix> {
-        Ok(matmul_left_streamed(lhs, bound)?.transpose())
+    fn mid_rad(&self) -> (Matrix, Matrix) {
+        let mid = self.mid();
+        let rad = self.spans().map(|s| 0.5 * s.abs());
+        let mag = mid.map(f64::abs).add(&rad).expect("bounds share a shape");
+        (mid, mag)
     }
     fn recycle(self) {
         let (lo, hi) = self.into_bounds();
-        ivmf_linalg::pool::recycle_f64(lo.into_vec());
-        ivmf_linalg::pool::recycle_f64(hi.into_vec());
+        lo.recycle();
+        hi.recycle();
     }
 }
 
@@ -262,11 +249,10 @@ pub trait ShardWalk<S> {
 }
 
 /// One bound (`lo` or `hi`) of a [`ShardWalk`] viewed as a scalar
-/// row-block stream: [`RowBlocks`] over dense shards,
-/// [`CsrRowBlocks`](ivmf_linalg::CsrRowBlocks) over CSR shards (each
-/// shard's bound pattern, never densified), so the streaming kernels
-/// consume it directly. Errors of the walk itself (a failing lazy source)
-/// surface as [`LinalgError::InvalidArgument`].
+/// row-block stream: a [`RowBlocks`] source of the shards' scalar blocks
+/// (each CSR shard's bound pattern, never densified), so the streaming
+/// kernels consume it directly. Errors of the walk itself (a failing lazy
+/// source) surface as [`LinalgError::InvalidArgument`].
 #[derive(Clone, Copy)]
 pub struct BoundBlocks<'a, S> {
     walk: &'a dyn ShardWalk<S>,
@@ -278,38 +264,25 @@ impl<'a, S> BoundBlocks<'a, S> {
     pub fn new(walk: &'a dyn ShardWalk<S>, hi: bool) -> Self {
         BoundBlocks { walk, hi }
     }
+}
 
-    pub(crate) fn shape(&self) -> (usize, usize) {
-        self.walk.shape()
+impl<S: IntervalShard> RowBlocks<S::Block> for BoundBlocks<'_, S> {
+    fn rows(&self) -> usize {
+        self.walk.shape().0
     }
-
-    /// Calls `f` on every shard with the bound flag, mapping the walk's
-    /// own errors into the kernels' error type.
-    pub(crate) fn for_each_shard(
+    fn cols(&self) -> usize {
+        self.walk.shape().1
+    }
+    fn for_each_block(
         &self,
-        f: &mut dyn FnMut(&S, bool) -> ivmf_linalg::Result<()>,
+        f: &mut dyn FnMut(&S::Block) -> ivmf_linalg::Result<()>,
     ) -> ivmf_linalg::Result<()> {
         self.walk
-            .for_each_shard(&mut |s| Ok(f(s, self.hi)?))
+            .for_each_shard(&mut |s| Ok(f(&s.bound(self.hi))?))
             .map_err(|e| match e {
                 IntervalError::Linalg(e) => e,
                 e => LinalgError::InvalidArgument(format!("row-shard stream: {e}")),
             })
-    }
-}
-
-impl RowBlocks for BoundBlocks<'_, IntervalMatrix> {
-    fn rows(&self) -> usize {
-        self.shape().0
-    }
-    fn cols(&self) -> usize {
-        self.shape().1
-    }
-    fn for_each_block(
-        &self,
-        f: &mut dyn FnMut(&Matrix) -> ivmf_linalg::Result<()>,
-    ) -> ivmf_linalg::Result<()> {
-        self.for_each_shard(&mut |s, hi| f(if hi { s.hi() } else { s.lo() }))
     }
 }
 
@@ -361,7 +334,8 @@ impl<S: IntervalShard> ShardedIntervalMatrix<S> {
     /// Splits a dense interval matrix into shards of at most `shard_rows`
     /// rows (the last shard takes the remainder), in this representation.
     pub fn from_dense(m: &IntervalMatrix, shard_rows: usize) -> Result<Self> {
-        Self::split(&S::from_dense_rows(m), shard_rows)
+        let m = S::adopt(m).expect("every representation adopts dense rows");
+        Self::split(&m, shard_rows)
     }
 
     /// Splits one shard into shards of at most `shard_rows` rows.
@@ -479,7 +453,7 @@ impl<S: IntervalShard> ShardedIntervalMatrix<S> {
             StreamingIntervalGram::new(self.rows, self.cols)
         };
         for s in &self.shards {
-            s.push_into(&mut acc)?;
+            acc.push(s)?;
         }
         acc.finish()
     }
@@ -527,10 +501,11 @@ impl<S: IntervalShard> ShardWalk<S> for ShardedIntervalMatrix<S> {
 /// ([`StreamingIntervalGram::new`], [`StreamingIntervalGram::with_flavour`])
 /// or CSR, folding stored entries only
 /// ([`StreamingIntervalGram::new_csr`],
-/// [`StreamingIntervalGram::with_flavour_csr`]). Either accepts both
-/// shard types: a shard of the other representation is converted first
-/// ([`CsrIntervalShard::from_dense`] / [`CsrIntervalShard::to_dense`]),
-/// which preserves every bit. The two representations produce
+/// [`StreamingIntervalGram::with_flavour_csr`]).
+/// [`StreamingIntervalGram::push`] accepts shards of either type: a shard
+/// of the other representation is converted first
+/// ([`IntervalShard::as_dense`] / [`IntervalShard::as_csr`]), which
+/// preserves every bit. The two representations produce
 /// bitwise-identical Grams for the same logical matrix (skipping a zero
 /// term never changes a sum's bits), so the choice is pure kernel
 /// selection.
@@ -550,22 +525,21 @@ pub struct StreamingIntervalGram {
 /// The scalar accumulators of one interval Gram, in its representation.
 #[derive(Debug, Clone)]
 enum Folds {
-    Dense(Flavour<DenseGram, DenseCross>),
-    Csr(Flavour<CsrGram, CsrCross>),
+    Dense(Flavour<Matrix>),
+    Csr(Flavour<CsrShard>),
 }
 
-/// The scalar accumulators one flavour folds: Gram accumulators with
-/// chunk kernel `G` and a cross-product accumulator with kernel `X`.
+/// The scalar accumulators one flavour folds, over blocks of type `B`.
 #[derive(Debug, Clone)]
-enum Flavour<G: ChunkKernel, X: ChunkKernel> {
+enum Flavour<B: RowBlock> {
     Exact {
-        lo: StreamAccumulator<G>,
-        hi: StreamAccumulator<G>,
-        cross: Box<StreamAccumulator<X>>,
+        lo: GramAccumulator<B>,
+        hi: GramAccumulator<B>,
+        cross: Box<CrossGramAccumulator<B>>,
     },
     MidRad {
-        mid: StreamAccumulator<G>,
-        sum: StreamAccumulator<G>,
+        mid: GramAccumulator<B>,
+        sum: GramAccumulator<B>,
     },
 }
 
@@ -583,12 +557,7 @@ impl StreamingIntervalGram {
     /// whole stream picked: re-deriving it from the unit's ≤ one group of
     /// rows could choose the other flavour.
     pub fn with_flavour(cols: usize, mid_rad: bool) -> Self {
-        let flavour = Flavour::empty(
-            mid_rad,
-            || GramAccumulator::new(cols),
-            || CrossGramAccumulator::new(cols, cols),
-        );
-        StreamingIntervalGram::build(cols, Folds::Dense(flavour))
+        StreamingIntervalGram::build(cols, Folds::Dense(Flavour::empty(mid_rad, cols)))
     }
 
     /// [`StreamingIntervalGram::new`] in the CSR representation.
@@ -598,12 +567,7 @@ impl StreamingIntervalGram {
 
     /// [`StreamingIntervalGram::with_flavour`] in the CSR representation.
     pub fn with_flavour_csr(cols: usize, mid_rad: bool) -> Self {
-        let flavour = Flavour::empty(
-            mid_rad,
-            || SparseGramAccumulator::new(cols),
-            || SparseCrossGramAccumulator::new(cols, cols),
-        );
-        StreamingIntervalGram::build(cols, Folds::Csr(flavour))
+        StreamingIntervalGram::build(cols, Folds::Csr(Flavour::empty(mid_rad, cols)))
     }
 
     fn build(cols: usize, folds: Folds) -> Self {
@@ -638,60 +602,20 @@ impl StreamingIntervalGram {
         self.cols
     }
 
-    fn check_cols(&self, shape: (usize, usize)) -> Result<()> {
-        if shape.1 != self.cols {
+    /// Feeds the next interval shard of either representation (row order
+    /// across calls); a shard of the other representation is converted
+    /// first, which keeps every bit.
+    pub fn push<S: IntervalShard>(&mut self, shard: &S) -> Result<()> {
+        if shard.cols() != self.cols {
             return Err(IntervalError::DimensionMismatch {
                 op: "interval_gram_accumulate",
                 lhs: (self.rows_seen, self.cols),
-                rhs: shape,
+                rhs: (shard.rows(), shard.cols()),
             });
         }
-        Ok(())
-    }
-
-    /// Feeds the next dense interval shard (row order across calls).
-    pub fn push_shard(&mut self, shard: &IntervalMatrix) -> Result<()> {
-        self.check_cols(shard.shape())?;
         match &mut self.folds {
-            Folds::Dense(Flavour::Exact { lo, hi, cross }) => {
-                lo.push_block(shard.lo())?;
-                hi.push_block(shard.hi())?;
-                cross.push_blocks(shard.lo(), shard.hi())?;
-            }
-            Folds::Dense(Flavour::MidRad { mid, sum }) => {
-                // Block midpoint–radius conversion is entry-wise, so the
-                // blocks of the converted streams are exactly the
-                // corresponding row blocks of the dense conversion.
-                let mid_block = shard.mid();
-                let rad_block = shard.spans().map(|s| 0.5 * s.abs());
-                let sum_block = mid_block.map(f64::abs).add(&rad_block)?;
-                mid.push_block(&mid_block)?;
-                sum.push_block(&sum_block)?;
-            }
-            Folds::Csr(_) => return self.push_csr_shard(&CsrIntervalShard::from_dense(shard)),
-        }
-        self.rows_seen += shard.rows();
-        Ok(())
-    }
-
-    /// Feeds the next CSR interval shard (row order across calls).
-    pub fn push_csr_shard(&mut self, shard: &CsrIntervalShard) -> Result<()> {
-        self.check_cols(shard.shape())?;
-        match &mut self.folds {
-            Folds::Csr(Flavour::Exact { lo, hi, cross }) => {
-                let hi_shard = shard.hi_shard();
-                lo.push_block(shard.lo_shard())?;
-                hi.push_block(&hi_shard)?;
-                cross.push_blocks(shard.lo_shard(), &hi_shard)?;
-            }
-            Folds::Csr(Flavour::MidRad { mid, sum }) => {
-                // Midpoint–radius payload derivation is entry-wise and
-                // zero-preserving, so these shards store exactly the
-                // nonzero entries of the dense block conversion.
-                mid.push_block(&shard.mid_shard())?;
-                sum.push_block(&shard.mag_shard())?;
-            }
-            Folds::Dense(_) => return self.push_shard(&shard.to_dense()),
+            Folds::Dense(f) => f.push(&*shard.as_dense())?,
+            Folds::Csr(f) => f.push(&*shard.as_csr())?,
         }
         self.rows_seen += shard.rows();
         Ok(())
@@ -796,24 +720,41 @@ fn read_header(r: &mut dyn io::BufRead) -> io::Result<(bool, usize, usize, bool)
     Ok((csr, f[0], f[1], f[2] == 1))
 }
 
-impl<G: ChunkKernel, X: ChunkKernel> Flavour<G, X> {
-    fn empty(
-        mid_rad: bool,
-        gram: impl Fn() -> StreamAccumulator<G>,
-        cross: impl FnOnce() -> StreamAccumulator<X>,
-    ) -> Self {
+impl<B: RowBlock> Flavour<B> {
+    fn empty(mid_rad: bool, cols: usize) -> Self {
         if mid_rad {
             Flavour::MidRad {
-                mid: gram(),
-                sum: gram(),
+                mid: GramAccumulator::new(cols),
+                sum: GramAccumulator::new(cols),
             }
         } else {
             Flavour::Exact {
-                lo: gram(),
-                hi: gram(),
-                cross: Box::new(cross()),
+                lo: GramAccumulator::new(cols),
+                hi: GramAccumulator::new(cols),
+                cross: Box::new(CrossGramAccumulator::new(cols, cols)),
             }
         }
+    }
+
+    /// Feeds one shard whose bounds are blocks of type `B`. The
+    /// midpoint–radius conversion is entry-wise, so the blocks of the
+    /// converted streams are exactly the corresponding row blocks of the
+    /// whole matrix's conversion.
+    fn push<S: IntervalShard<Block = B>>(&mut self, shard: &S) -> Result<()> {
+        match self {
+            Flavour::Exact { lo, hi, cross } => {
+                let (l, h) = (shard.bound(false), shard.bound(true));
+                lo.push_block(&l)?;
+                hi.push_block(&h)?;
+                cross.push_blocks(&l, &h)?;
+            }
+            Flavour::MidRad { mid, sum } => {
+                let (m, g) = shard.mid_rad();
+                mid.push_block(&m)?;
+                sum.push_block(&g)?;
+            }
+        }
+        Ok(())
     }
 
     fn is_mid_rad(&self) -> bool {
@@ -937,7 +878,7 @@ impl IntervalMatrix {
     /// one [`ivmf_linalg::STREAM_CHUNK_ROWS`]-row chunk.
     pub fn interval_gram_streamed(&self) -> Result<IntervalMatrix> {
         let mut acc = StreamingIntervalGram::new(self.rows(), self.cols());
-        acc.push_shard(self)?;
+        acc.push(self)?;
         acc.finish()
     }
 }
@@ -995,9 +936,9 @@ mod tests {
         let bound = |v| Matrix::from_vec(3, 2, v).unwrap();
         let m = IntervalMatrix::from_bounds(bound(lo), bound(hi)).unwrap();
         let mut dense = StreamingIntervalGram::with_flavour(2, false);
-        dense.push_shard(&m).unwrap();
+        dense.push(&m).unwrap();
         let mut sparse = StreamingIntervalGram::with_flavour_csr(2, false);
-        sparse.push_csr_shard(&csr).unwrap();
+        sparse.push(&csr).unwrap();
         let nan = |g: &IntervalMatrix, i, j| g.lo()[(i, j)].is_nan() && g.hi()[(i, j)].is_nan();
         let clean = |g: &IntervalMatrix, i, j| !g.lo()[(i, j)].is_nan() && !g.hi()[(i, j)].is_nan();
         for g in [m.interval_gram(), dense.finish(), sparse.finish()] {
@@ -1085,19 +1026,19 @@ mod tests {
         let total_rows = 77;
 
         let mut acc = StreamingIntervalGram::new(total_rows, 30);
-        acc.push_shard(&head).unwrap();
+        acc.push(&head).unwrap();
         let _snapshot = acc.finish().unwrap(); // non-consuming
-        acc.push_shard(&tail).unwrap();
+        acc.push(&tail).unwrap();
         let incremental = acc.finish().unwrap();
         assert_eq!(acc.rows_seen(), total_rows);
 
         let mut cold = StreamingIntervalGram::new(total_rows, 30);
-        cold.push_shard(&head).unwrap();
-        cold.push_shard(&tail).unwrap();
+        cold.push(&head).unwrap();
+        cold.push(&tail).unwrap();
         assert_bitwise(&incremental, &cold.finish().unwrap(), "incremental vs cold");
 
         // Shape mismatches are rejected.
-        assert!(acc.push_shard(&random_interval(10, 3, 5)).is_err());
+        assert!(acc.push(&random_interval(10, 3, 5)).is_err());
     }
 
     #[test]
@@ -1131,15 +1072,15 @@ mod tests {
             let head = random_interval(21, total - 10, cols);
             let tail = random_interval(22, 10, cols);
             let mut acc = StreamingIntervalGram::new(total, cols);
-            acc.push_shard(&head).unwrap();
+            acc.push(&head).unwrap();
             let mut buf = Vec::new();
             acc.write_state(&mut buf).unwrap();
             let mut restored =
                 StreamingIntervalGram::read_state(&mut std::io::BufReader::new(&buf[..])).unwrap();
             assert_eq!(restored.is_mid_rad(), acc.is_mid_rad(), "{label}");
             assert_eq!(restored.rows_seen(), acc.rows_seen(), "{label}");
-            acc.push_shard(&tail).unwrap();
-            restored.push_shard(&tail).unwrap();
+            acc.push(&tail).unwrap();
+            restored.push(&tail).unwrap();
             assert_bitwise(
                 &restored.finish().unwrap(),
                 &acc.finish().unwrap(),
@@ -1161,9 +1102,9 @@ mod tests {
             (csr_acc, "sparseintervalgram", "intervalgram"),
         ] {
             if acc.is_csr() {
-                acc.push_csr_shard(&csr).unwrap();
+                acc.push(&csr).unwrap();
             } else {
-                acc.push_shard(&m).unwrap();
+                acc.push(&m).unwrap();
             }
             let mut buf = Vec::new();
             acc.write_state(&mut buf).unwrap();

@@ -12,9 +12,10 @@
 //! * the CSR representation of
 //!   [`StreamingIntervalGram`](crate::StreamingIntervalGram)
 //!   ([`StreamingIntervalGram::new_csr`](crate::StreamingIntervalGram::new_csr)),
-//!   which folds CSR shards through the **sparse** scalar accumulators of
-//!   [`ivmf_linalg::sparse`]; flavour dispatch, envelope and radius clamp
-//!   are the dense representation's own code.
+//!   which folds CSR shards through the scalar accumulators over
+//!   [`CsrShard`] blocks (the sparse kernels of [`ivmf_linalg::sparse`]);
+//!   flavour dispatch, envelope and radius clamp are the dense
+//!   representation's own code.
 //!
 //! ## Bitwise equality with the dense interval path
 //!
@@ -30,14 +31,10 @@
 
 use std::borrow::Cow;
 
-use ivmf_linalg::sparse::{CsrRowBlocks, CsrShard};
-use ivmf_linalg::{matmul_left_streamed_csr_t, matmul_streamed_csr, ColBlocks, Matrix};
+use ivmf_linalg::{CsrShard, RowBlock};
 
 use crate::sharded::valid_input;
-use crate::{
-    BoundBlocks, IntervalError, IntervalMatrix, IntervalShard, Result, ShardedIntervalMatrix,
-    StreamingIntervalGram,
-};
+use crate::{IntervalError, IntervalMatrix, IntervalShard, Result, ShardedIntervalMatrix};
 
 /// One interval row block in compressed-sparse-row form: a single
 /// sparsity pattern (`row_ptr`/`col_idx`) with aligned `lo`/`hi` value
@@ -237,6 +234,7 @@ impl CsrIntervalShard {
 
 impl IntervalShard for CsrIntervalShard {
     const CSR: bool = true;
+    type Block = CsrShard;
     fn rows(&self) -> usize {
         CsrIntervalShard::rows(self)
     }
@@ -249,17 +247,11 @@ impl IntervalShard for CsrIntervalShard {
     fn as_dense(&self) -> Cow<'_, IntervalMatrix> {
         Cow::Owned(self.to_dense())
     }
-    fn from_dense_rows(m: &IntervalMatrix) -> Cow<'_, Self> {
-        Cow::Owned(CsrIntervalShard::from_dense(m))
+    fn as_csr(&self) -> Cow<'_, CsrIntervalShard> {
+        Cow::Borrowed(self)
     }
-    fn into_dense(self) -> Option<IntervalMatrix> {
-        None
-    }
-    fn into_csr(self) -> CsrIntervalShard {
-        self
-    }
-    fn adopt<R: IntervalShard>(rows: R) -> Option<Self> {
-        Some(rows.into_csr())
+    fn adopt<R: IntervalShard>(rows: &R) -> Option<Cow<'_, Self>> {
+        Some(rows.as_csr())
     }
     fn first_invalid_cell(&self) -> Option<(usize, usize, f64, f64)> {
         (0..self.rows()).find_map(|i| {
@@ -283,24 +275,19 @@ impl IntervalShard for CsrIntervalShard {
             }
         }
     }
-    fn push_into(&self, acc: &mut StreamingIntervalGram) -> Result<()> {
-        acc.push_csr_shard(self)
+    fn bound(&self, hi: bool) -> Cow<'_, CsrShard> {
+        if hi {
+            Cow::Owned(self.hi_shard())
+        } else {
+            Cow::Borrowed(self.lo_shard())
+        }
     }
-    fn bound_product(bound: &BoundBlocks<'_, Self>, rhs: &Matrix) -> ivmf_linalg::Result<Matrix> {
-        matmul_streamed_csr(bound, rhs)
-    }
-    fn bound_product_left_t<L: ColBlocks>(
-        lhs: L,
-        bound: &BoundBlocks<'_, Self>,
-    ) -> ivmf_linalg::Result<Matrix> {
-        matmul_left_streamed_csr_t(lhs, bound)
+    fn mid_rad(&self) -> (CsrShard, CsrShard) {
+        (self.mid_shard(), self.mag_shard())
     }
     fn recycle(self) {
         let (lo, hi) = self.into_parts();
-        let (_, _, row_ptr, col_idx, values) = lo.into_parts();
-        ivmf_linalg::pool::recycle_usize(row_ptr);
-        ivmf_linalg::pool::recycle_usize(col_idx);
-        ivmf_linalg::pool::recycle_f64(values);
+        lo.recycle();
         ivmf_linalg::pool::recycle_f64(hi);
     }
 }
@@ -347,32 +334,12 @@ impl CsrShardedIntervalMatrix {
     }
 }
 
-impl CsrRowBlocks for BoundBlocks<'_, CsrIntervalShard> {
-    fn rows(&self) -> usize {
-        self.shape().0
-    }
-    fn cols(&self) -> usize {
-        self.shape().1
-    }
-    fn for_each_csr_block(
-        &self,
-        f: &mut dyn FnMut(&CsrShard) -> ivmf_linalg::Result<()>,
-    ) -> ivmf_linalg::Result<()> {
-        self.for_each_shard(&mut |s, hi| {
-            if hi {
-                f(&s.hi_shard())
-            } else {
-                f(s.lo_shard())
-            }
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::test_env::assert_bitwise;
     use crate::StreamingIntervalGram;
+    use ivmf_linalg::{Matrix, RowBlocks};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -466,14 +433,14 @@ mod tests {
         // envelope on both paths.
         let m = random_sparse_interval(5, 150, 8, 3);
         let mut dense_acc = StreamingIntervalGram::new(150, 8);
-        dense_acc.push_shard(&m).unwrap();
+        dense_acc.push(&m).unwrap();
         let reference = dense_acc.finish().unwrap();
         for shard_rows in [1usize, 7, 64, 150] {
             let sharded = CsrShardedIntervalMatrix::from_dense(&m, shard_rows).unwrap();
             let mut acc = StreamingIntervalGram::new_csr(150, 8);
             assert!(!acc.is_mid_rad());
             for s in sharded.shards() {
-                acc.push_csr_shard(s).unwrap();
+                acc.push(s).unwrap();
             }
             assert_eq!(acc.rows_seen(), 150);
             assert_bitwise(
@@ -500,7 +467,7 @@ mod tests {
         let m = random_sparse_interval(6, 170, 70, 5);
         assert!(StreamingIntervalGram::new_csr(170, 70).is_mid_rad());
         let mut dense_acc = StreamingIntervalGram::new(170, 70);
-        dense_acc.push_shard(&m).unwrap();
+        dense_acc.push(&m).unwrap();
         let reference = dense_acc.finish().unwrap();
         for shard_rows in [1usize, 13, 128, 170] {
             let sharded = CsrShardedIntervalMatrix::from_dense(&m, shard_rows).unwrap();
@@ -523,7 +490,7 @@ mod tests {
         let sharded = CsrShardedIntervalMatrix::from_dense(&m, 33).unwrap();
         let sparse = sharded.interval_gram_streamed();
         let mut dense_acc = StreamingIntervalGram::new(170, 70);
-        dense_acc.push_shard(&m).unwrap();
+        dense_acc.push(&m).unwrap();
         let reference = dense_acc.finish();
         std::env::remove_var(crate::EXACT_INTERVAL_ENV);
         assert!(!pinned.is_mid_rad());
@@ -537,23 +504,21 @@ mod tests {
         let total_rows = 177;
 
         let mut acc = StreamingIntervalGram::new_csr(total_rows, 10);
-        acc.push_csr_shard(&CsrIntervalShard::from_dense(&head))
-            .unwrap();
+        acc.push(&CsrIntervalShard::from_dense(&head)).unwrap();
         let _snapshot = acc.finish().unwrap(); // non-consuming
-        acc.push_csr_shard(&CsrIntervalShard::from_dense(&tail))
-            .unwrap();
+        acc.push(&CsrIntervalShard::from_dense(&tail)).unwrap();
         assert_eq!(acc.rows_seen(), total_rows);
 
         let mut dense_acc = StreamingIntervalGram::new(total_rows, 10);
-        dense_acc.push_shard(&head).unwrap();
-        dense_acc.push_shard(&tail).unwrap();
+        dense_acc.push(&head).unwrap();
+        dense_acc.push(&tail).unwrap();
         assert_bitwise(
             &acc.finish().unwrap(),
             &dense_acc.finish().unwrap(),
             "incremental vs dense",
         );
         assert!(acc
-            .push_csr_shard(&CsrIntervalShard::from_dense(&random_sparse_interval(
+            .push(&CsrIntervalShard::from_dense(&random_sparse_interval(
                 10, 3, 5, 2
             )))
             .is_err());
@@ -568,14 +533,11 @@ mod tests {
         let tail = random_sparse_interval(13, 37, 10, 3);
         for mid_rad in [false, true] {
             let mut dense = StreamingIntervalGram::with_flavour(10, mid_rad);
-            dense.push_shard(&head).unwrap();
-            dense
-                .push_csr_shard(&CsrIntervalShard::from_dense(&tail))
-                .unwrap();
+            dense.push(&head).unwrap();
+            dense.push(&CsrIntervalShard::from_dense(&tail)).unwrap();
             let mut csr = StreamingIntervalGram::with_flavour_csr(10, mid_rad);
-            csr.push_shard(&head).unwrap();
-            csr.push_csr_shard(&CsrIntervalShard::from_dense(&tail))
-                .unwrap();
+            csr.push(&head).unwrap();
+            csr.push(&CsrIntervalShard::from_dense(&tail)).unwrap();
             assert!(csr.is_csr() && !dense.is_csr());
             assert_eq!(csr.rows_seen(), 177);
             assert_bitwise(
@@ -595,11 +557,11 @@ mod tests {
         let m = random_sparse_interval(11, 40, 5, 2);
         let sharded = CsrShardedIntervalMatrix::from_dense(&m, 9).unwrap();
         let rhs = Matrix::identity(5);
-        let lo = ivmf_linalg::matmul_streamed_csr(&sharded.lo_blocks(), &rhs).unwrap();
+        let lo = ivmf_linalg::matmul_streamed(&sharded.lo_blocks(), &rhs).unwrap();
         assert_eq!(lo, *m.lo());
-        let hi = ivmf_linalg::matmul_streamed_csr(&sharded.hi_blocks(), &rhs).unwrap();
+        let hi = ivmf_linalg::matmul_streamed(&sharded.hi_blocks(), &rhs).unwrap();
         assert_eq!(hi, *m.hi());
-        assert_eq!(CsrRowBlocks::shape(&sharded.lo_blocks()), (40, 5));
+        assert_eq!(RowBlocks::shape(&sharded.lo_blocks()), (40, 5));
     }
 
     #[test]
@@ -610,9 +572,9 @@ mod tests {
         let zcsr = CsrIntervalShard::from_dense(&zero);
         assert_eq!(zcsr.nnz(), 0);
         let mut dense_acc = StreamingIntervalGram::new(140, 6);
-        dense_acc.push_shard(&zero).unwrap();
+        dense_acc.push(&zero).unwrap();
         let mut acc = StreamingIntervalGram::new_csr(140, 6);
-        acc.push_csr_shard(&zcsr).unwrap();
+        acc.push(&zcsr).unwrap();
         assert_bitwise(
             &acc.finish().unwrap(),
             &dense_acc.finish().unwrap(),
@@ -622,9 +584,9 @@ mod tests {
         let single = CsrIntervalShard::from_triplets(140, 6, &[(77, 2, -1.5, 2.5)]).unwrap();
         let dense_single = single.to_dense();
         let mut dense_acc = StreamingIntervalGram::new(140, 6);
-        dense_acc.push_shard(&dense_single).unwrap();
+        dense_acc.push(&dense_single).unwrap();
         let mut acc = StreamingIntervalGram::new_csr(140, 6);
-        acc.push_csr_shard(&single).unwrap();
+        acc.push(&single).unwrap();
         assert_bitwise(
             &acc.finish().unwrap(),
             &dense_acc.finish().unwrap(),
@@ -644,14 +606,14 @@ mod tests {
                 CsrIntervalShard::from_dense(&tail),
             );
             let mut acc = StreamingIntervalGram::new_csr(total, cols);
-            acc.push_csr_shard(&head_csr).unwrap();
+            acc.push(&head_csr).unwrap();
             let mut buf = Vec::new();
             acc.write_state(&mut buf).unwrap();
             let mut restored =
                 StreamingIntervalGram::read_state(&mut std::io::BufReader::new(&buf[..])).unwrap();
             assert_eq!(restored.is_mid_rad(), acc.is_mid_rad(), "{label}");
-            acc.push_csr_shard(&tail_csr).unwrap();
-            restored.push_csr_shard(&tail_csr).unwrap();
+            acc.push(&tail_csr).unwrap();
+            restored.push(&tail_csr).unwrap();
             assert_bitwise(
                 &restored.finish().unwrap(),
                 &acc.finish().unwrap(),

@@ -5,11 +5,11 @@
 //! [`STREAM_CHUNK_ROWS`]-row chunk grid; [`StreamAccumulator`] folds the
 //! chunk partials of a Gram-type product into a group partial, seals the
 //! group into the master every [`MERGE_GROUP_CHUNKS`] chunks, merges units
-//! and writes and reads its state text. What differs between the four
-//! accumulators is only their [`ChunkKernel`]: a row buffer, how full
-//! chunks and the tail become partials, and a state header tag. The
-//! arithmetic contract this code carries is described in the
-//! [`streaming`](crate::streaming) module docs.
+//! and writes and reads its state text. What differs between its
+//! instances is only their [`ChunkKernel`] — [`Gram`] or [`Cross`] over a
+//! block type — and what differs between the block types is their
+//! [`RowBlock`] implementation. The arithmetic contract this code carries
+//! is described in the [`streaming`](crate::streaming) module docs.
 //!
 //! The buffer, kernel and partial types are `pub` only because public
 //! signatures name them; this module is private, so nothing outside the
@@ -23,7 +23,7 @@ use std::marker::PhantomData;
 use crate::kernel::mirror_upper;
 use crate::state_text::write_f64_run;
 use crate::state_text::{bad_state, checked_len, parse_usize_line, read_f64_run, read_line};
-use crate::streaming::{GROUP_ROWS, MERGE_GROUP_CHUNKS, STREAM_CHUNK_ROWS};
+use crate::streaming::{RowBlock, GROUP_ROWS, MERGE_GROUP_CHUNKS, STREAM_CHUNK_ROWS};
 use crate::{LinalgError, Matrix, Result};
 
 /// Upper bound on buffered full chunks: incoming blocks are consumed in
@@ -171,11 +171,9 @@ pub(crate) fn realign<B: RowBuffer>(
 }
 
 /// What one [`StreamAccumulator`] adds to the shared fold: its row buffer,
-/// its chunk kernel and its state header tag. Implemented by the four
-/// kernels of this crate ([`DenseGram`](crate::streaming::DenseGram),
-/// [`DenseCross`](crate::streaming::DenseCross),
-/// [`CsrGram`](crate::sparse::CsrGram), [`CsrCross`](crate::sparse::CsrCross));
-/// the buffer and partial types its items name are private to the crate.
+/// its chunk kernel and its state header tag. Implemented by the Gram and
+/// the cross kernel over each [`RowBlock`] type; the kernel, buffer and
+/// partial types its items name are private to the crate.
 pub trait ChunkKernel: Clone + fmt::Debug {
     /// The row buffer the kernel reads chunks from.
     type Rows: RowBuffer;
@@ -191,6 +189,64 @@ pub trait ChunkKernel: Clone + fmt::Debug {
     fn fold_chunks(rows: &Self::Rows, full: usize, sum: &mut Partials<Self>) -> Result<()>;
     /// The partial of the buffered tail; recycles the tail's buffers.
     fn tail(rem: <Self::Rows as RowBuffer>::Chunk) -> Result<Matrix>;
+}
+
+/// The Gram kernel `chunkᵀ·chunk` over blocks of type `B`: the chunk
+/// kernel of [`GramAccumulator`](crate::GramAccumulator). Never
+/// constructed; it only names the kernel.
+#[derive(Debug, Clone)]
+pub struct Gram<B>(PhantomData<B>);
+
+impl<B: RowBlock> ChunkKernel for Gram<B> {
+    type Rows = B::Pending;
+    const TAG: &'static str = B::GRAM_TAG;
+    const UPPER: bool = B::UPPER_GRAM;
+    const RECYCLE: bool = B::RECYCLE_PARTIALS;
+
+    fn fold_chunks(rows: &B::Pending, full: usize, sum: &mut Partials<Self>) -> Result<()> {
+        B::fold_gram(rows, full, sum);
+        Ok(())
+    }
+
+    fn tail(rem: B) -> Result<Matrix> {
+        let g = B::gram_chunk(&rem, true);
+        rem.recycle();
+        Ok(g)
+    }
+}
+
+/// The cross kernel `aᵀ·b` over pairs of row-aligned blocks of type `B`:
+/// the chunk kernel of
+/// [`CrossGramAccumulator`](crate::CrossGramAccumulator). Never
+/// constructed; it only names the kernel.
+#[derive(Debug, Clone)]
+pub struct Cross<B>(PhantomData<B>);
+
+impl<B: RowBlock> ChunkKernel for Cross<B> {
+    type Rows = (B::Pending, B::Pending);
+    const TAG: &'static str = B::CROSS_TAG;
+    const RECYCLE: bool = B::RECYCLE_PARTIALS;
+
+    fn fold_chunks(rows: &Self::Rows, full: usize, sum: &mut Partials<Self>) -> Result<()> {
+        let cross = |i, lone| {
+            let (a, b) = rows.chunk(i);
+            let p = B::cross_chunk(&a, &b, lone);
+            a.recycle();
+            b.recycle();
+            p
+        };
+        B::map_chunks(full, cross, |p| {
+            sum.fold(Cow::Owned(p?));
+            Ok(())
+        })
+    }
+
+    fn tail((a, b): (B, B)) -> Result<Matrix> {
+        let p = B::cross_chunk(&a, &b, true);
+        a.recycle();
+        b.recycle();
+        p
+    }
 }
 
 /// Entry-wise in-place sum (shapes already validated by callers).
@@ -279,11 +335,10 @@ impl<K: ChunkKernel> Partials<K> {
 
 /// A chunk-realigned streaming accumulator with a two-level fold: the
 /// pending rows of chunk kernel `K` plus the master and group partials.
-/// [`GramAccumulator`](crate::GramAccumulator),
-/// [`CrossGramAccumulator`](crate::CrossGramAccumulator),
-/// [`SparseGramAccumulator`](crate::SparseGramAccumulator) and
-/// [`SparseCrossGramAccumulator`](crate::SparseCrossGramAccumulator) are
-/// its four instances; each adds its own constructor, push and `finish`.
+/// [`GramAccumulator`](crate::GramAccumulator) and
+/// [`CrossGramAccumulator`](crate::CrossGramAccumulator), each over either
+/// block type, are its instances; each adds its own constructor, push and
+/// `finish`.
 /// See the [`streaming`](crate::streaming) module docs for the bitwise
 /// guarantees.
 #[derive(Debug, Clone)]
@@ -523,9 +578,7 @@ fn validate_fold_header(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sparse::CsrGram;
-    use crate::streaming::DenseGram;
-    use crate::{CsrShard, GramAccumulator, SparseGramAccumulator};
+    use crate::{CsrShard, GramAccumulator};
 
     /// Deterministic sparse fill: about a third of the entries stored,
     /// values in `(-1, 1)`.
@@ -544,7 +597,11 @@ mod tests {
 
     /// The CSR fold's partials equal the upper triangles of the dense
     /// fold's, bit for bit, and both sit at the same chunk count.
-    fn assert_upper_partials_equal(dense: &Partials<DenseGram>, csr: &Partials<CsrGram>, at: &str) {
+    fn assert_upper_partials_equal(
+        dense: &Partials<Gram<Matrix>>,
+        csr: &Partials<Gram<CsrShard>>,
+        at: &str,
+    ) {
         assert_eq!(dense.chunks, csr.chunks, "{at}: chunk counts");
         for (name, d, c) in [
             ("master", &dense.acc, &csr.acc),
@@ -576,15 +633,18 @@ mod tests {
         let (n, cols) = (GROUP_ROWS + 3 * STREAM_CHUNK_ROWS + 41, 23);
         let m = lcg_sparse(n, cols, 7);
         let csr = CsrShard::from_dense(&m);
-        let push = |d: &mut GramAccumulator, s: &mut SparseGramAccumulator, r0: usize, r1| {
-            let rows = m.as_slice()[r0 * cols..r1 * cols].to_vec();
-            d.push_block(&Matrix::from_vec(r1 - r0, cols, rows).unwrap())
-                .unwrap();
-            s.push_block(&csr.row_slice(r0, r1).unwrap()).unwrap();
-        };
+        let push =
+            |d: &mut GramAccumulator<Matrix>, s: &mut GramAccumulator<CsrShard>, r0: usize, r1| {
+                let rows = m.as_slice()[r0 * cols..r1 * cols].to_vec();
+                d.push_block(&Matrix::from_vec(r1 - r0, cols, rows).unwrap())
+                    .unwrap();
+                s.push_block(&csr.row_slice(r0, r1).unwrap()).unwrap();
+            };
         for shard_rows in [1usize, 97, STREAM_CHUNK_ROWS, GROUP_ROWS + 129] {
-            let (mut dense, mut sparse) =
-                (GramAccumulator::new(cols), SparseGramAccumulator::new(cols));
+            let (mut dense, mut sparse) = (
+                GramAccumulator::<Matrix>::new(cols),
+                GramAccumulator::<CsrShard>::new(cols),
+            );
             for start in (0..n).step_by(shard_rows) {
                 let end = (start + shard_rows).min(n);
                 push(&mut dense, &mut sparse, start, end);
@@ -595,12 +655,16 @@ mod tests {
         }
         // Unit merge: fold each GROUP_ROWS unit on its own accumulator and
         // absorb in unit order.
-        let (mut dense, mut sparse) =
-            (GramAccumulator::new(cols), SparseGramAccumulator::new(cols));
+        let (mut dense, mut sparse) = (
+            GramAccumulator::<Matrix>::new(cols),
+            GramAccumulator::<CsrShard>::new(cols),
+        );
         for start in (0..n).step_by(GROUP_ROWS) {
             let end = (start + GROUP_ROWS).min(n);
-            let (mut dense_unit, mut sparse_unit) =
-                (GramAccumulator::new(cols), SparseGramAccumulator::new(cols));
+            let (mut dense_unit, mut sparse_unit) = (
+                GramAccumulator::<Matrix>::new(cols),
+                GramAccumulator::<CsrShard>::new(cols),
+            );
             push(&mut dense_unit, &mut sparse_unit, start, end);
             dense.absorb_unit(dense_unit).unwrap();
             sparse.absorb_unit(sparse_unit).unwrap();

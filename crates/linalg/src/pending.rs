@@ -15,7 +15,7 @@ use crate::{CsrShard, Matrix, STREAM_CHUNK_ROWS};
 /// Dense row buffer: rows accumulate in one row-major `Vec<f64>`.
 #[derive(Debug, Clone)]
 pub struct PendingRows {
-    pub(crate) cols: usize,
+    cols: usize,
     rows: usize,
     data: Vec<f64>,
 }
@@ -94,7 +94,7 @@ impl RowBuffer for PendingRows {
 /// CSR row buffer: rows accumulate as one growing CSR block.
 #[derive(Debug, Clone)]
 pub struct PendingCsrRows {
-    pub(crate) cols: usize,
+    cols: usize,
     /// Offsets into `col_idx`/`values`, one per buffered row plus the
     /// leading 0 (so `row_ptr.len() - 1` rows are buffered).
     row_ptr: Vec<usize>,

@@ -1,36 +1,33 @@
-//! Sparse CSR row shards and chunk-realigned sparse streaming kernels.
+//! Sparse CSR row blocks and their chunk kernels.
 //!
 //! The rating matrices the paper factorizes are >95% sparse: a MovieLens-
 //! scale workload (10⁶ users × 10⁴ items, ~100 nonzeros per row) is three
 //! orders of magnitude away from fitting densely in memory, yet its Gram
 //! matrix `AᵀA` (the `O(nnz·m)` heart of ISVD2–4) is perfectly computable.
-//! This module adds the sparse counterpart of the [`streaming`](crate::streaming)
-//! layer:
+//! This module holds [`CsrShard`] — one row block in compressed-sparse-row
+//! form (`row_ptr`/`col_idx`/`values` over a fixed column count) — and its
+//! [`RowBlock`] implementation: a CSR row buffer and chunk kernels that
+//! fold **over stored entries only**.
 //!
-//! * [`CsrShard`] — one row block in compressed-sparse-row form
-//!   (`row_ptr`/`col_idx`/`values` over a fixed column count), and
-//!   [`CsrShardedMatrix`], an ordered set of shards forming one virtual
-//!   matrix ([`CsrRowBlocks`] is the lazy-source trait behind both);
-//! * [`SparseGramAccumulator`] / [`SparseCrossGramAccumulator`] — Gram and
-//!   cross-product accumulators that fold **over stored entries only**;
-//! * [`gram_streamed_csr`] / [`matmul_streamed_csr`] /
-//!   [`matmul_left_streamed_csr`] (and its transposed-output form
-//!   [`matmul_left_streamed_csr_t`]) — the streamed products the
-//!   decomposition pipeline's Gram-route stages run.
-//!
-//! Chunk re-alignment onto the fixed [`STREAM_CHUNK_ROWS`]-row global grid,
-//! the two-level fold, the unit merge and the state text are not repeated
-//! here: they are the same code the dense accumulators run (see the
-//! [`streaming`](crate::streaming) module docs). What this module adds is
-//! a CSR row buffer and the CSR chunk kernels below.
+//! Everything else is not repeated here: the accumulators
+//! ([`GramAccumulator`](crate::GramAccumulator),
+//! [`CrossGramAccumulator`](crate::CrossGramAccumulator)), the streamed
+//! drivers ([`gram_streamed`](crate::gram_streamed),
+//! [`matmul_streamed`](crate::matmul_streamed),
+//! [`matmul_left_streamed_t`](crate::matmul_left_streamed_t)), the chunk
+//! re-alignment onto the fixed [`STREAM_CHUNK_ROWS`](crate::STREAM_CHUNK_ROWS)-row global grid, the
+//! two-level fold, the unit merge and the state text are one piece of
+//! code for both block types (see the [`streaming`](crate::streaming)
+//! module docs). A CSR source is any [`RowBlocks<CsrShard>`](RowBlocks):
+//! one shard, a slice of shards or a lazy loader.
 //!
 //! ## Bitwise equality with the dense kernels
 //!
 //! The refactor's core discipline: for the same logical matrix (sparse
 //! with explicitly stored values equal to the dense entries), every sparse
 //! kernel here returns **bitwise identical** results to its dense
-//! streaming counterpart, for every shard layout and `IVMF_THREADS` count.
-//! That holds because skipping a zero term never changes a sum's bits:
+//! counterpart, for every shard layout and `IVMF_THREADS` count. That
+//! holds because skipping a zero term never changes a sum's bits:
 //!
 //! * every accumulator starts at `+0.0` and can never become `-0.0` (a
 //!   round-to-nearest sum or FMA that is exactly zero returns `+0.0`), so
@@ -46,12 +43,11 @@
 //! The equivalence is property-tested here and end-to-end (ISVD2–4) in the
 //! workspace `sparse_equivalence` suite.
 
-use crate::fold::{add_assign, realign, ChunkKernel, Partials, RowBuffer, StreamAccumulator};
+use crate::fold::{Gram, Partials, RowBuffer};
 use crate::kernel::{fmadd, KC};
 use crate::matrix::threads_for;
 use crate::pending::PendingCsrRows;
-use crate::streaming::{lhs_block, ColBlocks};
-use crate::{LinalgError, Matrix, Result, RowBlocks, MATMUL_BLOCKED_MIN_WORK, STREAM_CHUNK_ROWS};
+use crate::{LinalgError, Matrix, Result, RowBlock, RowBlocks, MATMUL_BLOCKED_MIN_WORK};
 use std::borrow::Cow;
 
 /// One row block of a sparse matrix in compressed-sparse-row (CSR) form.
@@ -258,19 +254,6 @@ impl CsrShard {
         &self.values
     }
 
-    /// Deconstructs into `(rows, cols, row_ptr, col_idx, values)` — the
-    /// inverse of [`CsrShard::new`] — so consumers can return the backing
-    /// buffers to [`crate::pool`] once a shard has been folded.
-    pub fn into_parts(self) -> (usize, usize, Vec<usize>, Vec<usize>, Vec<f64>) {
-        (
-            self.rows,
-            self.cols,
-            self.row_ptr,
-            self.col_idx,
-            self.values,
-        )
-    }
-
     /// Row `i`'s stored `(columns, values)` slices.
     pub fn row_entries(&self, i: usize) -> (&[usize], &[f64]) {
         let (s, e) = (self.row_ptr[i], self.row_ptr[i + 1]);
@@ -315,230 +298,15 @@ impl CsrShard {
     }
 }
 
-/// The densifying escape hatch: a CSR shard presented to the *dense*
-/// streaming kernels as a sequence of densified [`STREAM_CHUNK_ROWS`]-row
-/// blocks, so peak memory stays one chunk rather than the whole shard.
-/// Slow on genuinely sparse data — the sparse kernels below are the fast
-/// path — but bitwise identical, which is what lets the two paths mix.
-impl RowBlocks for CsrShard {
+impl RowBlocks<CsrShard> for CsrShard {
     fn rows(&self) -> usize {
         self.rows
     }
     fn cols(&self) -> usize {
         self.cols
     }
-    fn for_each_block(&self, f: &mut dyn FnMut(&Matrix) -> Result<()>) -> Result<()> {
-        let mut start = 0;
-        while start < self.rows {
-            let end = (start + STREAM_CHUNK_ROWS).min(self.rows);
-            f(&self.row_slice(start, end)?.to_dense())?;
-            start = end;
-        }
-        Ok(())
-    }
-}
-
-/// A sparse matrix presented as an ordered sequence of CSR row blocks —
-/// the sparse counterpart of [`RowBlocks`]. Consumers fold blocks in row
-/// order, so a source never holds more than one block in memory.
-pub trait CsrRowBlocks {
-    /// Total number of rows across all blocks.
-    fn rows(&self) -> usize;
-    /// Number of columns (identical for every block).
-    fn cols(&self) -> usize;
-    /// `(rows, cols)` of the full (virtual) matrix.
-    fn shape(&self) -> (usize, usize) {
-        (self.rows(), self.cols())
-    }
-    /// Calls `f` once per CSR row block, in row order.
-    fn for_each_csr_block(&self, f: &mut dyn FnMut(&CsrShard) -> Result<()>) -> Result<()>;
-}
-
-impl CsrRowBlocks for CsrShard {
-    fn rows(&self) -> usize {
-        self.rows
-    }
-    fn cols(&self) -> usize {
-        self.cols
-    }
-    fn for_each_csr_block(&self, f: &mut dyn FnMut(&CsrShard) -> Result<()>) -> Result<()> {
+    fn for_each_block(&self, f: &mut dyn FnMut(&CsrShard) -> Result<()>) -> Result<()> {
         f(self)
-    }
-}
-
-/// An ordered set of CSR row-block shards forming one (virtual) sparse
-/// matrix — the sparse counterpart of
-/// [`RowShardedMatrix`](crate::RowShardedMatrix). The shard layout is
-/// invisible in results (every consumer re-aligns to global chunk
-/// boundaries); it only bounds peak per-block memory and sets the
-/// granularity of [`CsrShardedMatrix::append_shard`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct CsrShardedMatrix {
-    shards: Vec<CsrShard>,
-    rows: usize,
-    cols: usize,
-}
-
-impl CsrShardedMatrix {
-    /// Builds a sharded matrix from explicit CSR row blocks (non-empty
-    /// list, no zero-row shards, consistent column counts).
-    pub fn from_shards(shards: Vec<CsrShard>) -> Result<Self> {
-        let Some(first) = shards.first() else {
-            return Err(LinalgError::InvalidArgument(
-                "a sharded CSR matrix needs at least one shard".to_string(),
-            ));
-        };
-        let cols = first.cols;
-        let mut rows = 0;
-        for (i, s) in shards.iter().enumerate() {
-            if s.rows == 0 {
-                return Err(LinalgError::InvalidArgument(format!(
-                    "shard {i} has zero rows"
-                )));
-            }
-            if s.cols != cols {
-                return Err(LinalgError::InvalidArgument(format!(
-                    "shard {i} has {} columns, expected {cols}",
-                    s.cols
-                )));
-            }
-            rows += s.rows;
-        }
-        Ok(CsrShardedMatrix { shards, rows, cols })
-    }
-
-    /// Splits a dense matrix into CSR shards of at most `shard_rows` rows.
-    pub fn from_dense(m: &Matrix, shard_rows: usize) -> Result<Self> {
-        CsrShardedMatrix::from_csr(&CsrShard::from_dense(m), shard_rows)
-    }
-
-    /// Splits one big CSR shard into shards of at most `shard_rows` rows.
-    pub fn from_csr(m: &CsrShard, shard_rows: usize) -> Result<Self> {
-        if shard_rows == 0 {
-            return Err(LinalgError::InvalidArgument(
-                "shard_rows must be at least 1".to_string(),
-            ));
-        }
-        if m.rows == 0 {
-            return Err(LinalgError::InvalidArgument(
-                "cannot shard an empty matrix".to_string(),
-            ));
-        }
-        let mut shards = Vec::new();
-        let mut start = 0;
-        while start < m.rows {
-            let end = (start + shard_rows).min(m.rows);
-            shards.push(m.row_slice(start, end)?);
-            start = end;
-        }
-        CsrShardedMatrix::from_shards(shards)
-    }
-
-    /// Appends a new CSR row-block shard at the bottom.
-    pub fn append_shard(&mut self, shard: CsrShard) -> Result<()> {
-        if shard.rows == 0 {
-            return Err(LinalgError::InvalidArgument(
-                "appended shard has zero rows".to_string(),
-            ));
-        }
-        if shard.cols != self.cols {
-            return Err(LinalgError::DimensionMismatch {
-                op: "append_shard",
-                lhs: (self.rows, self.cols),
-                rhs: shard.shape(),
-            });
-        }
-        self.rows += shard.rows;
-        self.shards.push(shard);
-        Ok(())
-    }
-
-    /// Total number of rows across all shards.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns (identical for every shard).
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// `(rows, cols)` of the full (virtual) matrix.
-    pub fn shape(&self) -> (usize, usize) {
-        (self.rows, self.cols)
-    }
-
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shards, in row order.
-    pub fn shards(&self) -> &[CsrShard] {
-        &self.shards
-    }
-
-    /// Total stored entries across all shards.
-    pub fn nnz(&self) -> usize {
-        self.shards.iter().map(CsrShard::nnz).sum()
-    }
-
-    /// Fraction of cells with a stored entry.
-    pub fn density(&self) -> f64 {
-        if self.rows * self.cols == 0 {
-            0.0
-        } else {
-            self.nnz() as f64 / (self.rows * self.cols) as f64
-        }
-    }
-
-    /// Materializes the dense matrix (row-order concatenation; the escape
-    /// hatch for small fixtures).
-    pub fn to_dense(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.rows, self.cols);
-        let mut base = 0;
-        for s in &self.shards {
-            for i in 0..s.rows {
-                let (cols, vals) = s.row_entries(i);
-                let row =
-                    &mut out.as_mut_slice()[(base + i) * self.cols..(base + i + 1) * self.cols];
-                for (&j, &v) in cols.iter().zip(vals) {
-                    row[j] = v;
-                }
-            }
-            base += s.rows;
-        }
-        out
-    }
-}
-
-impl CsrRowBlocks for CsrShardedMatrix {
-    fn rows(&self) -> usize {
-        self.rows
-    }
-    fn cols(&self) -> usize {
-        self.cols
-    }
-    fn for_each_csr_block(&self, f: &mut dyn FnMut(&CsrShard) -> Result<()>) -> Result<()> {
-        for s in &self.shards {
-            f(s)?;
-        }
-        Ok(())
-    }
-}
-
-impl RowBlocks for CsrShardedMatrix {
-    fn rows(&self) -> usize {
-        self.rows
-    }
-    fn cols(&self) -> usize {
-        self.cols
-    }
-    fn for_each_block(&self, f: &mut dyn FnMut(&Matrix) -> Result<()>) -> Result<()> {
-        for s in &self.shards {
-            RowBlocks::for_each_block(s, f)?;
-        }
-        Ok(())
     }
 }
 
@@ -547,7 +315,7 @@ impl RowBlocks for CsrShardedMatrix {
 // over stored entries only.
 // ---------------------------------------------------------------------------
 
-/// Gram partial `chunkᵀ · chunk` of one (at most [`STREAM_CHUNK_ROWS`]-row)
+/// Gram partial `chunkᵀ · chunk` of one (at most [`STREAM_CHUNK_ROWS`](crate::STREAM_CHUNK_ROWS)-row)
 /// CSR chunk, **upper triangle only**: the diagonal and the entries above
 /// it are bitwise those of [`Matrix::gram`] of the densified chunk, and
 /// the strict lower triangle stays zero.
@@ -555,7 +323,7 @@ impl RowBlocks for CsrShardedMatrix {
 /// The dense SYRK accumulates each upper-triangle entry `(a, b)` over the
 /// chunk rows ascending — plain `+=` below [`MATMUL_BLOCKED_MIN_WORK`]
 /// (skipping zero `ra`), a register-tile `fmadd` fold in a single packed
-/// K-block (chunk rows ≤ [`STREAM_CHUNK_ROWS`] < `KC`) at or above it. This
+/// K-block (chunk rows ≤ [`STREAM_CHUNK_ROWS`](crate::STREAM_CHUNK_ROWS) < `KC`) at or above it. This
 /// kernel walks the same rows in the same order, visits only stored entry
 /// pairs (the skipped zero terms are bitwise no-ops) and applies the
 /// identically dispatched plain/`fmadd` step. It does not mirror: the CSR
@@ -744,7 +512,7 @@ fn csr_matmul_chunk(chunk: &CsrShard, rhs: &Matrix) -> Result<Matrix> {
 /// chunk, whatever `p` is. Each output entry
 /// still folds its terms over the chunk rows ascending, exactly as the
 /// dense kernel does: the inner dimension is the chunk's row count (at
-/// most [`STREAM_CHUNK_ROWS`] < `KC`), so the packed path is a single
+/// most [`STREAM_CHUNK_ROWS`](crate::STREAM_CHUNK_ROWS) < `KC`), so the packed path is a single
 /// K-block — one `fmadd` fold per entry — and below
 /// [`MATMUL_BLOCKED_MIN_WORK`] the naive kernel's plain `+=` with its
 /// explicit skip of zero `lhs` entries.
@@ -752,7 +520,7 @@ fn csr_left_matmul_chunk_t(lhs: &Matrix, offset: usize, chunk: &CsrShard) -> Mat
     let (p, kdim, m) = (lhs.rows(), chunk.rows, chunk.cols);
     debug_assert!(
         offset + kdim <= lhs.cols(),
-        "`lhs_block` checked the column range"
+        "the driver checked the column range"
     );
     debug_assert!(kdim <= KC, "left chunks come from the pending buffer");
     let work = p * kdim * m;
@@ -795,32 +563,41 @@ fn csr_left_matmul_chunk_t(lhs: &Matrix, offset: usize, chunk: &CsrShard) -> Mat
     out
 }
 
-// ---------------------------------------------------------------------------
-// The two CSR Gram-type accumulators and the streamed products.
-// Re-alignment and the two-level fold live in `crate::fold`.
-// ---------------------------------------------------------------------------
+/// CSR chunks run one at a time on the calling thread (the kernels split
+/// their own row panels), fold over stored entries only, and recycle
+/// their partials. The Gram folds upper-triangle partials through one
+/// reused scratch per drain; the left product folds transposed partials.
+impl RowBlock for CsrShard {
+    type Pending = PendingCsrRows;
+    const GRAM_TAG: &'static str = "sparsegram";
+    const CROSS_TAG: &'static str = "sparsecrossgram";
+    const UPPER_GRAM: bool = true;
+    const RECYCLE_PARTIALS: bool = true;
+    const LEFT_T: bool = true;
 
-/// Returns a consumed chunk shard's three backing buffers to the
-/// [`crate::pool`] (an allocator hint, never a correctness requirement).
-fn recycle_csr_shard(s: CsrShard) {
-    crate::pool::recycle_usize(s.row_ptr);
-    crate::pool::recycle_usize(s.col_idx);
-    crate::pool::recycle_f64(s.values);
-}
-
-/// Chunk kernel of [`SparseGramAccumulator`]: the upper-triangle CSR Gram
-/// of each chunk into one reused scratch per drain.
-#[derive(Debug, Clone)]
-pub enum CsrGram {}
-
-impl ChunkKernel for CsrGram {
-    type Rows = PendingCsrRows;
-    const TAG: &'static str = "sparsegram";
-    const UPPER: bool = true;
-    const RECYCLE: bool = true;
-
-    fn fold_chunks(rows: &PendingCsrRows, full: usize, sum: &mut Partials<Self>) -> Result<()> {
-        let m = rows.cols;
+    fn rows(&self) -> usize {
+        self.rows
+    }
+    fn cols(&self) -> usize {
+        self.cols
+    }
+    fn pending(cols: usize) -> PendingCsrRows {
+        PendingCsrRows::new(cols)
+    }
+    fn recycle(self) {
+        crate::pool::recycle_usize(self.row_ptr);
+        crate::pool::recycle_usize(self.col_idx);
+        crate::pool::recycle_f64(self.values);
+    }
+    fn map_chunks<T: Send>(
+        full: usize,
+        kernel: impl Fn(usize, bool) -> T + Sync,
+        mut sink: impl FnMut(T) -> Result<()>,
+    ) -> Result<()> {
+        (0..full).try_for_each(|i| sink(kernel(i, true)))
+    }
+    fn fold_gram(rows: &PendingCsrRows, full: usize, sum: &mut Partials<Gram<Self>>) {
+        let m = rows.partial_shape().0;
         // Pool-backed zeroed scratch: this drain runs once per
         // PAR_FOLD_CHUNKS chunks, so without the pool every drain would
         // allocate (and fault in) a fresh m×m buffer.
@@ -829,274 +606,36 @@ impl ChunkKernel for CsrGram {
         for i in 0..full {
             let c = rows.chunk(i);
             csr_gram_chunk_upper_into(&c, &mut scratch);
-            recycle_csr_shard(c);
+            c.recycle();
             sum.fold(Cow::Borrowed(&scratch));
             if i + 1 < full {
                 zero_upper(&mut scratch);
             }
         }
         crate::pool::recycle_f64(scratch.into_vec());
-        Ok(())
     }
-
-    fn tail(rem: CsrShard) -> Result<Matrix> {
-        let g = csr_gram_chunk_upper(&rem);
-        recycle_csr_shard(rem);
-        Ok(g)
+    fn gram_chunk(chunk: &CsrShard, _lone: bool) -> Matrix {
+        csr_gram_chunk_upper(chunk)
     }
-}
-
-/// Chunk kernel of [`SparseCrossGramAccumulator`]: the CSR `AᵀB` per
-/// chunk pair.
-#[derive(Debug, Clone)]
-pub enum CsrCross {}
-
-impl ChunkKernel for CsrCross {
-    type Rows = (PendingCsrRows, PendingCsrRows);
-    const TAG: &'static str = "sparsecrossgram";
-    const RECYCLE: bool = true;
-
-    fn fold_chunks(rows: &Self::Rows, full: usize, sum: &mut Partials<Self>) -> Result<()> {
-        for i in 0..full {
-            let p = Self::tail(rows.chunk(i))?;
-            sum.fold(Cow::Owned(p));
-        }
-        Ok(())
+    fn cross_chunk(a: &CsrShard, b: &CsrShard, _lone: bool) -> Result<Matrix> {
+        csr_cross_chunk(a, b)
     }
-
-    fn tail((a, b): (CsrShard, CsrShard)) -> Result<Matrix> {
-        let p = csr_cross_chunk(&a, &b);
-        recycle_csr_shard(a);
-        recycle_csr_shard(b);
-        p
+    fn right_chunk(chunk: &CsrShard, rhs: &Matrix, _lone: bool) -> Result<Matrix> {
+        csr_matmul_chunk(chunk, rhs)
     }
-}
-
-/// Streaming accumulator for the Gram matrix `AᵀA` over a CSR row-block
-/// stream, folding **over stored entries only**: the sparse counterpart
-/// of [`GramAccumulator`](crate::GramAccumulator). Both run the one
-/// chunk re-alignment and two-level fold of the
-/// [`streaming`](crate::streaming) module docs, so for the same logical
-/// matrix they are interchangeable bit for bit, unit merge included.
-///
-/// Two things differ from the dense accumulator. Its chunks fold on the
-/// calling thread through one reused scratch, which keeps peak memory at
-/// one `m×m` partial (the interval-Gram fold runs whole merge-group units
-/// concurrently instead). And its partials hold upper triangles only,
-/// mirrored once when it finishes.
-pub type SparseGramAccumulator = StreamAccumulator<CsrGram>;
-
-impl SparseGramAccumulator {
-    /// An empty accumulator for a stream with `cols` columns.
-    pub fn new(cols: usize) -> Self {
-        StreamAccumulator::empty(PendingCsrRows::new(cols))
+    fn left_chunk(lhs: &Matrix, offset: usize, chunk: &CsrShard) -> Matrix {
+        csr_left_matmul_chunk_t(lhs, offset, chunk)
     }
-
-    /// Number of columns of the stream (and of the Gram output).
-    pub fn cols(&self) -> usize {
-        self.pending.cols
-    }
-
-    /// Feeds the next CSR row block (row order across calls).
-    pub fn push_block(&mut self, block: &CsrShard) -> Result<()> {
-        if block.cols != self.cols() {
-            return Err(LinalgError::DimensionMismatch {
-                op: "sparse_gram_accumulate",
-                lhs: (self.rows_seen(), self.cols()),
-                rhs: block.shape(),
-            });
-        }
-        self.push(block)
-    }
-
-    /// The Gram matrix of every row seen so far (non-consuming, like the
-    /// dense accumulator; same `master ⊕ (group ⊕ tail)` order).
-    pub fn finish(&self) -> Matrix {
-        self.try_finish().expect("the Gram kernel cannot fail")
-    }
-}
-
-/// Streaming accumulator for the cross product `AᵀB` over a pair of CSR
-/// row-block streams fed in lockstep (the `loᵀ·hi` term of the exact
-/// interval Gram): the sparse counterpart of
-/// [`CrossGramAccumulator`](crate::CrossGramAccumulator), bitwise
-/// identical to it on the same logical matrices.
-pub type SparseCrossGramAccumulator = StreamAccumulator<CsrCross>;
-
-impl SparseCrossGramAccumulator {
-    /// An empty accumulator for streams with `a_cols` / `b_cols` columns.
-    pub fn new(a_cols: usize, b_cols: usize) -> Self {
-        StreamAccumulator::empty((PendingCsrRows::new(a_cols), PendingCsrRows::new(b_cols)))
-    }
-
-    /// Column count of the first stream (rows of the `AᵀB` output).
-    pub fn a_cols(&self) -> usize {
-        self.pending.0.cols
-    }
-
-    /// Column count of the second stream (columns of the `AᵀB` output).
-    pub fn b_cols(&self) -> usize {
-        self.pending.1.cols
-    }
-
-    /// Feeds the next CSR row block of each stream; the blocks must cover
-    /// the same rows (equal row counts).
-    pub fn push_blocks(&mut self, a: &CsrShard, b: &CsrShard) -> Result<()> {
-        if a.rows != b.rows || a.cols != self.a_cols() || b.cols != self.b_cols() {
-            return Err(LinalgError::DimensionMismatch {
-                op: "sparse_cross_gram_accumulate",
-                lhs: a.shape(),
-                rhs: b.shape(),
-            });
-        }
-        self.push((a, b))
-    }
-
-    /// The cross product `AᵀB` of every row pair seen so far
-    /// (non-consuming; same `master ⊕ (group ⊕ tail)` order).
-    pub fn finish(&self) -> Result<Matrix> {
-        self.try_finish()
-    }
-}
-
-/// Gram matrix `AᵀA` of a CSR row-block source through the sparse
-/// streaming accumulator: bitwise identical to [`crate::gram_streamed`]
-/// over the same logical rows, for every shard layout and thread count.
-pub fn gram_streamed_csr(source: &dyn CsrRowBlocks) -> Result<Matrix> {
-    let mut acc = SparseGramAccumulator::new(source.cols());
-    source.for_each_csr_block(&mut |b| acc.push_block(b))?;
-    if acc.rows_seen() != source.rows() {
-        return Err(LinalgError::InvalidArgument(format!(
-            "CSR row-block source delivered {} of its declared {} rows",
-            acc.rows_seen(),
-            source.rows()
-        )));
-    }
-    Ok(acc.finish())
-}
-
-/// Row-streamed product `source · rhs` over a CSR source: bitwise
-/// identical to [`crate::matmul_streamed`] over the same logical rows.
-pub fn matmul_streamed_csr(source: &dyn CsrRowBlocks, rhs: &Matrix) -> Result<Matrix> {
-    let (n, k) = source.shape();
-    if k != rhs.rows() {
-        return Err(LinalgError::DimensionMismatch {
-            op: "matmul_streamed_csr",
-            lhs: (n, k),
-            rhs: rhs.shape(),
-        });
-    }
-    let m = rhs.cols();
-    let mut out = Matrix::zeros(n, m);
-    let mut pending = PendingCsrRows::new(k);
-    let mut next_row = 0usize;
-    let mut write = |chunk: CsrShard| -> Result<()> {
-        let p = csr_matmul_chunk(&chunk, rhs);
-        recycle_csr_shard(chunk);
-        let p = p?;
-        if next_row + p.rows() > n {
-            return Err(LinalgError::InvalidArgument(format!(
-                "CSR row-block source delivered more than its declared {n} rows"
-            )));
-        }
-        let len = p.rows() * m;
-        out.as_mut_slice()[next_row * m..next_row * m + len].copy_from_slice(p.as_slice());
-        next_row += p.rows();
-        Ok(())
-    };
-    source.for_each_csr_block(&mut |block| {
-        if block.cols() != k {
-            return Err(LinalgError::DimensionMismatch {
-                op: "matmul_streamed_csr",
-                lhs: (n, k),
-                rhs: block.shape(),
-            });
-        }
-        realign(&mut pending, block, |pending, full| {
-            (0..full).try_for_each(|i| write(pending.chunk(i)))
-        })
-    })?;
-    if let Some(rem) = pending.remainder() {
-        write(rem)?;
-    }
-    if next_row != n {
-        return Err(LinalgError::InvalidArgument(format!(
-            "CSR row-block source delivered {next_row} of its declared {n} rows"
-        )));
-    }
-    Ok(out)
-}
-
-/// Reduction-streamed product `lhs · source` over a CSR source: bitwise
-/// identical to [`crate::matmul_left_streamed`] over the same logical
-/// rows. The transpose of [`matmul_left_streamed_csr_t`].
-pub fn matmul_left_streamed_csr<L: ColBlocks>(lhs: L, source: &dyn CsrRowBlocks) -> Result<Matrix> {
-    Ok(matmul_left_streamed_csr_t(lhs, source)?.transpose())
-}
-
-/// The transposed reduction-streamed product `(lhs · source)ᵀ` (`m x p`
-/// for `lhs` of shape `p x n` and a source of shape `n x m`): per global
-/// chunk, the matching column block of `lhs` multiplies the chunk through
-/// the transposed chunk kernel, and the partial products fold in chunk
-/// order — so every entry is bitwise the transpose of
-/// [`crate::matmul_left_streamed`] over the same logical rows, for every
-/// shard layout and thread count. Tall right factors (`m x r`) come out in
-/// their own layout, with no transpose pass.
-pub fn matmul_left_streamed_csr_t<L: ColBlocks>(
-    mut lhs: L,
-    source: &dyn CsrRowBlocks,
-) -> Result<Matrix> {
-    let (n, m) = source.shape();
-    let (p, lhs_cols) = lhs.shape();
-    if lhs_cols != n {
-        return Err(LinalgError::DimensionMismatch {
-            op: "matmul_left_streamed_csr",
-            lhs: (p, lhs_cols),
-            rhs: (n, m),
-        });
-    }
-    let mut acc: Option<Matrix> = None;
-    let mut pending = PendingCsrRows::new(m);
-    let mut offset = 0usize;
-    let mut fold = |chunk: CsrShard| -> Result<()> {
-        let (b, o) = lhs_block(&mut lhs, offset, chunk.rows(), n)?;
-        let part = csr_left_matmul_chunk_t(b, o, &chunk);
-        offset += chunk.rows();
-        recycle_csr_shard(chunk);
-        match &mut acc {
-            None => acc = Some(part),
-            Some(a) => add_assign(a, &part),
-        }
-        Ok(())
-    };
-    source.for_each_csr_block(&mut |block| {
-        if block.cols() != m {
-            return Err(LinalgError::DimensionMismatch {
-                op: "matmul_left_streamed_csr",
-                lhs: (n, m),
-                rhs: block.shape(),
-            });
-        }
-        realign(&mut pending, block, |pending, full| {
-            (0..full).try_for_each(|i| fold(pending.chunk(i)))
-        })
-    })?;
-    if let Some(rem) = pending.remainder() {
-        fold(rem)?;
-    }
-    if offset != n {
-        return Err(LinalgError::InvalidArgument(format!(
-            "CSR row-block source delivered {offset} of its declared {n} rows"
-        )));
-    }
-    Ok(acc.unwrap_or_else(|| Matrix::zeros(m, p)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::streaming::GROUP_ROWS;
-    use crate::{gram_streamed, matmul_left_streamed, matmul_streamed, RowShardedMatrix};
+    use crate::{
+        gram_streamed, matmul_left_streamed_t, matmul_streamed, CrossGramAccumulator,
+        GramAccumulator, STREAM_CHUNK_ROWS,
+    };
 
     /// Deterministic pseudo-random sparse fill: ~`nnz_per_row` stored
     /// entries per row, values in `(-1, 1)`.
@@ -1114,6 +653,15 @@ mod tests {
                 0.0
             }
         })
+    }
+
+    /// `m` as consecutive CSR row blocks of at most `shard_rows` rows.
+    fn csr_shards(m: &Matrix, shard_rows: usize) -> Vec<CsrShard> {
+        let csr = CsrShard::from_dense(m);
+        (0..m.rows())
+            .step_by(shard_rows)
+            .map(|r| csr.row_slice(r, (r + shard_rows).min(m.rows())).unwrap())
+            .collect()
     }
 
     fn assert_bitwise(a: &Matrix, b: &Matrix, context: &str) {
@@ -1191,8 +739,8 @@ mod tests {
         let dense = lcg_sparse(n, 23, 4, 11);
         let reference = gram_streamed(&dense).unwrap();
         for shard_rows in [1usize, 7, STREAM_CHUNK_ROWS - 1, STREAM_CHUNK_ROWS + 5, n] {
-            let sparse = CsrShardedMatrix::from_dense(&dense, shard_rows).unwrap();
-            let streamed = gram_streamed_csr(&sparse).unwrap();
+            let sparse = csr_shards(&dense, shard_rows);
+            let streamed = gram_streamed(&sparse[..]).unwrap();
             assert_bitwise(
                 &streamed,
                 &reference,
@@ -1202,7 +750,7 @@ mod tests {
         // Small-column case: every chunk takes the plain path.
         let small = lcg_sparse(n, 9, 3, 12);
         assert_bitwise(
-            &gram_streamed_csr(&CsrShard::from_dense(&small)).unwrap(),
+            &gram_streamed(&CsrShard::from_dense(&small)).unwrap(),
             &gram_streamed(&small).unwrap(),
             "plain-path gram",
         );
@@ -1212,15 +760,15 @@ mod tests {
     fn sparse_gram_is_thread_count_invariant_bitwise() {
         let n = 3 * STREAM_CHUNK_ROWS + 11;
         let dense = lcg_sparse(n, 31, 5, 17);
-        let sparse = CsrShardedMatrix::from_dense(&dense, 50).unwrap();
+        let sparse = csr_shards(&dense, 50);
         let _guard = crate::test_env::THREADS_LOCK
             .lock()
             .unwrap_or_else(|e| e.into_inner());
         let prev = std::env::var(ivmf_par::THREADS_ENV).ok();
         std::env::set_var(ivmf_par::THREADS_ENV, "1");
-        let single = gram_streamed_csr(&sparse).unwrap();
+        let single = gram_streamed(&sparse[..]).unwrap();
         std::env::set_var(ivmf_par::THREADS_ENV, "4");
-        let quad = gram_streamed_csr(&sparse).unwrap();
+        let quad = gram_streamed(&sparse[..]).unwrap();
         let dense_ref = gram_streamed(&dense).unwrap();
         match prev {
             Some(v) => std::env::set_var(ivmf_par::THREADS_ENV, v),
@@ -1234,13 +782,13 @@ mod tests {
     fn sparse_gram_accumulator_is_incremental_bitwise() {
         let head = lcg_sparse(200, 19, 4, 21);
         let tail = lcg_sparse(77, 19, 4, 22);
-        let mut acc = SparseGramAccumulator::new(19);
+        let mut acc = GramAccumulator::<CsrShard>::new(19);
         acc.push_block(&CsrShard::from_dense(&head)).unwrap();
         let _intermediate = acc.finish(); // non-consuming
         acc.push_block(&CsrShard::from_dense(&tail)).unwrap();
         assert_eq!(acc.rows_seen(), 277);
 
-        let mut dense_acc = crate::GramAccumulator::new(19);
+        let mut dense_acc = GramAccumulator::<Matrix>::new(19);
         dense_acc.push_block(&head).unwrap();
         dense_acc.push_block(&tail).unwrap();
         assert_bitwise(&acc.finish(), &dense_acc.finish(), "incremental vs dense");
@@ -1256,12 +804,13 @@ mod tests {
         // uninterrupted run — for both the Gram and the cross variant.
         let head = lcg_sparse(STREAM_CHUNK_ROWS + 50, 13, 4, 81);
         let tail = lcg_sparse(70, 13, 4, 82);
-        let mut acc = SparseGramAccumulator::new(13);
+        let mut acc = GramAccumulator::<CsrShard>::new(13);
         acc.push_block(&CsrShard::from_dense(&head)).unwrap();
         let mut buf = Vec::new();
         acc.write_state(&mut buf).unwrap();
         let mut restored =
-            SparseGramAccumulator::read_state(&mut std::io::BufReader::new(&buf[..])).unwrap();
+            GramAccumulator::<CsrShard>::read_state(&mut std::io::BufReader::new(&buf[..]))
+                .unwrap();
         assert_eq!(restored.rows_seen(), acc.rows_seen());
         acc.push_block(&CsrShard::from_dense(&tail)).unwrap();
         restored.push_block(&CsrShard::from_dense(&tail)).unwrap();
@@ -1269,14 +818,15 @@ mod tests {
 
         let b_head = lcg_sparse(STREAM_CHUNK_ROWS + 50, 9, 3, 83);
         let b_tail = lcg_sparse(70, 9, 3, 84);
-        let mut cross = SparseCrossGramAccumulator::new(13, 9);
+        let mut cross = CrossGramAccumulator::<CsrShard>::new(13, 9);
         cross
             .push_blocks(&CsrShard::from_dense(&head), &CsrShard::from_dense(&b_head))
             .unwrap();
         let mut buf = Vec::new();
         cross.write_state(&mut buf).unwrap();
         let mut restored =
-            SparseCrossGramAccumulator::read_state(&mut std::io::BufReader::new(&buf[..])).unwrap();
+            CrossGramAccumulator::<CsrShard>::read_state(&mut std::io::BufReader::new(&buf[..]))
+                .unwrap();
         cross
             .push_blocks(&CsrShard::from_dense(&tail), &CsrShard::from_dense(&b_tail))
             .unwrap();
@@ -1292,7 +842,7 @@ mod tests {
 
     #[test]
     fn sparse_read_state_rejects_corrupted_text() {
-        let mut acc = SparseGramAccumulator::new(5);
+        let mut acc = GramAccumulator::<CsrShard>::new(5);
         acc.push_block(&CsrShard::from_dense(&lcg_sparse(
             STREAM_CHUNK_ROWS + 9,
             5,
@@ -1303,7 +853,7 @@ mod tests {
         let mut buf = Vec::new();
         acc.write_state(&mut buf).unwrap();
         let corrupt = |b: &[u8]| {
-            SparseGramAccumulator::read_state(&mut std::io::BufReader::new(b)).unwrap_err()
+            GramAccumulator::<CsrShard>::read_state(&mut std::io::BufReader::new(b)).unwrap_err()
         };
         corrupt(&buf[..buf.len() / 3]); // truncation
         let mut wrong_tag = b"gram".to_vec();
@@ -1336,14 +886,14 @@ mod tests {
         let n = STREAM_CHUNK_ROWS + 61;
         let a = lcg_sparse(n, 13, 3, 31);
         let b = lcg_sparse(n, 9, 3, 32);
-        let mut dense_acc = crate::CrossGramAccumulator::new(13, 9);
+        let mut dense_acc = CrossGramAccumulator::<Matrix>::new(13, 9);
         dense_acc.push_blocks(&a, &b).unwrap();
         let reference = dense_acc.finish().unwrap();
         for shard_rows in [1usize, 5, 64, n] {
-            let sa = CsrShardedMatrix::from_dense(&a, shard_rows).unwrap();
-            let sb = CsrShardedMatrix::from_dense(&b, shard_rows).unwrap();
-            let mut acc = SparseCrossGramAccumulator::new(13, 9);
-            for (xa, xb) in sa.shards().iter().zip(sb.shards()) {
+            let sa = csr_shards(&a, shard_rows);
+            let sb = csr_shards(&b, shard_rows);
+            let mut acc = CrossGramAccumulator::<CsrShard>::new(13, 9);
+            for (xa, xb) in sa.iter().zip(&sb) {
                 acc.push_blocks(xa, xb).unwrap();
             }
             assert_eq!(acc.rows_seen(), n);
@@ -1353,7 +903,7 @@ mod tests {
                 &format!("cross shard_rows={shard_rows}"),
             );
         }
-        let mut acc = SparseCrossGramAccumulator::new(13, 9);
+        let mut acc = CrossGramAccumulator::<CsrShard>::new(13, 9);
         assert!(acc
             .push_blocks(
                 &CsrShard::from_dense(&lcg_sparse(3, 13, 2, 1)),
@@ -1371,9 +921,9 @@ mod tests {
         let dense = lcg_sparse(n, 11, 3, 101);
         let reference = gram_streamed(&dense).unwrap();
         for shard_rows in [GROUP_ROWS - 1, GROUP_ROWS + 129, 997] {
-            let sparse = CsrShardedMatrix::from_dense(&dense, shard_rows).unwrap();
+            let sparse = csr_shards(&dense, shard_rows);
             assert_bitwise(
-                &gram_streamed_csr(&sparse).unwrap(),
+                &gram_streamed(&sparse[..]).unwrap(),
                 &reference,
                 &format!("two-level sparse gram shard_rows={shard_rows}"),
             );
@@ -1385,14 +935,14 @@ mod tests {
         let n = 2 * GROUP_ROWS + 205;
         let dense = lcg_sparse(n, 7, 3, 103);
         let csr = CsrShard::from_dense(&dense);
-        let mut single = SparseGramAccumulator::new(7);
+        let mut single = GramAccumulator::<CsrShard>::new(7);
         single.push_block(&csr).unwrap();
 
-        let mut merged = SparseGramAccumulator::new(7);
+        let mut merged = GramAccumulator::<CsrShard>::new(7);
         let mut start = 0;
         while start < n {
             let end = (start + GROUP_ROWS).min(n);
-            let mut worker = SparseGramAccumulator::new(7);
+            let mut worker = GramAccumulator::<CsrShard>::new(7);
             worker
                 .push_block(&csr.row_slice(start, end).unwrap())
                 .unwrap();
@@ -1418,11 +968,13 @@ mod tests {
 
         // Preconditions: off-boundary target, oversized unit, col
         // mismatch.
-        let mut off = SparseGramAccumulator::new(7);
+        let mut off = GramAccumulator::<CsrShard>::new(7);
         off.push_block(&CsrShard::from_dense(&lcg_sparse(10, 7, 2, 105)))
             .unwrap();
-        assert!(off.absorb_unit(SparseGramAccumulator::new(7)).is_err());
-        let mut big = SparseGramAccumulator::new(7);
+        assert!(off
+            .absorb_unit(GramAccumulator::<CsrShard>::new(7))
+            .is_err());
+        let mut big = GramAccumulator::<CsrShard>::new(7);
         big.push_block(&CsrShard::from_dense(&lcg_sparse(
             GROUP_ROWS + 1,
             7,
@@ -1430,9 +982,11 @@ mod tests {
             106,
         )))
         .unwrap();
-        assert!(SparseGramAccumulator::new(7).absorb_unit(big).is_err());
-        assert!(SparseGramAccumulator::new(7)
-            .absorb_unit(SparseGramAccumulator::new(8))
+        assert!(GramAccumulator::<CsrShard>::new(7)
+            .absorb_unit(big)
+            .is_err());
+        assert!(GramAccumulator::<CsrShard>::new(7)
+            .absorb_unit(GramAccumulator::<CsrShard>::new(8))
             .is_err());
     }
 
@@ -1441,14 +995,14 @@ mod tests {
         let n = GROUP_ROWS + 391;
         let a = CsrShard::from_dense(&lcg_sparse(n, 6, 2, 107));
         let b = CsrShard::from_dense(&lcg_sparse(n, 3, 2, 108));
-        let mut single = SparseCrossGramAccumulator::new(6, 3);
+        let mut single = CrossGramAccumulator::<CsrShard>::new(6, 3);
         single.push_blocks(&a, &b).unwrap();
 
-        let mut merged = SparseCrossGramAccumulator::new(6, 3);
+        let mut merged = CrossGramAccumulator::<CsrShard>::new(6, 3);
         let mut start = 0;
         while start < n {
             let end = (start + GROUP_ROWS).min(n);
-            let mut worker = SparseCrossGramAccumulator::new(6, 3);
+            let mut worker = CrossGramAccumulator::<CsrShard>::new(6, 3);
             worker
                 .push_blocks(
                     &a.row_slice(start, end).unwrap(),
@@ -1467,8 +1021,8 @@ mod tests {
         merged.write_state(&mut x).unwrap();
         single.write_state(&mut y).unwrap();
         assert_eq!(x, y, "serialized sparse cross states must agree");
-        assert!(SparseCrossGramAccumulator::new(6, 3)
-            .absorb_unit(SparseCrossGramAccumulator::new(6, 4))
+        assert!(CrossGramAccumulator::<CsrShard>::new(6, 3)
+            .absorb_unit(CrossGramAccumulator::<CsrShard>::new(6, 4))
             .is_err());
     }
 
@@ -1481,8 +1035,8 @@ mod tests {
         let rhs = lcg_sparse(300, 8, 8, 42);
         let reference = matmul_streamed(&dense, &rhs).unwrap();
         for shard_rows in [1usize, 30, STREAM_CHUNK_ROWS, n] {
-            let sparse = CsrShardedMatrix::from_dense(&dense, shard_rows).unwrap();
-            let streamed = matmul_streamed_csr(&sparse, &rhs).unwrap();
+            let sparse = csr_shards(&dense, shard_rows);
+            let streamed = matmul_streamed(&sparse[..], &rhs).unwrap();
             assert_bitwise(
                 &streamed,
                 &reference,
@@ -1493,11 +1047,11 @@ mod tests {
         let narrow = lcg_sparse(40, 21, 4, 43);
         let nrhs = lcg_sparse(21, 3, 3, 44);
         assert_bitwise(
-            &matmul_streamed_csr(&CsrShard::from_dense(&narrow), &nrhs).unwrap(),
+            &matmul_streamed(&CsrShard::from_dense(&narrow), &nrhs).unwrap(),
             &matmul_streamed(&narrow, &nrhs).unwrap(),
             "naive-path matmul",
         );
-        assert!(matmul_streamed_csr(&CsrShard::from_dense(&narrow), &rhs).is_err());
+        assert!(matmul_streamed(&CsrShard::from_dense(&narrow), &rhs).is_err());
     }
 
     #[test]
@@ -1505,10 +1059,10 @@ mod tests {
         let n = STREAM_CHUNK_ROWS + 83;
         let dense = lcg_sparse(n, 17, 4, 51);
         let lhs = lcg_sparse(6, n, n / 2, 52);
-        let reference = matmul_left_streamed(&lhs, &dense).unwrap();
+        let reference = matmul_left_streamed_t(&lhs, &dense).unwrap();
         for shard_rows in [1usize, 29, n] {
-            let sparse = CsrShardedMatrix::from_dense(&dense, shard_rows).unwrap();
-            let streamed = matmul_left_streamed_csr(&lhs, &sparse).unwrap();
+            let sparse = csr_shards(&dense, shard_rows);
+            let streamed = matmul_left_streamed_t(&lhs, &sparse[..]).unwrap();
             assert_bitwise(
                 &streamed,
                 &reference,
@@ -1519,13 +1073,12 @@ mod tests {
         // threshold.
         let wide_lhs = lcg_sparse(40, n, n / 2, 53);
         assert_bitwise(
-            &matmul_left_streamed_csr(&wide_lhs, &CsrShard::from_dense(&dense)).unwrap(),
-            &matmul_left_streamed(&wide_lhs, &dense).unwrap(),
+            &matmul_left_streamed_t(&wide_lhs, &CsrShard::from_dense(&dense)).unwrap(),
+            &matmul_left_streamed_t(&wide_lhs, &dense).unwrap(),
             "fused left matmul",
         );
         assert!(
-            matmul_left_streamed_csr(&lcg_sparse(2, 3, 2, 1), &CsrShard::from_dense(&dense))
-                .is_err()
+            matmul_left_streamed_t(&lcg_sparse(2, 3, 2, 1), &CsrShard::from_dense(&dense)).is_err()
         );
     }
 
@@ -1556,11 +1109,11 @@ mod tests {
         for threads in ["1", "2"] {
             std::env::set_var(ivmf_par::THREADS_ENV, threads);
             for (l, m, path) in [(&lhs, &dense, "fused"), (&sparse_lhs, &narrow, "plain")] {
-                let reference = matmul_left_streamed(l, m).unwrap().transpose();
+                let reference = matmul_left_streamed_t(l, m).unwrap();
                 for shard_rows in [7usize, STREAM_CHUNK_ROWS, n] {
-                    let sparse = CsrShardedMatrix::from_dense(m, shard_rows).unwrap();
+                    let sparse = csr_shards(m, shard_rows);
                     assert_bitwise(
-                        &matmul_left_streamed_csr_t(l, &sparse).unwrap(),
+                        &matmul_left_streamed_t(l, &sparse[..]).unwrap(),
                         &reference,
                         &format!(
                             "{path} transposed kernel, {threads} threads, shards of {shard_rows}"
@@ -1582,14 +1135,14 @@ mod tests {
         let zcsr = CsrShard::from_dense(&zero);
         assert_eq!(zcsr.nnz(), 0);
         assert_bitwise(
-            &gram_streamed_csr(&zcsr).unwrap(),
+            &gram_streamed(&zcsr).unwrap(),
             &gram_streamed(&zero).unwrap(),
             "all-zero gram",
         );
         // Single stored entry.
         let single = CsrShard::from_triplets(STREAM_CHUNK_ROWS + 5, 9, &[(130, 4, -2.5)]).unwrap();
         assert_bitwise(
-            &gram_streamed_csr(&single).unwrap(),
+            &gram_streamed(&single).unwrap(),
             &gram_streamed(&single.to_dense()).unwrap(),
             "single-entry gram",
         );
@@ -1600,15 +1153,15 @@ mod tests {
                 m[(i, j)] = 0.0;
             }
         }
-        let csr = CsrShardedMatrix::from_dense(&m, 37).unwrap();
+        let csr = csr_shards(&m, 37);
         assert_bitwise(
-            &gram_streamed_csr(&csr).unwrap(),
+            &gram_streamed(&csr[..]).unwrap(),
             &gram_streamed(&m).unwrap(),
             "empty-row gram",
         );
         let rhs = lcg_sparse(11, 4, 4, 62);
         assert_bitwise(
-            &matmul_streamed_csr(&csr, &rhs).unwrap(),
+            &matmul_streamed(&csr[..], &rhs).unwrap(),
             &matmul_streamed(&m, &rhs).unwrap(),
             "empty-row matmul",
         );
@@ -1638,7 +1191,7 @@ mod tests {
         };
         assert!(with_zero.nnz() > CsrShard::from_dense(&m).nnz());
         assert_bitwise(
-            &gram_streamed_csr(&with_zero).unwrap(),
+            &gram_streamed(&with_zero).unwrap(),
             &gram_streamed(&m).unwrap(),
             "explicit zero gram",
         );
@@ -1648,80 +1201,51 @@ mod tests {
     fn densifying_row_blocks_escape_hatch_matches_sparse_path() {
         let n = 2 * STREAM_CHUNK_ROWS + 33;
         let dense = lcg_sparse(n, 15, 3, 81);
-        let sparse = CsrShardedMatrix::from_dense(&dense, 90).unwrap();
-        // The RowBlocks impl densifies chunk-by-chunk; feeding it to the
-        // *dense* streamed Gram must agree with both reference paths.
+        let sparse = csr_shards(&dense, 90);
+        // The same blocks densified one at a time and folded by the
+        // dense kernels agree with both reference paths.
+        let densified: Vec<Matrix> = sparse.iter().map(CsrShard::to_dense).collect();
         assert_bitwise(
-            &gram_streamed(&sparse).unwrap(),
+            &gram_streamed(&densified[..]).unwrap(),
             &gram_streamed(&dense).unwrap(),
-            "escape hatch vs dense",
+            "densified blocks vs dense",
         );
         assert_bitwise(
-            &gram_streamed(&sparse).unwrap(),
-            &gram_streamed_csr(&sparse).unwrap(),
-            "escape hatch vs sparse",
+            &gram_streamed(&densified[..]).unwrap(),
+            &gram_streamed(&sparse[..]).unwrap(),
+            "densified blocks vs sparse",
         );
     }
 
     #[test]
     fn sharded_construction_errors() {
-        assert!(CsrShardedMatrix::from_shards(vec![]).is_err());
+        // A slice of CSR shards is a source of the matrix they stack.
         let m = lcg_sparse(6, 4, 2, 91);
-        assert!(CsrShardedMatrix::from_dense(&m, 0).is_err());
-        let ok = CsrShard::from_dense(&m);
-        let other = CsrShard::from_dense(&lcg_sparse(2, 5, 2, 92));
-        assert!(CsrShardedMatrix::from_shards(vec![ok.clone(), other]).is_err());
-        let mut sharded = CsrShardedMatrix::from_csr(&ok, 4).unwrap();
-        assert_eq!(sharded.num_shards(), 2);
-        assert!(sharded
-            .append_shard(CsrShard::from_dense(&lcg_sparse(2, 5, 2, 93)))
-            .is_err());
-        sharded
-            .append_shard(CsrShard::from_dense(&lcg_sparse(2, 4, 2, 94)))
-            .unwrap();
-        assert_eq!(sharded.rows(), 8);
-        assert_eq!(sharded.to_dense().rows(), 8);
-    }
-
-    /// A source whose blocks contradict its declared shape.
-    struct LyingCsrSource;
-
-    impl CsrRowBlocks for LyingCsrSource {
-        fn rows(&self) -> usize {
-            10
-        }
-        fn cols(&self) -> usize {
-            10
-        }
-        fn for_each_csr_block(&self, f: &mut dyn FnMut(&CsrShard) -> Result<()>) -> Result<()> {
-            f(&CsrShard::from_dense(&Matrix::zeros(5, 12)))
-        }
-    }
-
-    /// A source that delivers fewer rows than declared.
-    struct ShortCsrSource;
-
-    impl CsrRowBlocks for ShortCsrSource {
-        fn rows(&self) -> usize {
-            10
-        }
-        fn cols(&self) -> usize {
-            4
-        }
-        fn for_each_csr_block(&self, f: &mut dyn FnMut(&CsrShard) -> Result<()>) -> Result<()> {
-            f(&CsrShard::from_dense(&Matrix::zeros(6, 4)))
-        }
+        let mut sharded = csr_shards(&m, 4);
+        assert_eq!(sharded.len(), 2);
+        assert_eq!(RowBlocks::shape(&sharded[..]), (6, 4));
+        assert!(CsrShard::from_dense(&m).row_slice(4, 7).is_err());
+        // An empty slice is an empty source.
+        assert_eq!(
+            gram_streamed::<CsrShard, _>(&[][..]).unwrap().shape(),
+            (0, 0)
+        );
+        // A shard of another width is rejected by every driver.
+        sharded.push(CsrShard::from_dense(&lcg_sparse(2, 5, 2, 92)));
+        assert!(gram_streamed(&sharded[..]).is_err());
+        assert!(matmul_streamed(&sharded[..], &Matrix::zeros(4, 2)).is_err());
+        assert!(matmul_left_streamed_t(&Matrix::zeros(2, 8), &sharded[..]).is_err());
     }
 
     #[test]
     fn streamed_csr_kernels_reject_bad_sources() {
-        assert!(gram_streamed_csr(&LyingCsrSource).is_err());
-        assert!(matmul_streamed_csr(&LyingCsrSource, &Matrix::zeros(10, 3)).is_err());
-        assert!(matmul_left_streamed_csr(&Matrix::zeros(2, 10), &LyingCsrSource).is_err());
-        let err = gram_streamed_csr(&ShortCsrSource).unwrap_err();
-        assert!(err.to_string().contains("declared"), "{err}");
-        assert!(matmul_streamed_csr(&ShortCsrSource, &Matrix::zeros(4, 3)).is_err());
-        assert!(matmul_left_streamed_csr(&Matrix::zeros(2, 10), &ShortCsrSource).is_err());
+        // Blocks without stored entries: a CSR block's width and row count
+        // live only in its shape, never in a column index, so the checks
+        // must read the shape.
+        crate::streaming::tests::assert_bad_sources_rejected(vec![
+            ("empty wide block", vec![Matrix::zeros(5, 12)]),
+            ("empty short source", vec![Matrix::zeros(6, 4)]),
+        ]);
     }
 
     proptest::proptest! {
@@ -1740,8 +1264,8 @@ mod tests {
             shard_sizes.push(rng.gen_range(1..=n));
             shard_sizes.push(rng.gen_range(1..=n));
             for shard_rows in shard_sizes {
-                let sparse = CsrShardedMatrix::from_dense(&dense, shard_rows).unwrap();
-                let streamed = gram_streamed_csr(&sparse).unwrap();
+                let sparse = csr_shards(&dense, shard_rows);
+                let streamed = gram_streamed(&sparse[..]).unwrap();
                 proptest::prop_assert_eq!(
                     streamed.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
                     reference.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
@@ -1749,8 +1273,9 @@ mod tests {
                 );
             }
             // The dense sharded path agrees too (three-way equivalence).
-            let dense_sharded = RowShardedMatrix::from_matrix(&dense, 1 + n / 3).unwrap();
-            let dense_streamed = gram_streamed(&dense_sharded).unwrap();
+            let dense_sharded: Vec<Matrix> =
+                csr_shards(&dense, 1 + n / 3).iter().map(CsrShard::to_dense).collect();
+            let dense_streamed = gram_streamed(&dense_sharded[..]).unwrap();
             proptest::prop_assert_eq!(
                 dense_streamed.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
                 reference.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>()

@@ -21,17 +21,12 @@
 //! parses, declared lengths — and report problems as
 //! [`std::io::ErrorKind::InvalidData`] / `UnexpectedEof` errors rather
 //! than panicking, because the snapshot layer upstream treats every
-//! error here as "drop this entry and recompute". Declared lengths also
-//! bound the initial allocation, so a corrupted header cannot trigger a
-//! huge up-front reservation.
+//! error here as "drop this entry and recompute". Decoded values grow
+//! their vectors with the bytes that actually arrive, never with a
+//! declared length, so a header that lies about a size cannot make a
+//! reader allocate more than its input holds.
 
 use std::io::{self, BufRead, Write};
-
-/// Cap on speculative `Vec` pre-allocation from untrusted declared
-/// lengths: allocate at most this many elements up front and let the
-/// vector grow organically past it (the token count check still enforces
-/// the exact final length).
-const PREALLOC_CAP: usize = 1 << 20;
 
 /// An [`io::ErrorKind::InvalidData`] error for malformed state text.
 pub fn bad_state(msg: impl Into<String>) -> io::Error {
@@ -69,7 +64,7 @@ pub fn write_usize_line(w: &mut dyn Write, vals: &[usize]) -> io::Result<()> {
 /// Parses a line written by [`write_usize_line`], requiring exactly
 /// `expected` values.
 pub fn parse_usize_line(line: &str, expected: usize) -> io::Result<Vec<usize>> {
-    let mut out = Vec::with_capacity(expected.min(PREALLOC_CAP));
+    let mut out = Vec::new();
     for tok in line.split_ascii_whitespace() {
         if out.len() == expected {
             return Err(bad_state(format!(
@@ -109,8 +104,9 @@ fn write_words<T: Copy>(w: &mut dyn Write, vals: &[T], word: impl Fn(T) -> u64) 
 }
 
 /// Feeds a run of `n` 8-byte words to `take` in slices of whole words —
-/// straight out of the reader's buffer where it holds them — then checks
-/// the `\n` terminator. Truncation surfaces as `UnexpectedEof`.
+/// straight out of the reader's buffer where it holds them, so a slice is
+/// never longer than what has arrived — then checks the `\n`
+/// terminator. Truncation surfaces as `UnexpectedEof`.
 fn read_words(
     r: &mut dyn BufRead,
     n: usize,
@@ -153,11 +149,10 @@ pub fn write_f64_run(w: &mut dyn Write, vals: &[f64]) -> io::Result<()> {
 
 /// Reads a run written by [`write_f64_run`], requiring exactly
 /// `expected` values plus the terminator. Truncation surfaces as
-/// `UnexpectedEof`; the allocation grows with the bytes actually read,
-/// so a corrupted declared length cannot trigger a huge up-front
-/// reservation.
+/// `UnexpectedEof`; the vector grows with the bytes actually read, so a
+/// corrupted declared length cannot trigger a huge up-front reservation.
 pub fn read_f64_run(r: &mut dyn BufRead, expected: usize) -> io::Result<Vec<f64>> {
-    let mut out = Vec::with_capacity(expected.min(PREALLOC_CAP));
+    let mut out = Vec::new();
     read_words(r, expected, "f64", |bytes| {
         let decode = |c: &[u8]| f64::from_le_bytes(c.try_into().expect("8-byte chunk"));
         out.extend(bytes.chunks_exact(8).map(decode));
@@ -184,8 +179,8 @@ pub fn read_usize_run_into(
     expected: usize,
     out: &mut Vec<usize>,
 ) -> io::Result<()> {
-    out.reserve(expected.min(PREALLOC_CAP));
     read_words(r, expected, "usize", |bytes| {
+        out.reserve(bytes.len() / 8);
         for c in bytes.chunks_exact(8) {
             let v = u64::from_le_bytes(c.try_into().expect("8-byte chunk"));
             out.push(usize::try_from(v).map_err(|_| bad_state("usize value overflows"))?);

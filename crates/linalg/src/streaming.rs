@@ -1,4 +1,5 @@
-//! Row-sharded storage and chunk-realigned streaming kernels.
+//! Chunk-realigned streaming kernels over row blocks, written once for
+//! the dense [`Matrix`] and the sparse [`CsrShard`](crate::CsrShard).
 //!
 //! Every `O(nm²)` product in this workspace — the Gram matrices behind
 //! ISVD2–4, the cross products of the exact interval Gram, the factor
@@ -20,10 +21,11 @@
 //! * the result is **bitwise identical for every shard layout** (one dense
 //!   block, 1-row shards, anything in between) — the chunk sequence, and
 //!   hence every intermediate rounding, is the same;
-//! * it is bitwise identical for every `IVMF_THREADS` count — chunks are
-//!   scheduled across the [`ivmf_par`] pool (several pending chunks run as
-//!   parallel jobs, a lone chunk parallelizes inside the packed kernel),
-//!   but the fold order is fixed and the kernels themselves are
+//! * it is bitwise identical for every `IVMF_THREADS` count — dense chunks
+//!   are scheduled across the [`ivmf_par`] pool (several pending chunks
+//!   run as parallel jobs, a lone chunk parallelizes inside the packed
+//!   kernel), CSR chunks run on the calling thread with in-kernel row
+//!   panels, but the fold order is fixed and the kernels themselves are
 //!   thread-count-deterministic;
 //! * appending rows later and continuing the fold performs **exactly** the
 //!   operation sequence of a cold recompute over the extended matrix, so
@@ -35,13 +37,19 @@
 //! bitwise with the one-shot kernels ([`Matrix::gram`], [`Matrix::matmul`])
 //! on the same data.
 //!
-//! The re-alignment is written once, for the dense accumulators here, their
-//! CSR counterparts in [`sparse`](crate::sparse) and all four streamed
-//! products: a private core cuts each pushed block into pieces of at most
-//! a few chunks, hands the full chunks to the caller's chunk kernel and
-//! keeps the tail. The two-level fold below is likewise one piece of code
-//! for all four Gram-type accumulators; each of them only adds a row
-//! buffer, a chunk kernel and a state header tag.
+//! ## One layer for both block types
+//!
+//! A [`RowBlock`] — [`Matrix`] or [`CsrShard`](crate::CsrShard) — supplies
+//! its row buffer, its chunk schedule and its per-chunk kernels (Gram,
+//! cross, right and left product); a [`RowBlocks`] source delivers blocks
+//! of one type in row order. The two accumulators ([`GramAccumulator`],
+//! [`CrossGramAccumulator`]) and the three drivers ([`gram_streamed`],
+//! [`matmul_streamed`], [`matmul_left_streamed_t`]) are each written once,
+//! generic over the block type; the chunk re-alignment and the two-level
+//! fold below them are one private core. The CSR kernels fold over stored
+//! entries only and are bitwise replicas of the dense ones (see
+//! [`sparse`](crate::sparse)), so the block type is a storage choice that
+//! never shows in results.
 //!
 //! ## Two-level fold and the unit merge
 //!
@@ -55,7 +63,7 @@
 //! function of the global row index alone — every bitwise guarantee above
 //! is preserved.
 //!
-//! The payoff is [`GramAccumulator::absorb_unit`]: a *unit* — the rows of
+//! The payoff is [`StreamAccumulator::absorb_unit`]: a *unit* — the rows of
 //! exactly one group (the final unit may be shorter) — can be folded by a
 //! separate, fresh accumulator and absorbed back in unit order,
 //! reproducing the single-accumulator state **bit for bit**: the unit's
@@ -63,10 +71,11 @@
 //! single accumulator would have sealed. The decomposition pipeline's
 //! interval-Gram stage folds several units concurrently on this merge.
 
-use crate::fold::{add_assign, realign, ChunkKernel, Partials, RowBuffer, StreamAccumulator};
+use crate::fold::{add_assign, realign, Cross, Gram, Partials, RowBuffer, StreamAccumulator};
 use crate::pending::PendingRows;
 use crate::{Dispatch, LinalgError, Matrix, Result};
 use std::borrow::Cow;
+use std::fmt;
 
 /// Number of rows per internal accumulation chunk. Part of the arithmetic
 /// contract (chunk boundaries determine rounding order), so it is a fixed
@@ -83,17 +92,98 @@ pub const MERGE_GROUP_CHUNKS: usize = 64;
 
 /// Rows per merge group (`MERGE_GROUP_CHUNKS × STREAM_CHUNK_ROWS`): the
 /// granularity of the units that fold concurrently and merge with
-/// [`GramAccumulator::absorb_unit`].
+/// [`StreamAccumulator::absorb_unit`].
 pub const GROUP_ROWS: usize = MERGE_GROUP_CHUNKS * STREAM_CHUNK_ROWS;
 
-/// A matrix presented as an ordered sequence of row blocks.
+/// A row block the streamed operations fold: the dense [`Matrix`] or the
+/// sparse [`CsrShard`](crate::CsrShard).
 ///
-/// The common trait behind the dense [`Matrix`] (one block: itself), the
-/// in-memory [`RowShardedMatrix`], and any lazy loader that materializes
-/// one block at a time. Consumers — the streaming accumulators and the
-/// decomposition pipeline — only ever fold blocks in order, so a source
-/// never needs to hold more than one block in memory.
-pub trait RowBlocks {
+/// It supplies everything in which the two representations differ — the
+/// row buffer that re-aligns blocks to the chunk grid, the chunk
+/// schedule, the per-chunk kernels and the accumulator state tags — so
+/// that the accumulators and drivers of this module are written once. A
+/// chunk here is a pool-backed copy of at most [`STREAM_CHUNK_ROWS`] rows
+/// (the buffered tail included); the drivers hand it back with
+/// [`RowBlock::recycle`] once its kernel has run. Implemented by the two
+/// block types of this crate only: its buffer and partial types are
+/// private to the crate.
+pub trait RowBlock: Clone + fmt::Debug + Send + Sync + 'static {
+    /// The row buffer that re-aligns blocks of this type to the global
+    /// chunk grid; its chunks are blocks of this type.
+    type Pending: for<'a> RowBuffer<Block<'a> = &'a Self, Chunk = Self> + Send + Sync;
+    /// First token of a [`GramAccumulator`] state header.
+    const GRAM_TAG: &'static str;
+    /// First token of a [`CrossGramAccumulator`] state header.
+    const CROSS_TAG: &'static str;
+    /// Gram partials hold the upper triangle only; `finish` mirrors once.
+    const UPPER_GRAM: bool;
+    /// Consumed Gram and cross partials go back to the [`crate::pool`].
+    const RECYCLE_PARTIALS: bool;
+    /// [`RowBlock::left_chunk`] returns the transposed partial (`m×p`).
+    const LEFT_T: bool;
+
+    /// Number of rows.
+    fn rows(&self) -> usize;
+    /// Number of columns.
+    fn cols(&self) -> usize;
+    /// `(rows, cols)`.
+    fn shape(&self) -> (usize, usize) {
+        (self.rows(), self.cols())
+    }
+    /// An empty row buffer for blocks of `cols` columns.
+    fn pending(cols: usize) -> Self::Pending;
+    /// Returns the block's backing buffers to the [`crate::pool`].
+    fn recycle(self);
+
+    /// Runs `kernel(i, lone)` on full chunks `0..full` and hands the
+    /// results to `sink` in chunk order. Dense chunks fan out across the
+    /// [`ivmf_par`] pool (a lone chunk, `lone == true`, parallelizes inside
+    /// its packed kernel instead); CSR chunks run one at a time on the
+    /// calling thread, each splitting its own row panels. The results are
+    /// the same either way: the kernels are thread-count-deterministic
+    /// and `sink` sees them in chunk order.
+    fn map_chunks<T: Send>(
+        full: usize,
+        kernel: impl Fn(usize, bool) -> T + Sync,
+        sink: impl FnMut(T) -> Result<()>,
+    ) -> Result<()>;
+    /// Folds the Gram partials of the first `full` chunks of `rows` into
+    /// `sum`, in chunk order (the chunk kernel of [`GramAccumulator`]).
+    fn fold_gram(rows: &Self::Pending, full: usize, sum: &mut Partials<Gram<Self>>) {
+        let sink = |g| {
+            sum.fold(Cow::Owned(g));
+            Ok(())
+        };
+        let gram = |i, lone| {
+            let c = rows.chunk(i);
+            let g = Self::gram_chunk(&c, lone);
+            c.recycle();
+            g
+        };
+        Self::map_chunks(full, gram, sink).expect("the Gram kernel cannot fail")
+    }
+    /// The Gram partial `chunkᵀ·chunk` (the upper triangle only when
+    /// [`RowBlock::UPPER_GRAM`]).
+    fn gram_chunk(chunk: &Self, lone: bool) -> Matrix;
+    /// The cross partial `aᵀ·b` of two row-aligned chunks.
+    fn cross_chunk(a: &Self, b: &Self, lone: bool) -> Result<Matrix>;
+    /// The right product `chunk · rhs`.
+    fn right_chunk(chunk: &Self, rhs: &Matrix, lone: bool) -> Result<Matrix>;
+    /// The left product `lhs[:, offset..offset + rows] · chunk` (`p×m`),
+    /// or its transpose when [`RowBlock::LEFT_T`].
+    fn left_chunk(lhs: &Matrix, offset: usize, chunk: &Self) -> Matrix;
+}
+
+/// A matrix presented as an ordered sequence of row blocks of type `B`.
+///
+/// A block is its own one-block source, a slice of blocks is a source
+/// (its blocks in order), and lazy loaders materialize one block at a
+/// time. Consumers — the streaming accumulators and the decomposition
+/// pipeline — only ever fold blocks in order, so a source never needs to
+/// hold more than one block in memory. The streamed drivers check what
+/// the source delivers against its declared shape: a block of the wrong
+/// width, or more or fewer rows than declared, is an error.
+pub trait RowBlocks<B: RowBlock> {
     /// Total number of rows across all blocks.
     fn rows(&self) -> usize;
     /// Number of columns (identical for every block).
@@ -103,10 +193,10 @@ pub trait RowBlocks {
         (self.rows(), self.cols())
     }
     /// Calls `f` once per row block, in row order.
-    fn for_each_block(&self, f: &mut dyn FnMut(&Matrix) -> Result<()>) -> Result<()>;
+    fn for_each_block(&self, f: &mut dyn FnMut(&B) -> Result<()>) -> Result<()>;
 }
 
-impl RowBlocks for Matrix {
+impl RowBlocks<Matrix> for Matrix {
     fn rows(&self) -> usize {
         Matrix::rows(self)
     }
@@ -118,12 +208,25 @@ impl RowBlocks for Matrix {
     }
 }
 
-/// The `p × n` left operand of the reduction-streamed products
-/// ([`matmul_left_streamed`] and its CSR forms), handed over one column
-/// block at a time as the reduction reaches the matching rows of the
-/// right operand. A [`Matrix`] is one (`&Matrix` lends its own columns);
-/// a lazy operand computes each block on demand, so it never holds all
-/// `n` columns.
+/// Consecutive row blocks of one matrix (the column count is the first
+/// block's; an empty slice is a `0 × 0` source).
+impl<B: RowBlock> RowBlocks<B> for [B] {
+    fn rows(&self) -> usize {
+        self.iter().map(RowBlock::rows).sum()
+    }
+    fn cols(&self) -> usize {
+        self.first().map_or(0, RowBlock::cols)
+    }
+    fn for_each_block(&self, f: &mut dyn FnMut(&B) -> Result<()>) -> Result<()> {
+        self.iter().try_for_each(f)
+    }
+}
+
+/// The `p × n` left operand of the reduction-streamed product
+/// [`matmul_left_streamed_t`], handed over one column block at a time as
+/// the reduction reaches the matching rows of the right operand. A
+/// [`Matrix`] is one (`&Matrix` lends its own columns); a lazy operand
+/// computes each block on demand, so it never holds all `n` columns.
 pub trait ColBlocks {
     /// `(p, n)` of the whole (virtual) operand.
     fn shape(&self) -> (usize, usize);
@@ -156,16 +259,14 @@ impl<L: ColBlocks + ?Sized> ColBlocks for &mut L {
 /// starting at row `offset` of an `n`-row right operand. An
 /// over-delivering source (more rows than its declared `n`) and a block
 /// that does not hold the requested columns are errors.
-pub(crate) fn lhs_block<L: ColBlocks>(
+fn lhs_block<L: ColBlocks>(
     lhs: &mut L,
     offset: usize,
     rows: usize,
     n: usize,
 ) -> Result<(&Matrix, usize)> {
     if offset + rows > n {
-        return Err(LinalgError::InvalidArgument(format!(
-            "row-block source delivered more than its declared {n} rows"
-        )));
+        return Err(over_delivery(n));
     }
     let p = lhs.shape().0;
     let (b, o) = lhs.col_block(offset, offset + rows)?;
@@ -181,234 +282,126 @@ pub(crate) fn lhs_block<L: ColBlocks>(
     Ok((b, o))
 }
 
-/// An ordered set of row-block shards forming one (virtual) matrix.
-///
-/// Shards may have any positive number of rows and need not be equally
-/// sized; all share the same column count. Because every streaming kernel
-/// re-aligns its arithmetic to global chunk boundaries, the shard layout
-/// is *invisible* in results — it only bounds peak memory per block and
-/// determines the granularity of [`RowShardedMatrix::append_shard`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct RowShardedMatrix {
-    shards: Vec<Matrix>,
-    rows: usize,
-    cols: usize,
+/// A source that delivered more rows than the `n` it declared.
+fn over_delivery(n: usize) -> LinalgError {
+    LinalgError::InvalidArgument(format!(
+        "row-block source delivered more than its declared {n} rows"
+    ))
 }
 
-impl RowShardedMatrix {
-    /// Builds a sharded matrix from explicit row blocks.
-    ///
-    /// Returns an error when the list is empty, any shard has zero rows,
-    /// or the column counts disagree.
-    pub fn from_shards(shards: Vec<Matrix>) -> Result<Self> {
-        let Some(first) = shards.first() else {
-            return Err(LinalgError::InvalidArgument(
-                "a sharded matrix needs at least one shard".to_string(),
-            ));
-        };
-        let cols = first.cols();
-        let mut rows = 0;
-        for (i, s) in shards.iter().enumerate() {
-            if s.rows() == 0 {
-                return Err(LinalgError::InvalidArgument(format!(
-                    "shard {i} has zero rows"
-                )));
-            }
-            if s.cols() != cols {
-                return Err(LinalgError::InvalidArgument(format!(
-                    "shard {i} has {} columns, expected {cols}",
-                    s.cols()
-                )));
-            }
-            rows += s.rows();
-        }
-        Ok(RowShardedMatrix { shards, rows, cols })
+/// A source that delivered `got` of the `n` rows it declared: the missing
+/// rows would otherwise silently truncate a product.
+fn check_delivered(got: usize, n: usize) -> Result<()> {
+    if got != n {
+        return Err(LinalgError::InvalidArgument(format!(
+            "row-block source delivered {got} of its declared {n} rows"
+        )));
     }
-
-    /// Splits a dense matrix into shards of at most `shard_rows` rows
-    /// (the last shard takes the remainder).
-    pub fn from_matrix(m: &Matrix, shard_rows: usize) -> Result<Self> {
-        if shard_rows == 0 {
-            return Err(LinalgError::InvalidArgument(
-                "shard_rows must be at least 1".to_string(),
-            ));
-        }
-        if m.rows() == 0 {
-            return Err(LinalgError::InvalidArgument(
-                "cannot shard an empty matrix".to_string(),
-            ));
-        }
-        let mut shards = Vec::new();
-        let mut start = 0;
-        while start < m.rows() {
-            let end = (start + shard_rows).min(m.rows());
-            let data = m.as_slice()[start * m.cols()..end * m.cols()].to_vec();
-            shards.push(Matrix::from_vec(end - start, m.cols(), data)?);
-            start = end;
-        }
-        RowShardedMatrix::from_shards(shards)
-    }
-
-    /// Appends a new row-block shard at the bottom.
-    pub fn append_shard(&mut self, shard: Matrix) -> Result<()> {
-        if shard.rows() == 0 {
-            return Err(LinalgError::InvalidArgument(
-                "appended shard has zero rows".to_string(),
-            ));
-        }
-        if shard.cols() != self.cols {
-            return Err(LinalgError::DimensionMismatch {
-                op: "append_shard",
-                lhs: (self.rows, self.cols),
-                rhs: shard.shape(),
-            });
-        }
-        self.rows += shard.rows();
-        self.shards.push(shard);
-        Ok(())
-    }
-
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shards, in row order.
-    pub fn shards(&self) -> &[Matrix] {
-        &self.shards
-    }
-
-    /// Materializes the dense matrix (row-order concatenation).
-    pub fn to_dense(&self) -> Matrix {
-        let mut data = Vec::with_capacity(self.rows * self.cols);
-        for s in &self.shards {
-            data.extend_from_slice(s.as_slice());
-        }
-        Matrix::from_vec(self.rows, self.cols, data).expect("shard shapes are validated")
-    }
+    Ok(())
 }
 
-impl RowBlocks for RowShardedMatrix {
+/// A block of `block` shape where a source or accumulator of `expected`
+/// shape needs `expected.1` columns.
+fn check_cols(op: &'static str, expected: (usize, usize), block: (usize, usize)) -> Result<()> {
+    if block.1 != expected.1 {
+        return Err(LinalgError::DimensionMismatch {
+            op,
+            lhs: expected,
+            rhs: block,
+        });
+    }
+    Ok(())
+}
+
+impl RowBlock for Matrix {
+    type Pending = PendingRows;
+    const GRAM_TAG: &'static str = "gram";
+    const CROSS_TAG: &'static str = "crossgram";
+    const UPPER_GRAM: bool = false;
+    const RECYCLE_PARTIALS: bool = false;
+    const LEFT_T: bool = false;
+
     fn rows(&self) -> usize {
-        self.rows
+        Matrix::rows(self)
     }
     fn cols(&self) -> usize {
-        self.cols
+        Matrix::cols(self)
     }
-    fn for_each_block(&self, f: &mut dyn FnMut(&Matrix) -> Result<()>) -> Result<()> {
-        for s in &self.shards {
-            f(s)?;
+    fn pending(cols: usize) -> PendingRows {
+        PendingRows::new(cols)
+    }
+    fn recycle(self) {
+        crate::pool::recycle_f64(self.into_vec());
+    }
+    fn map_chunks<T: Send>(
+        full: usize,
+        kernel: impl Fn(usize, bool) -> T + Sync,
+        sink: impl FnMut(T) -> Result<()>,
+    ) -> Result<()> {
+        let results = if full == 1 {
+            vec![kernel(0, true)]
+        } else {
+            ivmf_par::par_map(full, ivmf_par::configured_threads(), |i| kernel(i, false))
+        };
+        results.into_iter().try_for_each(sink)
+    }
+    fn gram_chunk(chunk: &Matrix, lone: bool) -> Matrix {
+        if lone {
+            chunk.gram()
+        } else {
+            chunk.gram_impl(1)
         }
-        Ok(())
     }
-}
-
-/// Runs `kernel(i, lone)` on full chunks `0..full` and returns the results
-/// in chunk order. A lone chunk (`lone == true`) parallelizes inside its
-/// packed kernel; several chunks run as jobs across the [`ivmf_par`] pool,
-/// each kernel inline. Identical results either way — the kernels are
-/// thread-count-deterministic and the caller folds in chunk order.
-fn map_chunks<T: Send>(full: usize, kernel: impl Fn(usize, bool) -> T + Sync) -> Vec<T> {
-    if full == 1 {
-        vec![kernel(0, true)]
-    } else {
-        ivmf_par::par_map(full, ivmf_par::configured_threads(), |i| kernel(i, false))
-    }
-}
-
-/// Chunk kernel of [`GramAccumulator`]: the packed SYRK per chunk.
-#[derive(Debug, Clone)]
-pub enum DenseGram {}
-
-impl ChunkKernel for DenseGram {
-    type Rows = PendingRows;
-    const TAG: &'static str = "gram";
-
-    fn fold_chunks(rows: &PendingRows, full: usize, sum: &mut Partials<Self>) -> Result<()> {
-        let grams = map_chunks(full, |i, lone| {
-            let c = rows.chunk(i);
-            let g = if lone { c.gram() } else { c.gram_impl(1) };
-            crate::pool::recycle_f64(c.into_vec());
-            g
-        });
-        for g in grams {
-            sum.fold(Cow::Owned(g));
+    fn cross_chunk(a: &Matrix, b: &Matrix, lone: bool) -> Result<Matrix> {
+        if lone {
+            a.matmul_tn(b)
+        } else {
+            a.matmul_tn_impl(b, 1)
         }
-        Ok(())
     }
-
-    fn tail(rem: Matrix) -> Result<Matrix> {
-        let g = rem.gram();
-        crate::pool::recycle_f64(rem.into_vec());
-        Ok(g)
-    }
-}
-
-/// Chunk kernel of [`CrossGramAccumulator`]: the packed `AᵀB` per chunk
-/// pair.
-#[derive(Debug, Clone)]
-pub enum DenseCross {}
-
-impl ChunkKernel for DenseCross {
-    type Rows = (PendingRows, PendingRows);
-    const TAG: &'static str = "crossgram";
-
-    fn fold_chunks(rows: &Self::Rows, full: usize, sum: &mut Partials<Self>) -> Result<()> {
-        let products = map_chunks(full, |i, lone| {
-            let (ca, cb) = rows.chunk(i);
-            let p = if lone {
-                ca.matmul_tn(&cb)
-            } else {
-                ca.matmul_tn_impl(&cb, 1)
-            };
-            crate::pool::recycle_f64(ca.into_vec());
-            crate::pool::recycle_f64(cb.into_vec());
-            p
-        });
-        for p in products {
-            sum.fold(Cow::Owned(p?));
+    fn right_chunk(chunk: &Matrix, rhs: &Matrix, lone: bool) -> Result<Matrix> {
+        if lone {
+            chunk.matmul(rhs)
+        } else {
+            chunk.matmul_impl(rhs, 1)
         }
-        Ok(())
     }
-
-    fn tail((ra, rb): (Matrix, Matrix)) -> Result<Matrix> {
-        let p = ra.matmul_tn(&rb);
-        crate::pool::recycle_f64(ra.into_vec());
-        crate::pool::recycle_f64(rb.into_vec());
-        p
+    fn left_chunk(lhs: &Matrix, offset: usize, chunk: &Matrix) -> Matrix {
+        let (p, rows, m) = (lhs.rows(), chunk.rows(), chunk.cols());
+        lhs.matmul_window(offset, rows, chunk, Dispatch::for_shape(p, rows, m))
     }
 }
 
-/// Streaming accumulator for the Gram matrix `AᵀA` over a row-block
-/// stream.
+/// Streaming accumulator for the Gram matrix `AᵀA` over a stream of row
+/// blocks of type `B`.
 ///
 /// Push blocks in row order with [`GramAccumulator::push_block`]; read the
 /// Gram of everything seen so far with [`GramAccumulator::finish`]
 /// (non-consuming, so more rows can be appended afterwards — the
 /// incremental-update path of the decomposition pipeline). See the
-/// [module docs](self) for the bitwise guarantees.
-pub type GramAccumulator = StreamAccumulator<DenseGram>;
+/// [module docs](self) for the bitwise guarantees: for the same logical
+/// matrix the dense and the CSR accumulator are interchangeable bit for
+/// bit, unit merge included. The CSR one folds its chunks on the calling
+/// thread through one reused scratch, which keeps peak memory at one
+/// `m×m` partial, and holds upper-triangle partials, mirrored once when
+/// it finishes.
+pub type GramAccumulator<B> = StreamAccumulator<Gram<B>>;
 
-impl GramAccumulator {
+impl<B: RowBlock> StreamAccumulator<Gram<B>> {
     /// An empty accumulator for a stream with `cols` columns.
     pub fn new(cols: usize) -> Self {
-        StreamAccumulator::empty(PendingRows::new(cols))
+        StreamAccumulator::empty(B::pending(cols))
     }
 
     /// Number of columns of the stream (and of the Gram output).
     pub fn cols(&self) -> usize {
-        self.pending.cols
+        self.output_shape().1
     }
 
     /// Feeds the next row block (row order across calls).
-    pub fn push_block(&mut self, block: &Matrix) -> Result<()> {
-        if block.cols() != self.cols() {
-            return Err(LinalgError::DimensionMismatch {
-                op: "gram_accumulate",
-                lhs: (self.rows_seen(), self.cols()),
-                rhs: block.shape(),
-            });
-        }
+    pub fn push_block(&mut self, block: &B) -> Result<()> {
+        let shape = (self.rows_seen(), self.cols());
+        check_cols("gram_accumulate", shape, block.shape())?;
         self.push(block)
     }
 
@@ -420,30 +413,30 @@ impl GramAccumulator {
 }
 
 /// Streaming accumulator for the cross product `AᵀB` over a pair of
-/// row-block streams fed in lockstep (the `loᵀ·hi` term of the exact
-/// interval Gram). Same chunk re-alignment, two-level fold, unit merge
-/// and bitwise guarantees as [`GramAccumulator`].
-pub type CrossGramAccumulator = StreamAccumulator<DenseCross>;
+/// row-block streams of type `B` fed in lockstep (the `loᵀ·hi` term of
+/// the exact interval Gram). Same chunk re-alignment, two-level fold,
+/// unit merge and bitwise guarantees as [`GramAccumulator`].
+pub type CrossGramAccumulator<B> = StreamAccumulator<Cross<B>>;
 
-impl CrossGramAccumulator {
+impl<B: RowBlock> StreamAccumulator<Cross<B>> {
     /// An empty accumulator for streams with `a_cols` / `b_cols` columns.
     pub fn new(a_cols: usize, b_cols: usize) -> Self {
-        StreamAccumulator::empty((PendingRows::new(a_cols), PendingRows::new(b_cols)))
+        StreamAccumulator::empty((B::pending(a_cols), B::pending(b_cols)))
     }
 
     /// Column count of the first stream (rows of the `AᵀB` output).
     pub fn a_cols(&self) -> usize {
-        self.pending.0.cols
+        self.output_shape().0
     }
 
     /// Column count of the second stream (columns of the `AᵀB` output).
     pub fn b_cols(&self) -> usize {
-        self.pending.1.cols
+        self.output_shape().1
     }
 
     /// Feeds the next row block of each stream; the blocks must cover the
     /// same rows (equal row counts).
-    pub fn push_blocks(&mut self, a: &Matrix, b: &Matrix) -> Result<()> {
+    pub fn push_blocks(&mut self, a: &B, b: &B) -> Result<()> {
         if a.rows() != b.rows() || a.cols() != self.a_cols() || b.cols() != self.b_cols() {
             return Err(LinalgError::DimensionMismatch {
                 op: "cross_gram_accumulate",
@@ -462,27 +455,25 @@ impl CrossGramAccumulator {
 }
 
 /// Gram matrix `AᵀA` of a row-block source through the streaming
-/// accumulator: bitwise identical for every shard layout and thread count,
-/// and equal to [`Matrix::gram`] whenever the source fits in one chunk.
-pub fn gram_streamed(source: &dyn RowBlocks) -> Result<Matrix> {
-    let mut acc = GramAccumulator::new(source.cols());
+/// accumulator: bitwise identical for every shard layout, block type and
+/// thread count, and equal to [`Matrix::gram`] whenever the source fits
+/// in one chunk.
+pub fn gram_streamed<B: RowBlock, S: RowBlocks<B> + ?Sized>(source: &S) -> Result<Matrix> {
+    let mut acc = GramAccumulator::<B>::new(source.cols());
     source.for_each_block(&mut |b| acc.push_block(b))?;
-    if acc.rows_seen() != source.rows() {
-        return Err(LinalgError::InvalidArgument(format!(
-            "row-block source delivered {} of its declared {} rows",
-            acc.rows_seen(),
-            source.rows()
-        )));
-    }
+    check_delivered(acc.rows_seen(), source.rows())?;
     Ok(acc.finish())
 }
 
 /// Row-streamed product `source · rhs`: each global chunk of rows is
 /// multiplied independently and written to its own output rows, so the
-/// result is bitwise identical for every shard layout (and equal to
-/// [`Matrix::matmul`] whenever the source fits in one chunk). Peak memory
-/// is one chunk plus the output.
-pub fn matmul_streamed(source: &dyn RowBlocks, rhs: &Matrix) -> Result<Matrix> {
+/// result is bitwise identical for every shard layout and block type (and
+/// equal to [`Matrix::matmul`] whenever the source fits in one chunk).
+/// Peak memory is one chunk plus the output.
+pub fn matmul_streamed<B: RowBlock, S: RowBlocks<B> + ?Sized>(
+    source: &S,
+    rhs: &Matrix,
+) -> Result<Matrix> {
     let (n, k) = source.shape();
     if k != rhs.rows() {
         return Err(LinalgError::DimensionMismatch {
@@ -493,82 +484,71 @@ pub fn matmul_streamed(source: &dyn RowBlocks, rhs: &Matrix) -> Result<Matrix> {
     }
     let m = rhs.cols();
     let mut out = Matrix::zeros(n, m);
-    let mut pending = PendingRows::new(k);
+    let mut pending = B::pending(k);
     let mut next_row = 0usize;
     let mut write = |p: Matrix| -> Result<()> {
         if next_row + p.rows() > n {
-            // An over-delivering source (more rows than it declared).
-            return Err(LinalgError::InvalidArgument(format!(
-                "row-block source delivered more than its declared {n} rows"
-            )));
+            return Err(over_delivery(n));
         }
         let len = p.rows() * m;
         out.as_mut_slice()[next_row * m..next_row * m + len].copy_from_slice(p.as_slice());
         next_row += p.rows();
         Ok(())
     };
+    let product = |c: B, lone| {
+        let p = B::right_chunk(&c, rhs, lone);
+        c.recycle();
+        p
+    };
     source.for_each_block(&mut |block| {
-        if block.cols() != k {
-            return Err(LinalgError::DimensionMismatch {
-                op: "matmul_streamed",
-                lhs: (n, k),
-                rhs: block.shape(),
-            });
-        }
+        check_cols("matmul_streamed", (n, k), block.shape())?;
         realign(&mut pending, block, |pending, full| {
-            let products = map_chunks(full, |i, lone| {
-                let chunk = pending.chunk(i);
-                let p = if lone {
-                    chunk.matmul(rhs)
-                } else {
-                    chunk.matmul_impl(rhs, 1)
-                };
-                crate::pool::recycle_f64(chunk.into_vec());
-                p
-            });
-            products.into_iter().try_for_each(|p| write(p?))
+            B::map_chunks(
+                full,
+                |i, lone| product(pending.chunk(i), lone),
+                |p| write(p?),
+            )
         })
     })?;
     if let Some(rem) = pending.remainder() {
-        let p = rem.matmul(rhs)?;
-        crate::pool::recycle_f64(rem.into_vec());
-        write(p)?;
+        write(product(rem, true)?)?;
     }
-    if next_row != n {
-        // An under-delivering source: the missing bottom rows of `out`
-        // would otherwise be silently zero.
-        return Err(LinalgError::InvalidArgument(format!(
-            "row-block source delivered {next_row} of its declared {n} rows"
-        )));
-    }
+    check_delivered(next_row, n)?;
     Ok(out)
 }
 
-/// Reduction-streamed product `lhs · source` for a `p×n` left operand
-/// and a source of `n` rows: per global chunk, the matching column block
-/// of `lhs` multiplies the chunk (read in place, never copied), and the
-/// partial products fold in chunk order. Bitwise identical for every
-/// shard layout; equal to [`Matrix::matmul`] whenever the source fits in
-/// one chunk. `lhs` is any [`ColBlocks`], a `&Matrix` included.
-pub fn matmul_left_streamed<L: ColBlocks>(mut lhs: L, source: &dyn RowBlocks) -> Result<Matrix> {
+/// The transposed reduction-streamed product `(lhs · source)ᵀ` (`m × p`
+/// for `lhs` of shape `p × n` and a source of shape `n × m`): per global
+/// chunk, the matching column block of `lhs` multiplies the chunk (read
+/// in place, never copied), and the partial products fold in chunk order.
+/// Bitwise the transpose of [`Matrix::matmul`] whenever the source fits
+/// in one chunk, and identical for every shard layout and block type.
+/// Dense blocks fold `p × m` partials and transpose once at the end; CSR
+/// blocks fold transposed partials directly, so tall right factors
+/// (`m × r`) come out in their own layout. `lhs` is any [`ColBlocks`], a
+/// `&Matrix` included.
+pub fn matmul_left_streamed_t<L: ColBlocks, B: RowBlock, S: RowBlocks<B> + ?Sized>(
+    mut lhs: L,
+    source: &S,
+) -> Result<Matrix> {
     let (n, m) = source.shape();
     let (p, lhs_cols) = lhs.shape();
     if lhs_cols != n {
         return Err(LinalgError::DimensionMismatch {
-            op: "matmul_left_streamed",
+            op: "matmul_left_streamed_t",
             lhs: (p, lhs_cols),
             rhs: (n, m),
         });
     }
     let mut acc: Option<Matrix> = None;
-    let mut pending = PendingRows::new(m);
+    let mut pending = B::pending(m);
     let mut offset = 0usize;
-    let mut fold = |chunk: Matrix| -> Result<()> {
+    let mut fold = |chunk: B| -> Result<()> {
         let rows = chunk.rows();
         let (b, o) = lhs_block(&mut lhs, offset, rows, n)?;
-        let part = b.matmul_window(o, rows, &chunk, Dispatch::for_shape(p, rows, m));
+        let part = B::left_chunk(b, o, &chunk);
         offset += rows;
-        crate::pool::recycle_f64(chunk.into_vec());
+        chunk.recycle();
         match &mut acc {
             None => acc = Some(part),
             Some(a) => add_assign(a, &part),
@@ -576,13 +556,7 @@ pub fn matmul_left_streamed<L: ColBlocks>(mut lhs: L, source: &dyn RowBlocks) ->
         Ok(())
     };
     source.for_each_block(&mut |block| {
-        if block.cols() != m {
-            return Err(LinalgError::DimensionMismatch {
-                op: "matmul_left_streamed",
-                lhs: (n, m),
-                rhs: block.shape(),
-            });
-        }
+        check_cols("matmul_left_streamed_t", (n, m), block.shape())?;
         realign(&mut pending, block, |pending, full| {
             (0..full).try_for_each(|i| fold(pending.chunk(i)))
         })
@@ -590,17 +564,16 @@ pub fn matmul_left_streamed<L: ColBlocks>(mut lhs: L, source: &dyn RowBlocks) ->
     if let Some(rem) = pending.remainder() {
         fold(rem)?;
     }
-    if offset != n {
-        // Under-delivery would silently truncate the reduction.
-        return Err(LinalgError::InvalidArgument(format!(
-            "row-block source delivered {offset} of its declared {n} rows"
-        )));
-    }
-    Ok(acc.unwrap_or_else(|| Matrix::zeros(p, m)))
+    check_delivered(offset, n)?;
+    Ok(match (acc, B::LEFT_T) {
+        (Some(a), true) => a,
+        (Some(a), false) => a.transpose(),
+        (None, _) => Matrix::zeros(m, p),
+    })
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::fold::PAR_FOLD_CHUNKS;
 
@@ -612,6 +585,15 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             ((state >> 33) as f64 / (1u64 << 31) as f64) - 1.0
         })
+    }
+
+    /// `m` cut into consecutive row blocks of at most `shard_rows` rows.
+    fn row_shards(m: &Matrix, shard_rows: usize) -> Vec<Matrix> {
+        let cols = m.cols();
+        m.as_slice()
+            .chunks(shard_rows * cols)
+            .map(|rows| Matrix::from_vec(rows.len() / cols, cols, rows.to_vec()).unwrap())
+            .collect()
     }
 
     fn assert_bitwise(a: &Matrix, b: &Matrix, context: &str) {
@@ -627,38 +609,45 @@ mod tests {
 
     #[test]
     fn sharded_matrix_construction_and_round_trip() {
+        // A slice of row blocks is a source of the matrix they concatenate.
         let m = lcg_matrix(17, 5, 3);
-        let sharded = RowShardedMatrix::from_matrix(&m, 4).unwrap();
-        assert_eq!(sharded.num_shards(), 5); // 4+4+4+4+1
-        assert_eq!(sharded.shape(), (17, 5));
-        assert_eq!(sharded.to_dense(), m);
-        // Whole-matrix shard and 1-row shards round-trip too.
-        assert_eq!(
-            RowShardedMatrix::from_matrix(&m, 17).unwrap().num_shards(),
-            1
-        );
-        assert_eq!(
-            RowShardedMatrix::from_matrix(&m, 1).unwrap().num_shards(),
-            17
-        );
-        // Errors.
-        assert!(RowShardedMatrix::from_matrix(&m, 0).is_err());
-        assert!(RowShardedMatrix::from_shards(vec![]).is_err());
-        assert!(RowShardedMatrix::from_shards(vec![Matrix::zeros(0, 3)]).is_err());
-        assert!(
-            RowShardedMatrix::from_shards(vec![Matrix::zeros(2, 3), Matrix::zeros(2, 4)]).is_err()
-        );
+        let sharded = row_shards(&m, 4);
+        assert_eq!(sharded.len(), 5); // 4+4+4+4+1
+        assert_eq!(RowBlocks::shape(&sharded[..]), (17, 5));
+        let mut rows = Vec::new();
+        sharded[..]
+            .for_each_block(&mut |b| {
+                rows.extend_from_slice(b.as_slice());
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!(rows, m.as_slice());
+        // Whole-matrix and 1-row blocks.
+        assert_eq!(row_shards(&m, 17).len(), 1);
+        assert_eq!(row_shards(&m, 1).len(), 17);
     }
 
     #[test]
     fn append_shard_extends_rows() {
+        // Appending a block to a slice source extends it by the block's
+        // rows, and the streamed Gram sees the stacked matrix.
         let m = lcg_matrix(6, 4, 9);
-        let mut sharded = RowShardedMatrix::from_matrix(&m, 3).unwrap();
-        sharded.append_shard(lcg_matrix(2, 4, 10)).unwrap();
-        assert_eq!(sharded.shape(), (8, 4));
-        assert_eq!(sharded.num_shards(), 3);
-        assert!(sharded.append_shard(Matrix::zeros(0, 4)).is_err());
-        assert!(sharded.append_shard(Matrix::zeros(2, 5)).is_err());
+        let extra = lcg_matrix(2, 4, 10);
+        let mut sharded = row_shards(&m, 3);
+        sharded.push(extra.clone());
+        assert_eq!(RowBlocks::shape(&sharded[..]), (8, 4));
+        assert_eq!(sharded.len(), 3);
+        let mut stacked = m.as_slice().to_vec();
+        stacked.extend_from_slice(extra.as_slice());
+        let stacked = Matrix::from_vec(8, 4, stacked).unwrap();
+        assert_bitwise(
+            &gram_streamed(&sharded[..]).unwrap(),
+            &gram_streamed(&stacked).unwrap(),
+            "appended block",
+        );
+        // A block of another width is rejected when the source is folded.
+        sharded.push(Matrix::zeros(2, 5));
+        assert!(gram_streamed(&sharded[..]).is_err());
     }
 
     #[test]
@@ -676,8 +665,8 @@ mod tests {
             STREAM_CHUNK_ROWS + 5,
             n,
         ] {
-            let sharded = RowShardedMatrix::from_matrix(&m, shard_rows).unwrap();
-            let streamed = gram_streamed(&sharded).unwrap();
+            let sharded = row_shards(&m, shard_rows);
+            let streamed = gram_streamed(&sharded[..]).unwrap();
             assert_bitwise(&streamed, &dense, &format!("gram shard_rows={shard_rows}"));
         }
     }
@@ -694,15 +683,15 @@ mod tests {
     fn streamed_gram_is_thread_count_invariant_bitwise() {
         let n = 3 * STREAM_CHUNK_ROWS + 11;
         let m = lcg_matrix(n, 31, 17);
-        let sharded = RowShardedMatrix::from_matrix(&m, 50).unwrap();
+        let sharded = row_shards(&m, 50);
         let _guard = crate::test_env::THREADS_LOCK
             .lock()
             .unwrap_or_else(|e| e.into_inner());
         let prev = std::env::var(ivmf_par::THREADS_ENV).ok();
         std::env::set_var(ivmf_par::THREADS_ENV, "1");
-        let single = gram_streamed(&sharded).unwrap();
+        let single = gram_streamed(&sharded[..]).unwrap();
         std::env::set_var(ivmf_par::THREADS_ENV, "4");
-        let quad = gram_streamed(&sharded).unwrap();
+        let quad = gram_streamed(&sharded[..]).unwrap();
         match prev {
             Some(v) => std::env::set_var(ivmf_par::THREADS_ENV, v),
             None => std::env::remove_var(ivmf_par::THREADS_ENV),
@@ -716,14 +705,14 @@ mod tests {
         // cold pass over everything — the append_rows contract.
         let head = lcg_matrix(200, 19, 21);
         let tail = lcg_matrix(77, 19, 22);
-        let mut acc = GramAccumulator::new(19);
+        let mut acc = GramAccumulator::<Matrix>::new(19);
         acc.push_block(&head).unwrap();
         let _intermediate = acc.finish(); // non-consuming
         acc.push_block(&tail).unwrap();
         let incremental = acc.finish();
         assert_eq!(acc.rows_seen(), 277);
 
-        let mut cold = GramAccumulator::new(19);
+        let mut cold = GramAccumulator::<Matrix>::new(19);
         cold.push_block(&head).unwrap();
         cold.push_block(&tail).unwrap();
         assert_bitwise(&incremental, &cold.finish(), "incremental vs cold");
@@ -735,7 +724,7 @@ mod tests {
         let n = STREAM_CHUNK_ROWS + 61;
         let a = lcg_matrix(n, 13, 31);
         let b = lcg_matrix(n, 9, 32);
-        let mut reference = CrossGramAccumulator::new(13, 9);
+        let mut reference = CrossGramAccumulator::<Matrix>::new(13, 9);
         reference.push_blocks(&a, &b).unwrap();
         let reference = reference.finish().unwrap();
         // Against the plain kernel, within tolerance (different chunking).
@@ -743,10 +732,9 @@ mod tests {
         assert!(reference.approx_eq(&oracle, 1e-12 * n as f64));
         // Layout invariance is bitwise.
         for shard_rows in [1usize, 5, 64, n] {
-            let sa = RowShardedMatrix::from_matrix(&a, shard_rows).unwrap();
-            let sb = RowShardedMatrix::from_matrix(&b, shard_rows).unwrap();
-            let mut acc = CrossGramAccumulator::new(13, 9);
-            for (xa, xb) in sa.shards().iter().zip(sb.shards()) {
+            let (sa, sb) = (row_shards(&a, shard_rows), row_shards(&b, shard_rows));
+            let mut acc = CrossGramAccumulator::<Matrix>::new(13, 9);
+            for (xa, xb) in sa.iter().zip(&sb) {
                 acc.push_blocks(xa, xb).unwrap();
             }
             assert_eq!(acc.rows_seen(), n);
@@ -757,7 +745,7 @@ mod tests {
             );
         }
         // Mismatched row counts are rejected.
-        let mut acc = CrossGramAccumulator::new(13, 9);
+        let mut acc = CrossGramAccumulator::<Matrix>::new(13, 9);
         assert!(acc
             .push_blocks(&lcg_matrix(3, 13, 1), &lcg_matrix(4, 9, 2))
             .is_err());
@@ -770,8 +758,8 @@ mod tests {
         let rhs = lcg_matrix(21, 8, 42);
         let dense = matmul_streamed(&m, &rhs).unwrap();
         for shard_rows in [1usize, 30, STREAM_CHUNK_ROWS, n] {
-            let sharded = RowShardedMatrix::from_matrix(&m, shard_rows).unwrap();
-            let streamed = matmul_streamed(&sharded, &rhs).unwrap();
+            let sharded = row_shards(&m, shard_rows);
+            let streamed = matmul_streamed(&sharded[..], &rhs).unwrap();
             assert_bitwise(
                 &streamed,
                 &dense,
@@ -793,10 +781,10 @@ mod tests {
         let n = STREAM_CHUNK_ROWS + 83;
         let m = lcg_matrix(n, 17, 51);
         let lhs = lcg_matrix(6, n, 52);
-        let dense = matmul_left_streamed(&lhs, &m).unwrap();
+        let dense = matmul_left_streamed_t(&lhs, &m).unwrap();
         for shard_rows in [1usize, 29, n] {
-            let sharded = RowShardedMatrix::from_matrix(&m, shard_rows).unwrap();
-            let streamed = matmul_left_streamed(&lhs, &sharded).unwrap();
+            let sharded = row_shards(&m, shard_rows);
+            let streamed = matmul_left_streamed_t(&lhs, &sharded[..]).unwrap();
             assert_bitwise(
                 &streamed,
                 &dense,
@@ -804,17 +792,17 @@ mod tests {
             );
         }
         // Within tolerance of the plain kernel.
-        let oracle = lhs.matmul(&m).unwrap();
+        let oracle = lhs.matmul(&m).unwrap().transpose();
         assert!(dense.approx_eq(&oracle, 1e-12 * n as f64));
-        // One-chunk source: bitwise equal to the one-shot kernel.
+        // One-chunk source: bitwise the transposed one-shot kernel.
         let small = lcg_matrix(33, 17, 53);
         let small_lhs = lcg_matrix(6, 33, 54);
         assert_bitwise(
-            &matmul_left_streamed(&small_lhs, &small).unwrap(),
-            &small_lhs.matmul(&small).unwrap(),
+            &matmul_left_streamed_t(&small_lhs, &small).unwrap(),
+            &small_lhs.matmul(&small).unwrap().transpose(),
             "one-chunk left matmul",
         );
-        assert!(matmul_left_streamed(&lcg_matrix(2, 3, 1), &m).is_err());
+        assert!(matmul_left_streamed_t(&lcg_matrix(2, 3, 1), &m).is_err());
     }
 
     /// A left operand computed a block of `width` columns at a time,
@@ -847,9 +835,9 @@ mod tests {
         let n = 3 * STREAM_CHUNK_ROWS + 45;
         let m = lcg_matrix(n, 9, 55);
         let lhs = lcg_matrix(5, n, 56);
-        let want = matmul_left_streamed(&lhs, &m).unwrap();
+        let want = matmul_left_streamed_t(&lhs, &m).unwrap();
         let csr = crate::CsrShard::from_dense(&m);
-        let want_t = crate::matmul_left_streamed_csr_t(&lhs, &csr).unwrap();
+        let want_csr = matmul_left_streamed_t(&lhs, &csr).unwrap();
         for width in [1usize, 100, STREAM_CHUNK_ROWS, n] {
             let blocked = |short| Blocked {
                 lhs: &lhs,
@@ -859,19 +847,19 @@ mod tests {
                 calls: 0,
             };
             let mut source = blocked(0);
-            let got = matmul_left_streamed(&mut source, &m).unwrap();
+            let got = matmul_left_streamed_t(&mut source, &m).unwrap();
             assert_bitwise(&got, &want, &format!("dense, {width}-column blocks"));
             assert_eq!(
                 source.calls,
                 n.div_ceil(STREAM_CHUNK_ROWS),
                 "one request per chunk"
             );
-            let got_t = crate::matmul_left_streamed_csr_t(blocked(0), &csr).unwrap();
-            assert_bitwise(&got_t, &want_t, &format!("CSR, {width}-column blocks"));
+            let got_csr = matmul_left_streamed_t(blocked(0), &csr).unwrap();
+            assert_bitwise(&got_csr, &want_csr, &format!("CSR, {width}-column blocks"));
             // A block that does not reach the requested columns is an
             // error, not a panic.
-            assert!(matmul_left_streamed(blocked(1), &m).is_err());
-            assert!(crate::matmul_left_streamed_csr_t(blocked(1), &csr).is_err());
+            assert!(matmul_left_streamed_t(blocked(1), &m).is_err());
+            assert!(matmul_left_streamed_t(blocked(1), &csr).is_err());
         }
     }
 
@@ -882,22 +870,22 @@ mod tests {
         // 1-row shards (and the buffer invariant must hold after a push).
         let n = PAR_FOLD_CHUNKS * STREAM_CHUNK_ROWS + 200;
         let m = lcg_matrix(n, 5, 61);
-        let mut monolithic = GramAccumulator::new(5);
+        let mut monolithic = GramAccumulator::<Matrix>::new(5);
         monolithic.push_block(&m).unwrap();
         assert!(
             monolithic.pending.rows() < STREAM_CHUNK_ROWS,
             "full chunks must be drained after every push"
         );
-        let sharded = RowShardedMatrix::from_matrix(&m, 1).unwrap();
+        let sharded = row_shards(&m, 1);
         assert_bitwise(
             &monolithic.finish(),
-            &gram_streamed(&sharded).unwrap(),
+            &gram_streamed(&sharded[..]).unwrap(),
             "huge block vs 1-row shards",
         );
         let rhs = lcg_matrix(5, 3, 62);
         assert_bitwise(
             &matmul_streamed(&m, &rhs).unwrap(),
-            &matmul_streamed(&sharded, &rhs).unwrap(),
+            &matmul_streamed(&sharded[..], &rhs).unwrap(),
             "huge block matmul",
         );
     }
@@ -910,15 +898,15 @@ mod tests {
         let m = lcg_matrix(n, 4, 91);
         let reference = gram_streamed(&m).unwrap();
         for shard_rows in [GROUP_ROWS - 1, GROUP_ROWS, GROUP_ROWS + 129, 997] {
-            let sharded = RowShardedMatrix::from_matrix(&m, shard_rows).unwrap();
+            let sharded = row_shards(&m, shard_rows);
             assert_bitwise(
-                &gram_streamed(&sharded).unwrap(),
+                &gram_streamed(&sharded[..]).unwrap(),
                 &reference,
                 &format!("group-spanning gram shard_rows={shard_rows}"),
             );
         }
         // Incremental continuation across a group boundary.
-        let mut acc = GramAccumulator::new(4);
+        let mut acc = GramAccumulator::<Matrix>::new(4);
         let head_rows = GROUP_ROWS + 77;
         let head = Matrix::from_vec(head_rows, 4, m.as_slice()[..head_rows * 4].to_vec()).unwrap();
         let tail =
@@ -937,16 +925,16 @@ mod tests {
         // continued pushes.
         let n = 3 * GROUP_ROWS + 205;
         let m = lcg_matrix(n, 5, 92);
-        let mut single = GramAccumulator::new(5);
+        let mut single = GramAccumulator::<Matrix>::new(5);
         single.push_block(&m).unwrap();
 
-        let mut merged = GramAccumulator::new(5);
+        let mut merged = GramAccumulator::<Matrix>::new(5);
         let mut start = 0;
         while start < n {
             let end = (start + GROUP_ROWS).min(n);
             let unit = Matrix::from_vec(end - start, 5, m.as_slice()[start * 5..end * 5].to_vec())
                 .unwrap();
-            let mut worker = GramAccumulator::new(5);
+            let mut worker = GramAccumulator::<Matrix>::new(5);
             worker.push_block(&unit).unwrap();
             merged.absorb_unit(worker).unwrap();
             start = end;
@@ -967,14 +955,14 @@ mod tests {
 
         // Preconditions: target off a group boundary, oversized unit,
         // column mismatch.
-        let mut off = GramAccumulator::new(5);
+        let mut off = GramAccumulator::<Matrix>::new(5);
         off.push_block(&lcg_matrix(10, 5, 94)).unwrap();
-        assert!(off.absorb_unit(GramAccumulator::new(5)).is_err());
-        let mut big = GramAccumulator::new(5);
+        assert!(off.absorb_unit(GramAccumulator::<Matrix>::new(5)).is_err());
+        let mut big = GramAccumulator::<Matrix>::new(5);
         big.push_block(&lcg_matrix(GROUP_ROWS + 1, 5, 95)).unwrap();
-        assert!(GramAccumulator::new(5).absorb_unit(big).is_err());
-        assert!(GramAccumulator::new(5)
-            .absorb_unit(GramAccumulator::new(6))
+        assert!(GramAccumulator::<Matrix>::new(5).absorb_unit(big).is_err());
+        assert!(GramAccumulator::<Matrix>::new(5)
+            .absorb_unit(GramAccumulator::<Matrix>::new(6))
             .is_err());
     }
 
@@ -983,9 +971,9 @@ mod tests {
         let n = GROUP_ROWS + 391;
         let a = lcg_matrix(n, 6, 96);
         let b = lcg_matrix(n, 3, 97);
-        let mut single = CrossGramAccumulator::new(6, 3);
+        let mut single = CrossGramAccumulator::<Matrix>::new(6, 3);
         single.push_blocks(&a, &b).unwrap();
-        let mut merged = CrossGramAccumulator::new(6, 3);
+        let mut merged = CrossGramAccumulator::<Matrix>::new(6, 3);
         let mut start = 0;
         while start < n {
             let end = (start + GROUP_ROWS).min(n);
@@ -993,7 +981,7 @@ mod tests {
                 .unwrap();
             let ub = Matrix::from_vec(end - start, 3, b.as_slice()[start * 3..end * 3].to_vec())
                 .unwrap();
-            let mut worker = CrossGramAccumulator::new(6, 3);
+            let mut worker = CrossGramAccumulator::<Matrix>::new(6, 3);
             worker.push_blocks(&ua, &ub).unwrap();
             merged.absorb_unit(worker).unwrap();
             start = end;
@@ -1009,53 +997,83 @@ mod tests {
         assert_eq!(x, y, "serialized cross states must agree");
     }
 
-    /// A source whose blocks contradict its declared shape (a buggy
-    /// third-party loader): the streamed kernels must reject it instead
-    /// of panicking mid-stream.
-    struct LyingSource;
-
-    impl RowBlocks for LyingSource {
-        fn rows(&self) -> usize {
-            10
-        }
-        fn cols(&self) -> usize {
-            10
-        }
-        fn for_each_block(&self, f: &mut dyn FnMut(&Matrix) -> Result<()>) -> Result<()> {
-            f(&Matrix::zeros(5, 12))
-        }
+    /// A source declaring `10 × 4` that delivers `blocks`: a buggy
+    /// third-party loader, or a file that changed between passes, when
+    /// the two disagree.
+    struct Declared<B> {
+        blocks: Vec<B>,
     }
 
-    #[test]
-    fn streamed_kernels_reject_blocks_with_inconsistent_columns() {
-        assert!(matmul_streamed(&LyingSource, &Matrix::zeros(10, 3)).is_err());
-        assert!(matmul_left_streamed(&Matrix::zeros(2, 10), &LyingSource).is_err());
-        assert!(gram_streamed(&LyingSource).is_err());
-    }
-
-    /// A source that delivers fewer rows than it declares (e.g. a file
-    /// that shrank between passes): results would silently be wrong if
-    /// the kernels trusted the declaration.
-    struct ShortSource;
-
-    impl RowBlocks for ShortSource {
+    impl<B: RowBlock> RowBlocks<B> for Declared<B> {
         fn rows(&self) -> usize {
             10
         }
         fn cols(&self) -> usize {
             4
         }
-        fn for_each_block(&self, f: &mut dyn FnMut(&Matrix) -> Result<()>) -> Result<()> {
-            f(&Matrix::zeros(6, 4))
+        fn for_each_block(&self, f: &mut dyn FnMut(&B) -> Result<()>) -> Result<()> {
+            self.blocks.iter().try_for_each(f)
+        }
+    }
+
+    /// The three streamed drivers over a bad source of either block type.
+    fn run_drivers<B: RowBlock>(source: &Declared<B>) -> [Result<Matrix>; 3] {
+        [
+            gram_streamed(source),
+            matmul_streamed(source, &lcg_matrix(4, 3, 1)),
+            matmul_left_streamed_t(&lcg_matrix(2, 10, 2), source),
+        ]
+    }
+
+    /// Runs each `(case, blocks)` of the bad-source table through the
+    /// three streamed drivers, once over dense and once over CSR blocks.
+    /// Every driver must reject the source with the same typed error for
+    /// both block types: a block wider or narrower than the declared 4
+    /// columns is a `DimensionMismatch` naming the block's width, any
+    /// other disagreement an `InvalidArgument` naming the declared rows.
+    pub(crate) fn assert_bad_sources_rejected(cases: Vec<(&str, Vec<Matrix>)>) {
+        for (case, blocks) in cases {
+            let bad_cols = blocks.iter().map(Matrix::cols).find(|&c| c != 4);
+            let csr = blocks.iter().map(crate::CsrShard::from_dense).collect();
+            let dense = run_drivers(&Declared { blocks });
+            let sparse = run_drivers(&Declared { blocks: csr });
+            let drivers = ["gram_streamed", "matmul_streamed", "matmul_left_streamed_t"];
+            for ((driver, d), s) in drivers.iter().zip(dense).zip(sparse) {
+                let (d, s) = (d.unwrap_err(), s.unwrap_err());
+                assert_eq!(d, s, "{driver}, {case}: dense and CSR errors differ");
+                match (bad_cols, &d) {
+                    (Some(c), LinalgError::DimensionMismatch { rhs, .. }) => {
+                        assert_eq!(rhs.1, c, "{driver}, {case}: {d}")
+                    }
+                    (None, LinalgError::InvalidArgument(msg)) => {
+                        assert!(msg.contains("declared 10 rows"), "{driver}, {case}: {d}")
+                    }
+                    _ => panic!("{driver}, {case}: {d}"),
+                }
+            }
         }
     }
 
     #[test]
+    fn streamed_kernels_reject_blocks_with_inconsistent_columns() {
+        assert_bad_sources_rejected(vec![
+            ("column mismatch", vec![lcg_matrix(5, 6, 6)]),
+            (
+                "late column mismatch",
+                vec![lcg_matrix(6, 4, 7), lcg_matrix(4, 3, 8)],
+            ),
+        ]);
+    }
+
+    #[test]
     fn streamed_kernels_reject_under_delivering_sources() {
-        let err = matmul_streamed(&ShortSource, &Matrix::zeros(4, 3)).unwrap_err();
-        assert!(err.to_string().contains("declared"), "{err}");
-        assert!(matmul_left_streamed(&Matrix::zeros(2, 10), &ShortSource).is_err());
-        assert!(gram_streamed(&ShortSource).is_err());
+        assert_bad_sources_rejected(vec![
+            ("under-delivery", vec![lcg_matrix(6, 4, 3)]),
+            (
+                "over-delivery",
+                vec![lcg_matrix(6, 4, 4), lcg_matrix(6, 4, 5)],
+            ),
+        ]);
     }
 
     #[test]
@@ -1065,22 +1083,23 @@ mod tests {
         // restored accumulator is bitwise the uninterrupted run.
         let head = lcg_matrix(STREAM_CHUNK_ROWS + 45, 11, 71);
         let tail = lcg_matrix(60, 11, 72);
-        let mut acc = GramAccumulator::new(11);
+        let mut acc = GramAccumulator::<Matrix>::new(11);
         acc.push_block(&head).unwrap();
         let mut buf = Vec::new();
         acc.write_state(&mut buf).unwrap();
         let mut restored =
-            GramAccumulator::read_state(&mut std::io::BufReader::new(&buf[..])).unwrap();
+            GramAccumulator::<Matrix>::read_state(&mut std::io::BufReader::new(&buf[..])).unwrap();
         assert_eq!(restored.rows_seen(), acc.rows_seen());
         assert_bitwise(&restored.finish(), &acc.finish(), "restored finish");
         acc.push_block(&tail).unwrap();
         restored.push_block(&tail).unwrap();
         assert_bitwise(&restored.finish(), &acc.finish(), "continued fold");
         // Empty accumulators round-trip too.
-        let empty = GramAccumulator::new(4);
+        let empty = GramAccumulator::<Matrix>::new(4);
         let mut buf = Vec::new();
         empty.write_state(&mut buf).unwrap();
-        let restored = GramAccumulator::read_state(&mut std::io::BufReader::new(&buf[..])).unwrap();
+        let restored =
+            GramAccumulator::<Matrix>::read_state(&mut std::io::BufReader::new(&buf[..])).unwrap();
         assert_eq!(restored.rows_seen(), 0);
         assert_bitwise(&restored.finish(), &empty.finish(), "empty");
     }
@@ -1090,12 +1109,13 @@ mod tests {
         let n = STREAM_CHUNK_ROWS + 30;
         let a = lcg_matrix(n, 7, 73);
         let b = lcg_matrix(n, 5, 74);
-        let mut acc = CrossGramAccumulator::new(7, 5);
+        let mut acc = CrossGramAccumulator::<Matrix>::new(7, 5);
         acc.push_blocks(&a, &b).unwrap();
         let mut buf = Vec::new();
         acc.write_state(&mut buf).unwrap();
         let mut restored =
-            CrossGramAccumulator::read_state(&mut std::io::BufReader::new(&buf[..])).unwrap();
+            CrossGramAccumulator::<Matrix>::read_state(&mut std::io::BufReader::new(&buf[..]))
+                .unwrap();
         let (ta, tb) = (lcg_matrix(40, 7, 75), lcg_matrix(40, 5, 76));
         acc.push_blocks(&ta, &tb).unwrap();
         restored.push_blocks(&ta, &tb).unwrap();
@@ -1108,13 +1128,14 @@ mod tests {
 
     #[test]
     fn accumulator_read_state_rejects_corrupted_text() {
-        let mut acc = GramAccumulator::new(3);
+        let mut acc = GramAccumulator::<Matrix>::new(3);
         acc.push_block(&lcg_matrix(STREAM_CHUNK_ROWS + 2, 3, 77))
             .unwrap();
         let mut buf = Vec::new();
         acc.write_state(&mut buf).unwrap();
-        let corrupt =
-            |b: &[u8]| GramAccumulator::read_state(&mut std::io::BufReader::new(b)).unwrap_err();
+        let corrupt = |b: &[u8]| {
+            GramAccumulator::<Matrix>::read_state(&mut std::io::BufReader::new(b)).unwrap_err()
+        };
         // Truncation mid-payload.
         assert!(matches!(
             corrupt(&buf[..buf.len() / 2]).kind(),
@@ -1162,8 +1183,8 @@ mod tests {
             shard_sizes.push(rng.gen_range(1..=n));
             shard_sizes.push(rng.gen_range(1..=n));
             for shard_rows in shard_sizes {
-                let sharded = RowShardedMatrix::from_matrix(&a, shard_rows).unwrap();
-                let streamed = gram_streamed(&sharded).unwrap();
+                let sharded = row_shards(&a, shard_rows);
+                let streamed = gram_streamed(&sharded[..]).unwrap();
                 proptest::prop_assert_eq!(
                     streamed.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
                     dense.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>(),

@@ -1,14 +1,14 @@
-//! The four streamed product loops return every chunk buffer they take
-//! from the process-wide pool, so a second pass over the same source is
-//! served entirely from recycled buffers.
+//! The streamed products, right and left over dense and over CSR row
+//! blocks, return every chunk buffer they take from the process-wide pool,
+//! so a second pass over the same source is served entirely from recycled
+//! buffers.
 //!
 //! The pool's counters are process-wide, so this file holds a single test
 //! (its own process): no concurrently running test can take or miss in
 //! between the two snapshots, or see its thread-count override.
 
 use ivmf_linalg::{
-    matmul_left_streamed, matmul_left_streamed_csr, matmul_streamed, matmul_streamed_csr, pool,
-    CsrShardedMatrix, Matrix, RowShardedMatrix, STREAM_CHUNK_ROWS,
+    matmul_left_streamed_t, matmul_streamed, pool, CsrShard, Matrix, STREAM_CHUNK_ROWS,
 };
 
 /// Deterministic fill with roughly one stored entry in three.
@@ -34,16 +34,21 @@ fn second_pass_of_every_streamed_product_hits_the_pool() {
     // Full chunks, a multi-chunk parallel batch and a remainder.
     let n = 10 * STREAM_CHUNK_ROWS + 37;
     let m = lcg_sparse(n, 24, 1);
-    let dense = RowShardedMatrix::from_matrix(&m, 3 * STREAM_CHUNK_ROWS + 5).unwrap();
-    let sparse = CsrShardedMatrix::from_dense(&m, 3 * STREAM_CHUNK_ROWS + 5).unwrap();
+    let shard_rows = 3 * STREAM_CHUNK_ROWS + 5;
+    let csr = CsrShard::from_dense(&m);
+    let sparse: Vec<CsrShard> = (0..n)
+        .step_by(shard_rows)
+        .map(|r| csr.row_slice(r, (r + shard_rows).min(n)).unwrap())
+        .collect();
+    let dense: Vec<Matrix> = sparse.iter().map(CsrShard::to_dense).collect();
     let rhs = lcg_sparse(24, 6, 2);
     let lhs = lcg_sparse(6, n, 3);
     let products = || {
         (
-            matmul_streamed(&dense, &rhs).unwrap(),
-            matmul_left_streamed(&lhs, &dense).unwrap(),
-            matmul_streamed_csr(&sparse, &rhs).unwrap(),
-            matmul_left_streamed_csr(&lhs, &sparse).unwrap(),
+            matmul_streamed(&dense[..], &rhs).unwrap(),
+            matmul_left_streamed_t(&lhs, &dense[..]).unwrap(),
+            matmul_streamed(&sparse[..], &rhs).unwrap(),
+            matmul_left_streamed_t(&lhs, &sparse[..]).unwrap(),
         )
     };
     let first = products();

@@ -18,9 +18,7 @@ use ivmf_data::synthetic::{generate_power_law, PowerLawConfig};
 use ivmf_interval::{
     CsrIntervalShard, CsrShardedIntervalMatrix, IntervalMatrix, StreamingIntervalGram,
 };
-use ivmf_linalg::{
-    matmul_left_streamed, matmul_left_streamed_csr, matmul_streamed, matmul_streamed_csr, Matrix,
-};
+use ivmf_linalg::{matmul_left_streamed_t, matmul_streamed, Matrix};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -51,7 +49,7 @@ fn assert_results_bitwise(a: &[IsvdResult; 5], b: &[IsvdResult; 5], context: &st
 fn sparse_gram(m: &CsrShardedIntervalMatrix) -> IntervalMatrix {
     let mut acc = StreamingIntervalGram::new_csr(m.rows(), m.cols());
     for shard in m.shards() {
-        acc.push_csr_shard(shard).unwrap();
+        acc.push(shard).unwrap();
     }
     acc.finish().unwrap()
 }
@@ -91,13 +89,13 @@ proptest! {
             let rhs = Matrix::from_fn(cols, 3, |i, j| ((i * 3 + j) as f64).sin());
             let lhs = Matrix::from_fn(3, rows, |i, j| ((i * 7 + j) as f64).cos());
             prop_assert_eq!(
-                &matmul_streamed_csr(csr.lo_shard(), &rhs).unwrap(),
+                &matmul_streamed(csr.lo_shard(), &rhs).unwrap(),
                 &matmul_streamed(dense.lo(), &rhs).unwrap(),
                 "right matmul diverged: {}", &ctx
             );
             prop_assert_eq!(
-                &matmul_left_streamed_csr(&lhs, csr.lo_shard()).unwrap(),
-                &matmul_left_streamed(&lhs, dense.lo()).unwrap(),
+                &matmul_left_streamed_t(&lhs, csr.lo_shard()).unwrap(),
+                &matmul_left_streamed_t(&lhs, dense.lo()).unwrap(),
                 "left matmul diverged: {}", &ctx
             );
         }

@@ -24,10 +24,7 @@ use ivmf_core::{IsvdConfig, Pipeline};
 use ivmf_data::fnv::fnv1a64;
 use ivmf_interval::{CsrShardedIntervalMatrix, IntervalMatrix, StreamingIntervalGram};
 use ivmf_linalg::streaming::GROUP_ROWS;
-use ivmf_linalg::{
-    CrossGramAccumulator, CsrShardedMatrix, GramAccumulator, Matrix, RowShardedMatrix,
-    SparseCrossGramAccumulator, SparseGramAccumulator,
-};
+use ivmf_linalg::{CrossGramAccumulator, CsrShard, GramAccumulator, Matrix};
 
 const ROWS: usize = GROUP_ROWS + 300;
 const COLS: usize = 6;
@@ -71,19 +68,25 @@ fn state_format_bytes_are_pinned() {
     let mut got: Vec<(&str, Vec<u8>)> = Vec::new();
 
     let (a, b) = (dyadic(ROWS, COLS, 3), dyadic(ROWS, COLS, 4));
-    let shards = |m| RowShardedMatrix::from_matrix(m, SHARD_ROWS).unwrap();
-    let csr_shards = |m| CsrShardedMatrix::from_dense(m, SHARD_ROWS).unwrap();
+    let shard = |m: &Matrix, r: usize, e: usize| {
+        Matrix::from_vec(e - r, COLS, m.as_slice()[r * COLS..e * COLS].to_vec()).unwrap()
+    };
+    let (csr_a, csr_b) = (CsrShard::from_dense(&a), CsrShard::from_dense(&b));
     let mut gram = GramAccumulator::new(COLS);
     let mut cross = CrossGramAccumulator::new(COLS, COLS);
-    for (ba, bb) in shards(&a).shards().iter().zip(shards(&b).shards()) {
-        gram.push_block(ba).unwrap();
-        cross.push_blocks(ba, bb).unwrap();
-    }
-    let mut sparse_gram = SparseGramAccumulator::new(COLS);
-    let mut sparse_cross = SparseCrossGramAccumulator::new(COLS, COLS);
-    for (sa, sb) in csr_shards(&a).shards().iter().zip(csr_shards(&b).shards()) {
-        sparse_gram.push_block(sa).unwrap();
-        sparse_cross.push_blocks(sa, sb).unwrap();
+    let mut sparse_gram = GramAccumulator::new(COLS);
+    let mut sparse_cross = CrossGramAccumulator::new(COLS, COLS);
+    for r in (0..ROWS).step_by(SHARD_ROWS) {
+        let e = (r + SHARD_ROWS).min(ROWS);
+        let (ba, bb) = (shard(&a, r, e), shard(&b, r, e));
+        gram.push_block(&ba).unwrap();
+        cross.push_blocks(&ba, &bb).unwrap();
+        let (sa, sb) = (
+            csr_a.row_slice(r, e).unwrap(),
+            csr_b.row_slice(r, e).unwrap(),
+        );
+        sparse_gram.push_block(&sa).unwrap();
+        sparse_cross.push_blocks(&sa, &sb).unwrap();
     }
     got.push(("gram", bytes(|w| gram.write_state(w))));
     got.push(("crossgram", bytes(|w| cross.write_state(w))));
@@ -97,10 +100,10 @@ fn state_format_bytes_are_pinned() {
         (true, "intervalgram midrad", "sparseintervalgram midrad"),
     ] {
         let mut dense = StreamingIntervalGram::with_flavour(COLS, mid_rad);
-        dense.push_shard(&m).unwrap();
+        dense.push(&m).unwrap();
         let mut sparse = StreamingIntervalGram::with_flavour_csr(COLS, mid_rad);
         for s in csr.shards() {
-            sparse.push_csr_shard(s).unwrap();
+            sparse.push(s).unwrap();
         }
         got.push((dense_name, bytes(|w| dense.write_state(w))));
         got.push((csr_name, bytes(|w| sparse.write_state(w))));
