@@ -213,11 +213,10 @@ pub(crate) struct BoundEigen {
 /// top-`r` eigenpairs, converting eigenvalues to singular values.
 ///
 /// Only the leading `r` pairs are ever consumed, so this routes through
-/// the certified top-k eigensolver ([`sym_eigen_topk`]): `IVMF_TOPK_EIGEN`
-/// selects the kernel (`auto`/`full`/`forced`) and every accepted pair is
+/// the certified top-k eigensolver ([`sym_eigen_topk`]): the bound's size
+/// picks the Lanczos or the dense kernel, and every accepted pair is
 /// certified to the oracle residual tolerance with automatic fallback to
-/// the full `tred2`/`tql2` solve — which is why the pipeline's stage-cache
-/// keys may ignore the kernel choice (see `pipeline::stage_fingerprint`).
+/// the full `tred2`/`tql2` solve.
 pub(crate) fn bound_eigen(gram_bound: &Matrix, r: usize) -> Result<BoundEigen> {
     let eig = sym_eigen_topk(gram_bound, r)?;
     let sigma = eig.eigenvalues.iter().map(|&l| l.max(0.0).sqrt()).collect();

@@ -34,11 +34,9 @@
 //! The spectral stages only ever consume the leading `rank` pairs, so
 //! MidpointSvd / BoundSvd (via `svd_truncated`) and BoundEigenLo/Hi (via
 //! `bound_eigen`) route through the certified top-k eigensolver
-//! (`ivmf_linalg::sym_eigen_topk`). The `IVMF_TOPK_EIGEN` mode
-//! (`auto`/`full`/`forced`) is a kernel choice, not an arithmetic one:
-//! every accepted answer is certified to the oracle residual tolerance
-//! with automatic fallback to the full solve, which is why the mode stays
-//! out of the stage-cache keys (see [`stage_fingerprint`]).
+//! (`ivmf_linalg::sym_eigen_topk`), which picks the Lanczos or the dense
+//! kernel from the bound's size alone and certifies every answer to the
+//! oracle residual tolerance, with automatic fallback to the full solve.
 //!
 //! ## Row-sharded and streaming inputs
 //!
@@ -65,10 +63,10 @@
 //! midpoint SVD, ISVD1's bound SVDs) densify sparse inputs only below
 //! [`DENSE_STAGE_MAX_ENTRIES`] and return a clear error above it — never a
 //! silent densification.
-//! Dense in-memory inputs whose density is at or below the
-//! `IVMF_SPARSE_THRESHOLD` cutoff (default [`DEFAULT_SPARSE_THRESHOLD`])
-//! take the sparse Gram path automatically; the swap is pure kernel
-//! selection with bitwise-identical results, so cache ids are unaffected.
+//! Dense in-memory inputs whose density is at or below
+//! [`DEFAULT_SPARSE_THRESHOLD`] take the sparse Gram path automatically;
+//! the swap is pure kernel selection with bitwise-identical results, so
+//! cache ids are unaffected.
 //!
 //! On top of this, [`Pipeline::append_rows`] serves growing workloads:
 //! the session retains its Gram accumulator, folds only the appended
@@ -110,6 +108,7 @@ use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 use ivmf_align::{ilsa, Alignment};
+use ivmf_data::fnv::{fnv1a_word, FNV_OFFSET};
 use ivmf_data::prefetch::{PrefetchCsrSource, PrefetchSource};
 use ivmf_interval::{
     use_mr_gram, BoundBlocks, CsrIntervalShard, IntervalError, IntervalMatrix, IntervalShard,
@@ -285,21 +284,10 @@ pub struct StageEvent {
 // Cache keying.
 // ---------------------------------------------------------------------------
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a folded over whole 64-bit words (one multiply per word instead of
-/// eight): the hash only discriminates cache keys, and word folding keeps
-/// the per-call cost of hashing a 40×250 matrix in the tens of
-/// microseconds — small even against ISVD0's sub-millisecond pipeline.
-fn fnv1a_u64(hash: &mut u64, value: u64) {
-    *hash ^= value;
-    *hash = hash.wrapping_mul(FNV_PRIME);
-}
-
 /// Incrementally extensible content identity of an interval matrix.
 ///
-/// Two FNV-1a streams — one over the lower-bound words, one over the
+/// Two FNV-1a streams (folded a whole 64-bit word per step,
+/// [`fnv1a_word`]) — one over the lower-bound words, one over the
 /// upper-bound words, both in row order — are combined with the shape into
 /// the final id. Keeping the two streams separate is what makes the id
 /// extensible by appended rows: [`Pipeline::append_rows`] continues both
@@ -341,19 +329,19 @@ impl ContentHash {
     fn push<S: IntervalShard>(&mut self, shard: &S) {
         debug_assert_eq!(S::CSR, self.sparse, "rows of the other representation");
         let (h_lo, h_hi) = (&mut self.h_lo, &mut self.h_hi);
-        shard.content_words(|w| fnv1a_u64(h_lo, w), |w| fnv1a_u64(h_hi, w));
+        shard.content_words(|w| fnv1a_word(h_lo, w), |w| fnv1a_word(h_hi, w));
         self.rows += shard.rows();
     }
 
     fn id(&self) -> u64 {
         let mut h = FNV_OFFSET;
-        fnv1a_u64(&mut h, self.rows as u64);
-        fnv1a_u64(&mut h, self.cols as u64);
+        fnv1a_word(&mut h, self.rows as u64);
+        fnv1a_word(&mut h, self.cols as u64);
         if self.sparse {
-            fnv1a_u64(&mut h, 0xc5a5); // domain separator: CSR content stream
+            fnv1a_word(&mut h, 0xc5a5); // domain separator: CSR content stream
         }
-        fnv1a_u64(&mut h, self.h_lo);
-        fnv1a_u64(&mut h, self.h_hi);
+        fnv1a_word(&mut h, self.h_lo);
+        fnv1a_word(&mut h, self.h_hi);
         h
     }
 }
@@ -415,16 +403,12 @@ pub fn config_fingerprint(config: &IsvdConfig) -> u64 {
 /// without the rank, so evaluating several ranks on one matrix over one
 /// cache computes it once.
 ///
-/// The `IVMF_TOPK_EIGEN` eigensolver mode is deliberately **not** part of
-/// any fingerprint, unlike the interval-operator flavour: the flavour
-/// changes stage arithmetic (two enclosures of different widths), while
-/// the eigensolver mode only picks the kernel — every answer the top-k
-/// path serves is certified to the oracle residual tolerance
-/// (`ivmf_linalg::DEFAULT_TOPK_TOL`, with automatic fallback to the dense
-/// solve), so a cached entry computed under one mode is a valid answer
-/// under every other. A mid-session mode flip may therefore serve entries
-/// computed under the previous mode — both sides of that trade are
-/// certified.
+/// No kernel choice enters a fingerprint: the eigensolver and the Gram
+/// kernel are picked from the input alone, and their answers are bitwise
+/// the same (the two Gram kernels) or certified to the oracle residual
+/// tolerance (the two eigensolvers). The interval-operator flavour does
+/// enter: it changes stage arithmetic (two enclosures of different
+/// widths).
 pub fn stage_fingerprint(stage: StageId, config: &IsvdConfig) -> u64 {
     let (rank, matcher, thresholds, flavour) = match stage {
         StageId::Midpoint => (false, false, false, false),
@@ -449,10 +433,10 @@ fn stage_mask_fingerprint(
 ) -> u64 {
     let mut h = FNV_OFFSET;
     if rank {
-        fnv1a_u64(&mut h, config.rank as u64);
+        fnv1a_word(&mut h, config.rank as u64);
     }
     if matcher {
-        fnv1a_u64(
+        fnv1a_word(
             &mut h,
             match config.matcher {
                 ivmf_align::Matcher::Greedy => 1,
@@ -462,12 +446,12 @@ fn stage_mask_fingerprint(
         );
     }
     if thresholds {
-        fnv1a_u64(&mut h, config.condition_threshold.to_bits());
-        fnv1a_u64(&mut h, config.pinv_cutoff.to_bits());
+        fnv1a_word(&mut h, config.condition_threshold.to_bits());
+        fnv1a_word(&mut h, config.pinv_cutoff.to_bits());
     }
     if flavour {
-        fnv1a_u64(&mut h, 0xf1a6); // domain separator: flavour field present
-        fnv1a_u64(&mut h, u64::from(ivmf_interval::exact_interval_forced()));
+        fnv1a_word(&mut h, 0xf1a6); // domain separator: flavour field present
+        fnv1a_word(&mut h, u64::from(ivmf_interval::exact_interval_forced()));
     }
     h
 }
@@ -915,12 +899,11 @@ fn stream_right_tighten<S: IntervalShard>(
     stream_matmul_scalar_left_t(projector, input)
 }
 
-/// Default density cutoff for auto-selecting the sparse Gram path on
-/// dense in-memory inputs when `IVMF_SPARSE_THRESHOLD` is unset: at or
-/// below 10% stored entries the CSR fold's `O(nnz·m)` beats the dense
-/// fold's `O(n·m²)` comfortably, and the swap is invisible — results are
-/// bitwise identical by the zero-operand argument in
-/// `ivmf_linalg::sparse`.
+/// Density cutoff for auto-selecting the sparse Gram path on dense
+/// in-memory inputs: at or below 10% stored entries the CSR fold's
+/// `O(nnz·m)` beats the dense fold's `O(n·m²)` comfortably, and the swap
+/// is invisible — results are bitwise identical by the zero-operand
+/// argument in `ivmf_linalg::sparse`.
 pub const DEFAULT_SPARSE_THRESHOLD: f64 = 0.1;
 
 /// Fraction of entries of a dense in-memory input that are stored (an
@@ -950,12 +933,11 @@ fn input_density_scan<S: IntervalShard>(input: &PipelineInput<'_, S>) -> Result<
 
 /// Whether the session's Gram fold should run through the sparse CSR
 /// kernels: always for sparse inputs; for dense *in-memory* inputs when
-/// the scanned density is at or below the `IVMF_SPARSE_THRESHOLD` cutoff
-/// (default [`DEFAULT_SPARSE_THRESHOLD`]). Lazy dense sources never
-/// auto-convert — the density scan would cost an extra pass over the
-/// source. The choice is pure kernel selection: results are bitwise
-/// identical either way, which is why it can key off a live environment
-/// read without entering the cache fingerprint.
+/// the scanned density is at or below [`DEFAULT_SPARSE_THRESHOLD`]. Lazy
+/// dense sources never auto-convert — the density scan would cost an
+/// extra pass over the source. The choice is pure kernel selection:
+/// results are bitwise identical either way, so it never enters the
+/// cache fingerprint.
 fn use_sparse_gram<S: IntervalShard>(input: &PipelineInput<'_, S>) -> Result<bool> {
     if S::CSR {
         return Ok(true);
@@ -963,8 +945,7 @@ fn use_sparse_gram<S: IntervalShard>(input: &PipelineInput<'_, S>) -> Result<boo
     if matches!(input, PipelineInput::Lazy(_)) {
         return Ok(false);
     }
-    let threshold = ivmf_env::sparse_threshold().unwrap_or(DEFAULT_SPARSE_THRESHOLD);
-    Ok(input_density_scan(input)? <= threshold)
+    Ok(input_density_scan(input)? <= DEFAULT_SPARSE_THRESHOLD)
 }
 
 /// An empty interval-Gram accumulator in the given flavour and
@@ -1156,6 +1137,11 @@ pub(crate) struct GramState {
 /// arithmetic, so **results are bitwise identical across input kinds,
 /// representations and shard layouts**; only ISVD0/ISVD1's SVD stages
 /// materialize the dense bounds (memoized per session).
+///
+/// Every constructor checks each shard in the content-hash pass it
+/// already makes: a NaN or infinite bound, or `lo > hi`, is an
+/// [`IvmfError::InvalidBounds`] naming the first such cell's row in the
+/// whole matrix (the disk readers reject such cells on their own).
 #[derive(Debug)]
 pub struct Pipeline<'m, S: IntervalShard = IntervalMatrix> {
     input: PipelineInput<'m, S>,
@@ -1272,10 +1258,19 @@ impl<'m, S: IntervalShard> Pipeline<'m, S> {
     ) -> Result<Self> {
         config.validate(input.shape())?;
         let mut content = ContentHash::new::<S>(input.shape().1);
+        let mut invalid = None;
         input.for_each_shard(&mut |shard| {
+            if invalid.is_none() {
+                invalid = shard
+                    .first_invalid_cell()
+                    .map(|(row, col, lo, hi)| (content.rows + row, col, lo, hi));
+            }
             content.push(shard);
             Ok(())
         })?;
+        if let Some((row, col, lo, hi)) = invalid {
+            return Err(IvmfError::InvalidBounds { row, col, lo, hi });
+        }
         let matrix = content.id();
         let mut pipeline = Pipeline {
             input,
@@ -1709,8 +1704,8 @@ impl<'m, S: IntervalShard> Pipeline<'m, S> {
             timed(&mut t.preprocessing, || {
                 let (rows, cols) = input.shape();
                 // Sparse inputs always fold through the CSR accumulator;
-                // dense in-memory inputs switch to it below the
-                // `IVMF_SPARSE_THRESHOLD` density cutoff. Both paths are
+                // dense in-memory inputs switch to it at or below
+                // `DEFAULT_SPARSE_THRESHOLD` density. Both paths are
                 // bitwise identical, so the choice never enters the key.
                 let sparse = use_sparse_gram(input)?;
                 // Units fold concurrently on `IVMF_THREADS` threads and
@@ -2526,18 +2521,14 @@ mod tests {
             "5% dense input must take the sparse Gram path"
         );
 
-        // A fully dense matrix stays on the dense fold — unless the
-        // environment raised the cutoff (the CI sparse pass pins
-        // IVMF_SPARSE_THRESHOLD=1.0 to force the sparse path everywhere).
-        if ivmf_env::sparse_threshold().is_none() {
-            let dense_m = random_interval_matrix(53, 30, 10, 1.0);
-            let mut s = Pipeline::new(&dense_m, IsvdConfig::new(3)).unwrap();
-            s.run(IsvdAlgorithm::Isvd2).unwrap();
-            assert!(
-                !s.gram_state.as_ref().unwrap().acc.is_csr(),
-                "full-density input must keep the dense Gram path"
-            );
-        }
+        // A fully dense matrix stays on the dense fold.
+        let dense_m = random_interval_matrix(53, 30, 10, 1.0);
+        let mut s = Pipeline::new(&dense_m, IsvdConfig::new(3)).unwrap();
+        s.run(IsvdAlgorithm::Isvd2).unwrap();
+        assert!(
+            !s.gram_state.as_ref().unwrap().acc.is_csr(),
+            "full-density input must keep the dense Gram path"
+        );
     }
 
     #[test]

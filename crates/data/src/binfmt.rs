@@ -304,7 +304,9 @@ pub fn decode_csr_block_into(
     let n_offs = rows
         .checked_add(1)
         .ok_or_else(|| bad_state("CSR block row count overflows"))?;
-    let mut offs = pool::take_usize(n_offs);
+    // The declared count only sizes the buffer up to what the payload
+    // can hold: a lying row count must not reserve past the input.
+    let mut offs = pool::take_usize(n_offs.min(r.len() / 8));
     read_usize_run_into(&mut r, n_offs, &mut offs)?;
     if offs.first() != Some(&0) {
         return Err(bad_state("CSR block row offsets must start at 0"));

@@ -4,15 +4,26 @@
 //! entry digests and the binary shard container's per-record checksums
 //! ([`crate::binfmt`]). This module is the single shared implementation,
 //! so a throughput fix or a lane-count change lands everywhere at once
-//! and the formats cannot silently drift apart.
+//! and the formats cannot silently drift apart. Its step,
+//! [`fnv1a_word`], also folds the decomposition pipeline's content ids
+//! and stage fingerprints.
 //!
 //! This is an integrity check against torn writes and flipped bits — not
 //! a cryptographic MAC; same contract as plain FNV.
 
-/// FNV-1a 64-bit offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a 64-bit offset basis: the seed of every fold.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a 64-bit prime.
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// One FNV-1a step over a whole 64-bit word: `hash = (hash ^ word) ·
+/// FNV_PRIME`. Every fold of this module is built on it; a byte is the
+/// word of its value.
+#[inline]
+pub fn fnv1a_word(hash: &mut u64, word: u64) {
+    *hash ^= word;
+    *hash = hash.wrapping_mul(FNV_PRIME);
+}
 
 /// How many independent FNV-1a chains [`fnv1a64`] runs. Plain byte-wise
 /// FNV-1a is a single xor→multiply dependency chain — one multiply
@@ -36,20 +47,16 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut rounds = bytes.chunks_exact(8 * FNV_LANES);
     for round in &mut rounds {
         for (lane, word) in lanes.iter_mut().zip(round.chunks_exact(8)) {
-            *lane ^= u64::from_le_bytes(word.try_into().expect("exact word"));
-            *lane = lane.wrapping_mul(FNV_PRIME);
+            fnv1a_word(
+                lane,
+                u64::from_le_bytes(word.try_into().expect("exact word")),
+            );
         }
     }
-    for &b in rounds.remainder() {
-        lanes[0] ^= u64::from(b);
-        lanes[0] = lanes[0].wrapping_mul(FNV_PRIME);
-    }
+    lanes[0] = fnv1a64_bytewise(lanes[0], rounds.remainder());
     let mut h = FNV_OFFSET;
     for word in lanes.iter().chain(std::iter::once(&(bytes.len() as u64))) {
-        for &b in &word.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(FNV_PRIME);
-        }
+        h = fnv1a64_bytewise(h, &word.to_le_bytes());
     }
     h
 }
@@ -59,10 +66,7 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 /// rebuild [`fnv1a64`] from first principles.
 pub fn fnv1a64_bytewise(seed: u64, bytes: &[u8]) -> u64 {
     let mut h = seed;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
+    bytes.iter().for_each(|&b| fnv1a_word(&mut h, u64::from(b)));
     h
 }
 

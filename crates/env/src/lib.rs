@@ -12,8 +12,6 @@
 //! |---|---|---|
 //! | [`THREADS`] | `ivmf-par`, `ivmf-core` | worker count for parallel kernels, and how many merge-group units of the interval-Gram fold run concurrently (default: available parallelism) |
 //! | [`EXACT_INTERVAL`] | `ivmf-interval` | `1`/`true` pins the exact four-product interval operator at every size |
-//! | [`SPARSE_THRESHOLD`] | `ivmf-core` | density cutoff in `(0, 1]` at or below which dense in-memory pipeline inputs take the sparse CSR Gram path (bitwise-identical results either way) |
-//! | [`TOPK_EIGEN`] | `ivmf-linalg` | `auto` (default) / `full` / `forced` — whether truncating eigendecompositions use the certified top-k Lanczos solver, the full `tred2`/`tql2` oracle, or the Lanczos path regardless of the profitability heuristic |
 //! | [`SNAPSHOT_DIR`] | `ivmf-core` | directory for automatic crash-safe pipeline snapshots: load-on-construct, save-on-drop (unset: snapshots only on explicit `snapshot_to`/`restore_from`) |
 //! | [`PREFETCH`] | `ivmf-data`, `ivmf-core` | shard prefetch depth `0`/`1`/`2` (default 1): background-thread decode of the next shard(s) while the current one folds; `0` disables the thread |
 //! | [`REPLICATES`] | `ivmf-bench` | seeded replicates the `exp_*` binaries average over (default 5) |
@@ -22,8 +20,9 @@
 //! | [`BENCH_OUT`] | retired, listed by perfbench | report path of the deleted kernel micro-benchmark |
 //! | [`BENCH_ISVD_OUT`] | retired, listed by perfbench | report path of the deleted pipeline micro-benchmark |
 //!
-//! [`WORKERS`], [`WORKER_SPAWN`], [`SHARD_FORMAT`], [`SHARD_ROWS`] and the
-//! three `BENCH_*` names are retired names that no crate reads.
+//! [`WORKERS`], [`WORKER_SPAWN`], [`SHARD_FORMAT`], [`SHARD_ROWS`],
+//! [`SPARSE_THRESHOLD`], [`TOPK_EIGEN`] and the three `BENCH_*` names are
+//! retired names that no crate reads.
 //!
 //! **Unset** variables always fall back to the documented default. A
 //! variable that is **set but malformed** (`IVMF_THREADS=abc`,
@@ -61,21 +60,17 @@ pub const THREADS: &str = "IVMF_THREADS";
 /// exact four-product envelope regardless of size (`ivmf-interval`).
 pub const EXACT_INTERVAL: &str = "IVMF_EXACT_INTERVAL";
 
-/// Density cutoff in `(0, 1]` for auto-selecting the sparse CSR Gram path
-/// on dense in-memory pipeline inputs (`ivmf-core`): inputs whose fraction
-/// of non-`[0, 0]` entries is at or below the cutoff stream their Gram
-/// matrix over stored entries only. Never changes results — the sparse
-/// kernels are bitwise identical to the dense ones — only which kernel
-/// runs.
+/// Retired: overrode the density cutoff at which dense in-memory
+/// pipeline inputs take the sparse CSR Gram kernel. The cutoff is now
+/// `ivmf_core`'s `DEFAULT_SPARSE_THRESHOLD` alone (both kernels give
+/// bitwise-identical results). No crate reads it; the name stays for the
+/// workload benchmark's source, which lists (and clears) it.
 pub const SPARSE_THRESHOLD: &str = "IVMF_SPARSE_THRESHOLD";
 
-/// Eigensolver selection for truncating consumers (`ivmf-linalg`):
-/// `auto` (default) lets the profitability heuristic pick between the
-/// certified top-k Lanczos solver and the full `tred2`/`tql2` oracle,
-/// `full` pins the oracle everywhere, `forced` always attempts the Lanczos
-/// path (still falling back to the oracle when certification fails). Every
-/// accepted answer is certified against the same residual tolerance, so
-/// the knob never changes results beyond that tolerance.
+/// Retired: overrode the choice between the certified top-k Lanczos
+/// eigensolver and the dense `tred2`/`tql2` solve, which is now made by
+/// the input's size alone. No crate reads it; the name stays for the
+/// workload benchmark's source, which lists (and clears) it.
 pub const TOPK_EIGEN: &str = "IVMF_TOPK_EIGEN";
 
 /// Directory for automatic crash-safe pipeline snapshots (`ivmf-core`):
@@ -258,24 +253,6 @@ pub fn string_var(name: &str) -> Option<String> {
     std::env::var(name).ok()
 }
 
-/// The configured sparse-Gram density cutoff: `IVMF_SPARSE_THRESHOLD` when
-/// set to a number in `(0, 1]`, `None` when unset (callers pick their own
-/// default), panicking on a malformed or out-of-range value like every
-/// other `IVMF_*` knob. See [`try_sparse_threshold`] for the non-panicking
-/// form.
-pub fn sparse_threshold() -> Option<f64> {
-    match try_sparse_threshold() {
-        Ok(v) => v,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// [`sparse_threshold`] returning the validation error as a value instead
-/// of panicking.
-pub fn try_sparse_threshold() -> Result<Option<f64>, EnvVarError> {
-    try_f64_var_in(SPARSE_THRESHOLD, 0.0, 1.0)
-}
-
 /// The configured snapshot directory: `IVMF_SNAPSHOT_DIR` when set and
 /// non-empty (whitespace-only values count as unset — an empty directory
 /// name is always a misconfiguration, never a useful path), `None`
@@ -288,56 +265,6 @@ pub fn snapshot_dir() -> Option<std::path::PathBuf> {
         None
     } else {
         Some(std::path::PathBuf::from(v))
-    }
-}
-
-/// How truncating eigendecompositions pick their solver; parsed from
-/// [`TOPK_EIGEN`] by [`topk_eigen_mode`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TopkEigenMode {
-    /// Profitability heuristic decides between the top-k Lanczos solver
-    /// and the full oracle per call (the default).
-    Auto,
-    /// Always use the full `tred2`/`tql2` oracle.
-    Full,
-    /// Always attempt the Lanczos path, skipping the profitability
-    /// heuristic (certification failures still fall back to the oracle).
-    Forced,
-}
-
-/// The configured eigensolver mode: `IVMF_TOPK_EIGEN` parsed
-/// case-insensitively as `auto`/`full`/`forced`, defaulting to
-/// [`TopkEigenMode::Auto`] when unset and panicking on any other value
-/// like every other `IVMF_*` knob. See [`try_topk_eigen_mode`] for the
-/// non-panicking form.
-pub fn topk_eigen_mode() -> TopkEigenMode {
-    match try_topk_eigen_mode() {
-        Ok(v) => v.unwrap_or(TopkEigenMode::Auto),
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// [`topk_eigen_mode`] returning the validation error as a value instead
-/// of panicking: `Ok(None)` when unset, the parsed mode when well-formed,
-/// and [`EnvVarError`] for anything other than `auto`/`full`/`forced`
-/// (case-insensitive, surrounding whitespace ignored).
-pub fn try_topk_eigen_mode() -> Result<Option<TopkEigenMode>, EnvVarError> {
-    let Ok(raw) = std::env::var(TOPK_EIGEN) else {
-        return Ok(None);
-    };
-    let v = raw.trim();
-    if v.eq_ignore_ascii_case("auto") {
-        Ok(Some(TopkEigenMode::Auto))
-    } else if v.eq_ignore_ascii_case("full") {
-        Ok(Some(TopkEigenMode::Full))
-    } else if v.eq_ignore_ascii_case("forced") {
-        Ok(Some(TopkEigenMode::Forced))
-    } else {
-        Err(EnvVarError {
-            name: TOPK_EIGEN.to_string(),
-            value: raw,
-            expected: "auto, full or forced".to_string(),
-        })
     }
 }
 
@@ -490,39 +417,6 @@ mod tests {
     }
 
     #[test]
-    fn topk_eigen_mode_parses_and_defaults_when_unset() {
-        // This test owns IVMF_TOPK_EIGEN within this binary.
-        std::env::remove_var(TOPK_EIGEN);
-        assert_eq!(topk_eigen_mode(), TopkEigenMode::Auto);
-        assert_eq!(try_topk_eigen_mode(), Ok(None));
-        for (raw, mode) in [
-            ("auto", TopkEigenMode::Auto),
-            ("full", TopkEigenMode::Full),
-            ("forced", TopkEigenMode::Forced),
-            ("FULL", TopkEigenMode::Full),
-            (" Forced ", TopkEigenMode::Forced),
-        ] {
-            std::env::set_var(TOPK_EIGEN, raw);
-            assert_eq!(topk_eigen_mode(), mode, "{raw:?}");
-        }
-        for bad in ["", "topk", "force", "1", "true"] {
-            std::env::set_var(TOPK_EIGEN, bad);
-            let err = try_topk_eigen_mode().unwrap_err();
-            assert_eq!(err.value, bad);
-            let msg = err.to_string();
-            assert!(
-                msg.contains(TOPK_EIGEN),
-                "error must name the variable: {msg}"
-            );
-            assert!(
-                msg.contains("auto, full or forced"),
-                "error must state the expected format: {msg}"
-            );
-        }
-        std::env::remove_var(TOPK_EIGEN);
-    }
-
-    #[test]
     fn snapshot_dir_reads_the_documented_variable() {
         // This test owns IVMF_SNAPSHOT_DIR within this binary.
         std::env::remove_var(SNAPSHOT_DIR);
@@ -564,23 +458,5 @@ mod tests {
             );
         }
         std::env::remove_var(PREFETCH);
-    }
-
-    #[test]
-    fn sparse_threshold_reads_the_documented_variable() {
-        // This test owns IVMF_SPARSE_THRESHOLD within this binary.
-        std::env::remove_var(SPARSE_THRESHOLD);
-        assert_eq!(sparse_threshold(), None);
-        std::env::set_var(SPARSE_THRESHOLD, "0.05");
-        assert_eq!(sparse_threshold(), Some(0.05));
-        std::env::set_var(SPARSE_THRESHOLD, "1.0");
-        assert_eq!(sparse_threshold(), Some(1.0)); // hi is inclusive
-        for bad in ["0", "1.5", "-0.1", "junk"] {
-            std::env::set_var(SPARSE_THRESHOLD, bad);
-            let err = try_sparse_threshold().unwrap_err();
-            assert!(err.to_string().contains(SPARSE_THRESHOLD), "{err}");
-            assert!(err.to_string().contains("(0, 1]"), "{err}");
-        }
-        std::env::remove_var(SPARSE_THRESHOLD);
     }
 }

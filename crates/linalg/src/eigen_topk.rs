@@ -64,37 +64,27 @@
 //! large simple spectrum can be reported once, with the next distinct
 //! eigenvalue taking its slot. Every returned pair is still a certified
 //! eigenpair within tolerance. The random Gram(-bound) matrices of the
-//! decomposition pipeline have simple spectra almost surely; callers that
-//! need exact multiplicity semantics pin `IVMF_TOPK_EIGEN=full`.
+//! decomposition pipeline have simple spectra almost surely.
 //!
-//! ## Mode selection
-//!
-//! [`sym_eigen_topk`] reads `IVMF_TOPK_EIGEN` (via
-//! [`ivmf_env::topk_eigen_mode`]) on every call: `full` pins the oracle,
-//! `forced` always attempts the Lanczos path, and the default `auto` uses
-//! [`topk_profitable`] — the iteration wins once the matrix is big enough
-//! (`n ≥ 96`) and `min(4k + 32, n)` is at most half the dimension. Because
-//! every accepted answer is certified against the same tolerance, the mode
-//! is a kernel choice, not a semantic one — which is why the decomposition
-//! pipeline's `StageCache` keys deliberately exclude it.
-//!
-//! All modes (including `full`) canonicalize eigenvector column signs
-//! (largest-magnitude component positive), so answers computed by
-//! different solvers agree up to the certified tolerance instead of up to
-//! sign.
+//! [`sym_eigen_topk`] picks its solver from the input alone:
+//! [`topk_profitable`] iterates once the matrix is big enough (`n ≥ 96`)
+//! and `min(4k + 32, n)` is at most half the dimension, and solves densely
+//! otherwise. Both paths canonicalize eigenvector column signs
+//! (largest-magnitude component positive), so their answers agree up to
+//! the certified tolerance instead of up to sign.
 
 use crate::eigen_sym::{
     eigen_tridiagonal, eigen_tridiagonal_values, non_finite_entry, sym_eigen, SymEigen,
 };
 use crate::{LinalgError, Matrix, Result};
-use ivmf_env::TopkEigenMode;
 
 /// Relative residual tolerance certified by [`sym_eigen_topk`]: every
 /// returned pair satisfies `‖A v − λ v‖ ≤ DEFAULT_TOPK_TOL · ‖A‖_F`.
 pub const DEFAULT_TOPK_TOL: f64 = 1e-8;
 
 /// Below this dimension the dense oracle is at least as fast as the
-/// iteration (basis bookkeeping dominates): `auto` mode never iterates.
+/// iteration (basis bookkeeping dominates): default options never
+/// iterate.
 const TOPK_MIN_DIM: usize = 96;
 
 /// A convergence check runs every this-many basis extensions once the
@@ -123,7 +113,7 @@ fn default_max_basis(n: usize, k: usize) -> usize {
     anchor_basis(n, k).max(n / 2)
 }
 
-/// True when `auto` mode attempts the Lanczos path for an `n×n` input and
+/// True when default options attempt the Lanczos path for an `n×n` input and
 /// `k` requested pairs: the matrix must be at least `TOPK_MIN_DIM` (`96`)
 /// wide and `min(4k + 32, n)` at most `n / 2`, so the iteration
 /// touches a strict fraction of the work the dense oracle would.
@@ -206,14 +196,13 @@ pub struct TopkReport {
 }
 
 /// Computes the top-`k` eigenpairs (largest eigenvalues first) of a
-/// symmetric matrix, choosing the solver according to `IVMF_TOPK_EIGEN`
-/// (`auto`/`full`/`forced`, see [`ivmf_env::topk_eigen_mode`]).
+/// symmetric matrix: [`sym_eigen_topk_with`] under
+/// [`TopkOptions::default`], so [`topk_profitable`] picks the solver.
 ///
-/// Whatever the mode, every returned pair is certified to
-/// `‖A v − λ v‖ ≤ tol · ‖A‖_F` with `tol =` [`DEFAULT_TOPK_TOL`] (the
-/// dense oracle is its own certificate), eigenvalues are sorted
-/// descending, and eigenvector column signs are canonicalized. `k` is
-/// clamped to `n`.
+/// Every returned pair is certified to `‖A v − λ v‖ ≤ tol · ‖A‖_F` with
+/// `tol =` [`DEFAULT_TOPK_TOL`] (the dense oracle is its own
+/// certificate), eigenvalues are sorted descending, and eigenvector
+/// column signs are canonicalized. `k` is clamped to `n`.
 ///
 /// # Errors
 ///
@@ -223,20 +212,10 @@ pub struct TopkReport {
 /// * Propagates oracle convergence failures (fallback is enabled, so an
 ///   error means even the dense solver failed).
 pub fn sym_eigen_topk(a: &Matrix, k: usize) -> Result<SymEigen> {
-    let opts = match ivmf_env::topk_eigen_mode() {
-        TopkEigenMode::Full => {
-            validate(a, k)?;
-            return dense_truncated(a, k.min(a.rows()));
-        }
-        TopkEigenMode::Auto => TopkOptions::default(),
-        TopkEigenMode::Forced => TopkOptions::default().with_force(true),
-    };
-    sym_eigen_topk_with(a, k, &opts)
+    sym_eigen_topk_with(a, k, &TopkOptions::default())
 }
 
-/// [`sym_eigen_topk`] with explicit [`TopkOptions`] instead of the
-/// environment knob — the environment is not consulted at all, so the call
-/// is reproducible regardless of `IVMF_TOPK_EIGEN`.
+/// [`sym_eigen_topk`] with explicit [`TopkOptions`].
 pub fn sym_eigen_topk_with(a: &Matrix, k: usize, opts: &TopkOptions) -> Result<SymEigen> {
     sym_eigen_topk_report(a, k, opts).map(|(eig, _)| eig)
 }

@@ -13,7 +13,7 @@
 //! * a certified top-k eigensolver ([`eigen_topk::sym_eigen_topk`],
 //!   Lanczos with full reorthogonalization, per-pair residual
 //!   certification against the dense oracle's tolerance and automatic
-//!   fallback; `IVMF_TOPK_EIGEN` selects `auto`/`full`/`forced`),
+//!   fallback; the input's size picks it or the dense solve),
 //! * a full singular value decomposition ([`svd::svd`], Golub–Kahan–Reinsch),
 //! * LU factorization with partial pivoting ([`lu`]) for solving and
 //!   inversion,

@@ -124,9 +124,9 @@ pub fn svd(m: &Matrix) -> Result<Svd> {
 ///
 /// Unlike [`svd`], the truncated form never needs the trailing spectrum,
 /// so the smaller Gram matrix goes through the certified top-k eigensolver
-/// ([`sym_eigen_topk`]): `IVMF_TOPK_EIGEN` picks the kernel
-/// (`auto`/`full`/`forced`) and every accepted eigenpair — hence every
-/// singular triplet — is certified to the oracle tolerance
+/// ([`sym_eigen_topk`]): the Gram's size picks the Lanczos or the dense
+/// kernel, and every accepted eigenpair — hence every singular triplet —
+/// is certified to the oracle tolerance
 /// ([`crate::eigen_topk::DEFAULT_TOPK_TOL`]) with automatic fallback to
 /// the dense solver. Right-factor column signs are canonicalized by that
 /// path, so truncated decompositions from different kernels agree up to

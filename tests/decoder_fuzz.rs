@@ -1,9 +1,12 @@
 //! Decoder fuzzing for the readers of untrusted bytes: `binfmt` records,
-//! the snapshot loader built on them, and the `state_text` readers of the
-//! streamed-Gram accumulators. Inputs are random bytes, cuts at random
-//! offsets, bit flips, flipped kind bytes, length fields that lie,
-//! records spliced in from another matrix's snapshot, and accumulator
-//! state headers with a field replaced. Each property asserts that
+//! the snapshot loader built on them, the `state_text` readers of the
+//! streamed-Gram accumulators, and both shard-container readers end to
+//! end. Inputs are random bytes, cuts at random offsets, bit flips,
+//! flipped kind bytes, length fields that lie, records spliced in from
+//! another matrix's snapshot, accumulator state headers with a field
+//! replaced, and shard containers whose header or block row count is
+//! replaced (with the record's checksum recomputed, so the decoders see
+//! it). Each property asserts that
 //! decoding does not panic and that no single allocation made while
 //! decoding exceeds the input length plus [`SLACK`]; a salvaged restore
 //! must leave `run_all` giving the cold run's factors (`==` on every
@@ -14,14 +17,18 @@
 //! `tests/support/counting_alloc.rs`, which records the largest
 //! allocation per thread, so the properties may run concurrently.
 
-use std::sync::OnceLock;
-
 use std::io;
+use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 use ivmf_core::{IsvdConfig, IsvdResult, Pipeline};
 use ivmf_data::binfmt::{self, MAX_RECORD_LEN, REC_END};
 use ivmf_data::fnv::fnv1a64;
-use ivmf_interval::{CsrIntervalShard, Interval, IntervalMatrix, StreamingIntervalGram};
+use ivmf_data::stream::{CsrShardWriter, ShardFileReader, ShardWriter, StoredShard};
+use ivmf_interval::{
+    CsrIntervalShard, Interval, IntervalMatrix, RowShardedIntervalMatrix, StreamingIntervalGram,
+};
 use ivmf_linalg::random::uniform_matrix;
 use ivmf_linalg::streaming::GROUP_ROWS;
 use ivmf_linalg::{CrossGramAccumulator, CsrShard, GramAccumulator, Matrix};
@@ -242,6 +249,80 @@ fn replace_field(
     out
 }
 
+/// The bytes of a small dense and a small CSR shard container, each
+/// written in four-row pushes so it holds several block records.
+fn containers() -> &'static [Vec<u8>; 2] {
+    static CONTAINERS: OnceLock<[Vec<u8>; 2]> = OnceLock::new();
+    CONTAINERS.get_or_init(|| {
+        let m = &fixture().matrix;
+        let pushes = RowShardedIntervalMatrix::from_dense(m, 4).unwrap();
+        let (dense, csr) = (tmp_path(), tmp_path());
+        let mut w = ShardWriter::create(&dense, m.rows(), m.cols()).unwrap();
+        let mut c = CsrShardWriter::create(&csr, m.rows(), m.cols()).unwrap();
+        for shard in pushes.shards() {
+            w.push_shard(shard).unwrap();
+            c.push_shard(&CsrIntervalShard::from_dense(shard)).unwrap();
+        }
+        w.finish().unwrap();
+        c.finish().unwrap();
+        let bytes = [std::fs::read(&dense).unwrap(), std::fs::read(&csr).unwrap()];
+        std::fs::remove_file(&dense).ok();
+        std::fs::remove_file(&csr).ok();
+        bytes
+    })
+}
+
+fn tmp_path() -> std::path::PathBuf {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let name = format!("ivmf_decoder_fuzz_{}_{n}.ivs", std::process::id());
+    std::env::temp_dir().join(name)
+}
+
+/// Reads every shard of the container at `path` until the end or an
+/// error, then once more after a rewind.
+fn read_container<S: StoredShard>(path: &Path) {
+    let Ok(mut reader) = ShardFileReader::<S>::open(path, 5) else {
+        return;
+    };
+    while let Ok(Some(shard)) = reader.read_shard() {
+        shard.recycle();
+    }
+    if reader.rewind().is_ok() {
+        while let Ok(Some(shard)) = reader.read_shard() {
+            shard.recycle();
+        }
+    }
+}
+
+/// `bytes` with the record at `span` replaced by one of kind `kind` whose
+/// payload's first line has token `field` (cycled) replaced by the
+/// `value`-th replacement — 0, the token plus one, `usize::MAX`, a value
+/// whose product with any other size overflows — and a checksum that
+/// matches.
+fn replace_token(
+    bytes: &[u8],
+    (start, len): (usize, usize),
+    field: usize,
+    value: usize,
+) -> Vec<u8> {
+    let payload = &bytes[start + 9..start + len - 8];
+    let line_end = payload.iter().position(|&b| b == b'\n').unwrap();
+    let line = std::str::from_utf8(&payload[..line_end]).unwrap();
+    let mut tokens: Vec<String> = line.split(' ').map(str::to_string).collect();
+    // A header line leads with its tag; a block line holds counts only.
+    let first = usize::from(tokens[0].parse::<usize>().is_err());
+    let k = first + field % (tokens.len() - first);
+    let old: usize = tokens[k].parse().unwrap();
+    tokens[k] = [0, old + 1, usize::MAX, 1 << 62][value].to_string();
+    let mut new_payload = tokens.join(" ").into_bytes();
+    new_payload.extend_from_slice(&payload[line_end..]);
+    let mut out = bytes[..start].to_vec();
+    binfmt::write_record(&mut out, bytes[start], &new_payload).unwrap();
+    out.extend_from_slice(&bytes[start + len..]);
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -332,5 +413,45 @@ proptest! {
         let report = p.read_snapshot(&mut &spliced[..]);
         prop_assert!(report.checksum_ok && report.dropped >= 1, "{report:?}");
         prop_assert!(factors(&p.run_all().unwrap()) == fx.cold);
+    }
+
+    /// Both shard containers cut, bit-flipped, with a header field or a
+    /// block's row count replaced, and with a block record's length
+    /// lying: reading every shard, then again after a rewind, never
+    /// panics and never allocates past the input.
+    #[test]
+    fn shard_readers_survive_mangled_containers(
+        at in 0usize..1 << 20,
+        bit in 0u8..8,
+        field in 0usize..4,
+        value in 0usize..4,
+        lie in 0usize..4,
+    ) {
+        for (csr, container) in containers().iter().enumerate() {
+            let spans = record_spans(container);
+            // The header record, the block records, the end record.
+            let block = spans[1 + at % (spans.len() - 2)];
+            let mut flipped = container.clone();
+            flipped[at % container.len()] ^= 1 << bit;
+            for (mangle, input) in [
+                ("cut", container[..at % container.len()].to_vec()),
+                ("bit flip", flipped),
+                ("header field", replace_token(container, spans[0], field, value)),
+                ("block rows", replace_token(container, block, field, value)),
+                ("lying length", lying(container, block.0, lie)),
+            ] {
+                let path = tmp_path();
+                std::fs::write(&path, &input).unwrap();
+                let context = format!("csr={csr}, {mangle} (at {at}, block at {})", block.0);
+                bounded(&input, &context, |_| {
+                    if csr == 1 {
+                        read_container::<CsrIntervalShard>(&path)
+                    } else {
+                        read_container::<IntervalMatrix>(&path)
+                    }
+                });
+                std::fs::remove_file(&path).ok();
+            }
+        }
     }
 }

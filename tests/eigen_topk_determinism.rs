@@ -5,35 +5,41 @@
 //! * the solver is invariant to the shard layout when reached through
 //!   the row-sharded and sparse CSR Gram routes (the streamed Grams are
 //!   bitwise equal, and so are their top-k eigendecompositions),
-//! * the full pipeline (all five algorithms × every decomposition
-//!   target) produces equivalent factor bounds under
-//!   `IVMF_TOPK_EIGEN=forced` and `=full`, within the solver's
-//!   certified tolerance,
-//! * the env-dispatching `sym_eigen_topk` entry point routes exactly to
-//!   the explicit-options paths (`forced` ↔ `with_force(true)`, `full`
-//!   ↔ dense truncation), bitwise, and rejects NaN/±Inf input under every
-//!   mode.
+//! * at a shape where [`topk_profitable`] holds, the pipeline's bound
+//!   eigendecompositions run Lanczos: the sharded route still equals the
+//!   dense route bit for bit, and for every decomposition target the
+//!   Lanczos answer on both Gram bounds agrees with the dense truncation
+//!   within the solver's certified tolerance,
+//! * every solver path — default options on either side of the
+//!   profitability line, `with_force(true)` and `sym_eigen_topk` —
+//!   rejects NaN/±Inf input, naming the cell.
 //!
-//! Tests that mutate process environment variables serialize on a
-//! file-local mutex; everything else drives the solver through explicit
-//! [`TopkOptions`] and is immune to the CI environment passes.
+//! The thread-count test mutates `IVMF_THREADS` under a file-local mutex;
+//! everything else drives the solver through explicit [`TopkOptions`] or
+//! the input's shape.
 
 use std::sync::Mutex;
 
-use ivmf_core::pipeline::run_all;
-use ivmf_core::{run_all_sharded, DecompositionTarget, IsvdAlgorithm, IsvdConfig, IsvdResult};
+use ivmf_core::pipeline::{run_all, Pipeline};
+use ivmf_core::{run_all_sharded, DecompositionTarget, IsvdAlgorithm, IsvdConfig};
 use ivmf_data::synthetic::{generate_uniform, SyntheticConfig};
 use ivmf_interval::{IntervalMatrix, RowShardedIntervalMatrix};
 use ivmf_linalg::eigen_sym::SymEigen;
 use ivmf_linalg::random::{symmetric_matrix, uniform_matrix};
-use ivmf_linalg::{sym_eigen_topk, sym_eigen_topk_report, sym_eigen_topk_with, TopkOptions};
+use ivmf_linalg::{
+    sym_eigen_topk, sym_eigen_topk_report, sym_eigen_topk_with, topk_profitable, TopkOptions,
+};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-/// Serializes every test in this file that writes process environment
-/// variables (`IVMF_THREADS`, `IVMF_TOPK_EIGEN`). Concurrent tests only
-/// ever *read* the environment through `TopkOptions`-driven calls.
+/// Serializes the tests in this file that write `IVMF_THREADS`.
 static ENV_LOCK: Mutex<()> = Mutex::new(());
+
+/// A pipeline shape whose bound eigendecompositions take the Lanczos
+/// path under default options: `topk_profitable(COLS, RANK)` holds.
+const ROWS: usize = 120;
+const COLS: usize = 104;
+const RANK: usize = 5;
 
 fn synthetic(seed: u64, rows: usize, cols: usize) -> IntervalMatrix {
     let mut rng = SmallRng::seed_from_u64(seed);
@@ -133,15 +139,14 @@ fn topk_is_invariant_to_shard_layout_through_the_gram_route() {
 
 #[test]
 fn forced_sharded_pipeline_matches_dense_pipeline_bitwise() {
-    // End to end: with the top-k kernel forced on, the sharded route
-    // still equals the dense route bit for bit — the kernel sees the
-    // identical Gram either way.
-    let _guard = ENV_LOCK.lock().unwrap();
-    let env = EnvGuard::set(ivmf_env::TOPK_EIGEN, "forced");
-    let m = synthetic(7020, 34, 12);
-    let config = IsvdConfig::new(5);
+    // End to end: at a shape where the Lanczos path is profitable, the
+    // sharded route still equals the dense route bit for bit — the
+    // kernel sees the identical Gram either way.
+    assert!(topk_profitable(COLS, RANK), "{COLS}x{COLS}, k={RANK}");
+    let m = synthetic(7020, ROWS, COLS);
+    let config = IsvdConfig::new(RANK);
     let dense = run_all(&m, &config).unwrap();
-    for shard_rows in [1usize, 7, 34] {
+    for shard_rows in [1usize, 7, ROWS] {
         let sharded = RowShardedIntervalMatrix::from_dense(&m, shard_rows).unwrap();
         let results = run_all_sharded(&sharded, &config).unwrap();
         for ((r, d), alg) in results.iter().zip(&dense).zip(IsvdAlgorithm::all()) {
@@ -151,119 +156,85 @@ fn forced_sharded_pipeline_matches_dense_pipeline_bitwise() {
             assert_eq!(r.factors.sigma, d.factors.sigma, "{context} core differs");
         }
     }
-    drop(env);
 }
 
-/// Largest elementwise gap between the bounds of two interval factor
-/// sets, normalized by the larger magnitude in play.
-fn max_relative_gap(a: &IsvdResult, b: &IsvdResult) -> f64 {
-    let mut scale: f64 = 1.0;
-    let mut gap: f64 = 0.0;
-    let pairs = [
-        (a.factors.u.lo(), b.factors.u.lo()),
-        (a.factors.u.hi(), b.factors.u.hi()),
-        (a.factors.v.lo(), b.factors.v.lo()),
-        (a.factors.v.hi(), b.factors.v.hi()),
-    ];
-    for (x, y) in pairs {
-        assert_eq!((x.rows(), x.cols()), (y.rows(), y.cols()));
-        for i in 0..x.rows() {
-            for j in 0..x.cols() {
-                gap = gap.max((x[(i, j)] - y[(i, j)]).abs());
-                scale = scale.max(x[(i, j)].abs()).max(y[(i, j)].abs());
-            }
-        }
-    }
-    assert_eq!(a.factors.sigma.len(), b.factors.sigma.len());
-    for (s, t) in a.factors.sigma.iter().zip(&b.factors.sigma) {
-        gap = gap
-            .max((s.lo() - t.lo()).abs())
-            .max((s.hi() - t.hi()).abs());
-        scale = scale.max(s.lo().abs()).max(t.hi().abs());
+/// Largest gap between two eigendecompositions' eigenvalues and
+/// eigenvector entries, normalized by the larger magnitude in play.
+fn max_relative_gap(a: &SymEigen, b: &SymEigen) -> f64 {
+    assert_eq!(a.eigenvalues.len(), b.eigenvalues.len());
+    let (x, y) = (&a.eigenvectors, &b.eigenvectors);
+    assert_eq!((x.rows(), x.cols()), (y.rows(), y.cols()));
+    let pairs = a.eigenvalues.iter().zip(&b.eigenvalues);
+    let pairs = pairs.chain(x.as_slice().iter().zip(y.as_slice()));
+    let (mut gap, mut scale): (f64, f64) = (0.0, 1.0);
+    for (s, t) in pairs {
+        gap = gap.max((s - t).abs());
+        scale = scale.max(s.abs()).max(t.abs());
     }
     gap / scale
 }
 
 #[test]
-fn forced_and_full_pipelines_agree_for_every_algorithm_and_target() {
-    // All five algorithms × every decomposition target, once under
-    // IVMF_TOPK_EIGEN=forced and once under =full. Both kernels certify
-    // their answers against the same residual bound and canonicalize
-    // eigenvector signs identically, so the assembled interval factors
-    // must agree to far better than the certified tolerance.
-    let _guard = ENV_LOCK.lock().unwrap();
-    let m = synthetic(7030, 26, 10);
+fn lanczos_and_dense_bound_eigens_agree_for_every_target() {
+    // Every decomposition target's run, at the profitable shape: both
+    // bounds of the pipeline's interval Gram take the Lanczos path under
+    // default options, and its certified answer agrees with the dense
+    // truncation to far better than the certified tolerance (both
+    // canonicalize eigenvector signs identically).
+    assert!(topk_profitable(COLS, RANK), "{COLS}x{COLS}, k={RANK}");
+    let m = synthetic(7030, ROWS, COLS);
     for target in DecompositionTarget::all() {
-        let config = IsvdConfig::new(4).with_target(target);
-        let forced_run = {
-            let _env = EnvGuard::set(ivmf_env::TOPK_EIGEN, "forced");
-            run_all(&m, &config).unwrap()
-        };
-        let full_run = {
-            let _env = EnvGuard::set(ivmf_env::TOPK_EIGEN, "full");
-            run_all(&m, &config).unwrap()
-        };
-        for ((f, d), alg) in forced_run.iter().zip(&full_run).zip(IsvdAlgorithm::all()) {
-            let gap = max_relative_gap(f, d);
+        let mut session = Pipeline::new(&m, IsvdConfig::new(RANK).with_target(target)).unwrap();
+        session.run_all().unwrap();
+        let gram = session.interval_gram().unwrap();
+        for (bound, a) in [("lo", gram.lo()), ("hi", gram.hi())] {
+            let (lanczos, report) =
+                sym_eigen_topk_report(a, RANK, &TopkOptions::default()).unwrap();
+            assert!(
+                !report.used_dense,
+                "target {target}, {bound} bound: the dense solver answered ({report:?})"
+            );
+            // `k == n` short-circuits to the dense solve; keep its top k.
+            let full = sym_eigen_topk_with(a, COLS, &TopkOptions::default()).unwrap();
+            let dense = SymEigen {
+                eigenvalues: full.eigenvalues[..RANK].to_vec(),
+                eigenvectors: full.eigenvectors.take_cols(RANK),
+            };
+            let gap = max_relative_gap(&lanczos, &dense);
             assert!(
                 gap <= 1e-7,
-                "target {target}, {alg}: forced-vs-full relative gap {gap:e}"
+                "target {target}, {bound} bound: Lanczos-vs-dense relative gap {gap:e}"
             );
         }
     }
 }
 
 #[test]
-fn env_dispatch_routes_to_the_explicit_option_paths_bitwise() {
-    let _guard = ENV_LOCK.lock().unwrap();
-    let mut rng = SmallRng::seed_from_u64(7040);
-    let a = symmetric_matrix(&mut rng, 40, -2.0, 2.0);
-    let k = 6;
-
-    // forced ↔ with_force(true).
-    let via_env = {
-        let _env = EnvGuard::set(ivmf_env::TOPK_EIGEN, "forced");
-        sym_eigen_topk(&a, k).unwrap()
-    };
-    let via_opts = sym_eigen_topk_with(&a, k, &forced()).unwrap();
-    assert_eig_bitwise(&via_env, &via_opts, "forced dispatch");
-
-    // full ↔ the dense truncation an unprofitable auto call performs
-    // (n = 40 is below the profitability floor, so default options take
-    // the dense path too).
-    let via_env = {
-        let _env = EnvGuard::set(ivmf_env::TOPK_EIGEN, "full");
-        sym_eigen_topk(&a, k).unwrap()
-    };
-    let via_opts = sym_eigen_topk_with(&a, k, &TopkOptions::default()).unwrap();
-    assert_eig_bitwise(&via_env, &via_opts, "full dispatch");
-
-    // An explicit auto matches default options as well.
-    let via_env = {
-        let _env = EnvGuard::set(ivmf_env::TOPK_EIGEN, "auto");
-        sym_eigen_topk(&a, k).unwrap()
-    };
-    assert_eig_bitwise(&via_env, &via_opts, "auto dispatch");
-}
-
-#[test]
-fn every_env_mode_rejects_non_finite_input() {
-    let _guard = ENV_LOCK.lock().unwrap();
+fn every_solver_path_rejects_non_finite_input() {
     let mut rng = SmallRng::seed_from_u64(7050);
     let base = symmetric_matrix(&mut rng, 120, -2.0, 2.0);
+    assert!(topk_profitable(120, 5) && !topk_profitable(120, 20));
     for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
         let mut a = base.clone();
         a[(64, 3)] = bad;
-        for mode in ["auto", "forced", "full"] {
-            let result = {
-                let _env = EnvGuard::set(ivmf_env::TOPK_EIGEN, mode);
-                sym_eigen_topk(&a, 20)
-            };
+        let paths = [
+            (
+                "default, profitable",
+                sym_eigen_topk_with(&a, 5, &TopkOptions::default()),
+            ),
+            (
+                "default, unprofitable",
+                sym_eigen_topk_with(&a, 20, &TopkOptions::default()),
+            ),
+            ("forced", sym_eigen_topk_with(&a, 20, &forced())),
+            ("sym_eigen_topk", sym_eigen_topk(&a, 5)),
+        ];
+        for (path, result) in paths {
             match result {
                 Err(ivmf_linalg::LinalgError::InvalidArgument(msg)) => {
-                    assert!(msg.contains("(64, 3)"), "{mode}/{bad}: {msg}")
+                    assert!(msg.contains("(64, 3)"), "{path}/{bad}: {msg}")
                 }
-                other => panic!("{mode}/{bad}: not rejected: {other:?}"),
+                other => panic!("{path}/{bad}: not rejected: {other:?}"),
             }
         }
     }

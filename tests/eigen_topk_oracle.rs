@@ -19,9 +19,8 @@
 //! * NaN and ±Inf entries are rejected up front on every path with a
 //!   typed error naming their position.
 //!
-//! Everything here drives the solver through explicit [`TopkOptions`]
-//! (never the `IVMF_TOPK_EIGEN` environment knob), so the suite asserts
-//! the same behaviour under every CI environment pass.
+//! Everything here drives the solver through explicit [`TopkOptions`],
+//! so each test pins the path it exercises.
 
 use ivmf_data::synthetic::{generate_uniform, SyntheticConfig};
 use ivmf_linalg::eigen_sym::{sym_eigen, SymEigen};

@@ -58,11 +58,7 @@ fn bytes(write: impl FnOnce(&mut Vec<u8>) -> std::io::Result<()>) -> Vec<u8> {
 fn state_format_bytes_are_pinned() {
     // Knobs that would change which representation, flavour or snapshot
     // a session ends up with; this is the only test in its binary.
-    for knob in [
-        ivmf_env::SPARSE_THRESHOLD,
-        ivmf_env::SNAPSHOT_DIR,
-        ivmf_env::EXACT_INTERVAL,
-    ] {
+    for knob in [ivmf_env::SNAPSHOT_DIR, ivmf_env::EXACT_INTERVAL] {
         std::env::remove_var(knob);
     }
     let mut got: Vec<(&str, Vec<u8>)> = Vec::new();

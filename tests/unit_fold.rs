@@ -13,16 +13,19 @@
 //!
 //! Both interval-Gram flavours are covered: the size-dispatched
 //! midpoint–radius fold and the exact fold pinned by
-//! `IVMF_EXACT_INTERVAL`.
+//! `IVMF_EXACT_INTERVAL`. So are both Gram kernels on one logical
+//! matrix (a dense session and a CSR session over the same rows), the
+//! CSR kernel a sparse enough dense session picks on its own, and the
+//! streamed CSR route at every `IVMF_PREFETCH` depth.
 //!
 //! Everything lives in one `#[test]` because it mutates the process-wide
-//! `IVMF_THREADS`, `IVMF_EXACT_INTERVAL` and `IVMF_SPARSE_THRESHOLD`
-//! variables: the harness runs test functions concurrently in one
-//! process, so the mutation must not straddle functions.
+//! `IVMF_THREADS`, `IVMF_EXACT_INTERVAL` and `IVMF_PREFETCH` variables:
+//! the harness runs test functions concurrently in one process, so the
+//! mutation must not straddle functions.
 
 use std::path::PathBuf;
 
-use ivmf_core::pipeline::{run_all, Pipeline};
+use ivmf_core::pipeline::{run_all, Pipeline, DEFAULT_SPARSE_THRESHOLD};
 use ivmf_core::{run_all_sharded, IsvdAlgorithm, IsvdConfig, IsvdResult};
 use ivmf_data::stream::{CsrShardReader, CsrShardWriter};
 use ivmf_data::synthetic::{generate_power_law, generate_uniform, PowerLawConfig, SyntheticConfig};
@@ -83,6 +86,13 @@ const GRAM_ROUTE: [IsvdAlgorithm; 3] = [
     IsvdAlgorithm::Isvd4,
 ];
 
+/// Whether a session snapshot holds its retained Gram in the CSR
+/// accumulator (its state header tag).
+fn holds_csr_gram(snapshot: &[u8]) -> bool {
+    let tag = b"\nsparseintervalgram ";
+    snapshot.windows(tag.len()).any(|w| w == tag)
+}
+
 fn tmp_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("ivmf_unit_fold_{}_{tag}.ivs", std::process::id()))
 }
@@ -115,12 +125,12 @@ impl Drop for EnvGuard {
 #[test]
 fn unit_fold_is_thread_count_invariant_on_every_route() {
     // Auto-snapshots would warm later sessions from earlier ones and skip
-    // the fold under test; the sparse cutoff is set per route below.
+    // the fold under test; the prefetch depth is set per route below.
     let _env = EnvGuard::clear(&[
         ivmf_env::THREADS,
         ivmf_env::EXACT_INTERVAL,
         ivmf_env::SNAPSHOT_DIR,
-        ivmf_env::SPARSE_THRESHOLD,
+        ivmf_env::PREFETCH,
     ]);
     let config = IsvdConfig::new(4);
     let all = IsvdAlgorithm::all();
@@ -134,6 +144,8 @@ fn unit_fold_is_thread_count_invariant_on_every_route() {
     let dense_extra = dense_ext.row_slice(ROWS, ROWS + APPEND).unwrap();
     let dense_sharded =
         RowShardedIntervalMatrix::from_dense(&dense, STRADDLING_SHARD_ROWS).unwrap();
+    // The same logical matrix as CSR shards: the other Gram kernel.
+    let dense_as_csr = CsrShardedIntervalMatrix::from_dense(&dense, STRADDLING_SHARD_ROWS).unwrap();
 
     let mut rng = SmallRng::seed_from_u64(2025);
     let csr_ext = generate_power_law(
@@ -149,10 +161,26 @@ fn unit_fold_is_thread_count_invariant_on_every_route() {
     let mut writer = CsrShardWriter::create(&path, ROWS, csr.cols()).unwrap();
     writer.push_shard(&csr).unwrap();
     writer.finish().unwrap();
-    let streamed = || {
+    let streamed = |prefetch: &str| {
+        std::env::set_var(ivmf_env::PREFETCH, prefetch);
         let reader = CsrShardReader::open(&path, STRADDLING_SHARD_ROWS).unwrap();
-        Pipeline::new_streaming_csr_send(Box::new(reader), config).unwrap()
+        let session = Pipeline::new_streaming_csr_send(Box::new(reader), config).unwrap();
+        std::env::remove_var(ivmf_env::PREFETCH);
+        session
     };
+
+    // A dense matrix sparse enough that its in-memory sessions fold the
+    // Gram through the CSR accumulator on their own (each unit
+    // CSR-compresses its rows).
+    let mut rng = SmallRng::seed_from_u64(2026);
+    let thin = generate_power_law(
+        &PowerLawConfig::ratings_like(ROWS, 24).with_nnz_per_row(2),
+        &mut rng,
+    )
+    .to_dense();
+    let stored = thin.lo().as_slice().iter().filter(|&&x| x != 0.0).count();
+    assert!(stored as f64 <= DEFAULT_SPARSE_THRESHOLD * (ROWS * 24) as f64);
+    let thin_sharded = RowShardedIntervalMatrix::from_dense(&thin, STRADDLING_SHARD_ROWS).unwrap();
 
     for exact in [false, true] {
         if exact {
@@ -173,7 +201,7 @@ fn unit_fold_is_thread_count_invariant_on_every_route() {
 
         for threads in ["1", "2", "3"] {
             std::env::set_var(ivmf_env::THREADS, threads);
-            let mut runs = vec![
+            let runs = vec![
                 (
                     "dense one block",
                     run_and_snapshot(Pipeline::new(&dense, config).unwrap()),
@@ -186,16 +214,24 @@ fn unit_fold_is_thread_count_invariant_on_every_route() {
                     "sparse in-memory",
                     run_and_snapshot(Pipeline::new_sharded(&sparse, config).unwrap()),
                 ),
-                ("sparse streamed", run_and_snapshot(streamed())),
+                ("sparse streamed", run_and_snapshot(streamed("1"))),
+                (
+                    "sparse streamed, prefetch 0",
+                    run_and_snapshot(streamed("0")),
+                ),
+                (
+                    "sparse streamed, prefetch 2",
+                    run_and_snapshot(streamed("2")),
+                ),
+                (
+                    "dense rows as CSR 3000-row shards",
+                    run_and_snapshot(Pipeline::new_sharded(&dense_as_csr, config).unwrap()),
+                ),
+                (
+                    "thin dense 3000-row shards",
+                    run_and_snapshot(Pipeline::new_sharded(&thin_sharded, config).unwrap()),
+                ),
             ];
-            // Dense shards cut into units that fold through the sparse
-            // accumulator (each unit CSR-compresses its own rows).
-            std::env::set_var(ivmf_env::SPARSE_THRESHOLD, "1.0");
-            runs.push((
-                "dense 3000-row shards, sparse Gram",
-                run_and_snapshot(Pipeline::new_sharded(&dense_sharded, config).unwrap()),
-            ));
-            std::env::remove_var(ivmf_env::SPARSE_THRESHOLD);
 
             for (i, (route, (results, snapshot))) in runs.into_iter().enumerate() {
                 let context = format!("{flavour}, {route}, IVMF_THREADS={threads}");
@@ -229,10 +265,22 @@ fn unit_fold_is_thread_count_invariant_on_every_route() {
                 &format!("{flavour}, sparse append, IVMF_THREADS={threads}"),
             );
         }
-        // Shard layout and representation stay invisible too.
+        // Shard layout, prefetch depth and Gram kernel stay invisible too.
         assert_bitwise(&baseline[1].0, &baseline[0].0, &all, "dense layouts");
         assert_bitwise(&baseline[3].0, &baseline[2].0, &all, "sparse routes");
-        assert_bitwise(&baseline[4].0, &baseline[1].0, &all, "dense vs sparse Gram");
+        for i in [4, 5] {
+            assert_bitwise(&baseline[i].0, &baseline[3].0, &all, "prefetch depths");
+            assert!(
+                baseline[i].1 == baseline[3].1,
+                "prefetch moved snapshot bytes"
+            );
+        }
+        assert!(!holds_csr_gram(&baseline[1].1) && holds_csr_gram(&baseline[6].1));
+        assert_bitwise(&baseline[6].0, &baseline[1].0, &all, "dense vs sparse Gram");
+        assert!(
+            holds_csr_gram(&baseline[7].1),
+            "thin dense rows kept the dense Gram"
+        );
     }
     std::fs::remove_file(&path).ok();
 }
