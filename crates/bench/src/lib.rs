@@ -19,8 +19,12 @@
 //! | `exp_fig10` | Figure 10 — collaborative-filtering RMSE of PMF / I-PMF / AI-PMF vs rank |
 //!
 //! All binaries honour the environment variables documented in README.md
-//! (`IVMF_REPLICATES`, `IVMF_SCALE`, `IVMF_THREADS`,
-//! `IVMF_EXACT_INTERVAL`) so the full grids stay laptop-friendly.
+//! so the full grids stay laptop-friendly: [`runner::ExperimentOptions`]
+//! reads `IVMF_REPLICATES` and `IVMF_SCALE`, and the library reads
+//! `IVMF_THREADS`, `IVMF_EXACT_INTERVAL`, `IVMF_PREFETCH` and
+//! `IVMF_SNAPSHOT_DIR` once, on first use, into its process-default
+//! [`ivmf_env::Settings`]. This crate is, with `ivmf-env`, the only one
+//! whose source reads the environment.
 //!
 //! Run them with `cargo run --release -p ivmf-bench --bin <name>`.
 //! Performance is measured by the workload benchmark in `perfbench/`

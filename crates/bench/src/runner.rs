@@ -453,8 +453,6 @@ mod tests {
 
     #[test]
     fn evaluate_roster_shares_stages_and_matches_standalone() {
-        // Exact hit/miss accounting: keep the auto-snapshot knob out.
-        std::env::remove_var(ivmf_env::SNAPSHOT_DIR);
         let mut rng = SmallRng::seed_from_u64(3);
         let m = generate_uniform(
             &SyntheticConfig::paper_default().with_shape(14, 10),

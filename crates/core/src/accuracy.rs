@@ -7,15 +7,13 @@
 //! better; the harmonic mean punishes a reconstruction that is good on one
 //! bound but poor on the other.
 
-use serde::{Deserialize, Serialize};
-
 use ivmf_interval::IntervalMatrix;
 use ivmf_linalg::Matrix;
 
 use crate::{IvmfError, Result};
 
 /// The accuracy report of Definition 5.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AccuracyReport {
     /// Relative Frobenius error on the minimum bound.
     pub delta_lo: f64,

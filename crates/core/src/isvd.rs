@@ -6,8 +6,6 @@
 //! selector, the [`isvd`] dispatch function and the shared numerical
 //! helpers (bound eigendecomposition, left-factor recovery).
 
-use serde::{Deserialize, Serialize};
-
 use ivmf_align::Matcher;
 use ivmf_interval::IntervalMatrix;
 use ivmf_linalg::cond::{is_well_conditioned, DEFAULT_CONDITION_THRESHOLD};
@@ -21,7 +19,7 @@ use crate::timing::StageTimings;
 use crate::{IvmfError, Result};
 
 /// Which ISVD strategy to run (Section 4 / Figure 4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IsvdAlgorithm {
     /// ISVD0 — average the intervals and run a plain SVD (Section 4.1).
     Isvd0,

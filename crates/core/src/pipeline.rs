@@ -104,6 +104,7 @@ use std::any::Any;
 use std::borrow::Cow;
 use std::cell::{OnceCell, RefCell};
 use std::collections::HashMap;
+use std::path::PathBuf;
 use std::rc::Rc;
 use std::time::{Duration, Instant};
 
@@ -1151,6 +1152,10 @@ pub struct Pipeline<'m, S: IntervalShard = IntervalMatrix> {
     pub(crate) cache: StageCache,
     dense: OnceCell<IntervalMatrix>,
     pub(crate) gram_state: Option<GramState>,
+    /// The automatic snapshot directory in force when the session was
+    /// built: it restores from here on construction and saves here on
+    /// drop.
+    pub(crate) snapshot_dir: Option<PathBuf>,
 }
 
 impl<'m> Pipeline<'m> {
@@ -1191,14 +1196,16 @@ impl<'m> Pipeline<'m> {
 
     /// [`Pipeline::new_streaming`] for a `Send` shard source: wraps it in
     /// an [`ivmf_data::prefetch::PrefetchSource`] (depth from
-    /// `IVMF_PREFETCH`), so a background thread decodes shard *i+1* while
-    /// the Gram stages fold shard *i*. Delivery stays strictly in order —
-    /// every result is bitwise identical to the unprefetched session.
+    /// [`ivmf_env::Settings::prefetch`]), so a background thread decodes
+    /// shard *i+1* while the Gram stages fold shard *i*. Delivery stays
+    /// strictly in order — every result is bitwise identical to the
+    /// unprefetched session.
     pub fn new_streaming_send(
         source: Box<dyn ShardSource<IntervalMatrix> + Send>,
         config: IsvdConfig,
     ) -> Result<Self> {
-        Pipeline::lazy(Box::new(PrefetchSource::from_env(source)), config)
+        let depth = ivmf_env::Settings::current().prefetch;
+        Pipeline::lazy(Box::new(PrefetchSource::new(source, depth)), config)
     }
 }
 
@@ -1221,7 +1228,8 @@ impl<'m> Pipeline<'m, CsrIntervalShard> {
         source: Box<dyn ShardSource<CsrIntervalShard> + Send>,
         config: IsvdConfig,
     ) -> Result<Self> {
-        Pipeline::lazy(Box::new(PrefetchCsrSource::from_env(source)), config)
+        let depth = ivmf_env::Settings::current().prefetch;
+        Pipeline::lazy(Box::new(PrefetchCsrSource::new(source, depth)), config)
     }
 }
 
@@ -1280,8 +1288,9 @@ impl<'m, S: IntervalShard> Pipeline<'m, S> {
             cache,
             dense: OnceCell::new(),
             gram_state: None,
+            snapshot_dir: ivmf_env::Settings::current().snapshot_dir.clone(),
         };
-        // Warm restart: with `IVMF_SNAPSHOT_DIR` set, a snapshot saved by
+        // Warm restart: with a snapshot directory set, a snapshot saved by
         // an earlier session over the same matrix seeds the cache (every
         // entry validated — see `crate::snapshot`); without it this is a
         // no-op.
@@ -1634,8 +1643,8 @@ impl<'m, S: IntervalShard> Pipeline<'m, S> {
 
     /// The fingerprint is derived per lookup from the fields this stage
     /// consumes ([`stage_fingerprint`]): rank-independent stages survive a
-    /// rank change on a shared cache, and the live `IVMF_EXACT_INTERVAL`
-    /// read means a mid-session flip of the interval-operator flavour
+    /// rank change on a shared cache, and reading the exact-interval
+    /// setting at every lookup means a flip of the interval-operator flavour
     /// invalidates (by key mismatch) entries computed under the other
     /// flavour instead of serving them stale.
     fn key(&self, stage: StageId) -> StageKey {
@@ -1987,50 +1996,48 @@ mod tests {
         use rand::rngs::SmallRng;
         use rand::SeedableRng;
 
-        // Other tests in this binary may run while the variable reads 2;
-        // every result here is thread-count invariant, which is part of
-        // what this test checks.
-        let prev = std::env::var(ivmf_par::THREADS_ENV).ok();
         let mut rng = SmallRng::seed_from_u64(55);
         let config = IsvdConfig::new(1);
-        for threads in ["1", "2"] {
-            std::env::set_var(ivmf_par::THREADS_ENV, threads);
-            for r in [1usize, 7, 20] {
-                let block_edge = TIGHTEN_BLOCK_ROWS + 300;
-                for n in dispatch_boundary_rows(r).into_iter().chain([block_edge]) {
-                    if threads != "1" && n * r * r < ivmf_linalg::MATMUL_PAR_MIN_WORK {
-                        continue; // smaller products never split across workers
-                    }
-                    let sigma_inv = finite_edge_case_matrix(&mut rng, r, r);
-                    // The streamed products pair each chunk with projector
-                    // columns the assembled check covers, so they run only
-                    // up to two projector blocks (`block_edge` rows).
-                    let m = random_interval_matrix(n as u64, n.min(block_edge), 3, 1.0);
-                    let csr = CsrShardedIntervalMatrix::from_dense(&m, 500).unwrap();
-                    let dense = PipelineInput::Borrowed(std::slice::from_ref(&m));
-                    let csr = PipelineInput::Borrowed(csr.shards());
-                    for (kind, lo) in factor_edge_cases(&mut rng, n, r) {
-                        let hi = lo.add(&uniform_matrix(&mut rng, n, r, 0.0, 0.5)).unwrap();
-                        let u = IntervalMatrix::from_bounds(lo, hi).unwrap();
-                        let context = format!("{kind} {n}x{r} threads {threads}");
-                        let reference = invert_factor(&u.mid(), &config)
-                            .and_then(|inv| Ok(sigma_inv.matmul(&inv)?));
-                        if n != r {
-                            let blocks = assembled_projector(&u, &sigma_inv, config.pinv_cutoff);
-                            assert_same_outcome(&reference, &blocks, &context);
+        for threads in [1, 2] {
+            let settings = ivmf_env::Settings {
+                threads,
+                ..ivmf_env::Settings::default()
+            };
+            settings.scope(|| {
+                for r in [1usize, 7, 20] {
+                    let block_edge = TIGHTEN_BLOCK_ROWS + 300;
+                    for n in dispatch_boundary_rows(r).into_iter().chain([block_edge]) {
+                        if threads != 1 && n * r * r < ivmf_linalg::MATMUL_PAR_MIN_WORK {
+                            continue; // smaller products never split across workers
                         }
-                        if n <= block_edge {
-                            let tighten = (&u, &sigma_inv, &config, &reference);
-                            check_tighten(&dense, tighten, &context);
-                            check_tighten(&csr, tighten, &context);
+                        let sigma_inv = finite_edge_case_matrix(&mut rng, r, r);
+                        // The streamed products pair each chunk with projector
+                        // columns the assembled check covers, so they run only
+                        // up to two projector blocks (`block_edge` rows).
+                        let m = random_interval_matrix(n as u64, n.min(block_edge), 3, 1.0);
+                        let csr = CsrShardedIntervalMatrix::from_dense(&m, 500).unwrap();
+                        let dense = PipelineInput::Borrowed(std::slice::from_ref(&m));
+                        let csr = PipelineInput::Borrowed(csr.shards());
+                        for (kind, lo) in factor_edge_cases(&mut rng, n, r) {
+                            let hi = lo.add(&uniform_matrix(&mut rng, n, r, 0.0, 0.5)).unwrap();
+                            let u = IntervalMatrix::from_bounds(lo, hi).unwrap();
+                            let context = format!("{kind} {n}x{r} threads {threads}");
+                            let reference = invert_factor(&u.mid(), &config)
+                                .and_then(|inv| Ok(sigma_inv.matmul(&inv)?));
+                            if n != r {
+                                let blocks =
+                                    assembled_projector(&u, &sigma_inv, config.pinv_cutoff);
+                                assert_same_outcome(&reference, &blocks, &context);
+                            }
+                            if n <= block_edge {
+                                let tighten = (&u, &sigma_inv, &config, &reference);
+                                check_tighten(&dense, tighten, &context);
+                                check_tighten(&csr, tighten, &context);
+                            }
                         }
                     }
                 }
-            }
-        }
-        match prev {
-            Some(v) => std::env::set_var(ivmf_par::THREADS_ENV, v),
-            None => std::env::remove_var(ivmf_par::THREADS_ENV),
+            });
         }
     }
 
@@ -2058,9 +2065,6 @@ mod tests {
 
     #[test]
     fn executed_stages_match_the_published_plan() {
-        // Exact hit/miss accounting: the auto-snapshot knob (owned by
-        // the snapshot-recovery integration suite) must not seed entries.
-        std::env::remove_var(ivmf_env::SNAPSHOT_DIR);
         let m = random_interval_matrix(11, 10, 7, 1.0);
         for alg in IsvdAlgorithm::all() {
             let mut p = Pipeline::new(&m, IsvdConfig::new(4)).unwrap();
@@ -2082,9 +2086,6 @@ mod tests {
 
     #[test]
     fn second_run_is_served_entirely_from_cache() {
-        // Exact hit/miss accounting: the auto-snapshot knob (owned by
-        // the snapshot-recovery integration suite) must not seed entries.
-        std::env::remove_var(ivmf_env::SNAPSHOT_DIR);
         let m = random_interval_matrix(12, 9, 6, 1.0);
         let mut p = Pipeline::new(&m, IsvdConfig::new(3)).unwrap();
         let first = p.run(IsvdAlgorithm::Isvd4).unwrap();
@@ -2171,9 +2172,6 @@ mod tests {
 
     #[test]
     fn cache_reuse_across_sessions_and_invalidated_by_fingerprint() {
-        // Exact hit/miss accounting: the auto-snapshot knob (owned by
-        // the snapshot-recovery integration suite) must not seed entries.
-        std::env::remove_var(ivmf_env::SNAPSHOT_DIR);
         let m = random_interval_matrix(15, 10, 6, 1.0);
         let mut p = Pipeline::new(&m, IsvdConfig::new(4)).unwrap();
         p.run(IsvdAlgorithm::Isvd2).unwrap();
@@ -2210,9 +2208,6 @@ mod tests {
 
     #[test]
     fn run_all_shares_gram_and_eigens_exactly_once() {
-        // Exact hit/miss accounting: the auto-snapshot knob (owned by
-        // the snapshot-recovery integration suite) must not seed entries.
-        std::env::remove_var(ivmf_env::SNAPSHOT_DIR);
         let m = random_interval_matrix(16, 12, 8, 1.5);
         let mut p = Pipeline::new(&m, IsvdConfig::new(5)).unwrap();
         let results = p.run_all().unwrap();
@@ -2257,9 +2252,6 @@ mod tests {
 
     #[test]
     fn stage_accessors_share_with_isvd1_runs() {
-        // Exact hit/miss accounting: the auto-snapshot knob (owned by
-        // the snapshot-recovery integration suite) must not seed entries.
-        std::env::remove_var(ivmf_env::SNAPSHOT_DIR);
         let m = random_interval_matrix(30, 10, 7, 1.0);
         let mut p = Pipeline::new(&m, IsvdConfig::new(4)).unwrap();
         let svds = p.bound_svds().unwrap();
@@ -2299,9 +2291,6 @@ mod tests {
 
     #[test]
     fn sharded_and_dense_sessions_share_cache_entries() {
-        // Exact hit/miss accounting: the auto-snapshot knob (owned by
-        // the snapshot-recovery integration suite) must not seed entries.
-        std::env::remove_var(ivmf_env::SNAPSHOT_DIR);
         // The content id ignores shard layout, so a sharded session over
         // one cache re-serves the dense session's stage outputs.
         let m = random_interval_matrix(41, 14, 9, 1.0);

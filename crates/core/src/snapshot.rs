@@ -61,10 +61,11 @@
 //!
 //! ## Automatic warm restarts
 //!
-//! With the `IVMF_SNAPSHOT_DIR` environment knob set
-//! ([`ivmf_env::snapshot_dir`]), every session restores
+//! With a snapshot directory set ([`ivmf_env::Settings::snapshot_dir`],
+//! `IVMF_SNAPSHOT_DIR` by default), every session restores
 //! `<dir>/ivmf_snapshot_<content-id:016x>.snap` on construction and
-//! writes it back on drop (atomically: write-to-temp, fsync, rename —
+//! writes it back on drop — to the directory in force when it was
+//! built, so restore and save always name the same file (atomically: write-to-temp, fsync, rename —
 //! see `ivmf_data::atomic`). Unset, snapshots happen only through the
 //! explicit [`Pipeline::snapshot_to`] / [`Pipeline::restore_from`]
 //! calls. Bit-exactness holds either way: entry payloads round-trip
@@ -473,18 +474,18 @@ impl<S: IntervalShard> Pipeline<'_, S> {
         Ok(self.read_snapshot(&mut reader))
     }
 
-    /// Load-on-construct half of the `IVMF_SNAPSHOT_DIR` knob: called by
-    /// the constructors; a no-op when the knob is unset, and silent on
+    /// Load-on-construct half of the automatic snapshots: called by the
+    /// constructors; a no-op without a snapshot directory, and silent on
     /// failure (a broken snapshot must never break a session — it just
     /// starts cold).
     pub(crate) fn auto_restore(&mut self) {
-        if let Some(dir) = ivmf_env::snapshot_dir() {
+        if let Some(dir) = self.snapshot_dir.clone() {
             let _ = self.restore_from(snapshot_path(&dir, self.matrix));
         }
     }
 
-    /// Save-on-drop half of the `IVMF_SNAPSHOT_DIR` knob: a no-op when
-    /// the knob is unset or the session holds no state worth saving, and
+    /// Save-on-drop half of the automatic snapshots: a no-op without a
+    /// snapshot directory or when the session holds no state worth saving, and
     /// silent on failure (Drop must not panic; the atomic write already
     /// guarantees no torn file).
     fn auto_save(&mut self) {
@@ -496,9 +497,9 @@ impl<S: IntervalShard> Pipeline<'_, S> {
         if !worth_saving {
             return;
         }
-        if let Some(dir) = ivmf_env::snapshot_dir() {
-            let _ = std::fs::create_dir_all(&dir);
-            let _ = self.snapshot_to(snapshot_path(&dir, self.matrix));
+        if let Some(dir) = &self.snapshot_dir {
+            let _ = std::fs::create_dir_all(dir);
+            let _ = self.snapshot_to(snapshot_path(dir, self.matrix));
         }
     }
 }
@@ -515,13 +516,6 @@ mod tests {
     use crate::test_support::{assert_results_bitwise, random_interval_matrix};
     use crate::{IsvdAlgorithm, IsvdConfig};
     use ivmf_interval::RowShardedIntervalMatrix;
-
-    /// These tests drive explicit snapshot buffers/files; the automatic
-    /// knob must not interfere (it is owned by the dedicated
-    /// integration-test binary).
-    fn no_auto_snapshots() {
-        std::env::remove_var(ivmf_env::SNAPSHOT_DIR);
-    }
 
     fn temp_file(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("ivmf_snap_{}_{tag}.snap", std::process::id()))
@@ -557,7 +551,6 @@ mod tests {
 
     #[test]
     fn snapshot_bytes_are_deterministic() {
-        no_auto_snapshots();
         let m = random_interval_matrix(90, 11, 7, 1.0);
         let mut p = Pipeline::new(&m, IsvdConfig::new(4)).unwrap();
         p.run_all().unwrap();
@@ -575,7 +568,6 @@ mod tests {
 
     #[test]
     fn round_trip_restores_every_stage_and_serves_pure_hits_bitwise() {
-        no_auto_snapshots();
         let m = random_interval_matrix(91, 12, 8, 1.0);
         let config = IsvdConfig::new(4);
         let mut warm = Pipeline::new(&m, config).unwrap();
@@ -601,7 +593,6 @@ mod tests {
 
     #[test]
     fn restored_gram_keeps_append_rows_incremental_and_bitwise() {
-        no_auto_snapshots();
         let base = random_interval_matrix(92, 13, 8, 1.0);
         let extra = random_interval_matrix(93, 4, 8, 1.0);
         let config = IsvdConfig::new(4);
@@ -645,7 +636,6 @@ mod tests {
 
     #[test]
     fn stale_snapshot_for_a_different_matrix_drops_every_record() {
-        no_auto_snapshots();
         let m = random_interval_matrix(94, 10, 7, 1.0);
         let other = random_interval_matrix(95, 10, 7, 1.0);
         let config = IsvdConfig::new(3);
@@ -666,7 +656,6 @@ mod tests {
 
     #[test]
     fn version_bumped_snapshot_restores_nothing() {
-        no_auto_snapshots();
         let m = random_interval_matrix(96, 9, 6, 1.0);
         let mut p = Pipeline::new(&m, IsvdConfig::new(3)).unwrap();
         p.run(IsvdAlgorithm::Isvd4).unwrap();
@@ -682,7 +671,6 @@ mod tests {
 
     #[test]
     fn single_corrupted_payload_drops_only_that_record() {
-        no_auto_snapshots();
         let m = random_interval_matrix(97, 11, 7, 1.0);
         let config = IsvdConfig::new(4);
         let mut p = Pipeline::new(&m, config).unwrap();
@@ -709,7 +697,6 @@ mod tests {
 
     #[test]
     fn truncated_snapshot_salvages_the_intact_prefix_without_panicking() {
-        no_auto_snapshots();
         let m = random_interval_matrix(98, 11, 7, 1.0);
         let config = IsvdConfig::new(4);
         let mut p = Pipeline::new(&m, config).unwrap();
@@ -750,7 +737,6 @@ mod tests {
 
     #[test]
     fn records_that_do_not_fit_the_session_are_dropped_alone() {
-        no_auto_snapshots();
         let m = random_interval_matrix(102, 11, 7, 1.0);
         let config = IsvdConfig::new(4);
         let mut p = Pipeline::new(&m, config).unwrap();
@@ -793,7 +779,6 @@ mod tests {
 
     #[test]
     fn empty_and_garbage_inputs_restore_nothing() {
-        no_auto_snapshots();
         let m = random_interval_matrix(99, 8, 6, 1.0);
         let mut p = Pipeline::new(&m, IsvdConfig::new(3)).unwrap();
         assert_eq!(p.read_snapshot(&mut &b""[..]), RestoreReport::default());
@@ -806,7 +791,6 @@ mod tests {
 
     #[test]
     fn corrupted_trailing_checksum_still_salvages_every_record() {
-        no_auto_snapshots();
         let m = random_interval_matrix(100, 10, 7, 1.0);
         let config = IsvdConfig::new(3);
         let mut p = Pipeline::new(&m, config).unwrap();
@@ -834,7 +818,6 @@ mod tests {
 
     #[test]
     fn into_cache_disarms_the_save_on_drop_and_keeps_entries() {
-        no_auto_snapshots();
         let m = random_interval_matrix(101, 9, 6, 1.0);
         let mut p = Pipeline::new(&m, IsvdConfig::new(3)).unwrap();
         p.run(IsvdAlgorithm::Isvd4).unwrap();

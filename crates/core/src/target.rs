@@ -17,8 +17,6 @@
 //! [`IntervalSvd::reconstruct`] implements the matching reconstruction rules
 //! (supplementary Algorithms 12–14).
 
-use serde::{Deserialize, Serialize};
-
 use ivmf_interval::{Interval, IntervalMatrix};
 use ivmf_linalg::Matrix;
 
@@ -27,7 +25,7 @@ use crate::{IvmfError, Result};
 
 /// Which application semantics the decomposition should satisfy
 /// (Section 3.4 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum DecompositionTarget {
     /// Option (a): interval-valued `U†`, `Σ†` and `V†`.
     IntervalAll,

@@ -9,11 +9,9 @@
 
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
-
 /// Wall-clock duration of each ISVD pipeline stage, plus the stage-cache
 /// accounting of the run that produced it.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StageTimings {
     /// Interval Gram-matrix construction / input averaging.
     pub preprocessing: Duration,

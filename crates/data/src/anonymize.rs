@@ -14,7 +14,6 @@
 //! | low privacy    | 40% | 30% | 20% | 10% |
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use ivmf_interval::IntervalMatrix;
 use ivmf_linalg::Matrix;
@@ -23,7 +22,7 @@ use ivmf_linalg::Matrix;
 pub const GENERALIZATION_BINS: [usize; 4] = [100, 50, 20, 5];
 
 /// A per-cell mixture of the four generalization levels.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PrivacyProfile {
     /// L1:10%, L2:20%, L3:30%, L4:40% — mostly coarse bins.
     High,

@@ -17,13 +17,12 @@
 //! `[x − α·std, x + α·std]`.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use ivmf_interval::IntervalMatrix;
 use ivmf_linalg::{norms, Matrix};
 
 /// Configuration of the synthetic face corpus.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaceCorpusConfig {
     /// Number of individuals (ORL: 40).
     pub individuals: usize,

@@ -43,7 +43,7 @@
 //!   records holding raw little-endian `f64`/`usize` runs, used by every
 //!   shard writer and reader in [`stream`].
 //! * [`prefetch`] — a double-buffered background-thread shard reader
-//!   ([`prefetch::Prefetch`] over either shard type, depth from `IVMF_PREFETCH`) that overlaps decode of shard *i+1*
+//!   ([`prefetch::Prefetch`] over either shard type, depth from [`ivmf_env::Settings::prefetch`]) that overlaps decode of shard *i+1*
 //!   with the Gram fold of shard *i* while preserving strict in-order
 //!   delivery, so results stay bitwise identical.
 //! * [`atomic`] — crash-safe write-to-temp-then-rename file commits used

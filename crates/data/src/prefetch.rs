@@ -16,8 +16,8 @@
 //! an mpsc channel delivers them FIFO — so the consumer folds the exact
 //! same shards in the exact same order as the inline route, and the
 //! chunk-realigned accumulators are already invariant to everything else.
-//! `IVMF_PREFETCH` (depth 0, 1 or 2; default 1) therefore never appears
-//! in a cache fingerprint.
+//! The depth (0, 1 or 2; [`ivmf_env::Settings::prefetch`], default 1)
+//! therefore never appears in a cache fingerprint.
 //!
 //! ## Error and lifecycle discipline
 //!
@@ -92,9 +92,11 @@ impl<T: Send + 'static> Engine<T> {
             return Engine::Inline(stream);
         }
         let (cmd, cmds) = mpsc::channel();
+        // The reader runs in the settings the source was opened under.
+        let settings = ivmf_env::Settings::current();
         let handle = std::thread::Builder::new()
             .name("ivmf-prefetch".into())
-            .spawn(move || worker_loop(stream, cmds))
+            .spawn(move || settings.scope(|| worker_loop(stream, cmds)))
             .expect("spawn prefetch reader thread");
         Engine::Threaded {
             cmd,
@@ -185,7 +187,7 @@ impl<T: Send + 'static> Drop for Engine<T> {
 
 /// A shard-source adapter that decodes shards on a background thread,
 /// `depth` shards ahead of the consumer. Depth 0 is a true pass-through
-/// (no thread); depth 1 (the `IVMF_PREFETCH` default) double-buffers —
+/// (no thread); depth 1 (the default) double-buffers —
 /// decode of shard *i+1* overlaps the fold of shard *i*. Delivery is
 /// strictly in order, so results are bitwise identical at every depth.
 pub struct Prefetch<S: IntervalShard> {
@@ -211,11 +213,6 @@ impl<S: IntervalShard> Prefetch<S> {
             cols,
             depth,
         }
-    }
-
-    /// Wraps `source` with the depth configured by `IVMF_PREFETCH`.
-    pub fn from_env(source: Box<dyn ShardSource<S> + Send>) -> Self {
-        Self::new(source, ivmf_env::prefetch())
     }
 
     /// The configured prefetch depth (0 = inline).

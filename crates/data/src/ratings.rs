@@ -17,13 +17,12 @@
 //! low-rank structure the factorization algorithms exploit).
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use ivmf_interval::{CsrIntervalShard, CsrShardedIntervalMatrix, IntervalMatrix};
 use ivmf_linalg::{norms, CsrShard, Matrix};
 
 /// One observed rating.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Rating {
     /// User index.
     pub user: usize,
@@ -66,7 +65,7 @@ impl RatingDataset {
 }
 
 /// Configuration of the MovieLens-like generator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MovieLensConfig {
     /// Number of users (MovieLens-100K: 943).
     pub n_users: usize,
@@ -275,7 +274,7 @@ pub fn cf_scalar_csr(dataset: &RatingDataset) -> (CsrShard, Vec<(usize, usize)>)
 }
 
 /// Configuration of the Ciao/Epinions-like user × category range generator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CategoryRatingsConfig {
     /// Number of users.
     pub n_users: usize,

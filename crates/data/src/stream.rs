@@ -37,7 +37,7 @@
 //! container layout for both the dense and the CSR types.
 //!
 //! [`stream_interval_gram`] additionally wraps the reader in [`crate::prefetch`]'s background decoder
-//! (`IVMF_PREFETCH`), overlapping decode of shard *i+1* with the Gram
+//! (the prefetch setting), overlapping decode of shard *i+1* with the Gram
 //! fold of shard *i*; delivery stays strictly in order, so results are
 //! bitwise invariant to the prefetch depth too.
 //!
@@ -740,9 +740,10 @@ where
     } else {
         StreamingIntervalGram::new(rows, cols)
     };
-    // Decode on a background thread (IVMF_PREFETCH) while this thread
-    // folds; delivery is in order, so results are bitwise unchanged.
-    let mut src = Prefetch::<S>::from_env(Box::new(reader));
+    // Decode on a background thread (the prefetch setting) while this
+    // thread folds; delivery is in order, so results are bitwise unchanged.
+    let depth = ivmf_env::Settings::current().prefetch;
+    let mut src = Prefetch::<S>::new(Box::new(reader), depth);
     while let Some(shard) = src.next_shard().map_err(|e| invalid_data(e.to_string()))? {
         acc.push(&shard).map_err(|e| invalid_data(e.to_string()))?;
         shard.recycle();
@@ -1336,13 +1337,19 @@ mod tests {
         reader.rewind().unwrap();
         assert_eq!(reader.read_shard().unwrap().unwrap(), first);
 
-        // IVMF_PREFETCH must not perturb bits (depth 0 vs 1 vs 2).
+        // The prefetch depth must not perturb bits (depth 0 vs 1 vs 2).
         let baseline = stream_interval_gram::<CsrIntervalShard>(&path, 5).unwrap();
-        for depth in ["0", "1", "2"] {
-            std::env::set_var(ivmf_env::PREFETCH, depth);
-            let gram = stream_interval_gram::<CsrIntervalShard>(&path, 5).unwrap();
-            std::env::remove_var(ivmf_env::PREFETCH);
-            assert_eq!(gram, baseline, "prefetch depth {depth} perturbed the Gram");
+        for prefetch in [0, 1, 2] {
+            let settings = ivmf_env::Settings {
+                prefetch,
+                ..ivmf_env::Settings::default()
+            };
+            let gram = settings.scope(|| stream_interval_gram::<CsrIntervalShard>(&path, 5));
+            assert_eq!(
+                gram.unwrap(),
+                baseline,
+                "prefetch depth {prefetch} perturbed the Gram"
+            );
         }
         std::fs::remove_file(&path).ok();
     }

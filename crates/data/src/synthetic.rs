@@ -13,13 +13,12 @@
 //! touches a dense buffer.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use ivmf_interval::{CsrIntervalShard, CsrShardedIntervalMatrix, IntervalMatrix};
 use ivmf_linalg::Matrix;
 
 /// Parameters of the uniform synthetic generator (one row of Table 1).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SyntheticConfig {
     /// Number of rows.
     pub rows: usize,
@@ -126,7 +125,7 @@ pub fn generate_uniform<R: Rng + ?Sized>(config: &SyntheticConfig, rng: &mut R) 
 /// the synthetic stand-in for million-user rating matrices, where each
 /// user rates a roughly constant number of items and item popularity
 /// follows a power law.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerLawConfig {
     /// Number of rows (users).
     pub rows: usize,

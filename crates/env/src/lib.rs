@@ -1,63 +1,70 @@
 //! # ivmf-env
 //!
-//! One home for every `IVMF_*` environment variable the workspace honours:
-//! the canonical variable names and the (previously per-crate, ad-hoc)
-//! parsing rules. Every consumer — the worker pool in `ivmf-par`, the
-//! interval-product dispatch in `ivmf-interval`, the shard loaders in
-//! `ivmf-data`, the experiment binaries in `ivmf-bench` — goes through
-//! these helpers, so a variable is parsed the same way everywhere and the
-//! README's environment table has a single source of truth to point at.
+//! The run settings of the workspace and the `IVMF_*` environment
+//! variables they come from.
 //!
-//! | variable | consumed by | meaning |
+//! The library has four behavioural settings, one [`Settings`] value:
+//! the worker count, the shard prefetch depth, the interval-operator
+//! flavour and the snapshot directory. No crate below the experiment
+//! binaries reads the environment. Kernels ask [`Settings::current`],
+//! which is the innermost [`Settings::scope`] on the calling thread or,
+//! outside any scope, the process default: the environment, read once by
+//! [`Settings::from_env`] on first use. `ivmf-par` re-enters the caller's
+//! scope in every worker it spawns, so a scope governs every kernel that
+//! runs under it.
+//!
+//! | variable | read by | meaning |
 //! |---|---|---|
-//! | [`THREADS`] | `ivmf-par`, `ivmf-core` | worker count for parallel kernels, and how many merge-group units of the interval-Gram fold run concurrently (default: available parallelism) |
-//! | [`EXACT_INTERVAL`] | `ivmf-interval` | `1`/`true` pins the exact four-product interval operator at every size |
-//! | [`SNAPSHOT_DIR`] | `ivmf-core` | directory for automatic crash-safe pipeline snapshots: load-on-construct, save-on-drop (unset: snapshots only on explicit `snapshot_to`/`restore_from`) |
-//! | [`PREFETCH`] | `ivmf-data`, `ivmf-core` | shard prefetch depth `0`/`1`/`2` (default 1): background-thread decode of the next shard(s) while the current one folds; `0` disables the thread |
-//! | [`REPLICATES`] | `ivmf-bench` | seeded replicates the `exp_*` binaries average over (default 5) |
-//! | [`SCALE`] | `ivmf-bench` | size multiplier in `(0, 1]` for the larger data sets |
-//! | [`BENCH_SMOKE`] | retired, listed by perfbench | single-sample mode of the deleted micro-benchmarks |
-//! | [`BENCH_OUT`] | retired, listed by perfbench | report path of the deleted kernel micro-benchmark |
-//! | [`BENCH_ISVD_OUT`] | retired, listed by perfbench | report path of the deleted pipeline micro-benchmark |
+//! | [`THREADS`] | read once into [`Settings::threads`] | worker count for parallel kernels, and how many merge-group units of the interval-Gram fold run concurrently (default: available parallelism) |
+//! | [`EXACT_INTERVAL`] | read once into [`Settings::exact_interval`] | `1`/`true` pins the exact four-product interval operator at every size |
+//! | [`SNAPSHOT_DIR`] | read once into [`Settings::snapshot_dir`] | directory for automatic crash-safe pipeline snapshots: load-on-construct, save-on-drop (unset: snapshots only on explicit `snapshot_to`/`restore_from`) |
+//! | [`PREFETCH`] | read once into [`Settings::prefetch`] | shard prefetch depth `0`/`1`/`2` (default 1): background-thread decode of the next shard(s) while the current one folds; `0` disables the thread |
+//! | [`REPLICATES`] | `ivmf-bench`, through [`usize_var`] | seeded replicates the `exp_*` binaries average over (default 5) |
+//! | [`SCALE`] | `ivmf-bench`, through [`f64_var_in`] | size multiplier in `(0, 1]` for the larger data sets |
 //!
 //! [`WORKERS`], [`WORKER_SPAWN`], [`SHARD_FORMAT`], [`SHARD_ROWS`],
-//! [`SPARSE_THRESHOLD`], [`TOPK_EIGEN`] and the three `BENCH_*` names are
-//! retired names that no crate reads.
+//! [`SPARSE_THRESHOLD`], [`TOPK_EIGEN`], [`BENCH_SMOKE`], [`BENCH_OUT`]
+//! and [`BENCH_ISVD_OUT`] are retired names that no crate reads.
 //!
 //! **Unset** variables always fall back to the documented default. A
 //! variable that is **set but malformed** (`IVMF_THREADS=abc`,
 //! `IVMF_SCALE=-1`) is a configuration error and aborts with a message
 //! naming the variable, the offending value and the expected format —
 //! silently running a sweep with a typo'd configuration is worse than
-//! stopping. The `try_*` variants return the error as a value for callers
-//! that want to handle it themselves.
+//! stopping. [`Settings::from_lookup`] returns the error as a value.
 //!
 //! ## Example
 //!
 //! ```
-//! // Unset variables fall back to the supplied default...
-//! std::env::remove_var("IVMF_DOCTEST_ONLY");
-//! assert_eq!(ivmf_env::usize_var("IVMF_DOCTEST_ONLY", 1, || 5), 5);
-//! // ...well-formed values are honoured...
-//! std::env::set_var("IVMF_DOCTEST_ONLY", "3");
-//! assert_eq!(ivmf_env::usize_var("IVMF_DOCTEST_ONLY", 1, || 5), 3);
-//! // ...and malformed values are rejected with a clear error.
-//! std::env::set_var("IVMF_DOCTEST_ONLY", "abc");
-//! let err = ivmf_env::try_usize_var("IVMF_DOCTEST_ONLY", 1).unwrap_err();
-//! assert!(err.to_string().contains("IVMF_DOCTEST_ONLY"));
-//! std::env::remove_var("IVMF_DOCTEST_ONLY");
+//! use ivmf_env::Settings;
+//!
+//! // Parsing needs no process environment...
+//! let parsed = Settings::from_lookup(|name| (name == "IVMF_THREADS").then(|| "3".into()));
+//! assert_eq!(parsed.unwrap().threads, 3);
+//! let err = Settings::from_lookup(|name| (name == "IVMF_THREADS").then(|| "abc".into()));
+//! assert!(err.unwrap_err().to_string().contains("IVMF_THREADS"));
+//!
+//! // ...and a scope overrides the process default on this thread only.
+//! let one_thread = Settings { threads: 1, ..Settings::default() };
+//! assert_eq!(one_thread.scope(|| Settings::current().threads), 1);
 //! ```
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
+use std::cell::RefCell;
 use std::fmt;
+use std::num::NonZeroUsize;
+use std::path::PathBuf;
+use std::sync::{Arc, OnceLock};
 
-/// Worker count for the parallel kernels (`ivmf-par`); positive integer.
+/// Worker count for the parallel kernels ([`Settings::threads`]);
+/// positive integer.
 pub const THREADS: &str = "IVMF_THREADS";
 
 /// When truthy, pins the interval matrix product / Gram to the paper's
-/// exact four-product envelope regardless of size (`ivmf-interval`).
+/// exact four-product envelope regardless of size
+/// ([`Settings::exact_interval`]).
 pub const EXACT_INTERVAL: &str = "IVMF_EXACT_INTERVAL";
 
 /// Retired: overrode the density cutoff at which dense in-memory
@@ -73,10 +80,10 @@ pub const SPARSE_THRESHOLD: &str = "IVMF_SPARSE_THRESHOLD";
 /// workload benchmark's source, which lists (and clears) it.
 pub const TOPK_EIGEN: &str = "IVMF_TOPK_EIGEN";
 
-/// Directory for automatic crash-safe pipeline snapshots (`ivmf-core`):
-/// when set, every `Pipeline` tries to restore a snapshot of its stage
-/// cache and retained Gram accumulators from this directory on
-/// construction and writes one atomically on drop. Unset disables the
+/// Directory for automatic crash-safe pipeline snapshots
+/// ([`Settings::snapshot_dir`]): a `Pipeline` tries to restore a snapshot
+/// of its stage cache and retained Gram accumulators from this directory
+/// on construction and writes one atomically on drop. Unset disables the
 /// automatic path; explicit `snapshot_to`/`restore_from` always work.
 pub const SNAPSHOT_DIR: &str = "IVMF_SNAPSHOT_DIR";
 
@@ -102,13 +109,13 @@ pub const SHARD_FORMAT: &str = "IVMF_SHARD_FORMAT";
 /// benchmark's source, which lists (and clears) it.
 pub const SHARD_ROWS: &str = "IVMF_SHARD_ROWS";
 
-/// Shard prefetch depth for the out-of-core ingest readers in
-/// `ivmf-data` (routed by `ivmf-core`): `0` disables the background I/O
-/// thread (pass-through), `1` (the default) double-buffers — shard `i+1`
-/// is read and decoded while shard `i` folds — and `2` keeps one more
-/// shard in flight. The fold order is strictly the file order regardless
-/// of depth, so results are bitwise identical and the knob never enters
-/// a stage-cache fingerprint.
+/// Shard prefetch depth for the out-of-core ingest readers
+/// ([`Settings::prefetch`]): `0` disables the background I/O thread
+/// (pass-through), `1` (the default) double-buffers — shard `i+1` is read
+/// and decoded while shard `i` folds — and `2` keeps one more shard in
+/// flight. The fold order is strictly the file order regardless of
+/// depth, so results are bitwise identical and the depth never enters a
+/// stage-cache fingerprint.
 pub const PREFETCH: &str = "IVMF_PREFETCH";
 
 /// Number of seeded replicates the `exp_*` binaries average over.
@@ -133,8 +140,8 @@ pub const BENCH_ISVD_OUT: &str = "IVMF_BENCH_ISVD_OUT";
 
 /// A set-but-malformed `IVMF_*` environment variable.
 ///
-/// Produced by the `try_*` parsing helpers; the panicking helpers format
-/// it into their abort message. The display form names the variable, the
+/// Returned by [`Settings::from_lookup`]; the panicking readers format it
+/// into their abort message. The display form names the variable, the
 /// offending value and the expected format, so a typo'd configuration is
 /// diagnosable from the error alone.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -159,112 +166,157 @@ impl fmt::Display for EnvVarError {
 
 impl std::error::Error for EnvVarError {}
 
-/// Reads a `usize` variable: `Ok(None)` when unset, `Ok(Some(v))` for a
-/// well-formed value `>= min`, and [`EnvVarError`] when the variable is set
-/// but unparsable or below the minimum.
-pub fn try_usize_var(name: &str, min: usize) -> Result<Option<usize>, EnvVarError> {
-    let Ok(raw) = std::env::var(name) else {
-        return Ok(None);
-    };
-    match raw.trim().parse::<usize>() {
-        Ok(v) if v >= min => Ok(Some(v)),
-        _ => Err(EnvVarError {
-            name: name.to_string(),
-            value: raw,
-            expected: format!("an integer >= {min}"),
-        }),
+/// The four behavioural settings of the library.
+///
+/// Kernels read [`Settings::current`]. Outside any [`Settings::scope`]
+/// that is the process default, read from the environment once
+/// ([`Settings::from_env`]) on first use; inside one it is the scope's
+/// value, on the calling thread and on every `ivmf-par` worker it
+/// spawns. [`Settings::default`] is the value with every variable unset.
+///
+/// ```
+/// use ivmf_env::Settings;
+///
+/// let exact = Settings { exact_interval: true, ..Settings::default() };
+/// assert!(exact.scope(|| Settings::current().exact_interval));
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Settings {
+    /// Worker count for the parallel kernels, and how many merge-group
+    /// units of the interval-Gram fold run concurrently; at least 1.
+    /// Results are bitwise identical at every count. From [`THREADS`];
+    /// default: the machine's available parallelism.
+    pub threads: usize,
+    /// Shard prefetch depth of the disk-streamed sessions, `0..=2`.
+    /// Results are bitwise identical at every depth. From [`PREFETCH`];
+    /// default 1.
+    pub prefetch: usize,
+    /// Pins the interval product and Gram to the exact four-product
+    /// envelope at every size; part of the pipeline stage fingerprint.
+    /// From [`EXACT_INTERVAL`]; default off.
+    pub exact_interval: bool,
+    /// Directory a pipeline session restores from on construction and
+    /// saves to on drop; `None` disables automatic snapshots. From
+    /// [`SNAPSHOT_DIR`] (a blank value counts as unset); default `None`.
+    pub snapshot_dir: Option<PathBuf>,
+}
+
+impl Default for Settings {
+    fn default() -> Self {
+        Settings {
+            threads: std::thread::available_parallelism()
+                .map(NonZeroUsize::get)
+                .unwrap_or(1),
+            prefetch: 1,
+            exact_interval: false,
+            snapshot_dir: None,
+        }
     }
 }
 
-/// Reads a `usize` variable, accepting only values `>= min`. Unset yields
-/// `default()`; a set-but-malformed value **panics** with a message naming
-/// the variable and the expected format (use [`try_usize_var`] to handle
-/// the error as a value).
+thread_local! {
+    /// The innermost [`Settings::scope`] on this thread, if any.
+    static SCOPED: RefCell<Option<Arc<Settings>>> = const { RefCell::new(None) };
+}
+
+/// The process default, read from the environment on first use.
+static PROCESS: OnceLock<Arc<Settings>> = OnceLock::new();
+
+impl Settings {
+    /// The settings the environment names: [`Settings::from_lookup`] over
+    /// the process environment (a variable that is not valid UTF-8 counts
+    /// as unset). **Panics** with the [`EnvVarError`] message when a
+    /// variable is set but malformed.
+    pub fn from_env() -> Settings {
+        or_abort(Settings::from_lookup(|name| std::env::var(name).ok()))
+    }
+
+    /// Parses the four variables, asking `lookup` for each by name
+    /// (`None` = unset, which keeps the [`Settings::default`] value).
+    ///
+    /// - [`THREADS`]: an integer `>= 1`;
+    /// - [`PREFETCH`]: an integer in `0..=2`;
+    /// - [`EXACT_INTERVAL`]: `1`/`true` or `0`/`false`/empty
+    ///   (case-insensitive);
+    /// - [`SNAPSHOT_DIR`]: a path; blank counts as unset.
+    ///
+    /// Surrounding whitespace is ignored everywhere.
+    pub fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> Result<Settings, EnvVarError> {
+        let mut settings = Settings::default();
+        if let Some(raw) = lookup(THREADS) {
+            settings.threads = parse_usize(THREADS, raw, 1)?;
+        }
+        if let Some(raw) = lookup(PREFETCH) {
+            settings.prefetch = parse_prefetch(raw)?;
+        }
+        if let Some(raw) = lookup(EXACT_INTERVAL) {
+            settings.exact_interval = parse_flag(EXACT_INTERVAL, raw)?;
+        }
+        if let Some(raw) = lookup(SNAPSHOT_DIR) {
+            let v = raw.trim();
+            settings.snapshot_dir = (!v.is_empty()).then(|| PathBuf::from(v));
+        }
+        Ok(settings)
+    }
+
+    /// The settings in force on this thread: the innermost
+    /// [`Settings::scope`], or the process default. The value is shared,
+    /// so reading a field allocates nothing.
+    ///
+    /// The process default is [`Settings::from_env`], read on the first
+    /// call that is outside every scope and kept for the life of the
+    /// process; a malformed variable panics on every such call.
+    pub fn current() -> Arc<Settings> {
+        SCOPED
+            .with(|s| s.borrow().clone())
+            .unwrap_or_else(|| Arc::clone(PROCESS.get_or_init(|| Arc::new(Settings::from_env()))))
+    }
+
+    /// Runs `f` with these settings in force on this thread, then restores
+    /// what was in force before (also when `f` panics). Scopes nest; the
+    /// innermost wins. `ivmf-par` re-enters the scope in the workers it
+    /// spawns, so it governs every kernel `f` runs. Other threads are not
+    /// affected.
+    pub fn scope<R>(&self, f: impl FnOnce() -> R) -> R {
+        struct Restore(Option<Arc<Settings>>);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                let outer = self.0.take();
+                SCOPED.with(|s| *s.borrow_mut() = outer);
+            }
+        }
+        let outer = SCOPED.with(|s| s.replace(Some(Arc::new(self.clone()))));
+        let _restore = Restore(outer);
+        f()
+    }
+}
+
+/// The prefetch depth in force on this thread,
+/// `Settings::current().prefetch`. Kept for the workload benchmark's
+/// source, which records it; library code reads [`Settings::current`].
+pub fn prefetch() -> usize {
+    Settings::current().prefetch
+}
+
+/// Reads a `usize` variable, accepting only values `>= min` (the
+/// experiment binaries' [`REPLICATES`]). Unset yields `default()`; a
+/// set-but-malformed value **panics** with a message naming the variable
+/// and the expected format.
 pub fn usize_var(name: &str, min: usize, default: impl FnOnce() -> usize) -> usize {
-    match try_usize_var(name, min) {
-        Ok(v) => v.unwrap_or_else(default),
-        Err(e) => panic!("{e}"),
+    match std::env::var(name) {
+        Ok(raw) => or_abort(parse_usize(name, raw, min)),
+        Err(_) => default(),
     }
 }
 
 /// Reads an `f64` variable constrained to the half-open interval
-/// `(lo, hi]`: `Ok(None)` when unset, the value when well-formed, an
-/// [`EnvVarError`] when set but unparsable or out of range.
-pub fn try_f64_var_in(name: &str, lo: f64, hi: f64) -> Result<Option<f64>, EnvVarError> {
-    let Ok(raw) = std::env::var(name) else {
-        return Ok(None);
-    };
-    match raw.trim().parse::<f64>() {
-        Ok(v) if v > lo && v <= hi => Ok(Some(v)),
-        _ => Err(EnvVarError {
-            name: name.to_string(),
-            value: raw,
-            expected: format!("a number in ({lo}, {hi}]"),
-        }),
-    }
-}
-
-/// Reads an `f64` variable constrained to the half-open interval
-/// `(lo, hi]`. Unset yields `default`; a set-but-malformed or out-of-range
-/// value **panics** with a clear message (use [`try_f64_var_in`] to handle
-/// the error as a value).
+/// `(lo, hi]` (the experiment binaries' [`SCALE`]). Unset yields
+/// `default`; a set-but-malformed or out-of-range value **panics** with a
+/// clear message.
 pub fn f64_var_in(name: &str, lo: f64, hi: f64, default: f64) -> f64 {
-    match try_f64_var_in(name, lo, hi) {
-        Ok(v) => v.unwrap_or(default),
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Reads a boolean switch: `Ok(Some(true))` for `1`/`true`,
-/// `Ok(Some(false))` for `0`/`false`/the empty string (all
-/// case-insensitive, surrounding whitespace ignored), `Ok(None)` when
-/// unset, and [`EnvVarError`] for anything else (`yes`, `on`, …).
-pub fn try_flag(name: &str) -> Result<Option<bool>, EnvVarError> {
-    let Ok(raw) = std::env::var(name) else {
-        return Ok(None);
-    };
-    let v = raw.trim();
-    if v == "1" || v.eq_ignore_ascii_case("true") {
-        Ok(Some(true))
-    } else if v.is_empty() || v == "0" || v.eq_ignore_ascii_case("false") {
-        Ok(Some(false))
-    } else {
-        Err(EnvVarError {
-            name: name.to_string(),
-            value: raw,
-            expected: "1/true or 0/false".to_string(),
-        })
-    }
-}
-
-/// True when the variable is set to `1` or (case-insensitively) `true`.
-/// Unset, `0`, `false` and the empty string are false; any other value
-/// **panics** with a clear message (use [`try_flag`] to handle the error
-/// as a value). Every boolean `IVMF_*` switch uses this rule.
-pub fn flag(name: &str) -> bool {
-    match try_flag(name) {
-        Ok(v) => v.unwrap_or(false),
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Reads a string variable verbatim (`None` when unset or non-UTF-8).
-pub fn string_var(name: &str) -> Option<String> {
-    std::env::var(name).ok()
-}
-
-/// The configured snapshot directory: `IVMF_SNAPSHOT_DIR` when set and
-/// non-empty (whitespace-only values count as unset — an empty directory
-/// name is always a misconfiguration, never a useful path), `None`
-/// otherwise. The directory is created on first use by the snapshot
-/// writer, not here.
-pub fn snapshot_dir() -> Option<std::path::PathBuf> {
-    let raw = string_var(SNAPSHOT_DIR)?;
-    let v = raw.trim();
-    if v.is_empty() {
-        None
-    } else {
-        Some(std::path::PathBuf::from(v))
+    match std::env::var(name) {
+        Ok(raw) => or_abort(parse_f64_in(name, raw, lo, hi)),
+        Err(_) => default,
     }
 }
 
@@ -279,31 +331,48 @@ pub enum ShardFormat {
     Binary,
 }
 
-/// The configured shard prefetch depth: `IVMF_PREFETCH` as an integer in
-/// `0..=2`, defaulting to 1 (double-buffered) when unset and panicking on
-/// a malformed or out-of-range value like every other `IVMF_*` knob. See
-/// [`try_prefetch`] for the non-panicking form.
-pub fn prefetch() -> usize {
-    match try_prefetch() {
-        Ok(v) => v.unwrap_or(1),
-        Err(e) => panic!("{e}"),
+/// The value, or a panic with the error's message.
+fn or_abort<T>(parsed: Result<T, EnvVarError>) -> T {
+    parsed.unwrap_or_else(|e| panic!("{e}"))
+}
+
+fn invalid(name: &str, raw: String, expected: String) -> EnvVarError {
+    EnvVarError {
+        name: name.to_string(),
+        value: raw,
+        expected,
     }
 }
 
-/// [`prefetch`] returning the validation error as a value instead of
-/// panicking: `Ok(None)` when unset, the depth when a well-formed integer
-/// in `0..=2`, and [`EnvVarError`] otherwise.
-pub fn try_prefetch() -> Result<Option<usize>, EnvVarError> {
-    let Ok(raw) = std::env::var(PREFETCH) else {
-        return Ok(None);
-    };
+fn parse_usize(name: &str, raw: String, min: usize) -> Result<usize, EnvVarError> {
     match raw.trim().parse::<usize>() {
-        Ok(v) if v <= 2 => Ok(Some(v)),
-        _ => Err(EnvVarError {
-            name: PREFETCH.to_string(),
-            value: raw,
-            expected: "an integer in 0..=2".to_string(),
-        }),
+        Ok(v) if v >= min => Ok(v),
+        _ => Err(invalid(name, raw, format!("an integer >= {min}"))),
+    }
+}
+
+fn parse_prefetch(raw: String) -> Result<usize, EnvVarError> {
+    match raw.trim().parse::<usize>() {
+        Ok(v) if v <= 2 => Ok(v),
+        _ => Err(invalid(PREFETCH, raw, "an integer in 0..=2".to_string())),
+    }
+}
+
+fn parse_flag(name: &str, raw: String) -> Result<bool, EnvVarError> {
+    let v = raw.trim();
+    if v == "1" || v.eq_ignore_ascii_case("true") {
+        Ok(true)
+    } else if v.is_empty() || v == "0" || v.eq_ignore_ascii_case("false") {
+        Ok(false)
+    } else {
+        Err(invalid(name, raw, "1/true or 0/false".to_string()))
+    }
+}
+
+fn parse_f64_in(name: &str, raw: String, lo: f64, hi: f64) -> Result<f64, EnvVarError> {
+    match raw.trim().parse::<f64>() {
+        Ok(v) if v > lo && v <= hi => Ok(v),
+        _ => Err(invalid(name, raw, format!("a number in ({lo}, {hi}]"))),
     }
 }
 
@@ -311,141 +380,100 @@ pub fn try_prefetch() -> Result<Option<usize>, EnvVarError> {
 mod tests {
     use super::*;
 
-    // Each test uses its own variable name: tests in one binary may run
-    // concurrently and the process environment is shared.
+    /// [`Settings::from_lookup`] over one set variable.
+    fn parse_one(name: &str, raw: &str) -> Result<Settings, EnvVarError> {
+        Settings::from_lookup(|n| (n == name).then(|| raw.to_string()))
+    }
 
     #[test]
     fn usize_var_parses_and_defaults_when_unset() {
-        const V: &str = "IVMF_TEST_USIZE";
-        std::env::remove_var(V);
-        assert_eq!(usize_var(V, 1, || 7), 7);
-        std::env::set_var(V, "4");
-        assert_eq!(usize_var(V, 1, || 7), 4);
-        std::env::set_var(V, " 12 ");
-        assert_eq!(usize_var(V, 1, || 7), 12);
-        std::env::remove_var(V);
+        assert_eq!(Settings::from_lookup(|_| None), Ok(Settings::default()));
+        assert!(Settings::default().threads >= 1);
+        assert_eq!(parse_one(THREADS, "4").unwrap().threads, 4);
+        assert_eq!(parse_one(THREADS, " 12 ").unwrap().threads, 12);
+        assert_eq!(parse_usize(REPLICATES, " 7 ".into(), 1), Ok(7));
     }
 
     #[test]
     fn usize_var_rejects_malformed_values_with_named_error() {
-        const V: &str = "IVMF_TEST_USIZE_BAD";
         for bad in ["abc", "0", "-3", "1.5", ""] {
-            std::env::set_var(V, bad);
-            let err = try_usize_var(V, 1).unwrap_err();
+            let err = parse_one(THREADS, bad).unwrap_err();
             assert_eq!(err.value, bad);
             let msg = err.to_string();
-            assert!(msg.contains(V), "error must name the variable: {msg}");
+            assert!(msg.contains(THREADS), "error must name the variable: {msg}");
             assert!(
                 msg.contains("integer >= 1"),
                 "error must state the expected format: {msg}"
             );
         }
-        std::env::remove_var(V);
-        assert_eq!(try_usize_var(V, 1), Ok(None));
     }
 
     #[test]
     #[should_panic(expected = "IVMF_TEST_USIZE_PANIC: invalid value \"junk\"")]
     fn usize_var_panics_on_malformed_value() {
-        const V: &str = "IVMF_TEST_USIZE_PANIC";
-        std::env::set_var(V, "junk");
-        let _ = usize_var(V, 1, || 7);
+        or_abort(parse_usize("IVMF_TEST_USIZE_PANIC", "junk".into(), 1));
     }
 
     #[test]
     fn f64_var_enforces_open_closed_range() {
-        const V: &str = "IVMF_TEST_F64";
-        std::env::remove_var(V);
-        assert_eq!(f64_var_in(V, 0.0, 1.0, 0.5), 0.5);
-        std::env::set_var(V, "0.25");
-        assert_eq!(f64_var_in(V, 0.0, 1.0, 0.5), 0.25);
-        std::env::set_var(V, "1.0");
-        assert_eq!(f64_var_in(V, 0.0, 1.0, 0.5), 1.0); // hi is inclusive
+        assert_eq!(parse_f64_in(SCALE, "0.25".into(), 0.0, 1.0), Ok(0.25));
+        assert_eq!(parse_f64_in(SCALE, "1.0".into(), 0.0, 1.0), Ok(1.0)); // hi is inclusive
         for bad in ["0.0", "1.5", "NaN", "junk"] {
-            std::env::set_var(V, bad);
-            let err = try_f64_var_in(V, 0.0, 1.0).unwrap_err();
+            let err = parse_f64_in(SCALE, bad.into(), 0.0, 1.0).unwrap_err();
             assert!(err.to_string().contains("(0, 1]"), "{err}");
         }
-        std::env::remove_var(V);
     }
 
     #[test]
     #[should_panic(expected = "IVMF_TEST_F64_PANIC: invalid value \"-2\"")]
     fn f64_var_panics_on_out_of_range_value() {
-        const V: &str = "IVMF_TEST_F64_PANIC";
-        std::env::set_var(V, "-2");
-        let _ = f64_var_in(V, 0.0, 1.0, 0.5);
+        or_abort(parse_f64_in("IVMF_TEST_F64_PANIC", "-2".into(), 0.0, 1.0));
     }
 
     #[test]
     fn flag_accepts_documented_spellings_only() {
-        const V: &str = "IVMF_TEST_FLAG";
-        std::env::remove_var(V);
-        assert!(!flag(V));
+        assert!(!Settings::default().exact_interval);
         for truthy in ["1", "true", "TRUE", " True "] {
-            std::env::set_var(V, truthy);
-            assert!(flag(V), "{truthy:?} should be truthy");
+            let parsed = parse_one(EXACT_INTERVAL, truthy).unwrap();
+            assert!(parsed.exact_interval, "{truthy:?} should be truthy");
         }
         for falsy in ["0", "false", "FALSE", ""] {
-            std::env::set_var(V, falsy);
-            assert!(!flag(V), "{falsy:?} should be falsy");
+            let parsed = parse_one(EXACT_INTERVAL, falsy).unwrap();
+            assert!(!parsed.exact_interval, "{falsy:?} should be falsy");
         }
         for bad in ["yes", "on", "2"] {
-            std::env::set_var(V, bad);
-            let err = try_flag(V).unwrap_err();
+            let err = parse_one(EXACT_INTERVAL, bad).unwrap_err();
             assert!(err.to_string().contains("1/true or 0/false"), "{err}");
         }
-        std::env::remove_var(V);
     }
 
     #[test]
-    #[should_panic(expected = "IVMF_TEST_FLAG_PANIC: invalid value \"maybe\"")]
+    #[should_panic(expected = "IVMF_EXACT_INTERVAL: invalid value \"maybe\"")]
     fn flag_panics_on_unrecognised_value() {
-        const V: &str = "IVMF_TEST_FLAG_PANIC";
-        std::env::set_var(V, "maybe");
-        let _ = flag(V);
-    }
-
-    #[test]
-    fn string_var_passthrough() {
-        const V: &str = "IVMF_TEST_STRING";
-        std::env::remove_var(V);
-        assert_eq!(string_var(V), None);
-        std::env::set_var(V, "out.json");
-        assert_eq!(string_var(V).as_deref(), Some("out.json"));
-        std::env::remove_var(V);
+        or_abort(parse_one(EXACT_INTERVAL, "maybe"));
     }
 
     #[test]
     fn snapshot_dir_reads_the_documented_variable() {
-        // This test owns IVMF_SNAPSHOT_DIR within this binary.
-        std::env::remove_var(SNAPSHOT_DIR);
-        assert_eq!(snapshot_dir(), None);
-        std::env::set_var(SNAPSHOT_DIR, "/tmp/ivmf-snaps");
-        assert_eq!(
-            snapshot_dir(),
-            Some(std::path::PathBuf::from("/tmp/ivmf-snaps"))
-        );
+        assert_eq!(Settings::default().snapshot_dir, None);
+        let dir = parse_one(SNAPSHOT_DIR, " /tmp/ivmf-snaps ")
+            .unwrap()
+            .snapshot_dir;
+        assert_eq!(dir, Some(PathBuf::from("/tmp/ivmf-snaps")));
         for blank in ["", "   "] {
-            std::env::set_var(SNAPSHOT_DIR, blank);
-            assert_eq!(snapshot_dir(), None, "{blank:?} should read as unset");
+            let dir = parse_one(SNAPSHOT_DIR, blank).unwrap().snapshot_dir;
+            assert_eq!(dir, None, "{blank:?} should read as unset");
         }
-        std::env::remove_var(SNAPSHOT_DIR);
     }
 
     #[test]
     fn prefetch_parses_and_defaults_when_unset() {
-        // This test owns IVMF_PREFETCH within this binary.
-        std::env::remove_var(PREFETCH);
-        assert_eq!(prefetch(), 1);
-        assert_eq!(try_prefetch(), Ok(None));
+        assert_eq!(Settings::default().prefetch, 1);
         for (raw, depth) in [("0", 0usize), ("1", 1), ("2", 2), (" 2 ", 2)] {
-            std::env::set_var(PREFETCH, raw);
-            assert_eq!(prefetch(), depth, "{raw:?}");
+            assert_eq!(parse_one(PREFETCH, raw).unwrap().prefetch, depth, "{raw:?}");
         }
         for bad in ["", "3", "-1", "abc", "1.5"] {
-            std::env::set_var(PREFETCH, bad);
-            let err = try_prefetch().unwrap_err();
+            let err = parse_one(PREFETCH, bad).unwrap_err();
             assert_eq!(err.value, bad);
             let msg = err.to_string();
             assert!(
@@ -457,6 +485,61 @@ mod tests {
                 "error must state the expected format: {msg}"
             );
         }
-        std::env::remove_var(PREFETCH);
+    }
+
+    #[test]
+    fn from_env_reads_each_of_the_four_names() {
+        // The only test in the workspace that writes the environment; no
+        // other test in this binary reads it.
+        let set = [
+            (THREADS, "3"),
+            (PREFETCH, "2"),
+            (EXACT_INTERVAL, "1"),
+            (SNAPSHOT_DIR, "/tmp/ivmf-snaps"),
+        ];
+        for (name, value) in set {
+            std::env::set_var(name, value);
+        }
+        let read = Settings::from_env();
+        for (name, _) in set {
+            std::env::remove_var(name);
+        }
+        let want = Settings {
+            threads: 3,
+            prefetch: 2,
+            exact_interval: true,
+            snapshot_dir: Some(PathBuf::from("/tmp/ivmf-snaps")),
+        };
+        assert_eq!(read, want);
+    }
+
+    #[test]
+    fn scopes_nest_restore_on_panic_and_stay_on_their_thread() {
+        let outer = Settings::current();
+        let two = Settings {
+            threads: 2,
+            ..Settings::default()
+        };
+        let three = Settings {
+            threads: 3,
+            prefetch: 0,
+            ..Settings::default()
+        };
+        two.scope(|| {
+            assert_eq!(Settings::current().threads, 2);
+            three.scope(|| assert_eq!(*Settings::current(), three));
+            assert_eq!(*Settings::current(), two);
+            let other = std::thread::spawn(Settings::current).join().unwrap();
+            assert_eq!(other, outer, "a scope must not leak to other threads");
+            let unwound = std::panic::catch_unwind(|| three.scope(|| panic!("inside")));
+            assert!(unwound.is_err());
+            assert_eq!(
+                *Settings::current(),
+                two,
+                "a panic must restore the outer scope"
+            );
+        });
+        assert_eq!(Settings::current(), outer);
+        assert_eq!(prefetch(), outer.prefetch);
     }
 }

@@ -58,7 +58,7 @@ mod vector;
 
 pub use error::IntervalError;
 pub use matrix::IntervalMatrix;
-pub use mr::{exact_interval_forced, MrMatrix, EXACT_INTERVAL_ENV, MR_MIN_WORK};
+pub use mr::{exact_interval_forced, MrMatrix, MR_MIN_WORK};
 pub use scalar::Interval;
 pub use sharded::{
     use_mr_gram, valid_input, BoundBlocks, IntervalShard, RowShardSource, RowShardedIntervalMatrix,
@@ -72,12 +72,13 @@ pub type Result<T> = std::result::Result<T, IntervalError>;
 
 #[cfg(test)]
 pub(crate) mod test_env {
-    /// Serializes the tests that mutate — or assert behaviour that
-    /// depends on the absence of — the process-wide `IVMF_EXACT_INTERVAL`
-    /// variable. The flag is re-read on every dispatch, so a writer test
-    /// racing a reader test in this binary would flip the other's
-    /// interval-operator flavour mid-assertion.
-    pub static EXACT_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    /// The default settings with the exact four-product envelope pinned.
+    pub fn exact() -> ivmf_env::Settings {
+        ivmf_env::Settings {
+            exact_interval: true,
+            ..ivmf_env::Settings::default()
+        }
+    }
 
     /// Asserts two interval matrices are equal in every bit.
     pub fn assert_bitwise(a: &crate::IntervalMatrix, b: &crate::IntervalMatrix, context: &str) {

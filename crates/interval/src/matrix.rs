@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use ivmf_linalg::Matrix;
 
 use crate::scalar::envelope;
@@ -18,7 +16,7 @@ use crate::{Interval, IntervalError, Result};
 /// mis-ordered and the paper explicitly defers the repair to the final
 /// *average replacement* step ([`IntervalMatrix::average_replacement`],
 /// supplementary Algorithm 3). Use [`IntervalMatrix::is_proper`] to check.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IntervalMatrix {
     lo: Matrix,
     hi: Matrix,

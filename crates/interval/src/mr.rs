@@ -32,8 +32,6 @@
 //! the property tests); [`IntervalMatrix::interval_matmul_fast`] picks
 //! between the two by product size.
 
-use serde::{Deserialize, Serialize};
-
 use ivmf_linalg::Matrix;
 
 use crate::{IntervalError, IntervalMatrix, Result};
@@ -45,7 +43,7 @@ use crate::{IntervalError, IntervalMatrix, Result};
 /// with [`MrMatrix::from_interval`] / [`MrMatrix::to_interval`]. Improper
 /// (mis-ordered) entries of an [`IntervalMatrix`] convert through their
 /// hull, i.e. `rad = |hi − lo| / 2`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MrMatrix {
     mid: Matrix,
     rad: Matrix,
@@ -173,7 +171,7 @@ impl IntervalMatrix {
     /// midpoint–radius enclosure of [`IntervalMatrix::interval_matmul_mr`]
     /// at or above it.
     ///
-    /// Setting the `IVMF_EXACT_INTERVAL` environment variable to `1`
+    /// [`ivmf_env::Settings::exact_interval`] (`IVMF_EXACT_INTERVAL=1`)
     /// forces the four-product envelope at every size (for bit-faithful
     /// reproduction of the paper's operator at experiment scale).
     pub fn interval_matmul_fast(&self, rhs: &IntervalMatrix) -> Result<IntervalMatrix> {
@@ -189,7 +187,7 @@ impl IntervalMatrix {
     /// four-product envelope (symmetry-aware, see
     /// [`IntervalMatrix::interval_gram`]) below [`MR_MIN_WORK`] scalar
     /// multiplications, the midpoint–radius SYRK enclosure
-    /// ([`MrMatrix::gram`]) at or above it. `IVMF_EXACT_INTERVAL` pins the
+    /// ([`MrMatrix::gram`]) at or above it. The exact-interval setting pins the
     /// exact envelope at every size, exactly as for
     /// [`IntervalMatrix::interval_matmul_fast`].
     pub fn interval_gram_fast(&self) -> Result<IntervalMatrix> {
@@ -210,21 +208,15 @@ impl IntervalMatrix {
 /// experiment-scale products take the fast path.
 pub const MR_MIN_WORK: usize = 64 * 64 * 64;
 
-/// Environment variable which, when set to `1`/`true`, pins
-/// [`IntervalMatrix::interval_matmul_fast`] to the exact four-product
-/// envelope regardless of size.
-///
-/// Re-exported from [`ivmf_env`], the shared home of every `IVMF_*`
-/// variable.
-pub const EXACT_INTERVAL_ENV: &str = ivmf_env::EXACT_INTERVAL;
-
-/// True when `IVMF_EXACT_INTERVAL` pins the exact four-product envelope.
+/// True when the settings in force on this thread
+/// ([`ivmf_env::Settings::exact_interval`]) pin the exact four-product
+/// envelope at every size.
 ///
 /// Public because the interval-product flavour is part of the arithmetic
 /// fingerprint of any computation built on the fast-path operators (the
 /// decomposition pipeline's stage cache keys on it, for example).
 pub fn exact_interval_forced() -> bool {
-    ivmf_env::flag(EXACT_INTERVAL_ENV)
+    ivmf_env::Settings::current().exact_interval
 }
 
 #[cfg(test)]
@@ -339,16 +331,11 @@ mod tests {
 
     #[test]
     fn exact_env_pins_fast_dispatch_to_oracle() {
-        let _guard = crate::test_env::EXACT_LOCK
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
         let mut rng = SmallRng::seed_from_u64(7);
         // 24³ below, 64³ above — build one above-threshold product.
         let a = sign_crossing_interval_matrix(&mut rng, 64, 64);
         let b = sign_crossing_interval_matrix(&mut rng, 64, 64);
-        std::env::set_var(EXACT_INTERVAL_ENV, "1");
-        let pinned = a.interval_matmul_fast(&b).unwrap();
-        std::env::remove_var(EXACT_INTERVAL_ENV);
+        let pinned = crate::test_env::exact().scope(|| a.interval_matmul_fast(&b).unwrap());
         let oracle = a.interval_matmul(&b).unwrap();
         assert_eq!(pinned, oracle);
     }

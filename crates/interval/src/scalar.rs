@@ -1,8 +1,6 @@
 use std::fmt;
 use std::ops::{Add, Mul, Neg, Sub};
 
-use serde::{Deserialize, Serialize};
-
 use crate::{IntervalError, Result};
 
 /// A closed interval `[lo, hi]` over `f64` (Definition 1 of the paper).
@@ -15,7 +13,7 @@ use crate::{IntervalError, Result};
 ///
 /// A *scalar* interval is one with `lo == hi` (Definition 1). The `span`
 /// (Definition 2) is `hi − lo`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Interval {
     lo: f64,
     hi: f64,

@@ -62,7 +62,7 @@ use crate::{
 /// takes the midpoint–radius enclosure (the exact four-product envelope
 /// otherwise) — the same rule as
 /// [`IntervalMatrix::interval_gram_fast`]: work `m·n·m` at or above
-/// [`MR_MIN_WORK`] and `IVMF_EXACT_INTERVAL` not set.
+/// [`MR_MIN_WORK`] and the exact-interval setting off.
 pub fn use_mr_gram(rows: usize, cols: usize) -> bool {
     cols * rows * cols >= MR_MIN_WORK && !exact_interval_forced()
 }
@@ -486,7 +486,7 @@ impl<S: IntervalShard> ShardWalk<S> for ShardedIntervalMatrix<S> {
 /// Two choices are fixed when it is built. The **flavour** follows the
 /// **total** row count (so it matches what
 /// [`IntervalMatrix::interval_gram_fast`] would pick for the dense matrix)
-/// and the live `IVMF_EXACT_INTERVAL` switch:
+/// and the exact-interval setting in force ([`crate::exact_interval_forced`]):
 ///
 /// * **exact** — scalar accumulators for `loᵀ·lo`, `hiᵀ·hi` and the cross
 ///   product `loᵀ·hi`; [`StreamingIntervalGram::finish`] takes the same
@@ -977,12 +977,7 @@ mod tests {
 
     #[test]
     fn streamed_gram_mr_flavour_is_layout_invariant() {
-        // 70×70 is above MR_MIN_WORK (70·70·70 ≥ 64³) → midpoint–radius —
-        // as long as no concurrently running test has IVMF_EXACT_INTERVAL
-        // pinned, hence the shared lock.
-        let _guard = crate::test_env::EXACT_LOCK
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
+        // 70×70 is above MR_MIN_WORK (70·70·70 ≥ 64³) → midpoint–radius.
         let m = random_interval(6, 70, 70);
         assert!(StreamingIntervalGram::new(70, 70).is_mid_rad());
         let dense_streamed = m.interval_gram_streamed().unwrap();
@@ -1004,17 +999,12 @@ mod tests {
 
     #[test]
     fn streamed_gram_respects_exact_interval_pin() {
-        // Mutating IVMF_EXACT_INTERVAL: the shared lock serializes this
-        // writer against every flavour-sensitive reader in the binary.
-        let _guard = crate::test_env::EXACT_LOCK
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
         let m = random_interval(7, 70, 70);
-        std::env::set_var(crate::EXACT_INTERVAL_ENV, "1");
-        let pinned = StreamingIntervalGram::new(70, 70);
-        let streamed = m.interval_gram_streamed().unwrap();
+        let (pinned, streamed) = crate::test_env::exact().scope(|| {
+            let pinned = StreamingIntervalGram::new(70, 70);
+            (pinned, m.interval_gram_streamed().unwrap())
+        });
         let oracle = m.interval_gram().unwrap();
-        std::env::remove_var(crate::EXACT_INTERVAL_ENV);
         assert!(!pinned.is_mid_rad());
         assert_bitwise(&streamed, &oracle, "pinned exact, one chunk");
     }

@@ -458,12 +458,7 @@ mod tests {
 
     #[test]
     fn sparse_gram_mr_flavour_matches_dense_bitwise() {
-        // 170×70 is above MR_MIN_WORK (70·170·70 ≥ 64³) → midpoint–radius,
-        // unless a concurrent test pins IVMF_EXACT_INTERVAL — hence the
-        // shared lock.
-        let _guard = crate::test_env::EXACT_LOCK
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
+        // 170×70 is above MR_MIN_WORK (70·170·70 ≥ 64³) → midpoint–radius.
         let m = random_sparse_interval(6, 170, 70, 5);
         assert!(StreamingIntervalGram::new_csr(170, 70).is_mid_rad());
         let mut dense_acc = StreamingIntervalGram::new(170, 70);
@@ -481,18 +476,15 @@ mod tests {
 
     #[test]
     fn sparse_gram_respects_exact_interval_pin() {
-        let _guard = crate::test_env::EXACT_LOCK
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
         let m = random_sparse_interval(7, 170, 70, 4);
-        std::env::set_var(crate::EXACT_INTERVAL_ENV, "1");
-        let pinned = StreamingIntervalGram::new_csr(170, 70);
-        let sharded = CsrShardedIntervalMatrix::from_dense(&m, 33).unwrap();
-        let sparse = sharded.interval_gram_streamed();
-        let mut dense_acc = StreamingIntervalGram::new(170, 70);
-        dense_acc.push(&m).unwrap();
-        let reference = dense_acc.finish();
-        std::env::remove_var(crate::EXACT_INTERVAL_ENV);
+        let (pinned, sparse, reference) = crate::test_env::exact().scope(|| {
+            let pinned = StreamingIntervalGram::new_csr(170, 70);
+            let sharded = CsrShardedIntervalMatrix::from_dense(&m, 33).unwrap();
+            let sparse = sharded.interval_gram_streamed();
+            let mut dense_acc = StreamingIntervalGram::new(170, 70);
+            dense_acc.push(&m).unwrap();
+            (pinned, sparse, dense_acc.finish())
+        });
         assert!(!pinned.is_mid_rad());
         assert_bitwise(&sparse.unwrap(), &reference.unwrap(), "pinned exact");
     }

@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use ivmf_linalg::norms;
 
 use crate::{Interval, IntervalError, Result};
@@ -10,7 +8,7 @@ use crate::{Interval, IntervalError, Result};
 /// discussion (Section 3.2, Theorem 2) and the *vector average replacement*
 /// repair of supplementary Algorithm 2 (collapsing mis-ordered entries to
 /// their midpoint).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IntervalVector {
     lo: Vec<f64>,
     hi: Vec<f64>,

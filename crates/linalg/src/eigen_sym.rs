@@ -765,23 +765,13 @@ mod tests {
         // accumulation update, batched rotations) actually cross
         // EIGEN_PAR_MIN_WORK and engage the worker pool. The contract
         // matches the packed matmul kernels: panel splits never change the
-        // arithmetic, so IVMF_THREADS=1 and IVMF_THREADS=4 agree bitwise.
+        // arithmetic, so 1 and 4 threads agree bitwise.
         let n = 260;
         assert!(n * n / 2 >= EIGEN_PAR_MIN_WORK);
         let mut rng = SmallRng::seed_from_u64(77);
         let a = symmetric_matrix(&mut rng, n, -3.0, 3.0);
-        let _guard = crate::test_env::THREADS_LOCK
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        let prev = std::env::var(ivmf_par::THREADS_ENV).ok();
-        std::env::set_var(ivmf_par::THREADS_ENV, "1");
-        let single = sym_eigen(&a).unwrap();
-        std::env::set_var(ivmf_par::THREADS_ENV, "4");
-        let quad = sym_eigen(&a).unwrap();
-        match prev {
-            Some(v) => std::env::set_var(ivmf_par::THREADS_ENV, v),
-            None => std::env::remove_var(ivmf_par::THREADS_ENV),
-        }
+        let single = crate::test_env::with_threads(1, || sym_eigen(&a).unwrap());
+        let quad = crate::test_env::with_threads(4, || sym_eigen(&a).unwrap());
         assert_eq!(single.eigenvalues, quad.eigenvalues);
         assert_eq!(
             single.eigenvectors.as_slice(),

@@ -85,12 +85,12 @@ pub const DEFAULT_EPS: f64 = 1e-12;
 
 #[cfg(test)]
 pub(crate) mod test_env {
-    /// Serializes the tests that mutate the `IVMF_THREADS` environment
-    /// variable. `ivmf_par::configured_threads()` re-reads the variable on
-    /// every call, so two concurrently running determinism tests would race:
-    /// one test's "single-threaded" run could silently execute with the
-    /// other test's transient override (degenerating the 1-vs-4 comparison
-    /// to 4-vs-4), and a test could capture the other's transient value as
-    /// "previous" and leak it into the rest of the suite.
-    pub static THREADS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    /// Runs `f` with the parallel kernels on `threads` workers.
+    pub fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+        let settings = ivmf_env::Settings {
+            threads,
+            ..ivmf_env::Settings::default()
+        };
+        settings.scope(f)
+    }
 }

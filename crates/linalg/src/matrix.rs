@@ -1,8 +1,6 @@
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
-use serde::{Deserialize, Serialize};
-
 use crate::kernel::{gemm_into, mirror_upper, Plain, Trans};
 use crate::{LinalgError, Result};
 
@@ -16,7 +14,7 @@ use crate::{LinalgError, Result};
 /// Fallible operations (shape-dependent arithmetic, inversion, …) return
 /// [`Result`]; shape-safe accessors use `Index`/`IndexMut` and panic only on
 /// programmer errors (out-of-bounds indexing), mirroring `Vec`.
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -401,9 +399,8 @@ impl Matrix {
     /// the reference i-k-j kernel ([`Matrix::matmul_naive`]); larger ones
     /// take the packed, register-tiled GEBP kernel (see the `kernel` module
     /// docs for the packing layout), and above [`MATMUL_PAR_MIN_WORK`] its
-    /// output row panels are split across the worker threads configured by
-    /// the `IVMF_THREADS` environment variable (see
-    /// [`ivmf_par::configured_threads`]).
+    /// output row panels are split across the worker threads of the
+    /// settings in force (see [`ivmf_par::configured_threads`]).
     ///
     /// Every output element accumulates its inner-dimension terms in a
     /// fixed global order, so the result is bitwise identical for every
@@ -1198,18 +1195,8 @@ mod tests {
                 b.matmul_tn(&b).unwrap(),
             )
         };
-        let _guard = crate::test_env::THREADS_LOCK
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        let prev = std::env::var(ivmf_par::THREADS_ENV).ok();
-        std::env::set_var(ivmf_par::THREADS_ENV, "1");
-        let single = run();
-        std::env::set_var(ivmf_par::THREADS_ENV, "4");
-        let quad = run();
-        match prev {
-            Some(v) => std::env::set_var(ivmf_par::THREADS_ENV, v),
-            None => std::env::remove_var(ivmf_par::THREADS_ENV),
-        }
+        let single = crate::test_env::with_threads(1, run);
+        let quad = crate::test_env::with_threads(4, run);
         for (label, s, q) in [
             ("matmul", &single.0, &quad.0),
             ("gram", &single.1, &quad.1),

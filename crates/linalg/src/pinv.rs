@@ -267,46 +267,39 @@ mod tests {
 
     #[test]
     fn row_blocked_pinv_matches_the_svd_route_bitwise() {
-        let _guard = crate::test_env::THREADS_LOCK
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        let prev = std::env::var(ivmf_par::THREADS_ENV).ok();
         let mut rng = SmallRng::seed_from_u64(54);
-        for threads in ["1", "2"] {
-            std::env::set_var(ivmf_par::THREADS_ENV, threads);
-            for r in [1usize, 7, 20] {
-                // 845 spans three K-blocks and is no multiple of one.
-                for n in dispatch_boundary_rows(r).into_iter().chain([845]) {
-                    if threads != "1" && n * r * r < crate::MATMUL_PAR_MIN_WORK {
-                        continue; // smaller products never split across workers
-                    }
-                    for (kind, a) in factor_edge_cases(&mut rng, n, r) {
-                        let cutoffs: &[f64] = if kind == "rank-deficient" {
-                            &[0.0, PAPER_SINGULAR_VALUE_CUTOFF]
-                        } else {
-                            &[PAPER_SINGULAR_VALUE_CUTOFF]
-                        };
-                        for &cutoff in cutoffs {
-                            let context =
-                                format!("{kind} {n}x{r} cutoff {cutoff} threads {threads}");
-                            let want = svd_route_pinv(&a, cutoff);
-                            assert_same_outcome(&want, &pinv(&a, cutoff), &context);
-                            for (g, s) in [(PINV_ROW_ALIGN, 128), (3 * PINV_ROW_ALIGN, 1000)] {
-                                let got = blocked_pinv(&a, cutoff, g, s);
-                                assert_same_outcome(
-                                    &want,
-                                    &got,
-                                    &format!("{context} blocks {g}/{s}"),
-                                );
+        for threads in [1, 2] {
+            crate::test_env::with_threads(threads, || {
+                for r in [1usize, 7, 20] {
+                    // 845 spans three K-blocks and is no multiple of one.
+                    for n in dispatch_boundary_rows(r).into_iter().chain([845]) {
+                        if threads != 1 && n * r * r < crate::MATMUL_PAR_MIN_WORK {
+                            continue; // smaller products never split across workers
+                        }
+                        for (kind, a) in factor_edge_cases(&mut rng, n, r) {
+                            let cutoffs: &[f64] = if kind == "rank-deficient" {
+                                &[0.0, PAPER_SINGULAR_VALUE_CUTOFF]
+                            } else {
+                                &[PAPER_SINGULAR_VALUE_CUTOFF]
+                            };
+                            for &cutoff in cutoffs {
+                                let context =
+                                    format!("{kind} {n}x{r} cutoff {cutoff} threads {threads}");
+                                let want = svd_route_pinv(&a, cutoff);
+                                assert_same_outcome(&want, &pinv(&a, cutoff), &context);
+                                for (g, s) in [(PINV_ROW_ALIGN, 128), (3 * PINV_ROW_ALIGN, 1000)] {
+                                    let got = blocked_pinv(&a, cutoff, g, s);
+                                    assert_same_outcome(
+                                        &want,
+                                        &got,
+                                        &format!("{context} blocks {g}/{s}"),
+                                    );
+                                }
                             }
                         }
                     }
                 }
-            }
-        }
-        match prev {
-            Some(v) => std::env::set_var(ivmf_par::THREADS_ENV, v),
-            None => std::env::remove_var(ivmf_par::THREADS_ENV),
+            });
         }
     }
 

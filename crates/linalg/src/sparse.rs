@@ -632,6 +632,7 @@ impl RowBlock for CsrShard {
 mod tests {
     use super::*;
     use crate::streaming::GROUP_ROWS;
+    use crate::test_env::with_threads;
     use crate::{
         gram_streamed, matmul_left_streamed_t, matmul_streamed, CrossGramAccumulator,
         GramAccumulator, STREAM_CHUNK_ROWS,
@@ -761,19 +762,13 @@ mod tests {
         let n = 3 * STREAM_CHUNK_ROWS + 11;
         let dense = lcg_sparse(n, 31, 5, 17);
         let sparse = csr_shards(&dense, 50);
-        let _guard = crate::test_env::THREADS_LOCK
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        let prev = std::env::var(ivmf_par::THREADS_ENV).ok();
-        std::env::set_var(ivmf_par::THREADS_ENV, "1");
-        let single = gram_streamed(&sparse[..]).unwrap();
-        std::env::set_var(ivmf_par::THREADS_ENV, "4");
-        let quad = gram_streamed(&sparse[..]).unwrap();
-        let dense_ref = gram_streamed(&dense).unwrap();
-        match prev {
-            Some(v) => std::env::set_var(ivmf_par::THREADS_ENV, v),
-            None => std::env::remove_var(ivmf_par::THREADS_ENV),
-        }
+        let single = with_threads(1, || gram_streamed(&sparse[..]).unwrap());
+        let (quad, dense_ref) = with_threads(4, || {
+            (
+                gram_streamed(&sparse[..]).unwrap(),
+                gram_streamed(&dense).unwrap(),
+            )
+        });
         assert_bitwise(&single, &quad, "threads 1 vs 4");
         assert_bitwise(&quad, &dense_ref, "threads 4 vs dense");
     }
@@ -1102,29 +1097,22 @@ mod tests {
             }
         }
         const _: () = assert!(3 * STREAM_CHUNK_ROWS * 21 < MATMUL_BLOCKED_MIN_WORK);
-        let _guard = crate::test_env::THREADS_LOCK
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        let prev = std::env::var(ivmf_par::THREADS_ENV).ok();
-        for threads in ["1", "2"] {
-            std::env::set_var(ivmf_par::THREADS_ENV, threads);
-            for (l, m, path) in [(&lhs, &dense, "fused"), (&sparse_lhs, &narrow, "plain")] {
-                let reference = matmul_left_streamed_t(l, m).unwrap();
-                for shard_rows in [7usize, STREAM_CHUNK_ROWS, n] {
-                    let sparse = csr_shards(m, shard_rows);
-                    assert_bitwise(
-                        &matmul_left_streamed_t(l, &sparse[..]).unwrap(),
-                        &reference,
-                        &format!(
-                            "{path} transposed kernel, {threads} threads, shards of {shard_rows}"
-                        ),
-                    );
+        for threads in [1, 2] {
+            with_threads(threads, || {
+                for (l, m, path) in [(&lhs, &dense, "fused"), (&sparse_lhs, &narrow, "plain")] {
+                    let reference = matmul_left_streamed_t(l, m).unwrap();
+                    for shard_rows in [7usize, STREAM_CHUNK_ROWS, n] {
+                        let sparse = csr_shards(m, shard_rows);
+                        assert_bitwise(
+                            &matmul_left_streamed_t(l, &sparse[..]).unwrap(),
+                            &reference,
+                            &format!(
+                                "{path} transposed kernel, {threads} threads, shards of {shard_rows}"
+                            ),
+                        );
+                    }
                 }
-            }
-        }
-        match prev {
-            Some(v) => std::env::set_var(ivmf_par::THREADS_ENV, v),
-            None => std::env::remove_var(ivmf_par::THREADS_ENV),
+            });
         }
     }
 

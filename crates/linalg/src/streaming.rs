@@ -576,6 +576,7 @@ pub fn matmul_left_streamed_t<L: ColBlocks, B: RowBlock, S: RowBlocks<B> + ?Size
 pub(crate) mod tests {
     use super::*;
     use crate::fold::PAR_FOLD_CHUNKS;
+    use crate::test_env::with_threads;
 
     /// Deterministic pseudo-random fill independent of the `rand` stub.
     fn lcg_matrix(rows: usize, cols: usize, mut state: u64) -> Matrix {
@@ -684,18 +685,8 @@ pub(crate) mod tests {
         let n = 3 * STREAM_CHUNK_ROWS + 11;
         let m = lcg_matrix(n, 31, 17);
         let sharded = row_shards(&m, 50);
-        let _guard = crate::test_env::THREADS_LOCK
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        let prev = std::env::var(ivmf_par::THREADS_ENV).ok();
-        std::env::set_var(ivmf_par::THREADS_ENV, "1");
-        let single = gram_streamed(&sharded[..]).unwrap();
-        std::env::set_var(ivmf_par::THREADS_ENV, "4");
-        let quad = gram_streamed(&sharded[..]).unwrap();
-        match prev {
-            Some(v) => std::env::set_var(ivmf_par::THREADS_ENV, v),
-            None => std::env::remove_var(ivmf_par::THREADS_ENV),
-        }
+        let single = with_threads(1, || gram_streamed(&sharded[..]).unwrap());
+        let quad = with_threads(4, || gram_streamed(&sharded[..]).unwrap());
         assert_bitwise(&single, &quad, "threads 1 vs 4");
     }
 

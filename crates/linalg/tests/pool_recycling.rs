@@ -5,7 +5,7 @@
 //!
 //! The pool's counters are process-wide, so this file holds a single test
 //! (its own process): no concurrently running test can take or miss in
-//! between the two snapshots, or see its thread-count override.
+//! between the two snapshots.
 
 use ivmf_linalg::{
     matmul_left_streamed_t, matmul_streamed, pool, CsrShard, Matrix, STREAM_CHUNK_ROWS,
@@ -30,39 +30,44 @@ fn second_pass_of_every_streamed_product_hits_the_pool() {
     // One compute thread, so both passes have the same buffers in flight
     // at once (with more, the first pass could happen to overlap fewer
     // chunk copies than the second and leave it a legitimate miss).
-    std::env::set_var("IVMF_THREADS", "1");
-    // Full chunks, a multi-chunk parallel batch and a remainder.
-    let n = 10 * STREAM_CHUNK_ROWS + 37;
-    let m = lcg_sparse(n, 24, 1);
-    let shard_rows = 3 * STREAM_CHUNK_ROWS + 5;
-    let csr = CsrShard::from_dense(&m);
-    let sparse: Vec<CsrShard> = (0..n)
-        .step_by(shard_rows)
-        .map(|r| csr.row_slice(r, (r + shard_rows).min(n)).unwrap())
-        .collect();
-    let dense: Vec<Matrix> = sparse.iter().map(CsrShard::to_dense).collect();
-    let rhs = lcg_sparse(24, 6, 2);
-    let lhs = lcg_sparse(6, n, 3);
-    let products = || {
-        (
-            matmul_streamed(&dense[..], &rhs).unwrap(),
-            matmul_left_streamed_t(&lhs, &dense[..]).unwrap(),
-            matmul_streamed(&sparse[..], &rhs).unwrap(),
-            matmul_left_streamed_t(&lhs, &sparse[..]).unwrap(),
-        )
+    let one_thread = ivmf_env::Settings {
+        threads: 1,
+        ..ivmf_env::Settings::default()
     };
-    let first = products();
-    let before = pool::stats();
-    let second = products();
-    let after = pool::stats();
-    assert_eq!(first, second, "pooled buffers never change results");
-    assert!(
-        after.f64_hits > before.f64_hits && after.usize_hits > before.usize_hits,
-        "the second pass takes recycled buffers: {before:?} -> {after:?}"
-    );
-    assert_eq!(
-        (after.f64_misses, after.usize_misses),
-        (before.f64_misses, before.usize_misses),
-        "the second pass allocates no new chunk buffers: {before:?} -> {after:?}"
-    );
+    one_thread.scope(|| {
+        // Full chunks, a multi-chunk parallel batch and a remainder.
+        let n = 10 * STREAM_CHUNK_ROWS + 37;
+        let m = lcg_sparse(n, 24, 1);
+        let shard_rows = 3 * STREAM_CHUNK_ROWS + 5;
+        let csr = CsrShard::from_dense(&m);
+        let sparse: Vec<CsrShard> = (0..n)
+            .step_by(shard_rows)
+            .map(|r| csr.row_slice(r, (r + shard_rows).min(n)).unwrap())
+            .collect();
+        let dense: Vec<Matrix> = sparse.iter().map(CsrShard::to_dense).collect();
+        let rhs = lcg_sparse(24, 6, 2);
+        let lhs = lcg_sparse(6, n, 3);
+        let products = || {
+            (
+                matmul_streamed(&dense[..], &rhs).unwrap(),
+                matmul_left_streamed_t(&lhs, &dense[..]).unwrap(),
+                matmul_streamed(&sparse[..], &rhs).unwrap(),
+                matmul_left_streamed_t(&lhs, &sparse[..]).unwrap(),
+            )
+        };
+        let first = products();
+        let before = pool::stats();
+        let second = products();
+        let after = pool::stats();
+        assert_eq!(first, second, "pooled buffers never change results");
+        assert!(
+            after.f64_hits > before.f64_hits && after.usize_hits > before.usize_hits,
+            "the second pass takes recycled buffers: {before:?} -> {after:?}"
+        );
+        assert_eq!(
+            (after.f64_misses, after.usize_misses),
+            (before.f64_misses, before.usize_misses),
+            "the second pass allocates no new chunk buffers: {before:?} -> {after:?}"
+        );
+    });
 }

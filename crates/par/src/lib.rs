@@ -12,17 +12,23 @@
 //! * [`par_row_panels`] — split a mutable row-major buffer into balanced
 //!   contiguous row panels and fill each panel on its own worker thread,
 //! * [`panel_ranges`] — the deterministic partitioning it uses,
-//! * [`configured_threads`] — the worker count, taken from the
-//!   `IVMF_THREADS` environment variable (parsed through the shared
-//!   [`ivmf_env`] rules) and defaulting to
-//!   [`std::thread::available_parallelism`].
+//! * [`configured_threads`] — the worker count,
+//!   [`ivmf_env::Settings::threads`] of the settings in force on the
+//!   calling thread.
+//!
+//! ## Settings in workers
+//!
+//! [`par_row_panels`] and [`par_map`] run `f` on each worker inside the
+//! caller's [`ivmf_env::Settings`] (see [`ivmf_env::Settings::scope`]), so
+//! a kernel nested in a worker sees the thread count, interval flavour
+//! and other settings its caller sees.
 //!
 //! ## Determinism
 //!
 //! Panel boundaries never change *what* is computed, only *where*: a kernel
 //! that derives every output element from its own row produces bitwise
 //! identical results for any worker count. The workspace's blocked matmul
-//! relies on this (see the `IVMF_THREADS` determinism test in
+//! relies on this (see the thread-count determinism tests in
 //! `ivmf-linalg`).
 //!
 //! ## Example
@@ -45,36 +51,14 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-use std::num::NonZeroUsize;
 use std::ops::Range;
 
-/// Environment variable overriding the worker count used by
-/// [`configured_threads`]. Unset falls back to the machine's available
-/// parallelism; `IVMF_THREADS=1` forces every parallel kernel to run
-/// inline on the calling thread; a malformed value (`IVMF_THREADS=abc`,
-/// `IVMF_THREADS=0`) aborts with a clear error via the shared
-/// [`ivmf_env`] parsing rules.
-///
-/// Re-exported from [`ivmf_env`], the shared home of every `IVMF_*`
-/// variable.
-pub const THREADS_ENV: &str = ivmf_env::THREADS;
-
-/// The worker count for parallel kernels: `IVMF_THREADS` when set to a
-/// positive integer, otherwise [`std::thread::available_parallelism`]
-/// (1 when even that is unavailable). Panics with a named error on a
-/// malformed `IVMF_THREADS` value.
-///
-/// The value is re-read on every call — it is a handful of nanoseconds
-/// against kernels that run for milliseconds, and it keeps tests free to
-/// flip the variable at runtime.
+/// The worker count for parallel kernels: [`ivmf_env::Settings::threads`]
+/// of the settings in force on this thread (the process default is
+/// `IVMF_THREADS`, else the machine's available parallelism). Reading it
+/// allocates nothing.
 pub fn configured_threads() -> usize {
-    ivmf_env::usize_var(THREADS_ENV, 1, default_threads)
-}
-
-fn default_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1)
+    ivmf_env::Settings::current().threads
 }
 
 /// Splits `0..n` into at most `parts` contiguous, non-overlapping,
@@ -132,15 +116,16 @@ where
         f(0, data);
         return;
     }
+    let settings = ivmf_env::Settings::current();
     std::thread::scope(|s| {
-        let f = &f;
+        let (f, settings) = (&f, &settings);
         let mut rest = data;
         let mut ranges = ranges.into_iter();
         let last = ranges.next_back().expect("at least two ranges");
         for r in ranges {
             let (panel, tail) = rest.split_at_mut(r.len() * row_len);
             rest = tail;
-            s.spawn(move || f(r.start, panel));
+            s.spawn(move || settings.scope(|| f(r.start, panel)));
         }
         f(last.start, rest);
     });
@@ -170,12 +155,13 @@ where
     if ranges.len() <= 1 {
         return (0..n).map(f).collect();
     }
-    let f = &f;
+    let settings = ivmf_env::Settings::current();
+    let (f, settings) = (&f, &settings);
     let mut chunks: Vec<Vec<T>> = Vec::new();
     std::thread::scope(|s| {
         let handles: Vec<_> = ranges
             .into_iter()
-            .map(|r| s.spawn(move || r.map(f).collect::<Vec<T>>()))
+            .map(|r| s.spawn(move || settings.scope(|| r.map(f).collect::<Vec<T>>())))
             .collect();
         chunks = handles
             .into_iter()
@@ -277,22 +263,19 @@ mod tests {
     }
 
     #[test]
-    fn configured_threads_respects_env_and_rejects_malformed_values() {
-        // Serial within this test; other tests in this binary do not read
-        // the variable.
-        std::env::set_var(THREADS_ENV, "3");
-        assert_eq!(configured_threads(), 3);
-        // Malformed values abort with a clear, variable-naming error
-        // instead of silently falling back to a default thread count.
-        for bad in ["0", "not a number"] {
-            std::env::set_var(THREADS_ENV, bad);
-            let panic = std::panic::catch_unwind(configured_threads)
-                .expect_err("malformed IVMF_THREADS must be rejected");
-            let msg = panic.downcast_ref::<String>().cloned().unwrap_or_default();
-            assert!(msg.contains(THREADS_ENV), "{bad:?} -> {msg}");
-        }
-        std::env::remove_var(THREADS_ENV);
-        assert!(configured_threads() >= 1);
+    fn workers_run_in_the_callers_settings() {
+        let three = ivmf_env::Settings {
+            threads: 3,
+            ..ivmf_env::Settings::default()
+        };
+        three.scope(|| {
+            assert_eq!(configured_threads(), 3);
+            let seen = par_map(6, 3, |_| configured_threads());
+            assert_eq!(seen, vec![3; 6]);
+            let mut rows = vec![0usize; 6];
+            par_row_panels(&mut rows, 1, 3, |_, panel| panel.fill(configured_threads()));
+            assert_eq!(rows, vec![3; 6]);
+        });
     }
 
     #[test]

@@ -15,12 +15,14 @@
 //! * **prefetch / pool bitwise identity**: all five ISVD algorithms over
 //!   a disk-streamed session (`Pipeline::new_streaming_send` /
 //!   `new_streaming_csr_send`) produce bitwise-identical factors at
-//!   every `IVMF_PREFETCH` depth (0, 1, 2), from containers blocked two
+//!   every prefetch depth (0, 1, 2), from containers blocked two
 //!   different ways, and on a re-run that reuses the dirty buffer pool.
 
+#[path = "support/temp_path.rs"]
+mod temp_path;
+
 use std::io::{self, Read};
-use std::path::PathBuf;
-use std::sync::Mutex;
+use std::path::Path;
 
 use ivmf_core::pipeline::{run_all, Pipeline};
 use ivmf_core::{IsvdAlgorithm, IsvdConfig, IsvdResult};
@@ -29,27 +31,27 @@ use ivmf_data::stream::{
     load_sharded, CsrShardReader, CsrShardWriter, ShardReader, ShardWriter, StreamError,
 };
 use ivmf_data::{binfmt, synthetic};
+use ivmf_env::Settings;
 use ivmf_interval::{CsrIntervalShard, IntervalMatrix, RowShardedIntervalMatrix};
 use ivmf_linalg::Matrix;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use temp_path::TempPath;
 
-/// Serializes the tests that mutate the process-wide `IVMF_PREFETCH`
-/// variable (the results are depth-invariant by contract, but the *set*
-/// itself must not race another setter mid-assertion).
-static ENV_LOCK: Mutex<()> = Mutex::new(());
-
-fn tmp_path(tag: &str) -> PathBuf {
-    static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-    let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    std::env::temp_dir().join(format!(
-        "ivmf_binary_shards_{}_{tag}_{n}.ivs",
-        std::process::id()
-    ))
+fn tmp_path(tag: &str) -> TempPath {
+    TempPath::new(&format!("binary_shards_{tag}"))
 }
 
-fn write_dense(path: &PathBuf, m: &IntervalMatrix, split: usize) {
+/// The default settings at prefetch depth `prefetch`.
+fn prefetch_depth(prefetch: usize) -> Settings {
+    Settings {
+        prefetch,
+        ..Settings::default()
+    }
+}
+
+fn write_dense(path: &Path, m: &IntervalMatrix, split: usize) {
     let mut w = ShardWriter::create(path, m.rows(), m.cols()).unwrap();
     if m.rows() > 0 {
         let blocks = RowShardedIntervalMatrix::from_dense(m, split.max(1)).unwrap();
@@ -60,7 +62,7 @@ fn write_dense(path: &PathBuf, m: &IntervalMatrix, split: usize) {
     w.finish().unwrap();
 }
 
-fn read_dense(path: &PathBuf, shard_rows: usize) -> (Vec<f64>, Vec<f64>) {
+fn read_dense(path: &Path, shard_rows: usize) -> (Vec<f64>, Vec<f64>) {
     let mut r = ShardReader::open(path, shard_rows).unwrap();
     let (mut lo, mut hi) = (Vec::new(), Vec::new());
     while let Some(shard) = r.read_shard().unwrap() {
@@ -70,7 +72,7 @@ fn read_dense(path: &PathBuf, shard_rows: usize) -> (Vec<f64>, Vec<f64>) {
     (lo, hi)
 }
 
-fn write_csr(path: &PathBuf, s: &CsrIntervalShard, split: usize) {
+fn write_csr(path: &Path, s: &CsrIntervalShard, split: usize) {
     let mut w = CsrShardWriter::create(path, s.rows(), s.cols()).unwrap();
     let mut start = 0;
     while start < s.rows() {
@@ -83,7 +85,7 @@ fn write_csr(path: &PathBuf, s: &CsrIntervalShard, split: usize) {
 
 /// Flattens every shard the reader yields into one comparable tuple
 /// (rebased row extents, columns, lo values, hi values).
-fn read_csr(path: &PathBuf, shard_rows: usize) -> (Vec<usize>, Vec<usize>, Vec<f64>, Vec<f64>) {
+fn read_csr(path: &Path, shard_rows: usize) -> (Vec<usize>, Vec<usize>, Vec<f64>, Vec<f64>) {
     let mut r = CsrShardReader::open(path, shard_rows).unwrap();
     let (mut lens, mut cols, mut lo, mut hi) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
     while let Some(shard) = r.read_shard().unwrap() {
@@ -153,7 +155,6 @@ proptest! {
         let (lo, hi) = read_dense(&path, shard_rows);
         prop_assert_eq!(lo, m.lo().as_slice().to_vec());
         prop_assert_eq!(hi, m.hi().as_slice().to_vec());
-        std::fs::remove_file(&path).ok();
     }
 
     /// The CSR twin: the in-memory shard's structure and values read
@@ -172,7 +173,6 @@ proptest! {
         prop_assert_eq!(&read.1, &pat.col_idx().to_vec());
         prop_assert_eq!(&read.2, &pat.values().to_vec());
         prop_assert_eq!(&read.3, &s.hi_values().to_vec());
-        std::fs::remove_file(&path).ok();
     }
 
     /// A binary record stream corrupted at any byte — truncated, a bit
@@ -260,7 +260,6 @@ fn assert_results_bitwise(a: &[IsvdResult; 5], b: &[IsvdResult; 5], context: &st
 /// buffers matches too.
 #[test]
 fn streamed_sessions_are_prefetch_pool_and_format_invariant() {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let mut rng = SmallRng::seed_from_u64(77);
     let m = synthetic::generate_uniform(
         &synthetic::SyntheticConfig::paper_default().with_shape(150, 18),
@@ -273,13 +272,14 @@ fn streamed_sessions_are_prefetch_pool_and_format_invariant() {
     write_dense(&pt, &m, 37);
     write_dense(&pb, &m, m.rows());
     for path in [&pt, &pb] {
-        for depth in ["0", "1", "2"] {
-            std::env::set_var(ivmf_env::PREFETCH, depth);
+        for depth in [0, 1, 2] {
             // Two passes: the second reuses buffers the first recycled
             // into the pool, proving dirty-buffer reuse changes nothing.
             for pass in 0..2 {
                 let reader = ShardReader::open(path, 29).unwrap();
-                let mut session = Pipeline::new_streaming_send(Box::new(reader), config).unwrap();
+                let mut session = prefetch_depth(depth)
+                    .scope(|| Pipeline::new_streaming_send(Box::new(reader), config))
+                    .unwrap();
                 let streamed = session.run_all().unwrap();
                 assert_results_bitwise(
                     &reference,
@@ -289,9 +289,6 @@ fn streamed_sessions_are_prefetch_pool_and_format_invariant() {
             }
         }
     }
-    std::env::remove_var(ivmf_env::PREFETCH);
-    std::fs::remove_file(&pt).ok();
-    std::fs::remove_file(&pb).ok();
 }
 
 /// The sparse twin of the invariance test: CSR containers through
@@ -299,7 +296,6 @@ fn streamed_sessions_are_prefetch_pool_and_format_invariant() {
 /// in-memory reference over the same logical matrix.
 #[test]
 fn streamed_csr_sessions_are_prefetch_pool_and_format_invariant() {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let s = csr_shard(140, 22, 9);
     let dense = s.to_dense();
     let config = IsvdConfig::new(4);
@@ -309,12 +305,12 @@ fn streamed_csr_sessions_are_prefetch_pool_and_format_invariant() {
     write_csr(&pt, &s, 31);
     write_csr(&pb, &s, s.rows());
     for path in [&pt, &pb] {
-        for depth in ["0", "1", "2"] {
-            std::env::set_var(ivmf_env::PREFETCH, depth);
+        for depth in [0, 1, 2] {
             for pass in 0..2 {
                 let reader = CsrShardReader::open(path, 29).unwrap();
-                let mut session =
-                    Pipeline::new_streaming_csr_send(Box::new(reader), config).unwrap();
+                let mut session = prefetch_depth(depth)
+                    .scope(|| Pipeline::new_streaming_csr_send(Box::new(reader), config))
+                    .unwrap();
                 let streamed = session.run_all().unwrap();
                 assert_results_bitwise(
                     &reference,
@@ -324,9 +320,6 @@ fn streamed_csr_sessions_are_prefetch_pool_and_format_invariant() {
             }
         }
     }
-    std::env::remove_var(ivmf_env::PREFETCH);
-    std::fs::remove_file(&pt).ok();
-    std::fs::remove_file(&pb).ok();
 }
 
 /// The shard readers reject a stored cell that is not a proper interval —
@@ -379,7 +372,5 @@ fn readers_reject_improper_cells_naming_the_cell() {
         for err in [dense.unwrap_err(), csr.unwrap_err()] {
             assert!(err.to_string().contains(&cell), "{err}");
         }
-        std::fs::remove_file(&pd).ok();
-        std::fs::remove_file(&pc).ok();
     }
 }

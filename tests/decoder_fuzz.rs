@@ -19,7 +19,6 @@
 
 use std::io;
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 use ivmf_core::{IsvdConfig, IsvdResult, Pipeline};
@@ -38,6 +37,10 @@ use rand::{Rng, SeedableRng};
 
 #[path = "support/counting_alloc.rs"]
 mod counting_alloc;
+#[path = "support/temp_path.rs"]
+mod temp_path;
+
+use temp_path::TempPath;
 
 /// Allocation headroom over the input length: the record reader's first
 /// payload step.
@@ -73,7 +76,6 @@ struct Fixture {
 
 fn fixture() -> &'static Fixture {
     static FIXTURE: OnceLock<Fixture> = OnceLock::new();
-    std::env::remove_var(ivmf_env::SNAPSHOT_DIR);
     FIXTURE.get_or_init(|| {
         let run = |seed| {
             let mut rng = SmallRng::seed_from_u64(seed);
@@ -265,18 +267,12 @@ fn containers() -> &'static [Vec<u8>; 2] {
         }
         w.finish().unwrap();
         c.finish().unwrap();
-        let bytes = [std::fs::read(&dense).unwrap(), std::fs::read(&csr).unwrap()];
-        std::fs::remove_file(&dense).ok();
-        std::fs::remove_file(&csr).ok();
-        bytes
+        [std::fs::read(&dense).unwrap(), std::fs::read(&csr).unwrap()]
     })
 }
 
-fn tmp_path() -> std::path::PathBuf {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    let n = NEXT.fetch_add(1, Ordering::Relaxed);
-    let name = format!("ivmf_decoder_fuzz_{}_{n}.ivs", std::process::id());
-    std::env::temp_dir().join(name)
+fn tmp_path() -> TempPath {
+    TempPath::new("decoder_fuzz")
 }
 
 /// Reads every shard of the container at `path` until the end or an
@@ -450,7 +446,6 @@ proptest! {
                         read_container::<IntervalMatrix>(&path)
                     }
                 });
-                std::fs::remove_file(&path).ok();
             }
         }
     }

@@ -1,7 +1,7 @@
 //! Determinism acceptance suite for the certified top-k eigensolver:
 //!
-//! * `sym_eigen_topk_with` is bitwise identical across `IVMF_THREADS`
-//!   ∈ {1, 4},
+//! * `sym_eigen_topk_with` is bitwise identical across thread counts
+//!   {1, 4},
 //! * the solver is invariant to the shard layout when reached through
 //!   the row-sharded and sparse CSR Gram routes (the streamed Grams are
 //!   bitwise equal, and so are their top-k eigendecompositions),
@@ -14,15 +14,14 @@
 //!   profitability line, `with_force(true)` and `sym_eigen_topk` —
 //!   rejects NaN/±Inf input, naming the cell.
 //!
-//! The thread-count test mutates `IVMF_THREADS` under a file-local mutex;
+//! The thread-count test sets the count in a [`Settings::scope`];
 //! everything else drives the solver through explicit [`TopkOptions`] or
 //! the input's shape.
-
-use std::sync::Mutex;
 
 use ivmf_core::pipeline::{run_all, Pipeline};
 use ivmf_core::{run_all_sharded, DecompositionTarget, IsvdAlgorithm, IsvdConfig};
 use ivmf_data::synthetic::{generate_uniform, SyntheticConfig};
+use ivmf_env::Settings;
 use ivmf_interval::{IntervalMatrix, RowShardedIntervalMatrix};
 use ivmf_linalg::eigen_sym::SymEigen;
 use ivmf_linalg::random::{symmetric_matrix, uniform_matrix};
@@ -31,9 +30,6 @@ use ivmf_linalg::{
 };
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-
-/// Serializes the tests in this file that write `IVMF_THREADS`.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
 
 /// A pipeline shape whose bound eigendecompositions take the Lanczos
 /// path under default options: `topk_profitable(COLS, RANK)` holds.
@@ -64,50 +60,29 @@ fn assert_eig_bitwise(a: &SymEigen, b: &SymEigen, context: &str) {
     );
 }
 
-/// Env save/set helper so a panicking assertion cannot leak state into
-/// other suites: restores on drop.
-struct EnvGuard {
-    key: &'static str,
-    prev: Option<String>,
-}
-
-impl EnvGuard {
-    fn set(key: &'static str, value: &str) -> Self {
-        let prev = std::env::var(key).ok();
-        std::env::set_var(key, value);
-        EnvGuard { key, prev }
-    }
-}
-
-impl Drop for EnvGuard {
-    fn drop(&mut self) {
-        match self.prev.take() {
-            Some(v) => std::env::set_var(self.key, v),
-            None => std::env::remove_var(self.key),
-        }
-    }
-}
-
 #[test]
 fn topk_is_bitwise_invariant_across_thread_counts() {
-    let _guard = ENV_LOCK.lock().unwrap();
     // A rank-deficient Wishart-style matrix large enough that the forced
     // path genuinely iterates (it is profitable at n = 200, k = 12).
     let mut rng = SmallRng::seed_from_u64(7001);
     let a = uniform_matrix(&mut rng, 60, 200, -1.0, 1.0).gram();
 
     let mut runs = Vec::new();
-    for threads in ["1", "4"] {
-        let env = EnvGuard::set(ivmf_par::THREADS_ENV, threads);
-        let (eig, report) = sym_eigen_topk_report(&a, 12, &forced()).unwrap();
-        drop(env);
+    for threads in [1, 4] {
+        let settings = Settings {
+            threads,
+            ..Settings::default()
+        };
+        let (eig, report) = settings
+            .scope(|| sym_eigen_topk_report(&a, 12, &forced()))
+            .unwrap();
         assert!(
             !report.used_dense,
             "threads={threads}: forced path fell back to the dense solver"
         );
         runs.push(eig);
     }
-    assert_eig_bitwise(&runs[0], &runs[1], "IVMF_THREADS 1 vs 4");
+    assert_eig_bitwise(&runs[0], &runs[1], "threads 1 vs 4");
 }
 
 #[test]

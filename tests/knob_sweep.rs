@@ -1,108 +1,94 @@
-//! The entry-kind table of `tests/support/entry_kinds.rs` under every
-//! combination of the environment knobs that leave results bitwise
-//! unchanged: `IVMF_PREFETCH` ∈ {0, 1, 2} × `IVMF_SNAPSHOT_DIR` ∈ {unset,
-//! a fresh directory}. With the directory set, later sessions of the
-//! table warm-restore the snapshots earlier ones saved on drop; the
-//! pinned content ids and factor digests must hold either way.
+//! The entry-kind table of `tests/support/entry_kinds.rs` in every
+//! combination of the four run settings: threads {1, 2, 3} × prefetch
+//! {0, 1, 2} × snapshots {off, a fresh directory} × exact interval
+//! {off, on}. Each cell runs in a [`Settings::scope`]; nothing is set in
+//! the process environment, so the cells of the two flavours run as two
+//! concurrent tests.
 //!
-//! One more run sets the retired `IVMF_SPARSE_THRESHOLD=1.0` and
-//! `IVMF_TOPK_EIGEN=forced`: no crate reads them, so the same pins hold,
-//! a two-thirds-dense input keeps the dense Gram kernel and an
-//! unprofitable eigenproblem keeps the dense solve.
-//!
-//! Everything lives in one `#[test]` because it mutates process-wide
-//! variables, and the harness runs test functions concurrently.
+//! - The pinned content ids hold in every cell (asserted by the table).
+//! - With the default flavour, the pinned factor digests hold in every
+//!   cell. With the exact envelope pinned, the factor bits agree across
+//!   every thread count, prefetch depth and snapshot state.
+//! - With snapshots on, later sessions of the table warm-restore what
+//!   earlier ones saved on drop; the cell's directory then holds `.snap`
+//!   files with the v3 magic, and a new session over the fixture restores
+//!   its Gram with one hit and no miss.
 
 #[path = "support/entry_kinds.rs"]
 mod entry_kinds;
+#[path = "support/temp_path.rs"]
+mod temp_path;
 
 use ivmf_core::{IsvdConfig, Pipeline};
-use ivmf_linalg::random::symmetric_matrix;
-use ivmf_linalg::{sym_eigen_topk, sym_eigen_topk_report, topk_profitable, TopkOptions};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use ivmf_env::Settings;
+use temp_path::TempPath;
 
-const KNOBS: [&str; 4] = [
-    ivmf_env::PREFETCH,
-    ivmf_env::SNAPSHOT_DIR,
-    ivmf_env::SPARSE_THRESHOLD,
-    ivmf_env::TOPK_EIGEN,
-];
+/// The snapshot file magic (format v3).
+const SNAPSHOT_MAGIC: &[u8] = b"ivmfsn3\n";
 
-/// Clears [`KNOBS`] for the test's duration and restores their previous
-/// values on drop (also when an assertion panics).
-struct EnvGuard(Vec<(&'static str, Option<String>)>);
-
-impl EnvGuard {
-    fn clear() -> EnvGuard {
-        let saved = KNOBS.iter().map(|&n| (n, std::env::var(n).ok())).collect();
-        for n in KNOBS {
-            std::env::remove_var(n);
-        }
-        EnvGuard(saved)
-    }
-}
-
-impl Drop for EnvGuard {
-    fn drop(&mut self) {
-        for (name, value) in &self.0 {
-            match value {
-                Some(v) => std::env::set_var(name, v),
-                None => std::env::remove_var(name),
+/// Runs every cell of one interval flavour and returns the factor digests
+/// each cell produced, with the cell's name.
+fn sweep(exact_interval: bool) -> Vec<(String, (u64, u64))> {
+    let mut digests = Vec::new();
+    for threads in [1, 2, 3] {
+        for prefetch in [0, 1, 2] {
+            for snapshots in [false, true] {
+                let dir = snapshots.then(|| TempPath::new("knob_sweep"));
+                let settings = Settings {
+                    threads,
+                    prefetch,
+                    exact_interval,
+                    snapshot_dir: dir.as_ref().map(|d| d.to_path_buf()),
+                };
+                let cell = format!("{settings:?}");
+                digests.push((
+                    cell.clone(),
+                    settings.scope(entry_kinds::entry_kind_digests),
+                ));
+                if let Some(dir) = &dir {
+                    settings.scope(|| assert_warm_restart(dir, &cell));
+                }
             }
         }
     }
+    digests
+}
+
+/// The table's sessions saved v3 snapshots in `dir`, and a new session
+/// over the fixture starts warm from them.
+fn assert_warm_restart(dir: &TempPath, cell: &str) {
+    let snaps: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|e| e == "snap"))
+        .collect();
+    assert!(!snaps.is_empty(), "{cell}: no snapshot was written");
+    for snap in &snaps {
+        let bytes = std::fs::read(snap).unwrap();
+        assert!(
+            bytes.starts_with(SNAPSHOT_MAGIC),
+            "{cell}: {snap:?} does not begin with the v3 magic"
+        );
+    }
+    let (m, _) = entry_kinds::entry_kind_fixture();
+    let mut session = Pipeline::new(&m, IsvdConfig::new(4)).unwrap();
+    session.interval_gram().unwrap();
+    assert_eq!(session.cache().misses(), 0, "{cell}: not restored");
+    assert_eq!(session.cache().hits(), 1, "{cell}: not restored");
 }
 
 #[test]
 fn entry_kinds_keep_their_pins_under_every_knob_combination() {
-    let _env = EnvGuard::clear();
-    let root = std::env::temp_dir().join(format!("ivmf_knob_sweep_{}", std::process::id()));
-    for prefetch in ["0", "1", "2"] {
-        std::env::set_var(ivmf_env::PREFETCH, prefetch);
-        for snapshots in [false, true] {
-            let dir = root.join(format!("prefetch_{prefetch}"));
-            if snapshots {
-                std::env::set_var(ivmf_env::SNAPSHOT_DIR, &dir);
-            } else {
-                std::env::remove_var(ivmf_env::SNAPSHOT_DIR);
-            }
-            entry_kinds::check_every_entry_kind();
-            if snapshots {
-                // The table's sessions saved snapshots, and a new session
-                // over the fixture starts warm from them.
-                let (m, _) = entry_kinds::entry_kind_fixture();
-                let mut session = Pipeline::new(&m, IsvdConfig::new(4)).unwrap();
-                session.interval_gram().unwrap();
-                let context = format!("IVMF_PREFETCH={prefetch}, snapshots in {dir:?}");
-                assert_eq!(session.cache().misses(), 0, "{context}: not restored");
-                assert_eq!(session.cache().hits(), 1, "{context}: not restored");
-            }
-        }
+    for (cell, digests) in sweep(false) {
+        assert_eq!(digests, entry_kinds::DIGESTS, "{cell}: factor bits moved");
     }
-    std::env::remove_var(ivmf_env::PREFETCH);
-    std::env::remove_var(ivmf_env::SNAPSHOT_DIR);
-    std::env::set_var(ivmf_env::SPARSE_THRESHOLD, "1.0");
-    std::env::set_var(ivmf_env::TOPK_EIGEN, "forced");
-    entry_kinds::check_every_entry_kind();
+}
 
-    let (m, _) = entry_kinds::entry_kind_fixture();
-    let mut session = Pipeline::new(&m, IsvdConfig::new(4)).unwrap();
-    session.interval_gram().unwrap();
-    let mut snapshot = Vec::new();
-    session.write_snapshot(&mut snapshot).unwrap();
-    let csr_tag = b"\nsparseintervalgram ";
-    assert!(
-        !snapshot.windows(csr_tag.len()).any(|w| w == csr_tag),
-        "a two-thirds-dense input took the CSR Gram kernel"
-    );
-
-    let a = symmetric_matrix(&mut SmallRng::seed_from_u64(25), 120, -2.0, 2.0);
-    assert!(!topk_profitable(120, 20));
-    let (dense, report) = sym_eigen_topk_report(&a, 20, &TopkOptions::default()).unwrap();
-    assert!(report.used_dense);
-    let eig = sym_eigen_topk(&a, 20).unwrap();
-    assert_eq!(eig.eigenvalues, dense.eigenvalues, "not the dense solve");
-    assert_eq!(eig.eigenvectors, dense.eigenvectors, "not the dense solve");
-    std::fs::remove_dir_all(&root).ok();
+#[test]
+fn entry_kinds_agree_bitwise_in_every_exact_flavour_cell() {
+    let cells = sweep(true);
+    let (first_cell, first) = &cells[0];
+    for (cell, digests) in &cells {
+        assert_eq!(digests, first, "{cell} differs from {first_cell}");
+    }
 }

@@ -8,6 +8,8 @@
 
 #[path = "support/entry_kinds.rs"]
 mod entry_kinds;
+#[path = "support/temp_path.rs"]
+mod temp_path;
 
 use entry_kinds::{entry_kind_fixture, random_interval_matrix};
 use ivmf_core::isvd::isvd;
@@ -21,6 +23,7 @@ use ivmf_interval::{
 };
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use temp_path::TempPath;
 
 /// Asserts two factorizations are bitwise identical (not approximately —
 /// every f64 bit pattern must match).
@@ -93,8 +96,6 @@ fn run_all_batch_matches_standalone_across_matrices() {
 
 #[test]
 fn batched_run_computes_gram_and_bound_eigens_at_most_once() {
-    // Exact hit/miss accounting: keep the auto-snapshot knob out.
-    std::env::remove_var(ivmf_env::SNAPSHOT_DIR);
     let m = random_interval_matrix(700, 12, 8, 1.0);
     let results = run_all(&m, &IsvdConfig::new(4)).expect("batched run");
     for stage in [
@@ -115,8 +116,6 @@ fn batched_run_computes_gram_and_bound_eigens_at_most_once() {
 
 #[test]
 fn second_algorithm_sharing_the_gram_reports_a_hit() {
-    // Exact hit/miss accounting: keep the auto-snapshot knob out.
-    std::env::remove_var(ivmf_env::SNAPSHOT_DIR);
     let m = random_interval_matrix(701, 10, 6, 1.0);
     let mut pipeline = Pipeline::new(&m, IsvdConfig::new(4)).expect("pipeline");
 
@@ -143,8 +142,6 @@ fn second_algorithm_sharing_the_gram_reports_a_hit() {
 
 #[test]
 fn changed_config_fingerprint_reports_a_miss() {
-    // Exact hit/miss accounting: keep the auto-snapshot knob out.
-    std::env::remove_var(ivmf_env::SNAPSHOT_DIR);
     let m = random_interval_matrix(702, 10, 6, 1.0);
     let mut pipeline = Pipeline::new(&m, IsvdConfig::new(4)).expect("pipeline");
     pipeline.run(IsvdAlgorithm::Isvd2).expect("warm the cache");
@@ -186,8 +183,6 @@ fn changed_config_fingerprint_reports_a_miss() {
 
 #[test]
 fn mixed_targets_share_stages_within_one_session() {
-    // Exact hit/miss accounting: keep the auto-snapshot knob out.
-    std::env::remove_var(ivmf_env::SNAPSHOT_DIR);
     // Stage outputs are target-independent: running the same algorithm
     // under a different target must be a full cache hit, and the produced
     // factors must still match the standalone path bitwise.
@@ -391,8 +386,7 @@ fn constructors_reject_nan_inf_and_inverted_cells_naming_the_global_cell() {
         }
 
         // A disk source fails in its reader, which names the cell first.
-        let tmp = |tag| std::env::temp_dir().join(format!("ivmf_bad_{}_{tag}", std::process::id()));
-        let (dense_path, csr_path) = (tmp("dense"), tmp("csr"));
+        let (dense_path, csr_path) = (TempPath::new("bad_dense"), TempPath::new("bad_csr"));
         write_interval_matrix(&dense_path, &bad).unwrap();
         write_csr_matrix(&csr_path, &csr).unwrap();
         let from_disk = [
@@ -400,8 +394,6 @@ fn constructors_reject_nan_inf_and_inverted_cells_naming_the_global_cell() {
             Pipeline::new_streaming_csr(Box::new(CsrShardReader::open(&csr_path, 7).unwrap()), c)
                 .err(),
         ];
-        std::fs::remove_file(&dense_path).ok();
-        std::fs::remove_file(&csr_path).ok();
         for err in from_disk {
             let err = err.expect("a disk source over a bad cell opened");
             assert!(

@@ -14,7 +14,6 @@
 //! `tests/support/counting_alloc.rs`. This binary holds this one test,
 //! so nothing else allocates while it measures.
 
-use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 
 use ivmf_core::{IsvdAlgorithm, IsvdConfig, Pipeline};
@@ -25,26 +24,19 @@ use rand::SeedableRng;
 
 #[path = "support/counting_alloc.rs"]
 mod counting_alloc;
+#[path = "support/temp_path.rs"]
+mod temp_path;
 use counting_alloc::{LIVE, PEAK};
+use temp_path::TempPath;
 
 const ROWS: usize = 60_000;
 const COLS: usize = 64;
 const RANK: usize = 8;
 const SHARD_ROWS: usize = 4096;
 
-fn tmp_path() -> PathBuf {
-    std::env::temp_dir().join(format!(
-        "ivmf_right_tighten_memory_{}.ivs",
-        std::process::id()
-    ))
-}
-
 #[test]
 fn isvd4_right_tighten_allocates_nothing_that_grows_with_rows() {
-    // Auto-snapshots would encode the whole stage cache (`U†` included)
-    // after the run; this guard measures the decomposition alone.
-    std::env::remove_var(ivmf_env::SNAPSHOT_DIR);
-    let path = tmp_path();
+    let path = TempPath::new("right_tighten_memory");
     let mut rng = SmallRng::seed_from_u64(19);
     let csr = generate_power_law(
         &PowerLawConfig::ratings_like(ROWS, COLS).with_nnz_per_row(8),
@@ -68,7 +60,6 @@ fn isvd4_right_tighten_allocates_nothing_that_grows_with_rows() {
     PEAK.store(before, Ordering::SeqCst);
     let tightened = session.right_tighten().unwrap();
     let peak = PEAK.load(Ordering::SeqCst);
-    std::fs::remove_file(&path).ok();
 
     assert_eq!(tightened.0.shape(), (COLS, RANK));
     let tall = ROWS * RANK * std::mem::size_of::<f64>();

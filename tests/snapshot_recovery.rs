@@ -6,33 +6,26 @@
 //! torn rename — must degrade to recomputation, never to a panic and
 //! never to silently wrong results.
 //!
-//! One test drives the `IVMF_SNAPSHOT_DIR` auto save/load knob, so every
-//! test in this binary serializes on a shared lock (the knob is
-//! process-global).
+//! Two tests drive the automatic save/load of a snapshot directory, set
+//! in a [`Settings::scope`] of their own thread.
+
+#[path = "support/temp_path.rs"]
+mod temp_path;
 
 use std::io::Write;
-use std::path::PathBuf;
-use std::sync::Mutex;
 
 use ivmf_core::pipeline::{Pipeline, StageId};
 use ivmf_core::snapshot::snapshot_path;
 use ivmf_core::{IsvdAlgorithm, IsvdConfig, IsvdResult, RestoreReport};
 use ivmf_data::binfmt;
 use ivmf_data::fault::{FaultSchedule, FaultyWriter};
+use ivmf_env::Settings;
 use ivmf_interval::{IntervalMatrix, RowShardedIntervalMatrix};
 use ivmf_linalg::random::uniform_matrix;
 use ivmf_linalg::Matrix;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-
-/// Serializes the whole binary: the auto-snapshot test owns the
-/// process-global `IVMF_SNAPSHOT_DIR`, and the others must not construct
-/// or drop pipelines while it is set.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
-
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
+use temp_path::TempPath;
 
 /// Mirrors `ivmf_core::test_support::random_interval_matrix` (which is
 /// `cfg(test)`-gated and invisible to integration tests); keep in sync.
@@ -44,10 +37,20 @@ fn random_interval_matrix(seed: u64, n: usize, m: usize, span: f64) -> IntervalM
     IntervalMatrix::from_bounds(lo, hi).unwrap()
 }
 
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("ivmf_snaprec_{}_{tag}", std::process::id()));
+/// A fresh directory under the system temp dir, removed with its
+/// contents when the guard drops.
+fn temp_dir(tag: &str) -> TempPath {
+    let dir = TempPath::new(&format!("snaprec_{tag}"));
     std::fs::create_dir_all(&dir).unwrap();
     dir
+}
+
+/// The default settings with automatic snapshots in `dir`.
+fn snapshots_in(dir: &std::path::Path) -> Settings {
+    Settings {
+        snapshot_dir: Some(dir.to_path_buf()),
+        ..Settings::default()
+    }
 }
 
 fn assert_results_bitwise(a: &[IsvdResult; 5], b: &[IsvdResult; 5], context: &str) {
@@ -90,8 +93,6 @@ fn first_entry_payload(bytes: &[u8]) -> usize {
 /// incremental refresh (a cache hit, not a cold re-fold).
 #[test]
 fn killed_mid_stream_session_resumes_warm_and_bitwise_identical() {
-    let _guard = lock();
-    std::env::remove_var(ivmf_env::SNAPSHOT_DIR);
     let base = random_interval_matrix(800, 18, 9, 1.0);
     let batch1 = random_interval_matrix(801, 5, 9, 1.0);
     let batch2 = random_interval_matrix(802, 4, 9, 1.0);
@@ -159,8 +160,6 @@ fn killed_mid_stream_session_resumes_warm_and_bitwise_identical() {
 /// and results stay bitwise correct at every truncation point.
 #[test]
 fn truncated_snapshot_recovers_to_bitwise_correct_results() {
-    let _guard = lock();
-    std::env::remove_var(ivmf_env::SNAPSHOT_DIR);
     let m = random_interval_matrix(810, 14, 8, 1.0);
     let config = IsvdConfig::new(4);
     let mut warm = Pipeline::new(&m, config).unwrap();
@@ -196,8 +195,6 @@ fn truncated_snapshot_recovers_to_bitwise_correct_results() {
 /// identical.
 #[test]
 fn single_bit_corruption_drops_one_record_and_stays_bitwise_correct() {
-    let _guard = lock();
-    std::env::remove_var(ivmf_env::SNAPSHOT_DIR);
     let m = random_interval_matrix(811, 13, 7, 1.0);
     let config = IsvdConfig::new(4);
     let mut warm = Pipeline::new(&m, config).unwrap();
@@ -231,8 +228,6 @@ fn single_bit_corruption_drops_one_record_and_stays_bitwise_correct() {
 /// payload checksum still restores.
 #[test]
 fn corrupted_checksum_still_salvages_every_intact_record() {
-    let _guard = lock();
-    std::env::remove_var(ivmf_env::SNAPSHOT_DIR);
     let m = random_interval_matrix(812, 12, 7, 1.0);
     let config = IsvdConfig::new(3);
     let mut warm = Pipeline::new(&m, config).unwrap();
@@ -261,8 +256,6 @@ fn corrupted_checksum_still_salvages_every_intact_record() {
 /// restores nothing either. Both recompute cold, correctly.
 #[test]
 fn version_bump_and_stale_matrix_are_rejected_wholesale() {
-    let _guard = lock();
-    std::env::remove_var(ivmf_env::SNAPSHOT_DIR);
     let m = random_interval_matrix(813, 11, 7, 1.0);
     let other = random_interval_matrix(814, 11, 7, 1.0);
     let config = IsvdConfig::new(3);
@@ -319,8 +312,6 @@ fn version_bump_and_stale_matrix_are_rejected_wholesale() {
 /// The restart must load the committed file and never the stray.
 #[test]
 fn kill_between_write_and_rename_leaves_the_committed_snapshot_in_charge() {
-    let _guard = lock();
-    std::env::remove_var(ivmf_env::SNAPSHOT_DIR);
     let m = random_interval_matrix(815, 12, 7, 1.0);
     let config = IsvdConfig::new(3);
     let dir = temp_dir("torn_rename");
@@ -356,13 +347,15 @@ fn kill_between_write_and_rename_leaves_the_committed_snapshot_in_charge() {
     assert!(stray.exists(), "the stray is inert, not silently adopted");
 }
 
-/// The `IVMF_SNAPSHOT_DIR` knob end-to-end: save-on-drop in one
+/// The snapshot-directory setting end-to-end: save-on-drop in one
 /// "process", load-on-construct in the next, pure hits, identical bits.
 #[test]
 fn snapshot_dir_knob_gives_automatic_warm_restarts() {
-    let _guard = lock();
     let dir = temp_dir("auto");
-    std::env::set_var(ivmf_env::SNAPSHOT_DIR, &dir);
+    snapshots_in(&dir).scope(|| automatic_warm_restart(&dir));
+}
+
+fn automatic_warm_restart(dir: &std::path::Path) {
     let m = random_interval_matrix(816, 13, 8, 1.0);
     let config = IsvdConfig::new(4);
 
@@ -372,7 +365,7 @@ fn snapshot_dir_knob_gives_automatic_warm_restarts() {
         let mut p = Pipeline::new(&m, config).unwrap();
         p.run_all().unwrap()
     };
-    let expected = snapshot_path(&dir, {
+    let expected = snapshot_path(dir, {
         let p = Pipeline::new(&m, config).unwrap();
         p.content_id()
     });
@@ -385,16 +378,53 @@ fn snapshot_dir_knob_gives_automatic_warm_restarts() {
         assert_eq!(r.timings.cache_misses, 0, "auto-restore must serve hits");
     }
     assert_results_bitwise(&warm, &reference, "auto warm restart");
+}
 
-    std::env::remove_var(ivmf_env::SNAPSHOT_DIR);
+/// A session's directory is the one in force when it was built: dropped
+/// after its scope ended, it still saves there.
+#[test]
+fn a_session_saves_to_the_directory_it_was_built_in() {
+    let dir = temp_dir("built_in");
+    let m = random_interval_matrix(818, 9, 6, 1.0);
+    let mut p = snapshots_in(&dir).scope(|| Pipeline::new(&m, IsvdConfig::new(3)).unwrap());
+    p.run(IsvdAlgorithm::Isvd2).unwrap();
+    let expected = snapshot_path(&dir, p.content_id());
+    drop(p);
+    assert!(
+        expected.exists(),
+        "the drop outside the scope saved elsewhere"
+    );
+}
+
+/// Every temporary path a test makes is removed when the test ends, also
+/// when it fails.
+#[test]
+fn a_failed_test_leaves_no_temp_files_behind() {
+    let dir = temp_dir("left_behind");
+    let path = dir.to_path_buf();
+    let failed = std::panic::catch_unwind(move || {
+        let m = random_interval_matrix(819, 9, 6, 1.0);
+        let run = || {
+            Pipeline::new(&m, IsvdConfig::new(3))
+                .unwrap()
+                .run(IsvdAlgorithm::Isvd2)
+        };
+        snapshots_in(&dir).scope(run).unwrap();
+        assert_eq!(
+            std::fs::read_dir(&dir).unwrap().count(),
+            1,
+            "one snapshot saved"
+        );
+        panic!("the test fails after writing");
+    });
+    assert!(failed.is_err());
+    assert!(!path.exists(), "{path:?} outlived its test");
 }
 
 /// Restoring from a directory that was never written to is a silent cold
 /// start — including through the auto knob.
 #[test]
 fn missing_snapshot_is_a_cold_start_not_an_error() {
-    let _guard = lock();
-    std::env::remove_var(ivmf_env::SNAPSHOT_DIR);
     let m = random_interval_matrix(817, 10, 6, 1.0);
     let mut p = Pipeline::new(&m, IsvdConfig::new(3)).unwrap();
     let report = p

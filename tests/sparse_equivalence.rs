@@ -123,22 +123,17 @@ fn sparse_run_all_matches_dense_for_every_target_and_layout() {
 
 #[test]
 fn sparse_route_is_bitwise_invariant_across_thread_counts() {
-    // Env mutation is contained in this one test; concurrent tests only
-    // *read* the variable through kernels that are bitwise
-    // thread-count-invariant.
     let csr = power_law(43, 29, 10, 5);
     let sharded = CsrShardedIntervalMatrix::from_csr(&csr, 6).unwrap();
     let config = IsvdConfig::new(4);
     let reference = run_all(&csr.to_dense(), &config).unwrap();
-    let prev = std::env::var(ivmf_par::THREADS_ENV).ok();
-    for threads in ["1", "4"] {
-        std::env::set_var(ivmf_par::THREADS_ENV, threads);
-        let results = run_all_sharded(&sharded, &config).unwrap();
+    for threads in [1, 4] {
+        let settings = ivmf_env::Settings {
+            threads,
+            ..ivmf_env::Settings::default()
+        };
+        let results = settings.scope(|| run_all_sharded(&sharded, &config).unwrap());
         assert_results_bitwise(&results, &reference, &format!("threads {threads}"));
-    }
-    match prev {
-        Some(v) => std::env::set_var(ivmf_par::THREADS_ENV, v),
-        None => std::env::remove_var(ivmf_par::THREADS_ENV),
     }
 }
 

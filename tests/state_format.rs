@@ -56,11 +56,13 @@ fn bytes(write: impl FnOnce(&mut Vec<u8>) -> std::io::Result<()>) -> Vec<u8> {
 
 #[test]
 fn state_format_bytes_are_pinned() {
-    // Knobs that would change which representation, flavour or snapshot
-    // a session ends up with; this is the only test in its binary.
-    for knob in [ivmf_env::SNAPSHOT_DIR, ivmf_env::EXACT_INTERVAL] {
-        std::env::remove_var(knob);
-    }
+    // The default settings, whatever the environment says: the interval
+    // flavour and automatic snapshots would change the state a session
+    // ends up with.
+    ivmf_env::Settings::default().scope(check_state_format_bytes);
+}
+
+fn check_state_format_bytes() {
     let mut got: Vec<(&str, Vec<u8>)> = Vec::new();
 
     let (a, b) = (dyadic(ROWS, COLS, 3), dyadic(ROWS, COLS, 4));

@@ -17,14 +17,19 @@
 //! chunk re-alignment machinery (not just the single-chunk fast case) is
 //! exercised.
 
+#[path = "support/temp_path.rs"]
+mod temp_path;
+
 use ivmf_core::pipeline::{run_all, run_all_batch, run_all_batch_sharded, Pipeline, StageId};
 use ivmf_core::{DecompositionTarget, IsvdAlgorithm, IsvdConfig, IsvdResult};
 use ivmf_data::stream::{stream_interval_gram, write_interval_matrix, ShardReader};
 use ivmf_data::synthetic::{generate_uniform, SyntheticConfig};
+use ivmf_env::Settings;
 use ivmf_interval::{IntervalMatrix, RowShardedIntervalMatrix};
 use ivmf_linalg::STREAM_CHUNK_ROWS;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use temp_path::TempPath;
 
 fn synthetic(seed: u64, rows: usize, cols: usize) -> IntervalMatrix {
     let mut rng = SmallRng::seed_from_u64(seed);
@@ -93,11 +98,8 @@ fn sharded_run_matches_dense_for_every_target() {
 #[test]
 fn streamed_gram_is_bitwise_invariant_across_shard_sizes_and_thread_counts() {
     // Property test over random shard sizes (always including the 1-row
-    // and whole-matrix edge cases) and two thread counts. Env mutation is
-    // contained in this one test; concurrent tests only *read* the
-    // variable through kernels that are bitwise thread-count-invariant.
+    // and whole-matrix edge cases) and two thread counts.
     let mut rng = SmallRng::seed_from_u64(903);
-    let prev = std::env::var(ivmf_par::THREADS_ENV).ok();
     for case in 0..8 {
         let n = rng.gen_range(1usize..(STREAM_CHUNK_ROWS * 2));
         let cols = rng.gen_range(1usize..24);
@@ -107,19 +109,18 @@ fn streamed_gram_is_bitwise_invariant_across_shard_sizes_and_thread_counts() {
         shard_sizes.push(rng.gen_range(1..=n));
         for shard_rows in shard_sizes {
             let sharded = RowShardedIntervalMatrix::from_dense(&m, shard_rows).unwrap();
-            for threads in ["1", "4"] {
-                std::env::set_var(ivmf_par::THREADS_ENV, threads);
-                let streamed = sharded.interval_gram_streamed().unwrap();
+            for threads in [1, 4] {
+                let settings = Settings {
+                    threads,
+                    ..Settings::default()
+                };
+                let streamed = settings.scope(|| sharded.interval_gram_streamed().unwrap());
                 assert_eq!(
                     streamed, reference,
                     "gram diverged: n={n} cols={cols} shard_rows={shard_rows} threads={threads}"
                 );
             }
         }
-    }
-    match prev {
-        Some(v) => std::env::set_var(ivmf_par::THREADS_ENV, v),
-        None => std::env::remove_var(ivmf_par::THREADS_ENV),
     }
 }
 
@@ -171,8 +172,7 @@ fn append_rows_across_chunk_boundaries_matches_cold_and_reuses_gram() {
 #[test]
 fn lazy_disk_loader_decomposes_end_to_end_identically_to_memory() {
     let m = synthetic(910, STREAM_CHUNK_ROWS + 5, 11);
-    let path =
-        std::env::temp_dir().join(format!("ivmf_streaming_shards_{}.txt", std::process::id()));
+    let path = TempPath::new("streaming_shards");
     write_interval_matrix(&path, &m).unwrap();
 
     let config = IsvdConfig::new(4);
@@ -185,5 +185,4 @@ fn lazy_disk_loader_decomposes_end_to_end_identically_to_memory() {
     // The one-pass out-of-core Gram agrees with the session's Gram stage.
     let gram = stream_interval_gram::<IntervalMatrix>(&path, 13).unwrap();
     assert_eq!(gram, *session.interval_gram().unwrap());
-    std::fs::remove_file(&path).ok();
 }

@@ -1,9 +1,10 @@
 //! The entry-kind table: every way to open a decomposition session, dense
 //! or CSR, borrowed, owned or streamed from disk, must reproduce pinned
 //! content ids and factor bits, before and after an append. A binary opts
-//! in with `#[path = "support/entry_kinds.rs"] mod entry_kinds;` and calls
+//! in with `#[path = "support/entry_kinds.rs"] mod entry_kinds;` next to
+//! `#[path = "support/temp_path.rs"] mod temp_path;` and calls
 //! [`check_every_entry_kind`] — once as it stands, or once per
-//! environment configuration whose sessions must keep the same pins.
+//! [`ivmf_env::Settings`] scope whose sessions must keep the same pins.
 
 #![allow(dead_code)]
 
@@ -18,6 +19,8 @@ use ivmf_linalg::random::uniform_matrix;
 use ivmf_linalg::Matrix;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+
+use crate::temp_path::TempPath;
 
 /// Mirrors `ivmf_core::test_support::random_interval_matrix` (which is
 /// `cfg(test)`-gated and invisible to integration tests); keep the two in
@@ -101,18 +104,29 @@ type Case<'a> = (
     bool,
 );
 
-/// Opens every entry kind in turn, runs all five algorithms, appends, and
-/// asserts the pinned content ids and factor digests. Each session opens
-/// only when its row runs, so with `IVMF_SNAPSHOT_DIR` set later sessions
-/// warm-restore the snapshots earlier ones saved on drop.
-pub fn check_every_entry_kind() {
-    // Computed at commit 7e31f33, when each representation still had its
-    // own session code: content ids name snapshot files, so they must not
-    // move, and every entry kind must keep the factor bits.
-    const DENSE: (u64, u64) = (0xfea0_61ac_d070_8252, 0x3970_02b0_67d7_2034);
-    const CSR: (u64, u64) = (0x3de7_8314_913f_96ad, 0xd633_8c1b_cc11_1293);
-    const DIGESTS: (u64, u64) = (0xe29d_af96_6e75_1513, 0x0eb5_d9b5_e91a_c1d3);
+// Computed at commit 7e31f33, when each representation still had its own
+// session code: content ids name snapshot files, so they must not move,
+// and every entry kind must keep the factor bits.
+/// Content ids of the dense entry kinds, before and after the append.
+pub const DENSE: (u64, u64) = (0xfea0_61ac_d070_8252, 0x3970_02b0_67d7_2034);
+/// Content ids of the CSR entry kinds, before and after the append.
+pub const CSR: (u64, u64) = (0x3de7_8314_913f_96ad, 0xd633_8c1b_cc11_1293);
+/// Factor digests with the default interval flavour, before and after the
+/// append.
+pub const DIGESTS: (u64, u64) = (0xe29d_af96_6e75_1513, 0x0eb5_d9b5_e91a_c1d3);
 
+/// [`entry_kind_digests`], pinned to [`DIGESTS`].
+pub fn check_every_entry_kind() {
+    assert_eq!(entry_kind_digests(), DIGESTS, "factor bits moved");
+}
+
+/// Opens every entry kind in turn, runs all five algorithms and appends;
+/// asserts the pinned content ids and that every entry kind has the same
+/// factor bits, and returns their digests before and after the append.
+/// Each session opens only when its row runs, so with a snapshot
+/// directory set later sessions warm-restore the snapshots earlier ones
+/// saved on drop.
+pub fn entry_kind_digests() -> (u64, u64) {
     let (m, extra) = entry_kind_fixture();
     let extra_csr = CsrIntervalShard::from_dense(&extra);
     let c = IsvdConfig::new(4);
@@ -120,8 +134,7 @@ pub fn check_every_entry_kind() {
     let csr = CsrIntervalShard::from_dense(&m);
     let csr_one = CsrShardedIntervalMatrix::from_csr(&csr, m.rows()).unwrap();
     let csr_shards = CsrShardedIntervalMatrix::from_csr(&csr, 7).unwrap();
-    let tmp = |tag| std::env::temp_dir().join(format!("ivmf_kinds_{}_{tag}", std::process::id()));
-    let (dense_path, csr_path) = (tmp("dense"), tmp("csr"));
+    let (dense_path, csr_path) = (TempPath::new("kinds_dense"), TempPath::new("kinds_csr"));
     write_interval_matrix(&dense_path, &m).unwrap();
     write_csr_matrix(&csr_path, &csr).unwrap();
     let reader = || Box::new(ShardReader::open(&dense_path, 7).unwrap());
@@ -236,15 +249,13 @@ pub fn check_every_entry_kind() {
         .into_iter()
         .map(|(kind, run, ids, accepts)| (kind, run(), ids, accepts))
         .collect();
-    std::fs::remove_file(&dense_path).ok();
-    std::fs::remove_file(&csr_path).ok();
 
     let ((_, digest), appended) = outcomes[0].1;
     let digests = (digest, appended.unwrap().1);
-    assert_eq!(digests, DIGESTS, "factor bits moved");
     for (kind, (before, after), ids, accepts) in outcomes {
         assert_eq!(before, (ids.0, digests.0), "{kind}: id and factor bits");
         let want = accepts.then_some((ids.1, digests.1));
         assert_eq!(after, want, "{kind}: id and factor bits after the append");
     }
+    digests
 }

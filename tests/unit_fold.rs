@@ -11,28 +11,27 @@
 //! * `append_rows` on the unit-folded accumulator followed by ISVD2–4
 //!   equals a cold run over the extended matrix.
 //!
-//! Both interval-Gram flavours are covered: the size-dispatched
-//! midpoint–radius fold and the exact fold pinned by
-//! `IVMF_EXACT_INTERVAL`. So are both Gram kernels on one logical
+//! Both interval-Gram flavours are covered, one test each: the
+//! size-dispatched midpoint–radius fold and the exact fold pinned by
+//! [`Settings::exact_interval`]. So are both Gram kernels on one logical
 //! matrix (a dense session and a CSR session over the same rows), the
 //! CSR kernel a sparse enough dense session picks on its own, and the
-//! streamed CSR route at every `IVMF_PREFETCH` depth.
-//!
-//! Everything lives in one `#[test]` because it mutates the process-wide
-//! `IVMF_THREADS`, `IVMF_EXACT_INTERVAL` and `IVMF_PREFETCH` variables:
-//! the harness runs test functions concurrently in one process, so the
-//! mutation must not straddle functions.
+//! streamed CSR route at every prefetch depth. Every setting is set in a
+//! [`Settings::scope`], so the two tests run concurrently.
 
-use std::path::PathBuf;
+#[path = "support/temp_path.rs"]
+mod temp_path;
 
 use ivmf_core::pipeline::{run_all, Pipeline, DEFAULT_SPARSE_THRESHOLD};
 use ivmf_core::{run_all_sharded, IsvdAlgorithm, IsvdConfig, IsvdResult};
 use ivmf_data::stream::{CsrShardReader, CsrShardWriter};
 use ivmf_data::synthetic::{generate_power_law, generate_uniform, PowerLawConfig, SyntheticConfig};
+use ivmf_env::Settings;
 use ivmf_interval::{CsrShardedIntervalMatrix, IntervalShard, RowShardedIntervalMatrix};
 use ivmf_linalg::streaming::GROUP_ROWS;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use temp_path::TempPath;
 
 /// Three units: two full groups and a 700-row partial one.
 const ROWS: usize = 2 * GROUP_ROWS + 700;
@@ -93,45 +92,24 @@ fn holds_csr_gram(snapshot: &[u8]) -> bool {
     snapshot.windows(tag.len()).any(|w| w == tag)
 }
 
-fn tmp_path(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("ivmf_unit_fold_{}_{tag}.ivs", std::process::id()))
-}
-
-/// Clears the given variables for the test's duration and restores their
-/// previous values on drop (also when an assertion panics).
-struct EnvGuard(Vec<(&'static str, Option<String>)>);
-
-impl EnvGuard {
-    fn clear(names: &[&'static str]) -> EnvGuard {
-        let saved = names.iter().map(|&n| (n, std::env::var(n).ok())).collect();
-        for n in names {
-            std::env::remove_var(n);
-        }
-        EnvGuard(saved)
-    }
-}
-
-impl Drop for EnvGuard {
-    fn drop(&mut self) {
-        for (name, value) in &self.0 {
-            match value {
-                Some(v) => std::env::set_var(name, v),
-                None => std::env::remove_var(name),
-            }
-        }
-    }
+#[test]
+fn unit_fold_is_thread_count_invariant_on_every_route() {
+    check_unit_fold(false);
 }
 
 #[test]
-fn unit_fold_is_thread_count_invariant_on_every_route() {
-    // Auto-snapshots would warm later sessions from earlier ones and skip
-    // the fold under test; the prefetch depth is set per route below.
-    let _env = EnvGuard::clear(&[
-        ivmf_env::THREADS,
-        ivmf_env::EXACT_INTERVAL,
-        ivmf_env::SNAPSHOT_DIR,
-        ivmf_env::PREFETCH,
-    ]);
+fn unit_fold_is_thread_count_invariant_on_every_route_with_the_exact_envelope() {
+    check_unit_fold(true);
+}
+
+fn check_unit_fold(exact_interval: bool) {
+    let flavour = if exact_interval { "exact" } else { "mid-rad" };
+    let at = |threads: usize, prefetch: usize| Settings {
+        threads,
+        prefetch,
+        exact_interval,
+        snapshot_dir: None,
+    };
     let config = IsvdConfig::new(4);
     let all = IsvdAlgorithm::all();
 
@@ -157,16 +135,16 @@ fn unit_fold_is_thread_count_invariant_on_every_route() {
     // Unit-aligned in-memory shards (the out-of-core benchmark's layout)...
     let sparse = CsrShardedIntervalMatrix::from_csr(&csr, GROUP_ROWS / 2).unwrap();
     // ...and a streamed reader whose owned shards straddle unit boundaries.
-    let path = tmp_path("csr");
+    let path = TempPath::new("unit_fold_csr");
     let mut writer = CsrShardWriter::create(&path, ROWS, csr.cols()).unwrap();
     writer.push_shard(&csr).unwrap();
     writer.finish().unwrap();
-    let streamed = |prefetch: &str| {
-        std::env::set_var(ivmf_env::PREFETCH, prefetch);
-        let reader = CsrShardReader::open(&path, STRADDLING_SHARD_ROWS).unwrap();
-        let session = Pipeline::new_streaming_csr_send(Box::new(reader), config).unwrap();
-        std::env::remove_var(ivmf_env::PREFETCH);
-        session
+    // The prefetch depth is the one in force when the session opens.
+    let streamed = |threads: usize, prefetch: usize| {
+        at(threads, prefetch).scope(|| {
+            let reader = CsrShardReader::open(&path, STRADDLING_SHARD_ROWS).unwrap();
+            Pipeline::new_streaming_csr_send(Box::new(reader), config).unwrap()
+        })
     };
 
     // A dense matrix sparse enough that its in-memory sessions fold the
@@ -182,25 +160,17 @@ fn unit_fold_is_thread_count_invariant_on_every_route() {
     assert!(stored as f64 <= DEFAULT_SPARSE_THRESHOLD * (ROWS * 24) as f64);
     let thin_sharded = RowShardedIntervalMatrix::from_dense(&thin, STRADDLING_SHARD_ROWS).unwrap();
 
-    for exact in [false, true] {
-        if exact {
-            std::env::set_var(ivmf_env::EXACT_INTERVAL, "1");
-        } else {
-            std::env::remove_var(ivmf_env::EXACT_INTERVAL);
-        }
-        let flavour = if exact { "exact" } else { "mid-rad" };
-
-        std::env::set_var(ivmf_env::THREADS, "1");
-        let cold_dense = run_all(&dense_ext, &config).unwrap();
+    let (cold_dense, cold_sparse) = at(1, 1).scope(|| {
         let cold_sparse = run_all_sharded(
             &CsrShardedIntervalMatrix::from_csr(&csr_ext, GROUP_ROWS / 2).unwrap(),
             &config,
-        )
-        .unwrap();
-        let mut baseline: Vec<(Vec<IsvdResult>, Vec<u8>)> = Vec::new();
+        );
+        (run_all(&dense_ext, &config).unwrap(), cold_sparse.unwrap())
+    });
+    let mut baseline: Vec<(Vec<IsvdResult>, Vec<u8>)> = Vec::new();
 
-        for threads in ["1", "2", "3"] {
-            std::env::set_var(ivmf_env::THREADS, threads);
+    for threads in [1, 2, 3] {
+        at(threads, 1).scope(|| {
             let runs = vec![
                 (
                     "dense one block",
@@ -214,14 +184,14 @@ fn unit_fold_is_thread_count_invariant_on_every_route() {
                     "sparse in-memory",
                     run_and_snapshot(Pipeline::new_sharded(&sparse, config).unwrap()),
                 ),
-                ("sparse streamed", run_and_snapshot(streamed("1"))),
+                ("sparse streamed", run_and_snapshot(streamed(threads, 1))),
                 (
                     "sparse streamed, prefetch 0",
-                    run_and_snapshot(streamed("0")),
+                    run_and_snapshot(streamed(threads, 0)),
                 ),
                 (
                     "sparse streamed, prefetch 2",
-                    run_and_snapshot(streamed("2")),
+                    run_and_snapshot(streamed(threads, 2)),
                 ),
                 (
                     "dense rows as CSR 3000-row shards",
@@ -234,8 +204,8 @@ fn unit_fold_is_thread_count_invariant_on_every_route() {
             ];
 
             for (i, (route, (results, snapshot))) in runs.into_iter().enumerate() {
-                let context = format!("{flavour}, {route}, IVMF_THREADS={threads}");
-                if threads == "1" {
+                let context = format!("{flavour}, {route}, {threads} threads");
+                if threads == 1 {
                     baseline.push((results, snapshot));
                     continue;
                 }
@@ -252,7 +222,7 @@ fn unit_fold_is_thread_count_invariant_on_every_route() {
                 &appended,
                 &cold_dense[2..],
                 &GRAM_ROUTE,
-                &format!("{flavour}, dense append, IVMF_THREADS={threads}"),
+                &format!("{flavour}, dense append, {threads} threads"),
             );
             let appended =
                 append_then_gram_route(Pipeline::new_sharded(&sparse, config).unwrap(), |s| {
@@ -262,25 +232,24 @@ fn unit_fold_is_thread_count_invariant_on_every_route() {
                 &appended,
                 &cold_sparse[2..],
                 &GRAM_ROUTE,
-                &format!("{flavour}, sparse append, IVMF_THREADS={threads}"),
+                &format!("{flavour}, sparse append, {threads} threads"),
             );
-        }
-        // Shard layout, prefetch depth and Gram kernel stay invisible too.
-        assert_bitwise(&baseline[1].0, &baseline[0].0, &all, "dense layouts");
-        assert_bitwise(&baseline[3].0, &baseline[2].0, &all, "sparse routes");
-        for i in [4, 5] {
-            assert_bitwise(&baseline[i].0, &baseline[3].0, &all, "prefetch depths");
-            assert!(
-                baseline[i].1 == baseline[3].1,
-                "prefetch moved snapshot bytes"
-            );
-        }
-        assert!(!holds_csr_gram(&baseline[1].1) && holds_csr_gram(&baseline[6].1));
-        assert_bitwise(&baseline[6].0, &baseline[1].0, &all, "dense vs sparse Gram");
+        });
+    }
+    // Shard layout, prefetch depth and Gram kernel stay invisible too.
+    assert_bitwise(&baseline[1].0, &baseline[0].0, &all, "dense layouts");
+    assert_bitwise(&baseline[3].0, &baseline[2].0, &all, "sparse routes");
+    for i in [4, 5] {
+        assert_bitwise(&baseline[i].0, &baseline[3].0, &all, "prefetch depths");
         assert!(
-            holds_csr_gram(&baseline[7].1),
-            "thin dense rows kept the dense Gram"
+            baseline[i].1 == baseline[3].1,
+            "prefetch moved snapshot bytes"
         );
     }
-    std::fs::remove_file(&path).ok();
+    assert!(!holds_csr_gram(&baseline[1].1) && holds_csr_gram(&baseline[6].1));
+    assert_bitwise(&baseline[6].0, &baseline[1].0, &all, "dense vs sparse Gram");
+    assert!(
+        holds_csr_gram(&baseline[7].1),
+        "thin dense rows kept the dense Gram"
+    );
 }
