@@ -871,7 +871,10 @@ impl ColBlocks for TightenProjector<'_> {
             let first = start / TIGHTEN_BLOCK_ROWS * TIGHTEN_BLOCK_ROWS;
             let last = (end.div_ceil(TIGHTEN_BLOCK_ROWS) * TIGHTEN_BLOCK_ROWS).min(self.u.rows());
             let cols = self.pinv.columns(&mid_rows(self.u, first, last))?;
-            self.block = self.sigma_inv.matmul_with(&cols, self.apply)?;
+            let work = self.sigma_inv.rows() * self.sigma_inv.cols() * cols.cols();
+            self.block = self
+                .sigma_inv
+                .matmul_with(&cols, self.apply.for_block(work))?;
             self.first = first;
         }
         Ok((&self.block, start - self.first))
@@ -1528,6 +1531,7 @@ impl<'m, S: IntervalShard> Pipeline<'m, S> {
                 sigma_hi: &f.singular_values,
                 v_lo: &f.v,
                 v_hi: &f.v,
+                lo_align: None,
             }
             .assemble(DecompositionTarget::Scalar)
         })
@@ -1540,20 +1544,19 @@ impl<'m, S: IntervalShard> Pipeline<'m, S> {
     ) -> Result<crate::target::IntervalSvd> {
         let svds = self.stage_bound_svds(run)?;
         let alignment = self.stage_svd_align(run, Rc::clone(&svds))?;
-        let (u_lo, sigma_lo, v_lo) = timed(&mut run.timings.alignment, || {
-            let u_lo = alignment.apply_to_columns(&svds.lo.u)?;
-            let v_lo = alignment.apply_to_columns(&svds.lo.v)?;
-            let sigma_lo = alignment.apply_to_diag(&svds.lo.singular_values)?;
-            Ok::<_, IvmfError>((u_lo, sigma_lo, v_lo))
+        // The factors' columns are aligned as assembly reads them.
+        let sigma_lo = timed(&mut run.timings.alignment, || {
+            alignment.apply_to_diag(&svds.lo.singular_values)
         })?;
         timed(&mut run.timings.renormalization, || {
             FactorBounds {
-                u_lo: &u_lo,
+                u_lo: &svds.lo.u,
                 u_hi: &svds.hi.u,
                 sigma_lo: &sigma_lo,
                 sigma_hi: &svds.hi.singular_values,
-                v_lo: &v_lo,
+                v_lo: &svds.lo.v,
                 v_hi: &svds.hi.v,
+                lo_align: Some(&alignment),
             }
             .assemble(target)
         })
@@ -1569,20 +1572,19 @@ impl<'m, S: IntervalShard> Pipeline<'m, S> {
         let eig_hi = self.stage_bound_eigen(run, gram, true)?;
         let recovered = self.stage_left_recover(run, Rc::clone(&eig_lo), Rc::clone(&eig_hi))?;
         let alignment = self.stage_gram_align(run, Rc::clone(&eig_lo), Rc::clone(&eig_hi))?;
-        let (u_lo, sigma_lo, v_lo) = timed(&mut run.timings.alignment, || {
-            let u_lo = alignment.apply_to_columns(&recovered.0)?;
-            let v_lo = alignment.apply_to_columns(&eig_lo.v)?;
-            let sigma_lo = alignment.apply_to_diag(&eig_lo.sigma)?;
-            Ok::<_, IvmfError>((u_lo, sigma_lo, v_lo))
+        // The factors' columns are aligned as assembly reads them.
+        let sigma_lo = timed(&mut run.timings.alignment, || {
+            alignment.apply_to_diag(&eig_lo.sigma)
         })?;
         timed(&mut run.timings.renormalization, || {
             FactorBounds {
-                u_lo: &u_lo,
+                u_lo: &recovered.0,
                 u_hi: &recovered.1,
                 sigma_lo: &sigma_lo,
                 sigma_hi: &eig_hi.sigma,
-                v_lo: &v_lo,
+                v_lo: &eig_lo.v,
                 v_hi: &eig_hi.v,
+                lo_align: Some(&alignment),
             }
             .assemble(target)
         })
@@ -1614,6 +1616,7 @@ impl<'m, S: IntervalShard> Pipeline<'m, S> {
                 sigma_hi: &eig_hi.sigma,
                 v_lo: &solved.v_lo,
                 v_hi: &eig_hi.v,
+                lo_align: None,
             }
             .assemble(target)
         })
@@ -1634,6 +1637,7 @@ impl<'m, S: IntervalShard> Pipeline<'m, S> {
                 sigma_hi: &eig_hi.sigma,
                 v_lo: &tightened.0,
                 v_hi: &tightened.1,
+                lo_align: None,
             }
             .assemble(target)
         })

@@ -7,6 +7,7 @@
 
 use ivmf_linalg::{ColScale, Matrix};
 
+use crate::target::{for_each_bound_row, LoColumns};
 use crate::{IvmfError, Result};
 
 /// Normalizes every column of `m` to unit L2 norm.
@@ -29,36 +30,39 @@ pub fn normalize_columns(m: &Matrix) -> (Matrix, Vec<f64>) {
     (out, norms)
 }
 
-/// [`normalize_columns`] of the entry-wise mean `(lo + hi) / 2` without
-/// materializing the mean separately: one row-major pass writes the mean
-/// and folds its column norms (ascending rows, exactly as
-/// [`Matrix::col_norms`] would), then the columns are scaled in place.
-/// Bitwise equal to `normalize_columns(&lo.mean_with(hi)?)`.
-pub(crate) fn normalized_mean(lo: &Matrix, hi: &Matrix) -> Result<(Matrix, Vec<f64>)> {
+/// [`normalize_columns`] of the entry-wise mean `(lo + hi) / 2`, with
+/// `lo`'s columns read through `lo_cols` when given, without materializing
+/// the mean or the aligned `lo`: a read pass folds the mean's column norms
+/// (ascending rows, exactly as [`Matrix::col_norms`] would), then one pass
+/// writes each mean entry times its column's scale. Bitwise equal to
+/// `normalize_columns(&lo.mean_with(hi)?)` of the aligned `lo`.
+pub(crate) fn normalized_mean(
+    lo: &Matrix,
+    lo_cols: Option<&LoColumns<'_>>,
+    hi: &Matrix,
+) -> Result<(Matrix, Vec<f64>)> {
     let (rows, cols) = lo.shape();
     if hi.shape() != (rows, cols) {
         return Err(IvmfError::InvalidInput(
             "minimum and maximum factors must have identical shapes".to_string(),
         ));
     }
-    let mut out = Matrix::zeros(rows, cols);
     // `-0.0` is the neutral element of `f64`'s `Sum` (see `col_norms`).
     let mut acc = vec![-0.0_f64; cols];
-    if cols > 0 {
-        let bounds = lo
-            .as_slice()
-            .chunks_exact(cols)
-            .zip(hi.as_slice().chunks_exact(cols));
-        for (o, (l, h)) in out.as_mut_slice().chunks_exact_mut(cols).zip(bounds) {
-            for (((o, a), &x), &y) in o.iter_mut().zip(acc.iter_mut()).zip(l).zip(h) {
-                *o = 0.5 * (x + y);
-                *a += *o * *o;
-            }
+    for_each_bound_row(lo, lo_cols, hi, |l, h| {
+        for ((a, &x), &y) in acc.iter_mut().zip(l).zip(h) {
+            let mean = 0.5 * (x + y);
+            *a += mean * mean;
         }
-    }
+    });
     let norms: Vec<f64> = acc.into_iter().map(f64::sqrt).collect();
-    out.scale_cols_or_zero(&renorm_scales(&norms))?;
-    Ok((out, norms))
+    let scales = renorm_scales(&norms);
+    let mut out = Vec::with_capacity(rows * cols);
+    for_each_bound_row(lo, lo_cols, hi, |l, h| {
+        let means = l.iter().zip(h).map(|(&x, &y)| 0.5 * (x + y));
+        out.extend(means.zip(&scales).map(|(mean, scale)| scale.apply(mean)));
+    });
+    Ok((Matrix::from_vec(rows, cols, out)?, norms))
 }
 
 /// Per-column scaling of the renormalization: `1/norm` for columns with a
@@ -160,15 +164,32 @@ mod tests {
             let (slow, slow_norms) = normalize_columns_oracle(&lo);
             assert_same_bits(&fast, &slow, "normalize_columns");
             proptest::prop_assert_eq!(bits(&fast_norms), bits(&slow_norms));
-            let (fused, fused_norms) = normalized_mean(&lo, &hi).unwrap();
+            let (fused, fused_norms) = normalized_mean(&lo, None, &hi).unwrap();
             let (slow, slow_norms) = normalize_columns_oracle(&lo.mean_with(&hi).unwrap());
             assert_same_bits(&fused, &slow, "normalized_mean");
+            proptest::prop_assert_eq!(bits(&fused_norms), bits(&slow_norms));
+            // Read through an alignment: the columns `apply_to_columns`
+            // would copy out, flipped ones included.
+            let mut mapping: Vec<usize> = (0..cols).collect();
+            for j in (1..cols).rev() {
+                mapping.swap(j, rng.gen_range(0..=j));
+            }
+            let alignment = ivmf_align::Alignment {
+                mapping,
+                flip: (0..cols).map(|_| rng.gen_bool(0.5)).collect(),
+                matched_similarity: vec![1.0; cols],
+            };
+            let lo_cols = LoColumns::new(&alignment, cols).unwrap();
+            let (fused, fused_norms) = normalized_mean(&lo, Some(&lo_cols), &hi).unwrap();
+            let aligned = alignment.apply_to_columns(&lo).unwrap();
+            let (slow, slow_norms) = normalize_columns_oracle(&aligned.mean_with(&hi).unwrap());
+            assert_same_bits(&fused, &slow, "aligned normalized_mean");
             proptest::prop_assert_eq!(bits(&fused_norms), bits(&slow_norms));
         }
     }
 
     #[test]
     fn normalized_mean_rejects_mismatched_bounds() {
-        assert!(normalized_mean(&Matrix::zeros(2, 2), &Matrix::zeros(3, 2)).is_err());
+        assert!(normalized_mean(&Matrix::zeros(2, 2), None, &Matrix::zeros(3, 2)).is_err());
     }
 }

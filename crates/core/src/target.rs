@@ -17,8 +17,9 @@
 //! [`IntervalSvd::reconstruct`] implements the matching reconstruction rules
 //! (supplementary Algorithms 12–14).
 
+use ivmf_align::Alignment;
 use ivmf_interval::{Interval, IntervalMatrix};
-use ivmf_linalg::Matrix;
+use ivmf_linalg::{ColScale, Matrix};
 
 use crate::renorm::normalized_mean;
 use crate::{IvmfError, Result};
@@ -128,13 +129,15 @@ impl RawFactors {
             sigma_hi: &self.sigma_hi,
             v_lo: &self.v_lo,
             v_hi: &self.v_hi,
+            lo_align: None,
         }
     }
 }
 
 /// Borrowed raw bound factors: the input of target assembly. The pipeline
 /// assembles straight from its cached stage outputs through this view, so
-/// no `n x r` factor is copied just to be handed over.
+/// no `n x r` factor is copied just to be handed over — not even to align
+/// it: the minimum-side factors are read through `lo_align` in place.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct FactorBounds<'a> {
     pub u_lo: &'a Matrix,
@@ -143,6 +146,74 @@ pub(crate) struct FactorBounds<'a> {
     pub sigma_hi: &'a [f64],
     pub v_lo: &'a Matrix,
     pub v_hi: &'a Matrix,
+    /// The ILSA alignment `u_lo` and `v_lo` are read through (`None`: as
+    /// stored): column `j` is stored column `mapping[j]`, negated where
+    /// `flip[j]` — the entries [`Alignment::apply_to_columns`] would copy
+    /// out. `sigma_lo` is passed already aligned.
+    pub lo_align: Option<&'a Alignment>,
+}
+
+/// A minimum-side factor's columns as an alignment reorders them: column
+/// `j` is stored column `map[j]` with `ops[j]` applied, exactly the entry
+/// [`Alignment::apply_to_columns`] computes.
+pub(crate) struct LoColumns<'a> {
+    map: &'a [usize],
+    ops: Vec<ColScale>,
+}
+
+impl<'a> LoColumns<'a> {
+    /// The columns of `alignment` over `cols`-column factors.
+    pub(crate) fn new(alignment: &'a Alignment, cols: usize) -> Result<Self> {
+        let map = &alignment.mapping[..];
+        if map.len() != cols || alignment.flip.len() != cols || map.iter().any(|&j| j >= cols) {
+            return Err(IvmfError::InvalidInput(format!(
+                "alignment of {} columns does not map {cols} factor columns",
+                map.len()
+            )));
+        }
+        let ops = alignment
+            .flip
+            .iter()
+            .map(|&flip| {
+                if flip {
+                    ColScale::By(-1.0)
+                } else {
+                    ColScale::Keep
+                }
+            })
+            .collect();
+        Ok(LoColumns { map, ops })
+    }
+}
+
+/// Calls `f(lo_row, hi_row)` for every row of two equally shaped bounds, in
+/// row order, with `lo`'s columns read through `lo_cols` when given.
+pub(crate) fn for_each_bound_row(
+    lo: &Matrix,
+    lo_cols: Option<&LoColumns<'_>>,
+    hi: &Matrix,
+    mut f: impl FnMut(&[f64], &[f64]),
+) {
+    let cols = lo.cols();
+    if cols == 0 {
+        return;
+    }
+    let rows = lo
+        .as_slice()
+        .chunks_exact(cols)
+        .zip(hi.as_slice().chunks_exact(cols));
+    match lo_cols {
+        None => rows.for_each(|(l, h)| f(l, h)),
+        Some(c) => {
+            let mut aligned = vec![0.0; cols];
+            for (l, h) in rows {
+                for ((a, &j), op) in aligned.iter_mut().zip(c.map).zip(&c.ops) {
+                    *a = op.apply(l[j]);
+                }
+                f(&aligned, h);
+            }
+        }
+    }
 }
 
 impl FactorBounds<'_> {
@@ -168,19 +239,21 @@ impl FactorBounds<'_> {
     }
 
     /// Validates the bounds, then assembles the final [`IntervalSvd`] for
-    /// `target`. Each `n x r` output is built in one row-major pass over
-    /// its two bounds (plus one in-place column scaling for options b and
-    /// c): option a repairs mis-ordered entries while copying, options b
-    /// and c fold the column norms while averaging.
+    /// `target`. Each `n x r` output is written once, in row-major passes
+    /// over its two bounds: option a repairs mis-ordered entries while
+    /// copying; options b and c fold the column norms in a read pass, then
+    /// write the renormalized mean, and store the scalar factor once.
     pub(crate) fn assemble(self, target: DecompositionTarget) -> Result<IntervalSvd> {
         self.validate()?;
         let r = self.sigma_lo.len();
+        let lo_cols = self.lo_align.map(|a| LoColumns::new(a, r)).transpose()?;
+        let lo_cols = lo_cols.as_ref();
         match target {
             DecompositionTarget::IntervalAll => {
                 // Option (a): keep interval factors, repairing mis-ordered
                 // entries by averaging.
-                let u = IntervalMatrix::average_repaired(self.u_lo, self.u_hi)?;
-                let v = IntervalMatrix::average_repaired(self.v_lo, self.v_hi)?;
+                let u = average_repaired(self.u_lo, lo_cols, self.u_hi)?;
+                let v = average_repaired(self.v_lo, lo_cols, self.v_hi)?;
                 let sigma = (0..r)
                     .map(|j| repaired_interval(self.sigma_lo[j], self.sigma_hi[j]))
                     .collect();
@@ -194,8 +267,8 @@ impl FactorBounds<'_> {
             DecompositionTarget::IntervalCore => {
                 // Option (b): average + renormalize the factors, rescale the
                 // interval core by the removed column norms.
-                let (u_n, norms_u) = normalized_mean(self.u_lo, self.u_hi)?;
-                let (v_n, norms_v) = normalized_mean(self.v_lo, self.v_hi)?;
+                let (u_n, norms_u) = normalized_mean(self.u_lo, lo_cols, self.u_hi)?;
+                let (v_n, norms_v) = normalized_mean(self.v_lo, lo_cols, self.v_hi)?;
                 let sigma = (0..r)
                     .map(|j| {
                         let scale = norms_u[j] * norms_v[j];
@@ -212,8 +285,8 @@ impl FactorBounds<'_> {
             DecompositionTarget::Scalar => {
                 // Option (c): everything is averaged; the core additionally
                 // absorbs the renormalization factors.
-                let (u_n, norms_u) = normalized_mean(self.u_lo, self.u_hi)?;
-                let (v_n, norms_v) = normalized_mean(self.v_lo, self.v_hi)?;
+                let (u_n, norms_u) = normalized_mean(self.u_lo, lo_cols, self.u_hi)?;
+                let (v_n, norms_v) = normalized_mean(self.v_lo, lo_cols, self.v_hi)?;
                 let sigma = (0..r)
                     .map(|j| {
                         let avg = 0.5 * (self.sigma_lo[j] + self.sigma_hi[j]);
@@ -229,6 +302,37 @@ impl FactorBounds<'_> {
             }
         }
     }
+}
+
+/// [`IntervalMatrix::average_replacement`] of the interval matrix with
+/// bounds `lo` (read through `lo_cols`) and `hi`, written in one pass:
+/// every mis-ordered entry becomes its midpoint in both bounds.
+fn average_repaired(
+    lo: &Matrix,
+    lo_cols: Option<&LoColumns<'_>>,
+    hi: &Matrix,
+) -> Result<IntervalMatrix> {
+    let (rows, cols) = lo.shape();
+    let (mut out_lo, mut out_hi) = (
+        Vec::with_capacity(rows * cols),
+        Vec::with_capacity(rows * cols),
+    );
+    for_each_bound_row(lo, lo_cols, hi, |l, h| {
+        for (&l, &h) in l.iter().zip(h) {
+            let (l, h) = if l > h {
+                let mid = 0.5 * (l + h);
+                (mid, mid)
+            } else {
+                (l, h)
+            };
+            out_lo.push(l);
+            out_hi.push(h);
+        }
+    });
+    Ok(IntervalMatrix::from_bounds(
+        Matrix::from_vec(rows, cols, out_lo)?,
+        Matrix::from_vec(rows, cols, out_hi)?,
+    )?)
 }
 
 /// The interval product `U† × Σ†` for a *diagonal* interval core, computed

@@ -16,10 +16,27 @@ use crate::{Interval, IntervalError, Result};
 /// mis-ordered and the paper explicitly defers the repair to the final
 /// *average replacement* step ([`IntervalMatrix::average_replacement`],
 /// supplementary Algorithm 3). Use [`IntervalMatrix::is_proper`] to check.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// A degenerate matrix built by [`IntervalMatrix::from_scalar`] (the
+/// scalar `U` and `V` of decomposition targets b and c) keeps one buffer:
+/// its upper bound *is* its lower bound, so [`IntervalMatrix::hi`]
+/// returns the same matrix as [`IntervalMatrix::lo`] and
+/// [`IntervalMatrix::is_scalar`] answers without a scan. The storage is
+/// invisible in values: every method returns bitwise what it returns for
+/// `from_bounds(m.clone(), m)`, and `==` compares values. The first
+/// [`IntervalMatrix::set`] on such a matrix gives it its own upper-bound
+/// buffer.
+#[derive(Debug, Clone)]
 pub struct IntervalMatrix {
     lo: Matrix,
-    hi: Matrix,
+    /// The upper bound; `None` when it is `lo` itself.
+    hi: Option<Matrix>,
+}
+
+impl PartialEq for IntervalMatrix {
+    fn eq(&self, rhs: &IntervalMatrix) -> bool {
+        self.lo == rhs.lo && self.hi() == rhs.hi()
+    }
 }
 
 impl IntervalMatrix {
@@ -37,16 +54,18 @@ impl IntervalMatrix {
                 rhs: hi.shape(),
             });
         }
-        Ok(IntervalMatrix { lo, hi })
+        Ok(IntervalMatrix::two(lo, hi))
     }
 
     /// Builds a degenerate (scalar) interval matrix where both bounds equal
-    /// `m`.
+    /// `m`, stored once.
     pub fn from_scalar(m: Matrix) -> Self {
-        IntervalMatrix {
-            lo: m.clone(),
-            hi: m,
-        }
+        IntervalMatrix { lo: m, hi: None }
+    }
+
+    /// Bounds stored in two buffers.
+    fn two(lo: Matrix, hi: Matrix) -> Self {
+        IntervalMatrix { lo, hi: Some(hi) }
     }
 
     /// Builds an interval matrix by evaluating `f(i, j)` for every entry.
@@ -60,15 +79,12 @@ impl IntervalMatrix {
                 hi[(i, j)] = v.hi();
             }
         }
-        IntervalMatrix { lo, hi }
+        IntervalMatrix::two(lo, hi)
     }
 
     /// The `rows x cols` interval matrix of zero intervals.
     pub fn zeros(rows: usize, cols: usize) -> Self {
-        IntervalMatrix {
-            lo: Matrix::zeros(rows, cols),
-            hi: Matrix::zeros(rows, cols),
-        }
+        IntervalMatrix::two(Matrix::zeros(rows, cols), Matrix::zeros(rows, cols))
     }
 
     /// Number of rows.
@@ -91,9 +107,20 @@ impl IntervalMatrix {
         &self.lo
     }
 
-    /// Upper-bound matrix `M_hi` (the paper's `M^*`).
+    /// Upper-bound matrix `M_hi` (the paper's `M^*`): the lower bound
+    /// itself for a degenerate matrix.
     pub fn hi(&self) -> &Matrix {
-        &self.hi
+        self.hi.as_ref().unwrap_or(&self.lo)
+    }
+
+    /// `f` applied to each stored bound: a degenerate matrix maps its one
+    /// buffer and stays degenerate, which is bitwise `f` applied to both
+    /// bounds when `f` is entry-wise and the same for either bound.
+    fn map_bounds(&self, f: impl Fn(&Matrix) -> Matrix) -> IntervalMatrix {
+        IntervalMatrix {
+            lo: f(&self.lo),
+            hi: self.hi.as_ref().map(f),
+        }
     }
 
     /// A copy of rows `start..end`.
@@ -110,46 +137,54 @@ impl IntervalMatrix {
             )));
         }
         let cols = self.cols();
-        let rows = |m: &Matrix| {
-            Matrix::from_vec(
-                end - start,
-                cols,
-                m.as_slice()[start * cols..end * cols].to_vec(),
-            )
-        };
-        IntervalMatrix::from_bounds(rows(&self.lo)?, rows(&self.hi)?)
+        Ok(self.map_bounds(|m| {
+            let rows = m.as_slice()[start * cols..end * cols].to_vec();
+            Matrix::from_vec(end - start, cols, rows).expect("rows x cols entries")
+        }))
     }
 
-    /// Consumes the interval matrix and returns `(lo, hi)`.
+    /// Consumes the interval matrix and returns `(lo, hi)`; a degenerate
+    /// matrix copies its one buffer for the upper bound.
     pub fn into_bounds(self) -> (Matrix, Matrix) {
+        match self.hi {
+            Some(hi) => (self.lo, hi),
+            None => (self.lo.clone(), self.lo),
+        }
+    }
+
+    /// The stored buffers: the lower bound, and the upper bound unless the
+    /// matrix is degenerate.
+    pub(crate) fn into_storage(self) -> (Matrix, Option<Matrix>) {
         (self.lo, self.hi)
     }
 
     /// Entry `(i, j)` as an [`Interval`]; mis-ordered bounds are reordered.
     pub fn get(&self, i: usize, j: usize) -> Interval {
-        Interval::from_unordered(self.lo[(i, j)], self.hi[(i, j)]).expect("bounds are finite")
+        Interval::from_unordered(self.lo[(i, j)], self.hi()[(i, j)]).expect("bounds are finite")
     }
 
     /// Raw (possibly mis-ordered) bounds of entry `(i, j)`.
     pub fn get_raw(&self, i: usize, j: usize) -> (f64, f64) {
-        (self.lo[(i, j)], self.hi[(i, j)])
+        (self.lo[(i, j)], self.hi()[(i, j)])
     }
 
-    /// Sets entry `(i, j)`.
+    /// Sets entry `(i, j)`. A degenerate matrix first copies its one
+    /// buffer into a separate upper bound, so only this entry changes.
     pub fn set(&mut self, i: usize, j: usize, value: Interval) {
+        let hi = self.hi.get_or_insert_with(|| self.lo.clone());
+        hi[(i, j)] = value.hi();
         self.lo[(i, j)] = value.lo();
-        self.hi[(i, j)] = value.hi();
     }
 
     /// The midpoint matrix `(M_lo + M_hi) / 2` (the "average matrix" of
     /// ISVD0 and of the option-b/c constructions).
     pub fn mid(&self) -> Matrix {
-        self.lo.mean_with(&self.hi).expect("bounds share a shape")
+        self.lo.mean_with(self.hi()).expect("bounds share a shape")
     }
 
     /// The entry-wise span matrix `M_hi − M_lo`.
     pub fn spans(&self) -> Matrix {
-        self.hi.sub(&self.lo).expect("bounds share a shape")
+        self.hi().sub(&self.lo).expect("bounds share a shape")
     }
 
     /// True when every entry satisfies `lo <= hi`.
@@ -157,13 +192,18 @@ impl IntervalMatrix {
         self.lo
             .as_slice()
             .iter()
-            .zip(self.hi.as_slice())
+            .zip(self.hi().as_slice())
             .all(|(&l, &h)| l <= h)
     }
 
-    /// True when every entry is scalar (`lo == hi`).
+    /// True when every entry is scalar: its two bounds are equal, or are
+    /// the same NaN. O(1) for a degenerate matrix.
     pub fn is_scalar(&self) -> bool {
-        self.lo == self.hi
+        let Some(hi) = &self.hi else {
+            return true;
+        };
+        let mut pairs = self.lo.as_slice().iter().zip(hi.as_slice());
+        pairs.all(|(&l, &h)| l == h || l.to_bits() == h.to_bits())
     }
 
     /// Fraction of entries that are genuine intervals (span > 0),
@@ -172,7 +212,7 @@ impl IntervalMatrix {
     pub fn interval_density(&self) -> f64 {
         let mut non_zero = 0usize;
         let mut interval = 0usize;
-        for (&l, &h) in self.lo.as_slice().iter().zip(self.hi.as_slice()) {
+        for (&l, &h) in self.lo.as_slice().iter().zip(self.hi().as_slice()) {
             if l != 0.0 || h != 0.0 {
                 non_zero += 1;
                 if h != l {
@@ -198,7 +238,7 @@ impl IntervalMatrix {
             .lo
             .as_slice()
             .iter()
-            .zip(self.hi.as_slice())
+            .zip(self.hi().as_slice())
             .filter(|(&l, &h)| l == 0.0 && h == 0.0)
             .count();
         zeros as f64 / total as f64
@@ -209,7 +249,7 @@ impl IntervalMatrix {
         self.lo
             .as_slice()
             .iter()
-            .zip(self.hi.as_slice())
+            .zip(self.hi().as_slice())
             .fold(0.0_f64, |acc, (&l, &h)| acc.max(h - l))
     }
 
@@ -231,87 +271,57 @@ impl IntervalMatrix {
         self.lo
             .as_slice()
             .iter()
-            .zip(self.hi.as_slice())
+            .zip(self.hi().as_slice())
             .zip(m.as_slice())
             .all(|((&l, &h), &x)| l - tol <= x && x <= h + tol)
     }
 
     /// Supplementary Algorithm 3 (matrix average replacement): every entry
     /// with mis-ordered bounds is replaced in both bounds by its midpoint.
+    /// A degenerate matrix has no mis-ordered entry and stays degenerate.
     pub fn average_replacement(&self) -> IntervalMatrix {
-        Self::average_repaired(&self.lo, &self.hi).expect("bounds share a shape")
-    }
-
-    /// [`IntervalMatrix::average_replacement`] of the interval matrix with
-    /// bounds `lo` and `hi`, built from borrowed bounds in one pass.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`IntervalError::DimensionMismatch`] when the bounds have
-    /// different shapes.
-    pub fn average_repaired(lo: &Matrix, hi: &Matrix) -> Result<IntervalMatrix> {
-        if lo.shape() != hi.shape() {
-            return Err(IntervalError::DimensionMismatch {
-                op: "average_repaired",
-                lhs: lo.shape(),
-                rhs: hi.shape(),
-            });
+        let Some(hi) = &self.hi else {
+            return self.clone();
+        };
+        let mut out = IntervalMatrix::two(self.lo.clone(), hi.clone());
+        let outs = out.lo.as_mut_slice().iter_mut();
+        for (l, h) in outs.zip(out.hi.as_mut().expect("two buffers").as_mut_slice()) {
+            if *l > *h {
+                let mid = 0.5 * (*l + *h);
+                (*l, *h) = (mid, mid);
+            }
         }
-        let (rows, cols) = lo.shape();
-        let (mut out_lo, mut out_hi) = (Matrix::zeros(rows, cols), Matrix::zeros(rows, cols));
-        let outs = out_lo.as_mut_slice().iter_mut().zip(out_hi.as_mut_slice());
-        for ((ol, oh), (&l, &h)) in outs.zip(lo.as_slice().iter().zip(hi.as_slice())) {
-            (*ol, *oh) = if l > h {
-                let mid = 0.5 * (l + h);
-                (mid, mid)
-            } else {
-                (l, h)
-            };
-        }
-        Ok(IntervalMatrix {
-            lo: out_lo,
-            hi: out_hi,
-        })
+        out
     }
 
     /// Transpose of the interval matrix.
     pub fn transpose(&self) -> IntervalMatrix {
-        IntervalMatrix {
-            lo: self.lo.transpose(),
-            hi: self.hi.transpose(),
-        }
+        self.map_bounds(Matrix::transpose)
     }
 
     /// Entry-wise interval addition.
     pub fn add(&self, rhs: &IntervalMatrix) -> Result<IntervalMatrix> {
         self.check_same_shape(rhs, "interval_add")?;
-        Ok(IntervalMatrix {
-            lo: self.lo.add(&rhs.lo)?,
-            hi: self.hi.add(&rhs.hi)?,
-        })
+        Ok(IntervalMatrix::two(
+            self.lo.add(&rhs.lo)?,
+            self.hi().add(rhs.hi())?,
+        ))
     }
 
     /// Entry-wise interval subtraction (`[a,b] − [c,d] = [a−d, b−c]`).
     pub fn sub(&self, rhs: &IntervalMatrix) -> Result<IntervalMatrix> {
         self.check_same_shape(rhs, "interval_sub")?;
-        Ok(IntervalMatrix {
-            lo: self.lo.sub(&rhs.hi)?,
-            hi: self.hi.sub(&rhs.lo)?,
-        })
+        Ok(IntervalMatrix::two(
+            self.lo.sub(rhs.hi())?,
+            self.hi().sub(&rhs.lo)?,
+        ))
     }
 
     /// Scales every interval by the scalar `s` (negative `s` swaps bounds).
     pub fn scale(&self, s: f64) -> IntervalMatrix {
-        if s >= 0.0 {
-            IntervalMatrix {
-                lo: self.lo.scale(s),
-                hi: self.hi.scale(s),
-            }
-        } else {
-            IntervalMatrix {
-                lo: self.hi.scale(s),
-                hi: self.lo.scale(s),
-            }
+        match &self.hi {
+            Some(hi) if s < 0.0 || s.is_nan() => IntervalMatrix::two(hi.scale(s), self.lo.scale(s)),
+            _ => self.map_bounds(|m| m.scale(s)),
         }
     }
 
@@ -337,9 +347,9 @@ impl IntervalMatrix {
             });
         }
         let t1 = self.lo.matmul(&rhs.lo)?;
-        let t2 = self.lo.matmul(&rhs.hi)?;
-        let t3 = self.hi.matmul(&rhs.lo)?;
-        let t4 = self.hi.matmul(&rhs.hi)?;
+        let t2 = self.lo.matmul(rhs.hi())?;
+        let t3 = self.hi().matmul(&rhs.lo)?;
+        let t4 = self.hi().matmul(rhs.hi())?;
 
         let (r, c) = t1.shape();
         let mut lo = Matrix::zeros(r, c);
@@ -350,7 +360,7 @@ impl IntervalMatrix {
                     envelope([t1[(i, j)], t2[(i, j)], t3[(i, j)], t4[(i, j)]]);
             }
         }
-        Ok(IntervalMatrix { lo, hi })
+        Ok(IntervalMatrix::two(lo, hi))
     }
 
     /// Multiplies by a scalar matrix on the right.
@@ -370,7 +380,7 @@ impl IntervalMatrix {
             });
         }
         let p = self.lo.matmul(rhs)?;
-        let q = self.hi.matmul(rhs)?;
+        let q = self.hi().matmul(rhs)?;
         Ok(envelope_of_two(p, q))
     }
 
@@ -387,7 +397,7 @@ impl IntervalMatrix {
             });
         }
         let p = lhs.matmul(&self.lo)?;
-        let q = lhs.matmul(&self.hi)?;
+        let q = lhs.matmul(self.hi())?;
         Ok(envelope_of_two(p, q))
     }
 
@@ -405,10 +415,10 @@ impl IntervalMatrix {
     /// transpose.
     pub fn interval_gram(&self) -> Result<IntervalMatrix> {
         let t1 = self.lo.gram();
-        let t4 = self.hi.gram();
+        let t4 = self.hi().gram();
         // T2 = loᵀ·hi; T3 = hiᵀ·lo = T2ᵀ entry-wise (identical products,
         // identical accumulation order).
-        let t2 = self.lo.matmul_tn(&self.hi)?;
+        let t2 = self.lo.matmul_tn(self.hi())?;
         let (r, c) = t1.shape();
         let mut lo = Matrix::zeros(r, c);
         let mut hi = Matrix::zeros(r, c);
@@ -418,17 +428,17 @@ impl IntervalMatrix {
                     envelope([t1[(i, j)], t2[(i, j)], t2[(j, i)], t4[(i, j)]]);
             }
         }
-        Ok(IntervalMatrix { lo, hi })
+        Ok(IntervalMatrix::two(lo, hi))
     }
 
     /// True when both bound matrices agree with `rhs` within `tol`.
     pub fn approx_eq(&self, rhs: &IntervalMatrix, tol: f64) -> bool {
-        self.lo.approx_eq(&rhs.lo, tol) && self.hi.approx_eq(&rhs.hi, tol)
+        self.lo.approx_eq(&rhs.lo, tol) && self.hi().approx_eq(rhs.hi(), tol)
     }
 
     /// True if any bound entry is NaN or infinite.
     pub fn has_non_finite(&self) -> bool {
-        self.lo.has_non_finite() || self.hi.has_non_finite()
+        self.lo.has_non_finite() || self.hi.as_ref().is_some_and(Matrix::has_non_finite)
     }
 
     fn check_same_shape(&self, rhs: &IntervalMatrix, op: &'static str) -> Result<()> {
@@ -471,7 +481,7 @@ fn envelope_of_two(p: Matrix, q: Matrix) -> IntervalMatrix {
             std::mem::swap(l, h);
         }
     }
-    IntervalMatrix { lo, hi }
+    IntervalMatrix::two(lo, hi)
 }
 
 #[cfg(test)]
@@ -704,6 +714,82 @@ mod tests {
                               a_lo.matmul(&b_hi).unwrap(), a_hi.matmul(&b_lo).unwrap()] {
                 prop_assert!(prod.contains_matrix(&candidate, 1e-9));
             }
+        }
+
+        #[test]
+        fn prop_degenerate_storage_is_invisible(seed in 0u64..1_000_000) {
+            use ivmf_linalg::random::{bit_pattern, edge_case_matrix};
+            use rand::rngs::SmallRng;
+            use rand::{Rng, SeedableRng};
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let (n, k) = (rng.gen_range(1usize..6), rng.gen_range(1usize..6));
+            let m = edge_case_matrix(&mut rng, n, k);
+            let one = IntervalMatrix::from_scalar(m.clone());
+            let two = IntervalMatrix::from_bounds(m.clone(), m.clone()).unwrap();
+            // A general operand with mis-ordered entries, of each shape the
+            // binary operations take.
+            let mut general = |rows, cols| {
+                let lo = edge_case_matrix(&mut rng, rows, cols);
+                IntervalMatrix::from_bounds(lo, edge_case_matrix(&mut rng, rows, cols)).unwrap()
+            };
+            let (same, right, left) = (general(n, k), general(k, 3), general(2, n));
+            let bits = |x: &Matrix| x.as_slice().iter().map(|&v| bit_pattern(v)).collect::<Vec<_>>();
+            let same_bits = |a: &IntervalMatrix, b: &IntervalMatrix, what: &str| {
+                assert_eq!(a.shape(), b.shape(), "{what}");
+                assert_eq!(bits(a.lo()), bits(b.lo()), "{what}: lo");
+                assert_eq!(bits(a.hi()), bits(b.hi()), "{what}: hi");
+            };
+            // `==` compares values (NaN never equals itself), not storage.
+            let equal = two == two;
+            prop_assert_eq!(one == two, equal);
+            prop_assert_eq!(two == one, equal);
+            prop_assert_eq!(one.is_scalar(), two.is_scalar());
+            prop_assert!(one.is_scalar());
+            same_bits(&one, &two, "bounds");
+            let ((a_lo, a_hi), (b_lo, b_hi)) = (one.clone().into_bounds(), two.clone().into_bounds());
+            prop_assert_eq!((bits(&a_lo), bits(&a_hi)), (bits(&b_lo), bits(&b_hi)));
+            same_bits(&one.transpose(), &two.transpose(), "transpose");
+            for s in [2.0, -0.5, 0.0, -0.0, f64::NAN] {
+                same_bits(&one.scale(s), &two.scale(s), "scale");
+            }
+            same_bits(&one.add(&same).unwrap(), &two.add(&same).unwrap(), "add");
+            same_bits(&same.add(&one).unwrap(), &same.add(&two).unwrap(), "add, right");
+            same_bits(&one.sub(&same).unwrap(), &two.sub(&same).unwrap(), "sub");
+            same_bits(&same.sub(&one).unwrap(), &same.sub(&two).unwrap(), "sub, right");
+            same_bits(
+                &one.interval_matmul(&right).unwrap(),
+                &two.interval_matmul(&right).unwrap(),
+                "interval_matmul",
+            );
+            same_bits(
+                &left.interval_matmul(&one).unwrap(),
+                &left.interval_matmul(&two).unwrap(),
+                "interval_matmul, right",
+            );
+            same_bits(
+                &one.matmul_scalar(right.lo()).unwrap(),
+                &two.matmul_scalar(right.lo()).unwrap(),
+                "matmul_scalar",
+            );
+            same_bits(
+                &one.matmul_scalar_left(left.lo()).unwrap(),
+                &two.matmul_scalar_left(left.lo()).unwrap(),
+                "matmul_scalar_left",
+            );
+            same_bits(&one.interval_gram().unwrap(), &two.interval_gram().unwrap(), "interval_gram");
+            same_bits(&one.average_replacement(), &two.average_replacement(), "average_replacement");
+            prop_assert_eq!(bits(&one.mid()), bits(&two.mid()));
+            prop_assert_eq!(bits(&one.spans()), bits(&two.spans()));
+            // `set` changes only its entry's bounds, and no clone.
+            let (i, j) = (rng.gen_range(0..n), rng.gen_range(0..k));
+            let (mut set_one, mut set_two) = (one.clone(), two.clone());
+            let value = Interval::new(-3.0, 5.0).unwrap();
+            set_one.set(i, j, value);
+            set_two.set(i, j, value);
+            same_bits(&set_one, &set_two, "set");
+            prop_assert_eq!(set_one.get_raw(i, j), (-3.0, 5.0));
+            same_bits(&one, &two, "a clone after set");
+            prop_assert!(one.is_scalar());
         }
 
         #[test]

@@ -110,19 +110,36 @@ pub trait IntervalShard: Clone + fmt::Debug + PartialEq + Send + Sync + 'static 
     /// bits)` pairs — the per-row count keeps the stream injective across
     /// row boundaries, and hashing implicit zeros would cost `O(nm)`.
     fn content_words(&self, lo: impl FnMut(u64), hi: impl FnMut(u64));
-    /// The lower (`hi == false`) or upper bound as a scalar block.
-    fn bound(&self, hi: bool) -> Cow<'_, Self::Block>;
-    /// The midpoint `0.5·(lo + hi)` and the Rump magnitude `|mid| + rad`
-    /// (with `rad = 0.5·|hi − lo|`) as scalar blocks: the two streams the
+    /// The lower (`hi == false`) or upper bound as a scalar block view
+    /// (borrowed: a CSR shard's bounds share its one pattern).
+    fn bound(&self, hi: bool) -> ShardView<'_, Self>;
+    /// Calls `f` with the midpoint `0.5·(lo + hi)` and the Rump magnitude
+    /// `|mid| + rad` (with `rad = 0.5·|hi − lo|`) of every entry as scalar
+    /// block views: the two streams the
     /// midpoint–radius Gram folds. Both are entry-wise and map `[0, 0]` to
-    /// `0.0`, so the CSR payloads are exactly the nonzero entries of the
-    /// dense conversion.
-    fn mid_rad(&self) -> (Self::Block, Self::Block);
+    /// `0.0`, so a CSR shard forms them per stored entry against its own
+    /// pattern — exactly the nonzero entries of the dense conversion —
+    /// and materializes neither.
+    fn with_mid_rad<R>(&self, f: impl FnOnce(ShardView<'_, Self>, ShardView<'_, Self>) -> R) -> R;
     /// Returns the shard's backing buffers to the [`ivmf_linalg::pool`],
     /// so the next decoded shard can reuse them instead of allocating
     /// (dropping the shard instead is always correct, just slower in
     /// steady-state streaming loops).
     fn recycle(self);
+}
+
+/// The scalar block view of shards of representation `S`.
+pub(crate) type ShardView<'a, S> = <<S as IntervalShard>::Block as RowBlock>::View<'a>;
+
+/// The midpoint `0.5·(lo + hi)` of one entry.
+pub(crate) fn mid(lo: f64, hi: f64) -> f64 {
+    0.5 * (lo + hi)
+}
+
+/// The Rump magnitude `|mid| + rad` of one entry, with
+/// `rad = 0.5·|hi − lo|`.
+pub(crate) fn mag(lo: f64, hi: f64) -> f64 {
+    mid(lo, hi).abs() + 0.5 * (hi - lo).abs()
 }
 
 impl IntervalShard for IntervalMatrix {
@@ -158,19 +175,25 @@ impl IntervalShard for IntervalMatrix {
         self.lo().as_slice().iter().for_each(|x| lo(x.to_bits()));
         self.hi().as_slice().iter().for_each(|x| hi(x.to_bits()));
     }
-    fn bound(&self, hi: bool) -> Cow<'_, Matrix> {
-        Cow::Borrowed(if hi { self.hi() } else { self.lo() })
+    fn bound(&self, hi: bool) -> &Matrix {
+        if hi {
+            self.hi()
+        } else {
+            self.lo()
+        }
     }
-    fn mid_rad(&self) -> (Matrix, Matrix) {
+    fn with_mid_rad<R>(&self, f: impl FnOnce(&Matrix, &Matrix) -> R) -> R {
         let mid = self.mid();
         let rad = self.spans().map(|s| 0.5 * s.abs());
         let mag = mid.map(f64::abs).add(&rad).expect("bounds share a shape");
-        (mid, mag)
+        f(&mid, &mag)
     }
     fn recycle(self) {
-        let (lo, hi) = self.into_bounds();
+        let (lo, hi) = self.into_storage();
         lo.recycle();
-        hi.recycle();
+        if let Some(hi) = hi {
+            hi.recycle();
+        }
     }
 }
 
@@ -275,10 +298,10 @@ impl<S: IntervalShard> RowBlocks<S::Block> for BoundBlocks<'_, S> {
     }
     fn for_each_block(
         &self,
-        f: &mut dyn FnMut(&S::Block) -> ivmf_linalg::Result<()>,
+        f: &mut dyn FnMut(ShardView<'_, S>) -> ivmf_linalg::Result<()>,
     ) -> ivmf_linalg::Result<()> {
         self.walk
-            .for_each_shard(&mut |s| Ok(f(&s.bound(self.hi))?))
+            .for_each_shard(&mut |s| Ok(f(s.bound(self.hi))?))
             .map_err(|e| match e {
                 IntervalError::Linalg(e) => e,
                 e => LinalgError::InvalidArgument(format!("row-shard stream: {e}")),
@@ -744,15 +767,14 @@ impl<B: RowBlock> Flavour<B> {
         match self {
             Flavour::Exact { lo, hi, cross } => {
                 let (l, h) = (shard.bound(false), shard.bound(true));
-                lo.push_block(&l)?;
-                hi.push_block(&h)?;
-                cross.push_blocks(&l, &h)?;
+                lo.push_view(l)?;
+                hi.push_view(h)?;
+                cross.push_views(l, h)?;
             }
-            Flavour::MidRad { mid, sum } => {
-                let (m, g) = shard.mid_rad();
-                mid.push_block(&m)?;
-                sum.push_block(&g)?;
-            }
+            Flavour::MidRad { mid, sum } => shard.with_mid_rad(|m, g| {
+                mid.push_view(m)?;
+                sum.push_view(g)
+            })?,
         }
         Ok(())
     }

@@ -6,7 +6,11 @@
 //! [`IntervalShard`]:
 //!
 //! * [`CsrIntervalShard`] — one interval row block as a shared CSR
-//!   pattern with `lo`/`hi` payloads (implicit entries are `[0, 0]`), and
+//!   pattern with `lo`/`hi` payloads (implicit entries are `[0, 0]`).
+//!   Its bounds stream as [`CsrRows`] views of the one pattern, borrowed:
+//!   the upper bound reads the hi payload in place, and the
+//!   midpoint–radius payloads are formed per stored entry as the stream
+//!   buffers the rows, never materialized as shards of their own; and
 //!   [`CsrShardedIntervalMatrix`], an ordered set of such shards;
 //! * [`CsrShardSource`] — the lazy out-of-core stream trait of CSR shards;
 //! * the CSR representation of
@@ -21,8 +25,8 @@
 //!
 //! The interval-specific steps are all entry-wise and zero-preserving —
 //! `mid = 0.5·(lo + hi)`, `rad = 0.5·|hi − lo|`, `sum = |mid| + rad` all
-//! map `[0, 0]` to `0.0` — so deriving the midpoint–radius payloads over
-//! stored entries only yields exactly the nonzero entries of the dense
+//! map `[0, 0]` to `0.0` — so forming the midpoint–radius payloads per
+//! stored entry yields exactly the nonzero entries of the dense
 //! conversion, and the sparse scalar accumulators are bitwise identical
 //! to the dense ones (see [`ivmf_linalg::sparse`]). The streamed sparse
 //! interval Gram therefore agrees **bit for bit** with the dense
@@ -31,9 +35,9 @@
 
 use std::borrow::Cow;
 
-use ivmf_linalg::{CsrShard, RowBlock};
+use ivmf_linalg::{CsrRows, CsrShard, RowBlock};
 
-use crate::sharded::valid_input;
+use crate::sharded::{mag, mid, valid_input};
 use crate::{IntervalError, IntervalMatrix, IntervalShard, Result, ShardedIntervalMatrix};
 
 /// One interval row block in compressed-sparse-row form: a single
@@ -121,7 +125,7 @@ impl CsrIntervalShard {
     /// Materializes the dense interval matrix (the escape hatch for
     /// small fixtures; implicit entries become `[0, 0]`).
     pub fn to_dense(&self) -> IntervalMatrix {
-        IntervalMatrix::from_bounds(self.lo.to_dense(), self.hi_shard().to_dense())
+        IntervalMatrix::from_bounds(self.lo.to_dense(), self.hi_rows().to_dense())
             .expect("bounds share the pattern's shape")
     }
 
@@ -176,49 +180,11 @@ impl CsrIntervalShard {
         (self.lo, self.hi)
     }
 
-    /// The upper bounds as a scalar CSR shard (same pattern, hi payload).
-    pub fn hi_shard(&self) -> CsrShard {
-        self.lo
-            .with_values(self.hi.clone())
+    /// The upper bounds as a scalar CSR view: the hi payload read against
+    /// the shared pattern in place.
+    pub fn hi_rows(&self) -> CsrRows<'_> {
+        CsrRows::new(self.lo.pattern(), &self.hi)
             .expect("hi payload is entry-aligned by construction")
-    }
-
-    /// The midpoint payload as a scalar CSR shard: per stored entry
-    /// `0.5 · (lo + hi)`, exactly [`IntervalMatrix::mid`]'s entry-wise
-    /// formula, so the densified result is bitwise the dense midpoint
-    /// (implicit `[0, 0]` entries map to `0.0`).
-    pub fn mid_shard(&self) -> CsrShard {
-        let mid = self
-            .lo
-            .values()
-            .iter()
-            .zip(&self.hi)
-            .map(|(&l, &h)| 0.5 * (l + h))
-            .collect();
-        self.lo
-            .with_values(mid)
-            .expect("mid payload is entry-aligned by construction")
-    }
-
-    /// The Rump magnitude payload `|mid| + rad` (with
-    /// `rad = 0.5 · |hi − lo|`) as a scalar CSR shard — per stored entry
-    /// exactly the dense conversion's `mid.map(f64::abs).add(&rad)`
-    /// arithmetic, which maps implicit `[0, 0]` entries to `0.0`.
-    pub fn mag_shard(&self) -> CsrShard {
-        let mag = self
-            .lo
-            .values()
-            .iter()
-            .zip(&self.hi)
-            .map(|(&l, &h)| {
-                let mid = 0.5 * (l + h);
-                let rad = 0.5 * (h - l).abs();
-                mid.abs() + rad
-            })
-            .collect();
-        self.lo
-            .with_values(mag)
-            .expect("magnitude payload is entry-aligned by construction")
     }
 
     /// The sub-shard of rows `start..end`.
@@ -275,15 +241,19 @@ impl IntervalShard for CsrIntervalShard {
             }
         }
     }
-    fn bound(&self, hi: bool) -> Cow<'_, CsrShard> {
+    fn bound(&self, hi: bool) -> CsrRows<'_> {
         if hi {
-            Cow::Owned(self.hi_shard())
+            self.hi_rows()
         } else {
-            Cow::Borrowed(self.lo_shard())
+            self.lo.view()
         }
     }
-    fn mid_rad(&self) -> (CsrShard, CsrShard) {
-        (self.mid_shard(), self.mag_shard())
+    fn with_mid_rad<R>(&self, f: impl FnOnce(CsrRows<'_>, CsrRows<'_>) -> R) -> R {
+        let formed = |value| {
+            CsrRows::formed(self.lo.pattern(), self.lo.values(), &self.hi, value)
+                .expect("bound payloads are entry-aligned by construction")
+        };
+        f(formed(mid), formed(mag))
     }
     fn recycle(self) {
         let (lo, hi) = self.into_parts();
@@ -373,15 +343,14 @@ mod tests {
         assert_eq!(csr.shape(), (23, 9));
         assert!(csr.density() < 1.0);
         assert_eq!(csr.to_dense(), m);
-        // Bound shards densify to the dense bounds.
-        assert_eq!(csr.lo_shard().to_dense(), *m.lo());
-        assert_eq!(csr.hi_shard().to_dense(), *m.hi());
+        // Bound views densify to the dense bounds.
+        assert_eq!(csr.bound(false).to_dense(), *m.lo());
+        assert_eq!(csr.bound(true).to_dense(), *m.hi());
         // Derived payloads are bitwise the dense conversions.
-        let mid = csr.mid_shard().to_dense();
+        let (mid, mag) = csr.with_mid_rad(|mid, mag| (mid.to_dense(), mag.to_dense()));
         for (a, b) in mid.as_slice().iter().zip(m.mid().as_slice()) {
             assert_eq!(a.to_bits(), b.to_bits(), "mid payload");
         }
-        let mag = csr.mag_shard().to_dense();
         let rad_dense = m.spans().map(|s| 0.5 * s.abs());
         let mag_dense = m.mid().map(f64::abs).add(&rad_dense).unwrap();
         for (a, b) in mag.as_slice().iter().zip(mag_dense.as_slice()) {

@@ -71,10 +71,10 @@ pub use eigen_topk::{
 pub use error::LinalgError;
 pub use fold::{ChunkKernel, StreamAccumulator};
 pub use matrix::{ColScale, Dispatch, Matrix, MATMUL_BLOCKED_MIN_WORK, MATMUL_PAR_MIN_WORK};
-pub use sparse::CsrShard;
+pub use sparse::{CsrPattern, CsrRows, CsrShard};
 pub use streaming::{
-    gram_streamed, matmul_left_streamed_t, matmul_streamed, ColBlocks, CrossGramAccumulator,
-    GramAccumulator, RowBlock, RowBlocks, STREAM_CHUNK_ROWS,
+    gram_streamed, matmul_left_streamed_t, matmul_streamed, BlockView, ColBlocks,
+    CrossGramAccumulator, GramAccumulator, RowBlock, RowBlocks, STREAM_CHUNK_ROWS,
 };
 
 /// Convenience result alias used throughout the crate.

@@ -34,7 +34,8 @@ pub enum ColScale {
 }
 
 impl ColScale {
-    fn apply(self, x: f64) -> f64 {
+    /// The operation applied to one entry `x` of the column.
+    pub fn apply(self, x: f64) -> f64 {
         match self {
             ColScale::Keep => x,
             ColScale::By(s) => x * s,
@@ -100,6 +101,18 @@ impl Dispatch {
     /// `n·m²/2` multiplications for its upper triangle).
     pub(crate) fn for_gram(n: usize, m: usize) -> Self {
         Self::for_work(n * m * m / 2)
+    }
+
+    /// This dispatch's kernel for one block of the product, of `work`
+    /// scalar multiplications, on the workers that block's own size
+    /// warrants: the kernel fixes the bits, so every entry stays that of
+    /// the whole product, while a small block no longer pays for threads
+    /// sized for the whole.
+    pub fn for_block(self, work: usize) -> Self {
+        Dispatch {
+            threads: threads_for(work),
+            ..self
+        }
     }
 }
 

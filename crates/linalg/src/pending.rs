@@ -6,6 +6,7 @@
 use std::io;
 
 use crate::fold::RowBuffer;
+use crate::sparse::{CsrPattern, CsrRows};
 use crate::state_text::{
     bad_state, checked_len, parse_usize_line, read_f64_run, read_line, write_f64_run,
     write_usize_line,
@@ -125,18 +126,18 @@ impl PendingCsrRows {
         col_idx.extend_from_slice(&self.col_idx[s..e]);
         let mut values = crate::pool::take_f64(e - s);
         values.extend_from_slice(&self.values[s..e]);
-        CsrShard {
+        let pattern = CsrPattern {
             rows: r1 - r0,
             cols: self.cols,
             row_ptr,
             col_idx,
-            values,
-        }
+        };
+        CsrShard { pattern, values }
     }
 }
 
 impl RowBuffer for PendingCsrRows {
-    type Block<'a> = &'a CsrShard;
+    type Block<'a> = CsrRows<'a>;
     type Chunk = CsrShard;
     const COLS: usize = 1;
     const COUNTS: usize = 1;
@@ -144,16 +145,19 @@ impl RowBuffer for PendingCsrRows {
     fn rows(&self) -> usize {
         self.row_ptr.len() - 1
     }
-    fn block_rows(block: &CsrShard) -> usize {
-        block.rows
+    fn block_rows(block: CsrRows<'_>) -> usize {
+        block.rows()
     }
-    fn push_rows(&mut self, block: &CsrShard, start: usize, n: usize) {
-        let (s, e) = (block.row_ptr[start], block.row_ptr[start + n]);
-        self.col_idx.extend_from_slice(&block.col_idx[s..e]);
-        self.values.extend_from_slice(&block.values[s..e]);
+    /// Copies the rows' pattern and values; a formed payload is formed
+    /// here, entry by entry.
+    fn push_rows(&mut self, block: CsrRows<'_>, start: usize, n: usize) {
+        let pattern = block.pattern();
+        let (s, e) = (pattern.row_ptr[start], pattern.row_ptr[start + n]);
+        self.col_idx.extend_from_slice(&pattern.col_idx[s..e]);
+        block.extend_values(&mut self.values, s..e);
         let base = *self.row_ptr.last().expect("row_ptr is never empty");
         self.row_ptr.extend(
-            block.row_ptr[start + 1..=start + n]
+            pattern.row_ptr[start + 1..=start + n]
                 .iter()
                 .map(|&p| base + p - s),
         );
@@ -205,8 +209,8 @@ impl RowBuffer for PendingCsrRows {
             .map_err(|e| bad_state(e.to_string()))?;
         Ok(PendingCsrRows {
             cols,
-            row_ptr: shard.row_ptr,
-            col_idx: shard.col_idx,
+            row_ptr: shard.pattern.row_ptr,
+            col_idx: shard.pattern.col_idx,
             values: shard.values,
         })
     }

@@ -142,7 +142,8 @@ impl PinvGram {
                 self.rows
             )));
         }
-        block.gram_upper_into(&mut self.gram, self.dispatch);
+        let dispatch = self.dispatch.for_block(block.rows() * r * r / 2);
+        block.gram_upper_into(&mut self.gram, dispatch);
         self.seen += block.rows();
         Ok(())
     }
@@ -205,8 +206,9 @@ impl TallPinv {
     ///
     /// [`LinalgError::DimensionMismatch`] when `rows` is not `r` wide.
     pub fn columns(&self, rows: &Matrix) -> Result<Matrix> {
-        let u = recover_other_factor(rows, &self.v, &self.sigma, self.left)?;
-        self.w.matmul_nt_with(&u, self.right)
+        let work = rows.rows() * self.w.rows() * self.w.cols();
+        let u = recover_other_factor(rows, &self.v, &self.sigma, self.left.for_block(work))?;
+        self.w.matmul_nt_with(&u, self.right.for_block(work))
     }
 }
 

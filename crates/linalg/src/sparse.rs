@@ -5,9 +5,14 @@
 //! orders of magnitude away from fitting densely in memory, yet its Gram
 //! matrix `AᵀA` (the `O(nnz·m)` heart of ISVD2–4) is perfectly computable.
 //! This module holds [`CsrShard`] — one row block in compressed-sparse-row
-//! form (`row_ptr`/`col_idx`/`values` over a fixed column count) — and its
-//! [`RowBlock`] implementation: a CSR row buffer and chunk kernels that
-//! fold **over stored entries only**.
+//! form: a [`CsrPattern`] (`row_ptr`/`col_idx` over a fixed column count)
+//! and its `values` — and its [`RowBlock`] implementation: a CSR row
+//! buffer and chunk kernels that fold **over stored entries only**.
+//! Sources hand blocks over as [`CsrRows`] views: one borrowed pattern
+//! with a stored payload, or with a payload formed per stored entry from
+//! two arrays while the rows are copied into the row buffer. An interval
+//! shard's upper bound and its midpoint–radius payloads stream this way
+//! against the shard's one pattern, which no pass copies.
 //!
 //! Everything else is not repeated here: the accumulators
 //! ([`GramAccumulator`](crate::GramAccumulator),
@@ -47,22 +52,70 @@ use crate::fold::{Gram, Partials, RowBuffer};
 use crate::kernel::{fmadd, KC};
 use crate::matrix::threads_for;
 use crate::pending::PendingCsrRows;
-use crate::{LinalgError, Matrix, Result, RowBlock, RowBlocks, MATMUL_BLOCKED_MIN_WORK};
+use crate::{BlockView, LinalgError, Matrix, Result, RowBlock, RowBlocks, MATMUL_BLOCKED_MIN_WORK};
 use std::borrow::Cow;
 
-/// One row block of a sparse matrix in compressed-sparse-row (CSR) form.
-///
-/// `row_ptr` has `rows + 1` entries; row `i`'s stored entries are
-/// `col_idx[row_ptr[i]..row_ptr[i+1]]` (strictly ascending columns) with
-/// matching `values`. Explicitly stored values may be anything, including
-/// `0.0` — a stored zero behaves bitwise exactly like a dense zero entry,
-/// so [`CsrShard::from_dense`]'s zero-dropping is invisible in results.
+/// The structure of one CSR row block: `row_ptr` has `rows + 1` entries,
+/// and row `i`'s stored entries sit at columns
+/// `col_idx[row_ptr[i]..row_ptr[i+1]]` (strictly ascending, below
+/// `cols`). A value payload aligned with `col_idx` makes it a
+/// [`CsrShard`] (owned) or a [`CsrRows`] view (borrowed); one pattern can
+/// carry several payloads, as the bounds of an interval shard do.
 #[derive(Debug, Clone, PartialEq)]
-pub struct CsrShard {
+pub struct CsrPattern {
     pub(crate) rows: usize,
     pub(crate) cols: usize,
     pub(crate) row_ptr: Vec<usize>,
     pub(crate) col_idx: Vec<usize>,
+}
+
+impl CsrPattern {
+    /// Number of rows.
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Number of columns.
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// Number of stored entries.
+    pub fn nnz(&self) -> usize {
+        self.col_idx.len()
+    }
+
+    /// The row-offset array (`rows + 1` entries).
+    pub fn row_ptr(&self) -> &[usize] {
+        &self.row_ptr
+    }
+
+    /// The stored column indices, row-major, ascending within a row.
+    pub fn col_idx(&self) -> &[usize] {
+        &self.col_idx
+    }
+
+    /// Checks that `values` holds one value per stored entry.
+    fn check_payload(&self, values: usize) -> Result<()> {
+        if values != self.nnz() {
+            return Err(LinalgError::InvalidArgument(format!(
+                "pattern has {} stored entries, got {values} values",
+                self.nnz()
+            )));
+        }
+        Ok(())
+    }
+}
+
+/// One row block of a sparse matrix in compressed-sparse-row (CSR) form:
+/// a [`CsrPattern`] and its stored `values`.
+///
+/// Explicitly stored values may be anything, including `0.0` — a stored
+/// zero behaves bitwise exactly like a dense zero entry, so
+/// [`CsrShard::from_dense`]'s zero-dropping is invisible in results.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CsrShard {
+    pub(crate) pattern: CsrPattern,
     pub(crate) values: Vec<f64>,
 }
 
@@ -115,13 +168,13 @@ impl CsrShard {
                 }
             }
         }
-        Ok(CsrShard {
+        let pattern = CsrPattern {
             rows,
             cols,
             row_ptr,
             col_idx,
-            values,
-        })
+        };
+        Ok(CsrShard { pattern, values })
     }
 
     /// Builds a shard from `(row, col, value)` triplets in any order.
@@ -186,42 +239,34 @@ impl CsrShard {
             }
             row_ptr.push(col_idx.len());
         }
-        CsrShard {
+        let pattern = CsrPattern {
             rows,
             cols,
             row_ptr,
             col_idx,
-            values,
-        }
+        };
+        CsrShard { pattern, values }
     }
 
     /// Materializes the dense matrix (the escape hatch for small
     /// fixtures; implicit entries become `0.0`).
     pub fn to_dense(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.rows, self.cols);
-        for i in 0..self.rows {
-            let (cols, vals) = self.row_entries(i);
-            let row = &mut out.as_mut_slice()[i * self.cols..(i + 1) * self.cols];
-            for (&j, &v) in cols.iter().zip(vals) {
-                row[j] = v;
-            }
-        }
-        out
+        self.view().to_dense()
     }
 
     /// Number of rows.
     pub fn rows(&self) -> usize {
-        self.rows
+        self.pattern.rows
     }
 
     /// Number of columns.
     pub fn cols(&self) -> usize {
-        self.cols
+        self.pattern.cols
     }
 
     /// `(rows, cols)`.
     pub fn shape(&self) -> (usize, usize) {
-        (self.rows, self.cols)
+        (self.rows(), self.cols())
     }
 
     /// Number of stored entries.
@@ -232,21 +277,27 @@ impl CsrShard {
     /// Fraction of cells with a stored entry (`nnz / (rows·cols)`; 0 for
     /// an empty shape).
     pub fn density(&self) -> f64 {
-        if self.rows * self.cols == 0 {
+        let cells = self.rows() * self.cols();
+        if cells == 0 {
             0.0
         } else {
-            self.nnz() as f64 / (self.rows * self.cols) as f64
+            self.nnz() as f64 / cells as f64
         }
+    }
+
+    /// The sparsity pattern.
+    pub fn pattern(&self) -> &CsrPattern {
+        &self.pattern
     }
 
     /// The row-offset array (`rows + 1` entries).
     pub fn row_ptr(&self) -> &[usize] {
-        &self.row_ptr
+        &self.pattern.row_ptr
     }
 
     /// The stored column indices, row-major, ascending within a row.
     pub fn col_idx(&self) -> &[usize] {
-        &self.col_idx
+        &self.pattern.col_idx
     }
 
     /// The stored values, aligned with [`CsrShard::col_idx`].
@@ -256,43 +307,28 @@ impl CsrShard {
 
     /// Row `i`'s stored `(columns, values)` slices.
     pub fn row_entries(&self, i: usize) -> (&[usize], &[f64]) {
-        let (s, e) = (self.row_ptr[i], self.row_ptr[i + 1]);
-        (&self.col_idx[s..e], &self.values[s..e])
-    }
-
-    /// A shard with the same sparsity pattern and a new value payload
-    /// (used by the interval layer to derive midpoint/radius streams).
-    pub fn with_values(&self, values: Vec<f64>) -> Result<CsrShard> {
-        if values.len() != self.values.len() {
-            return Err(LinalgError::InvalidArgument(format!(
-                "pattern has {} stored entries, got {} values",
-                self.values.len(),
-                values.len()
-            )));
-        }
-        Ok(CsrShard {
-            rows: self.rows,
-            cols: self.cols,
-            row_ptr: self.row_ptr.clone(),
-            col_idx: self.col_idx.clone(),
-            values,
-        })
+        let (s, e) = (self.pattern.row_ptr[i], self.pattern.row_ptr[i + 1]);
+        (&self.pattern.col_idx[s..e], &self.values[s..e])
     }
 
     /// The sub-shard of rows `start..end`.
     pub fn row_slice(&self, start: usize, end: usize) -> Result<CsrShard> {
-        if start > end || end > self.rows {
+        if start > end || end > self.rows() {
             return Err(LinalgError::InvalidArgument(format!(
                 "row range {start}..{end} out of bounds for {} rows",
-                self.rows
+                self.rows()
             )));
         }
-        let (s, e) = (self.row_ptr[start], self.row_ptr[end]);
-        Ok(CsrShard {
+        let p = &self.pattern;
+        let (s, e) = (p.row_ptr[start], p.row_ptr[end]);
+        let pattern = CsrPattern {
             rows: end - start,
-            cols: self.cols,
-            row_ptr: self.row_ptr[start..=end].iter().map(|&p| p - s).collect(),
-            col_idx: self.col_idx[s..e].to_vec(),
+            cols: p.cols,
+            row_ptr: p.row_ptr[start..=end].iter().map(|&q| q - s).collect(),
+            col_idx: p.col_idx[s..e].to_vec(),
+        };
+        Ok(CsrShard {
+            pattern,
             values: self.values[s..e].to_vec(),
         })
     }
@@ -300,13 +336,110 @@ impl CsrShard {
 
 impl RowBlocks<CsrShard> for CsrShard {
     fn rows(&self) -> usize {
-        self.rows
+        self.rows()
     }
     fn cols(&self) -> usize {
-        self.cols
+        self.cols()
     }
-    fn for_each_block(&self, f: &mut dyn FnMut(&CsrShard) -> Result<()>) -> Result<()> {
-        f(self)
+    fn for_each_block(&self, f: &mut dyn FnMut(CsrRows<'_>) -> Result<()>) -> Result<()> {
+        f(self.view())
+    }
+}
+
+/// A CSR row block as a source hands it over: a borrowed [`CsrPattern`]
+/// and a value payload read against it in place. The payload is a stored
+/// value array, or one formed per stored entry from two arrays — the
+/// midpoint or magnitude of an interval shard's bounds — as the rows are
+/// copied into a stream's row buffer, so neither is ever materialized as
+/// a shard of its own.
+#[derive(Debug, Clone, Copy)]
+pub struct CsrRows<'a> {
+    pattern: &'a CsrPattern,
+    payload: Payload<'a>,
+}
+
+/// The values of a [`CsrRows`] view.
+#[derive(Debug, Clone, Copy)]
+enum Payload<'a> {
+    /// Stored values, one per stored entry.
+    Stored(&'a [f64]),
+    /// `f(a[k], b[k])` for stored entry `k`.
+    Formed(&'a [f64], &'a [f64], fn(f64, f64) -> f64),
+}
+
+impl<'a> CsrRows<'a> {
+    /// `values` (one per stored entry) read against `pattern`.
+    pub fn new(pattern: &'a CsrPattern, values: &'a [f64]) -> Result<Self> {
+        pattern.check_payload(values.len())?;
+        let payload = Payload::Stored(values);
+        Ok(CsrRows { pattern, payload })
+    }
+
+    /// The values `f(a[k], b[k])`, formed per stored entry `k` of
+    /// `pattern` whenever the view is read.
+    pub fn formed(
+        pattern: &'a CsrPattern,
+        a: &'a [f64],
+        b: &'a [f64],
+        f: fn(f64, f64) -> f64,
+    ) -> Result<Self> {
+        pattern.check_payload(a.len())?;
+        pattern.check_payload(b.len())?;
+        let payload = Payload::Formed(a, b, f);
+        Ok(CsrRows { pattern, payload })
+    }
+
+    /// Number of rows.
+    pub fn rows(&self) -> usize {
+        self.pattern.rows
+    }
+
+    /// Number of columns.
+    pub fn cols(&self) -> usize {
+        self.pattern.cols
+    }
+
+    /// The pattern the values are read against.
+    pub fn pattern(&self) -> &'a CsrPattern {
+        self.pattern
+    }
+
+    /// Stored entries `range` (indices into the pattern's `col_idx`),
+    /// appended to `out`.
+    pub(crate) fn extend_values(&self, out: &mut Vec<f64>, range: std::ops::Range<usize>) {
+        match self.payload {
+            Payload::Stored(v) => out.extend_from_slice(&v[range]),
+            Payload::Formed(a, b, f) => {
+                out.extend(
+                    a[range.clone()]
+                        .iter()
+                        .zip(&b[range])
+                        .map(|(&x, &y)| f(x, y)),
+                );
+            }
+        }
+    }
+
+    /// Materializes the dense matrix (implicit entries become `0.0`).
+    pub fn to_dense(&self) -> Matrix {
+        let (rows, cols) = (self.rows(), self.cols());
+        let mut values = Vec::with_capacity(self.pattern.nnz());
+        self.extend_values(&mut values, 0..self.pattern.nnz());
+        let mut out = Matrix::zeros(rows, cols);
+        let p = self.pattern;
+        for (i, row) in out.as_mut_slice().chunks_exact_mut(cols.max(1)).enumerate() {
+            let range = p.row_ptr[i]..p.row_ptr[i + 1];
+            for (&j, &v) in p.col_idx[range.clone()].iter().zip(&values[range]) {
+                row[j] = v;
+            }
+        }
+        out
+    }
+}
+
+impl BlockView for CsrRows<'_> {
+    fn shape(&self) -> (usize, usize) {
+        (self.rows(), self.cols())
     }
 }
 
@@ -337,7 +470,7 @@ impl RowBlocks<CsrShard> for CsrShard {
 /// split, and the interval-Gram fold parallelizes over whole merge-group
 /// units instead.
 fn csr_gram_chunk_upper(chunk: &CsrShard) -> Matrix {
-    let m = chunk.cols;
+    let m = chunk.cols();
     let mut out = Matrix::zeros(m, m);
     csr_gram_chunk_upper_into(chunk, &mut out);
     out
@@ -352,9 +485,9 @@ fn csr_gram_chunk_upper(chunk: &CsrShard) -> Matrix {
 /// chunks is bitwise invisible because the kernel reads and writes that
 /// triangle alone.
 fn csr_gram_chunk_upper_into(chunk: &CsrShard, out: &mut Matrix) {
-    let m = chunk.cols;
+    let m = chunk.cols();
     debug_assert_eq!(out.shape(), (m, m));
-    if chunk.rows * m * m / 2 >= MATMUL_BLOCKED_MIN_WORK {
+    if chunk.rows() * m * m / 2 >= MATMUL_BLOCKED_MIN_WORK {
         csr_gram_upper(chunk, out.as_mut_slice(), m, fmadd);
     } else {
         csr_gram_upper(chunk, out.as_mut_slice(), m, |a, b, acc| acc + a * b);
@@ -380,7 +513,7 @@ fn csr_gram_upper(
     m: usize,
     step: impl Fn(f64, f64, f64) -> f64,
 ) {
-    for k in 0..chunk.rows {
+    for k in 0..chunk.rows() {
         let (cols, vals) = chunk.row_entries(k);
         for (t, (&a, &va)) in cols.iter().zip(vals).enumerate() {
             let row = &mut out[a * m..(a + 1) * m];
@@ -394,18 +527,18 @@ fn csr_gram_upper(
 /// Cross product `aᵀ · b` of two row-aligned CSR chunks — bitwise
 /// identical to [`Matrix::matmul_tn`] of the densified chunks (the dense
 /// kernel's k-outer row order, with the same plain/`fmadd` dispatch on
-/// `a.cols · rows · b.cols`; chunk rows < `KC` keep the packed path in a
+/// `a.cols() · rows · b.cols()`; chunk rows < `KC` keep the packed path in a
 /// single K-block). Runs on the calling thread, like
 /// [`csr_gram_chunk_upper_into`].
 fn csr_cross_chunk(a: &CsrShard, b: &CsrShard) -> Result<Matrix> {
-    if a.rows != b.rows {
+    if a.rows() != b.rows() {
         return Err(LinalgError::DimensionMismatch {
             op: "csr_cross_gram",
             lhs: a.shape(),
             rhs: b.shape(),
         });
     }
-    let (k, ma, mb) = (a.rows, a.cols, b.cols);
+    let (k, ma, mb) = (a.rows(), a.cols(), b.cols());
     let fused = ma * k * mb >= MATMUL_BLOCKED_MIN_WORK;
     let mut out = Matrix::zeros(ma, mb);
     let out_data = out.as_mut_slice();
@@ -441,14 +574,14 @@ fn csr_cross_chunk(a: &CsrShard, b: &CsrShard) -> Result<Matrix> {
 /// (blocks without stored entries contribute `+0.0` — a bitwise no-op —
 /// and are skipped).
 fn csr_matmul_chunk(chunk: &CsrShard, rhs: &Matrix) -> Result<Matrix> {
-    if chunk.cols != rhs.rows() {
+    if chunk.cols() != rhs.rows() {
         return Err(LinalgError::DimensionMismatch {
             op: "csr_matmul",
             lhs: chunk.shape(),
             rhs: rhs.shape(),
         });
     }
-    let (n, kdim, m) = (chunk.rows, chunk.cols, rhs.cols());
+    let (n, kdim, m) = (chunk.rows(), chunk.cols(), rhs.cols());
     let work = n * kdim * m;
     let mut out = Matrix::zeros(n, m);
     if n == 0 || m == 0 {
@@ -469,7 +602,10 @@ fn csr_matmul_chunk(chunk: &CsrShard, rhs: &Matrix) -> Result<Matrix> {
             }
         }
     } else {
-        let threads = threads_for(work);
+        // Workers follow the stored work: sized from the dense-equivalent
+        // `work`, every 128-row chunk of a sparse stream would pay a
+        // thread spawn and join for microseconds of arithmetic.
+        let threads = threads_for(chunk.nnz() * m);
         ivmf_par::par_row_panels(out.as_mut_slice(), m, threads, |first_row, panel| {
             let mut partial = vec![0.0f64; m];
             for (local, out_row) in panel.chunks_mut(m).enumerate() {
@@ -517,15 +653,15 @@ fn csr_matmul_chunk(chunk: &CsrShard, rhs: &Matrix) -> Result<Matrix> {
 /// [`MATMUL_BLOCKED_MIN_WORK`] the naive kernel's plain `+=` with its
 /// explicit skip of zero `lhs` entries.
 fn csr_left_matmul_chunk_t(lhs: &Matrix, offset: usize, chunk: &CsrShard) -> Matrix {
-    let (p, kdim, m) = (lhs.rows(), chunk.rows, chunk.cols);
+    let (p, kdim, m) = (lhs.rows(), chunk.rows(), chunk.cols());
     debug_assert!(
         offset + kdim <= lhs.cols(),
         "the driver checked the column range"
     );
     debug_assert!(kdim <= KC, "left chunks come from the pending buffer");
-    let work = p * kdim * m;
-    let fused = work >= MATMUL_BLOCKED_MIN_WORK;
-    let threads = threads_for(work);
+    let fused = p * kdim * m >= MATMUL_BLOCKED_MIN_WORK;
+    // Workers follow the stored work (see `csr_matmul_chunk`).
+    let threads = threads_for(chunk.nnz() * p);
     // Row `kk` of `a_t` is column `offset + kk` of `lhs`.
     let mut a_t = vec![0.0f64; kdim * p];
     for t in 0..p {
@@ -568,6 +704,7 @@ fn csr_left_matmul_chunk_t(lhs: &Matrix, offset: usize, chunk: &CsrShard) -> Mat
 /// their partials. The Gram folds upper-triangle partials through one
 /// reused scratch per drain; the left product folds transposed partials.
 impl RowBlock for CsrShard {
+    type View<'a> = CsrRows<'a>;
     type Pending = PendingCsrRows;
     const GRAM_TAG: &'static str = "sparsegram";
     const CROSS_TAG: &'static str = "sparsecrossgram";
@@ -576,17 +713,23 @@ impl RowBlock for CsrShard {
     const LEFT_T: bool = true;
 
     fn rows(&self) -> usize {
-        self.rows
+        self.rows()
     }
     fn cols(&self) -> usize {
-        self.cols
+        self.cols()
+    }
+    fn view(&self) -> CsrRows<'_> {
+        CsrRows {
+            pattern: &self.pattern,
+            payload: Payload::Stored(&self.values),
+        }
     }
     fn pending(cols: usize) -> PendingCsrRows {
         PendingCsrRows::new(cols)
     }
     fn recycle(self) {
-        crate::pool::recycle_usize(self.row_ptr);
-        crate::pool::recycle_usize(self.col_idx);
+        crate::pool::recycle_usize(self.pattern.row_ptr);
+        crate::pool::recycle_usize(self.pattern.col_idx);
         crate::pool::recycle_f64(self.values);
     }
     fn map_chunks<T: Send>(
@@ -723,11 +866,14 @@ mod tests {
             assert_eq!(s.row_entries(i), csr.row_entries(3 + i));
         }
         assert!(csr.row_slice(7, 3).is_err());
-        let doubled = csr
-            .with_values(csr.values().iter().map(|v| 2.0 * v).collect())
-            .unwrap();
-        assert_eq!(doubled.nnz(), csr.nnz());
-        assert!(csr.with_values(vec![0.0]).is_err());
+        // Another payload read against the same pattern, in place.
+        let doubled: Vec<f64> = csr.values().iter().map(|v| 2.0 * v).collect();
+        let view = CsrRows::new(csr.pattern(), &doubled).unwrap();
+        assert_eq!(view.to_dense(), m.scale(2.0));
+        let formed = CsrRows::formed(csr.pattern(), csr.values(), &doubled, |a, b| b - a).unwrap();
+        assert_eq!(formed.to_dense(), m);
+        assert!(CsrRows::new(csr.pattern(), &[0.0]).is_err());
+        assert!(CsrRows::formed(csr.pattern(), csr.values(), &[0.0], |a, _| a).is_err());
     }
 
     #[test]

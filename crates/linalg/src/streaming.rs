@@ -108,9 +108,16 @@ pub const GROUP_ROWS: usize = MERGE_GROUP_CHUNKS * STREAM_CHUNK_ROWS;
 /// block types of this crate only: its buffer and partial types are
 /// private to the crate.
 pub trait RowBlock: Clone + fmt::Debug + Send + Sync + 'static {
+    /// A block of this type as a source hands it over: `&Matrix` for
+    /// dense blocks, a [`CsrRows`](crate::sparse::CsrRows) view — a
+    /// borrowed pattern with a value payload — for CSR blocks, so the
+    /// bounds of an interval shard stream against one pattern, uncopied.
+    type View<'a>: BlockView
+    where
+        Self: 'a;
     /// The row buffer that re-aligns blocks of this type to the global
     /// chunk grid; its chunks are blocks of this type.
-    type Pending: for<'a> RowBuffer<Block<'a> = &'a Self, Chunk = Self> + Send + Sync;
+    type Pending: for<'a> RowBuffer<Block<'a> = Self::View<'a>, Chunk = Self> + Send + Sync;
     /// First token of a [`GramAccumulator`] state header.
     const GRAM_TAG: &'static str;
     /// First token of a [`CrossGramAccumulator`] state header.
@@ -130,6 +137,8 @@ pub trait RowBlock: Clone + fmt::Debug + Send + Sync + 'static {
     fn shape(&self) -> (usize, usize) {
         (self.rows(), self.cols())
     }
+    /// The block as a source hands it over.
+    fn view(&self) -> Self::View<'_>;
     /// An empty row buffer for blocks of `cols` columns.
     fn pending(cols: usize) -> Self::Pending;
     /// Returns the block's backing buffers to the [`crate::pool`].
@@ -174,6 +183,19 @@ pub trait RowBlock: Clone + fmt::Debug + Send + Sync + 'static {
     fn left_chunk(lhs: &Matrix, offset: usize, chunk: &Self) -> Matrix;
 }
 
+/// The shape of a row block as a source hands it over
+/// ([`RowBlock::View`]).
+pub trait BlockView: Copy {
+    /// `(rows, cols)`.
+    fn shape(&self) -> (usize, usize);
+}
+
+impl BlockView for &Matrix {
+    fn shape(&self) -> (usize, usize) {
+        Matrix::shape(self)
+    }
+}
+
 /// A matrix presented as an ordered sequence of row blocks of type `B`.
 ///
 /// A block is its own one-block source, a slice of blocks is a source
@@ -193,7 +215,7 @@ pub trait RowBlocks<B: RowBlock> {
         (self.rows(), self.cols())
     }
     /// Calls `f` once per row block, in row order.
-    fn for_each_block(&self, f: &mut dyn FnMut(&B) -> Result<()>) -> Result<()>;
+    fn for_each_block(&self, f: &mut dyn FnMut(B::View<'_>) -> Result<()>) -> Result<()>;
 }
 
 impl RowBlocks<Matrix> for Matrix {
@@ -217,8 +239,8 @@ impl<B: RowBlock> RowBlocks<B> for [B] {
     fn cols(&self) -> usize {
         self.first().map_or(0, RowBlock::cols)
     }
-    fn for_each_block(&self, f: &mut dyn FnMut(&B) -> Result<()>) -> Result<()> {
-        self.iter().try_for_each(f)
+    fn for_each_block(&self, f: &mut dyn FnMut(B::View<'_>) -> Result<()>) -> Result<()> {
+        self.iter().try_for_each(|b| f(b.view()))
     }
 }
 
@@ -314,6 +336,7 @@ fn check_cols(op: &'static str, expected: (usize, usize), block: (usize, usize))
 }
 
 impl RowBlock for Matrix {
+    type View<'a> = &'a Matrix;
     type Pending = PendingRows;
     const GRAM_TAG: &'static str = "gram";
     const CROSS_TAG: &'static str = "crossgram";
@@ -326,6 +349,9 @@ impl RowBlock for Matrix {
     }
     fn cols(&self) -> usize {
         Matrix::cols(self)
+    }
+    fn view(&self) -> &Matrix {
+        self
     }
     fn pending(cols: usize) -> PendingRows {
         PendingRows::new(cols)
@@ -400,6 +426,12 @@ impl<B: RowBlock> StreamAccumulator<Gram<B>> {
 
     /// Feeds the next row block (row order across calls).
     pub fn push_block(&mut self, block: &B) -> Result<()> {
+        self.push_view(block.view())
+    }
+
+    /// [`GramAccumulator::push_block`] for a block as a source hands it
+    /// over.
+    pub fn push_view(&mut self, block: B::View<'_>) -> Result<()> {
         let shape = (self.rows_seen(), self.cols());
         check_cols("gram_accumulate", shape, block.shape())?;
         self.push(block)
@@ -437,7 +469,14 @@ impl<B: RowBlock> StreamAccumulator<Cross<B>> {
     /// Feeds the next row block of each stream; the blocks must cover the
     /// same rows (equal row counts).
     pub fn push_blocks(&mut self, a: &B, b: &B) -> Result<()> {
-        if a.rows() != b.rows() || a.cols() != self.a_cols() || b.cols() != self.b_cols() {
+        self.push_views(a.view(), b.view())
+    }
+
+    /// [`CrossGramAccumulator::push_blocks`] for blocks as a source hands
+    /// them over.
+    pub fn push_views<'a>(&mut self, a: B::View<'a>, b: B::View<'a>) -> Result<()> {
+        let ((a_rows, a_cols), (b_rows, b_cols)) = (a.shape(), b.shape());
+        if a_rows != b_rows || a_cols != self.a_cols() || b_cols != self.b_cols() {
             return Err(LinalgError::DimensionMismatch {
                 op: "cross_gram_accumulate",
                 lhs: a.shape(),
@@ -460,7 +499,7 @@ impl<B: RowBlock> StreamAccumulator<Cross<B>> {
 /// in one chunk.
 pub fn gram_streamed<B: RowBlock, S: RowBlocks<B> + ?Sized>(source: &S) -> Result<Matrix> {
     let mut acc = GramAccumulator::<B>::new(source.cols());
-    source.for_each_block(&mut |b| acc.push_block(b))?;
+    source.for_each_block(&mut |b| acc.push_view(b))?;
     check_delivered(acc.rows_seen(), source.rows())?;
     Ok(acc.finish())
 }
@@ -1002,8 +1041,8 @@ pub(crate) mod tests {
         fn cols(&self) -> usize {
             4
         }
-        fn for_each_block(&self, f: &mut dyn FnMut(&B) -> Result<()>) -> Result<()> {
-            self.blocks.iter().try_for_each(f)
+        fn for_each_block(&self, f: &mut dyn FnMut(B::View<'_>) -> Result<()>) -> Result<()> {
+            self.blocks.iter().try_for_each(|b| f(b.view()))
         }
     }
 

@@ -52,6 +52,19 @@
 #![deny(unsafe_code)]
 
 use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// Worker threads spawned by [`par_row_panels`] and [`par_map`] since the
+/// process started.
+static SPAWNED: AtomicUsize = AtomicUsize::new(0);
+
+/// How many worker threads [`par_row_panels`] and [`par_map`] have spawned
+/// in this process so far (the calling thread's own share of the work is
+/// not counted). A statistic for tests that guard against a kernel
+/// spawning per call where it should not.
+pub fn spawned_workers() -> usize {
+    SPAWNED.load(Ordering::Relaxed)
+}
 
 /// The worker count for parallel kernels: [`ivmf_env::Settings::threads`]
 /// of the settings in force on this thread (the process default is
@@ -125,6 +138,7 @@ where
         for r in ranges {
             let (panel, tail) = rest.split_at_mut(r.len() * row_len);
             rest = tail;
+            SPAWNED.fetch_add(1, Ordering::Relaxed);
             s.spawn(move || settings.scope(|| f(r.start, panel)));
         }
         f(last.start, rest);
@@ -158,6 +172,7 @@ where
     let settings = ivmf_env::Settings::current();
     let (f, settings) = (&f, &settings);
     let mut chunks: Vec<Vec<T>> = Vec::new();
+    SPAWNED.fetch_add(ranges.len(), Ordering::Relaxed);
     std::thread::scope(|s| {
         let handles: Vec<_> = ranges
             .into_iter()
