@@ -127,7 +127,7 @@ use crate::isvd::{
     IsvdResult,
 };
 use crate::sigma_inverse::sigma_inverse_matrix;
-use crate::target::{DecompositionTarget, FactorBounds};
+use crate::target::{DecompositionTarget, FactorBounds, LeftFactors};
 use crate::timing::{timed, StageTimings};
 use crate::{IvmfError, Result};
 
@@ -611,12 +611,20 @@ pub struct BoundSvds {
 /// Output of the [`StageId::AlignedSolve`] stage (shared by ISVD3/ISVD4):
 /// the aligned minimum-side right factor and singular values, the
 /// interval-algebra left factor, and the scalar core inverse ISVD4 reuses.
+///
+/// ISVD3 and ISVD4 assemble their left factor from `u` alone, so `left`
+/// keeps it per target the first time either assembles it, and the other
+/// returns that one buffer instead of a copy. The memo lives and dies
+/// with this cache entry (an append prunes it with the entry) and is not
+/// part of the snapshot payload: a restored entry starts with an empty
+/// one.
 #[derive(Debug, Clone)]
 pub(crate) struct AlignedSolveOut {
     pub(crate) v_lo: Matrix,
     pub(crate) sigma_lo: Vec<f64>,
     pub(crate) u: IntervalMatrix,
     pub(crate) sigma_inv: Matrix,
+    pub(crate) left: LeftFactors,
 }
 
 // ---------------------------------------------------------------------------
@@ -1532,6 +1540,7 @@ impl<'m, S: IntervalShard> Pipeline<'m, S> {
                 v_lo: &f.v,
                 v_hi: &f.v,
                 lo_align: None,
+                u_memo: None,
             }
             .assemble(DecompositionTarget::Scalar)
         })
@@ -1557,6 +1566,7 @@ impl<'m, S: IntervalShard> Pipeline<'m, S> {
                 v_lo: &svds.lo.v,
                 v_hi: &svds.hi.v,
                 lo_align: Some(&alignment),
+                u_memo: None,
             }
             .assemble(target)
         })
@@ -1585,6 +1595,7 @@ impl<'m, S: IntervalShard> Pipeline<'m, S> {
                 v_lo: &eig_lo.v,
                 v_hi: &eig_hi.v,
                 lo_align: Some(&alignment),
+                u_memo: None,
             }
             .assemble(target)
         })
@@ -1617,6 +1628,7 @@ impl<'m, S: IntervalShard> Pipeline<'m, S> {
                 v_lo: &solved.v_lo,
                 v_hi: &eig_hi.v,
                 lo_align: None,
+                u_memo: Some(&solved.left),
             }
             .assemble(target)
         })
@@ -1638,6 +1650,7 @@ impl<'m, S: IntervalShard> Pipeline<'m, S> {
                 v_lo: &tightened.0,
                 v_hi: &tightened.1,
                 lo_align: None,
+                u_memo: Some(&solved.left),
             }
             .assemble(target)
         })
@@ -1831,6 +1844,7 @@ impl<'m, S: IntervalShard> Pipeline<'m, S> {
                 sigma_lo,
                 u,
                 sigma_inv,
+                left: LeftFactors::default(),
             })
         })
     }
@@ -2397,6 +2411,81 @@ mod tests {
             1,
             "old-id entries pruned, seeded Gram kept"
         );
+    }
+
+    /// Asserts two results carry bitwise the same factors and core.
+    fn assert_same_result(a: &IsvdResult, b: &IsvdResult, ctx: &str) {
+        let (fa, fb) = (&a.factors, &b.factors);
+        assert_same_bits(fa.u.lo(), fb.u.lo(), &format!("{ctx}: U lo"));
+        assert_same_bits(fa.u.hi(), fb.u.hi(), &format!("{ctx}: U hi"));
+        assert_same_bits(fa.v.lo(), fb.v.lo(), &format!("{ctx}: V lo"));
+        assert_same_bits(fa.v.hi(), fb.v.hi(), &format!("{ctx}: V hi"));
+        let bits = |r: &IsvdResult| {
+            let sigma = r.factors.sigma.iter();
+            sigma
+                .map(|s| (s.lo().to_bits(), s.hi().to_bits()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(bits(a), bits(b), "{ctx}: core");
+    }
+
+    /// Runs `algs` in order on `session` at `target`, checks each result
+    /// bitwise against a fresh session over `m`, and that the two left
+    /// factors are one buffer.
+    fn check_shared_left_factor(
+        session: &mut Pipeline<'_, IntervalMatrix>,
+        m: &IntervalMatrix,
+        algs: [IsvdAlgorithm; 2],
+        target: DecompositionTarget,
+        ctx: &str,
+    ) {
+        let config = *session.config();
+        let results = algs.map(|alg| session.run_with_target(alg, target).unwrap());
+        for (alg, result) in algs.iter().zip(&results) {
+            let mut fresh = Pipeline::new(m, config).unwrap();
+            let cold = fresh.run_with_target(*alg, target).unwrap();
+            assert_same_result(result, &cold, &format!("{ctx} {algs:?}: {alg} at {target}"));
+        }
+        let ptrs = |r: &IsvdResult| {
+            let u = &r.factors.u;
+            (u.lo().as_slice().as_ptr(), u.hi().as_slice().as_ptr())
+        };
+        assert_eq!(
+            ptrs(&results[0]),
+            ptrs(&results[1]),
+            "{ctx} {algs:?} at {target}: one left factor"
+        );
+    }
+
+    #[test]
+    fn isvd3_and_isvd4_share_one_left_factor_per_target() {
+        use IsvdAlgorithm::{Isvd3, Isvd4};
+        let base = random_interval_matrix(61, 14, 7, 1.0);
+        let extra = random_interval_matrix(62, 3, 7, 1.0);
+        let sharded = || RowShardedIntervalMatrix::from_dense(&base, 5).unwrap();
+        let mut combined = sharded();
+        combined.append_rows(extra.clone()).unwrap();
+        let combined = combined.to_dense();
+        let config = IsvdConfig::new(3);
+        for target in DecompositionTarget::all() {
+            for algs in [[Isvd3, Isvd4], [Isvd4, Isvd3]] {
+                let mut session = Pipeline::from_shards(sharded(), config).unwrap();
+                check_shared_left_factor(&mut session, &base, algs, target, "");
+
+                // A restored session starts with an empty memo and fills it
+                // with the same bits.
+                let mut snapshot = Vec::new();
+                session.write_snapshot(&mut snapshot).unwrap();
+                let mut restored = Pipeline::from_shards(sharded(), config).unwrap();
+                restored.read_snapshot(&mut &snapshot[..]);
+                check_shared_left_factor(&mut restored, &base, algs, target, "restored");
+
+                // An append drops the memo with the old entries: both runs
+                // equal a cold recompute over the extended matrix.
+                session.append_rows(extra.clone()).unwrap();
+                check_shared_left_factor(&mut session, &combined, algs, target, "appended");
+            }
+        }
     }
 
     /// A deliberately minimal lazy source over pre-cut shards of either

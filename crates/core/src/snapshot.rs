@@ -203,9 +203,11 @@ impl<A: Payload, B: Payload> Payload for (A, B) {
     }
 }
 
-/// [`Payload`] for a struct: its fields, in the order listed.
+/// [`Payload`] for a struct: its fields, in the order listed. Fields
+/// listed after a second `;` are not written, and read back as their
+/// `Default`.
 macro_rules! struct_payload {
-    ($t:ty; $($field:ident),+) => {
+    ($t:ty; $($field:ident),+ $(; $($memo:ident),+)?) => {
         impl Payload for $t {
             fn write(&self, w: &mut dyn Write) -> io::Result<()> {
                 $(self.$field.write(w)?;)+
@@ -213,7 +215,10 @@ macro_rules! struct_payload {
             }
             fn read(r: &mut dyn BufRead) -> io::Result<Self> {
                 // Struct expression fields evaluate in the order written.
-                Ok(Self { $($field: Payload::read(r)?),+ })
+                Ok(Self {
+                    $($field: Payload::read(r)?,)+
+                    $($($memo: Default::default(),)+)?
+                })
             }
         }
     };
@@ -222,7 +227,7 @@ macro_rules! struct_payload {
 struct_payload!(Svd; u, singular_values, v);
 struct_payload!(BoundSvds; lo, hi);
 struct_payload!(BoundEigen; v, sigma);
-struct_payload!(AlignedSolveOut; v_lo, sigma_lo, u, sigma_inv);
+struct_payload!(AlignedSolveOut; v_lo, sigma_lo, u, sigma_inv; left);
 
 /// How one stage's cached value is written to and read from its entry
 /// record.

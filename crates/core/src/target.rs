@@ -17,6 +17,8 @@
 //! [`IntervalSvd::reconstruct`] implements the matching reconstruction rules
 //! (supplementary Algorithms 12–14).
 
+use std::cell::OnceCell;
+
 use ivmf_align::Alignment;
 use ivmf_interval::{Interval, IntervalMatrix};
 use ivmf_linalg::{ColScale, Matrix};
@@ -130,6 +132,7 @@ impl RawFactors {
             v_lo: &self.v_lo,
             v_hi: &self.v_hi,
             lo_align: None,
+            u_memo: None,
         }
     }
 }
@@ -151,6 +154,39 @@ pub(crate) struct FactorBounds<'a> {
     /// `flip[j]` — the entries [`Alignment::apply_to_columns`] would copy
     /// out. `sigma_lo` is passed already aligned.
     pub lo_align: Option<&'a Alignment>,
+    /// Where the assembled left factor of this `u_lo`/`u_hi` pair (and
+    /// `lo_align`) is kept, so a later assembly from the same bounds
+    /// returns it instead of a new copy (`None`: assemble afresh).
+    pub u_memo: Option<&'a LeftFactors>,
+}
+
+/// The assembled left factors of one pair of raw bounds, each written on
+/// first use with shared buffers and handed out as O(1) clones. Option
+/// a's repaired `U†` is one; options b and c assemble the same
+/// renormalized mean `U` and column norms, so they share the other.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct LeftFactors {
+    repaired: LeftSlot,
+    normalized: LeftSlot,
+}
+
+/// One assembled left factor and its column norms.
+type LeftSlot = OnceCell<(IntervalMatrix, Vec<f64>)>;
+
+/// The factor in `slot` when there is one, else `assemble()`, kept in
+/// `slot` (with shared buffers) when given.
+fn memoized(
+    slot: Option<&LeftSlot>,
+    assemble: impl FnOnce() -> Result<(IntervalMatrix, Vec<f64>)>,
+) -> Result<(IntervalMatrix, Vec<f64>)> {
+    let Some(slot) = slot else {
+        return assemble();
+    };
+    if let Some(value) = slot.get() {
+        return Ok(value.clone());
+    }
+    let (u, norms) = assemble()?;
+    Ok(slot.get_or_init(|| (u.into_shared(), norms)).clone())
 }
 
 /// A minimum-side factor's columns as an alignment reorders them: column
@@ -242,7 +278,9 @@ impl FactorBounds<'_> {
     /// `target`. Each `n x r` output is written once, in row-major passes
     /// over its two bounds: option a repairs mis-ordered entries while
     /// copying; options b and c fold the column norms in a read pass, then
-    /// write the renormalized mean, and store the scalar factor once.
+    /// write the renormalized mean, and store the scalar factor once. With
+    /// `u_memo`, the left factor is assembled on the first call only;
+    /// later calls return it, sharing its buffers.
     pub(crate) fn assemble(self, target: DecompositionTarget) -> Result<IntervalSvd> {
         self.validate()?;
         let r = self.sigma_lo.len();
@@ -252,7 +290,9 @@ impl FactorBounds<'_> {
             DecompositionTarget::IntervalAll => {
                 // Option (a): keep interval factors, repairing mis-ordered
                 // entries by averaging.
-                let u = average_repaired(self.u_lo, lo_cols, self.u_hi)?;
+                let (u, _) = memoized(self.u_memo.map(|m| &m.repaired), || {
+                    Ok((average_repaired(self.u_lo, lo_cols, self.u_hi)?, Vec::new()))
+                })?;
                 let v = average_repaired(self.v_lo, lo_cols, self.v_hi)?;
                 let sigma = (0..r)
                     .map(|j| repaired_interval(self.sigma_lo[j], self.sigma_hi[j]))
@@ -267,7 +307,7 @@ impl FactorBounds<'_> {
             DecompositionTarget::IntervalCore => {
                 // Option (b): average + renormalize the factors, rescale the
                 // interval core by the removed column norms.
-                let (u_n, norms_u) = normalized_mean(self.u_lo, lo_cols, self.u_hi)?;
+                let (u, norms_u) = self.normalized_u(lo_cols)?;
                 let (v_n, norms_v) = normalized_mean(self.v_lo, lo_cols, self.v_hi)?;
                 let sigma = (0..r)
                     .map(|j| {
@@ -277,7 +317,7 @@ impl FactorBounds<'_> {
                     .collect();
                 Ok(IntervalSvd {
                     target,
-                    u: IntervalMatrix::from_scalar(u_n),
+                    u,
                     sigma,
                     v: IntervalMatrix::from_scalar(v_n),
                 })
@@ -285,7 +325,7 @@ impl FactorBounds<'_> {
             DecompositionTarget::Scalar => {
                 // Option (c): everything is averaged; the core additionally
                 // absorbs the renormalization factors.
-                let (u_n, norms_u) = normalized_mean(self.u_lo, lo_cols, self.u_hi)?;
+                let (u, norms_u) = self.normalized_u(lo_cols)?;
                 let (v_n, norms_v) = normalized_mean(self.v_lo, lo_cols, self.v_hi)?;
                 let sigma = (0..r)
                     .map(|j| {
@@ -295,12 +335,21 @@ impl FactorBounds<'_> {
                     .collect();
                 Ok(IntervalSvd {
                     target,
-                    u: IntervalMatrix::from_scalar(u_n),
+                    u,
                     sigma,
                     v: IntervalMatrix::from_scalar(v_n),
                 })
             }
         }
+    }
+
+    /// Options b and c's left factor, the renormalized mean of `u_lo` and
+    /// `u_hi` stored once, and its column norms.
+    fn normalized_u(&self, lo_cols: Option<&LoColumns<'_>>) -> Result<(IntervalMatrix, Vec<f64>)> {
+        memoized(self.u_memo.map(|m| &m.normalized), || {
+            let (u_n, norms) = normalized_mean(self.u_lo, lo_cols, self.u_hi)?;
+            Ok((IntervalMatrix::from_scalar(u_n), norms))
+        })
     }
 }
 

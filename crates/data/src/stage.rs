@@ -201,8 +201,19 @@ impl Stage for CsrStage {
         }))
     }
 
-    /// Emits the next `take` rows with their offsets rebased to 0.
+    /// Emits the next `take` rows with their offsets rebased to 0. A
+    /// shard of every staged row takes the staged arrays themselves, and
+    /// the stage restarts on pooled buffers of their sizes.
     fn emit(&mut self, take: usize, cols: usize) -> io::Result<CsrIntervalShard> {
+        if self.row_off == 0 && take == self.rows_staged {
+            let row_ptr = hand_over(&mut self.row_ptr, pool::take_usize);
+            let col_idx = hand_over(&mut self.col_idx, pool::take_usize);
+            let lo = hand_over(&mut self.lo, pool::take_f64);
+            let hi = hand_over(&mut self.hi, pool::take_f64);
+            self.rows_staged = 0;
+            return CsrIntervalShard::new(take, cols, row_ptr, col_idx, lo, hi)
+                .map_err(|e| invalid_data(e.to_string()));
+        }
         let (r0, r1) = (self.row_off, self.row_off + take);
         let (s, e) = (self.row_ptr[r0], self.row_ptr[r1]);
         let mut row_ptr = pool::take_usize(take + 1);
@@ -240,4 +251,11 @@ impl Stage for CsrStage {
         self.rows_staged = 0;
         self.row_off = 0;
     }
+}
+
+/// Moves `buf`'s contents out, leaving in its place an empty buffer from
+/// `take` with room for as many elements.
+fn hand_over<T>(buf: &mut Vec<T>, take: fn(usize) -> Vec<T>) -> Vec<T> {
+    let fresh = take(buf.len());
+    std::mem::replace(buf, fresh)
 }

@@ -1,3 +1,5 @@
+use std::sync::Arc;
+
 use ivmf_linalg::Matrix;
 
 use crate::scalar::envelope;
@@ -26,16 +28,78 @@ use crate::{Interval, IntervalError, Result};
 /// `from_bounds(m.clone(), m)`, and `==` compares values. The first
 /// [`IntervalMatrix::set`] on such a matrix gives it its own upper-bound
 /// buffer.
+///
+/// A matrix's bounds are owned, and `clone` copies them, until
+/// [`IntervalMatrix::into_shared`] makes them reference-counted: clones
+/// of a shared matrix are O(1) and hold the same buffers (the left factor
+/// ISVD3 and ISVD4 both return is one buffer, however many results hold
+/// it). [`IntervalMatrix::set`] copies a shared buffer before it writes
+/// (copy on write), so no clone ever sees another's edit, and
+/// [`IntervalMatrix::into_bounds`] moves an unshared buffer out and copies
+/// a shared one. Sharing is opt-in so that the many short-lived matrices
+/// of a decomposition keep plain owned buffers.
 #[derive(Debug, Clone)]
 pub struct IntervalMatrix {
-    lo: Matrix,
+    lo: Bound,
     /// The upper bound; `None` when it is `lo` itself.
-    hi: Option<Matrix>,
+    hi: Option<Bound>,
+}
+
+/// One bound buffer: owned, or shared between clones.
+#[derive(Debug, Clone)]
+enum Bound {
+    Owned(Matrix),
+    Shared(Arc<Matrix>),
+}
+
+impl std::ops::Deref for Bound {
+    type Target = Matrix;
+    fn deref(&self) -> &Matrix {
+        match self {
+            Bound::Owned(m) => m,
+            Bound::Shared(m) => m,
+        }
+    }
+}
+
+impl Bound {
+    /// The buffer for writing: a shared one is copied first unless no
+    /// other clone holds it.
+    fn to_mut(&mut self) -> &mut Matrix {
+        match self {
+            Bound::Owned(m) => m,
+            Bound::Shared(m) => Arc::make_mut(m),
+        }
+    }
+
+    /// The buffer: moved out when no other clone holds it, copied
+    /// otherwise.
+    fn into_matrix(self) -> Matrix {
+        match self {
+            Bound::Owned(m) => m,
+            Bound::Shared(m) => Arc::try_unwrap(m).unwrap_or_else(|m| Matrix::clone(&m)),
+        }
+    }
+
+    /// The buffer if no other clone holds it.
+    fn into_unshared(self) -> Option<Matrix> {
+        match self {
+            Bound::Owned(m) => Some(m),
+            Bound::Shared(m) => Arc::try_unwrap(m).ok(),
+        }
+    }
+
+    fn into_shared(self) -> Bound {
+        match self {
+            Bound::Owned(m) => Bound::Shared(Arc::new(m)),
+            shared => shared,
+        }
+    }
 }
 
 impl PartialEq for IntervalMatrix {
     fn eq(&self, rhs: &IntervalMatrix) -> bool {
-        self.lo == rhs.lo && self.hi() == rhs.hi()
+        self.lo() == rhs.lo() && self.hi() == rhs.hi()
     }
 }
 
@@ -60,12 +124,18 @@ impl IntervalMatrix {
     /// Builds a degenerate (scalar) interval matrix where both bounds equal
     /// `m`, stored once.
     pub fn from_scalar(m: Matrix) -> Self {
-        IntervalMatrix { lo: m, hi: None }
+        IntervalMatrix {
+            lo: Bound::Owned(m),
+            hi: None,
+        }
     }
 
     /// Bounds stored in two buffers.
     fn two(lo: Matrix, hi: Matrix) -> Self {
-        IntervalMatrix { lo, hi: Some(hi) }
+        IntervalMatrix {
+            lo: Bound::Owned(lo),
+            hi: Some(Bound::Owned(hi)),
+        }
     }
 
     /// Builds an interval matrix by evaluating `f(i, j)` for every entry.
@@ -85,6 +155,16 @@ impl IntervalMatrix {
     /// The `rows x cols` interval matrix of zero intervals.
     pub fn zeros(rows: usize, cols: usize) -> Self {
         IntervalMatrix::two(Matrix::zeros(rows, cols), Matrix::zeros(rows, cols))
+    }
+
+    /// The matrix with its bounds shared between clones: cloning the
+    /// result is O(1), and its clones hold the same buffers. Moves the
+    /// buffers; copies nothing.
+    pub fn into_shared(self) -> IntervalMatrix {
+        IntervalMatrix {
+            lo: self.lo.into_shared(),
+            hi: self.hi.map(Bound::into_shared),
+        }
     }
 
     /// Number of rows.
@@ -110,7 +190,7 @@ impl IntervalMatrix {
     /// Upper-bound matrix `M_hi` (the paper's `M^*`): the lower bound
     /// itself for a degenerate matrix.
     pub fn hi(&self) -> &Matrix {
-        self.hi.as_ref().unwrap_or(&self.lo)
+        self.hi.as_deref().unwrap_or(&self.lo)
     }
 
     /// `f` applied to each stored bound: a degenerate matrix maps its one
@@ -118,8 +198,8 @@ impl IntervalMatrix {
     /// bounds when `f` is entry-wise and the same for either bound.
     fn map_bounds(&self, f: impl Fn(&Matrix) -> Matrix) -> IntervalMatrix {
         IntervalMatrix {
-            lo: f(&self.lo),
-            hi: self.hi.as_ref().map(f),
+            lo: Bound::Owned(f(&self.lo)),
+            hi: self.hi.as_deref().map(f).map(Bound::Owned),
         }
     }
 
@@ -143,19 +223,23 @@ impl IntervalMatrix {
         }))
     }
 
-    /// Consumes the interval matrix and returns `(lo, hi)`; a degenerate
+    /// Consumes the interval matrix and returns `(lo, hi)`: a buffer no
+    /// clone shares is moved out, a shared one is copied, and a degenerate
     /// matrix copies its one buffer for the upper bound.
     pub fn into_bounds(self) -> (Matrix, Matrix) {
+        let lo = self.lo.into_matrix();
         match self.hi {
-            Some(hi) => (self.lo, hi),
-            None => (self.lo.clone(), self.lo),
+            Some(hi) => (lo, hi.into_matrix()),
+            None => (lo.clone(), lo),
         }
     }
 
-    /// The stored buffers: the lower bound, and the upper bound unless the
-    /// matrix is degenerate.
-    pub(crate) fn into_storage(self) -> (Matrix, Option<Matrix>) {
-        (self.lo, self.hi)
+    /// The stored buffers no clone shares, for recycling: the lower bound,
+    /// and the upper bound unless the matrix is degenerate. A shared
+    /// buffer stays with its other holders.
+    pub(crate) fn into_unshared(self) -> impl Iterator<Item = Matrix> {
+        let lo = self.lo.into_unshared();
+        lo.into_iter().chain(self.hi.and_then(Bound::into_unshared))
     }
 
     /// Entry `(i, j)` as an [`Interval`]; mis-ordered bounds are reordered.
@@ -169,11 +253,16 @@ impl IntervalMatrix {
     }
 
     /// Sets entry `(i, j)`. A degenerate matrix first copies its one
-    /// buffer into a separate upper bound, so only this entry changes.
+    /// buffer into a separate upper bound, and a buffer shared with a
+    /// clone is copied before it is written, so only this entry of this
+    /// matrix changes.
     pub fn set(&mut self, i: usize, j: usize, value: Interval) {
-        let hi = self.hi.get_or_insert_with(|| self.lo.clone());
-        hi[(i, j)] = value.hi();
-        self.lo[(i, j)] = value.lo();
+        let lo = &self.lo;
+        let hi = self
+            .hi
+            .get_or_insert_with(|| Bound::Owned(Matrix::clone(lo)));
+        hi.to_mut()[(i, j)] = value.hi();
+        self.lo.to_mut()[(i, j)] = value.lo();
     }
 
     /// The midpoint matrix `(M_lo + M_hi) / 2` (the "average matrix" of
@@ -283,15 +372,14 @@ impl IntervalMatrix {
         let Some(hi) = &self.hi else {
             return self.clone();
         };
-        let mut out = IntervalMatrix::two(self.lo.clone(), hi.clone());
-        let outs = out.lo.as_mut_slice().iter_mut();
-        for (l, h) in outs.zip(out.hi.as_mut().expect("two buffers").as_mut_slice()) {
+        let (mut lo, mut hi) = (Matrix::clone(&self.lo), Matrix::clone(hi));
+        for (l, h) in lo.as_mut_slice().iter_mut().zip(hi.as_mut_slice()) {
             if *l > *h {
                 let mid = 0.5 * (*l + *h);
                 (*l, *h) = (mid, mid);
             }
         }
-        out
+        IntervalMatrix::two(lo, hi)
     }
 
     /// Transpose of the interval matrix.
@@ -438,7 +526,7 @@ impl IntervalMatrix {
 
     /// True if any bound entry is NaN or infinite.
     pub fn has_non_finite(&self) -> bool {
-        self.lo.has_non_finite() || self.hi.as_ref().is_some_and(Matrix::has_non_finite)
+        self.lo.has_non_finite() || self.hi.as_deref().is_some_and(Matrix::has_non_finite)
     }
 
     fn check_same_shape(&self, rhs: &IntervalMatrix, op: &'static str) -> Result<()> {
@@ -780,15 +868,56 @@ mod tests {
             same_bits(&one.average_replacement(), &two.average_replacement(), "average_replacement");
             prop_assert_eq!(bits(&one.mid()), bits(&two.mid()));
             prop_assert_eq!(bits(&one.spans()), bits(&two.spans()));
-            // `set` changes only its entry's bounds, and no clone.
+            // Clones of a shared matrix hold its buffers and read, compare
+            // and move across threads like the original; an owned matrix's
+            // clone is a copy.
+            let original = (bits(&m), bits(&m));
+            let ptr = |x: &Matrix| x.as_slice().as_ptr();
+            prop_assert!(ptr(one.clone().lo()) != ptr(one.lo()));
+            let shared = [one.clone().into_shared(), two.clone().into_shared()];
+            for (x, form) in shared.iter().zip(["degenerate", "two-bound"]) {
+                let copy = x.clone();
+                prop_assert_eq!(ptr(copy.lo()), ptr(x.lo()), "{}", form);
+                prop_assert_eq!(ptr(copy.hi()), ptr(x.hi()), "{}", form);
+                prop_assert_eq!(copy == *x, equal, "{}", form);
+                same_bits(&copy, x, form);
+                let moved = x.clone();
+                let sent = std::thread::scope(|s| {
+                    s.spawn(move || (bits(moved.lo()), bits(moved.hi()))).join().unwrap()
+                });
+                prop_assert_eq!(sent, (bits(x.lo()), bits(x.hi())), "{}", form);
+            }
+            // `into_bounds` moves an unshared buffer out and copies a shared
+            // one, leaving the other clone intact.
+            for solo in [two.clone(), two.clone().into_shared()] {
+                let (solo_lo, solo_hi) = (ptr(solo.lo()), ptr(solo.hi()));
+                let (lo, hi) = solo.into_bounds();
+                prop_assert_eq!((ptr(&lo), ptr(&hi)), (solo_lo, solo_hi));
+            }
+            for x in &shared {
+                let (mut lo, mut hi) = x.clone().into_bounds();
+                prop_assert!(ptr(&lo) != ptr(x.lo()) && ptr(&hi) != ptr(x.hi()));
+                prop_assert!(ptr(&lo) != ptr(&hi));
+                prop_assert_eq!((bits(&lo), bits(&hi)), (bits(x.lo()), bits(x.hi())));
+                lo.as_mut_slice().fill(7.0);
+                hi.as_mut_slice().fill(-7.0);
+                prop_assert_eq!((bits(x.lo()), bits(x.hi())), original.clone());
+            }
+            // `set` changes only its entry's bounds, and no clone, owned or
+            // shared.
             let (i, j) = (rng.gen_range(0..n), rng.gen_range(0..k));
-            let (mut set_one, mut set_two) = (one.clone(), two.clone());
             let value = Interval::new(-3.0, 5.0).unwrap();
-            set_one.set(i, j, value);
-            set_two.set(i, j, value);
-            same_bits(&set_one, &set_two, "set");
-            prop_assert_eq!(set_one.get_raw(i, j), (-3.0, 5.0));
-            same_bits(&one, &two, "a clone after set");
+            let [shared_one, shared_two] = &shared;
+            for (a, b) in [(&one, &two), (shared_one, shared_two)] {
+                let (mut set_one, mut set_two) = (a.clone(), b.clone());
+                set_one.set(i, j, value);
+                set_two.set(i, j, value);
+                same_bits(&set_one, &set_two, "set");
+                prop_assert_eq!(set_one.get_raw(i, j), (-3.0, 5.0));
+                for x in [a, b] {
+                    prop_assert_eq!((bits(x.lo()), bits(x.hi())), original.clone());
+                }
+            }
             prop_assert!(one.is_scalar());
         }
 

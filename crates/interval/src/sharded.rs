@@ -189,11 +189,7 @@ impl IntervalShard for IntervalMatrix {
         f(&mid, &mag)
     }
     fn recycle(self) {
-        let (lo, hi) = self.into_storage();
-        lo.recycle();
-        if let Some(hi) = hi {
-            hi.recycle();
-        }
+        self.into_unshared().for_each(Matrix::recycle);
     }
 }
 

@@ -278,8 +278,14 @@ fn group_open(chunks: usize) -> bool {
 }
 
 /// The two partials of a fold and the number of chunks folded into them.
+///
+/// With [`ChunkKernel::RECYCLE`], every partial a fold consumes goes back
+/// to the [`crate::pool`], and so do the two partials when the fold is
+/// dropped; the partials it opens a group with come from the pool, so
+/// takes and recycles balance and the shelf holds about one buffer per
+/// partial in flight.
 #[derive(Debug, Clone)]
-pub struct Partials<K> {
+pub struct Partials<K: ChunkKernel> {
     /// Master partial: fold of the completed merge groups, in order.
     acc: Option<Matrix>,
     /// Group partial: fold of the chunks since the last group boundary.
@@ -315,6 +321,19 @@ impl<K: ChunkKernel> Partials<K> {
         }
     }
 
+    /// `p` owned: a borrowed partial is copied, into a pool buffer when
+    /// partials are recycled.
+    fn into_owned(p: Cow<'_, Matrix>) -> Matrix {
+        match p {
+            Cow::Borrowed(p) if K::RECYCLE => {
+                let mut buf = crate::pool::take_f64(p.as_slice().len());
+                buf.extend_from_slice(p.as_slice());
+                Matrix::from_vec(p.rows(), p.cols(), buf).expect("rows x cols entries")
+            }
+            p => p.into_owned(),
+        }
+    }
+
     /// Folds the next chunk's partial into the group, sealing the group
     /// into the master at every [`MERGE_GROUP_CHUNKS`] boundary. A
     /// borrowed partial (a reused scratch) is copied only when it opens a
@@ -322,7 +341,7 @@ impl<K: ChunkKernel> Partials<K> {
     pub(crate) fn fold(&mut self, p: Cow<'_, Matrix>) {
         match (&mut self.group, p) {
             (Some(g), Cow::Borrowed(p)) => Self::add(g, p),
-            (group, p) => Self::merge(group, p.into_owned()),
+            (group, p) => Self::merge(group, Self::into_owned(p)),
         }
         self.chunks += 1;
         if !group_open(self.chunks) {
@@ -330,6 +349,16 @@ impl<K: ChunkKernel> Partials<K> {
                 Self::merge(&mut self.acc, g);
             }
         }
+    }
+}
+
+impl<K: ChunkKernel> Drop for Partials<K> {
+    fn drop(&mut self) {
+        self.acc
+            .take()
+            .into_iter()
+            .chain(self.group.take())
+            .for_each(Self::recycle);
     }
 }
 
@@ -385,20 +414,16 @@ impl<K: ChunkKernel> StreamAccumulator<K> {
     /// rows can follow. Combination order is fixed:
     /// `master ⊕ (group ⊕ tail)`.
     pub fn try_finish(&self) -> Result<Matrix> {
-        let mut tail = self.sum.group.clone();
+        // The tail partials are consumed here; the master's copy is the
+        // result.
+        let copy = |p: &Matrix| Partials::<K>::into_owned(Cow::Borrowed(p));
+        let mut tail = self.sum.group.as_ref().map(copy);
         if let Some(rem) = self.pending.remainder() {
-            let p = K::tail(rem)?;
-            match &mut tail {
-                None => tail = Some(p),
-                Some(t) => Partials::<K>::add(t, &p),
-            }
+            Partials::<K>::merge(&mut tail, K::tail(rem)?);
         }
         let mut acc = self.sum.acc.clone();
         if let Some(t) = tail {
-            match &mut acc {
-                None => acc = Some(t),
-                Some(a) => Partials::<K>::add(a, &t),
-            }
+            Partials::<K>::merge(&mut acc, t);
         }
         let (rows, cols) = self.output_shape();
         let mut out = acc.unwrap_or_else(|| Matrix::zeros(rows, cols));
@@ -418,7 +443,7 @@ impl<K: ChunkKernel> StreamAccumulator<K> {
     /// Requires `self` to sit exactly on a group boundary (no pending
     /// tail, no open group) and `other` to span at most one group, so only
     /// the final unit of a stream may be partial.
-    pub fn absorb_unit(&mut self, other: StreamAccumulator<K>) -> Result<()> {
+    pub fn absorb_unit(&mut self, mut other: StreamAccumulator<K>) -> Result<()> {
         if other.output_shape() != self.output_shape() {
             return Err(LinalgError::DimensionMismatch {
                 op: "absorb_unit",
@@ -442,13 +467,10 @@ impl<K: ChunkKernel> StreamAccumulator<K> {
         }
         // A ≤ GROUP_ROWS unit has at most one completed group (its `acc`),
         // which is exactly the next group of the combined stream.
-        if let Some(g) = other.sum.acc {
-            match &mut self.sum.acc {
-                None => self.sum.acc = Some(g),
-                Some(a) => Partials::<K>::add(a, &g),
-            }
+        if let Some(g) = other.sum.acc.take() {
+            Partials::<K>::merge(&mut self.sum.acc, g);
         }
-        self.sum.group = other.sum.group;
+        self.sum.group = other.sum.group.take();
         self.sum.chunks += other.sum.chunks;
         self.pending = other.pending;
         Ok(())

@@ -27,6 +27,12 @@
 //!   the shelf holds about one buffer per shape in flight. Recycling fresh
 //!   allocations that no take asks for again would only fill the shelf
 //!   with resident, unused capacity.
+//! * The CSR Gram and cross folds balance the same way: every `m×m`
+//!   partial they recycle was taken here — chunk partials, the copy that
+//!   opens a merge group, and the tail partial of a finish — and a fold
+//!   returns its master and group partials when it is dropped. A stream
+//!   of any length leaves a few `m×m` buffers on the shelf, not
+//!   [`MAX_POOLED_BUFFERS`] of them.
 //! * The pool is a bounded cache, not an arena: it retains at most
 //!   [`MAX_POOLED_BUFFERS`] buffers and [`MAX_RETAINED_ELEMS`] total
 //!   elements of capacity per element type, dropping the excess. Peak

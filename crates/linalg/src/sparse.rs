@@ -471,7 +471,9 @@ impl BlockView for CsrRows<'_> {
 /// units instead.
 fn csr_gram_chunk_upper(chunk: &CsrShard) -> Matrix {
     let m = chunk.cols();
-    let mut out = Matrix::zeros(m, m);
+    // From the pool: the fold recycles the partials it consumes.
+    let mut out = Matrix::from_vec(m, m, crate::pool::take_zeroed_f64(m * m))
+        .expect("pooled buffer has exactly m*m elements");
     csr_gram_chunk_upper_into(chunk, &mut out);
     out
 }
@@ -540,7 +542,9 @@ fn csr_cross_chunk(a: &CsrShard, b: &CsrShard) -> Result<Matrix> {
     }
     let (k, ma, mb) = (a.rows(), a.cols(), b.cols());
     let fused = ma * k * mb >= MATMUL_BLOCKED_MIN_WORK;
-    let mut out = Matrix::zeros(ma, mb);
+    // From the pool: the fold recycles the partials it consumes.
+    let mut out = Matrix::from_vec(ma, mb, crate::pool::take_zeroed_f64(ma * mb))
+        .expect("pooled buffer has exactly ma*mb elements");
     let out_data = out.as_mut_slice();
     for kk in 0..k {
         let (a_cols, a_vals) = a.row_entries(kk);
